@@ -224,17 +224,26 @@ def cmd_hydrogen(args, cfg: RunConfig, argv: list[str]) -> int:
     return code
 
 
+def _parse_number(text: str, what: str, kind: type = float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"{what}: {text.strip()!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_grid(text: str) -> list[float]:
     text = text.strip()
+    what = f"grid spec {text!r}"
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise DomainError(f"grid spec {text!r} must be start:stop:count or a comma list")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            raise DomainError(f"{what} must be start:stop:count or a comma list")
+        start, stop = (_parse_number(t, what) for t in parts[:2])
+        count = _parse_number(parts[2], what, int)
         if count < 1:
             raise DomainError("grid count must be >= 1")
         return list(np.linspace(start, stop, count))
-    vals = [float(t) for t in text.split(",") if t.strip()]
+    vals = [_parse_number(t, what) for t in text.split(",") if t.strip()]
     if not vals:
         raise DomainError("empty grid")
     return vals
@@ -425,10 +434,11 @@ def cmd_holder(args, cfg: RunConfig, argv: list[str]) -> int:
     return code
 
 
-def _parse_triple(text: str, names: tuple[str, ...]) -> list[float]:
-    parts = [float(t) for t in text.split(",")]
+def _parse_params(text: str, names: tuple[str, ...]) -> list[float]:
+    what = f"expected {','.join(names)}, got {text!r}"
+    parts = [_parse_number(t, what) for t in text.split(",")]
     if len(parts) != len(names):
-        raise DomainError(f"expected {','.join(names)}, got {text!r}")
+        raise DomainError(what)
     if any(v <= 0.0 for v in parts):
         raise DomainError(f"{','.join(names)} must all be positive")
     return parts
@@ -490,7 +500,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
             outcomes.add_divergent(f"threshold moments: {bad.detail}")
 
     if args.buckingham:
-        g, r0, s_ = _parse_triple(args.buckingham, ("gamma", "r0", "sigma"))
+        g, r0, s_ = _parse_params(args.buckingham, ("gamma", "r0", "sigma"))
         res = cf.buckingham_bound(state, cf.BuckinghamPotential(g, r0, s_))
         entry: dict[str, Any] = {
             "bound": res.bound * energy_unit,
@@ -510,7 +520,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
         report["buckingham"] = entry
 
     if args.lj:
-        eps, s_ = (float(t) for t in args.lj.split(","))
+        eps, s_ = _parse_params(args.lj, ("eps", "sigma"))
         res = cf.lennard_jones_mean(state, cf.LennardJonesPotential(eps, s_))
         if res.is_convergent:
             report["lennard_jones"] = {"mean": res.value * energy_unit}
@@ -531,6 +541,16 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
 
 # ---------------------------------------------------------------------------
 # argument plumbing
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -573,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("finite", help="finite-dimensional operator harness", parents=[common])
     f.add_argument("--dim", type=int, default=2)
     f.add_argument("--pair", choices=["pauli-xy", "truncated-xp", "random"], default="random")
-    f.add_argument("--trials", type=int, default=1)
+    f.add_argument("--trials", type=_positive_int, default=1)
     f.add_argument("--p", type=float, required=True)
     f.add_argument("--q", type=float, required=True)
     f.add_argument("--state", default="ground", help="initial state for named pairs")
@@ -606,18 +626,24 @@ def _load_config(args) -> RunConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"bad config file: {exc}") from exc
-        cfg.rel_tol = float(raw.get("rel_tol", cfg.rel_tol))
-        cfg.abs_tol = float(raw.get("abs_tol", cfg.abs_tol))
-        cfg.slack = raw.get("slack", cfg.slack)
-        cfg.seed = int(raw.get("seed", cfg.seed))
-        cfg.max_evals = int(raw.get("max_evals", cfg.max_evals))
-        if "constants" in raw:
-            cc = raw["constants"]
-            cfg.constants = PhysicalConstants(
-                hbar=float(cc.get("hbar", 1.0)),
-                mass=float(cc.get("mass", 1.0)),
-                a0=float(cc.get("a0", 1.0)),
-            )
+        if not isinstance(raw, dict) or not isinstance(raw.get("constants", {}), dict):
+            raise DataFormatError("bad config file: expected a JSON object")
+        try:
+            cfg.rel_tol = float(raw.get("rel_tol", cfg.rel_tol))
+            cfg.abs_tol = float(raw.get("abs_tol", cfg.abs_tol))
+            if raw.get("slack") is not None:
+                cfg.slack = float(raw["slack"])
+            cfg.seed = int(raw.get("seed", cfg.seed))
+            cfg.max_evals = int(raw.get("max_evals", cfg.max_evals))
+            if "constants" in raw:
+                cc = raw["constants"]
+                cfg.constants = PhysicalConstants(
+                    hbar=float(cc.get("hbar", 1.0)),
+                    mass=float(cc.get("mass", 1.0)),
+                    a0=float(cc.get("a0", 1.0)),
+                )
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad config file: {exc}") from exc
     for attr, key in (("rel_tol", "rel_tol"), ("abs_tol", "abs_tol"), ("slack", "slack"),
                       ("seed", "seed"), ("fmt", "fmt"), ("out", "out"),
                       ("allow_divergent", "allow_divergent"), ("units", "units")):

@@ -23,7 +23,6 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import CapabilityError, DataFormatError, DomainError, PhysicalConstants, NATURAL
 from .quadrature import Domain, Envelope, integrate, sine_transform_batch, _XK, _WK
@@ -369,6 +368,74 @@ class HydrogenGroundState(PowerExpRadialState):
         return out if out.ndim else float(out)
 
 
+# ---------------------------------------------------------------------------
+# monotone piecewise cubic for sampled states
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at a grid end, clamped to keep its shape:
+    0 if its sign differs from the first secant's, 3*m0 if the secants change
+    sign and it overshoots (Moler, Numerical Computing with MATLAB, 3.6)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Knot slopes for knot spacings h and secants m (Fritsch & Carlson 1980,
+    Fritsch & Butland 1984): 0 where the neighbouring secants change sign or
+    either is 0, else their weighted harmonic mean. Two knots give a line."""
+    if m.size == 1:
+        return np.repeat(m, 2)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+    d = np.empty(m.size + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]))
+    d[0] = _end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+class _PiecewiseCubic:
+    """A polynomial in the local power s = r - r_i on each knot interval
+    [r_i, r_{i+1}], zero outside [r_0, r_N]; coefficients run from the
+    highest power down."""
+
+    def __init__(self, r: np.ndarray, coefs):
+        # a zero row on each side catches the points left of r_0 and right of
+        # r_N; the last edge sits one ulp above r_N so that r_N itself falls
+        # in the last interval
+        self._edges = r.copy()
+        self._edges[-1] = np.nextafter(r[-1], np.inf)
+        self._left = np.concatenate(([0.0], r[:-1], [0.0]))
+        self._coefs = [np.concatenate(([0.0], c, [0.0])) for c in coefs]
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        i = np.searchsorted(self._edges, r, side="right")
+        s = r - self._left.take(i)
+        out = self._coefs[0].take(i)
+        for c in self._coefs[1:]:
+            out *= s
+            out += c.take(i)
+        return out
+
+
+def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _PiecewiseCubic]:
+    """The monotone cubic Hermite interpolant of (r, u) and its derivative."""
+    h = np.diff(r)
+    m = np.diff(u) / h
+    d = _pchip_slopes(h, m)
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c = (t / h, (m - d[:-1]) / h - t, d[:-1])
+    return _PiecewiseCubic(r, c + (u[:-1],)), _PiecewiseCubic(r, (3.0 * c[0], 2.0 * c[1], c[2]))
+
+
 class RadialGridState(RadialStateBase):
     """A state sampled as (r_i, u_i) and interpolated with a monotone local cubic.
 
@@ -398,8 +465,7 @@ class RadialGridState(RadialStateBase):
         if not np.all(np.isfinite(u)):
             raise DataFormatError("grid wavefunction values must be finite")
         self._r = r
-        self._interp = PchipInterpolator(r, u, extrapolate=False)
-        self._dinterp = self._interp.derivative()
+        self._interp, self._dinterp = _monotone_cubic(r, u)
         self.r_max = float(r[-1])
         self.r_scale = max(self.r_max / 90.0, float(np.median(np.diff(r))))
         self.label = label
@@ -431,14 +497,10 @@ class RadialGridState(RadialStateBase):
         return float((h * (vals @ _WK)).sum())
 
     def reduced_radial(self, r):
-        r = np.asarray(r, dtype=float)
-        v = self._interp(r)
-        return self.norm_factor * np.nan_to_num(v, nan=0.0)
+        return self.norm_factor * self._interp(r)
 
     def reduced_radial_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        v = self._dinterp(r)
-        return self.norm_factor * np.nan_to_num(v, nan=0.0)
+        return self.norm_factor * self._dinterp(r)
 
     def radial_envelope(self) -> Envelope:
         op = None if self.origin_power_u is None else 2.0 * self.origin_power_u
@@ -460,9 +522,9 @@ class RadialGridState(RadialStateBase):
             breakpoints=list(self._r[1:-1:max(1, self._r.size // 64)]),
         ).require("gradient integral")
         coarse = self._r[::2]
-        dcoarse = PchipInterpolator(coarse, self._interp(coarse), extrapolate=False).derivative()
+        _, dcoarse = _monotone_cubic(coarse, self._interp(coarse))
         half_val = integrate(
-            lambda r: (self.norm_factor * np.nan_to_num(dcoarse(r), nan=0.0)) ** 2,
+            lambda r: (self.norm_factor * dcoarse(r)) ** 2,
             Domain.finite(float(coarse[0]), float(coarse[-1])),
             rel_tol=1e-9, abs_tol=1e-14,
         ).value

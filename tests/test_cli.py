@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmoments
 from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from qmoments.matrixlab import matrix_from_json
 
@@ -325,3 +330,38 @@ def test_finite_csv_format(tmp_path, capsys):
 def test_central_requires_an_analysis(capsys):
     assert main(["central", "--state", "hydrogen"]) == EXIT_ERROR
     assert "needs --alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["central", "--lj", "1"],
+    ["central", "--lj", "a,b"],
+    ["central", "--buckingham", "1,x,1"],
+    ["sweep", "--p-grid", "2,abc", "--q-grid", "2"],
+    ["sweep", "--p-grid", "1:3:x", "--q-grid", "2"],
+    ["finite", "--p", "2", "--q", "2", "--trials", "0"],
+    ["finite", "--p", "2", "--q", "2", "--trials", "-3"],
+])
+def test_malformed_input_is_one_line_error(argv, capsys):
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+
+
+@pytest.mark.parametrize("config", [{"slack": "abc"}, {"seed": "x"}, [1]])
+def test_malformed_config_is_one_line_error(config, tmp_path, capsys):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(config))
+    assert main(["--config", str(cfgp), "hydrogen", "--p", "2", "--q", "2"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config file") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the CLI must import and run without it
+    src = str(Path(qmoments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, qmoments.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -302,3 +302,70 @@ def test_grid_state_momentum_marginal():
     for k in (0.0, 1.0):
         exact = 8.0 / (3.0 * math.pi * (1 + k * k) ** 3)
         assert st.axis_momentum_density(3, k) == pytest.approx(exact, rel=1e-4)
+
+
+# --- monotone cubic interpolation of grid states ------------------------------
+
+
+def _random_pchip_data(seed):
+    """Non-monotone samples with flat runs and sign changes."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 12))
+    r = np.cumsum(rng.uniform(0.05, 2.0, n))
+    u = rng.integers(-2, 3, n).astype(float) if seed % 2 else rng.normal(size=n)
+    return r, u
+
+
+_H_GRID = np.arange(0.0, 40.01, 0.02)
+_R4_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
+
+
+def _compare_with_scipy_pchip(r, u):
+    """Values and first derivatives of the grid interpolant against scipy's
+    PCHIP on every knot, inside points and points outside the grid; returns
+    scipy's knot slopes."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    from qmoments.states import _monotone_cubic
+
+    rng = np.random.default_rng(0)
+    inside = np.concatenate([r, rng.uniform(r[0], r[-1], 500)])
+    outside = np.array([r[0] - 1.0, np.nextafter(r[0], -np.inf),
+                        np.nextafter(r[-1], np.inf), r[-1] + 5.0])
+    f, df = _monotone_cubic(r, u)
+    ref = interpolate.PchipInterpolator(r, u, extrapolate=False)
+    dref = ref.derivative()
+    for ours, theirs in ((f, ref), (df, dref)):
+        want = theirs(inside)
+        scale = np.abs(want).max()
+        assert np.abs(ours(inside) - want).max() <= 1e-14 * scale
+        assert np.all(ours(outside) == 0.0)
+    assert f(r[0]) == pytest.approx(u[0], abs=1e-14 * np.abs(u).max())
+    assert f(r[-1]) == pytest.approx(u[-1], abs=1e-14 * np.abs(u).max())
+    return dref(r)
+
+
+@pytest.mark.parametrize("r, u", [
+    pytest.param(_H_GRID, 2.0 * _H_GRID * np.exp(-_H_GRID), id="hydrogen_uniform"),
+    pytest.param(_R4_GRID, _R4_GRID**4 * np.exp(-_R4_GRID), id="r4test_geometric"),
+    pytest.param(np.array([0.0, 1.0, 2.5, 3.0]), np.array([0.0, 1.0, -0.5, 0.2]), id="four_points"),
+    # the half-resolution grid of a four-point state in the kinetic check
+    pytest.param(np.array([0.5, 2.0]), np.array([1.0, -3.0]), id="two_points"),
+])
+def test_grid_interpolant_matches_scipy_pchip(r, u):
+    _compare_with_scipy_pchip(r, u)
+
+
+def test_grid_interpolant_matches_scipy_pchip_on_random_data():
+    # the random sets must reach the interior zero-slope rule and both clamps
+    # of the end rule: a zero end slope and 3*m0 where the secants turn
+    pytest.importorskip("scipy")
+    hits = {"interior_zero": 0, "end_zero": 0, "end_three_m0": 0}
+    for seed in range(40):
+        r, u = _random_pchip_data(seed)
+        d = _compare_with_scipy_pchip(r, u)
+        m = np.diff(u) / np.diff(r)
+        hits["interior_zero"] += int(np.sum(d[1:-1] == 0.0))
+        for dk, mk in ((d[0], m[0]), (d[-1], m[-1])):
+            hits["end_zero"] += dk == 0.0 and mk != 0.0
+            hits["end_three_m0"] += mk != 0.0 and dk == pytest.approx(3.0 * mk, rel=1e-12)
+    assert all(hits.values()), hits
