@@ -98,6 +98,9 @@ class RadialFunction:
 RF_R = RadialFunction(lambda r: r, 1.0, "r")
 RF_RINV = RadialFunction(lambda r: 1.0 / r, -1.0, "1/r")
 
+#: one side of a two-moment verdict: the moment of a given order
+SideMoment = Callable[[float], MomentValue]
+
 
 # ---------------------------------------------------------------------------
 # discrete densities
@@ -173,19 +176,38 @@ def holder_verdict_continuous(
     return _flag_internal_error(make_verdict("holder_continuous", lhs, rhs, slack, inputs))
 
 
+def _reciprocal_sides(s: ContinuousState) -> tuple[SideMoment, SideMoment]:
+    """<r^p> as a function of p and <r^-q> as a function of q."""
+    return (lambda p: mo.raw_moment(s, mo.radial(), p),
+            lambda q: mo.raw_moment(s, mo.radial(), -q))
+
+
 def reciprocal_moment_verdict(
     s: ContinuousState, e: Exponents, slack: float | None = None
 ) -> Verdict | DivergenceReport:
     """1 <= <r^p>^(q/(p+q)) <r^-q>^(p/(p+q)), the f=r, g=1/r corollary."""
+    return _reciprocal_verdict(s, e, *_reciprocal_sides(s), slack)
+
+
+def _reciprocal_verdict(
+    s: ContinuousState, e: Exponents, r_pos: SideMoment, r_neg: SideMoment,
+    slack: float | None,
+) -> Verdict | DivergenceReport:
     inputs = {"state": s.label, "p": e.p, "q": e.q, "guaranteed": True}
-    mp = mo.raw_moment(s, mo.radial(), e.p)
+    mp = r_pos(e.p)
     if not mp.is_convergent:
         return DivergenceReport("reciprocal_moments", f"<r^p> is {mp.status}: {mp.detail}", inputs)
-    mq = mo.raw_moment(s, mo.radial(), -e.q)
+    mq = r_neg(e.q)
     if not mq.is_convergent:
         return DivergenceReport("reciprocal_moments", f"<r^-q> is {mq.status}: {mq.detail}", inputs)
     rhs = mp.value**e.w_f * mq.value**e.w_g
     return _flag_internal_error(make_verdict("reciprocal_moments", 1.0, rhs, slack, inputs))
+
+
+def _canonical_sides(s: ContinuousState, i: int, j: int) -> tuple[SideMoment, SideMoment]:
+    """<|Dx_i|^p> as a function of p and <|Dp_j|^q> as a function of q."""
+    return (lambda p: mo.abs_central_moment(s, mo.position_axis(i), p),
+            lambda q: mo.abs_central_moment(s, mo.momentum_axis(j), q))
 
 
 def uncertainty_verdict_canonical(
@@ -201,12 +223,19 @@ def uncertainty_verdict_canonical(
     matrix. This is a verifier: the verdict records whether the bound holds,
     it does not assume it.
     """
+    return _canonical_verdict(s, i, j, e, *_canonical_sides(s, i, j), slack)
+
+
+def _canonical_verdict(
+    s: ContinuousState, i: int, j: int, e: Exponents, x_moment: SideMoment,
+    p_moment: SideMoment, slack: float | None,
+) -> Verdict | DivergenceReport:
     hbar = s.constants.hbar
     inputs = {"state": s.label, "i": i, "j": j, "p": e.p, "q": e.q, "r_star": e.r_star}
-    mx = mo.abs_central_moment(s, mo.position_axis(i), e.p)
+    mx = x_moment(e.p)
     if not mx.is_convergent:
         return DivergenceReport("canonical_pair", f"<|Dx|^p> is {mx.status}: {mx.detail}", inputs)
-    mp_ = mo.abs_central_moment(s, mo.momentum_axis(j), e.q)
+    mp_ = p_moment(e.q)
     if not mp_.is_convergent:
         return DivergenceReport("canonical_pair", f"<|Dp|^q> is {mp_.status}: {mp_.detail}", inputs)
     lhs = (hbar / 2.0) ** e.r_star if i == j else 0.0
@@ -302,6 +331,27 @@ CANONICAL = "canonical"
 RECIPROCAL = "reciprocal"
 
 
+def _once_per_order(side: SideMoment) -> SideMoment:
+    """side computed at most once per order; a raised exception is kept and
+    raised again for every later cell that needs the same moment. Cells call
+    it in row-major order, so the moments run in the order that cell-by-cell
+    evaluation would run them."""
+    memo: dict[float, MomentValue | Exception] = {}
+
+    def once(order: float) -> MomentValue:
+        if order not in memo:
+            try:
+                memo[order] = side(order)
+            except Exception as exc:  # failure is a per-cell outcome
+                memo[order] = exc
+        got = memo[order]
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    return once
+
+
 def sweep(
     s: ContinuousState,
     i: int,
@@ -320,15 +370,19 @@ def sweep(
         raise DomainError("sweep grids must be nonempty")
     if kind not in (CANONICAL, RECIPROCAL):
         raise DomainError(f"unknown sweep kind {kind!r}")
+    if kind == CANONICAL:
+        x_side, p_side = map(_once_per_order, _canonical_sides(s, i, j))
+    else:
+        x_side, p_side = map(_once_per_order, _reciprocal_sides(s))
     rows: list[SweepRow] = []
     for p in p_grid:
         for q in q_grid:
             e = make_exponents(p, q)
             try:
                 if kind == CANONICAL:
-                    out = uncertainty_verdict_canonical(s, i, j, e, slack)
+                    out = _canonical_verdict(s, i, j, e, x_side, p_side, slack)
                 else:
-                    out = reciprocal_moment_verdict(s, e, slack)
+                    out = _reciprocal_verdict(s, e, x_side, p_side, slack)
             except Exception as exc:  # failure is a per-cell outcome
                 rows.append(SweepRow(e.p, e.q, e.r_star, math.nan, math.nan, math.nan,
                                      None, "failed", str(exc)))

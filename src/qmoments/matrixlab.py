@@ -233,12 +233,6 @@ def expectation(op: HermitianOperator, psi: FiniteState) -> float:
     return val.real
 
 
-def expectation_of_matrix(m: np.ndarray, psi: FiniteState) -> complex:
-    """<psi|M|psi> for a general square matrix, kept complex."""
-    v = psi.amplitudes
-    return complex(v.conj() @ (m @ v))
-
-
 def central_shift(op: HermitianOperator, psi: FiniteState) -> HermitianOperator:
     """A - <A> I, the centered operator whose expectation in psi is zero."""
     mu = expectation(op, psi)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DomainError, MomentsError
+from .core import CONVERGENT, DomainError, MomentsError
 
 # 15-point Kronrod nodes on [-1, 1] and their weights, with the embedded
 # 7-point Gauss weights (nonzero only on the odd-indexed nodes).
@@ -83,7 +83,6 @@ FINITE = "finite"
 SEMI_INFINITE = "semi_infinite"
 INFINITE = "infinite"
 
-CONVERGENT = "convergent"
 DIVERGENT_AT_ORIGIN = "divergent_at_origin"
 DIVERGENT_AT_INFINITY = "divergent_at_infinity"
 UNKNOWN = "unknown"
@@ -295,6 +294,30 @@ def detect_divergence(env: Envelope) -> str:
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
 _MAX_SINE_PANELS = 1 << 17
+# K15 minus the G7 weights padded onto the Kronrod nodes: one dot product
+# gives the K-G difference of a panel
+_WKG = _WK.copy()
+_WKG[_GAUSS_IDX] -= _WG
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, hi with at most 26 significant bits (Dekker 1971)."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _sin_cos_outer(ks: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of the outer product k_i*x_j, corrected to first order for
+    the rounding of each product (Dekker's two-product). Uncorrected, that
+    rounding (up to an ulp of k*r_max) is noise in k that adaptive
+    k-integrals of steep momentum moments cannot get below."""
+    prod = ks[:, None] * x[None, :]
+    (kh, kl), (xh, xl) = _split(ks), _split(x)
+    kh, kl = kh[:, None], kl[:, None]
+    lost = ((kh * xh - prod) + kh * xl + kl * xh) + kl * xl
+    s, c = np.sin(prod), np.cos(prod)
+    return s + lost * c, c - lost * s
 
 
 def sine_transform_batch(
@@ -309,6 +332,11 @@ def sine_transform_batch(
     never coarser than half the radial scale), so the fixed K15 rule is
     effectively exact per panel; u is evaluated once for the whole batch.
     Returns (values, summed K-G error estimate of the worst k).
+
+    The phase at node c_j + h*x_m is factored as
+    sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m): the per-panel K15
+    sums and K15-G7 differences come out of one matmul of the K x 15 offset
+    terms against u, and no K x 15n array is formed.
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
     if np.any(ks < 0.0):
@@ -331,13 +359,25 @@ def sine_transform_batch(
     uv = np.asarray(u(nodes), dtype=float)
     if not np.all(np.isfinite(uv)):
         raise MomentsError("non-finite radial wavefunction value in sine transform")
-    phase = np.sin(ks[:, None] * nodes[None, :])
-    prod = phase * uv[None, :]
-    prod = prod.reshape(len(ks), n, 15)
-    k15 = h * prod @ _WK
-    g7 = h * prod[:, :, _GAUSS_IDX] @ _WG
-    vals = _SINE_NORM * k15.sum(axis=1)
-    err = _SINE_NORM * float(np.abs(k15 - g7).sum(axis=1).max())
+    off = ks[:, None] * (h * _XK)[None, :]
+    cos_off, sin_off = np.cos(off), np.sin(off)
+    # rows: K15 cos, K15 sin, (K15 - G7) cos, (K15 - G7) sin, each K x 15
+    weights = np.concatenate([cos_off * _WK, sin_off * _WK,
+                              cos_off * _WKG, sin_off * _WKG])
+    sums = (weights @ uv.reshape(n, 15).T).reshape(4, len(ks), n)
+    # centre phases k*c_j from blocks of panels: c_j = (block start) + (offset
+    # of the centre in its block), so trig runs on K x ~2 sqrt(n) entries
+    width = r_max / n
+    size = math.isqrt(n) + 1
+    sa, ca = _sin_cos_outer(ks, np.arange(-(-n // size)) * (size * width))
+    sb, cb = _sin_cos_outer(ks, (np.arange(size) + 0.5) * width)
+    sa, ca, sb, cb = sa[:, :, None], ca[:, :, None], sb[:, None, :], cb[:, None, :]
+    sin_c = (sa * cb + ca * sb).reshape(len(ks), -1)[:, :n]
+    cos_c = (ca * cb - sa * sb).reshape(len(ks), -1)[:, :n]
+    k15 = sin_c * sums[0] + cos_c * sums[1]
+    diff = sin_c * sums[2] + cos_c * sums[3]
+    vals = _SINE_NORM * h * k15.sum(axis=1)
+    err = _SINE_NORM * h * float(np.abs(diff).sum(axis=1).max())
     return vals, err
 
 

@@ -436,6 +436,21 @@ def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _Pie
     return _PiecewiseCubic(r, c + (u[:-1],)), _PiecewiseCubic(r, (3.0 * c[0], 2.0 * c[1], c[2]))
 
 
+def _origin_power(r: np.ndarray, u: np.ndarray) -> float:
+    """The power m of u ~ r^m at r = 0 from the exact fit of
+    log|u| = m log r + b r + c through the first three nonzero interior
+    samples; exact for r^m e^{-kappa r}. 1.0 when the fit is not finite."""
+    i = 1 + int(np.argmax(np.abs(u[1:]) > 0.0))
+    rs, us = r[i:i + 3], np.abs(u[i:i + 3])
+    if rs.size < 3 or np.any(us == 0.0):
+        return 1.0
+    try:
+        m = float(np.linalg.solve(np.stack([np.log(rs), rs, np.ones(3)], axis=1), np.log(us))[0])
+    except np.linalg.LinAlgError:
+        return 1.0
+    return m if math.isfinite(m) else 1.0
+
+
 class RadialGridState(RadialStateBase):
     """A state sampled as (r_i, u_i) and interpolated with a monotone local cubic.
 
@@ -473,12 +488,7 @@ class RadialGridState(RadialStateBase):
         if origin_power is not None:
             self.origin_power_u = float(origin_power)
         elif r[0] == 0.0 and u[0] == 0.0:
-            # log-slope of the first interior samples
-            i = 1 + int(np.argmax(np.abs(u[1:]) > 0.0))
-            j = min(i + 1, r.size - 1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                est = math.log(abs(u[j] / u[i])) / math.log(r[j] / r[i])
-            self.origin_power_u = float(est) if math.isfinite(est) else 1.0
+            self.origin_power_u = _origin_power(r, u)
         else:
             self.origin_power_u = None  # unknown; negative moments will refuse
 

@@ -357,6 +357,81 @@ def test_sweep_reciprocal_kind(hydrogen):
     assert all(r.holds for r in ok_rows)
 
 
+@pytest.fixture
+def moment_calls(monkeypatch):
+    """Counts the calls to the two moment entry points that sweeps use."""
+    from qmoments import moments as mo
+
+    calls = []
+    for name in ("abs_central_moment", "raw_moment"):
+        fn = getattr(mo, name)
+
+        def counted(s, o, order, _fn=fn, _name=name):
+            calls.append((_name, o.kind, float(order)))
+            return _fn(s, o, order)
+
+        monkeypatch.setattr(mo, name, counted)
+    return calls
+
+
+def test_sweep_computes_each_side_moment_once(hydrogen, moment_calls):
+    ps, qs = [1.5, 2.0, 3.0], [1.0, 2.0, 2.5]
+    sweep(hydrogen, 3, 3, ps, qs)
+    assert len(moment_calls) == len(ps) + len(qs)
+    moment_calls.clear()
+    ps, qs = [1.0, 2.0], [0.5, 1.0, 1.5, 2.5]
+    sweep(hydrogen, 3, 3, ps, qs, kind=RECIPROCAL)
+    assert len(moment_calls) == len(ps) + len(qs)
+
+
+def _grid_hydrogen():
+    from qmoments.states import RadialGridState
+
+    r = np.arange(0.0, 40.01, 0.02)
+    return RadialGridState(r, 2.0 * r * np.exp(-r))
+
+
+@pytest.mark.parametrize("make_state", [HydrogenGroundState, _grid_hydrogen])
+@pytest.mark.parametrize("kind", ["canonical", RECIPROCAL])
+def test_sweep_rows_match_cell_builders_bitwise(make_state, kind):
+    # fresh states on both sides: momentum-table chunks depend on the order
+    # in which moments first ask for amplitudes
+    ps, qs = [1.5, 2.5], [1.0, 2.0, 2.9]
+    table = sweep(make_state(), 3, 3, ps, qs, kind=kind)
+    st = make_state()
+    for row, (p, q) in zip(table.rows, [(p, q) for p in ps for q in qs]):
+        e = make_exponents(p, q)
+        if kind == RECIPROCAL:
+            v = reciprocal_moment_verdict(st, e)
+        else:
+            v = uncertainty_verdict_canonical(st, 3, 3, e)
+        if isinstance(v, DivergenceReport):
+            assert (row.status, row.detail) == ("divergent", v.detail)
+        else:
+            assert row.status == "ok"
+            assert (row.lhs, row.rhs, row.ratio, row.holds) == (v.lhs, v.rhs, v.ratio, v.holds)
+
+
+def test_sweep_raising_moment_fails_only_its_cells(hydrogen, monkeypatch, moment_calls):
+    from qmoments import moments as mo
+
+    counted = mo.abs_central_moment
+    raised = []
+
+    def flaky(s, o, order):
+        if o.kind == mo.MOMENTUM_AXIS and order == 2.0:
+            raised.append(order)
+            raise RuntimeError("momentum moment blew up")
+        return counted(s, o, order)
+
+    monkeypatch.setattr(mo, "abs_central_moment", flaky)
+    table = sweep(hydrogen, 3, 3, [1.5, 3.0], [1.0, 2.0])
+    status = {(r.p, r.q): (r.status, r.detail) for r in table.rows}
+    assert status[(1.5, 2.0)] == status[(3.0, 2.0)] == ("failed", "momentum moment blew up")
+    assert status[(1.5, 1.0)][0] == status[(3.0, 1.0)][0] == "ok"
+    assert len(moment_calls) == 3 and raised == [2.0]  # the raising moment is not retried
+
+
 def test_sweep_csv_header():
     table = sweep(HydrogenGroundState(), 3, 3, [2.0], [2.0])
     lines = table.to_csv().splitlines()

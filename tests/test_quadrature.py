@@ -184,6 +184,74 @@ def test_sine_transform_batch_matches_scalar():
     assert err < 1e-8
 
 
+def _power_exp_amplitude(st, k):
+    # Laplace transform of r^n e^{-kappa r}: N sqrt(2/pi) n! Im[(kappa - ik)^-(n+1)]
+    return (st.norm * math.sqrt(2.0 / math.pi) * math.factorial(st.n)
+            * np.imag((st.kappa - 1j * k) ** (-(st.n + 1))))
+
+
+@pytest.mark.parametrize("n, kappa", [(1, 1.0), (4, 1.0), (2, 0.5)])
+def test_sine_transform_batch_power_exp_closed_form(n, kappa):
+    from qmoments.states import PowerExpRadialState
+
+    st = PowerExpRadialState(n, kappa)
+    ks = np.geomspace(1e-5, 50.0 / st.r_scale, 640)
+    for start in range(0, ks.size, 128):  # ascending chunks, as the momentum table runs
+        chunk = ks[start:start + 128]
+        vals, _ = sine_transform_batch(st.reduced_radial, chunk, st.r_max, st.r_scale)
+        assert np.abs(vals - _power_exp_amplitude(st, chunk)).max() <= 1e-13
+
+
+def _dense_sine_transform(u, ks, r_max, r_scale):
+    """The per-node formula: one sin(k*node) entry for each k and each of the
+    15n Kronrod nodes, summed with K15 and G7 weights panel by panel."""
+    from qmoments.quadrature import _GAUSS_IDX, _WG, _WK, _XK
+
+    kmax = float(ks.max())
+    n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * kmax * r_max / math.pi), 4)
+    edges = np.linspace(0.0, r_max, n + 1)
+    c = 0.5 * (edges[:-1] + edges[1:])
+    h = 0.5 * (edges[1] - edges[0])
+    nodes = (c[:, None] + h * _XK[None, :]).ravel()
+    prod = (np.sin(ks[:, None] * nodes[None, :]) * u(nodes)[None, :]).reshape(len(ks), n, 15)
+    k15 = h * prod @ _WK
+    g7 = h * prod[:, :, _GAUSS_IDX] @ _WG
+    norm = math.sqrt(2.0 / math.pi)
+    return norm * k15.sum(axis=1), norm * float(np.abs(k15 - g7).sum(axis=1).max())
+
+
+def test_sine_transform_batch_matches_dense_reference_on_grid_state():
+    from qmoments.states import RadialGridState
+
+    r = np.arange(0.0, 40.01, 0.02)
+    st = RadialGridState(r, 2.0 * r * np.exp(-r))
+    k_cut = st.momentum_table().k_cut
+    for ks in (np.linspace(1e-3, 0.1 * k_cut, 64), np.linspace(0.5 * k_cut, k_cut, 64)):
+        vals, err = sine_transform_batch(st.reduced_radial, ks, st.r_max, st.r_scale)
+        ref, ref_err = _dense_sine_transform(st.reduced_radial, ks, st.r_max, st.r_scale)
+        assert np.abs(vals - ref).max() <= 1e-14
+        assert err == pytest.approx(ref_err, rel=0.01)
+
+
+def test_sine_transform_k_integral_reaches_tolerance():
+    # <p^8> of r^4 e^{-r} weighs w(k)^2 by k^8, so rounding noise of the
+    # transform in k would stall the adaptive rule long before this budget
+    from qmoments.states import PowerExpRadialState
+
+    st = PowerExpRadialState(4, 1.0)
+    k_cut = 50.0
+
+    def w(k):
+        return sine_transform_batch(st.reduced_radial, k, st.r_max, st.r_scale)[0]
+
+    res = integrate(lambda k: w(k) ** 2 * k**8, Domain.finite(0.0, k_cut),
+                    abs_tol=1e-15, breakpoints=[1.0], max_evals=20_000)
+    exact = integrate(lambda k: _power_exp_amplitude(st, k) ** 2 * k**8,
+                      Domain.finite(0.0, k_cut), abs_tol=1e-15, breakpoints=[1.0])
+    assert res.converged
+    assert res.value == pytest.approx(exact.value, rel=1e-9)
+
+
 def test_finite_domain_validation():
     with pytest.raises(Exception):
         Domain.finite(2.0, 2.0)

@@ -211,6 +211,34 @@ def test_grid_state_origin_power_estimate():
     assert st.origin_power_u == pytest.approx(1.0, abs=0.05)
 
 
+def test_grid_state_origin_power_exact_for_power_exp():
+    # the fit of log|u| = m log r + b r + c is exact for r^m e^{-kappa r},
+    # so the momentum tail power (set by m) is the catalog state's own
+    r = np.arange(0.0, 40.01, 0.02)
+    assert RadialGridState(r, 2.0 * r * np.exp(-r)).origin_power_u == pytest.approx(1.0, abs=1e-9)
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
+    assert RadialGridState(r, r**4 * np.exp(-r)).origin_power_u == pytest.approx(4.0, abs=1e-9)
+
+
+def test_grid_state_origin_power_falls_back_without_three_samples():
+    r = np.linspace(0.0, 10.0, 50)
+    u = r * np.exp(-r)
+    u[2] = 0.0  # a zero among the three samples the fit needs
+    assert RadialGridState(r, u).origin_power_u == 1.0
+
+
+def test_grid_state_momentum_moment_beyond_the_old_origin_estimate():
+    # with the two-sample estimate (0.97) the h = 0.02 hydrogen grid called
+    # every order q >= 2.94 divergent; <|p_z|^3> = <p^3>/4 = 4/(3 pi) is finite
+    from qmoments import moments as mo
+
+    r = np.arange(0.0, 40.01, 0.02)
+    st = RadialGridState(r, 2.0 * r * np.exp(-r))
+    m = mo.abs_central_moment(st, mo.momentum_axis(3), 3.0)
+    assert m.is_convergent
+    assert m.value == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-4)
+
+
 def test_grid_state_kinetic_close_to_analytic():
     st = _dense_grid_state(n_power=1, n_pts=6000)
     assert st.kinetic_energy() == pytest.approx(0.5, rel=5e-4)
