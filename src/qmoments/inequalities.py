@@ -20,7 +20,16 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import DomainError, Exponents, MomentValue, Verdict, make_exponents, make_verdict
+from .core import (
+    DIVERGENT,
+    DomainError,
+    Exponents,
+    MomentsError,
+    MomentValue,
+    Verdict,
+    make_exponents,
+    make_verdict,
+)
 from .matrixlab import (
     FiniteState,
     HermitianOperator,
@@ -46,6 +55,16 @@ class DivergenceReport:
     def to_dict(self) -> dict[str, Any]:
         return {"label": self.label, "status": self.status, "detail": self.detail,
                 "inputs": dict(self.inputs)}
+
+
+def _divergence_report(label: str, name: str, m: MomentValue,
+                       inputs: dict[str, Any]) -> DivergenceReport:
+    """The report for a side moment that did not converge. A failed moment
+    raises MomentsError instead: it was not computed, so it says nothing
+    about whether the moment is finite."""
+    if m.status != DIVERGENT:
+        raise MomentsError(f"{label}: {name} is {m.status}: {m.detail}")
+    return DivergenceReport(label, f"{name} is {m.status}: {m.detail}", inputs)
 
 
 @dataclass(frozen=True)
@@ -169,7 +188,7 @@ def holder_verdict_continuous(
     }
     for name, m in sides.items():
         if not m.is_convergent:
-            return DivergenceReport("holder_continuous", f"{name} is {m.status}: {m.detail}", inputs)
+            return _divergence_report("holder_continuous", name, m, inputs)
     vals = [m.value for m in sides.values()]
     lhs = vals[0]
     rhs = vals[1] ** e.w_f * vals[2] ** e.w_g
@@ -196,10 +215,10 @@ def _reciprocal_verdict(
     inputs = {"state": s.label, "p": e.p, "q": e.q, "guaranteed": True}
     mp = r_pos(e.p)
     if not mp.is_convergent:
-        return DivergenceReport("reciprocal_moments", f"<r^p> is {mp.status}: {mp.detail}", inputs)
+        return _divergence_report("reciprocal_moments", "<r^p>", mp, inputs)
     mq = r_neg(e.q)
     if not mq.is_convergent:
-        return DivergenceReport("reciprocal_moments", f"<r^-q> is {mq.status}: {mq.detail}", inputs)
+        return _divergence_report("reciprocal_moments", "<r^-q>", mq, inputs)
     rhs = mp.value**e.w_f * mq.value**e.w_g
     return _flag_internal_error(make_verdict("reciprocal_moments", 1.0, rhs, slack, inputs))
 
@@ -234,10 +253,10 @@ def _canonical_verdict(
     inputs = {"state": s.label, "i": i, "j": j, "p": e.p, "q": e.q, "r_star": e.r_star}
     mx = x_moment(e.p)
     if not mx.is_convergent:
-        return DivergenceReport("canonical_pair", f"<|Dx|^p> is {mx.status}: {mx.detail}", inputs)
+        return _divergence_report("canonical_pair", "<|Dx|^p>", mx, inputs)
     mp_ = p_moment(e.q)
     if not mp_.is_convergent:
-        return DivergenceReport("canonical_pair", f"<|Dp|^q> is {mp_.status}: {mp_.detail}", inputs)
+        return _divergence_report("canonical_pair", "<|Dp|^q>", mp_, inputs)
     lhs = (hbar / 2.0) ** e.r_star if i == j else 0.0
     rhs = mx.value**e.w_f * mp_.value**e.w_g
     return make_verdict("canonical_pair", lhs, rhs, slack, inputs)

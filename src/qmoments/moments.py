@@ -114,7 +114,9 @@ def raw_radial_moment(s: ContinuousState, t: float, rel_tol: float | None = None
         return MomentValue.divergent(t, "tail power counting: non-integrable at infinity")
 
     def f(r):
-        return rs.radial_density(r) * r**t
+        # u^2 r^t as (u r^(t/2))^2: r^t alone overflows at the nodes next to
+        # r = 0 that negative orders are refined toward
+        return (rs.reduced_radial(r) * r ** (0.5 * t)) ** 2
 
     if verdict == UNKNOWN:
         if t >= 0.0:

@@ -12,11 +12,12 @@ them smooth in t. Kronrod nodes are interior, so endpoint singularities of
 the mapped integrand are never sampled.
 
 Integrands must be vectorized: f(np.ndarray) -> np.ndarray of the same shape.
+integrate() calls f on a (panels, 15) array of Kronrod nodes, one row per
+panel, so an integrand that is not elementwise must keep that shape.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -47,6 +48,11 @@ _WG = np.array([
     0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+# K15 minus the G7 weights padded onto the Kronrod nodes: one dot product
+# gives the K-G difference of a panel
+_WKG = _WK.copy()
+_WKG[_GAUSS_IDX] -= _WG
+_W_PANEL = np.stack([_WK, _WKG], axis=1)
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-14
@@ -133,18 +139,19 @@ class _NonFiniteIntegrand(Exception):
     pass
 
 
-def _kronrod_panel(g: Callable, lo: float, hi: float) -> tuple[float, float]:
-    """One K15/G7 evaluation on [lo, hi]; returns (kronrod, |kronrod - gauss|)."""
+def _kronrod_panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K15/G7 on every panel [lo_i, hi_i] from one integrand call on the
+    (panels, 15) node array; returns (kronrod, |kronrod - gauss|) per panel."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    vals = np.asarray(g(c + h * _XK), dtype=float)
-    if vals.shape != _XK.shape:
+    nodes = c[:, None] + h[:, None] * _XK
+    vals = np.asarray(g(nodes), dtype=float)
+    if vals.shape != nodes.shape:
         raise DomainError("integrand is not vectorized: wrong output shape")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise _NonFiniteIntegrand
-    k = h * float(_WK @ vals)
-    ga = h * float(_WG @ vals[_GAUSS_IDX])
-    return k, abs(k - ga)
+    sums = h[:, None] * (vals @ _W_PANEL)
+    return sums[:, 0], np.abs(sums[:, 1])
 
 
 def _map_domain(f: Callable, d: Domain, breakpoints: Iterable[float]):
@@ -197,6 +204,13 @@ def integrate(
     within the evaluation budget. A non-finite integrand value yields a
     failed result rather than a number. Tolerances default to the module
     settings (rel 1e-10, abs 1e-14, budget 1e6 evaluations).
+
+    Refinement runs in rounds. Each round bisects the largest-error panels
+    whose errors sum to at least the excess over the target, as many as the
+    budget leaves room for, and evaluates all their children in one call:
+    f receives a (panels, 15) array of nodes and must return an array of the
+    same shape. Refinement stops when the largest-error panel is too narrow
+    to bisect.
     """
     rel_tol = _defaults["rel_tol"] if rel_tol is None else rel_tol
     abs_tol = _defaults["abs_tol"] if abs_tol is None else abs_tol
@@ -205,46 +219,48 @@ def integrate(
         raise DomainError("tolerances must be positive")
     g, (lo, hi), inner = _map_domain(f, d, breakpoints)
 
-    edges = [lo] + [p for p in inner if lo < p < hi] + [hi]
-    heap: list = []
-    total = 0.0
-    errsum = 0.0
+    edges = np.array([lo] + [p for p in inner if lo < p < hi] + [hi])
+    n = edges.size - 1
+    # panel table, one column per panel: lower end, upper end, K15 value,
+    # K-G error; columns [0, n) are live, the rest is room to grow
+    pan = np.empty((4, 4 * n))
+    pan[0, :n], pan[1, :n] = edges[:-1], edges[1:]
     evals = 0
-    counter = 0
     try:
-        for a, b in zip(edges[:-1], edges[1:]):
-            k, e = _kronrod_panel(g, a, b)
-            evals += 15
-            total += k
-            errsum += e
-            counter += 1
-            heapq.heappush(heap, (-e, counter, a, b, k, e))
-
-        while errsum > max(abs_tol, rel_tol * abs(total)) and evals + 30 <= max_evals:
-            neg_e, _, a, b, k, e = heapq.heappop(heap)
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                # panel at machine width: its error cannot be reduced further
-                if not heap:
-                    break
-                nxt = heap[0]
-                if -nxt[0] <= e:
-                    break
-                heapq.heappush(heap, (neg_e, _, a, b, k, e))
-                continue
-            k1, e1 = _kronrod_panel(g, a, mid)
-            k2, e2 = _kronrod_panel(g, mid, b)
-            evals += 30
-            total += (k1 + k2) - k
-            errsum += (e1 + e2) - e
-            counter += 1
-            heapq.heappush(heap, (-e1, counter, a, mid, k1, e1))
-            counter += 1
-            heapq.heappush(heap, (-e2, counter, mid, b, k2, e2))
+        pan[2, :n], pan[3, :n] = _kronrod_panels(g, pan[0, :n], pan[1, :n])
+        evals += 15 * n
+        while True:
+            a, b, k, e = pan[:, :n]
+            total, errsum = float(k.sum()), float(e.sum())
+            excess = errsum - max(abs_tol, rel_tol * abs(total))
+            room = (max_evals - evals) // 30
+            if excess <= 0.0 or room < 1:
+                break
+            worst = int(e.argmax())
+            if e[worst] >= excess:  # the rule below, without the sort
+                take = np.array([worst])
+            else:
+                order = np.argsort(e)[::-1]
+                take = order[: min(room, int(np.searchsorted(np.cumsum(e[order]), excess)) + 1)]
+            lo_t, hi_t = a[take], b[take]
+            mid = 0.5 * (lo_t + hi_t)
+            splittable = (lo_t < mid) & (mid < hi_t)
+            if not splittable[0]:
+                break  # the largest error sits on a panel at machine width
+            if not splittable.all():
+                take, lo_t, hi_t, mid = take[splittable], lo_t[splittable], hi_t[splittable], mid[splittable]
+            m = take.size
+            kc, ec = _kronrod_panels(g, np.concatenate([lo_t, mid]), np.concatenate([mid, hi_t]))
+            evals += 30 * m
+            if n + m > pan.shape[1]:
+                pan = np.concatenate([pan, np.empty((4, n + m))], axis=1)
+            # left children replace their parents, right children are appended
+            pan[1:, take] = mid, kc[:m], ec[:m]
+            pan[:, n:n + m] = mid, hi_t, kc[m:], ec[m:]
+            n += m
     except _NonFiniteIntegrand:
         return QuadResult(math.nan, math.inf, evals, converged=False, failed=True)
 
-    errsum = max(errsum, 0.0)
     converged = errsum <= max(abs_tol, rel_tol * abs(total))
     return QuadResult(total, errsum, evals, converged)
 
@@ -294,10 +310,6 @@ def detect_divergence(env: Envelope) -> str:
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
 _MAX_SINE_PANELS = 1 << 17
-# K15 minus the G7 weights padded onto the Kronrod nodes: one dot product
-# gives the K-G difference of a panel
-_WKG = _WK.copy()
-_WKG[_GAUSS_IDX] -= _WG
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -333,14 +345,27 @@ def sine_transform_batch(
     effectively exact per panel; u is evaluated once for the whole batch.
     Returns (values, summed K-G error estimate of the worst k).
 
+    A 2-D ks is a stack of k-panels, one per row, as integrate() passes
+    them: each row is transformed as a batch of its own, so a row's values
+    do not depend on the other rows.
+    """
+    ks = np.atleast_1d(np.asarray(ks, dtype=float))
+    if np.any(ks < 0.0):
+        raise DomainError("sine transform needs k >= 0")
+    if ks.ndim == 1:
+        return _sine_batch(u, ks, r_max, r_scale)
+    rows = [_sine_batch(u, row, r_max, r_scale) for row in ks.reshape(-1, ks.shape[-1])]
+    return np.array([v for v, _ in rows]).reshape(ks.shape), max(err for _, err in rows)
+
+
+def _sine_batch(u: Callable, ks: np.ndarray, r_max: float, r_scale: float) -> tuple[np.ndarray, float]:
+    """sine_transform_batch for a 1-D ks.
+
     The phase at node c_j + h*x_m is factored as
     sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m): the per-panel K15
     sums and K15-G7 differences come out of one matmul of the K x 15 offset
     terms against u, and no K x 15n array is formed.
     """
-    ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    if np.any(ks < 0.0):
-        raise DomainError("sine transform needs k >= 0")
     kmax = float(ks.max(initial=0.0))
     n = max(
         int(math.ceil(r_max / (0.5 * r_scale))),

@@ -105,22 +105,33 @@ class _MomentumTable:
         self._marginal: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def w(self, ks) -> np.ndarray:
+        """w(k) from the cache, transforming the missing k.
+
+        A 1-D request is transformed as one group. A 2-D request is a stack
+        of k-panels (the (panels, 15) node arrays of integrate), and each
+        row's missing k are transformed on their own: a transform's panel
+        count follows the largest k of its batch, and w on a grid state
+        carries an error of about 1e-6 that depends on that count, so a
+        k-panel whose nodes came from batches of different count would
+        see a jump.
+        """
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        out = np.empty_like(ks)
-        missing: list[int] = []
-        for i, k in enumerate(ks):
-            got = self._cache.get(float(k))
-            if got is None:
-                missing.append(i)
-            else:
-                out[i] = got
-        if missing:
-            km = ks[missing]
-            vals = self._batch(km)
-            with self._lock:
-                for i, k, v in zip(missing, km, vals):
-                    out[i] = float(v)
-                    self._cache[float(k)] = float(v)
+        out = np.empty(ks.shape)
+        for row, got in zip(ks.reshape(-1, ks.shape[-1]), out.reshape(-1, ks.shape[-1])):
+            missing: list[int] = []
+            for i, k in enumerate(row.tolist()):
+                hit = self._cache.get(k)
+                if hit is None:
+                    missing.append(i)
+                else:
+                    got[i] = hit
+            if missing:
+                km = row[missing]
+                vals = self._batch(km)
+                with self._lock:
+                    for i, k, v in zip(missing, km.tolist(), vals.tolist()):
+                        got[i] = v
+                        self._cache[k] = v
         return out
 
     def _batch(self, ks: np.ndarray) -> np.ndarray:
@@ -287,18 +298,18 @@ class RadialStateBase(ContinuousState):
         self._check_axis(axis)
         z = np.atleast_1d(np.asarray(z, dtype=float))
         out = np.empty_like(z)
-        for i, zi in enumerate(z):
+        for i, zi in enumerate(z.flat):
             lo = abs(float(zi))
             if lo >= self.r_max:
-                out[i] = 0.0
+                out.flat[i] = 0.0
                 continue
             res = integrate(
                 lambda r: self.radial_density(r) / r,
                 Domain.finite(lo, self.r_max),
                 rel_tol=1e-11, abs_tol=1e-16,
             )
-            out[i] = 0.5 * res.value
-        return out if out.size > 1 else float(out[0])
+            out.flat[i] = 0.5 * res.value
+        return out if out.size > 1 else float(out.flat[0])
 
     def axis_momentum_density(self, axis: int, p):
         """Marginal of the momentum distribution: g(p) with int g dp = 1."""
@@ -307,9 +318,9 @@ class RadialStateBase(ContinuousState):
         tbl = self.momentum_table()
         p = np.atleast_1d(np.asarray(p, dtype=float))
         out = np.empty_like(p)
-        for i, pi in enumerate(p):
-            out[i] = 0.5 * tbl.integral_w2_over_k(abs(float(pi)) / hbar) / hbar
-        return out if out.size > 1 else float(out[0])
+        for i, pi in enumerate(p.flat):
+            out.flat[i] = 0.5 * tbl.integral_w2_over_k(abs(float(pi)) / hbar) / hbar
+        return out if out.size > 1 else float(out.flat[0])
 
     def kinetic_energy(self) -> float:
         """(hbar^2/2m) int u'(r)^2 dr, the gradient-quadrature route."""

@@ -134,6 +134,50 @@ def test_sweep_grid_file_state(tmp_path, capsys):
     assert row["ratio"] == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-3)  # Kennard ratio for 1s
 
 
+def test_sweep_grid_reciprocal_q29_converges(tmp_path, capsys):
+    # <r^-2.9> refines toward r = 0 until r^-2.9 alone would overflow
+    import warnings
+
+    from qmoments.moments import raw_radial_moment
+    from qmoments.states import load_radial_grid
+
+    r = np.arange(0.0, 40.01, 0.02)
+    grid = tmp_path / "h.dat"
+    grid.write_text("\n".join(f"{a} {b}" for a, b in zip(r, 2.0 * r * np.exp(-r))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = run_json(capsys, ["sweep", "--grid", str(grid), "--kind", "reciprocal",
+                                      "--p-grid", "1", "--q-grid", "2.9"])
+        inv = raw_radial_moment(load_radial_grid(grid), -2.9)
+    exact_inv = 4.0 * math.gamma(0.1) * 2.0**-0.1  # <r^-2.9> of the 1s state
+    assert code == EXIT_OK
+    row = doc["results"][0]
+    assert row["status"] == "ok"
+    assert row["rhs"] == pytest.approx(1.5 ** (2.9 / 3.9) * exact_inv ** (1.0 / 3.9), rel=1e-3)
+    assert inv.value == pytest.approx(exact_inv, rel=1e-3)
+
+
+@pytest.mark.parametrize("status, code", [("divergent", EXIT_DIVERGENT), ("failed", EXIT_ERROR)])
+def test_moment_status_sets_exit_code(monkeypatch, capsys, status, code):
+    from qmoments import moments as mo
+    from qmoments.core import MomentValue
+
+    real = mo.abs_central_moment
+
+    def patched(s, o, order):
+        if o.kind == mo.MOMENTUM_AXIS and order == 2.5:
+            return MomentValue(status, order, None, math.inf, "patched")
+        return real(s, o, order)
+
+    monkeypatch.setattr(mo, "abs_central_moment", patched)
+    assert main(["sweep", "--state", "hydrogen", "--p-grid", "3", "--q-grid", "2,2.5"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in doc["results"]] == ["ok", status]
+    assert main(["hydrogen", "--p", "3", "--q", "2.5"]) == code
+    captured = capsys.readouterr()
+    assert (captured.err.count("\n"), bool(captured.out)) == ((1, False) if status == "failed" else (0, True))
+
+
 def test_finite_pauli_equality(capsys):
     code, doc = run_json(capsys, ["finite", "--pair", "pauli-xy", "--p", "2", "--q", "2"])
     assert code == EXIT_OK

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoments.core import DomainError, make_exponents
+from qmoments.core import DomainError, MomentsError, MomentValue, make_exponents
 from qmoments.inequalities import (
     RECIPROCAL,
     DiscreteDensity,
@@ -430,6 +430,49 @@ def test_sweep_raising_moment_fails_only_its_cells(hydrogen, monkeypatch, moment
     assert status[(1.5, 2.0)] == status[(3.0, 2.0)] == ("failed", "momentum moment blew up")
     assert status[(1.5, 1.0)][0] == status[(3.0, 1.0)][0] == "ok"
     assert len(moment_calls) == 3 and raised == [2.0]  # the raising moment is not retried
+
+
+def _moment_with_status(monkeypatch, name, kind, order, status):
+    """Make the moments entry point `name` return `status` for one
+    observable kind and order."""
+    from qmoments import moments as mo
+
+    real = getattr(mo, name)
+
+    def patched(s, o, order_):
+        if o.kind == kind and order_ == order:
+            return MomentValue(status, order_, None, math.inf, "patched")
+        return real(s, o, order_)
+
+    monkeypatch.setattr(mo, name, patched)
+
+
+@pytest.mark.parametrize("status", ["divergent", "failed"])
+def test_sweep_cell_reads_the_moment_status(hydrogen, monkeypatch, status):
+    from qmoments import moments as mo
+
+    _moment_with_status(monkeypatch, "abs_central_moment", mo.MOMENTUM_AXIS, 2.0, status)
+    table = sweep(hydrogen, 3, 3, [1.5, 3.0], [1.0, 2.0])
+    cells = {(r.p, r.q): r for r in table.rows}
+    assert [cells[(p, 2.0)].status for p in (1.5, 3.0)] == [status, status]
+    assert "<|Dp|^q> is " + status in cells[(1.5, 2.0)].detail
+    assert cells[(1.5, 1.0)].status == cells[(3.0, 1.0)].status == "ok"
+    assert table.any_divergent == (status == "divergent")
+
+
+def test_failed_moment_raises_in_every_builder(hydrogen, monkeypatch):
+    from qmoments import moments as mo
+
+    _moment_with_status(monkeypatch, "abs_central_moment", mo.MOMENTUM_AXIS, 2.0, "failed")
+    _moment_with_status(monkeypatch, "raw_moment", mo.RADIAL, -2.0, "failed")
+    _moment_with_status(monkeypatch, "raw_moment", mo.CUSTOM_RADIAL, 2.0, "failed")
+    e = make_exponents(2, 2)
+    with pytest.raises(MomentsError, match="canonical_pair: <\\|Dp\\|\\^q> is failed"):
+        uncertainty_verdict_canonical(hydrogen, 3, 3, e)
+    with pytest.raises(MomentsError, match="reciprocal_moments: <r\\^-q> is failed"):
+        reciprocal_moment_verdict(hydrogen, e)
+    with pytest.raises(MomentsError, match="holder_continuous: .* is failed"):
+        holder_verdict_continuous(hydrogen, RF_R, RF_RINV, e)
 
 
 def test_sweep_csv_header():

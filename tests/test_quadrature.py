@@ -104,6 +104,112 @@ def test_nan_integrand_fails():
         res.require()
 
 
+# --- batched refinement ------------------------------------------------------
+
+
+def _serial_integrate(f, d, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), max_evals=1_000_000):
+    """The one-panel-at-a-time heap loop: pop the largest-error panel, bisect
+    it, evaluate each child in its own integrand call."""
+    import heapq
+
+    from qmoments.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _map_domain
+
+    g, (lo, hi), inner = _map_domain(f, d, breakpoints)
+
+    def panel(a, b):
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        vals = np.asarray(g(c + h * _XK), dtype=float)
+        k = h * float(_WK @ vals)
+        return k, abs(k - h * float(_WG @ vals[_GAUSS_IDX]))
+
+    edges = [lo] + [p for p in inner if lo < p < hi] + [hi]
+    heap, total, errsum, evals = [], 0.0, 0.0, 0
+    for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        k, e = panel(a, b)
+        evals += 15
+        total += k
+        errsum += e
+        heapq.heappush(heap, (-e, n, a, b, k))
+    n = len(heap)
+    while errsum > max(abs_tol, rel_tol * abs(total)) and evals + 30 <= max_evals:
+        neg_e, _, a, b, k = heapq.heappop(heap)
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        (k1, e1), (k2, e2) = panel(a, mid), panel(mid, b)
+        evals += 30
+        total += k1 + k2 - k
+        errsum += e1 + e2 + neg_e
+        heapq.heappush(heap, (-e1, n + 1, a, mid, k1))
+        heapq.heappush(heap, (-e2, n + 2, mid, b, k2))
+        n += 2
+    return total, max(errsum, 0.0)
+
+
+@pytest.mark.parametrize("f, d, kwargs", [
+    (lambda r: r**7 * np.exp(-3.0 * r), Domain.semi_infinite(0.0), {}),
+    (lambda x: np.exp(-x * x), Domain.infinite(), {}),
+    (lambda x: np.abs(x - 0.3) ** 3, Domain.finite(-1.0, 1.0), {"breakpoints": [0.3]}),
+    (lambda x: x ** (-0.999), Domain.finite(1e-12, 1.0), {"rel_tol": 1e-12, "abs_tol": 1e-16}),
+], ids=["gamma", "gaussian", "kink", "r^-0.999"])
+def test_batched_rounds_match_serial_heap_loop(f, d, kwargs):
+    res = integrate(f, d, **kwargs)
+    value, err = _serial_integrate(f, d, **kwargs)
+    assert res.converged
+    assert abs(res.value - value) <= res.err_estimate + err
+
+
+def _counted(f):
+    shapes = []
+
+    def g(x):
+        shapes.append(np.shape(x))
+        return f(x)
+
+    return g, shapes
+
+
+def test_integrand_calls_far_fewer_than_panels():
+    g, shapes = _counted(lambda r: r**5 * np.exp(-2.0 * r))
+    res = integrate(g, Domain.semi_infinite(0.0))
+    assert res.value == pytest.approx(1.875, rel=1e-12)
+    assert len(shapes) <= 20 and 3 * len(shapes) <= res.evaluations // 15
+    # sixty cusps of sqrt|sin(30 x)|: thousands of panels, refined in rounds
+    g, shapes = _counted(lambda x: np.sqrt(np.abs(np.sin(30.0 * x))))
+    res = integrate(g, Domain.finite(0.0, 10.0))
+    assert res.converged
+    assert len(shapes) <= 60 and res.evaluations // 15 >= 1000
+
+
+def test_integrand_sees_panel_rows():
+    g, shapes = _counted(lambda x: np.exp(-x * x))
+    integrate(g, Domain.infinite())
+    assert all(len(s) == 2 and s[1] == 15 for s in shapes)
+    assert shapes[0][0] == 4  # the four initial panels of the real line, in one call
+    assert max(s[0] for s in shapes) > 1
+
+
+@pytest.mark.parametrize("budget", [45, 46, 100, 301, 1000, 4321, 20_000])
+def test_evaluations_never_exceed_budget(budget):
+    for f in (lambda x: np.sin(1e7 * x), lambda x: x ** (-0.999)):
+        res = integrate(f, Domain.finite(1e-12, 1.0), rel_tol=1e-15, abs_tol=1e-300,
+                        max_evals=budget)
+        assert not res.converged
+        assert res.evaluations <= budget
+
+
+@pytest.mark.parametrize("rel_tol, converged", [(1e-10, True), (1e-300, False)])
+def test_jump_at_irrational_point_terminates(rel_tol, converged):
+    # the panel holding the jump is bisected each round; below the rounding
+    # floor of the other panels' error estimates the budget runs out instead
+    c = 1.0 / math.sqrt(2.0)
+    res = integrate(lambda x: np.where(x > c, 1.0, 0.0), Domain.finite(0.0, 1.0),
+                    rel_tol=rel_tol, abs_tol=1e-300, max_evals=1_000_000)
+    assert res.converged is converged
+    assert res.evaluations <= 1_000_000
+    assert abs(res.value - (1.0 - c)) <= res.err_estimate + 1e-15
+
+
 def test_detect_divergence_log_origin():
     assert detect_divergence(Envelope(-1.0, ("exp", 2.0))) == DIVERGENT_AT_ORIGIN
 

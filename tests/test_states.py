@@ -332,6 +332,52 @@ def test_grid_state_momentum_marginal():
         assert st.axis_momentum_density(3, k) == pytest.approx(exact, rel=1e-4)
 
 
+# --- momentum-table requests ------------------------------------------------
+
+
+@pytest.fixture
+def sine_calls(monkeypatch):
+    """The k-array shape of each sine transform the momentum tables run."""
+    import qmoments.states as states_mod
+
+    calls = []
+    real = states_mod.sine_transform_batch
+
+    def counted(u, ks, *args, **kwargs):
+        calls.append(np.shape(ks))
+        return real(u, ks, *args, **kwargs)
+
+    monkeypatch.setattr(states_mod, "sine_transform_batch", counted)
+    return calls
+
+
+def test_momentum_table_2d_request_transforms_each_row_alone(sine_calls):
+    from qmoments.quadrature import _XK
+
+    edges = np.array([1e-3, 0.5, 1.0, 5.0, 40.0, 100.0])
+    c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    rows = c[:, None] + h[:, None] * _XK  # k-panels as integrate passes them
+    batched, single = (_dense_grid_state().momentum_table() for _ in range(2))
+    for tbl in (batched, single):
+        tbl.w(rows[1])  # a cached row
+        tbl.w(rows[3, :5])  # and a partly cached one
+    sine_calls.clear()
+    got = batched.w(rows)
+    assert got.shape == rows.shape
+    assert sine_calls == [(15,), (15,), (10,), (15,)]
+    for row, vals in zip(rows, got):
+        assert np.array_equal(single.w(row), vals)
+
+
+def test_momentum_table_1d_request_runs_in_ascending_chunks(sine_calls):
+    tbl = _dense_grid_state().momentum_table()
+    ks = np.linspace(50.0, 0.1, 300)
+    vals = tbl.w(ks)
+    assert sine_calls == [(128,), (128,), (44,)]
+    assert np.array_equal(tbl.w(ks[::-1]), vals[::-1])  # now all cached
+    assert len(sine_calls) == 3
+
+
 # --- monotone cubic interpolation of grid states ------------------------------
 
 
