@@ -30,7 +30,6 @@ from .states import (
     RadialGridState,
     catalog,
     load_radial_grid,
-    mean_kinetic_via_gradient,
 )
 from .matrixlab import (
     FiniteState,

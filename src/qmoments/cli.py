@@ -97,9 +97,9 @@ class Outcomes:
     divergent: int = 0
     notes: list[str] = field(default_factory=list)
 
-    def add_verdict(self, v: Verdict) -> None:
+    def add_check(self, holds: bool) -> None:
         self.checks += 1
-        if v.holds:
+        if holds:
             self.holds += 1
         else:
             self.violations += 1
@@ -210,7 +210,7 @@ def cmd_hydrogen(args, cfg: RunConfig, argv: list[str]) -> int:
         outcomes.add_divergent(out.detail)
         results.append(out.to_dict())
     else:
-        outcomes.add_verdict(out)
+        outcomes.add_check(out.holds)
         results.append(_scaled_verdict_dict(out, cfg, e.r_star))
         if out.lhs > 0.0:
             coeff = (out.rhs / out.lhs) ** (p + q)
@@ -270,11 +270,7 @@ def cmd_sweep(args, cfg: RunConfig, argv: list[str]) -> int:
     failed_cells = 0
     for row in table.rows:
         if row.status == "ok":
-            outcomes.checks += 1
-            if row.holds:
-                outcomes.holds += 1
-            else:
-                outcomes.violations += 1
+            outcomes.add_check(row.holds)
         elif row.status == "divergent":
             outcomes.add_divergent(f"(p={row.p}, q={row.q}): {row.detail}")
         else:
@@ -310,7 +306,7 @@ def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
         for v in (v1, v2):
             gates = args.gate == "both" or v.label == "finite_commutator"
             if gates:
-                outcomes.add_verdict(v)
+                outcomes.add_check(v.holds)
             elif not v.holds:
                 informational_violations += 1
             d = v.to_dict()
@@ -423,8 +419,8 @@ def cmd_holder(args, cfg: RunConfig, argv: list[str]) -> int:
     v1 = iq.holder_verdict(density, e, cfg.slack)
     v2 = iq.schwarz_verdict(density, cfg.slack)
     outcomes = Outcomes()
-    outcomes.add_verdict(v1)
-    outcomes.add_verdict(v2)
+    outcomes.add_check(v1.holds)
+    outcomes.add_check(v2.holds)
     code = outcomes.exit_code(cfg)
     payload = {
         "manifest": _manifest(cfg, argv, outcomes, code),
@@ -467,8 +463,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
                 "alpha": rep.alpha,
                 "beta": rep.beta,
             }
-            outcomes.checks += 1
-            outcomes.holds += 1
+            outcomes.add_check(True)
         except DomainError as exc:
             outcomes.add_divergent(f"virial: {exc}")
             report["virial"] = {"status": "divergent", "detail": str(exc)}
@@ -493,8 +488,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
                 "radius": root * length_unit,
                 "residual": b * root**2 + root - b * r2.value,
             }
-            outcomes.checks += 1
-            outcomes.holds += 1
+            outcomes.add_check(True)
         else:
             bad = [m for m in (r1, r2, rma) if not m.is_convergent][0]
             outcomes.add_divergent(f"threshold moments: {bad.detail}")
@@ -508,11 +502,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
         }
         if res.actual.is_convergent:
             entry["actual"] = res.actual.value * energy_unit
-            outcomes.checks += 1
-            if res.consistent:
-                outcomes.holds += 1
-            else:
-                outcomes.violations += 1
+            outcomes.add_check(res.consistent)
         else:
             entry["actual"] = None
             entry["detail"] = res.actual.detail
@@ -524,8 +514,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
         res = cf.lennard_jones_mean(state, cf.LennardJonesPotential(eps, s_))
         if res.is_convergent:
             report["lennard_jones"] = {"mean": res.value * energy_unit}
-            outcomes.checks += 1
-            outcomes.holds += 1
+            outcomes.add_check(True)
         else:
             report["lennard_jones"] = {"mean": None, "detail": res.detail}
             outcomes.add_divergent(f"lennard-jones: {res.detail}")

@@ -664,29 +664,7 @@ class HarmonicOscillatorGround(_Gaussian1D):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation surface and the default catalog
-
-
-def radial_density(s: ContinuousState, r):
-    if not s.has_radial_density:
-        raise CapabilityError(f"{s.label} has no radial density")
-    return s.radial_density(r)
-
-
-def axis_position_density(s: ContinuousState, axis: int, z):
-    if not s.has_position_density:
-        raise CapabilityError(f"{s.label} has no position density")
-    return s.axis_position_density(axis, z)
-
-
-def momentum_marginal_density(s: ContinuousState, axis: int, p):
-    if not s.has_momentum_density:
-        raise CapabilityError(f"{s.label} has no momentum density")
-    return s.axis_momentum_density(axis, p)
-
-
-def mean_kinetic_via_gradient(s: ContinuousState) -> float:
-    return s.kinetic_energy()
+# the default catalog
 
 
 def catalog(constants: PhysicalConstants = NATURAL) -> dict[str, ContinuousState]:

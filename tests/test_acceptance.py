@@ -33,7 +33,6 @@ from qmoments.states import (
     HarmonicOscillatorGround,
     HydrogenGroundState,
     PowerExpRadialState,
-    mean_kinetic_via_gradient,
 )
 
 
@@ -69,7 +68,7 @@ def test_criterion_02_angular_reduction_integral(a0, capsys):
 def test_criterion_03_pz_squared_two_routes(capsys):
     h = HydrogenGroundState()
     target = 1.0 / 3.0  # hbar^2/(3 a0^2), natural units
-    gradient_route = 2.0 * h.constants.mass * mean_kinetic_via_gradient(h) / 3.0
+    gradient_route = 2.0 * h.constants.mass * h.kinetic_energy() / 3.0
     marginal_route = abs_central_moment(h, momentum_axis(3), 2.0).require()
     # and the same number by brute-force integration of the marginal itself
     marginal_direct = integrate(

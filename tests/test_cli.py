@@ -10,7 +10,9 @@ import pytest
 
 import qmoments
 from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
-from qmoments.matrixlab import matrix_from_json
+from qmoments import inequalities as iq
+from qmoments.core import make_exponents
+from qmoments.matrixlab import FiniteState, HermitianOperator, matrix_from_json
 
 VERDICT_KEYS = {"lhs", "rhs", "ratio", "margin", "holds", "slack", "label", "inputs"}
 
@@ -209,6 +211,25 @@ def test_finite_random_trials_report(capsys):
         a = matrix_from_json(json.dumps(ce["A"]))
         assert a.shape == (8, 8)
         assert np.abs(a - a.conj().T).max() < 1e-12
+
+
+def test_finite_counterexample_replays_from_its_block(capsys):
+    # a real violation: the product link fails for this seed at trial 0
+    code, doc = run_json(capsys, ["finite", "--dim", "2", "--p", "1", "--q", "1",
+                                  "--trials", "50", "--seed", "3", "--gate", "both"])
+    assert code == EXIT_VIOLATION
+    ce = doc["counterexample"]
+    assert (ce["trial"], ce["label"]) == (0, "finite_product")
+    a = HermitianOperator(matrix_from_json(json.dumps(ce["A"])))
+    b = HermitianOperator(matrix_from_json(json.dumps(ce["B"])))
+    psi = FiniteState([complex(re, im) for re, im in ce["psi"]])
+    replayed = {v.label: v for v in iq.uncertainty_chain_finite(
+        a, b, psi, make_exponents(ce["p"], ce["q"]))}[ce["label"]]
+    reported = [r for r in doc["results"]
+                if r["trial"] == ce["trial"] and r["label"] == ce["label"]][0]
+    assert replayed.holds is False
+    assert replayed.lhs == reported["lhs"]
+    assert replayed.rhs == reported["rhs"]
 
 
 def test_finite_seeded_reproducible(capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoments.core import DataFormatError, DomainError
+from qmoments.core import DataFormatError, DecompositionError, DomainError
 from qmoments.matrixlab import (
     FiniteState,
     HermitianOperator,
@@ -80,6 +80,92 @@ def test_eigendecompose_deterministic():
     d2 = eigendecompose(h)
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+
+
+# closed-form spectra: oracles that do not go through np.linalg.eigh
+
+
+def _assert_phase_fixed(u):
+    """Each column's first component with modulus above 1e-12 is real positive."""
+    for col in u.T:
+        pivot = col[np.argmax(np.abs(col) > 1e-12)]
+        assert pivot.real > 0.0
+        assert abs(pivot.imag) <= 1e-14
+
+
+@pytest.mark.parametrize("a, d, b", [
+    (1.0, -1.0, 0.0),
+    (2.0, 2.0, 1.5),
+    (0.3, -4.2, 1.0 - 2.0j),
+    (-1e3, 7.5, 0.25j),
+])
+def test_two_by_two_closed_form_spectrum(a, d, b):
+    h = HermitianOperator([[a, b], [np.conj(b), d]])
+    dec = eigendecompose(h)
+    mid = 0.5 * (a + d)
+    half_gap = math.sqrt((0.5 * (a - d)) ** 2 + abs(b) ** 2)
+    scale = max(abs(a), abs(d), abs(b))
+    assert np.abs(dec.eigenvalues - [mid - half_gap, mid + half_gap]).max() <= 1e-14 * scale
+    _assert_phase_fixed(dec.eigenvectors)
+
+
+def test_rank_one_projector_spectrum_and_top_eigenvector():
+    v = np.array([0.5 - 1.0j, 2.0, -0.75j, 1.0 + 1.0j, -0.25, 0.125 + 3.0j])
+    norm2 = float(np.vdot(v, v).real)
+    dec = eigendecompose(HermitianOperator(np.outer(v, v.conj())))
+    expected = np.zeros(v.size)
+    expected[-1] = norm2
+    assert np.abs(dec.eigenvalues - expected).max() <= 1e-13 * norm2
+    # top eigenvector is v / |v| rotated so that its first component is real positive
+    top = v * (np.conj(v[0]) / abs(v[0])) / math.sqrt(norm2)
+    assert np.abs(dec.eigenvectors[:, -1] - top).max() <= 1e-13
+    _assert_phase_fixed(dec.eigenvectors)
+
+
+@pytest.mark.parametrize("c", [0.0, 2.5, -7.0])
+def test_degenerate_multiple_of_identity(c):
+    n = 5
+    dec = eigendecompose(HermitianOperator(c * np.eye(n)))
+    assert np.abs(dec.eigenvalues - c).max() <= 1e-15 * max(1.0, abs(c))
+    _assert_phase_fixed(dec.eigenvectors)
+    assert np.abs(dec.reconstruct() - c * np.eye(n)).max() <= 1e-10 * max(abs(c), 1e-300)
+    assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n)).max() <= 1e-10
+
+
+def test_lapack_failure_is_decomposition_error(monkeypatch):
+    def failing_eigh(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(DecompositionError):
+        eigendecompose(SX)
+
+
+def test_perturbed_eigenvectors_fail_reconstruction(monkeypatch):
+    real_eigh = np.linalg.eigh
+    h = random_hermitian(SplitMix64(31), 6)
+
+    def perturbed_eigh(m):
+        w, v = real_eigh(m)
+        return w, v + 1e-6 * np.eye(v.shape[0])
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    with pytest.raises(DecompositionError, match="reconstruction"):
+        eigendecompose(h)
+
+
+def test_non_unitary_eigenvectors_fail_unitarity(monkeypatch):
+    # the zero matrix reconstructs exactly from any eigenvectors, so only the
+    # unitarity check can catch a doubled basis
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(3), 2.0 * np.eye(3, dtype=complex)))
+    with pytest.raises(DecompositionError, match="unitarity"):
+        eigendecompose(HermitianOperator(np.zeros((3, 3))))
+
+
+def test_nan_spectrum_fails_reconstruction(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.full(2, np.nan), np.eye(2, dtype=complex)))
+    with pytest.raises(DecompositionError, match="reconstruction"):
+        eigendecompose(SX)
 
 
 def test_commutator_pauli():

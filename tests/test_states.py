@@ -14,9 +14,6 @@ from qmoments.states import (
     RadialStateBase,
     catalog,
     load_radial_grid,
-    mean_kinetic_via_gradient,
-    momentum_marginal_density,
-    radial_density,
 )
 
 
@@ -31,11 +28,11 @@ def qho():
 
 
 def test_hydrogen_radial_density_value(hydrogen):
-    assert radial_density(hydrogen, 1.0) == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
+    assert hydrogen.radial_density(1.0) == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
 
 
 def test_hydrogen_radial_density_origin(hydrogen):
-    assert radial_density(hydrogen, 0.0) == 0.0
+    assert hydrogen.radial_density(0.0) == 0.0
 
 
 def test_radial_density_normalized(hydrogen):
@@ -91,7 +88,7 @@ def test_gaussian_momentum_width():
 
 def test_momentum_marginal_normalized(hydrogen):
     res = integrate(
-        lambda p: momentum_marginal_density(hydrogen, 3, p), Domain.infinite(),
+        lambda p: hydrogen.axis_momentum_density(3, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -100,7 +97,7 @@ def test_momentum_marginal_normalized(hydrogen):
 def test_momentum_marginal_second_moment(hydrogen):
     # <p_z^2> = hbar^2/(3 a0^2), via direct integration of the marginal
     res = integrate(
-        lambda p: p * p * momentum_marginal_density(hydrogen, 3, p), Domain.infinite(),
+        lambda p: p * p * hydrogen.axis_momentum_density(3, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-6)
@@ -110,37 +107,37 @@ def test_momentum_marginal_closed_form(hydrogen):
     # 8 / (3 pi (1 + k^2)^3) for a0 = 1
     for k in (0.0, 0.5, 2.0):
         exact = 8.0 / (3.0 * math.pi * (1 + k * k) ** 3)
-        assert momentum_marginal_density(hydrogen, 3, k) == pytest.approx(exact, rel=1e-10)
+        assert hydrogen.axis_momentum_density(3, k) == pytest.approx(exact, rel=1e-10)
 
 
 def test_momentum_marginal_parity(hydrogen):
-    assert momentum_marginal_density(hydrogen, 3, 1.1) == momentum_marginal_density(hydrogen, 3, -1.1)
+    assert hydrogen.axis_momentum_density(3, 1.1) == hydrogen.axis_momentum_density(3, -1.1)
 
 
 def test_kinetic_hydrogen(hydrogen):
-    assert mean_kinetic_via_gradient(hydrogen) == pytest.approx(0.5, rel=1e-9)
+    assert hydrogen.kinetic_energy() == pytest.approx(0.5, rel=1e-9)
 
 
 def test_kinetic_qho(qho):
-    assert mean_kinetic_via_gradient(qho) == pytest.approx(0.25, rel=1e-10)
+    assert qho.kinetic_energy() == pytest.approx(0.25, rel=1e-10)
 
 
 def test_kinetic_gaussian():
     g = GaussianPacket(sigma=2.0)
-    assert mean_kinetic_via_gradient(g) == pytest.approx(1.0 / 32.0, rel=1e-10)
+    assert g.kinetic_energy() == pytest.approx(1.0 / 32.0, rel=1e-10)
 
 
 def test_kinetic_gaussian_boosted():
     g = GaussianPacket(sigma=2.0, p0=0.5)
-    assert mean_kinetic_via_gradient(g) == pytest.approx(1.0 / 32.0 + 0.125, rel=1e-10)
+    assert g.kinetic_energy() == pytest.approx(1.0 / 32.0 + 0.125, rel=1e-10)
 
 
 def test_p_squared_three_routes(hydrogen):
     # gradient route
-    via_gradient = 2.0 * hydrogen.constants.mass * mean_kinetic_via_gradient(hydrogen)
+    via_gradient = 2.0 * hydrogen.constants.mass * hydrogen.kinetic_energy()
     # marginal route, summed over the three axes
     res = integrate(
-        lambda p: p * p * momentum_marginal_density(hydrogen, 3, p), Domain.infinite(),
+        lambda p: p * p * hydrogen.axis_momentum_density(3, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     via_marginals = 3.0 * res.value
@@ -160,7 +157,7 @@ def test_qho_width():
 
 def test_capability_errors(qho):
     with pytest.raises(CapabilityError):
-        radial_density(qho, 1.0)
+        qho.radial_density(1.0)
     with pytest.raises(CapabilityError):
         qho.axis_position_density(2, 0.0)  # 1d states expose axis 1 only
 
@@ -302,14 +299,14 @@ def test_r4_p_squared_three_routes():
     # u = N r^4 e^{-r}: int u'^2 dr = 1/7 by the Gamma oracle, and this state
     # exercises the steeper k^-5 transform tail
     st = PowerExpRadialState(4, 1.0)
-    via_gradient = 2.0 * mean_kinetic_via_gradient(st)
+    via_gradient = 2.0 * st.kinetic_energy()
     assert via_gradient == pytest.approx(1.0 / 7.0, rel=1e-9)
     tbl = st.momentum_table()
     res = integrate(lambda k: tbl.w(k) ** 2 * k * k, Domain.finite(0.0, tbl.k_cut))
     via_radial = res.value + tbl.tail_integral(2.0, tbl.k_cut)
     assert via_radial == pytest.approx(via_gradient, rel=1e-6)
     res2 = integrate(
-        lambda p: p * p * momentum_marginal_density(st, 3, p), Domain.infinite(),
+        lambda p: p * p * st.axis_momentum_density(3, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert 3.0 * res2.value == pytest.approx(via_gradient, rel=1e-6)
@@ -318,7 +315,7 @@ def test_r4_p_squared_three_routes():
 def test_r4_momentum_marginal_normalized():
     st = PowerExpRadialState(4, 1.0)
     res = integrate(
-        lambda p: momentum_marginal_density(st, 3, p), Domain.infinite(),
+        lambda p: st.axis_momentum_density(3, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
