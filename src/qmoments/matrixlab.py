@@ -48,6 +48,8 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = _as_complex_square(self.entries)
+        if not np.isfinite(m).all():
+            raise DomainError("matrix has a NaN or infinite entry")
         scale = max(1.0, float(np.abs(m).max(initial=0.0)))
         if np.abs(m - m.conj().T).max(initial=0.0) > _HERMITICITY_ATOL * scale:
             raise DomainError("matrix is not Hermitian within 1e-12")

@@ -141,10 +141,10 @@ def _radial_momentum_raw(s: RadialStateBase, q: float, rel_tol: float | None = N
     def f(k):
         return tbl.w(k) ** 2 * k**q
 
-    kb = 1.0 / s.r_scale
+    # the first round runs on the table's shared partition, already transformed
     res = integrate(
         f, Domain.finite(0.0, tbl.k_cut), rel_tol=rel_tol, abs_tol=1e-15,
-        breakpoints=[kb] if 0.0 < kb < tbl.k_cut else [],
+        breakpoints=tbl.partition()[1:-1],
     )
     if res.failed or not res.converged:
         return MomentValue.failed(q, f"momentum quadrature stalled (err={res.err_estimate:.2e})")

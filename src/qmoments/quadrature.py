@@ -139,12 +139,19 @@ class _NonFiniteIntegrand(Exception):
     pass
 
 
+def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (panels, 15) Kronrod nodes of the panels [lo_i, hi_i] and their
+    half-widths. integrate() forms its nodes here, so a table built on the
+    same edges holds exactly the nodes integrate() will ask for."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    return c[:, None] + h[:, None] * _XK, h
+
+
 def _kronrod_panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15/G7 on every panel [lo_i, hi_i] from one integrand call on the
     (panels, 15) node array; returns (kronrod, |kronrod - gauss|) per panel."""
-    c = 0.5 * (lo + hi)
-    h = 0.5 * (hi - lo)
-    nodes = c[:, None] + h[:, None] * _XK
+    nodes, h = _kronrod_nodes(lo, hi)
     vals = np.asarray(g(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise DomainError("integrand is not vectorized: wrong output shape")
@@ -310,6 +317,8 @@ def detect_divergence(env: Envelope) -> str:
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
 _MAX_SINE_PANELS = 1 << 17
+# K x n entries a k-block of _sine_batch may hold, unless one 15-k row needs more
+_SINE_BLOCK = 1 << 15
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,10 +370,17 @@ def sine_transform_batch(
 def _sine_batch(u: Callable, ks: np.ndarray, r_max: float, r_scale: float) -> tuple[np.ndarray, float]:
     """sine_transform_batch for a 1-D ks.
 
-    The phase at node c_j + h*x_m is factored as
+    u is evaluated once, at the 15n Kronrod nodes of the radial panels. The
+    phase at node c_j + h*x_m is factored as
     sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m): the per-panel K15
     sums and K15-G7 differences come out of one matmul of the K x 15 offset
     terms against u, and no K x 15n array is formed.
+
+    The k run in blocks of max(15, _SINE_BLOCK // n) through work arrays
+    allocated once per call, so each K x n work array holds at most
+    max(15 n, _SINE_BLOCK) entries: from n = 2185 up (k_cut of a grid
+    state) a 128-k chunk needs no more memory than one 15-node k-panel.
+    Each k's value does not depend on the block it falls in.
     """
     kmax = float(ks.max(initial=0.0))
     n = max(
@@ -384,26 +400,46 @@ def _sine_batch(u: Callable, ks: np.ndarray, r_max: float, r_scale: float) -> tu
     uv = np.asarray(u(nodes), dtype=float)
     if not np.all(np.isfinite(uv)):
         raise MomentsError("non-finite radial wavefunction value in sine transform")
-    off = ks[:, None] * (h * _XK)[None, :]
-    cos_off, sin_off = np.cos(off), np.sin(off)
-    # rows: K15 cos, K15 sin, (K15 - G7) cos, (K15 - G7) sin, each K x 15
-    weights = np.concatenate([cos_off * _WK, sin_off * _WK,
-                              cos_off * _WKG, sin_off * _WKG])
-    sums = (weights @ uv.reshape(n, 15).T).reshape(4, len(ks), n)
+    ut = uv.reshape(n, 15).T
     # centre phases k*c_j from blocks of panels: c_j = (block start) + (offset
     # of the centre in its block), so trig runs on K x ~2 sqrt(n) entries
     width = r_max / n
     size = math.isqrt(n) + 1
-    sa, ca = _sin_cos_outer(ks, np.arange(-(-n // size)) * (size * width))
-    sb, cb = _sin_cos_outer(ks, (np.arange(size) + 0.5) * width)
-    sa, ca, sb, cb = sa[:, :, None], ca[:, :, None], sb[:, None, :], cb[:, None, :]
-    sin_c = (sa * cb + ca * sb).reshape(len(ks), -1)[:, :n]
-    cos_c = (ca * cb - sa * sb).reshape(len(ks), -1)[:, :n]
-    k15 = sin_c * sums[0] + cos_c * sums[1]
-    diff = sin_c * sums[2] + cos_c * sums[3]
-    vals = _SINE_NORM * h * k15.sum(axis=1)
-    err = _SINE_NORM * h * float(np.abs(diff).sum(axis=1).max())
-    return vals, err
+    starts = np.arange(-(-n // size)) * (size * width)
+    offsets = (np.arange(size) + 0.5) * width
+    step = max(15, _SINE_BLOCK // n)
+    # one block's K x n arrays, reused by every block: the per-panel sums
+    # (K15 cos, K15 sin, (K15 - G7) cos, (K15 - G7) sin) and the centre
+    # phases sin(k c_j), cos(k c_j) with a scratch row, over whole blocks
+    # of panels
+    sums_w = np.empty((4, min(step, len(ks)), n))
+    phase_w = np.empty((3, min(step, len(ks)), len(starts), size))
+    vals = np.empty(len(ks))
+    err = 0.0
+    for lo in range(0, len(ks), step):
+        kb = ks[lo:lo + step]
+        m = len(kb)
+        off = kb[:, None] * (h * _XK)[None, :]
+        cos_off, sin_off = np.cos(off), np.sin(off)
+        sums = sums_w[:, :m]
+        for row, w in zip(sums, (cos_off * _WK, sin_off * _WK, cos_off * _WKG, sin_off * _WKG)):
+            np.matmul(w, ut, out=row)
+        sa, ca = _sin_cos_outer(kb, starts)
+        sb, cb = _sin_cos_outer(kb, offsets)
+        sa, ca, sb, cb = sa[:, :, None], ca[:, :, None], sb[:, None, :], cb[:, None, :]
+        sin_c, cos_c, tmp = phase_w[:, :m]
+        np.multiply(sa, cb, out=sin_c)
+        sin_c += np.multiply(ca, sb, out=tmp)
+        np.multiply(ca, cb, out=cos_c)
+        cos_c -= np.multiply(sa, sb, out=tmp)
+        sin_c, cos_c, tmp = (a.reshape(m, -1)[:, :n] for a in (sin_c, cos_c, tmp))
+        np.multiply(sin_c, sums[0], out=tmp)
+        tmp += cos_c * sums[1]
+        vals[lo:lo + step] = tmp.sum(axis=1)
+        np.multiply(sin_c, sums[2], out=tmp)
+        tmp += cos_c * sums[3]
+        err = max(err, float(np.abs(tmp).sum(axis=1).max()))
+    return _SINE_NORM * h * vals, _SINE_NORM * h * err
 
 
 def sine_transform(

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import CapabilityError, DataFormatError, DomainError, PhysicalConstants, NATURAL
-from .quadrature import Domain, Envelope, integrate, sine_transform_batch, _XK, _WK
+from .quadrature import Domain, Envelope, integrate, sine_transform_batch, _kronrod_nodes, _XK, _WK
 
 DIM_1D = "1d"
 DIM_3D_SPHERICAL = "3d-spherical"
@@ -91,6 +91,11 @@ class _MomentumTable:
     amplitude is represented as C k^tau + D k^(tau-2) with the coefficients
     fitted at 0.7*k_cut and k_cut, which keeps heavy momentum tails cheap
     without truncating them.
+
+    Every momentum order of a state starts its k-integral from one shared
+    partition of [0, k_cut] (partition()), transformed once in ascending
+    128-k chunks; later orders find its nodes cached and transform only the
+    k-panels their own refinement adds.
     """
 
     def __init__(self, u: Callable, r_max: float, r_scale: float, tail_power: float, k_cut: float):
@@ -134,6 +139,22 @@ class _MomentumTable:
                         self._cache[k] = v
         return out
 
+    def partition(self) -> np.ndarray:
+        """Edges of the shared starting partition of [0, k_cut], with w
+        transformed at every K15 node of it.
+
+        The panels are [0, 1e-4/r_scale], 11 geometric panels up to
+        1/r_scale and 24 up to k_cut: 36 panels, 540 nodes, fixed by k_cut
+        and r_scale alone. The nodes go to w as one 1-D request, so the
+        first call transforms them and every later one finds them cached.
+        """
+        kb = 1.0 / self._r_scale
+        edges = np.concatenate([
+            [0.0], np.geomspace(1e-4 * kb, kb, 12), np.geomspace(kb, self.k_cut, 25)[1:],
+        ])
+        self.w(_kronrod_nodes(edges[:-1], edges[1:])[0].ravel())
+        return edges
+
     def _batch(self, ks: np.ndarray) -> np.ndarray:
         """Transform in ascending chunks so cheap low-k panels stay cheap."""
         order = np.argsort(ks, kind="stable")
@@ -157,9 +178,7 @@ class _MomentumTable:
             np.geomspace(k_lo, split, 33),
             np.linspace(split, self.k_cut, 225)[1:],
         ])
-        c = 0.5 * (edges[:-1] + edges[1:])
-        h = 0.5 * (edges[1:] - edges[:-1])
-        nodes = c[:, None] + h[:, None] * _XK[None, :]
+        nodes, h = _kronrod_nodes(edges[:-1], edges[1:])
         wv = self.w(nodes.ravel()).reshape(nodes.shape)
         panel = (h[:, None] * (wv**2 / nodes)) @ _WK
         suffix = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
@@ -510,10 +529,7 @@ class RadialGridState(RadialStateBase):
 
     def _u_square_integral(self) -> float:
         # K15 per knot interval is exact for the square of a piecewise cubic
-        lo, hi = self._r[:-1], self._r[1:]
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        nodes = c[:, None] + h[:, None] * _XK[None, :]
+        nodes, h = _kronrod_nodes(self._r[:-1], self._r[1:])
         vals = self._interp(nodes.ravel()).reshape(nodes.shape) ** 2
         return float((h * (vals @ _WK)).sum())
 

@@ -168,6 +168,18 @@ def test_nan_spectrum_fails_reconstruction(monkeypatch):
         eigendecompose(SX)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+def test_non_finite_entry_rejected(bad, where):
+    # NaN fails every comparison, so the Hermiticity test alone let it through
+    m = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    m[where] = bad
+    if where[0] != where[1]:
+        m[where[::-1]] = np.conj(bad)  # symmetric placement: only finiteness fails
+    with pytest.raises(DomainError, match="NaN or infinite"):
+        HermitianOperator(m)
+
+
 def test_commutator_pauli():
     assert np.allclose(commutator(SX, SY), 2j * SZ.entries, atol=1e-14)
 

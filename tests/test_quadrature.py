@@ -339,6 +339,35 @@ def test_sine_transform_batch_matches_dense_reference_on_grid_state():
         assert err == pytest.approx(ref_err, rel=0.01)
 
 
+def test_sine_transform_batch_blocks_match_single_k_and_cap_memory():
+    import tracemalloc
+
+    from qmoments.states import RadialGridState
+
+    r = np.arange(0.0, 40.01, 0.02)
+    st = RadialGridState(r, 2.0 * r * np.exp(-r))
+    k_cut = st.momentum_table().k_cut
+    ks = np.linspace(k_cut / 128, k_cut, 128)
+
+    def transform(k):
+        return sine_transform_batch(st.reduced_radial, k, st.r_max, st.r_scale)[0]
+
+    vals = transform(ks)
+    # each k with k_cut beside it, so the radial panel count is the same
+    single = np.array([transform(np.array([k, k_cut]))[0] for k in ks])
+    assert np.abs(vals - single).max() <= 1e-15 * np.abs(single).max()
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            transform(k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(ks) <= 1.5 * peak(ks[-15:])
+
+
 def test_sine_transform_k_integral_reaches_tolerance():
     # <p^8> of r^4 e^{-r} weighs w(k)^2 by k^8, so rounding noise of the
     # transform in k would stall the adaptive rule long before this budget

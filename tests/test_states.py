@@ -375,6 +375,88 @@ def test_momentum_table_1d_request_runs_in_ascending_chunks(sine_calls):
     assert len(sine_calls) == 3
 
 
+def _hydrogen_grid():
+    r = np.arange(0.0, 40.01, 0.02)
+    return RadialGridState(r, 2.0 * r * np.exp(-r))
+
+
+def _r4test_grid():
+    # geometric, with a leading r = 0, as in the grid benchmark
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
+    return RadialGridState(r, r**4 * np.exp(-r))
+
+
+def test_momentum_table_partition_is_cached_for_the_first_round(sine_calls):
+    tbl = _hydrogen_grid().momentum_table()
+    edges = tbl.partition()
+    assert edges.size == 37 and edges[0] == 0.0 and edges[-1] == tbl.k_cut
+    assert np.all(np.diff(edges) > 0.0)
+    assert sine_calls == [(128,), (128,), (128,), (128,), (28,)]  # 540 nodes
+    assert np.array_equal(tbl.partition(), edges)
+    assert len(sine_calls) == 5
+    # integrate's first round on these edges asks for exactly those nodes
+    seen = []
+    res = integrate(lambda k: seen.append(k.shape) or tbl.w(k) ** 2, Domain.finite(0.0, tbl.k_cut),
+                    breakpoints=edges[1:-1], max_evals=540)
+    assert seen == [(36, 15)] and res.evaluations == 540
+    assert len(sine_calls) == 5
+
+
+def test_hydrogen_grid_sweep_sine_calls(sine_calls):
+    # each order starts from the shared partition: 49 calls from two panels
+    from qmoments.inequalities import sweep
+
+    sweep(_hydrogen_grid(), 3, 3, [1.5, 2.5, 3.5], [1.0, 1.5, 2.0])
+    assert len(sine_calls) <= 20
+
+
+def test_r4test_grid_cell_sine_calls(sine_calls):
+    # 141 calls from two panels; most rows now come from refinement, where
+    # w carries the grid's interpolation noise
+    from qmoments.inequalities import sweep
+
+    sweep(_r4test_grid(), 3, 3, [2.5], [0.9])
+    assert len(sine_calls) <= 100
+
+
+def _two_panel_momentum_moment(s, q):
+    """<p^q> integrated from [0, 1/r_scale] and [1/r_scale, k_cut], the
+    start every order had before the shared partition."""
+    tbl = s.momentum_table()
+    res = integrate(lambda k: tbl.w(k) ** 2 * k**q, Domain.finite(0.0, tbl.k_cut),
+                    abs_tol=1e-15, breakpoints=[1.0 / s.r_scale])
+    assert res.converged
+    return res.value + tbl.tail_integral(q, tbl.k_cut)
+
+
+def _momentum_moment(s, q):
+    from qmoments.moments import abs_central_moment, momentum_axis
+
+    m = abs_central_moment(s, momentum_axis(3), q)
+    assert m.is_convergent
+    return (q + 1.0) * m.value  # <|p_z|^q> = <p^q>/(q+1)
+
+
+@pytest.mark.parametrize("q", [0.9, 1.5, 2.0, 3.0])
+def test_hydrogen_grid_momentum_moment_from_shared_partition(q):
+    got = _momentum_moment(_hydrogen_grid(), q)
+    a, b = 0.5 * (3.0 + q), 0.5 * (5.0 - q)
+    exact = 16.0 / math.pi * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    assert got == pytest.approx(exact, rel=2e-5)
+    assert got == pytest.approx(_two_panel_momentum_moment(_hydrogen_grid(), q), rel=2e-6)
+
+
+@pytest.mark.parametrize("name, q", [
+    ("hydrogen", 0.5), ("hydrogen", 1.0), ("hydrogen", 2.0), ("hydrogen", 3.0),
+    ("hydrogen", 4.0), ("hydrogen", 4.9),
+    ("r4test", 0.5), ("r4test", 1.0), ("r4test", 2.0), ("r4test", 4.0),
+    ("r4test", 6.0), ("r4test", 7.5),
+])
+def test_catalog_momentum_moment_independent_of_the_start(name, q):
+    got = _momentum_moment(catalog()[name], q)
+    assert got == pytest.approx(_two_panel_momentum_moment(catalog()[name], q), rel=1e-11)
+
+
 # --- monotone cubic interpolation of grid states ------------------------------
 
 
