@@ -33,6 +33,8 @@ from .core import (
     PhysicalConstants,
     SI,
     Verdict,
+    _require_positive_finite,
+    _require_slack,
     make_exponents,
 )
 from . import centralfield as cf
@@ -631,13 +633,17 @@ def _load_config(args) -> RunConfig:
                     mass=float(cc.get("mass", 1.0)),
                     a0=float(cc.get("a0", 1.0)),
                 )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"bad config file: {exc}") from exc
     for attr, key in (("rel_tol", "rel_tol"), ("abs_tol", "abs_tol"), ("slack", "slack"),
                       ("seed", "seed"), ("fmt", "fmt"), ("out", "out"),
                       ("allow_divergent", "allow_divergent"), ("units", "units")):
         if hasattr(args, attr):
             setattr(cfg, key, getattr(args, attr))
+    cfg.rel_tol = _require_positive_finite("rel_tol", cfg.rel_tol)
+    cfg.abs_tol = _require_positive_finite("abs_tol", cfg.abs_tol)
+    if cfg.slack is not None:
+        cfg.slack = _require_slack(cfg.slack)
     return cfg
 
 

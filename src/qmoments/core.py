@@ -38,6 +38,13 @@ def _require_positive_finite(name: str, x: float) -> float:
     return x
 
 
+def _require_slack(x: float) -> float:
+    x = float(x)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"slack must be a finite real >= 0, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Exponents:
     """An order pair (p, q) with its derived product-side exponent and weights.
@@ -210,8 +217,5 @@ def make_verdict(
 ) -> Verdict:
     lhs = float(lhs)
     rhs = float(rhs)
-    if slack is None:
-        slack = default_slack(rhs)
-    if slack < 0.0:
-        raise DomainError(f"slack must be >= 0, got {slack}")
-    return Verdict(label=label, lhs=lhs, rhs=rhs, slack=float(slack), inputs=inputs or {})
+    slack = default_slack(rhs) if slack is None else _require_slack(slack)
+    return Verdict(label=label, lhs=lhs, rhs=rhs, slack=slack, inputs=inputs or {})

@@ -283,11 +283,7 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
 
 def _axis_density(s: ContinuousState, o: Observable) -> Callable:
     if o.kind == POSITION_AXIS:
-        if not s.has_position_density:
-            raise CapabilityError(f"{s.label} has no position density")
         return lambda x: s.axis_position_density(o.axis, x)
-    if not s.has_momentum_density:
-        raise CapabilityError(f"{s.label} has no momentum density")
     return lambda x: s.axis_momentum_density(o.axis, x)
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import CONVERGENT, DomainError, MomentsError
+from .core import CONVERGENT, DomainError, MomentsError, _require_positive_finite
 
 # 15-point Kronrod nodes on [-1, 1] and their weights, with the embedded
 # 7-point Gauss weights (nonzero only on the odd-indexed nodes).
@@ -73,13 +73,9 @@ def set_default_tolerances(
     max_evals: int | None = None,
 ) -> None:
     if rel_tol is not None:
-        if rel_tol <= 0.0:
-            raise DomainError("rel_tol must be positive")
-        _defaults["rel_tol"] = float(rel_tol)
+        _defaults["rel_tol"] = _require_positive_finite("rel_tol", rel_tol)
     if abs_tol is not None:
-        if abs_tol <= 0.0:
-            raise DomainError("abs_tol must be positive")
-        _defaults["abs_tol"] = float(abs_tol)
+        _defaults["abs_tol"] = _require_positive_finite("abs_tol", abs_tol)
     if max_evals is not None:
         if max_evals < 45:
             raise DomainError("max_evals too small for a single panel")

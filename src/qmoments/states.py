@@ -1,15 +1,12 @@
 """Catalog of quantum states exposing position, radial, and momentum densities.
 
 Two families are provided. Spherically symmetric states carry a reduced
-radial wavefunction u(r) = r R(r) with int u^2 dr = 1; their axis marginals
-and momentum densities are obtained from exact one-dimensional reductions
-
-    rho_z(z)  = (1/2) int_{|z|}^inf  rho_r(r)/r dr
-    g(k_z)    = (1/2) int_{|k_z|}^inf w(k)^2/k dk
-
-where w(k) is the radial sine-transform amplitude and rho_r = u^2. One
-dimensional Gaussian states (oscillator ground state, free packets) carry
-closed-form position and momentum densities.
+radial wavefunction u(r) = r R(r) with int u^2 dr = 1, the radial density
+rho_r = u^2, and the radial momentum amplitude w(k), the sine transform of
+u; their axis moments come from radial ones by isotropy (see moments.py), so
+they expose no axis marginals. One-dimensional Gaussian states (oscillator
+ground state, free packets) carry closed-form position and momentum
+densities.
 
 All states are immutable after construction and their densities are pure
 functions; lazily built momentum tables are filled behind a lock and only
@@ -25,22 +22,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import CapabilityError, DataFormatError, DomainError, PhysicalConstants, NATURAL
-from .quadrature import Domain, Envelope, integrate, sine_transform_batch, _kronrod_nodes, _XK, _WK
+from .quadrature import Domain, Envelope, integrate, sine_transform_batch, _kronrod_nodes, _WK
 
 DIM_1D = "1d"
 DIM_3D_SPHERICAL = "3d-spherical"
 
 
 class ContinuousState:
-    """Base state: capability flags plus raising accessors.
+    """Base state: accessors that raise CapabilityError.
 
-    Subclasses override the methods backing the capabilities they declare.
+    Subclasses override the methods backing the densities they have.
     """
 
     dimensionality: str = DIM_1D
-    has_position_density = False
-    has_radial_density = False
-    has_momentum_density = False
     label = "state"
 
     def __init__(self, constants: PhysicalConstants = NATURAL):
@@ -107,7 +101,6 @@ class _MomentumTable:
         self._cache: dict[float, float] = {}
         self._lock = threading.Lock()
         self._tail_fit: tuple[float, float] | None = None
-        self._marginal: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def w(self, ks) -> np.ndarray:
         """w(k) from the cache, transforming the missing k.
@@ -165,49 +158,6 @@ class _MomentumTable:
             out[idx] = vals
         return out
 
-    def _marginal_table(self):
-        """Fixed panels of int w^2/k dk over [~0, k_cut] with suffix sums, so
-        marginal densities cost one partial panel instead of a nested quad."""
-        with self._lock:
-            tab = self._marginal
-        if tab is not None:
-            return tab
-        k_lo = 1e-7 * self.k_cut
-        split = 0.02 * self.k_cut
-        edges = np.concatenate([
-            np.geomspace(k_lo, split, 33),
-            np.linspace(split, self.k_cut, 225)[1:],
-        ])
-        nodes, h = _kronrod_nodes(edges[:-1], edges[1:])
-        wv = self.w(nodes.ravel()).reshape(nodes.shape)
-        panel = (h[:, None] * (wv**2 / nodes)) @ _WK
-        suffix = np.concatenate([np.cumsum(panel[::-1])[::-1], [0.0]])
-        with self._lock:
-            self._marginal = (edges, panel, suffix, wv)
-        return self._marginal
-
-    def integral_w2_over_k(self, x: float) -> float:
-        """int_x^inf w(k)^2 / k dk for x >= 0."""
-        tail = self.tail_integral(-1.0, max(x, self.k_cut))
-        if x >= self.k_cut:
-            return tail
-        edges, panel, suffix, _ = self._marginal_table()
-        if x <= edges[0]:
-            # linear closure w ~ c*k below the table: int_0^e0 w^2/k dk = w(e0)^2/2
-            head = 0.5 * float(self.w(np.array([edges[0]]))[0]) ** 2
-            return head + float(suffix[0]) + tail
-        i = int(np.searchsorted(edges, x, side="right") - 1)
-        i = min(i, len(panel) - 1)
-        lo, hi = x, float(edges[i + 1])
-        part = 0.0
-        if hi > lo:
-            cc = 0.5 * (lo + hi)
-            hh = 0.5 * (hi - lo)
-            nds = cc + hh * _XK
-            vals = self.w(nds) ** 2 / nds
-            part = hh * float(vals @ _WK)
-        return part + float(suffix[i + 1]) + tail
-
     def _fit(self) -> tuple[float, float]:
         with self._lock:
             fit = self._tail_fit
@@ -250,9 +200,6 @@ class RadialStateBase(ContinuousState):
     """Common machinery for l = 0 states defined by u(r) on [0, inf)."""
 
     dimensionality = DIM_3D_SPHERICAL
-    has_position_density = True
-    has_radial_density = True
-    has_momentum_density = True
 
     #: u ~ r^origin_power_u near the origin
     origin_power_u: float = 1.0
@@ -312,35 +259,6 @@ class RadialStateBase(ContinuousState):
         self._check_axis(axis)
         return 0.0
 
-    def axis_position_density(self, axis: int, z):
-        """Marginal along one axis: (1/2) int_{|z|}^inf rho_r(r)/r dr."""
-        self._check_axis(axis)
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        out = np.empty_like(z)
-        for i, zi in enumerate(z.flat):
-            lo = abs(float(zi))
-            if lo >= self.r_max:
-                out.flat[i] = 0.0
-                continue
-            res = integrate(
-                lambda r: self.radial_density(r) / r,
-                Domain.finite(lo, self.r_max),
-                rel_tol=1e-11, abs_tol=1e-16,
-            )
-            out.flat[i] = 0.5 * res.value
-        return out if out.size > 1 else float(out.flat[0])
-
-    def axis_momentum_density(self, axis: int, p):
-        """Marginal of the momentum distribution: g(p) with int g dp = 1."""
-        self._check_axis(axis)
-        hbar = self.constants.hbar
-        tbl = self.momentum_table()
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.empty_like(p)
-        for i, pi in enumerate(p.flat):
-            out.flat[i] = 0.5 * tbl.integral_w2_over_k(abs(float(pi)) / hbar) / hbar
-        return out if out.size > 1 else float(out.flat[0])
-
     def kinetic_energy(self) -> float:
         """(hbar^2/2m) int u'(r)^2 dr, the gradient-quadrature route."""
         c = self.constants
@@ -388,14 +306,6 @@ class HydrogenGroundState(PowerExpRadialState):
             constants = PhysicalConstants(a0=a0)
         super().__init__(n=1, kappa=1.0 / a0, constants=constants, label=f"hydrogen(a0={a0:g})")
         self.a0 = float(a0)
-
-    def axis_position_density(self, axis: int, z):
-        # closed form of the marginal reduction for e^{-2r/a0}/(pi a0^3)
-        self._check_axis(axis)
-        z = np.asarray(z, dtype=float)
-        a = self.a0
-        out = np.exp(-2.0 * np.abs(z) / a) * (np.abs(z) / a**2 + 1.0 / (2.0 * a))
-        return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +514,6 @@ class _Gaussian1D(ContinuousState):
     """Shared closed-form densities for Gaussian wavefunctions."""
 
     dimensionality = DIM_1D
-    has_position_density = True
-    has_radial_density = False
-    has_momentum_density = True
 
     x0 = 0.0
     p0 = 0.0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qmoments.inequalities
+from marginals import momentum_density
 from qmoments.centralfield import BuckinghamPotential, PowerLawPotential, buckingham_bound, virial_report
 from qmoments.cli import EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION, main
 from qmoments.core import Verdict, make_exponents
@@ -72,7 +73,7 @@ def test_criterion_03_pz_squared_two_routes(capsys):
     marginal_route = abs_central_moment(h, momentum_axis(3), 2.0).require()
     # and the same number by brute-force integration of the marginal itself
     marginal_direct = integrate(
-        lambda p: p * p * h.axis_momentum_density(3, p), Domain.infinite(),
+        lambda p: p * p * momentum_density(h, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     ).require()
     assert gradient_route == pytest.approx(target, rel=1e-6)

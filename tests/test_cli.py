@@ -405,6 +405,12 @@ def test_central_requires_an_analysis(capsys):
     ["sweep", "--p-grid", "1:3:x", "--q-grid", "2"],
     ["finite", "--p", "2", "--q", "2", "--trials", "0"],
     ["finite", "--p", "2", "--q", "2", "--trials", "-3"],
+    ["hydrogen", "--p", "3", "--q", "2", "--slack", "nan"],
+    ["sweep", "--p-grid", "2,3", "--q-grid", "2", "--slack", "nan"],
+    ["hydrogen", "--p", "3", "--q", "2", "--slack", "inf"],
+    ["hydrogen", "--p", "3", "--q", "2", "--rel-tol", "inf"],
+    ["hydrogen", "--p", "3", "--q", "2", "--abs-tol", "inf"],
+    ["hydrogen", "--p", "3", "--q", "2", "--rel-tol", "nan"],
 ])
 def test_malformed_input_is_one_line_error(argv, capsys):
     assert main(argv) == EXIT_ERROR
@@ -412,7 +418,9 @@ def test_malformed_input_is_one_line_error(argv, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
-@pytest.mark.parametrize("config", [{"slack": "abc"}, {"seed": "x"}, [1]])
+@pytest.mark.parametrize("config", [
+    {"slack": "abc"}, {"seed": "x"}, [1], {"max_evals": 1e400}, {"seed": 1e400},
+])
 def test_malformed_config_is_one_line_error(config, tmp_path, capsys):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(config))

@@ -146,3 +146,9 @@ def test_default_slack_scales_with_rhs():
 def test_verdict_rejects_negative_slack():
     with pytest.raises(DomainError):
         make_verdict("t", 1.0, 1.0, slack=-1e-3)
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf])
+def test_verdict_rejects_non_finite_slack(slack):
+    with pytest.raises(DomainError):
+        make_verdict("t", 1.0, 1.0, slack=slack)

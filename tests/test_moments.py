@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qmoments.core import DomainError
+from marginals import momentum_density, position_density
+from qmoments.core import CapabilityError, DomainError
 from qmoments.moments import (
     abs_central_moment,
     custom_radial,
@@ -14,8 +15,10 @@ from qmoments.moments import (
     radial_inverse,
     raw_moment,
 )
+from qmoments.quadrature import Domain, integrate
 from qmoments.rng import SplitMix64
 from qmoments.states import (
+    ContinuousState,
     GaussianPacket,
     HarmonicOscillatorGround,
     HydrogenGroundState,
@@ -221,3 +224,51 @@ def test_undeclared_origin_probe_path():
     assert st.origin_power_u is None
     m = raw_moment(st, radial(), -2.0)
     assert m.is_convergent  # density vanishes below r=0.5, so no singularity
+
+
+# --- the isotropy shortcut against the axis marginals ------------------------
+
+
+def _h_grid():
+    r = np.arange(0.0, 40.01, 0.02)
+    return RadialGridState(r, 2.0 * r * np.exp(-r))
+
+
+_AXIS_SIDES = {
+    "position": (position_axis(3), position_density),
+    "momentum": (momentum_axis(3), momentum_density),
+}
+
+
+# a nested momentum integral on a grid state is too slow for this suite
+@pytest.mark.parametrize("state, side, order", [
+    ("hydrogen", "position", 1.5),
+    ("hydrogen", "momentum", 1.5),
+    ("r4test", "position", 2.5),
+    ("r4test", "momentum", 0.5),
+    ("h_grid", "position", 1.5),
+])
+def test_isotropy_shortcut_matches_the_axis_marginal(state, side, order, request):
+    # <|z|^s> = <r^s>/(s+1) and <|p_z|^q> = <p^q>/(q+1) against the plain
+    # integral of |x|^s over the marginal, which shares no code with them
+    # beyond the radial density and w(k); the marginal is even
+    st = _h_grid() if state == "h_grid" else request.getfixturevalue(state)
+    obs, density = _AXIS_SIDES[side]
+    direct = 2.0 * integrate(
+        lambda x: x**order * density(st, x), Domain.semi_infinite(0.0), rel_tol=1e-9,
+    ).require()
+    m = abs_central_moment(st, obs, order)
+    assert m.value == pytest.approx(direct, rel=1e-8)
+
+
+def test_state_without_axis_densities_raises_capability_error():
+    class MeansOnly(ContinuousState):
+        def position_mean(self, axis):
+            return 0.0
+
+        def momentum_mean(self, axis):
+            return 0.0
+
+    for obs in (position_axis(1), momentum_axis(1)):
+        with pytest.raises(CapabilityError):
+            abs_central_moment(MeansOnly(), obs, 1.5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoments.core import MomentsError
+from qmoments.core import DomainError, MomentsError
 from qmoments.quadrature import (
     CONVERGENT,
     DIVERGENT_AT_INFINITY,
@@ -13,6 +13,7 @@ from qmoments.quadrature import (
     UNKNOWN,
     detect_divergence,
     integrate,
+    set_default_tolerances,
     sine_transform,
     sine_transform_batch,
 )
@@ -390,3 +391,10 @@ def test_sine_transform_k_integral_reaches_tolerance():
 def test_finite_domain_validation():
     with pytest.raises(Exception):
         Domain.finite(2.0, 2.0)
+
+
+@pytest.mark.parametrize("kw", [{"rel_tol": math.nan}, {"rel_tol": math.inf},
+                                {"abs_tol": math.nan}, {"abs_tol": math.inf}])
+def test_default_tolerances_reject_non_finite(kw):
+    with pytest.raises(DomainError):
+        set_default_tolerances(**kw)

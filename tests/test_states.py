@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from marginals import hydrogen_position_density, momentum_density, position_density
 from qmoments.core import CapabilityError, DataFormatError
 from qmoments.quadrature import Domain, integrate
 from qmoments.states import (
@@ -11,7 +12,6 @@ from qmoments.states import (
     HydrogenGroundState,
     PowerExpRadialState,
     RadialGridState,
-    RadialStateBase,
     catalog,
     load_radial_grid,
 )
@@ -43,21 +43,21 @@ def test_radial_density_normalized(hydrogen):
 def test_axis_density_closed_form_vs_reduction(hydrogen):
     # the generic marginal reduction is the oracle for the closed form
     for z in (0.0, 0.4, 1.7):
-        oracle = RadialStateBase.axis_position_density(hydrogen, 3, z)
-        assert hydrogen.axis_position_density(3, z) == pytest.approx(oracle, rel=1e-9)
+        oracle = position_density(hydrogen, z)
+        assert hydrogen_position_density(z) == pytest.approx(oracle, rel=1e-9)
 
 
-def test_axis_density_center_value(hydrogen):
-    assert hydrogen.axis_position_density(3, 0.0) == pytest.approx(0.5, rel=1e-12)
+def test_axis_density_center_value():
+    assert hydrogen_position_density(0.0) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_axis_density_even(hydrogen):
-    assert hydrogen.axis_position_density(3, 0.8) == hydrogen.axis_position_density(3, -0.8)
+def test_axis_density_even():
+    assert hydrogen_position_density(0.8) == hydrogen_position_density(-0.8)
 
 
-def test_axis_density_normalized(hydrogen):
+def test_axis_density_normalized():
     res = integrate(
-        lambda z: hydrogen.axis_position_density(3, z), Domain.infinite(),
+        hydrogen_position_density, Domain.infinite(),
         rel_tol=1e-9, abs_tol=1e-13, breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-8)
@@ -88,7 +88,7 @@ def test_gaussian_momentum_width():
 
 def test_momentum_marginal_normalized(hydrogen):
     res = integrate(
-        lambda p: hydrogen.axis_momentum_density(3, p), Domain.infinite(),
+        lambda p: momentum_density(hydrogen, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -97,7 +97,7 @@ def test_momentum_marginal_normalized(hydrogen):
 def test_momentum_marginal_second_moment(hydrogen):
     # <p_z^2> = hbar^2/(3 a0^2), via direct integration of the marginal
     res = integrate(
-        lambda p: p * p * hydrogen.axis_momentum_density(3, p), Domain.infinite(),
+        lambda p: p * p * momentum_density(hydrogen, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-6)
@@ -107,11 +107,11 @@ def test_momentum_marginal_closed_form(hydrogen):
     # 8 / (3 pi (1 + k^2)^3) for a0 = 1
     for k in (0.0, 0.5, 2.0):
         exact = 8.0 / (3.0 * math.pi * (1 + k * k) ** 3)
-        assert hydrogen.axis_momentum_density(3, k) == pytest.approx(exact, rel=1e-10)
+        assert momentum_density(hydrogen, k) == pytest.approx(exact, rel=1e-10)
 
 
 def test_momentum_marginal_parity(hydrogen):
-    assert hydrogen.axis_momentum_density(3, 1.1) == hydrogen.axis_momentum_density(3, -1.1)
+    assert momentum_density(hydrogen, 1.1) == momentum_density(hydrogen, -1.1)
 
 
 def test_kinetic_hydrogen(hydrogen):
@@ -137,7 +137,7 @@ def test_p_squared_three_routes(hydrogen):
     via_gradient = 2.0 * hydrogen.constants.mass * hydrogen.kinetic_energy()
     # marginal route, summed over the three axes
     res = integrate(
-        lambda p: p * p * hydrogen.axis_momentum_density(3, p), Domain.infinite(),
+        lambda p: p * p * momentum_density(hydrogen, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     via_marginals = 3.0 * res.value
@@ -306,7 +306,7 @@ def test_r4_p_squared_three_routes():
     via_radial = res.value + tbl.tail_integral(2.0, tbl.k_cut)
     assert via_radial == pytest.approx(via_gradient, rel=1e-6)
     res2 = integrate(
-        lambda p: p * p * st.axis_momentum_density(3, p), Domain.infinite(),
+        lambda p: p * p * momentum_density(st, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert 3.0 * res2.value == pytest.approx(via_gradient, rel=1e-6)
@@ -315,7 +315,7 @@ def test_r4_p_squared_three_routes():
 def test_r4_momentum_marginal_normalized():
     st = PowerExpRadialState(4, 1.0)
     res = integrate(
-        lambda p: st.axis_momentum_density(3, p), Domain.infinite(),
+        lambda p: momentum_density(st, p), Domain.infinite(),
         rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -326,7 +326,7 @@ def test_grid_state_momentum_marginal():
     st = _dense_grid_state(n_power=1, n_pts=4000)
     for k in (0.0, 1.0):
         exact = 8.0 / (3.0 * math.pi * (1 + k * k) ** 3)
-        assert st.axis_momentum_density(3, k) == pytest.approx(exact, rel=1e-4)
+        assert momentum_density(st, k) == pytest.approx(exact, rel=1e-4)
 
 
 # --- momentum-table requests ------------------------------------------------
