@@ -15,6 +15,7 @@ from .core import (
     NATURAL,
     PhysicalConstants,
     SI,
+    Tolerances,
     Verdict,
     make_exponents,
     make_verdict,

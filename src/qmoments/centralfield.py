@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, MomentValue, PhysicalConstants
+from .core import DomainError, MomentValue, PhysicalConstants, _require_positive_finite
 from . import moments as mo
 from .states import ContinuousState
 
@@ -27,10 +27,8 @@ class PowerLawPotential:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise DomainError("alpha must be positive")
-        if self.beta <= 0.0:
-            raise DomainError("beta must be positive")
+        for name in ("alpha", "beta"):
+            _require_positive_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,8 @@ class LennardJonesPotential:
     sigma: float
 
     def __post_init__(self):
-        if self.epsilon <= 0.0 or self.sigma <= 0.0:
-            raise DomainError("epsilon and sigma must be positive")
+        for name in ("epsilon", "sigma"):
+            _require_positive_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,8 @@ class BuckinghamPotential:
     sigma: float
 
     def __post_init__(self):
-        if self.gamma <= 0.0 or self.r0 <= 0.0 or self.sigma <= 0.0:
-            raise DomainError("gamma, r0, sigma must be positive")
+        for name in ("gamma", "r0", "sigma"):
+            _require_positive_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -77,13 +75,9 @@ class VirialReport:
     beta: float
 
 
-def virial_report(
-    s: ContinuousState,
-    v: PowerLawPotential,
-    constants: PhysicalConstants | None = None,
-) -> VirialReport:
-    """Energy balance of the state in the well; <r^-alpha> must converge."""
-    del constants  # the state's own unit system governs both terms
+def virial_report(s: ContinuousState, v: PowerLawPotential) -> VirialReport:
+    """Energy balance of the state in the well, in the state's own unit
+    system; <r^-alpha> must converge."""
     inv_alpha = mo.raw_moment(s, mo.radial(), -v.alpha).require()
     mean_v = -v.beta * inv_alpha
     mean_t = s.kinetic_energy()

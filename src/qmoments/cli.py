@@ -26,14 +26,17 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    CapabilityError,
     DataFormatError,
+    DEFAULT_TOLERANCES,
+    DIVERGENT,
     DomainError,
     MomentsError,
     NATURAL,
     PhysicalConstants,
     SI,
+    Tolerances,
     Verdict,
-    _require_positive_finite,
     _require_slack,
     make_exponents,
 )
@@ -49,7 +52,6 @@ from .matrixlab import (
     random_state,
     truncated_canonical_pair,
 )
-from .quadrature import set_default_tolerances
 from .rng import SplitMix64
 from .states import catalog, load_radial_grid
 
@@ -68,8 +70,7 @@ MIN_CLI_ORDER = 0.05
 
 @dataclass
 class RunConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
+    tol: Tolerances = DEFAULT_TOLERANCES
     slack: float | None = None
     seed: int = 0
     fmt: str = "json"
@@ -77,7 +78,6 @@ class RunConfig:
     allow_divergent: bool = False
     units: str = "natural"
     constants: PhysicalConstants = NATURAL
-    max_evals: int = 1_000_000
 
     @property
     def si(self) -> bool:
@@ -123,8 +123,8 @@ def _manifest(cfg: RunConfig, argv: list[str], outcomes: Outcomes, exit_code: in
     return {
         "command": "qmoments " + " ".join(argv),
         "seed": cfg.seed,
-        "tolerances": {"rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol,
-                       "slack": cfg.slack, "max_evals": cfg.max_evals},
+        "tolerances": {"rel_tol": cfg.tol.rel_tol, "abs_tol": cfg.tol.abs_tol,
+                       "slack": cfg.slack, "max_evals": cfg.tol.max_evals},
         "constants": {"hbar": cfg.constants.hbar, "mass": cfg.constants.mass,
                       "a0": cfg.constants.a0},
         "units": cfg.units,
@@ -203,7 +203,7 @@ def cmd_hydrogen(args, cfg: RunConfig, argv: list[str]) -> int:
     e = make_exponents(p, q)
     i = _AXES[args.i or args.axis]
     j = _AXES[args.j or args.axis]
-    state = catalog(cfg.compute_constants)["hydrogen"]
+    state = catalog(cfg.compute_constants, cfg.tol)["hydrogen"]
     out = iq.uncertainty_verdict_canonical(state, i, j, e, cfg.slack)
     outcomes = Outcomes()
     results: list[dict[str, Any]] = []
@@ -253,8 +253,8 @@ def _parse_grid(text: str) -> list[float]:
 
 def _resolve_state(args, cfg: RunConfig):
     if getattr(args, "grid", None):
-        return load_radial_grid(args.grid, constants=cfg.compute_constants)
-    states = catalog(cfg.compute_constants)
+        return load_radial_grid(args.grid, constants=cfg.compute_constants, tol=cfg.tol)
+    states = catalog(cfg.compute_constants, cfg.tol)
     name = args.state
     if name not in states:
         raise DomainError(f"unknown state {name!r}; choose from {sorted(states)} or --grid FILE")
@@ -437,8 +437,6 @@ def _parse_params(text: str, names: tuple[str, ...]) -> list[float]:
     parts = [_parse_number(t, what) for t in text.split(",")]
     if len(parts) != len(names):
         raise DomainError(what)
-    if any(v <= 0.0 for v in parts):
-        raise DomainError(f"{','.join(names)} must all be positive")
     return parts
 
 
@@ -493,6 +491,8 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
             outcomes.add_check(True)
         else:
             bad = [m for m in (r1, r2, rma) if not m.is_convergent][0]
+            if bad.status != DIVERGENT:
+                raise MomentsError(f"threshold moments: {bad.detail}")
             outcomes.add_divergent(f"threshold moments: {bad.detail}")
 
     if args.buckingham:
@@ -569,7 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
     h.add_argument("--axis", choices=sorted(_AXES), default="z")
     h.add_argument("--i", choices=sorted(_AXES), default=None)
     h.add_argument("--j", choices=sorted(_AXES), default=None)
-    h.set_defaults(func=cmd_hydrogen)
 
     s = sub.add_parser("sweep", help="verdict table over a (p, q) grid", parents=[common])
     s.add_argument("--state", default="hydrogen")
@@ -579,10 +578,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p-grid", required=True, help="comma list or start:stop:count")
     s.add_argument("--q-grid", required=True)
     s.add_argument("--kind", choices=[iq.CANONICAL, iq.RECIPROCAL], default=iq.CANONICAL)
-    s.set_defaults(func=cmd_sweep)
 
     f = sub.add_parser("finite", help="finite-dimensional operator harness", parents=[common])
-    f.add_argument("--dim", type=int, default=2)
+    f.add_argument("--dim", type=_positive_int, default=2)
     f.add_argument("--pair", choices=["pauli-xy", "truncated-xp", "random"], default="random")
     f.add_argument("--trials", type=_positive_int, default=1)
     f.add_argument("--p", type=float, required=True)
@@ -590,13 +588,11 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--state", default="ground", help="initial state for named pairs")
     f.add_argument("--gate", choices=["commutator", "both"], default="commutator",
                    help="which chain links decide the exit code (all are reported)")
-    f.set_defaults(func=cmd_finite)
 
     ho = sub.add_parser("holder", help="discrete-density checks on CSV data", parents=[common])
     ho.add_argument("--data", required=True, help="CSV with columns f,g[,weight]")
     ho.add_argument("--p", type=float, required=True)
     ho.add_argument("--q", type=float, required=True)
-    ho.set_defaults(func=cmd_holder)
 
     ce = sub.add_parser("central", help="central force field analysis", parents=[common])
     ce.add_argument("--state", default="hydrogen")
@@ -605,12 +601,16 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--beta", type=float, default=1.0)
     ce.add_argument("--buckingham", default=None, metavar="GAMMA,R0,SIGMA")
     ce.add_argument("--lj", default=None, metavar="EPS,SIGMA")
-    ce.set_defaults(func=cmd_central)
     return ap
+
+
+_COMMANDS = {"hydrogen": cmd_hydrogen, "sweep": cmd_sweep, "finite": cmd_finite,
+             "holder": cmd_holder, "central": cmd_central}
 
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
+    tol: dict[str, Any] = {}
     if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -620,12 +620,12 @@ def _load_config(args) -> RunConfig:
         if not isinstance(raw, dict) or not isinstance(raw.get("constants", {}), dict):
             raise DataFormatError("bad config file: expected a JSON object")
         try:
-            cfg.rel_tol = float(raw.get("rel_tol", cfg.rel_tol))
-            cfg.abs_tol = float(raw.get("abs_tol", cfg.abs_tol))
+            tol = {key: float(raw[key]) for key in ("rel_tol", "abs_tol") if key in raw}
+            if "max_evals" in raw:
+                tol["max_evals"] = int(raw["max_evals"])
             if raw.get("slack") is not None:
                 cfg.slack = float(raw["slack"])
             cfg.seed = int(raw.get("seed", cfg.seed))
-            cfg.max_evals = int(raw.get("max_evals", cfg.max_evals))
             if "constants" in raw:
                 cc = raw["constants"]
                 cfg.constants = PhysicalConstants(
@@ -635,13 +635,13 @@ def _load_config(args) -> RunConfig:
                 )
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"bad config file: {exc}") from exc
-    for attr, key in (("rel_tol", "rel_tol"), ("abs_tol", "abs_tol"), ("slack", "slack"),
-                      ("seed", "seed"), ("fmt", "fmt"), ("out", "out"),
-                      ("allow_divergent", "allow_divergent"), ("units", "units")):
-        if hasattr(args, attr):
-            setattr(cfg, key, getattr(args, attr))
-    cfg.rel_tol = _require_positive_finite("rel_tol", cfg.rel_tol)
-    cfg.abs_tol = _require_positive_finite("abs_tol", cfg.abs_tol)
+    for key in ("rel_tol", "abs_tol"):
+        if hasattr(args, key):
+            tol[key] = getattr(args, key)
+    for key in ("slack", "seed", "fmt", "out", "allow_divergent", "units"):
+        if hasattr(args, key):
+            setattr(cfg, key, getattr(args, key))
+    cfg.tol = Tolerances(**tol)
     if cfg.slack is not None:
         cfg.slack = _require_slack(cfg.slack)
     return cfg
@@ -656,9 +656,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args)
-        set_default_tolerances(cfg.rel_tol, cfg.abs_tol, cfg.max_evals)
-        return args.func(args, cfg, argv)
-    except (DomainError, DataFormatError) as exc:
+        return _COMMANDS[args.command](args, cfg, argv)
+    except (DomainError, DataFormatError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MomentsError as exc:
@@ -667,8 +666,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    finally:
-        set_default_tolerances(1e-10, 1e-14, 1_000_000)
 
 
 if __name__ == "__main__":

@@ -120,6 +120,27 @@ NATURAL = PhysicalConstants()
 SI = PhysicalConstants(hbar=1.054571817e-34, mass=9.1093837015e-31, a0=5.29177210903e-11)
 
 
+@dataclass(frozen=True)
+class Tolerances:
+    """Accuracy target of every integral: a panel sum converges once its
+    error meets max(abs_tol, rel_tol*|value|) within max_evals integrand
+    evaluations (45 is the least budget that can refine: one K15 panel and
+    its two halves)."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-14
+    max_evals: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        _require_positive_finite("rel_tol", self.rel_tol)
+        _require_positive_finite("abs_tol", self.abs_tol)
+        if not self.max_evals >= 45:
+            raise DomainError(f"max_evals must be >= 45, got {self.max_evals!r}")
+
+
+DEFAULT_TOLERANCES = Tolerances()
+
+
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
 FAILED = "failed"
@@ -157,10 +178,12 @@ class MomentValue:
         return self.status == CONVERGENT
 
     def require(self) -> float:
-        """The value, or DomainError if the moment did not converge."""
-        if self.status != CONVERGENT or self.value is None:
-            raise DomainError(f"moment of order {self.order} is {self.status}: {self.detail}")
-        return self.value
+        """The value; DomainError if the moment diverges, MomentsError if its
+        quadrature failed (the moment may be finite but was never computed)."""
+        if self.status == CONVERGENT and self.value is not None:
+            return self.value
+        err = DomainError if self.status == DIVERGENT else MomentsError
+        raise err(f"moment of order {self.order} is {self.status}: {self.detail}")
 
 
 def default_slack(rhs: float) -> float:

@@ -10,12 +10,12 @@ fail the count are reported divergent, never as large finite numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import CapabilityError, DomainError, MomentValue
+from .core import CapabilityError, DomainError, MomentValue, Tolerances
 from .quadrature import (
     DIVERGENT_AT_INFINITY,
     DIVERGENT_AT_ORIGIN,
@@ -81,6 +81,18 @@ def _require_radial(s: ContinuousState) -> RadialStateBase:
     return s
 
 
+def _quad_moment(f: Callable, d: Domain, order: float, tol: Tolerances, breakpoints=()) -> MomentValue:
+    """The integral of f over d at tol as the moment of the given order;
+    failed, not a number, when the quadrature stalls or meets a non-finite
+    integrand value."""
+    res = integrate(f, d, tol, breakpoints)
+    if res.failed or not res.converged:
+        return MomentValue.failed(
+            order, f"quadrature stalled (err={res.err_estimate:.2e}, evals={res.evaluations})"
+        )
+    return MomentValue.convergent(res.value, res.err_estimate, order)
+
+
 # ---------------------------------------------------------------------------
 # radial raw moments with divergence classification
 
@@ -89,12 +101,13 @@ def _origin_probe(f: Callable, hi: float) -> bool:
     """Doubling-domain heuristic for an undeclared origin: integrate on
     [hi*2^-i, hi] for shrinking cutoffs and watch whether the increments die
     out. This is a heuristic, reported as such in the MomentValue detail, and
-    is only consulted when no envelope was declared."""
+    is only consulted when no envelope was declared. Its tolerances are
+    fixed, not the state's: it classifies and reports no value."""
     cuts = [hi * 2.0 ** (-i) for i in (12, 16, 20, 24)]
     vals = []
     for a in cuts:
-        vals.append(integrate(f, Domain.finite(a, hi), rel_tol=1e-8, abs_tol=1e-12,
-                               max_evals=20_000).value)
+        vals.append(integrate(f, Domain.finite(a, hi),
+                              Tolerances(rel_tol=1e-8, abs_tol=1e-12, max_evals=20_000)).value)
     inc1 = abs(vals[-2] - vals[-3])
     inc2 = abs(vals[-1] - vals[-2])
     scale = max(abs(vals[-1]), 1e-300)
@@ -103,7 +116,7 @@ def _origin_probe(f: Callable, hi: float) -> bool:
     return inc2 > 0.25 * inc1  # increments not collapsing: treat as divergent
 
 
-def raw_radial_moment(s: ContinuousState, t: float, rel_tol: float | None = None) -> MomentValue:
+def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
     """<r^t> for any real t, classified before integration."""
     rs = _require_radial(s)
     env = rs.radial_envelope().shifted(delta_origin=t, delta_tail=t)
@@ -125,13 +138,10 @@ def raw_radial_moment(s: ContinuousState, t: float, rel_tol: float | None = None
             return MomentValue.divergent(
                 t, "doubling-domain probe (heuristic: no declared origin envelope)"
             )
-    res = integrate(f, Domain.finite(0.0, rs.r_max), rel_tol=rel_tol, abs_tol=1e-15)
-    if res.failed or not res.converged:
-        return MomentValue.failed(t, f"quadrature stalled (err={res.err_estimate:.2e})")
-    return MomentValue.convergent(res.value, res.err_estimate, t)
+    return _quad_moment(f, Domain.finite(0.0, rs.r_max), t, s.tol)
 
 
-def _radial_momentum_raw(s: RadialStateBase, q: float, rel_tol: float | None = None) -> MomentValue:
+def _radial_momentum_raw(s: RadialStateBase, q: float) -> MomentValue:
     """<p^q> over the radial momentum density w(k)^2, with tail completion."""
     tbl = s.momentum_table()
     if 2.0 * tbl.tail_power + q >= -1.0:
@@ -142,15 +152,12 @@ def _radial_momentum_raw(s: RadialStateBase, q: float, rel_tol: float | None = N
         return tbl.w(k) ** 2 * k**q
 
     # the first round runs on the table's shared partition, already transformed
-    res = integrate(
-        f, Domain.finite(0.0, tbl.k_cut), rel_tol=rel_tol, abs_tol=1e-15,
-        breakpoints=tbl.partition()[1:-1],
-    )
-    if res.failed or not res.converged:
-        return MomentValue.failed(q, f"momentum quadrature stalled (err={res.err_estimate:.2e})")
+    body = _quad_moment(f, Domain.finite(0.0, tbl.k_cut), q, s.tol, tbl.partition()[1:-1])
+    if not body.is_convergent:
+        return body
     tail = tbl.tail_integral(q, tbl.k_cut)
-    value = hbar**q * (res.value + tail)
-    err = hbar**q * (res.err_estimate + 1e-4 * abs(tail))
+    value = hbar**q * (body.value + tail)
+    err = hbar**q * (body.err_estimate + 1e-4 * abs(tail))
     return MomentValue.convergent(value, err, q)
 
 
@@ -191,10 +198,7 @@ def raw_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
         def f(r):
             return rs.radial_density(r) * o.fn(r) ** order
 
-        res = integrate(f, Domain.finite(0.0, rs.r_max), abs_tol=1e-15)
-        if res.failed or not res.converged:
-            return MomentValue.failed(order, "quadrature stalled")
-        return MomentValue.convergent(res.value, res.err_estimate, order)
+        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol)
     if o.kind in (POSITION_AXIS, MOMENTUM_AXIS):
         if abs(order - round(order)) > 1e-12:
             raise DomainError(
@@ -217,12 +221,10 @@ def _axis_signed_moment(s: ContinuousState, o: Observable, n: int) -> MomentValu
     def f(x):
         return x**n * dens(x)
 
-    # odd moments can cancel to zero exactly; 1e-15 absolute would chase the
-    # round-off floor of the cancellation, so signed moments get a looser one
-    res = integrate(f, Domain.infinite(), abs_tol=1e-12, breakpoints=[mean(s, o)])
-    if res.failed or not res.converged:
-        return MomentValue.failed(n, "quadrature stalled")
-    return MomentValue.convergent(res.value, res.err_estimate, n)
+    # odd moments can cancel to zero exactly; a tighter absolute target would
+    # chase the round-off floor of the cancellation, so it is floored at 1e-12
+    tol = replace(s.tol, abs_tol=max(s.tol.abs_tol, 1e-12))
+    return _quad_moment(f, Domain.infinite(), n, tol, [mean(s, o)])
 
 
 def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
@@ -240,12 +242,7 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
         def f(r):
             return rs.radial_density(r) * np.abs(r - mu) ** order
 
-        res = integrate(
-            f, Domain.finite(0.0, rs.r_max), abs_tol=1e-15, breakpoints=[mu]
-        )
-        if res.failed or not res.converged:
-            return MomentValue.failed(order, "quadrature stalled")
-        return MomentValue.convergent(res.value, res.err_estimate, order)
+        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol, [mu])
     if o.kind == RADIAL_INVERSE:
         rs = _require_radial(s)
         inv_mean = raw_radial_moment(s, -1.0)
@@ -259,13 +256,9 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
         def f(r):
             return rs.radial_density(r) * np.abs(1.0 / r - mu) ** order
 
-        res = integrate(
-            f, Domain.finite(0.0, rs.r_max), abs_tol=1e-15,
-            breakpoints=[1.0 / mu] if mu > 0.0 else [],
+        return _quad_moment(
+            f, Domain.finite(0.0, rs.r_max), order, s.tol, [1.0 / mu] if mu > 0.0 else []
         )
-        if res.failed or not res.converged:
-            return MomentValue.failed(order, "quadrature stalled")
-        return MomentValue.convergent(res.value, res.err_estimate, order)
     if o.kind == CUSTOM_RADIAL:
         rs = _require_radial(s)
         mu = raw_moment(s, o, 1.0).require()
@@ -274,10 +267,7 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
             return rs.radial_density(r) * np.abs(o.fn(r) - mu) ** order
 
         # no kink breakpoint: the preimage of the mean is not known in general
-        res = integrate(f, Domain.finite(0.0, rs.r_max), rel_tol=1e-9, abs_tol=1e-14)
-        if res.failed or not res.converged:
-            return MomentValue.failed(order, "quadrature stalled")
-        return MomentValue.convergent(res.value, res.err_estimate, order)
+        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol)
     raise DomainError(f"unknown observable kind {o.kind!r}")
 
 
@@ -310,7 +300,4 @@ def abs_axis_moment_about(
     def f(x):
         return np.abs(x - center) ** order * dens(x)
 
-    res = integrate(f, Domain.infinite(), abs_tol=1e-15, breakpoints=[center])
-    if res.failed or not res.converged:
-        return MomentValue.failed(order, "quadrature stalled")
-    return MomentValue.convergent(res.value, res.err_estimate, order)
+    return _quad_moment(f, Domain.infinite(), order, s.tol, [center])

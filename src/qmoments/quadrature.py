@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import CONVERGENT, DomainError, MomentsError, _require_positive_finite
+from .core import CONVERGENT, DEFAULT_TOLERANCES, DomainError, MomentsError, Tolerances
 
 # 15-point Kronrod nodes on [-1, 1] and their weights, with the embedded
 # 7-point Gauss weights (nonzero only on the odd-indexed nodes).
@@ -53,33 +53,6 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 _WKG = _WK.copy()
 _WKG[_GAUSS_IDX] -= _WG
 _W_PANEL = np.stack([_WK, _WKG], axis=1)
-
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-14
-DEFAULT_MAX_EVALS = 1_000_000
-
-# resolved by integrate() when a tolerance argument is None; the CLI adjusts
-# these once at startup from flags or a config file
-_defaults = {
-    "rel_tol": DEFAULT_REL_TOL,
-    "abs_tol": DEFAULT_ABS_TOL,
-    "max_evals": DEFAULT_MAX_EVALS,
-}
-
-
-def set_default_tolerances(
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
-    max_evals: int | None = None,
-) -> None:
-    if rel_tol is not None:
-        _defaults["rel_tol"] = _require_positive_finite("rel_tol", rel_tol)
-    if abs_tol is not None:
-        _defaults["abs_tol"] = _require_positive_finite("abs_tol", abs_tol)
-    if max_evals is not None:
-        if max_evals < 45:
-            raise DomainError("max_evals too small for a single panel")
-        _defaults["max_evals"] = int(max_evals)
 
 FINITE = "finite"
 SEMI_INFINITE = "semi_infinite"
@@ -194,19 +167,17 @@ def _map_domain(f: Callable, d: Domain, breakpoints: Iterable[float]):
 def integrate(
     f: Callable,
     d: Domain,
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
+    tol: Tolerances = DEFAULT_TOLERANCES,
     breakpoints: Sequence[float] = (),
-    max_evals: int | None = None,
 ) -> QuadResult:
     """Adaptive panel integration of f over d.
 
     breakpoints are interior points (in the original coordinate) where the
     integrand has kinks or scale changes; panels never straddle them.
-    converged means the summed panel error met max(abs_tol, rel_tol*|value|)
-    within the evaluation budget. A non-finite integrand value yields a
-    failed result rather than a number. Tolerances default to the module
-    settings (rel 1e-10, abs 1e-14, budget 1e6 evaluations).
+    converged means the summed panel error met
+    max(tol.abs_tol, tol.rel_tol*|value|) within tol.max_evals integrand
+    evaluations; Tolerances validated both targets when it was built. A
+    non-finite integrand value yields a failed result rather than a number.
 
     Refinement runs in rounds. Each round bisects the largest-error panels
     whose errors sum to at least the excess over the target, as many as the
@@ -215,11 +186,6 @@ def integrate(
     same shape. Refinement stops when the largest-error panel is too narrow
     to bisect.
     """
-    rel_tol = _defaults["rel_tol"] if rel_tol is None else rel_tol
-    abs_tol = _defaults["abs_tol"] if abs_tol is None else abs_tol
-    max_evals = _defaults["max_evals"] if max_evals is None else max_evals
-    if rel_tol <= 0.0 or abs_tol <= 0.0:
-        raise DomainError("tolerances must be positive")
     g, (lo, hi), inner = _map_domain(f, d, breakpoints)
 
     edges = np.array([lo] + [p for p in inner if lo < p < hi] + [hi])
@@ -235,8 +201,8 @@ def integrate(
         while True:
             a, b, k, e = pan[:, :n]
             total, errsum = float(k.sum()), float(e.sum())
-            excess = errsum - max(abs_tol, rel_tol * abs(total))
-            room = (max_evals - evals) // 30
+            excess = errsum - max(tol.abs_tol, tol.rel_tol * abs(total))
+            room = (tol.max_evals - evals) // 30
             if excess <= 0.0 or room < 1:
                 break
             worst = int(e.argmax())
@@ -264,7 +230,7 @@ def integrate(
     except _NonFiniteIntegrand:
         return QuadResult(math.nan, math.inf, evals, converged=False, failed=True)
 
-    converged = errsum <= max(abs_tol, rel_tol * abs(total))
+    converged = errsum <= max(tol.abs_tol, tol.rel_tol * abs(total))
     return QuadResult(total, errsum, evals, converged)
 
 

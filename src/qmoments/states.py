@@ -21,7 +21,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import CapabilityError, DataFormatError, DomainError, PhysicalConstants, NATURAL
+from .core import (
+    CapabilityError, DataFormatError, DEFAULT_TOLERANCES, DomainError, NATURAL, PhysicalConstants,
+    Tolerances,
+)
 from .quadrature import Domain, Envelope, integrate, sine_transform_batch, _kronrod_nodes, _WK
 
 DIM_1D = "1d"
@@ -31,14 +34,18 @@ DIM_3D_SPHERICAL = "3d-spherical"
 class ContinuousState:
     """Base state: accessors that raise CapabilityError.
 
-    Subclasses override the methods backing the densities they have.
+    Subclasses override the methods backing the densities they have. A state
+    carries its unit system (constants) and the accuracy target (tol) of
+    every integral over it: its moments, its momentum k-integrals and its
+    kinetic energy.
     """
 
     dimensionality: str = DIM_1D
     label = "state"
 
-    def __init__(self, constants: PhysicalConstants = NATURAL):
+    def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
         self.constants = constants
+        self.tol = tol
 
     # -- radial surface -----------------------------------------------------
     def radial_density(self, r):
@@ -206,8 +213,8 @@ class RadialStateBase(ContinuousState):
     r_max: float = 50.0
     r_scale: float = 1.0
 
-    def __init__(self, constants: PhysicalConstants = NATURAL):
-        super().__init__(constants)
+    def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
+        super().__init__(constants, tol)
         self._table: _MomentumTable | None = None
         self._table_lock = threading.Lock()
 
@@ -263,9 +270,7 @@ class RadialStateBase(ContinuousState):
         """(hbar^2/2m) int u'(r)^2 dr, the gradient-quadrature route."""
         c = self.constants
         res = integrate(
-            lambda r: self.reduced_radial_derivative(r) ** 2,
-            Domain.finite(0.0, self.r_max),
-            rel_tol=1e-11, abs_tol=1e-16,
+            lambda r: self.reduced_radial_derivative(r) ** 2, Domain.finite(0.0, self.r_max), self.tol
         )
         return c.hbar**2 / (2.0 * c.mass) * res.require("gradient integral")
 
@@ -273,8 +278,9 @@ class RadialStateBase(ContinuousState):
 class PowerExpRadialState(RadialStateBase):
     """u(r) = N r^n e^{-kappa r}, normalized in closed form."""
 
-    def __init__(self, n: int, kappa: float, constants: PhysicalConstants = NATURAL, label: str | None = None):
-        super().__init__(constants)
+    def __init__(self, n: int, kappa: float, constants: PhysicalConstants = NATURAL,
+                 label: str | None = None, tol: Tolerances = DEFAULT_TOLERANCES):
+        super().__init__(constants, tol)
         if n < 1:
             raise DomainError("radial power must be >= 1 so that u(0) = 0")
         if kappa <= 0.0:
@@ -299,12 +305,13 @@ class PowerExpRadialState(RadialStateBase):
 class HydrogenGroundState(PowerExpRadialState):
     """The 1s state: psi = (pi a0^3)^{-1/2} e^{-r/a0}, u = 2 a0^{-3/2} r e^{-r/a0}."""
 
-    def __init__(self, a0: float = 1.0, constants: PhysicalConstants | None = None):
+    def __init__(self, a0: float = 1.0, constants: PhysicalConstants | None = None,
+                 tol: Tolerances = DEFAULT_TOLERANCES):
         if a0 <= 0.0:
             raise DomainError("a0 must be positive")
         if constants is None:
             constants = PhysicalConstants(a0=a0)
-        super().__init__(n=1, kappa=1.0 / a0, constants=constants, label=f"hydrogen(a0={a0:g})")
+        super().__init__(n=1, kappa=1.0 / a0, constants=constants, label=f"hydrogen(a0={a0:g})", tol=tol)
         self.a0 = float(a0)
 
 
@@ -407,8 +414,9 @@ class RadialGridState(RadialStateBase):
         origin_power: float | None = None,
         constants: PhysicalConstants = NATURAL,
         label: str = "grid state",
+        tol: Tolerances = DEFAULT_TOLERANCES,
     ):
-        super().__init__(constants)
+        super().__init__(constants, tol)
         r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
@@ -464,16 +472,14 @@ class RadialGridState(RadialStateBase):
         c = self.constants
         full = integrate(
             lambda r: self.reduced_radial_derivative(r) ** 2,
-            Domain.finite(float(self._r[0]), self.r_max),
-            rel_tol=1e-11, abs_tol=1e-16,
+            Domain.finite(float(self._r[0]), self.r_max), self.tol,
             breakpoints=list(self._r[1:-1:max(1, self._r.size // 64)]),
         ).require("gradient integral")
         coarse = self._r[::2]
         _, dcoarse = _monotone_cubic(coarse, self._interp(coarse))
         half_val = integrate(
             lambda r: (self.norm_factor * dcoarse(r)) ** 2,
-            Domain.finite(float(coarse[0]), float(coarse[-1])),
-            rel_tol=1e-9, abs_tol=1e-14,
+            Domain.finite(float(coarse[0]), float(coarse[-1])), self.tol,
         ).value
         rel_err = abs(full - half_val) / max(abs(full), 1e-300)
         if rel_err > self.kinetic_rel_tol:
@@ -487,7 +493,8 @@ class RadialGridState(RadialStateBase):
 
 
 def load_radial_grid(path, **kwargs) -> RadialGridState:
-    """Read a two-column whitespace text file (r, u); '#' starts a comment."""
+    """Read a two-column whitespace text file (r, u); '#' starts a comment.
+    kwargs (origin_power, constants, label, tol) go to RadialGridState."""
     rs: list[float] = []
     us: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -555,7 +562,7 @@ class _Gaussian1D(ContinuousState):
             rho = self.axis_position_density(1, x)
             return ((x - self.x0) ** 2 / (4.0 * s**4) + k0 * k0) * rho
 
-        res = integrate(grad_sq, Domain.infinite(), breakpoints=[self.x0])
+        res = integrate(grad_sq, Domain.infinite(), self.tol, breakpoints=[self.x0])
         return c.hbar**2 / (2.0 * c.mass) * res.require("gradient integral")
 
 
@@ -563,8 +570,8 @@ class GaussianPacket(_Gaussian1D):
     """Free Gaussian packet centered at x0 with mean momentum p0 and position s.d. sigma."""
 
     def __init__(self, x0: float = 0.0, p0: float = 0.0, sigma: float = 1.0,
-                 constants: PhysicalConstants = NATURAL):
-        super().__init__(constants)
+                 constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
+        super().__init__(constants, tol)
         if sigma <= 0.0:
             raise DomainError("sigma must be positive")
         self.x0 = float(x0)
@@ -576,9 +583,10 @@ class GaussianPacket(_Gaussian1D):
 class HarmonicOscillatorGround(_Gaussian1D):
     """Oscillator ground state; position s.d. is sqrt(hbar/(2 m omega))."""
 
-    def __init__(self, mass: float = 1.0, omega: float = 1.0, hbar: float = 1.0):
+    def __init__(self, mass: float = 1.0, omega: float = 1.0, hbar: float = 1.0,
+                 tol: Tolerances = DEFAULT_TOLERANCES):
         constants = PhysicalConstants(hbar=hbar, mass=mass)
-        super().__init__(constants)
+        super().__init__(constants, tol)
         if omega <= 0.0:
             raise DomainError("omega must be positive")
         self.omega = float(omega)
@@ -590,11 +598,13 @@ class HarmonicOscillatorGround(_Gaussian1D):
 # the default catalog
 
 
-def catalog(constants: PhysicalConstants = NATURAL) -> dict[str, ContinuousState]:
-    """The default example states, keyed by CLI name."""
+def catalog(
+    constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES
+) -> dict[str, ContinuousState]:
+    """The default example states, keyed by CLI name, all at tolerances tol."""
     return {
-        "hydrogen": HydrogenGroundState(a0=constants.a0, constants=constants),
-        "qho": HarmonicOscillatorGround(mass=constants.mass, hbar=constants.hbar),
-        "gaussian": GaussianPacket(sigma=constants.a0, constants=constants),
-        "r4test": PowerExpRadialState(4, 1.0 / constants.a0, constants=constants, label="r4test"),
+        "hydrogen": HydrogenGroundState(a0=constants.a0, constants=constants, tol=tol),
+        "qho": HarmonicOscillatorGround(mass=constants.mass, hbar=constants.hbar, tol=tol),
+        "gaussian": GaussianPacket(sigma=constants.a0, constants=constants, tol=tol),
+        "r4test": PowerExpRadialState(4, 1.0 / constants.a0, constants=constants, label="r4test", tol=tol),
     }

@@ -11,6 +11,7 @@ adaptive quadratures: slow, but independent of the isotropy reductions
 
 import numpy as np
 
+from qmoments.core import Tolerances
 from qmoments.quadrature import Domain, integrate
 
 
@@ -34,7 +35,7 @@ def position_density(st, z):
         if lo >= st.r_max:
             return 0.0
         res = integrate(lambda r: st.radial_density(r) / r, Domain.finite(lo, st.r_max),
-                        rel_tol=1e-11, abs_tol=1e-16)
+                        Tolerances(rel_tol=1e-11, abs_tol=1e-16))
         return 0.5 * res.value
 
     return _each(one, z)
@@ -52,7 +53,7 @@ def momentum_density(st, p):
         if k >= tbl.k_cut:
             return 0.5 * tbl.tail_integral(-1.0, k) / hbar
         res = integrate(lambda kk: tbl.w(kk) ** 2 / kk, Domain.finite(k, tbl.k_cut),
-                        rel_tol=1e-11, abs_tol=1e-16, breakpoints=edges)
+                        Tolerances(rel_tol=1e-11, abs_tol=1e-16), breakpoints=edges)
         return 0.5 * (res.value + tbl.tail_integral(-1.0, tbl.k_cut)) / hbar
 
     return _each(one, p)

@@ -15,7 +15,7 @@ import qmoments.inequalities
 from marginals import momentum_density
 from qmoments.centralfield import BuckinghamPotential, PowerLawPotential, buckingham_bound, virial_report
 from qmoments.cli import EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION, main
-from qmoments.core import Verdict, make_exponents
+from qmoments.core import Tolerances, Verdict, make_exponents
 from qmoments.inequalities import (
     DivergenceReport,
     equality_density,
@@ -74,7 +74,7 @@ def test_criterion_03_pz_squared_two_routes(capsys):
     # and the same number by brute-force integration of the marginal itself
     marginal_direct = integrate(
         lambda p: p * p * momentum_density(h, p), Domain.infinite(),
-        rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     ).require()
     assert gradient_route == pytest.approx(target, rel=1e-6)
     assert marginal_route == pytest.approx(target, rel=1e-6)

@@ -315,6 +315,36 @@ def test_central_lj_divergent(capsys):
     assert doc["results"][0]["lennard_jones"]["mean"] is None
 
 
+def test_tolerance_flags_reach_every_integral(capsys):
+    # the kinetic energy and <r^-1> integrate at the run's tolerances
+    argv = ["central", "--state", "hydrogen", "--alpha", "1", "--beta", "1"]
+    _, base = run_json(capsys, argv)
+    for flag in (["--rel-tol", "1e-4"], ["--abs-tol", "1e-3"]):
+        code, doc = run_json(capsys, argv + flag)
+        assert code == EXIT_OK
+        assert doc["results"][0]["virial"]["mean_T"] != base["results"][0]["virial"]["mean_T"]
+        assert doc["results"][0]["virial"]["mean_T"] == pytest.approx(0.5, rel=1e-4)
+
+
+def test_failed_moment_in_central_is_an_internal_error(tmp_path, capsys):
+    # <r^-1> is finite but stalls within 100 evaluations: not a divergence
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"max_evals": 100}))
+    assert main(["--config", str(cfgp), "central", "--alpha", "1", "--beta", "1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
+    # <r^-3.5> of hydrogen does diverge
+    assert main(["central", "--alpha", "3.5"]) == EXIT_DIVERGENT
+    assert "divergent" in json.loads(capsys.readouterr().out)["results"][0]["virial"]["status"]
+
+
+def test_state_without_the_density_is_a_user_error(capsys):
+    assert main(["central", "--state", "qho", "--alpha", "1"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no radial structure" in err and err.count("\n") == 1
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps({"rel_tol": 1e-8, "seed": 5, "slack": 1e-7}))
@@ -411,6 +441,12 @@ def test_central_requires_an_analysis(capsys):
     ["hydrogen", "--p", "3", "--q", "2", "--rel-tol", "inf"],
     ["hydrogen", "--p", "3", "--q", "2", "--abs-tol", "inf"],
     ["hydrogen", "--p", "3", "--q", "2", "--rel-tol", "nan"],
+    ["central", "--alpha", "nan"],
+    ["central", "--alpha", "inf"],
+    ["central", "--buckingham", "1,1,nan"],
+    ["central", "--lj", "inf,1"],
+    ["central", "--alpha", "1", "--beta", "nan"],
+    ["finite", "--dim", "-3", "--p", "2", "--q", "2"],
 ])
 def test_malformed_input_is_one_line_error(argv, capsys):
     assert main(argv) == EXIT_ERROR

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marginals import momentum_density, position_density
-from qmoments.core import CapabilityError, DomainError
+from qmoments.core import CapabilityError, DomainError, Tolerances
 from qmoments.moments import (
     abs_central_moment,
     custom_radial,
@@ -255,7 +255,7 @@ def test_isotropy_shortcut_matches_the_axis_marginal(state, side, order, request
     st = _h_grid() if state == "h_grid" else request.getfixturevalue(state)
     obs, density = _AXIS_SIDES[side]
     direct = 2.0 * integrate(
-        lambda x: x**order * density(st, x), Domain.semi_infinite(0.0), rel_tol=1e-9,
+        lambda x: x**order * density(st, x), Domain.semi_infinite(0.0), Tolerances(rel_tol=1e-9),
     ).require()
     m = abs_central_moment(st, obs, order)
     assert m.value == pytest.approx(direct, rel=1e-8)

@@ -1,5 +1,6 @@
 """Property tests: Young's inequality, the Exponents invariants, and the CLI
-on fuzzed tolerance and slack values. Skipped where hypothesis is absent."""
+on fuzzed tolerance, slack, dimension and potential values. Skipped where
+hypothesis is absent."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qmoments.cli import EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main  # noqa: E402
+from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main  # noqa: E402
 from qmoments.core import make_exponents, young_gap  # noqa: E402
 
 # derandomized so that a tier-1 run never depends on the draw
@@ -57,3 +58,32 @@ def test_cli_never_raises_on_fuzzed_tolerances(data, flag):
         assert code == EXIT_ERROR
     if code == EXIT_ERROR:
         assert len([ln for ln in err.getvalue().splitlines() if "error:" in ln]) == 1
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == EXIT_ERROR:
+        assert len([ln for ln in err.getvalue().splitlines() if "error:" in ln]) == 1
+    return code
+
+
+# dims 9..256 are valid and only slower, so the draws skip them
+@settings(FIXED, max_examples=30)
+@given(dim=st.one_of(st.integers(min_value=-2, max_value=8), st.integers(max_value=-3),
+                    st.integers(min_value=257)))
+def test_cli_never_raises_on_fuzzed_dim(dim):
+    code = _run(["finite", f"--dim={dim}", "--p", "2", "--q", "2"])
+    assert code in (EXIT_OK, EXIT_VIOLATION) if 1 <= dim <= 256 else code == EXIT_ERROR
+
+
+reals = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]), st.floats())
+
+
+@settings(FIXED, max_examples=40)
+@given(alpha=reals, beta=reals)
+def test_cli_never_raises_on_fuzzed_power_law(alpha, beta):
+    code = _run(["central", f"--alpha={alpha!r}", f"--beta={beta!r}"])
+    valid = all(math.isfinite(x) and x > 0.0 for x in (alpha, beta))
+    assert code in (EXIT_OK, EXIT_DIVERGENT) if valid else code == EXIT_ERROR

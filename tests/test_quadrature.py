@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qmoments.core import DomainError, MomentsError
+from qmoments.core import DomainError, MomentsError, Tolerances
 from qmoments.quadrature import (
     CONVERGENT,
     DIVERGENT_AT_INFINITY,
@@ -13,7 +13,6 @@ from qmoments.quadrature import (
     UNKNOWN,
     detect_divergence,
     integrate,
-    set_default_tolerances,
     sine_transform,
     sine_transform_batch,
 )
@@ -91,8 +90,8 @@ def test_shifted_semi_infinite():
 def test_budget_exhaustion_reports_not_converged():
     # near-log singularity with a tiny budget
     res = integrate(
-        lambda x: np.abs(x) ** (-0.999), Domain.finite(1e-12, 1.0), max_evals=300,
-        rel_tol=1e-12, abs_tol=1e-16,
+        lambda x: np.abs(x) ** (-0.999), Domain.finite(1e-12, 1.0),
+        Tolerances(rel_tol=1e-12, abs_tol=1e-16, max_evals=300),
     )
     assert not res.converged
 
@@ -108,7 +107,7 @@ def test_nan_integrand_fails():
 # --- batched refinement ------------------------------------------------------
 
 
-def _serial_integrate(f, d, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), max_evals=1_000_000):
+def _serial_integrate(f, d, tol=Tolerances(), breakpoints=()):
     """The one-panel-at-a-time heap loop: pop the largest-error panel, bisect
     it, evaluate each child in its own integrand call."""
     import heapq
@@ -116,6 +115,7 @@ def _serial_integrate(f, d, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), max_ev
     from qmoments.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _map_domain
 
     g, (lo, hi), inner = _map_domain(f, d, breakpoints)
+    rel_tol, abs_tol, max_evals = tol.rel_tol, tol.abs_tol, tol.max_evals
 
     def panel(a, b):
         c, h = 0.5 * (a + b), 0.5 * (b - a)
@@ -151,7 +151,7 @@ def _serial_integrate(f, d, rel_tol=1e-10, abs_tol=1e-14, breakpoints=(), max_ev
     (lambda r: r**7 * np.exp(-3.0 * r), Domain.semi_infinite(0.0), {}),
     (lambda x: np.exp(-x * x), Domain.infinite(), {}),
     (lambda x: np.abs(x - 0.3) ** 3, Domain.finite(-1.0, 1.0), {"breakpoints": [0.3]}),
-    (lambda x: x ** (-0.999), Domain.finite(1e-12, 1.0), {"rel_tol": 1e-12, "abs_tol": 1e-16}),
+    (lambda x: x ** (-0.999), Domain.finite(1e-12, 1.0), {"tol": Tolerances(rel_tol=1e-12, abs_tol=1e-16)}),
 ], ids=["gamma", "gaussian", "kink", "r^-0.999"])
 def test_batched_rounds_match_serial_heap_loop(f, d, kwargs):
     res = integrate(f, d, **kwargs)
@@ -193,8 +193,8 @@ def test_integrand_sees_panel_rows():
 @pytest.mark.parametrize("budget", [45, 46, 100, 301, 1000, 4321, 20_000])
 def test_evaluations_never_exceed_budget(budget):
     for f in (lambda x: np.sin(1e7 * x), lambda x: x ** (-0.999)):
-        res = integrate(f, Domain.finite(1e-12, 1.0), rel_tol=1e-15, abs_tol=1e-300,
-                        max_evals=budget)
+        res = integrate(f, Domain.finite(1e-12, 1.0),
+                        Tolerances(rel_tol=1e-15, abs_tol=1e-300, max_evals=budget))
         assert not res.converged
         assert res.evaluations <= budget
 
@@ -205,7 +205,7 @@ def test_jump_at_irrational_point_terminates(rel_tol, converged):
     # floor of the other panels' error estimates the budget runs out instead
     c = 1.0 / math.sqrt(2.0)
     res = integrate(lambda x: np.where(x > c, 1.0, 0.0), Domain.finite(0.0, 1.0),
-                    rel_tol=rel_tol, abs_tol=1e-300, max_evals=1_000_000)
+                    Tolerances(rel_tol=rel_tol, abs_tol=1e-300, max_evals=1_000_000))
     assert res.converged is converged
     assert res.evaluations <= 1_000_000
     assert abs(res.value - (1.0 - c)) <= res.err_estimate + 1e-15
@@ -259,7 +259,7 @@ def test_sine_transform_normalization():
     ks_res = integrate(
         lambda k: sine_transform_batch(_hydrogen_u, k, 48.0)[0] ** 2,
         Domain.finite(0.0, 200.0),
-        rel_tol=1e-9, abs_tol=1e-13,
+        Tolerances(rel_tol=1e-9, abs_tol=1e-13),
     )
     assert ks_res.value == pytest.approx(1.0, abs=1e-8)
 
@@ -381,9 +381,9 @@ def test_sine_transform_k_integral_reaches_tolerance():
         return sine_transform_batch(st.reduced_radial, k, st.r_max, st.r_scale)[0]
 
     res = integrate(lambda k: w(k) ** 2 * k**8, Domain.finite(0.0, k_cut),
-                    abs_tol=1e-15, breakpoints=[1.0], max_evals=20_000)
+                    Tolerances(abs_tol=1e-15, max_evals=20_000), breakpoints=[1.0])
     exact = integrate(lambda k: _power_exp_amplitude(st, k) ** 2 * k**8,
-                      Domain.finite(0.0, k_cut), abs_tol=1e-15, breakpoints=[1.0])
+                      Domain.finite(0.0, k_cut), Tolerances(abs_tol=1e-15), breakpoints=[1.0])
     assert res.converged
     assert res.value == pytest.approx(exact.value, rel=1e-9)
 
@@ -394,7 +394,8 @@ def test_finite_domain_validation():
 
 
 @pytest.mark.parametrize("kw", [{"rel_tol": math.nan}, {"rel_tol": math.inf},
-                                {"abs_tol": math.nan}, {"abs_tol": math.inf}])
+                                {"abs_tol": math.nan}, {"abs_tol": math.inf},
+                                {"max_evals": 44}])
 def test_default_tolerances_reject_non_finite(kw):
     with pytest.raises(DomainError):
-        set_default_tolerances(**kw)
+        Tolerances(**kw)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from marginals import hydrogen_position_density, momentum_density, position_density
-from qmoments.core import CapabilityError, DataFormatError
+from qmoments.core import CapabilityError, DataFormatError, Tolerances
 from qmoments.quadrature import Domain, integrate
 from qmoments.states import (
     GaussianPacket,
@@ -58,7 +58,7 @@ def test_axis_density_even():
 def test_axis_density_normalized():
     res = integrate(
         hydrogen_position_density, Domain.infinite(),
-        rel_tol=1e-9, abs_tol=1e-13, breakpoints=[0.0],
+        Tolerances(rel_tol=1e-9, abs_tol=1e-13), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-8)
 
@@ -89,7 +89,7 @@ def test_gaussian_momentum_width():
 def test_momentum_marginal_normalized(hydrogen):
     res = integrate(
         lambda p: momentum_density(hydrogen, p), Domain.infinite(),
-        rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -98,7 +98,7 @@ def test_momentum_marginal_second_moment(hydrogen):
     # <p_z^2> = hbar^2/(3 a0^2), via direct integration of the marginal
     res = integrate(
         lambda p: p * p * momentum_density(hydrogen, p), Domain.infinite(),
-        rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-6)
 
@@ -132,13 +132,49 @@ def test_kinetic_gaussian_boosted():
     assert g.kinetic_energy() == pytest.approx(1.0 / 32.0 + 0.125, rel=1e-10)
 
 
+_GRID_R = np.arange(0.0, 40.01, 0.02)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tol: HydrogenGroundState(tol=tol),
+    lambda tol: PowerExpRadialState(4, 1.0, tol=tol),
+    lambda tol: GaussianPacket(p0=0.7, tol=tol),
+    lambda tol: RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R), tol=tol),
+], ids=["hydrogen", "r4test", "gaussian", "h_grid"])
+def test_kinetic_energy_integrates_at_the_state_tolerances(make, monkeypatch):
+    import qmoments.states as st
+
+    evals = []
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(st, "integrate", counted)
+    tight = make(Tolerances()).kinetic_energy()
+    tight_evals = sum(evals)
+    evals.clear()
+    loose = make(Tolerances(rel_tol=1e-4)).kinetic_energy()
+    assert 0 < sum(evals) < tight_evals
+    assert loose == pytest.approx(tight, rel=1e-4)
+
+
+def test_catalog_states_carry_the_tolerances(tmp_path):
+    tol = Tolerances(rel_tol=1e-6, abs_tol=1e-9, max_evals=5000)
+    assert all(s.tol is tol for s in catalog(tol=tol).values())
+    grid = tmp_path / "h.dat"
+    grid.write_text("\n".join(f"{a} {2.0 * a * math.exp(-a)}" for a in _GRID_R))
+    assert load_radial_grid(grid, tol=tol).tol is tol
+
+
 def test_p_squared_three_routes(hydrogen):
     # gradient route
     via_gradient = 2.0 * hydrogen.constants.mass * hydrogen.kinetic_energy()
     # marginal route, summed over the three axes
     res = integrate(
         lambda p: p * p * momentum_density(hydrogen, p), Domain.infinite(),
-        rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     via_marginals = 3.0 * res.value
     # radial momentum density route
@@ -307,7 +343,7 @@ def test_r4_p_squared_three_routes():
     assert via_radial == pytest.approx(via_gradient, rel=1e-6)
     res2 = integrate(
         lambda p: p * p * momentum_density(st, p), Domain.infinite(),
-        rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert 3.0 * res2.value == pytest.approx(via_gradient, rel=1e-6)
 
@@ -316,7 +352,7 @@ def test_r4_momentum_marginal_normalized():
     st = PowerExpRadialState(4, 1.0)
     res = integrate(
         lambda p: momentum_density(st, p), Domain.infinite(),
-        rel_tol=1e-8, abs_tol=1e-12, breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -397,7 +433,7 @@ def test_momentum_table_partition_is_cached_for_the_first_round(sine_calls):
     # integrate's first round on these edges asks for exactly those nodes
     seen = []
     res = integrate(lambda k: seen.append(k.shape) or tbl.w(k) ** 2, Domain.finite(0.0, tbl.k_cut),
-                    breakpoints=edges[1:-1], max_evals=540)
+                    Tolerances(max_evals=540), breakpoints=edges[1:-1])
     assert seen == [(36, 15)] and res.evaluations == 540
     assert len(sine_calls) == 5
 
@@ -424,7 +460,7 @@ def _two_panel_momentum_moment(s, q):
     start every order had before the shared partition."""
     tbl = s.momentum_table()
     res = integrate(lambda k: tbl.w(k) ** 2 * k**q, Domain.finite(0.0, tbl.k_cut),
-                    abs_tol=1e-15, breakpoints=[1.0 / s.r_scale])
+                    Tolerances(abs_tol=1e-15), breakpoints=[1.0 / s.r_scale])
     assert res.converged
     return res.value + tbl.tail_integral(q, tbl.k_cut)
 
