@@ -56,7 +56,6 @@ from .moments import (
 )
 from .inequalities import (
     DiscreteDensity,
-    DivergenceReport,
     SweepTable,
     holder_verdict,
     holder_verdict_continuous,

@@ -112,12 +112,20 @@ def bound_threshold_radius(mean_r2: float, b: float, minus_root: bool = False) -
     which the kinetic floor hbar^2/(8m dr^2) equals the attraction beta/<r>
     (alpha = 1, b = 8 m beta / hbar^2). The negative root is exposed for
     debugging only."""
-    if mean_r2 <= 0.0 or b <= 0.0:
-        raise DomainError("mean_r2 and b must be positive")
+    mean_r2 = _require_positive_finite("mean_r2", mean_r2)
+    b = _require_positive_finite("b", b)
     disc = math.sqrt(0.25 / (b * b) + mean_r2)
     if minus_root:
         return -0.5 / b - disc
     return -0.5 / b + disc
+
+
+def _sigma_power(v: BuckinghamPotential | LennardJonesPotential, n: int) -> float:
+    """sigma^n of a potential; DomainError where it overflows a double."""
+    try:
+        return v.sigma**n
+    except OverflowError:
+        raise DomainError(f"sigma^{n} overflows a double (sigma={v.sigma!r})") from None
 
 
 @dataclass(frozen=True)
@@ -133,18 +141,23 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential) -> BuckinghamRe
     actual = gamma[<e^-r/r0> - sigma^6 <r^-6>] when <r^-6> converges; a
     divergent <r^-6> means the true mean is -infinity and the bound holds
     vacuously."""
-    exp_obs = mo.custom_radial(lambda r: np.exp(-r / v.r0), 0.0, "exp(-r/r0)")
+    def exp_decay(r):
+        with np.errstate(over="ignore"):  # r/r0 past the double range: e^-inf = 0
+            return np.exp(-r / v.r0)
+
+    exp_obs = mo.custom_radial(exp_decay, 0.0, "exp(-r/r0)")
     mean_exp = mo.raw_moment(s, exp_obs, 1.0).require()
     r6 = mo.raw_moment(s, mo.radial(), 6.0).require()
-    bound = v.gamma * (mean_exp - v.sigma**6 / r6)
+    s6 = _sigma_power(v, 6)
+    bound = v.gamma * (mean_exp - s6 / r6)
     rm6 = mo.raw_moment(s, mo.radial(), -6.0)
     if not rm6.is_convergent:
         actual = MomentValue.divergent(
             1.0, f"<V> diverges to -infinity: <r^-6> {rm6.detail}"
         )
         return BuckinghamResult(bound, actual, consistent=True)
-    value = v.gamma * (mean_exp - v.sigma**6 * rm6.value)
-    actual = MomentValue.convergent(value, rm6.err_estimate * v.gamma * v.sigma**6, 1.0)
+    value = v.gamma * (mean_exp - s6 * rm6.value)
+    actual = MomentValue.convergent(value, rm6.err_estimate * v.gamma * s6, 1.0)
     consistent = value <= bound + 1e-10 * max(1.0, abs(bound))
     return BuckinghamResult(bound, actual, consistent)
 
@@ -163,6 +176,7 @@ def lennard_jones_mean(s: ContinuousState, v: LennardJonesPotential) -> MomentVa
         return MomentValue.divergent(
             1.0, f"<V_LJ> diverges: <r^-6> {rm6.detail}"
         )
-    value = 4.0 * v.epsilon * (v.sigma**12 * rm12.value - v.sigma**6 * rm6.value)
-    err = 4.0 * v.epsilon * (v.sigma**12 * rm12.err_estimate + v.sigma**6 * rm6.err_estimate)
+    s6, s12 = _sigma_power(v, 6), _sigma_power(v, 12)
+    value = 4.0 * v.epsilon * (s12 * rm12.value - s6 * rm6.value)
+    err = 4.0 * v.epsilon * (s12 * rm12.err_estimate + s6 * rm6.err_estimate)
     return MomentValue.convergent(value, err, 1.0)

@@ -33,6 +33,7 @@ from .core import (
     DomainError,
     MomentsError,
     NATURAL,
+    OK,
     PhysicalConstants,
     SI,
     Tolerances,
@@ -97,7 +98,18 @@ class Outcomes:
     holds: int = 0
     violations: int = 0
     divergent: int = 0
+    failed: int = 0
     notes: list[str] = field(default_factory=list)
+
+    def add(self, v: Verdict, cell: str = "") -> None:
+        """Count one verdict; cell names a sweep cell in the notes."""
+        if v.status == OK:
+            self.add_check(v.holds)
+        elif v.status == DIVERGENT:
+            self.add_divergent(f"{cell}: {v.detail}" if cell else v.detail)
+        else:
+            self.failed += 1
+            self.notes.append(f"cell {cell} failed: {v.detail}")
 
     def add_check(self, holds: bool) -> None:
         self.checks += 1
@@ -112,6 +124,8 @@ class Outcomes:
         self.notes.append(detail)
 
     def exit_code(self, cfg: RunConfig) -> int:
+        if self.failed:
+            return EXIT_ERROR
         if self.violations:
             return EXIT_VIOLATION
         if self.divergent and not cfg.allow_divergent:
@@ -183,7 +197,7 @@ def _check_order(name: str, value: float) -> float:
 def _scaled_verdict_dict(v: Verdict, cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
     """Verdict as a dict; under --units si both sides scale by hbar^power."""
     d = v.to_dict()
-    if cfg.si and hbar_power != 0.0:
+    if cfg.si and hbar_power != 0.0 and v.status == OK:
         factor = SI.hbar**hbar_power
         d["lhs"] *= factor
         d["rhs"] *= factor
@@ -206,21 +220,16 @@ def cmd_hydrogen(args, cfg: RunConfig, argv: list[str]) -> int:
     state = catalog(cfg.compute_constants, cfg.tol)["hydrogen"]
     out = iq.uncertainty_verdict_canonical(state, i, j, e, cfg.slack)
     outcomes = Outcomes()
-    results: list[dict[str, Any]] = []
+    outcomes.add(out)
     extras: dict[str, Any] = {}
-    if isinstance(out, iq.DivergenceReport):
-        outcomes.add_divergent(out.detail)
-        results.append(out.to_dict())
-    else:
-        outcomes.add_check(out.holds)
-        results.append(_scaled_verdict_dict(out, cfg, e.r_star))
-        if out.lhs > 0.0:
-            coeff = (out.rhs / out.lhs) ** (p + q)
-            extras["coefficient_ratio_pow_p_plus_q"] = coeff
-            if p + q == 5.0:
-                extras["rhs_pow5_over_lhs_pow5"] = coeff
+    if out.status == OK and out.lhs > 0.0:
+        coeff = (out.rhs / out.lhs) ** (p + q)
+        extras["coefficient_ratio_pow_p_plus_q"] = coeff
+        if p + q == 5.0:
+            extras["rhs_pow5_over_lhs_pow5"] = coeff
     code = outcomes.exit_code(cfg)
-    payload = {"manifest": _manifest(cfg, argv, outcomes, code), "results": results}
+    payload = {"manifest": _manifest(cfg, argv, outcomes, code),
+               "results": [_scaled_verdict_dict(out, cfg, e.r_star)]}
     payload.update(extras)
     _emit(cfg, payload)
     return code
@@ -269,19 +278,12 @@ def cmd_sweep(args, cfg: RunConfig, argv: list[str]) -> int:
     j = _AXES[args.j]
     table = iq.sweep(state, i, j, p_grid, q_grid, kind=args.kind, slack=cfg.slack)
     outcomes = Outcomes()
-    failed_cells = 0
-    for row in table.rows:
-        if row.status == "ok":
-            outcomes.add_check(row.holds)
-        elif row.status == "divergent":
-            outcomes.add_divergent(f"(p={row.p}, q={row.q}): {row.detail}")
-        else:
-            failed_cells += 1
-            outcomes.notes.append(f"cell (p={row.p}, q={row.q}) failed: {row.detail}")
-    code = EXIT_ERROR if failed_cells else outcomes.exit_code(cfg)
+    for v in table.rows:
+        outcomes.add(v, cell=f"(p={v.inputs['p']}, q={v.inputs['q']})")
+    code = outcomes.exit_code(cfg)
     payload = {
         "manifest": _manifest(cfg, argv, outcomes, code),
-        "results": [_sanitize(r.to_dict()) for r in table.rows],
+        "results": table.to_dicts(),
         "kind": table.kind,
         "state": state.label,
     }
@@ -308,7 +310,7 @@ def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
         for v in (v1, v2):
             gates = args.gate == "both" or v.label == "finite_commutator"
             if gates:
-                outcomes.add_check(v.holds)
+                outcomes.add(v)
             elif not v.holds:
                 informational_violations += 1
             d = v.to_dict()
@@ -421,8 +423,8 @@ def cmd_holder(args, cfg: RunConfig, argv: list[str]) -> int:
     v1 = iq.holder_verdict(density, e, cfg.slack)
     v2 = iq.schwarz_verdict(density, cfg.slack)
     outcomes = Outcomes()
-    outcomes.add_check(v1.holds)
-    outcomes.add_check(v2.holds)
+    outcomes.add(v1)
+    outcomes.add(v2)
     code = outcomes.exit_code(cfg)
     payload = {
         "manifest": _manifest(cfg, argv, outcomes, code),
@@ -466,7 +468,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
             outcomes.add_check(True)
         except DomainError as exc:
             outcomes.add_divergent(f"virial: {exc}")
-            report["virial"] = {"status": "divergent", "detail": str(exc)}
+            report["virial"] = {"status": DIVERGENT, "detail": str(exc)}
 
         r1 = mo.raw_moment(state, mo.radial(), 1.0)
         r2 = mo.raw_moment(state, mo.radial(), 2.0)
@@ -521,6 +523,10 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
             report["lennard_jones"] = {"mean": None, "detail": res.detail}
             outcomes.add_divergent(f"lennard-jones: {res.detail}")
 
+    for section, entries in report.items():
+        for key, x in entries.items() if isinstance(entries, dict) else ():
+            if isinstance(x, float) and not math.isfinite(x):
+                raise DomainError(f"central: {section}.{key} is {x}; the inputs overflow a double")
     if cfg.si:
         report["units"] = {"energy": "hartree-scaled J", "length": "m",
                            "energy_unit": energy_unit, "length_unit": length_unit}

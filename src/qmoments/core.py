@@ -144,6 +144,9 @@ DEFAULT_TOLERANCES = Tolerances()
 CONVERGENT = "convergent"
 DIVERGENT = "divergent"
 FAILED = "failed"
+#: status of a verdict whose sides were computed; a verdict whose side
+#: moment diverged or failed carries DIVERGENT or FAILED instead
+OK = "ok"
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,10 @@ class Verdict:
     holds is exactly (lhs <= rhs + slack) as computed in floating point; ratio
     is lhs/rhs when rhs > 0 and NaN otherwise. Both sides are absolute-value
     moments, so lhs >= 0 and rhs >= 0 for every inequality in this package.
+
+    status is OK when the sides were computed. A check whose side moment
+    diverged or failed is a verdict too, with status DIVERGENT or FAILED and
+    the reason in detail; its sides are NaN and holds is None.
     """
 
     label: str
@@ -205,6 +212,12 @@ class Verdict:
     rhs: float
     slack: float
     inputs: dict[str, Any] = field(default_factory=dict)
+    status: str = OK
+    detail: str = ""
+
+    @staticmethod
+    def not_computed(label: str, status: str, detail: str, inputs: dict[str, Any]) -> "Verdict":
+        return Verdict(label, math.nan, math.nan, math.nan, inputs, status, detail)
 
     @property
     def ratio(self) -> float:
@@ -215,10 +228,13 @@ class Verdict:
         return self.rhs - self.lhs
 
     @property
-    def holds(self) -> bool:
-        return self.lhs <= self.rhs + self.slack
+    def holds(self) -> bool | None:
+        return self.lhs <= self.rhs + self.slack if self.status == OK else None
 
     def to_dict(self) -> dict[str, Any]:
+        if self.status != OK:
+            return {"label": self.label, "status": self.status, "detail": self.detail,
+                    "inputs": dict(self.inputs)}
         return {
             "lhs": self.lhs,
             "rhs": self.rhs,

@@ -14,14 +14,16 @@ Two different contracts coexist here and the distinction matters:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     DIVERGENT,
+    FAILED,
+    OK,
     DomainError,
     Exponents,
     MomentsError,
@@ -40,31 +42,6 @@ from .matrixlab import (
 )
 from . import moments as mo
 from .states import ContinuousState
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    """Emitted instead of a Verdict when a required moment diverges."""
-
-    label: str
-    detail: str
-    inputs: dict[str, Any] = field(default_factory=dict)
-
-    status = "divergent"
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"label": self.label, "status": self.status, "detail": self.detail,
-                "inputs": dict(self.inputs)}
-
-
-def _divergence_report(label: str, name: str, m: MomentValue,
-                       inputs: dict[str, Any]) -> DivergenceReport:
-    """The report for a side moment that did not converge. A failed moment
-    raises MomentsError instead: it was not computed, so it says nothing
-    about whether the moment is finite."""
-    if m.status != DIVERGENT:
-        raise MomentsError(f"{label}: {name} is {m.status}: {m.detail}")
-    return DivergenceReport(label, f"{name} is {m.status}: {m.detail}", inputs)
 
 
 @dataclass(frozen=True)
@@ -121,6 +98,34 @@ RF_RINV = RadialFunction(lambda r: 1.0 / r, -1.0, "1/r")
 SideMoment = Callable[[float], MomentValue]
 
 
+class _Check(NamedTuple):
+    """A moment verdict before its sides are computed: the named side
+    moments in evaluation order, and the map from their values to (lhs, rhs)."""
+
+    label: str
+    inputs: dict[str, Any]
+    sides: tuple[tuple[str, Callable[[], MomentValue]], ...]
+    lhs_rhs: Callable[..., tuple[float, float]]
+
+
+def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
+    """Compute the sides in order. The first one that diverges makes a
+    DIVERGENT verdict and the later ones are not computed. A failed one
+    raises MomentsError instead: it was not computed, so it says nothing
+    about whether the moment is finite."""
+    values = []
+    for name, side in c.sides:
+        m = side()
+        if m.status == DIVERGENT:
+            return Verdict.not_computed(c.label, DIVERGENT, f"{name} is {m.status}: {m.detail}",
+                                        c.inputs)
+        if not m.is_convergent:
+            raise MomentsError(f"{c.label}: {name} is {m.status}: {m.detail}")
+        values.append(m.value)
+    lhs, rhs = c.lhs_rhs(*values)
+    return _flag_internal_error(make_verdict(c.label, lhs, rhs, slack, c.inputs))
+
+
 # ---------------------------------------------------------------------------
 # discrete densities
 
@@ -152,10 +157,9 @@ def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
 
 
 def _flag_internal_error(v: Verdict) -> Verdict:
-    if not v.holds:
-        inputs = dict(v.inputs)
-        inputs["severity"] = "internal-error"
-        return Verdict(v.label, v.lhs, v.rhs, v.slack, inputs)
+    """A guaranteed inequality that does not hold is a numerical bug."""
+    if v.holds is False and v.inputs.get("guaranteed"):
+        return replace(v, inputs={**v.inputs, "severity": "internal-error"})
     return v
 
 
@@ -174,25 +178,20 @@ def holder_verdict_continuous(
     g: RadialFunction,
     e: Exponents,
     slack: float | None = None,
-) -> Verdict | DivergenceReport:
+) -> Verdict:
     """The two-function moment bound with radial weights f, g on a state."""
     inputs = {"state": s.label, "f": f.label, "g": g.label, "p": e.p, "q": e.q,
               "r_star": e.r_star, "guaranteed": True}
     prod = RadialFunction(
         lambda r: f.fn(r) * g.fn(r), f.origin_power + g.origin_power, f"{f.label}*{g.label}"
     )
-    sides = {
-        f"<|{prod.label}|^r*>": _radial_abs_moment(s, prod, e.r_star),
-        f"<|{f.label}|^p>": _radial_abs_moment(s, f, e.p),
-        f"<|{g.label}|^q>": _radial_abs_moment(s, g, e.q),
-    }
-    for name, m in sides.items():
-        if not m.is_convergent:
-            return _divergence_report("holder_continuous", name, m, inputs)
-    vals = [m.value for m in sides.values()]
-    lhs = vals[0]
-    rhs = vals[1] ** e.w_f * vals[2] ** e.w_g
-    return _flag_internal_error(make_verdict("holder_continuous", lhs, rhs, slack, inputs))
+    sides = (
+        (f"<|{prod.label}|^r*>", lambda: _radial_abs_moment(s, prod, e.r_star)),
+        (f"<|{f.label}|^p>", lambda: _radial_abs_moment(s, f, e.p)),
+        (f"<|{g.label}|^q>", lambda: _radial_abs_moment(s, g, e.q)),
+    )
+    return _moment_verdict(_Check("holder_continuous", inputs, sides,
+                                  lambda lhs, mf, mg: (lhs, mf**e.w_f * mg**e.w_g)), slack)
 
 
 def _reciprocal_sides(s: ContinuousState) -> tuple[SideMoment, SideMoment]:
@@ -203,24 +202,17 @@ def _reciprocal_sides(s: ContinuousState) -> tuple[SideMoment, SideMoment]:
 
 def reciprocal_moment_verdict(
     s: ContinuousState, e: Exponents, slack: float | None = None
-) -> Verdict | DivergenceReport:
+) -> Verdict:
     """1 <= <r^p>^(q/(p+q)) <r^-q>^(p/(p+q)), the f=r, g=1/r corollary."""
-    return _reciprocal_verdict(s, e, *_reciprocal_sides(s), slack)
+    return _moment_verdict(_reciprocal_check(s, e, *_reciprocal_sides(s)), slack)
 
 
-def _reciprocal_verdict(
-    s: ContinuousState, e: Exponents, r_pos: SideMoment, r_neg: SideMoment,
-    slack: float | None,
-) -> Verdict | DivergenceReport:
-    inputs = {"state": s.label, "p": e.p, "q": e.q, "guaranteed": True}
-    mp = r_pos(e.p)
-    if not mp.is_convergent:
-        return _divergence_report("reciprocal_moments", "<r^p>", mp, inputs)
-    mq = r_neg(e.q)
-    if not mq.is_convergent:
-        return _divergence_report("reciprocal_moments", "<r^-q>", mq, inputs)
-    rhs = mp.value**e.w_f * mq.value**e.w_g
-    return _flag_internal_error(make_verdict("reciprocal_moments", 1.0, rhs, slack, inputs))
+def _reciprocal_check(s: ContinuousState, e: Exponents, r_pos: SideMoment,
+                      r_neg: SideMoment) -> _Check:
+    inputs = {"state": s.label, "p": e.p, "q": e.q, "r_star": e.r_star, "guaranteed": True}
+    sides = (("<r^p>", lambda: r_pos(e.p)), ("<r^-q>", lambda: r_neg(e.q)))
+    return _Check("reciprocal_moments", inputs, sides,
+                  lambda mp, mq: (1.0, mp**e.w_f * mq**e.w_g))
 
 
 def _canonical_sides(s: ContinuousState, i: int, j: int) -> tuple[SideMoment, SideMoment]:
@@ -235,31 +227,22 @@ def uncertainty_verdict_canonical(
     j: int,
     e: Exponents,
     slack: float | None = None,
-) -> Verdict | DivergenceReport:
+) -> Verdict:
     """(hbar/2)^r* delta_ij <= <|Dx_i|^p>^(q/(p+q)) <|Dp_j|^q>^(p/(p+q)).
 
     The left side uses the ideal c-number commutator value, not a truncated
     matrix. This is a verifier: the verdict records whether the bound holds,
     it does not assume it.
     """
-    return _canonical_verdict(s, i, j, e, *_canonical_sides(s, i, j), slack)
+    return _moment_verdict(_canonical_check(s, i, j, e, *_canonical_sides(s, i, j)), slack)
 
 
-def _canonical_verdict(
-    s: ContinuousState, i: int, j: int, e: Exponents, x_moment: SideMoment,
-    p_moment: SideMoment, slack: float | None,
-) -> Verdict | DivergenceReport:
-    hbar = s.constants.hbar
+def _canonical_check(s: ContinuousState, i: int, j: int, e: Exponents, x_moment: SideMoment,
+                     p_moment: SideMoment) -> _Check:
     inputs = {"state": s.label, "i": i, "j": j, "p": e.p, "q": e.q, "r_star": e.r_star}
-    mx = x_moment(e.p)
-    if not mx.is_convergent:
-        return _divergence_report("canonical_pair", "<|Dx|^p>", mx, inputs)
-    mp_ = p_moment(e.q)
-    if not mp_.is_convergent:
-        return _divergence_report("canonical_pair", "<|Dp|^q>", mp_, inputs)
-    lhs = (hbar / 2.0) ** e.r_star if i == j else 0.0
-    rhs = mx.value**e.w_f * mp_.value**e.w_g
-    return make_verdict("canonical_pair", lhs, rhs, slack, inputs)
+    lhs = (s.constants.hbar / 2.0) ** e.r_star if i == j else 0.0
+    sides = (("<|Dx|^p>", lambda: x_moment(e.p)), ("<|Dp|^q>", lambda: p_moment(e.q)))
+    return _Check("canonical_pair", inputs, sides, lambda mx, mp: (lhs, mx**e.w_f * mp**e.w_g))
 
 
 # ---------------------------------------------------------------------------
@@ -301,49 +284,36 @@ def uncertainty_chain_finite(
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    p: float
-    q: float
-    r_star: float
-    lhs: float
-    rhs: float
-    ratio: float
-    holds: bool | None
-    status: str
-    detail: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "p": self.p, "q": self.q, "r_star": self.r_star, "lhs": self.lhs,
-            "rhs": self.rhs, "ratio": self.ratio, "holds": self.holds,
-            "status": self.status, "detail": self.detail,
-        }
-
-
-@dataclass(frozen=True)
 class SweepTable:
-    rows: tuple[SweepRow, ...]
+    """One verdict per (p, q) cell, named by its inputs p, q and r_star."""
+
+    rows: tuple[Verdict, ...]
     kind: str
 
     CSV_HEADER = "p,q,r_star,lhs,rhs,ratio,holds,status"
 
+    def to_dicts(self) -> list[dict[str, Any]]:
+        return [{"p": v.inputs["p"], "q": v.inputs["q"], "r_star": v.inputs["r_star"],
+                 "lhs": v.lhs, "rhs": v.rhs, "ratio": v.ratio, "holds": v.holds,
+                 "status": v.status, "detail": v.detail} for v in self.rows]
+
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
-        for r in self.rows:
-            if r.status == "ok":
-                nums = f"{r.lhs!r},{r.rhs!r},{r.ratio!r},{str(r.holds).lower()}"
+        for r in self.to_dicts():
+            if r["status"] == OK:
+                nums = f"{r['lhs']!r},{r['rhs']!r},{r['ratio']!r},{str(r['holds']).lower()}"
             else:
                 nums = ",,,"
-            lines.append(f"{r.p!r},{r.q!r},{r.r_star!r},{nums},{r.status}")
+            lines.append(f"{r['p']!r},{r['q']!r},{r['r_star']!r},{nums},{r['status']}")
         return "\n".join(lines) + "\n"
 
     @property
     def any_violation(self) -> bool:
-        return any(r.status == "ok" and r.holds is False for r in self.rows)
+        return any(r.holds is False for r in self.rows)
 
     @property
     def any_divergent(self) -> bool:
-        return any(r.status == "divergent" for r in self.rows)
+        return any(r.status == DIVERGENT for r in self.rows)
 
 
 CANONICAL = "canonical"
@@ -382,36 +352,27 @@ def sweep(
 ) -> SweepTable:
     """One verdict per (p, q) cell, row-major over the grids.
 
-    Cells whose moments diverge carry status "divergent"; failures are
-    recorded per cell and never abort the sweep.
+    Cells whose moments diverge carry status DIVERGENT; a cell that raises
+    is a FAILED verdict with the cell's label and inputs, and never aborts
+    the sweep.
     """
     if len(p_grid) == 0 or len(q_grid) == 0:
         raise DomainError("sweep grids must be nonempty")
     if kind not in (CANONICAL, RECIPROCAL):
         raise DomainError(f"unknown sweep kind {kind!r}")
     if kind == CANONICAL:
-        x_side, p_side = map(_once_per_order, _canonical_sides(s, i, j))
+        check, sides = partial(_canonical_check, s, i, j), _canonical_sides(s, i, j)
     else:
-        x_side, p_side = map(_once_per_order, _reciprocal_sides(s))
-    rows: list[SweepRow] = []
+        check, sides = partial(_reciprocal_check, s), _reciprocal_sides(s)
+    sides = tuple(map(_once_per_order, sides))
+    rows: list[Verdict] = []
     for p in p_grid:
         for q in q_grid:
-            e = make_exponents(p, q)
+            c = check(make_exponents(p, q), *sides)
             try:
-                if kind == CANONICAL:
-                    out = _canonical_verdict(s, i, j, e, x_side, p_side, slack)
-                else:
-                    out = _reciprocal_verdict(s, e, x_side, p_side, slack)
+                rows.append(_moment_verdict(c, slack))
             except Exception as exc:  # failure is a per-cell outcome
-                rows.append(SweepRow(e.p, e.q, e.r_star, math.nan, math.nan, math.nan,
-                                     None, "failed", str(exc)))
-                continue
-            if isinstance(out, DivergenceReport):
-                rows.append(SweepRow(e.p, e.q, e.r_star, math.nan, math.nan, math.nan,
-                                     None, "divergent", out.detail))
-            else:
-                rows.append(SweepRow(e.p, e.q, e.r_star, out.lhs, out.rhs, out.ratio,
-                                     out.holds, "ok"))
+                rows.append(Verdict.not_computed(c.label, FAILED, str(exc), c.inputs))
     return SweepTable(tuple(rows), kind)
 
 

@@ -454,6 +454,45 @@ def test_malformed_input_is_one_line_error(argv, capsys):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["central", "--alpha", "1", "--beta", "1e308"],
+    ["central", "--alpha", "2", "--beta", "1e308"],
+    ["central", "--state", "r4test", "--buckingham", "1e308,1,1e60"],
+])
+def test_central_overflow_is_one_line_error(argv, capsys):
+    # b = 8 m beta / hbar^2, <V> and sigma^6 leave the double range
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_report_entry_shapes(tmp_path, capsys):
+    _, doc = run_json(capsys, ["hydrogen", "--p", "3", "--q", "2"])
+    assert list(doc["results"][0]) == ["lhs", "rhs", "ratio", "margin", "holds", "slack",
+                                       "label", "inputs"]
+    assert list(doc["results"][0]["inputs"]) == ["state", "i", "j", "p", "q", "r_star"]
+    code, doc = run_json(capsys, ["hydrogen", "--p", "2", "--q", "5.5"])
+    assert code == EXIT_DIVERGENT
+    assert list(doc["results"][0]) == ["label", "status", "detail", "inputs"]
+    assert doc["results"][0]["status"] == "divergent"
+    code, doc = run_json(capsys, ["sweep", "--p-grid", "2", "--q-grid", "2,5.5",
+                                  "--allow-divergent"])
+    assert code == EXIT_OK
+    assert [list(r) for r in doc["results"]] == [
+        ["p", "q", "r_star", "lhs", "rhs", "ratio", "holds", "status", "detail"]] * 2
+    assert [r["status"] for r in doc["results"]] == ["ok", "divergent"]
+    [note] = doc["manifest"]["outcomes"]["notes"]
+    assert note.startswith("(p=2.0, q=5.5): <|Dp|^q> is divergent: ")
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"max_evals": 100}))
+    code, doc = run_json(capsys, ["--config", str(cfgp), "sweep", "--p-grid", "2", "--q-grid", "2"])
+    assert code == EXIT_ERROR
+    [note] = doc["manifest"]["outcomes"]["notes"]
+    assert note.startswith("cell (p=2.0, q=2.0) failed: canonical_pair: <|Dx|^p> is failed: ")
+    assert doc["results"][0]["status"] == "failed"
+
+
 @pytest.mark.parametrize("config", [
     {"slack": "abc"}, {"seed": "x"}, [1], {"max_evals": 1e400}, {"seed": 1e400},
 ])

@@ -4,6 +4,7 @@ hypothesis is absent."""
 
 import contextlib
 import io
+import json
 import math
 
 import pytest
@@ -87,3 +88,27 @@ def test_cli_never_raises_on_fuzzed_power_law(alpha, beta):
     code = _run(["central", f"--alpha={alpha!r}", f"--beta={beta!r}"])
     valid = all(math.isfinite(x) and x > 0.0 for x in (alpha, beta))
     assert code in (EXIT_OK, EXIT_DIVERGENT) if valid else code == EXIT_ERROR
+
+
+def _no_null(x) -> bool:
+    if isinstance(x, dict):
+        return all(_no_null(v) for v in x.values())
+    if isinstance(x, list):
+        return all(_no_null(v) for v in x)
+    return x is not None
+
+
+positive_doubles = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(FIXED, max_examples=40)
+@given(gamma=positive_doubles, r0=positive_doubles, sigma=positive_doubles)
+def test_cli_never_raises_on_fuzzed_buckingham(gamma, r0, sigma):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["central", "--state", "r4test", f"--buckingham={gamma!r},{r0!r},{sigma!r}"])
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_DIVERGENT)
+    if code == EXIT_ERROR:
+        assert len([ln for ln in err.getvalue().splitlines() if "error:" in ln]) == 1
+    if code == EXIT_OK:
+        assert _no_null(json.loads(out.getvalue())["results"])
