@@ -107,17 +107,22 @@ def ground_energy_estimate(
     return c.hbar**2 / (8.0 * c.mass * delta_r2) - v.beta * mean_r_inv_alpha.require()
 
 
-def bound_threshold_radius(mean_r2: float, b: float, minus_root: bool = False) -> float:
+def bound_threshold_radius(mean_r2: float, b: float) -> float:
     """The positive root of b <r>^2 + <r> - b <r^2> = 0, i.e. the radius at
     which the kinetic floor hbar^2/(8m dr^2) equals the attraction beta/<r>
-    (alpha = 1, b = 8 m beta / hbar^2). The negative root is exposed for
-    debugging only."""
+    (alpha = 1, b = 8 m beta / hbar^2).
+
+    With s = sqrt(<r^2>) and x = 1/(2 b s) the root is s/(x + hypot(x, 1)),
+    a form without cancellation: it tends to b <r^2> for small b and to s
+    for large b. Where x overflows (b below about 1e-308) the root is that
+    small-b limit."""
     mean_r2 = _require_positive_finite("mean_r2", mean_r2)
     b = _require_positive_finite("b", b)
-    disc = math.sqrt(0.25 / (b * b) + mean_r2)
-    if minus_root:
-        return -0.5 / b - disc
-    return -0.5 / b + disc
+    s = math.sqrt(mean_r2)
+    x = 0.5 / (b * s)
+    if math.isinf(x):
+        return b * mean_r2
+    return s / (x + math.hypot(x, 1.0))
 
 
 def _sigma_power(v: BuckinghamPotential | LennardJonesPotential, n: int) -> float:

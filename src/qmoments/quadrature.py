@@ -279,7 +279,7 @@ def detect_divergence(env: Envelope) -> str:
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
 _MAX_SINE_PANELS = 1 << 17
-# K x n entries a k-block of _sine_batch may hold, unless one 15-k row needs more
+# K x n entries one k-block of a sine transform may hold, unless one 15-k row needs more
 _SINE_BLOCK = 1 << 15
 
 
@@ -309,99 +309,98 @@ def sine_transform_batch(
     r_max: float,
     r_scale: float = 1.0,
 ) -> tuple[np.ndarray, float]:
-    """sqrt(2/pi) * integral_0^rmax u(r) sin(k r) dr for an array of k >= 0.
+    """sqrt(2/pi) * integral_0^rmax u(r) sin(k r) dr for an array of k >= 0
+    of any shape.
 
-    Panels are quarter-period in the fastest oscillation of the batch (and
-    never coarser than half the radial scale), so the fixed K15 rule is
-    effectively exact per panel; u is evaluated once for the whole batch.
-    Returns (values, summed K-G error estimate of the worst k).
-
-    A 2-D ks is a stack of k-panels, one per row, as integrate() passes
-    them: each row is transformed as a batch of its own, so a row's values
-    do not depend on the other rows.
+    u is sampled once for the largest k of the batch (RadialSamples) and
+    every k is transformed against those samples. Returns (values shaped
+    like ks, summed K-G error estimate of the worst k).
     """
     ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    if np.any(ks < 0.0):
-        raise DomainError("sine transform needs k >= 0")
-    if ks.ndim == 1:
-        return _sine_batch(u, ks, r_max, r_scale)
-    rows = [_sine_batch(u, row, r_max, r_scale) for row in ks.reshape(-1, ks.shape[-1])]
-    return np.array([v for v, _ in rows]).reshape(ks.shape), max(err for _, err in rows)
+    return RadialSamples(u, r_max, r_scale, float(ks.max(initial=0.0))).sine_transform(ks)
 
 
-def _sine_batch(u: Callable, ks: np.ndarray, r_max: float, r_scale: float) -> tuple[np.ndarray, float]:
-    """sine_transform_batch for a 1-D ks.
+class RadialSamples:
+    """u sampled once at the 15n Kronrod nodes of n equal panels of [0, r_max],
+    n = max(ceil(2 r_max/r_scale), ceil(2 k_max r_max/pi), 4): panels a
+    quarter-period of sin(k_max r) or shorter (and never longer than half
+    the radial scale), on which the fixed K15 rule is effectively exact.
+    Every k <= k_max is transformed against the same samples, so its value
+    depends on k alone."""
 
-    u is evaluated once, at the 15n Kronrod nodes of the radial panels. The
-    phase at node c_j + h*x_m is factored as
-    sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m): the per-panel K15
-    sums and K15-G7 differences come out of one matmul of the K x 15 offset
-    terms against u, and no K x 15n array is formed.
+    def __init__(self, u: Callable, r_max: float, r_scale: float, k_max: float):
+        n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
+        if n > _MAX_SINE_PANELS:
+            raise MomentsError(
+                f"sine transform needs {n} panels (k={k_max:.3g}, r_max={r_max:.3g}); "
+                f"exceeds the {_MAX_SINE_PANELS} panel cap"
+            )
+        self.r_max, self.k_max, self.n = r_max, k_max, n
+        edges = np.linspace(0.0, r_max, n + 1)
+        c = 0.5 * (edges[:-1] + edges[1:])
+        self.h = 0.5 * (edges[1] - edges[0])
+        uv = np.asarray(u((c[:, None] + self.h * _XK[None, :]).ravel()), dtype=float)
+        if not np.all(np.isfinite(uv)):
+            raise MomentsError("non-finite radial wavefunction value in sine transform")
+        self.ut = uv.reshape(n, 15).T
 
-    The k run in blocks of max(15, _SINE_BLOCK // n) through work arrays
-    allocated once per call, so each K x n work array holds at most
-    max(15 n, _SINE_BLOCK) entries: from n = 2185 up (k_cut of a grid
-    state) a 128-k chunk needs no more memory than one 15-node k-panel.
-    Each k's value does not depend on the block it falls in.
-    """
-    kmax = float(ks.max(initial=0.0))
-    n = max(
-        int(math.ceil(r_max / (0.5 * r_scale))),
-        int(math.ceil(2.0 * kmax * r_max / math.pi)),
-        4,
-    )
-    if n > _MAX_SINE_PANELS:
-        raise MomentsError(
-            f"sine transform needs {n} panels (k={kmax:.3g}, r_max={r_max:.3g}); "
-            f"exceeds the {_MAX_SINE_PANELS} panel cap"
-        )
-    edges = np.linspace(0.0, r_max, n + 1)
-    c = 0.5 * (edges[:-1] + edges[1:])
-    h = 0.5 * (edges[1] - edges[0])
-    nodes = (c[:, None] + h * _XK[None, :]).ravel()
-    uv = np.asarray(u(nodes), dtype=float)
-    if not np.all(np.isfinite(uv)):
-        raise MomentsError("non-finite radial wavefunction value in sine transform")
-    ut = uv.reshape(n, 15).T
-    # centre phases k*c_j from blocks of panels: c_j = (block start) + (offset
-    # of the centre in its block), so trig runs on K x ~2 sqrt(n) entries
-    width = r_max / n
-    size = math.isqrt(n) + 1
-    starts = np.arange(-(-n // size)) * (size * width)
-    offsets = (np.arange(size) + 0.5) * width
-    step = max(15, _SINE_BLOCK // n)
-    # one block's K x n arrays, reused by every block: the per-panel sums
-    # (K15 cos, K15 sin, (K15 - G7) cos, (K15 - G7) sin) and the centre
-    # phases sin(k c_j), cos(k c_j) with a scratch row, over whole blocks
-    # of panels
-    sums_w = np.empty((4, min(step, len(ks)), n))
-    phase_w = np.empty((3, min(step, len(ks)), len(starts), size))
-    vals = np.empty(len(ks))
-    err = 0.0
-    for lo in range(0, len(ks), step):
-        kb = ks[lo:lo + step]
-        m = len(kb)
-        off = kb[:, None] * (h * _XK)[None, :]
-        cos_off, sin_off = np.cos(off), np.sin(off)
-        sums = sums_w[:, :m]
-        for row, w in zip(sums, (cos_off * _WK, sin_off * _WK, cos_off * _WKG, sin_off * _WKG)):
-            np.matmul(w, ut, out=row)
-        sa, ca = _sin_cos_outer(kb, starts)
-        sb, cb = _sin_cos_outer(kb, offsets)
-        sa, ca, sb, cb = sa[:, :, None], ca[:, :, None], sb[:, None, :], cb[:, None, :]
-        sin_c, cos_c, tmp = phase_w[:, :m]
-        np.multiply(sa, cb, out=sin_c)
-        sin_c += np.multiply(ca, sb, out=tmp)
-        np.multiply(ca, cb, out=cos_c)
-        cos_c -= np.multiply(sa, sb, out=tmp)
-        sin_c, cos_c, tmp = (a.reshape(m, -1)[:, :n] for a in (sin_c, cos_c, tmp))
-        np.multiply(sin_c, sums[0], out=tmp)
-        tmp += cos_c * sums[1]
-        vals[lo:lo + step] = tmp.sum(axis=1)
-        np.multiply(sin_c, sums[2], out=tmp)
-        tmp += cos_c * sums[3]
-        err = max(err, float(np.abs(tmp).sum(axis=1).max()))
-    return _SINE_NORM * h * vals, _SINE_NORM * h * err
+    def sine_transform(self, ks) -> tuple[np.ndarray, float]:
+        """The transform at an array of 0 <= k <= k_max of any shape; returns
+        (values shaped like ks, summed K-G error estimate of the worst k).
+
+        The phase at node c_j + h*x_m is factored as
+        sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m): the per-panel K15
+        sums and K15-G7 differences come out of one matmul of the K x 15
+        offset terms against u, and no K x 15n array is formed. The k run
+        in blocks of max(15, _SINE_BLOCK // n) through work arrays allocated
+        once per call, so each K x n work array holds at most
+        max(15 n, _SINE_BLOCK) entries; a k's value does not depend on the
+        block it falls in.
+        """
+        shape = np.shape(ks)
+        ks = np.asarray(ks, dtype=float).ravel()
+        if np.any(ks < 0.0) or np.any(ks > self.k_max):
+            raise DomainError(f"sine transform on these samples needs 0 <= k <= {self.k_max:.6g}")
+        n, h, ut = self.n, self.h, self.ut
+        # centre phases k*c_j from blocks of panels: c_j = (block start) + (offset
+        # of the centre in its block), so trig runs on K x ~2 sqrt(n) entries
+        width = self.r_max / n
+        size = math.isqrt(n) + 1
+        starts = np.arange(-(-n // size)) * (size * width)
+        offsets = (np.arange(size) + 0.5) * width
+        step = max(15, _SINE_BLOCK // n)
+        # one block's K x n arrays, reused by every block: the per-panel sums
+        # (K15 cos, K15 sin, (K15 - G7) cos, (K15 - G7) sin) and the centre
+        # phases sin(k c_j), cos(k c_j) with a scratch row, over whole blocks
+        # of panels
+        sums_w = np.empty((4, min(step, len(ks)), n))
+        phase_w = np.empty((3, min(step, len(ks)), len(starts), size))
+        vals = np.empty(len(ks))
+        err = 0.0
+        for lo in range(0, len(ks), step):
+            kb = ks[lo:lo + step]
+            m = len(kb)
+            off = kb[:, None] * (h * _XK)[None, :]
+            cos_off, sin_off = np.cos(off), np.sin(off)
+            sums = sums_w[:, :m]
+            for row, w in zip(sums, (cos_off * _WK, sin_off * _WK, cos_off * _WKG, sin_off * _WKG)):
+                np.matmul(w, ut, out=row)
+            sa, ca = _sin_cos_outer(kb, starts)
+            sb, cb = _sin_cos_outer(kb, offsets)
+            sa, ca, sb, cb = sa[:, :, None], ca[:, :, None], sb[:, None, :], cb[:, None, :]
+            sin_c, cos_c, tmp = phase_w[:, :m]
+            np.multiply(sa, cb, out=sin_c)
+            sin_c += np.multiply(ca, sb, out=tmp)
+            np.multiply(ca, cb, out=cos_c)
+            cos_c -= np.multiply(sa, sb, out=tmp)
+            sin_c, cos_c, tmp = (a.reshape(m, -1)[:, :n] for a in (sin_c, cos_c, tmp))
+            np.multiply(sin_c, sums[0], out=tmp)
+            tmp += cos_c * sums[1]
+            vals[lo:lo + step] = tmp.sum(axis=1)
+            np.multiply(sin_c, sums[2], out=tmp)
+            tmp += cos_c * sums[3]
+            err = max(err, float(np.abs(tmp).sum(axis=1).max()))
+        return _SINE_NORM * h * vals.reshape(shape), _SINE_NORM * h * err
 
 
 def sine_transform(

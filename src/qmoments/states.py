@@ -25,7 +25,7 @@ from .core import (
     CapabilityError, DataFormatError, DEFAULT_TOLERANCES, DomainError, NATURAL, PhysicalConstants,
     Tolerances,
 )
-from .quadrature import Domain, Envelope, integrate, sine_transform_batch, _kronrod_nodes, _WK
+from .quadrature import Domain, Envelope, RadialSamples, integrate, _kronrod_nodes, _WK
 
 DIM_1D = "1d"
 DIM_3D_SPHERICAL = "3d-spherical"
@@ -86,22 +86,23 @@ class ContinuousState:
 
 
 class _MomentumTable:
-    """Sine-transform amplitudes w(k) on demand, with a power-law tail model.
+    """Amplitudes w(k) on demand, with a power-law tail model.
 
-    Numerical values are produced (and memoized) up to k_cut; beyond it the
-    amplitude is represented as C k^tau + D k^(tau-2) with the coefficients
-    fitted at 0.7*k_cut and k_cut, which keeps heavy momentum tails cheap
-    without truncating them.
+    amplitude(ks) gives w at any array of 0 <= k <= k_cut, and a value
+    depends on its k alone: a grid state transforms every k against one
+    sampling of u fine enough for k_cut, a power-exponential state has the
+    closed form. Values are memoized up to k_cut; beyond it the amplitude
+    is represented as C k^tau + D k^(tau-2) with the coefficients fitted at
+    0.7*k_cut and k_cut, which keeps heavy momentum tails cheap without
+    truncating them.
 
     Every momentum order of a state starts its k-integral from one shared
-    partition of [0, k_cut] (partition()), transformed once in ascending
-    128-k chunks; later orders find its nodes cached and transform only the
-    k-panels their own refinement adds.
+    partition of [0, k_cut] (partition()); later orders find its nodes
+    cached and compute only the k-panels their own refinement adds.
     """
 
-    def __init__(self, u: Callable, r_max: float, r_scale: float, tail_power: float, k_cut: float):
-        self._u = u
-        self._r_max = r_max
+    def __init__(self, amplitude: Callable, r_scale: float, tail_power: float, k_cut: float):
+        self._amplitude = amplitude
         self._r_scale = r_scale
         self.tail_power = tail_power
         self.k_cut = k_cut
@@ -110,43 +111,27 @@ class _MomentumTable:
         self._tail_fit: tuple[float, float] | None = None
 
     def w(self, ks) -> np.ndarray:
-        """w(k) from the cache, transforming the missing k.
-
-        A 1-D request is transformed as one group. A 2-D request is a stack
-        of k-panels (the (panels, 15) node arrays of integrate), and each
-        row's missing k are transformed on their own: a transform's panel
-        count follows the largest k of its batch, and w on a grid state
-        carries an error of about 1e-6 that depends on that count, so a
-        k-panel whose nodes came from batches of different count would
-        see a jump.
-        """
+        """w(k) for an array of k of any shape (the (panels, 15) node arrays
+        of integrate among them): cached values, and the missing k computed
+        in one _batch call."""
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        out = np.empty(ks.shape)
-        for row, got in zip(ks.reshape(-1, ks.shape[-1]), out.reshape(-1, ks.shape[-1])):
-            missing: list[int] = []
-            for i, k in enumerate(row.tolist()):
-                hit = self._cache.get(k)
-                if hit is None:
-                    missing.append(i)
-                else:
-                    got[i] = hit
-            if missing:
-                km = row[missing]
-                vals = self._batch(km)
-                with self._lock:
-                    for i, k, v in zip(missing, km.tolist(), vals.tolist()):
-                        got[i] = v
-                        self._cache[k] = v
-        return out
+        flat = ks.ravel()
+        out = np.array([self._cache.get(k, math.nan) for k in flat.tolist()])
+        miss = np.isnan(out)
+        if miss.any():
+            out[miss] = self._batch(flat[miss])
+            with self._lock:
+                self._cache.update(zip(flat[miss].tolist(), out[miss].tolist()))
+        return out.reshape(ks.shape)
 
     def partition(self) -> np.ndarray:
         """Edges of the shared starting partition of [0, k_cut], with w
-        transformed at every K15 node of it.
+        computed at every K15 node of it.
 
         The panels are [0, 1e-4/r_scale], 11 geometric panels up to
         1/r_scale and 24 up to k_cut: 36 panels, 540 nodes, fixed by k_cut
-        and r_scale alone. The nodes go to w as one 1-D request, so the
-        first call transforms them and every later one finds them cached.
+        and r_scale alone. The nodes go to w as one request, so the first
+        call computes them and every later one finds them cached.
         """
         kb = 1.0 / self._r_scale
         edges = np.concatenate([
@@ -156,14 +141,8 @@ class _MomentumTable:
         return edges
 
     def _batch(self, ks: np.ndarray) -> np.ndarray:
-        """Transform in ascending chunks so cheap low-k panels stay cheap."""
-        order = np.argsort(ks, kind="stable")
-        out = np.empty_like(ks)
-        for start in range(0, len(order), 128):
-            idx = order[start : start + 128]
-            vals, _ = sine_transform_batch(self._u, ks[idx], self._r_max, self._r_scale)
-            out[idx] = vals
-        return out
+        """w at the k a request misses, from one amplitude call."""
+        return self._amplitude(ks)
 
     def _fit(self) -> tuple[float, float]:
         with self._lock:
@@ -253,10 +232,15 @@ class RadialStateBase(ContinuousState):
             if self._table is None:
                 k_cut = 50.0 / self.r_scale
                 self._table = _MomentumTable(
-                    self.reduced_radial, self.r_max, self.r_scale,
-                    self.momentum_tail_power(), k_cut,
+                    self.momentum_amplitude(k_cut), self.r_scale, self.momentum_tail_power(), k_cut,
                 )
             return self._table
+
+    def momentum_amplitude(self, k_cut: float) -> Callable:
+        """w(k) for arrays of 0 <= k <= k_cut: the sine transform of u, with
+        u sampled once, at the radial panel count k_cut needs."""
+        samples = RadialSamples(self.reduced_radial, self.r_max, self.r_scale, k_cut)
+        return lambda ks: samples.sine_transform(ks)[0]
 
     def position_mean(self, axis: int) -> float:
         self._check_axis(axis)
@@ -300,6 +284,13 @@ class PowerExpRadialState(RadialStateBase):
     def reduced_radial_derivative(self, r):
         r = np.asarray(r, dtype=float)
         return self.norm * np.exp(-self.kappa * r) * (self.n * r ** (self.n - 1) - self.kappa * r**self.n)
+
+    def momentum_amplitude(self, k_cut: float) -> Callable:
+        """The closed form N sqrt(2/pi) n! Im[(kappa+ik)^(n+1)]/(kappa^2+k^2)^(n+1)
+        of the sine transform of u over [0, inf) (Gradshteyn-Ryzhik 3.944)."""
+        c = self.norm * math.sqrt(2.0 / math.pi) * math.factorial(self.n)
+        n1, kappa = self.n + 1, self.kappa
+        return lambda ks: c * np.imag((kappa + 1j * ks) ** n1) / (kappa * kappa + ks * ks) ** n1
 
 
 class HydrogenGroundState(PowerExpRadialState):

@@ -113,8 +113,12 @@ def test_threshold_radius_discriminant_identity():
     assert bound_threshold_radius(r2, b) == pytest.approx(1.0 / (2.0 * b), rel=1e-12)
 
 
-def test_threshold_minus_root_debug():
-    assert bound_threshold_radius(3.0, 8.0, minus_root=True) < 0.0
+@pytest.mark.parametrize("b", [1e-6, 1e-20, 8e-150, 8e-170, 8e-300, 4e-323])
+def test_threshold_radius_small_b_asymptote(b):
+    # root = b <r^2> (1 - b^2 <r^2> + ...), where -1/(2b) + sqrt(1/(4b^2) + <r^2>)
+    # cancels or overflows
+    r2 = 3.0
+    assert bound_threshold_radius(r2, b) == pytest.approx(b * r2 * (1.0 - b * b * r2), rel=1e-12)
 
 
 def test_threshold_rejects_nonpositive():

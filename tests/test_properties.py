@@ -11,7 +11,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main  # noqa: E402
 from qmoments.core import make_exponents, young_gap  # noqa: E402
@@ -84,6 +84,10 @@ reals = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]), st.floa
 
 @settings(FIXED, max_examples=40)
 @given(alpha=reals, beta=reals)
+# tiny b = 8 beta: b*b underflows (1e-170, 1e-300), b itself is subnormal (5e-324)
+@example(alpha=1.0, beta=1e-170)
+@example(alpha=1.0, beta=1e-300)
+@example(alpha=1.0, beta=5e-324)
 def test_cli_never_raises_on_fuzzed_power_law(alpha, beta):
     code = _run(["central", f"--alpha={alpha!r}", f"--beta={beta!r}"])
     valid = all(math.isfinite(x) and x > 0.0 for x in (alpha, beta))

@@ -303,7 +303,7 @@ def test_sine_transform_batch_power_exp_closed_form(n, kappa):
 
     st = PowerExpRadialState(n, kappa)
     ks = np.geomspace(1e-5, 50.0 / st.r_scale, 640)
-    for start in range(0, ks.size, 128):  # ascending chunks, as the momentum table runs
+    for start in range(0, ks.size, 128):  # ascending chunks: the panel count grows with k
         chunk = ks[start:start + 128]
         vals, _ = sine_transform_batch(st.reduced_radial, chunk, st.r_max, st.r_scale)
         assert np.abs(vals - _power_exp_amplitude(st, chunk)).max() <= 1e-13
@@ -372,13 +372,15 @@ def test_sine_transform_batch_blocks_match_single_k_and_cap_memory():
 def test_sine_transform_k_integral_reaches_tolerance():
     # <p^8> of r^4 e^{-r} weighs w(k)^2 by k^8, so rounding noise of the
     # transform in k would stall the adaptive rule long before this budget
+    from qmoments.quadrature import RadialSamples
     from qmoments.states import PowerExpRadialState
 
     st = PowerExpRadialState(4, 1.0)
     k_cut = 50.0
+    samples = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut)
 
     def w(k):
-        return sine_transform_batch(st.reduced_radial, k, st.r_max, st.r_scale)[0]
+        return samples.sine_transform(k)[0]
 
     res = integrate(lambda k: w(k) ** 2 * k**8, Domain.finite(0.0, k_cut),
                     Tolerances(abs_tol=1e-15, max_evals=20_000), breakpoints=[1.0])

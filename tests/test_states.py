@@ -371,44 +371,17 @@ def test_grid_state_momentum_marginal():
 @pytest.fixture
 def sine_calls(monkeypatch):
     """The k-array shape of each sine transform the momentum tables run."""
-    import qmoments.states as states_mod
+    from qmoments.quadrature import RadialSamples
 
     calls = []
-    real = states_mod.sine_transform_batch
+    real = RadialSamples.sine_transform
 
-    def counted(u, ks, *args, **kwargs):
+    def counted(self, ks):
         calls.append(np.shape(ks))
-        return real(u, ks, *args, **kwargs)
+        return real(self, ks)
 
-    monkeypatch.setattr(states_mod, "sine_transform_batch", counted)
+    monkeypatch.setattr(RadialSamples, "sine_transform", counted)
     return calls
-
-
-def test_momentum_table_2d_request_transforms_each_row_alone(sine_calls):
-    from qmoments.quadrature import _XK
-
-    edges = np.array([1e-3, 0.5, 1.0, 5.0, 40.0, 100.0])
-    c, h = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    rows = c[:, None] + h[:, None] * _XK  # k-panels as integrate passes them
-    batched, single = (_dense_grid_state().momentum_table() for _ in range(2))
-    for tbl in (batched, single):
-        tbl.w(rows[1])  # a cached row
-        tbl.w(rows[3, :5])  # and a partly cached one
-    sine_calls.clear()
-    got = batched.w(rows)
-    assert got.shape == rows.shape
-    assert sine_calls == [(15,), (15,), (10,), (15,)]
-    for row, vals in zip(rows, got):
-        assert np.array_equal(single.w(row), vals)
-
-
-def test_momentum_table_1d_request_runs_in_ascending_chunks(sine_calls):
-    tbl = _dense_grid_state().momentum_table()
-    ks = np.linspace(50.0, 0.1, 300)
-    vals = tbl.w(ks)
-    assert sine_calls == [(128,), (128,), (44,)]
-    assert np.array_equal(tbl.w(ks[::-1]), vals[::-1])  # now all cached
-    assert len(sine_calls) == 3
 
 
 def _hydrogen_grid():
@@ -422,37 +395,83 @@ def _r4test_grid():
     return RadialGridState(r, r**4 * np.exp(-r))
 
 
+def _k_panels():
+    """k-panels as integrate passes them: a (5, 15) array of Kronrod nodes."""
+    from qmoments.quadrature import _kronrod_nodes
+
+    edges = np.array([1e-3, 0.5, 1.0, 5.0, 40.0, 100.0])
+    return _kronrod_nodes(edges[:-1], edges[1:])[0]
+
+
+def test_momentum_table_amplitude_depends_on_k_alone():
+    rows = _k_panels()
+    ks = rows.ravel()
+    alone_tbl, batch_tbl, rows_tbl = (_hydrogen_grid().momentum_table() for _ in range(3))
+    alone = np.array([alone_tbl.w(k)[0] for k in ks])
+    batched = batch_tbl.w(np.append(ks, batch_tbl.k_cut))[:-1]
+    in_rows = rows_tbl.w(rows).ravel()
+    scale = np.abs(alone).max()
+    assert np.abs(batched - alone).max() <= 1e-15 * scale
+    assert np.abs(in_rows - alone).max() <= 1e-15 * scale
+
+
+def test_momentum_table_request_with_misses_makes_one_transform(sine_calls):
+    rows = _k_panels()
+    tbl = _hydrogen_grid().momentum_table()
+    tbl.w(rows[1])  # a cached row
+    tbl.w(rows[3, :5])  # and a partly cached one
+    sine_calls.clear()
+    got = tbl.w(rows)
+    assert got.shape == rows.shape
+    assert sine_calls == [(55,)]  # the 75 nodes less the 20 cached ones
+    assert np.array_equal(tbl.w(rows), got)  # now all cached
+    ks = np.linspace(50.0, 0.1, 300)
+    tbl.w(ks)
+    assert sine_calls == [(55,), (300,)]
+
+
 def test_momentum_table_partition_is_cached_for_the_first_round(sine_calls):
     tbl = _hydrogen_grid().momentum_table()
     edges = tbl.partition()
     assert edges.size == 37 and edges[0] == 0.0 and edges[-1] == tbl.k_cut
     assert np.all(np.diff(edges) > 0.0)
-    assert sine_calls == [(128,), (128,), (128,), (128,), (28,)]  # 540 nodes
+    assert sine_calls == [(540,)]
     assert np.array_equal(tbl.partition(), edges)
-    assert len(sine_calls) == 5
     # integrate's first round on these edges asks for exactly those nodes
     seen = []
     res = integrate(lambda k: seen.append(k.shape) or tbl.w(k) ** 2, Domain.finite(0.0, tbl.k_cut),
                     Tolerances(max_evals=540), breakpoints=edges[1:-1])
     assert seen == [(36, 15)] and res.evaluations == 540
-    assert len(sine_calls) == 5
+    assert len(sine_calls) == 1
 
 
 def test_hydrogen_grid_sweep_sine_calls(sine_calls):
-    # each order starts from the shared partition: 49 calls from two panels
+    # each order starts from the shared partition, and each refinement round
+    # with new k makes one transform
     from qmoments.inequalities import sweep
 
     sweep(_hydrogen_grid(), 3, 3, [1.5, 2.5, 3.5], [1.0, 1.5, 2.0])
-    assert len(sine_calls) <= 20
+    assert 1 <= len(sine_calls) <= 8
 
 
 def test_r4test_grid_cell_sine_calls(sine_calls):
-    # 141 calls from two panels; most rows now come from refinement, where
-    # w carries the grid's interpolation noise
+    # most rounds come from refinement, where w carries the grid's
+    # interpolation noise
     from qmoments.inequalities import sweep
 
     sweep(_r4test_grid(), 3, 3, [2.5], [0.9])
-    assert len(sine_calls) <= 100
+    assert 1 <= len(sine_calls) <= 15
+
+
+@pytest.mark.parametrize("n, kappa", [(1, 1.0), (4, 1.0), (2, 0.5)])
+def test_power_exp_closed_form_amplitude_matches_the_sine_transform(n, kappa):
+    from qmoments.states import RadialStateBase
+
+    st = PowerExpRadialState(n, kappa)
+    tbl = st.momentum_table()
+    ks = np.geomspace(1e-5, tbl.k_cut, 640)
+    numeric = RadialStateBase.momentum_amplitude(st, tbl.k_cut)(ks)
+    assert np.abs(tbl.w(ks) - numeric).max() <= 1e-13
 
 
 def _two_panel_momentum_moment(s, q):
@@ -473,13 +492,24 @@ def _momentum_moment(s, q):
     return (q + 1.0) * m.value  # <|p_z|^q> = <p^q>/(q+1)
 
 
+def _hydrogen_p_moment(q):
+    """<p^q> of hydrogen: (16/pi) B((3+q)/2, (5-q)/2)."""
+    a, b = 0.5 * (3.0 + q), 0.5 * (5.0 - q)
+    return 16.0 / math.pi * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 @pytest.mark.parametrize("q", [0.9, 1.5, 2.0, 3.0])
 def test_hydrogen_grid_momentum_moment_from_shared_partition(q):
     got = _momentum_moment(_hydrogen_grid(), q)
-    a, b = 0.5 * (3.0 + q), 0.5 * (5.0 - q)
-    exact = 16.0 / math.pi * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-    assert got == pytest.approx(exact, rel=2e-5)
+    assert got == pytest.approx(_hydrogen_p_moment(q), rel=2e-5)
     assert got == pytest.approx(_two_panel_momentum_moment(_hydrogen_grid(), q), rel=2e-6)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+def test_hydrogen_grid_momentum_moment_near_the_closed_form(q):
+    # w(k) of the grid depends on k alone, so the k-integral sees no
+    # batch-dependent error; what is left is the grid's interpolation error
+    assert _momentum_moment(_hydrogen_grid(), q) == pytest.approx(_hydrogen_p_moment(q), rel=2e-8)
 
 
 @pytest.mark.parametrize("name, q", [
