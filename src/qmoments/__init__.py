@@ -21,7 +21,7 @@ from .core import (
     make_verdict,
     young_gap,
 )
-from .quadrature import Domain, Envelope, QuadResult, detect_divergence, integrate, sine_transform
+from .quadrature import Domain, Envelope, QuadResult, detect_divergence, integrate
 from .states import (
     ContinuousState,
     GaussianPacket,

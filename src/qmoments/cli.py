@@ -488,7 +488,8 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
                 "b": b,
                 "mean_r2": r2.value * length_unit**2,
                 "radius": root * length_unit,
-                "residual": b * root**2 + root - b * r2.value,
+                # divided by b: b root^2 overflows for b near the double limit
+                "residual": (root**2 + root / b - r2.value) * length_unit**2,
             }
             outcomes.add_check(True)
         else:

@@ -279,8 +279,9 @@ def detect_divergence(env: Envelope) -> str:
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
 _MAX_SINE_PANELS = 1 << 17
-# K x n entries one k-block of a sine transform may hold, unless one 15-k row needs more
-_SINE_BLOCK = 1 << 15
+# entries the (2K, 15 blocks) product array of one k-block of a sine
+# transform may hold, unless 15 k need more
+_SINE_BLOCK = 1 << 14
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,30 +304,18 @@ def _sin_cos_outer(ks: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return s + lost * c, c - lost * s
 
 
-def sine_transform_batch(
-    u: Callable,
-    ks: np.ndarray,
-    r_max: float,
-    r_scale: float = 1.0,
-) -> tuple[np.ndarray, float]:
-    """sqrt(2/pi) * integral_0^rmax u(r) sin(k r) dr for an array of k >= 0
-    of any shape.
-
-    u is sampled once for the largest k of the batch (RadialSamples) and
-    every k is transformed against those samples. Returns (values shaped
-    like ks, summed K-G error estimate of the worst k).
-    """
-    ks = np.atleast_1d(np.asarray(ks, dtype=float))
-    return RadialSamples(u, r_max, r_scale, float(ks.max(initial=0.0))).sine_transform(ks)
-
-
 class RadialSamples:
     """u sampled once at the 15n Kronrod nodes of n equal panels of [0, r_max],
     n = max(ceil(2 r_max/r_scale), ceil(2 k_max r_max/pi), 4): panels a
     quarter-period of sin(k_max r) or shorter (and never longer than half
     the radial scale), on which the fixed K15 rule is effectively exact.
     Every k <= k_max is transformed against the same samples, so its value
-    depends on k alone."""
+    depends on k alone.
+
+    Panel j = b*size + o, size = isqrt(n) + 1, has its centre at
+    c_j = start_b + offset_o. The samples are kept as a (size, 15 blocks)
+    array, zero past panel n, so a sum over the panels is a matrix product
+    over the offsets o and then a short sum over the blocks b."""
 
     def __init__(self, u: Callable, r_max: float, r_scale: float, k_max: float):
         n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
@@ -335,90 +324,64 @@ class RadialSamples:
                 f"sine transform needs {n} panels (k={k_max:.3g}, r_max={r_max:.3g}); "
                 f"exceeds the {_MAX_SINE_PANELS} panel cap"
             )
-        self.r_max, self.k_max, self.n = r_max, k_max, n
+        self.k_max = k_max
         edges = np.linspace(0.0, r_max, n + 1)
         c = 0.5 * (edges[:-1] + edges[1:])
         self.h = 0.5 * (edges[1] - edges[0])
+        width = r_max / n
         uv = np.asarray(u((c[:, None] + self.h * _XK[None, :]).ravel()), dtype=float)
         if not np.all(np.isfinite(uv)):
             raise MomentsError("non-finite radial wavefunction value in sine transform")
-        self.ut = uv.reshape(n, 15).T
+        size = math.isqrt(n) + 1
+        self.blocks = -(-n // size)
+        # block starts, then centre offsets within a block: the phase points
+        self.points = np.concatenate([np.arange(self.blocks) * (size * width),
+                                      (np.arange(size) + 0.5) * width])
+        # u[o, 15 b + m] is the sample at node m of panel b*size + o
+        padded = np.zeros((self.blocks * size, 15))
+        padded[:n] = uv.reshape(n, 15)
+        self.u = padded.reshape(self.blocks, size, 15).transpose(1, 0, 2).reshape(size, -1)
 
-    def sine_transform(self, ks) -> tuple[np.ndarray, float]:
-        """The transform at an array of 0 <= k <= k_max of any shape; returns
-        (values shaped like ks, summed K-G error estimate of the worst k).
+    def sine_transform(self, ks) -> np.ndarray:
+        """The transform at an array of 0 <= k <= k_max of any shape, shaped
+        like ks.
 
-        The phase at node c_j + h*x_m is factored as
-        sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m): the per-panel K15
-        sums and K15-G7 differences come out of one matmul of the K x 15
-        offset terms against u, and no K x 15n array is formed. The k run
-        in blocks of max(15, _SINE_BLOCK // n) through work arrays allocated
-        once per call, so each K x n work array holds at most
-        max(15 n, _SINE_BLOCK) entries; a k's value does not depend on the
-        block it falls in.
+        At node c_j + h*x_m the phase splits as
+        sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m), and with
+        c_j = start_b + offset_o the centre phase splits as
+        sin(k c_j) = sin(k start_b) cos(k offset_o) + cos(k start_b) sin(k offset_o).
+        Per block of k, one matrix product gives X = cos(k offset) @ u and
+        Y = sin(k offset) @ u; a batched product over the blocks b gives
+        Su = sum_j u_jm sin(k c_j) = sum_b sin(k start_b) X_b + cos(k start_b) Y_b
+        and Cu = sum_j u_jm cos(k c_j) = sum_b cos(k start_b) X_b - sin(k start_b) Y_b;
+        the K15 sum is sum_m WK_m [cos(k h x_m) Su_m + sin(k h x_m) Cu_m].
+        No K x n array is formed. The k run in blocks of
+        max(15, _SINE_BLOCK // (30 blocks)) through work arrays allocated
+        once per call; a k's value does not depend on the block it falls in.
         """
         shape = np.shape(ks)
         ks = np.asarray(ks, dtype=float).ravel()
         if np.any(ks < 0.0) or np.any(ks > self.k_max):
             raise DomainError(f"sine transform on these samples needs 0 <= k <= {self.k_max:.6g}")
-        n, h, ut = self.n, self.h, self.ut
-        # centre phases k*c_j from blocks of panels: c_j = (block start) + (offset
-        # of the centre in its block), so trig runs on K x ~2 sqrt(n) entries
-        width = self.r_max / n
-        size = math.isqrt(n) + 1
-        starts = np.arange(-(-n // size)) * (size * width)
-        offsets = (np.arange(size) + 0.5) * width
-        step = max(15, _SINE_BLOCK // n)
-        # one block's K x n arrays, reused by every block: the per-panel sums
-        # (K15 cos, K15 sin, (K15 - G7) cos, (K15 - G7) sin) and the centre
-        # phases sin(k c_j), cos(k c_j) with a scratch row, over whole blocks
-        # of panels
-        sums_w = np.empty((4, min(step, len(ks)), n))
-        phase_w = np.empty((3, min(step, len(ks)), len(starts), size))
+        nb, size = self.blocks, self.u.shape[0]
+        step = max(15, _SINE_BLOCK // (30 * nb))
+        m_w = min(step, len(ks))
+        # per k: the offset phases [cos; sin], their products [X; Y] with u,
+        # and the block phases [[sin, cos], [cos, -sin]] that mix them
+        phase_w = np.empty((m_w, 2, size))
+        xy_w = np.empty((m_w, 2, 15 * nb))
+        mix_w = np.empty((m_w, 2, 2 * nb))
         vals = np.empty(len(ks))
-        err = 0.0
         for lo in range(0, len(ks), step):
             kb = ks[lo:lo + step]
             m = len(kb)
-            off = kb[:, None] * (h * _XK)[None, :]
-            cos_off, sin_off = np.cos(off), np.sin(off)
-            sums = sums_w[:, :m]
-            for row, w in zip(sums, (cos_off * _WK, sin_off * _WK, cos_off * _WKG, sin_off * _WKG)):
-                np.matmul(w, ut, out=row)
-            sa, ca = _sin_cos_outer(kb, starts)
-            sb, cb = _sin_cos_outer(kb, offsets)
-            sa, ca, sb, cb = sa[:, :, None], ca[:, :, None], sb[:, None, :], cb[:, None, :]
-            sin_c, cos_c, tmp = phase_w[:, :m]
-            np.multiply(sa, cb, out=sin_c)
-            sin_c += np.multiply(ca, sb, out=tmp)
-            np.multiply(ca, cb, out=cos_c)
-            cos_c -= np.multiply(sa, sb, out=tmp)
-            sin_c, cos_c, tmp = (a.reshape(m, -1)[:, :n] for a in (sin_c, cos_c, tmp))
-            np.multiply(sin_c, sums[0], out=tmp)
-            tmp += cos_c * sums[1]
-            vals[lo:lo + step] = tmp.sum(axis=1)
-            np.multiply(sin_c, sums[2], out=tmp)
-            tmp += cos_c * sums[3]
-            err = max(err, float(np.abs(tmp).sum(axis=1).max()))
-        return _SINE_NORM * h * vals.reshape(shape), _SINE_NORM * h * err
-
-
-def sine_transform(
-    u: Callable,
-    k: float,
-    r_max: float,
-    r_scale: float = 1.0,
-    tol: float = 1e-8,
-) -> float:
-    """Radial sine-transform amplitude at a single k.
-
-    Normalization: if int u^2 dr = 1 then the transform w satisfies
-    int_0^inf w(k)^2 dk = 1. Raises MomentsError when the oscillatory sum
-    cannot be trusted to tol.
-    """
-    if k == 0.0:
-        return 0.0
-    vals, err = sine_transform_batch(u, np.array([k]), r_max, r_scale)
-    if err > max(tol, tol * abs(float(vals[0]))):
-        raise MomentsError(f"sine transform error estimate {err:.3g} exceeds tol at k={k:.6g}")
-    return float(vals[0])
+            s, c = _sin_cos_outer(kb, self.points)
+            phase, xy, mix = phase_w[:m], xy_w[:m], mix_w[:m]
+            phase[:, 0], phase[:, 1] = c[:, nb:], s[:, nb:]
+            np.matmul(phase.reshape(2 * m, size), self.u, out=xy.reshape(2 * m, -1))
+            mix[:, 0, :nb], mix[:, 0, nb:], mix[:, 1, :nb] = s[:, :nb], c[:, :nb], c[:, :nb]
+            np.negative(s[:, :nb], out=mix[:, 1, nb:])
+            su, cu = np.matmul(mix, xy.reshape(m, 2 * nb, 15)).transpose(1, 0, 2)
+            off = kb[:, None] * (self.h * _XK)
+            vals[lo:lo + step] = (np.cos(off) * su + np.sin(off) * cu) @ _WK
+        return _SINE_NORM * self.h * vals.reshape(shape)

@@ -240,7 +240,7 @@ class RadialStateBase(ContinuousState):
         """w(k) for arrays of 0 <= k <= k_cut: the sine transform of u, with
         u sampled once, at the radial panel count k_cut needs."""
         samples = RadialSamples(self.reduced_radial, self.r_max, self.r_scale, k_cut)
-        return lambda ks: samples.sine_transform(ks)[0]
+        return samples.sine_transform
 
     def position_mean(self, axis: int) -> float:
         self._check_axis(axis)

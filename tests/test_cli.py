@@ -286,6 +286,7 @@ def test_central_hydrogen(capsys):
     assert rep["virial"]["total_E"] == pytest.approx(-0.5, rel=1e-8)
     assert rep["bound_threshold"]["radius"] == pytest.approx(1.67070, abs=1e-4)
     assert rep["ground_energy_estimate"]["value"] == pytest.approx(-5.0 / 6.0, rel=1e-8)
+    assert abs(rep["bound_threshold"]["residual"]) <= 1e-12 * rep["bound_threshold"]["mean_r2"]
 
 
 def test_central_buckingham_divergence_exit(capsys):
@@ -465,6 +466,15 @@ def test_central_overflow_is_one_line_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_central_huge_beta_reports_the_scaled_residual(capsys):
+    # b = 8e307: b root^2 would overflow, while the root itself is finite
+    code, doc = run_json(capsys, ["central", "--state", "r4test", "--alpha", "2.5", "--beta", "1e307"])
+    assert code == EXIT_OK
+    th = doc["results"][0]["bound_threshold"]
+    assert th["radius"] == pytest.approx(math.sqrt(th["mean_r2"]), rel=1e-12)
+    assert abs(th["residual"]) <= 1e-12 * th["mean_r2"]
 
 
 def test_report_entry_shapes(tmp_path, capsys):

@@ -10,11 +10,10 @@ from qmoments.quadrature import (
     DIVERGENT_AT_ORIGIN,
     Domain,
     Envelope,
+    RadialSamples,
     UNKNOWN,
     detect_divergence,
     integrate,
-    sine_transform,
-    sine_transform_batch,
 )
 from qmoments.rng import SplitMix64
 
@@ -248,16 +247,17 @@ def _hydrogen_u(r):
 
 
 def test_sine_transform_hydrogen_closed_form():
-    for k in [0.3, 1.0, 4.0, 20.0]:
-        w = sine_transform(_hydrogen_u, k, r_max=48.0)
-        exact = math.sqrt(2 / math.pi) * 4.0 * k / (1 + k * k) ** 2
-        assert w == pytest.approx(exact, rel=1e-9)
+    ks = np.array([0.3, 1.0, 4.0, 20.0])
+    w = RadialSamples(_hydrogen_u, 48.0, 1.0, ks.max()).sine_transform(ks)
+    exact = math.sqrt(2 / math.pi) * 4.0 * ks / (1 + ks * ks) ** 2
+    assert w == pytest.approx(exact, rel=1e-9)
 
 
 def test_sine_transform_normalization():
     # int w(k)^2 dk = 1 when int u^2 dr = 1
+    samples = RadialSamples(_hydrogen_u, 48.0, 1.0, 200.0)
     ks_res = integrate(
-        lambda k: sine_transform_batch(_hydrogen_u, k, 48.0)[0] ** 2,
+        lambda k: samples.sine_transform(k) ** 2,
         Domain.finite(0.0, 200.0),
         Tolerances(rel_tol=1e-9, abs_tol=1e-13),
     )
@@ -265,7 +265,7 @@ def test_sine_transform_normalization():
 
 
 def test_sine_transform_zero_frequency():
-    assert sine_transform(_hydrogen_u, 0.0, 48.0) == 0.0
+    assert RadialSamples(_hydrogen_u, 48.0, 1.0, 1.0).sine_transform(0.0) == 0.0
 
 
 def test_sine_transform_gaussian_reciprocal_width():
@@ -277,18 +277,9 @@ def test_sine_transform_gaussian_reciprocal_width():
         r = np.asarray(r)
         return norm * r * np.exp(-(r**2) / (2 * s * s))
 
-    w1 = sine_transform(u, 0.8, r_max=20.0 * s)
-    w2 = sine_transform(u, 1.6, r_max=20.0 * s)
+    w1, w2 = RadialSamples(u, 20.0 * s, 1.0, 1.6).sine_transform([0.8, 1.6])
     expected_ratio = (0.8 / 1.6) * math.exp((-0.8**2 + 1.6**2) * s * s / 2.0)
     assert w1 / w2 == pytest.approx(expected_ratio, rel=1e-9)
-
-
-def test_sine_transform_batch_matches_scalar():
-    ks = np.array([0.5, 2.0, 7.0])
-    vals, err = sine_transform_batch(_hydrogen_u, ks, 48.0)
-    for k, v in zip(ks, vals):
-        assert v == pytest.approx(sine_transform(_hydrogen_u, float(k), 48.0), rel=1e-12)
-    assert err < 1e-8
 
 
 def _power_exp_amplitude(st, k):
@@ -305,63 +296,65 @@ def test_sine_transform_batch_power_exp_closed_form(n, kappa):
     ks = np.geomspace(1e-5, 50.0 / st.r_scale, 640)
     for start in range(0, ks.size, 128):  # ascending chunks: the panel count grows with k
         chunk = ks[start:start + 128]
-        vals, _ = sine_transform_batch(st.reduced_radial, chunk, st.r_max, st.r_scale)
+        vals = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, chunk.max()).sine_transform(chunk)
         assert np.abs(vals - _power_exp_amplitude(st, chunk)).max() <= 1e-13
 
 
-def _dense_sine_transform(u, ks, r_max, r_scale):
-    """The per-node formula: one sin(k*node) entry for each k and each of the
-    15n Kronrod nodes, summed with K15 and G7 weights panel by panel."""
-    from qmoments.quadrature import _GAUSS_IDX, _WG, _WK, _XK
+def _dense_sine_transform(u, ks, r_max, r_scale, k_max):
+    """The per-node formula: one sin(k*node) term for each k and each of the
+    15n Kronrod nodes, summed with K15 weights panel by panel."""
+    from qmoments.quadrature import _WK, _XK
 
-    kmax = float(ks.max())
-    n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * kmax * r_max / math.pi), 4)
+    n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
     edges = np.linspace(0.0, r_max, n + 1)
     c = 0.5 * (edges[:-1] + edges[1:])
     h = 0.5 * (edges[1] - edges[0])
-    nodes = (c[:, None] + h * _XK[None, :]).ravel()
-    prod = (np.sin(ks[:, None] * nodes[None, :]) * u(nodes)[None, :]).reshape(len(ks), n, 15)
-    k15 = h * prod @ _WK
-    g7 = h * prod[:, :, _GAUSS_IDX] @ _WG
-    norm = math.sqrt(2.0 / math.pi)
-    return norm * k15.sum(axis=1), norm * float(np.abs(k15 - g7).sum(axis=1).max())
+    nodes = c[:, None] + h * _XK[None, :]
+    uv = u(nodes.ravel()).reshape(n, 15)
+    k15 = np.array([h * (np.sin(k * nodes) * uv) @ _WK for k in ks])
+    return math.sqrt(2.0 / math.pi) * k15.sum(axis=1)
+
+
+def _hydrogen_grid():
+    from qmoments.states import RadialGridState
+
+    r = np.arange(0.0, 40.01, 0.02)
+    return RadialGridState(r, 2.0 * r * np.exp(-r))
 
 
 def test_sine_transform_batch_matches_dense_reference_on_grid_state():
     from qmoments.states import RadialGridState
 
-    r = np.arange(0.0, 40.01, 0.02)
-    st = RadialGridState(r, 2.0 * r * np.exp(-r))
+    st = _hydrogen_grid()
     k_cut = st.momentum_table().k_cut
-    for ks in (np.linspace(1e-3, 0.1 * k_cut, 64), np.linspace(0.5 * k_cut, k_cut, 64)):
-        vals, err = sine_transform_batch(st.reduced_radial, ks, st.r_max, st.r_scale)
-        ref, ref_err = _dense_sine_transform(st.reduced_radial, ks, st.r_max, st.r_scale)
+    cases = [(st, np.linspace(1e-3, 0.1 * k_cut, 64)), (st, np.linspace(0.5 * k_cut, k_cut, 64))]
+    # geometric, with a leading r = 0, as in the grid benchmark; 96 k span several k-blocks
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
+    r4 = RadialGridState(r, r**4 * np.exp(-r))
+    cases.append((r4, np.linspace(1e-3, r4.momentum_table().k_cut, 96)))
+    for s, ks in cases:
+        k_max = float(ks.max())
+        vals = RadialSamples(s.reduced_radial, s.r_max, s.r_scale, k_max).sine_transform(ks)
+        ref = _dense_sine_transform(s.reduced_radial, ks, s.r_max, s.r_scale, k_max)
         assert np.abs(vals - ref).max() <= 1e-14
-        assert err == pytest.approx(ref_err, rel=0.01)
 
 
 def test_sine_transform_batch_blocks_match_single_k_and_cap_memory():
     import tracemalloc
 
-    from qmoments.states import RadialGridState
-
-    r = np.arange(0.0, 40.01, 0.02)
-    st = RadialGridState(r, 2.0 * r * np.exp(-r))
+    st = _hydrogen_grid()
     k_cut = st.momentum_table().k_cut
-    ks = np.linspace(k_cut / 128, k_cut, 128)
-
-    def transform(k):
-        return sine_transform_batch(st.reduced_radial, k, st.r_max, st.r_scale)[0]
-
-    vals = transform(ks)
-    # each k with k_cut beside it, so the radial panel count is the same
-    single = np.array([transform(np.array([k, k_cut]))[0] for k in ks])
-    assert np.abs(vals - single).max() <= 1e-15 * np.abs(single).max()
+    samples = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut)
+    ks = np.linspace(k_cut / 540, k_cut, 540)
+    vals = samples.sine_transform(ks)
+    for size in (1, 15):
+        parts = np.concatenate([samples.sine_transform(ks[i:i + size]) for i in range(0, ks.size, size)])
+        assert np.abs(vals - parts).max() <= 1e-15 * np.abs(parts).max()
 
     def peak(k):
         tracemalloc.start()
         try:
-            transform(k)
+            samples.sine_transform(k)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -372,17 +365,13 @@ def test_sine_transform_batch_blocks_match_single_k_and_cap_memory():
 def test_sine_transform_k_integral_reaches_tolerance():
     # <p^8> of r^4 e^{-r} weighs w(k)^2 by k^8, so rounding noise of the
     # transform in k would stall the adaptive rule long before this budget
-    from qmoments.quadrature import RadialSamples
     from qmoments.states import PowerExpRadialState
 
     st = PowerExpRadialState(4, 1.0)
     k_cut = 50.0
     samples = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut)
 
-    def w(k):
-        return samples.sine_transform(k)[0]
-
-    res = integrate(lambda k: w(k) ** 2 * k**8, Domain.finite(0.0, k_cut),
+    res = integrate(lambda k: samples.sine_transform(k) ** 2 * k**8, Domain.finite(0.0, k_cut),
                     Tolerances(abs_tol=1e-15, max_evals=20_000), breakpoints=[1.0])
     exact = integrate(lambda k: _power_exp_amplitude(st, k) ** 2 * k**8,
                       Domain.finite(0.0, k_cut), Tolerances(abs_tol=1e-15), breakpoints=[1.0])
