@@ -24,7 +24,7 @@ from .quadrature import (
     detect_divergence,
     integrate,
 )
-from .states import DIM_3D_SPHERICAL, ContinuousState, RadialStateBase
+from .states import DIM_3D_SPHERICAL, ContinuousState, RadialGridState, RadialStateBase
 
 POSITION_AXIS = "position_axis"
 MOMENTUM_AXIS = "momentum_axis"
@@ -117,7 +117,9 @@ def _origin_probe(f: Callable, hi: float) -> bool:
 
 
 def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
-    """<r^t> for any real t, classified before integration."""
+    """<r^t> for any real t, classified before integration. A grid state's
+    order comes from its knot table when that converges there, and from
+    adaptive integration otherwise."""
     rs = _require_radial(s)
     env = rs.radial_envelope().shifted(delta_origin=t, delta_tail=t)
     verdict = detect_divergence(env)
@@ -138,6 +140,10 @@ def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
             return MomentValue.divergent(
                 t, "doubling-domain probe (heuristic: no declared origin envelope)"
             )
+    if isinstance(rs, RadialGridState):
+        res = rs.knot_moment(t)
+        if res.converged:
+            return MomentValue.convergent(res.value, res.err_estimate, t)
     return _quad_moment(f, Domain.finite(0.0, rs.r_max), t, s.tol)
 
 

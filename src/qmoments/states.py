@@ -25,7 +25,10 @@ from .core import (
     CapabilityError, DataFormatError, DEFAULT_TOLERANCES, DomainError, NATURAL, PhysicalConstants,
     Tolerances,
 )
-from .quadrature import Domain, Envelope, RadialSamples, integrate, _kronrod_nodes, _WK
+from .quadrature import (
+    Domain, Envelope, QuadResult, RadialSamples, integrate, _kronrod_nodes, _kronrod_panels,
+    _NonFiniteIntegrand, _WK,
+)
 
 DIM_1D = "1d"
 DIM_3D_SPHERICAL = "3d-spherical"
@@ -348,6 +351,7 @@ class _PiecewiseCubic:
         # a zero row on each side catches the points left of r_0 and right of
         # r_N; the last edge sits one ulp above r_N so that r_N itself falls
         # in the last interval
+        self._knots = r
         self._edges = r.copy()
         self._edges[-1] = np.nextafter(r[-1], np.inf)
         self._left = np.concatenate(([0.0], r[:-1], [0.0]))
@@ -362,6 +366,19 @@ class _PiecewiseCubic:
             out *= s
             out += c.take(i)
         return out
+
+    def at_knot_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Values at the (intervals, 15) Kronrod nodes of the knot intervals,
+        and the intervals' half-widths. Row i lies in interval i, so one
+        Horner pass per row replaces the search of __call__, with the same
+        arithmetic and so the same values."""
+        s, h = _kronrod_nodes(self._knots[:-1], self._knots[1:])
+        s -= self._knots[:-1, None]
+        out = np.broadcast_to(self._coefs[0][1:-1, None], s.shape).copy()
+        for c in self._coefs[1:]:
+            out *= s
+            out += c[1:-1, None]
+        return out, h
 
 
 def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _PiecewiseCubic]:
@@ -393,9 +410,15 @@ class RadialGridState(RadialStateBase):
     """A state sampled as (r_i, u_i) and interpolated with a monotone local cubic.
 
     The grid must be strictly increasing. u is renormalized on construction
-    (the applied factor is recorded); outside the grid u is zero. Grids that
-    do not start at r = 0 must declare the origin power of u for divergence
-    classification of negative moments.
+    (the applied factor is recorded); outside the grid u is zero. The origin
+    power of u is the one declared, else fitted when the grid starts at
+    r = 0 with u = 0, else unknown: negative moments are then classified by
+    the doubling-domain probe, and momentum orders are refused.
+
+    u is kept at the 15 Kronrod nodes of every knot interval. K15 is exact
+    there for the square of a piecewise cubic, so the norm comes from this
+    table, and so does every position moment whose per-interval K-G error
+    sum meets the state's tolerances (knot_moment).
     """
 
     def __init__(
@@ -429,18 +452,39 @@ class RadialGridState(RadialStateBase):
         elif r[0] == 0.0 and u[0] == 0.0:
             self.origin_power_u = _origin_power(r, u)
         else:
-            self.origin_power_u = None  # unknown; negative moments will refuse
+            self.origin_power_u = None  # unknown; negative moments run the probe
 
-        norm2 = self._u_square_integral()
+        u_knots, h = self._interp.at_knot_nodes()
+        norm2 = float((h * (u_knots**2 @ _WK)).sum())
         if not (math.isfinite(norm2) and norm2 > 0.0):
             raise DataFormatError("grid wavefunction has non-finite or zero norm")
         self.norm_factor = 1.0 / math.sqrt(norm2)
+        u_knots *= self.norm_factor
+        self._u_knots = u_knots
 
-    def _u_square_integral(self) -> float:
-        # K15 per knot interval is exact for the square of a piecewise cubic
-        nodes, h = _kronrod_nodes(self._r[:-1], self._r[1:])
-        vals = self._interp(nodes.ravel()).reshape(nodes.shape) ** 2
-        return float((h * (vals @ _WK)).sum())
+    def knot_moment(self, t: float) -> QuadResult:
+        """<r^t> = int u^2 r^t dr by K15 on every knot interval, from the
+        tabled u: one evaluation of (u r^(t/2))^2, no refinement. Converged
+        by integrate's rule at the state's tolerances, on the summed K-G
+        errors of the intervals; failed on a non-finite value. An order the
+        fixed nodes cannot resolve (a steep power at the origin) does not
+        converge and needs integrate."""
+        u = self._u_knots
+
+        def f(x):
+            # (u x^(t/2))^2 with one temporary beside the nodes
+            ux = x ** (0.5 * t)
+            ux *= u
+            ux *= ux
+            return ux
+
+        try:
+            k, e = _kronrod_panels(f, self._r[:-1], self._r[1:])
+        except _NonFiniteIntegrand:
+            return QuadResult(math.nan, math.inf, u.size, converged=False, failed=True)
+        value, err = float(k.sum()), float(e.sum())
+        return QuadResult(value, err, u.size,
+                          converged=err <= max(self.tol.abs_tol, self.tol.rel_tol * abs(value)))
 
     def reduced_radial(self, r):
         return self.norm_factor * self._interp(r)
@@ -459,19 +503,15 @@ class RadialGridState(RadialStateBase):
 
     def kinetic_energy(self) -> float:
         """Gradient route with a coarseness check: the integral is recomputed
-        on the half-resolution grid and the difference is the error estimate."""
+        on the half-resolution grid (every other knot) and the difference is
+        the error estimate. u'^2 is a quartic on each knot interval, so both
+        integrals are K15 sums over the knot intervals, exact up to rounding
+        and independent of the state's tolerances."""
         c = self.constants
-        full = integrate(
-            lambda r: self.reduced_radial_derivative(r) ** 2,
-            Domain.finite(float(self._r[0]), self.r_max), self.tol,
-            breakpoints=list(self._r[1:-1:max(1, self._r.size // 64)]),
-        ).require("gradient integral")
+        full = self._square_integral(self._dinterp)
         coarse = self._r[::2]
         _, dcoarse = _monotone_cubic(coarse, self._interp(coarse))
-        half_val = integrate(
-            lambda r: (self.norm_factor * dcoarse(r)) ** 2,
-            Domain.finite(float(coarse[0]), float(coarse[-1])), self.tol,
-        ).value
+        half_val = self._square_integral(dcoarse)
         rel_err = abs(full - half_val) / max(abs(full), 1e-300)
         if rel_err > self.kinetic_rel_tol:
             raise CapabilityError(
@@ -479,6 +519,13 @@ class RadialGridState(RadialStateBase):
                 f"derivative error {rel_err:.2e} exceeds {self.kinetic_rel_tol:.0e}"
             )
         return c.hbar**2 / (2.0 * c.mass) * full
+
+    def _square_integral(self, f: _PiecewiseCubic) -> float:
+        """int (norm_factor f)^2 over f's knots by K15 on each interval."""
+        vals, h = f.at_knot_nodes()
+        vals *= self.norm_factor
+        vals *= vals
+        return float((h * (vals @ _WK)).sum())
 
     kinetic_rel_tol = 1e-4
 

@@ -363,8 +363,9 @@ def test_sine_transform_batch_blocks_match_single_k_and_cap_memory():
 
 
 def test_sine_transform_k_integral_reaches_tolerance():
-    # <p^8> of r^4 e^{-r} weighs w(k)^2 by k^8, so rounding noise of the
-    # transform in k would stall the adaptive rule long before this budget
+    # <p^8> of r^4 e^{-r} weighs w(k)^2 by k^8, so the transform's noise in k
+    # is magnified where the adaptive rule must still meet its target; the
+    # rounding of each phase k*x is checked directly by the next test
     from qmoments.states import PowerExpRadialState
 
     st = PowerExpRadialState(4, 1.0)
@@ -377,6 +378,26 @@ def test_sine_transform_k_integral_reaches_tolerance():
                       Domain.finite(0.0, k_cut), Tolerances(abs_tol=1e-15), breakpoints=[1.0])
     assert res.converged
     assert res.value == pytest.approx(exact.value, rel=1e-9)
+
+
+def test_sin_cos_outer_corrects_the_rounding_of_each_product():
+    # oracle: the exact residual d = k*x - fl(k*x) from rationals, then
+    # sin(k*x) = sin(p) + d cos(p) to first order, p = fl(k*x)
+    from fractions import Fraction
+
+    from qmoments.quadrature import _sin_cos_outer
+
+    ks = np.linspace(41.0, 50.0, 7) * (1.0 + 1.0 / 3.0)
+    x = np.linspace(0.7, 90.0, 11) * (1.0 + 1.0 / 7.0)
+    p = ks[:, None] * x[None, :]
+    d = np.array([[float(Fraction(k) * Fraction(xj) - Fraction(pk)) for xj, pk in zip(x, row)]
+                  for k, row in zip(ks, p)])
+    want_s, want_c = np.sin(p) + d * np.cos(p), np.cos(p) - d * np.sin(p)
+    s, c = _sin_cos_outer(ks, x)
+    assert np.abs(s - want_s).max() == 0.0
+    assert np.abs(c - want_c).max() == 0.0
+    # the plain phases miss by far more than the rounding of sin itself
+    assert np.abs(np.sin(p) - want_s).max() > 1e-13
 
 
 def test_finite_domain_validation():

@@ -139,8 +139,7 @@ _GRID_R = np.arange(0.0, 40.01, 0.02)
     lambda tol: HydrogenGroundState(tol=tol),
     lambda tol: PowerExpRadialState(4, 1.0, tol=tol),
     lambda tol: GaussianPacket(p0=0.7, tol=tol),
-    lambda tol: RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R), tol=tol),
-], ids=["hydrogen", "r4test", "gaussian", "h_grid"])
+], ids=["hydrogen", "r4test", "gaussian"])
 def test_kinetic_energy_integrates_at_the_state_tolerances(make, monkeypatch):
     import qmoments.states as st
 
@@ -158,6 +157,35 @@ def test_kinetic_energy_integrates_at_the_state_tolerances(make, monkeypatch):
     loose = make(Tolerances(rel_tol=1e-4)).kinetic_energy()
     assert 0 < sum(evals) < tight_evals
     assert loose == pytest.approx(tight, rel=1e-4)
+
+
+def _knot_oracle(st, f):
+    """int f over the grid by integrate at rel_tol 1e-13, split at every knot
+    and knot-interval midpoint: no panel straddles a knot, whose kink a K-G
+    estimate can miss (a u'^2 integral on the r4test grid from one panel
+    ends 1e-10 off under an error estimate of 1e-13 relative), and no node
+    is a node of the knot table."""
+    r = st._r
+    pts = np.sort(np.concatenate([r[1:-1], 0.5 * (r[:-1] + r[1:])]))
+    res = integrate(f, Domain.finite(r[0], r[-1]), Tolerances(rel_tol=1e-13, abs_tol=1e-300),
+                    breakpoints=pts)
+    assert res.converged
+    return res.value
+
+
+def test_grid_kinetic_energy_does_not_depend_on_the_tolerances(monkeypatch):
+    # u'^2 is a quartic on each knot interval: K15 per interval is exact and
+    # integrate is never called, whatever the state's tolerances
+    import qmoments.states as st
+
+    monkeypatch.setattr(st, "integrate", None)
+    grid = RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R))
+    tight = grid.kinetic_energy()
+    loose = RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R),
+                            tol=Tolerances(rel_tol=1e-4, abs_tol=1e-6, max_evals=45)).kinetic_energy()
+    assert loose == tight
+    want = 0.5 * _knot_oracle(grid, lambda r: grid.reduced_radial_derivative(r) ** 2)
+    assert tight == pytest.approx(want, rel=1e-12)
 
 
 def test_catalog_states_carry_the_tolerances(tmp_path):
@@ -521,6 +549,80 @@ def test_hydrogen_grid_momentum_moment_near_the_closed_form(q):
 def test_catalog_momentum_moment_independent_of_the_start(name, q):
     got = _momentum_moment(catalog()[name], q)
     assert got == pytest.approx(_two_panel_momentum_moment(catalog()[name], q), rel=1e-11)
+
+
+# --- knot-table moments of grid states ----------------------------------------
+
+
+@pytest.fixture
+def integrate_calls(monkeypatch):
+    """The integrate calls the moments make."""
+    from qmoments import moments as mo
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(mo, "integrate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [_hydrogen_grid, _r4test_grid], ids=["hydrogen", "r4test"])
+def test_grid_knot_table_matches_integrate_on_the_interpolant(make, integrate_calls):
+    from qmoments.moments import raw_radial_moment
+
+    st = make()
+    for t in (-2.0, -1.0, 0.5, 1.6, 4.0):
+        m = raw_radial_moment(st, t)
+        assert m.is_convergent
+        want = _knot_oracle(st, lambda r: (st.reduced_radial(r) * r ** (0.5 * t)) ** 2)
+        assert m.value == pytest.approx(want, rel=1e-12), t
+        assert m.err_estimate <= 1e-12 * want
+    assert integrate_calls == []
+    norm = st.knot_moment(0.0)
+    assert norm.converged
+    assert norm.value == pytest.approx(_knot_oracle(st, lambda r: st.reduced_radial(r) ** 2), rel=1e-12)
+    assert norm.value == pytest.approx(1.0, rel=1e-14)
+    kinetic = 0.5 * _knot_oracle(st, lambda r: st.reduced_radial_derivative(r) ** 2)
+    assert st.kinetic_energy() == pytest.approx(kinetic, rel=1e-12)
+
+
+def test_grid_origin_chain_falls_back_to_integrate(integrate_calls):
+    # u^2 r^-2.9 ~ r^-0.9 at the origin: the fixed nodes miss the target there
+    from qmoments.moments import raw_radial_moment
+
+    st = _hydrogen_grid()
+    assert not st.knot_moment(-2.9).converged
+    m = raw_radial_moment(st, -2.9)
+    assert m.is_convergent and len(integrate_calls) == 1
+    # <r^t> of hydrogen is 4 Gamma(t+3) / 2^(t+3); the grid's error, which
+    # r^-2.9 weighs toward the first knot intervals, is 5e-4 here
+    assert m.value == pytest.approx(4.0 * math.gamma(0.1) / 2.0**0.1, rel=1e-3)
+
+
+def _two_s_grid(h):
+    """Hydrogen 2s, u = (2r - r^2) e^(-r/2) / (2 sqrt 2), which changes sign
+    at r = 2, on a uniform grid to r = 60."""
+    r = np.arange(0.0, 60.0 + 0.5 * h, h)
+    return RadialGridState(r, (2.0 * r - r * r) * np.exp(-0.5 * r) / (2.0 * math.sqrt(2.0)))
+
+
+def _two_s_moment(t):
+    """<r^t> of hydrogen 2s: [4 Gamma(t+3) - 4 Gamma(t+4) + Gamma(t+5)] / 8."""
+    return (4.0 * math.gamma(t + 3.0) - 4.0 * math.gamma(t + 4.0) + math.gamma(t + 5.0)) / 8.0
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.5, 0.5, 1.0, 2.5, 4.0])
+def test_two_s_grid_position_moment_converges_with_the_spacing(t):
+    from qmoments.moments import raw_radial_moment
+
+    exact = _two_s_moment(t)
+    fine, coarse = (abs(raw_radial_moment(_two_s_grid(h), t).require() / exact - 1.0)
+                    for h in (0.01, 0.02))
+    assert fine <= 1e-8
+    assert 8.0 * fine <= coarse
 
 
 # --- monotone cubic interpolation of grid states ------------------------------
