@@ -21,7 +21,7 @@ from .core import (
     make_verdict,
     young_gap,
 )
-from .quadrature import Domain, Envelope, QuadResult, detect_divergence, integrate
+from .quadrature import Domain, QuadResult, integrate
 from .states import (
     ContinuousState,
     GaussianPacket,
@@ -37,7 +37,6 @@ from .matrixlab import (
     HermitianOperator,
     SpectralDecomposition,
     abs_central_moment_finite,
-    anticommutator,
     commutator,
     eigendecompose,
     expectation,

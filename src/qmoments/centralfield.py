@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, MomentValue, PhysicalConstants, _require_positive_finite
+from .core import DIVERGENT, DomainError, MomentValue, PhysicalConstants, _require_positive_finite
 from . import moments as mo
 from .states import ContinuousState
 
@@ -145,7 +145,7 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential) -> BuckinghamRe
 
     actual = gamma[<e^-r/r0> - sigma^6 <r^-6>] when <r^-6> converges; a
     divergent <r^-6> means the true mean is -infinity and the bound holds
-    vacuously."""
+    vacuously. A failed <r^-6> raises MomentsError: it decides nothing."""
     def exp_decay(r):
         with np.errstate(over="ignore"):  # r/r0 past the double range: e^-inf = 0
             return np.exp(-r / v.r0)
@@ -156,12 +156,12 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential) -> BuckinghamRe
     s6 = _sigma_power(v, 6)
     bound = v.gamma * (mean_exp - s6 / r6)
     rm6 = mo.raw_moment(s, mo.radial(), -6.0)
-    if not rm6.is_convergent:
+    if rm6.status == DIVERGENT:
         actual = MomentValue.divergent(
             1.0, f"<V> diverges to -infinity: <r^-6> {rm6.detail}"
         )
         return BuckinghamResult(bound, actual, consistent=True)
-    value = v.gamma * (mean_exp - s6 * rm6.value)
+    value = v.gamma * (mean_exp - s6 * rm6.require())
     actual = MomentValue.convergent(value, rm6.err_estimate * v.gamma * s6, 1.0)
     consistent = value <= bound + 1e-10 * max(1.0, abs(bound))
     return BuckinghamResult(bound, actual, consistent)
@@ -169,19 +169,19 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential) -> BuckinghamRe
 
 def lennard_jones_mean(s: ContinuousState, v: LennardJonesPotential) -> MomentValue:
     """<V_LJ> = 4 eps [sigma^12 <r^-12> - sigma^6 <r^-6>], convergent only
-    when both inverse moments converge; otherwise divergent with the
-    offending moment named."""
+    when both inverse moments converge; divergent with the offending moment
+    named when one diverges. A failed moment raises MomentsError."""
     rm12 = mo.raw_moment(s, mo.radial(), -12.0)
-    if not rm12.is_convergent:
+    if rm12.status == DIVERGENT:
         return MomentValue.divergent(
             1.0, f"<V_LJ> diverges to +infinity: <r^-12> {rm12.detail}"
         )
     rm6 = mo.raw_moment(s, mo.radial(), -6.0)
-    if not rm6.is_convergent:
+    if rm6.status == DIVERGENT:
         return MomentValue.divergent(
             1.0, f"<V_LJ> diverges: <r^-6> {rm6.detail}"
         )
     s6, s12 = _sigma_power(v, 6), _sigma_power(v, 12)
-    value = 4.0 * v.epsilon * (s12 * rm12.value - s6 * rm6.value)
+    value = 4.0 * v.epsilon * (s12 * rm12.require() - s6 * rm6.require())
     err = 4.0 * v.epsilon * (s12 * rm12.err_estimate + s6 * rm6.err_estimate)
     return MomentValue.convergent(value, err, 1.0)

@@ -62,10 +62,6 @@ class Exponents:
     w_f: float
     w_g: float
 
-    def swapped(self) -> "Exponents":
-        """The (q, p) pair; r_star is unchanged, the weights trade places."""
-        return make_exponents(self.q, self.p)
-
 
 def make_exponents(p: float, q: float) -> Exponents:
     """Build the derived exponent set for orders p, q > 0.

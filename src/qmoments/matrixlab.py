@@ -138,12 +138,6 @@ def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
     return a.entries @ b.entries - b.entries @ a.entries
 
 
-def anticommutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """{A, B} = AB + BA; Hermitian for Hermitian inputs."""
-    _check_dims(a, b)
-    return a.entries @ b.entries + b.entries @ a.entries
-
-
 def operator_abs_power(m, s: float) -> np.ndarray:
     """|M|^s as a positive semidefinite matrix.
 

@@ -3,8 +3,11 @@
 Moments of axis observables on spherically symmetric states use the exact
 angular reductions <|z|^s> = <r^s>/(s+1) and <|p_z|^s> = <p^s>/(s+1), so 3-d
 integrals never appear; everything is one-dimensional quadrature. Divergence
-is decided by envelope power counting before any integration; moments that
-fail the count are reported divergent, never as large finite numbers.
+is decided before any integration by exact power counting at the origin:
+with u ~ r^m there (the state's origin_power_u), an integrand u^2 r^shift
+diverges iff 2m + shift <= -1. Every radial integral stops at r_max, so the
+tail decides nothing. Divergent moments are reported as such, never as large
+finite numbers.
 """
 
 from __future__ import annotations
@@ -16,14 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import CapabilityError, DomainError, MomentValue, Tolerances
-from .quadrature import (
-    DIVERGENT_AT_INFINITY,
-    DIVERGENT_AT_ORIGIN,
-    Domain,
-    UNKNOWN,
-    detect_divergence,
-    integrate,
-)
+from .quadrature import Domain, integrate
 from .states import DIM_3D_SPHERICAL, ContinuousState, RadialGridState, RadialStateBase
 
 POSITION_AXIS = "position_axis"
@@ -97,23 +93,9 @@ def _quad_moment(f: Callable, d: Domain, order: float, tol: Tolerances, breakpoi
 # radial raw moments with divergence classification
 
 
-def _origin_probe(f: Callable, hi: float) -> bool:
-    """Doubling-domain heuristic for an undeclared origin: integrate on
-    [hi*2^-i, hi] for shrinking cutoffs and watch whether the increments die
-    out. This is a heuristic, reported as such in the MomentValue detail, and
-    is only consulted when no envelope was declared. Its tolerances are
-    fixed, not the state's: it classifies and reports no value."""
-    cuts = [hi * 2.0 ** (-i) for i in (12, 16, 20, 24)]
-    vals = []
-    for a in cuts:
-        vals.append(integrate(f, Domain.finite(a, hi),
-                              Tolerances(rel_tol=1e-8, abs_tol=1e-12, max_evals=20_000)).value)
-    inc1 = abs(vals[-2] - vals[-3])
-    inc2 = abs(vals[-1] - vals[-2])
-    scale = max(abs(vals[-1]), 1e-300)
-    if inc2 / scale < 1e-10:
-        return False  # converged
-    return inc2 > 0.25 * inc1  # increments not collapsing: treat as divergent
+def _origin_divergent(s: RadialStateBase, shift: float) -> bool:
+    """Whether u^2 r^shift fails to integrate at r = 0; u ~ r^m there."""
+    return 2.0 * s.origin_power_u + shift <= -1.0
 
 
 def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
@@ -121,29 +103,20 @@ def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
     order comes from its knot table when that converges there, and from
     adaptive integration otherwise."""
     rs = _require_radial(s)
-    env = rs.radial_envelope().shifted(delta_origin=t, delta_tail=t)
-    verdict = detect_divergence(env)
-    if verdict == DIVERGENT_AT_ORIGIN:
+    if _origin_divergent(rs, t):
         return MomentValue.divergent(t, "origin power counting: non-integrable at r=0")
-    if verdict == DIVERGENT_AT_INFINITY:
-        return MomentValue.divergent(t, "tail power counting: non-integrable at infinity")
-
-    def f(r):
-        # u^2 r^t as (u r^(t/2))^2: r^t alone overflows at the nodes next to
-        # r = 0 that negative orders are refined toward
-        return (rs.reduced_radial(r) * r ** (0.5 * t)) ** 2
-
-    if verdict == UNKNOWN:
-        if t >= 0.0:
-            pass  # bounded density times a bounded power: origin is harmless
-        elif _origin_probe(f, rs.r_max):
-            return MomentValue.divergent(
-                t, "doubling-domain probe (heuristic: no declared origin envelope)"
-            )
     if isinstance(rs, RadialGridState):
         res = rs.knot_moment(t)
         if res.converged:
             return MomentValue.convergent(res.value, res.err_estimate, t)
+
+    def f(r):
+        # u^2 r^t as (u r^(t/2))^2: r^t alone overflows at the nodes next to
+        # r = 0 that negative orders are refined toward. Where even r^(t/2)
+        # overflows, the value is not finite and the result is failed.
+        with np.errstate(over="ignore"):
+            return (rs.reduced_radial(r) * r ** (0.5 * t)) ** 2
+
     return _quad_moment(f, Domain.finite(0.0, rs.r_max), t, s.tol)
 
 
@@ -197,8 +170,7 @@ def raw_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
         return raw_radial_moment(s, -order)
     if o.kind == CUSTOM_RADIAL:
         rs = _require_radial(s)
-        env = rs.radial_envelope().shifted(delta_origin=order * o.fn_origin_power)
-        if detect_divergence(env) == DIVERGENT_AT_ORIGIN:
+        if _origin_divergent(rs, order * o.fn_origin_power):
             return MomentValue.divergent(order, f"origin power counting on {o.fn_label}")
 
         def f(r):
@@ -254,8 +226,7 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
         inv_mean = raw_radial_moment(s, -1.0)
         if not inv_mean.is_convergent:
             return MomentValue(inv_mean.status, order, None, math.inf, inv_mean.detail)
-        env = rs.radial_envelope().shifted(delta_origin=-order)
-        if detect_divergence(env) == DIVERGENT_AT_ORIGIN:
+        if _origin_divergent(rs, -order):
             return MomentValue.divergent(order, "origin power counting on (1/r - <1/r>)")
         mu = inv_mean.value
 

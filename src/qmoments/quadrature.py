@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import CONVERGENT, DEFAULT_TOLERANCES, DomainError, MomentsError, Tolerances
+from .core import DEFAULT_TOLERANCES, DomainError, MomentsError, Tolerances
 
 # 15-point Kronrod nodes on [-1, 1] and their weights, with the embedded
 # 7-point Gauss weights (nonzero only on the odd-indexed nodes).
@@ -57,10 +57,6 @@ _W_PANEL = np.stack([_WK, _WKG], axis=1)
 FINITE = "finite"
 SEMI_INFINITE = "semi_infinite"
 INFINITE = "infinite"
-
-DIVERGENT_AT_ORIGIN = "divergent_at_origin"
-DIVERGENT_AT_INFINITY = "divergent_at_infinity"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -232,49 +228,6 @@ def integrate(
 
     converged = errsum <= max(tol.abs_tol, tol.rel_tol * abs(total))
     return QuadResult(total, errsum, evals, converged)
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Local behavior of an integrand on [origin, inf).
-
-    origin_power s0 means the integrand behaves like r^s0 at the origin
-    endpoint. tail is ("exp", rate) for e^{-rate*r} decay (times any power)
-    or ("power", p) for r^p decay; None means unknown.
-    """
-
-    origin_power: float | None = None
-    tail: tuple[str, float] | None = None
-
-    def shifted(self, delta_origin: float = 0.0, delta_tail: float = 0.0) -> "Envelope":
-        """Envelope after multiplying the integrand by r^delta at each end."""
-        op = None if self.origin_power is None else self.origin_power + delta_origin
-        tl = self.tail
-        if tl is not None and tl[0] == "power":
-            tl = ("power", tl[1] + delta_tail)
-        return Envelope(op, tl)
-
-
-def detect_divergence(env: Envelope) -> str:
-    """Integrability classification of an envelope on [0, inf).
-
-    The origin is non-integrable iff the local power is <= -1; a power tail
-    is non-integrable iff its exponent is >= -1; exponential tails always
-    integrate. Unknown pieces yield "unknown" and the caller must fall back
-    to budgeted integration.
-    """
-    if env.origin_power is None or env.tail is None:
-        return UNKNOWN
-    if env.origin_power <= -1.0:
-        return DIVERGENT_AT_ORIGIN
-    kind, val = env.tail
-    if kind == "exp":
-        if val <= 0.0:
-            return DIVERGENT_AT_INFINITY
-        return CONVERGENT
-    if kind == "power":
-        return CONVERGENT if val < -1.0 else DIVERGENT_AT_INFINITY
-    return UNKNOWN
 
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)

@@ -26,7 +26,7 @@ from .core import (
     Tolerances,
 )
 from .quadrature import (
-    Domain, Envelope, QuadResult, RadialSamples, integrate, _kronrod_nodes, _kronrod_panels,
+    Domain, QuadResult, RadialSamples, integrate, _kronrod_nodes, _kronrod_panels,
     _NonFiniteIntegrand, _WK,
 )
 
@@ -56,9 +56,6 @@ class ContinuousState:
 
     def reduced_radial(self, r):
         raise CapabilityError(f"{self.label} has no reduced radial wavefunction")
-
-    def radial_envelope(self) -> Envelope:
-        raise CapabilityError(f"{self.label} has no radial envelope")
 
     # -- axis marginals ------------------------------------------------------
     def axis_position_density(self, axis: int, z):
@@ -190,7 +187,8 @@ class RadialStateBase(ContinuousState):
 
     dimensionality = DIM_3D_SPHERICAL
 
-    #: u ~ r^origin_power_u near the origin
+    #: u ~ r^origin_power_u near the origin; inf when u is zero on some
+    #: interval [0, a]
     origin_power_u: float = 1.0
     r_max: float = 50.0
     r_scale: float = 1.0
@@ -212,9 +210,6 @@ class RadialStateBase(ContinuousState):
         if np.any(r < 0.0):
             raise DomainError("radial coordinate must be >= 0")
         return self.reduced_radial(r) ** 2
-
-    def radial_envelope(self) -> Envelope:
-        return Envelope(2.0 * self.origin_power_u, ("exp", 2.0 / self.r_scale))
 
     def momentum_tail_power(self) -> float:
         """Decay exponent tau of w(k) ~ k^tau, from the origin behavior of u.
@@ -411,9 +406,12 @@ class RadialGridState(RadialStateBase):
 
     The grid must be strictly increasing. u is renormalized on construction
     (the applied factor is recorded); outside the grid u is zero. The origin
-    power of u is the one declared, else fitted when the grid starts at
-    r = 0 with u = 0, else unknown: negative moments are then classified by
-    the doubling-domain probe, and momentum orders are refused.
+    power m of u (u ~ r^m at r = 0) is the one declared, else read off the
+    grid: inf when the grid starts at r > 0 (u is zero below it, so every
+    <r^t> is finite, and momentum orders are refused), 0 when it starts at
+    r = 0 with u != 0 (a jump: <r^t> is finite exactly for t > -1, and
+    w ~ k^-1, so <p^q> exactly for q < 1), and fitted when it starts at
+    r = 0 with u = 0.
 
     u is kept at the 15 Kronrod nodes of every knot interval. K15 is exact
     there for the square of a piecewise cubic, so the norm comes from this
@@ -449,10 +447,12 @@ class RadialGridState(RadialStateBase):
 
         if origin_power is not None:
             self.origin_power_u = float(origin_power)
-        elif r[0] == 0.0 and u[0] == 0.0:
-            self.origin_power_u = _origin_power(r, u)
+        elif r[0] > 0.0:
+            self.origin_power_u = math.inf  # u is zero below r[0]
+        elif u[0] != 0.0:
+            self.origin_power_u = 0.0  # a jump at the origin
         else:
-            self.origin_power_u = None  # unknown; negative moments run the probe
+            self.origin_power_u = _origin_power(r, u)
 
         u_knots, h = self._interp.at_knot_nodes()
         norm2 = float((h * (u_knots**2 @ _WK)).sum())
@@ -492,13 +492,9 @@ class RadialGridState(RadialStateBase):
     def reduced_radial_derivative(self, r):
         return self.norm_factor * self._dinterp(r)
 
-    def radial_envelope(self) -> Envelope:
-        op = None if self.origin_power_u is None else 2.0 * self.origin_power_u
-        return Envelope(op, ("exp", 1.0 / self.r_scale))
-
     def momentum_tail_power(self) -> float:
-        if self.origin_power_u is None:
-            raise CapabilityError("grid state has no declared origin power for momentum tails")
+        if math.isinf(self.origin_power_u):
+            raise CapabilityError("u is zero near r = 0: no origin power sets the momentum tail")
         return super().momentum_tail_power()
 
     def kinetic_energy(self) -> float:

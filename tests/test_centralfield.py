@@ -13,10 +13,10 @@ from qmoments.centralfield import (
     lennard_jones_mean,
     virial_report,
 )
-from qmoments.core import DomainError, NATURAL
+from qmoments.core import DomainError, MomentsError, NATURAL
 from qmoments.moments import custom_radial, radial, raw_moment
 from qmoments.rng import SplitMix64
-from qmoments.states import HydrogenGroundState, PowerExpRadialState
+from qmoments.states import HydrogenGroundState, PowerExpRadialState, RadialGridState
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,16 @@ def test_buckingham_hydrogen_divergent(hydrogen):
     assert "-infinity" in res.actual.detail
     assert res.consistent  # vacuously
     assert math.isfinite(res.bound)
+
+
+def test_buckingham_failed_moment_is_not_a_divergence():
+    # on the geometric r4test grid <r^-6> counts as finite but its quadrature
+    # stalls; a failed moment decides nothing, so there is no vacuous pass
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
+    st = RadialGridState(r, r**4 * np.exp(-r))
+    assert raw_moment(st, radial(), -6.0).status == "failed"
+    with pytest.raises(MomentsError, match="failed"):
+        buckingham_bound(st, BuckinghamPotential(1.0, 1.0, 1.0))
 
 
 def test_buckingham_repulsion_only_limit(r4test):

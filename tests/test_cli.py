@@ -301,6 +301,17 @@ def test_central_buckingham_divergence_exit(capsys):
     assert math.isfinite(buck["bound"])
 
 
+def test_central_buckingham_failed_moment_is_one_line_error(tmp_path, capsys):
+    # <r^-6> fails on the geometric r4test grid: exit 1, not a divergence
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
+    grid = tmp_path / "r4_grid.txt"
+    np.savetxt(grid, np.c_[r, r**4 * np.exp(-r)])
+    assert main(["central", "--grid", str(grid), "--buckingham", "1,1,1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+
 def test_central_buckingham_r4test(capsys):
     code, doc = run_json(capsys, ["central", "--state", "r4test", "--buckingham", "1,1,1"])
     assert code == EXIT_OK

@@ -62,7 +62,7 @@ def test_exponent_invariants_random():
 
 def test_exponent_swap_symmetry():
     e = make_exponents(3.7, 1.2)
-    s = e.swapped()
+    s = make_exponents(e.q, e.p)
     assert s.r_star == pytest.approx(e.r_star, abs=1e-15)
     assert s.w_f == pytest.approx(e.w_g, abs=1e-15)
     assert s.w_g == pytest.approx(e.w_f, abs=1e-15)

@@ -69,7 +69,7 @@ def test_holder_swap_symmetry():
     d = random_density(rng, 64)
     e = make_exponents(2.6, 1.3)
     v1 = holder_verdict(d, e)
-    v2 = holder_verdict(DiscreteDensity(d.g, d.f, d.w), e.swapped())
+    v2 = holder_verdict(DiscreteDensity(d.g, d.f, d.w), make_exponents(e.q, e.p))
     assert v1.holds == v2.holds
     assert v1.ratio == pytest.approx(v2.ratio, abs=1e-12)
 

@@ -10,7 +10,6 @@ from qmoments.matrixlab import (
     HermitianOperator,
     abs_central_moment_finite,
     abs_power_expectation,
-    anticommutator,
     central_shift,
     commutator,
     eigendecompose,
@@ -194,23 +193,6 @@ def test_commutator_anti_hermitian_random():
     b = random_hermitian(rng, 6)
     c = commutator(a, b)
     assert np.abs(c + c.conj().T).max() <= 1e-12 * max(1.0, np.abs(c).max())
-
-
-def test_anticommutator_pauli_vanishes():
-    assert np.abs(anticommutator(SX, SY)).max() <= 1e-14
-
-
-def test_anticommutator_identity():
-    ident = HermitianOperator(np.eye(3))
-    assert np.allclose(anticommutator(ident, ident), 2 * np.eye(3))
-
-
-def test_anticommutator_hermitian_random():
-    rng = SplitMix64(9)
-    a = random_hermitian(rng, 5)
-    b = random_hermitian(rng, 5)
-    d = anticommutator(a, b)
-    assert np.abs(d - d.conj().T).max() <= 1e-12 * max(1.0, np.abs(d).max())
 
 
 def test_dimension_mismatch():

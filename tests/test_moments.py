@@ -216,14 +216,19 @@ def test_radial_inverse_central_moment(hydrogen):
     assert m.value == pytest.approx(1.0, rel=1e-8)
 
 
-def test_undeclared_origin_probe_path():
-    # grid away from the origin, no declared power: the doubling probe runs
-    r = np.linspace(0.5, 30.0, 2000)
-    u = r * np.exp(-r)
-    st = RadialGridState(r, u)
-    assert st.origin_power_u is None
-    m = raw_moment(st, radial(), -2.0)
-    assert m.is_convergent  # density vanishes below r=0.5, so no singularity
+def test_origin_power_counting_on_inverse_and_custom_radial(hydrogen):
+    # u ~ r at the origin, so u^2 r^shift diverges exactly for shift <= -3,
+    # whether the shift comes from (1/r - <1/r>)^s or from a custom f^s
+    inv = abs_central_moment(hydrogen, radial_inverse(), 3.0)
+    assert inv.status == "divergent"
+    assert inv.detail == "origin power counting on (1/r - <1/r>)"
+    assert abs_central_moment(hydrogen, radial_inverse(), 2.9).is_convergent
+    obs = custom_radial(lambda r: 1.0 / np.asarray(r), origin_power=-1.0, label="1/r")
+    cust = raw_moment(hydrogen, obs, 3.0)
+    assert cust.status == "divergent"
+    assert cust.detail == "origin power counting on 1/r"
+    want = 4.0 * math.gamma(0.1) / 2.0**0.1  # <r^-2.9> = 4 Gamma(0.1) / 2^0.1
+    assert raw_moment(hydrogen, obs, 2.9).value == pytest.approx(want, rel=1e-9)
 
 
 # --- the isotropy shortcut against the axis marginals ------------------------

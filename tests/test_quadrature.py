@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from qmoments.core import DomainError, MomentsError, Tolerances
-from qmoments.quadrature import (
-    CONVERGENT,
-    DIVERGENT_AT_INFINITY,
-    DIVERGENT_AT_ORIGIN,
-    Domain,
-    Envelope,
-    RadialSamples,
-    UNKNOWN,
-    detect_divergence,
-    integrate,
-)
+from qmoments.quadrature import Domain, RadialSamples, integrate
 from qmoments.rng import SplitMix64
 
 
@@ -208,35 +198,6 @@ def test_jump_at_irrational_point_terminates(rel_tol, converged):
     assert res.converged is converged
     assert res.evaluations <= 1_000_000
     assert abs(res.value - (1.0 - c)) <= res.err_estimate + 1e-15
-
-
-def test_detect_divergence_log_origin():
-    assert detect_divergence(Envelope(-1.0, ("exp", 2.0))) == DIVERGENT_AT_ORIGIN
-
-
-def test_detect_divergence_convergent():
-    assert detect_divergence(Envelope(2.0, ("exp", 2.0))) == CONVERGENT
-
-
-def test_detect_divergence_inverse_sixth():
-    # r^2 density against r^-6: net power -4 at the origin
-    assert detect_divergence(Envelope(2.0 - 6.0, ("exp", 2.0))) == DIVERGENT_AT_ORIGIN
-
-
-def test_detect_divergence_tail():
-    assert detect_divergence(Envelope(0.0, ("power", -0.5))) == DIVERGENT_AT_INFINITY
-    assert detect_divergence(Envelope(0.0, ("power", -2.5))) == CONVERGENT
-
-
-def test_detect_divergence_unknown():
-    assert detect_divergence(Envelope(None, ("exp", 1.0))) == UNKNOWN
-    assert detect_divergence(Envelope(1.0, None)) == UNKNOWN
-
-
-def test_envelope_shift():
-    env = Envelope(2.0, ("power", -7.0)).shifted(delta_origin=-6.0, delta_tail=2.0)
-    assert env.origin_power == -4.0
-    assert env.tail == ("power", -5.0)
 
 
 # --- sine transform ---------------------------------------------------------

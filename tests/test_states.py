@@ -288,6 +288,57 @@ def test_grid_state_origin_power_falls_back_without_three_samples():
     assert RadialGridState(r, u).origin_power_u == 1.0
 
 
+def test_grid_starting_past_the_origin_has_every_position_order():
+    # u is zero below r[0] = 0.5, so no order is singular at the origin; the
+    # momentum tail has no origin power to come from
+    from qmoments.moments import raw_radial_moment
+
+    r = np.linspace(0.5, 30.0, 2000)
+    st = RadialGridState(r, r * np.exp(-r))
+    assert st.origin_power_u == math.inf
+    for t in (-2.0, -6.0):
+        m = raw_radial_moment(st, t)
+        assert m.is_convergent, t
+        want = _knot_oracle(st, lambda x: (st.reduced_radial(x) * x ** (0.5 * t)) ** 2)
+        assert m.value == pytest.approx(want, rel=1e-12), t
+    with pytest.raises(CapabilityError):
+        _momentum_moment(st, 0.5)
+
+
+def _jump_grid():
+    """u = e^-r on r = 0:0.02:30, so u(0) = 1: a jump at the origin."""
+    r = np.arange(0.0, 30.01, 0.02)
+    return RadialGridState(r, np.exp(-r))
+
+
+def test_grid_with_a_jump_at_the_origin_counts_position_orders_exactly():
+    # u^2 r^t ~ r^t at the origin: finite exactly for t > -1, where
+    # <r^t> = 2 Gamma(t+1) / 2^(t+1)
+    from qmoments.moments import raw_radial_moment
+
+    st = _jump_grid()
+    assert st.origin_power_u == 0.0
+    assert raw_radial_moment(st, -1.0).status == "divergent"
+    for t in (-0.5, -0.9):
+        m = raw_radial_moment(st, t)
+        assert m.is_convergent, t
+        assert m.value == pytest.approx(2.0 * math.gamma(t + 1.0) / 2.0 ** (t + 1.0), rel=2e-7), t
+
+
+def test_grid_with_a_jump_at_the_origin_counts_momentum_orders_exactly():
+    # the jump makes w ~ k^-1: w(k) = (2/sqrt(pi)) k/(1+k^2) for the
+    # normalized u = sqrt(2) e^-r, so <p^q> = (2/pi) B((3+q)/2, (1-q)/2),
+    # finite exactly for q < 1
+    from qmoments.moments import abs_central_moment, momentum_axis
+
+    st = _jump_grid()
+    for q in (0.5, 0.9):
+        a, b = 0.5 * (3.0 + q), 0.5 * (1.0 - q)
+        want = 2.0 / math.pi * math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+        assert _momentum_moment(st, q) == pytest.approx(want, rel=2e-6), q
+    assert abs_central_moment(st, momentum_axis(3), 1.0).status == "divergent"
+
+
 def test_grid_state_momentum_moment_beyond_the_old_origin_estimate():
     # with the two-sample estimate (0.97) the h = 0.02 hydrogen grid called
     # every order q >= 2.94 divergent; <|p_z|^3> = <p^3>/4 = 4/(3 pi) is finite
