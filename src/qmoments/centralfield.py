@@ -10,16 +10,22 @@ to large numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DIVERGENT, DomainError, MomentValue, PhysicalConstants, _require_positive_finite
+from .core import (
+    DIVERGENT,
+    DomainError,
+    MomentValue,
+    PhysicalConstants,
+    _require_positive_finite,
+    record,
+)
 from . import moments as mo
 from .states import ContinuousState
 
 
-@dataclass(frozen=True)
+@record
 class PowerLawPotential:
     """V(r) = -beta / r^alpha."""
 
@@ -31,7 +37,7 @@ class PowerLawPotential:
             _require_positive_finite(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@record
 class LennardJonesPotential:
     """V(r) = 4 eps [ (sigma/r)^12 - (sigma/r)^6 ]."""
 
@@ -43,7 +49,7 @@ class LennardJonesPotential:
             _require_positive_finite(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@record
 class BuckinghamPotential:
     """V(r) = gamma [ e^{-r/r0} - (sigma/r)^6 ]."""
 
@@ -56,7 +62,7 @@ class BuckinghamPotential:
             _require_positive_finite(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
+@record
 class VirialReport:
     """Kinetic/potential means, total energy, and the scale-free residual
     |<T> + (alpha/2)<V>| / max(|<T>|, |<V>|).
@@ -133,7 +139,7 @@ def _sigma_power(v: BuckinghamPotential | LennardJonesPotential, n: int) -> floa
         raise DomainError(f"sigma^{n} overflows a double (sigma={v.sigma!r})") from None
 
 
-@dataclass(frozen=True)
+@record
 class BuckinghamResult:
     bound: float
     actual: MomentValue

@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any
 
@@ -39,7 +38,9 @@ from .core import (
     Tolerances,
     Verdict,
     _require_slack,
+    fresh,
     make_exponents,
+    record,
 )
 from . import centralfield as cf
 from . import inequalities as iq
@@ -69,7 +70,7 @@ MAX_CLI_ORDER = 64.0
 MIN_CLI_ORDER = 0.05
 
 
-@dataclass
+@record(frozen=False)
 class RunConfig:
     tol: Tolerances = DEFAULT_TOLERANCES
     slack: float | None = None
@@ -92,14 +93,14 @@ class RunConfig:
         return NATURAL if self.si else self.constants
 
 
-@dataclass
+@record(frozen=False)
 class Outcomes:
     checks: int = 0
     holds: int = 0
     violations: int = 0
     divergent: int = 0
     failed: int = 0
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] = fresh(list)
 
     def add(self, v: Verdict, cell: str = "") -> None:
         """Count one verdict; cell names a sweep cell in the notes."""

@@ -7,8 +7,7 @@ across threads and processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 class MomentsError(Exception):
@@ -45,7 +44,101 @@ def _require_slack(x: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
+class _Fresh:
+    """A record field default built anew for each instance (see fresh)."""
+
+    def __init__(self, make: Callable[[], Any]):
+        self.make = make
+
+
+def fresh(make: Callable[[], Any]) -> Any:
+    """Default for a record field whose value is make(), called once per instance."""
+    return _Fresh(make)
+
+
+def record(cls: type | None = None, /, *, frozen: bool = True):
+    """Make cls a value type over its annotated fields, in annotation order.
+
+    Installs __init__ (by position or keyword, with the class-level defaults;
+    then __post_init__ when the class defines one), a Name(field=...)
+    __repr__, field-wise __eq__, and for a frozen type a field-wise __hash__
+    and a __setattr__/__delattr__ that raise AttributeError; a mutable type
+    is unhashable. The methods are closures over the field names, so no
+    code is generated and compiled per class: the import cost matters to a
+    CLI that starts once per check.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    for n, d in defaults.items():
+        if isinstance(d, _Fresh):
+            delattr(cls, n)
+    post_init = cls.__dict__.get("__post_init__")
+    nfields = len(names)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > nfields:
+            raise TypeError(f"{type(self).__qualname__}() takes {nfields} "
+                            f"positional arguments but {len(args)} were given")
+        values = dict(zip(names, args))
+        for n in names[len(args):]:
+            if n in kwargs:
+                values[n] = kwargs.pop(n)
+            elif n in defaults:
+                d = defaults[n]
+                values[n] = d.make() if isinstance(d, _Fresh) else d
+            else:
+                raise TypeError(f"{type(self).__qualname__}() missing argument {n!r}")
+        if kwargs:
+            n = next(iter(kwargs))
+            what = "multiple values for" if n in values else "an unexpected keyword"
+            raise TypeError(f"{type(self).__qualname__}() got {what} argument {n!r}")
+        self.__dict__.update(values)
+        if post_init is not None:
+            post_init(self)
+
+    def fields(self) -> tuple:
+        return tuple(getattr(self, n) for n in names)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return fields(self) == fields(other)
+
+    cls._fields = names
+    cls.__init__ = __init__
+    cls.__repr__ = __repr__
+    cls.__eq__ = __eq__
+    if frozen:
+        def __hash__(self) -> int:
+            return hash(fields(self))
+
+        def __setattr__(self, name, value):
+            raise AttributeError(f"cannot assign to field {name!r}")
+
+        def __delattr__(self, name):
+            raise AttributeError(f"cannot delete field {name!r}")
+
+        cls.__hash__ = __hash__
+        cls.__setattr__ = __setattr__
+        cls.__delattr__ = __delattr__
+    else:
+        cls.__hash__ = None
+    return cls
+
+
+def replace(obj, /, **changes):
+    """A copy of the record obj with the given fields changed; the copy is
+    built by its __init__, so __post_init__ validates it again."""
+    return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
+
+
+@record
 class Exponents:
     """An order pair (p, q) with its derived product-side exponent and weights.
 
@@ -97,7 +190,7 @@ def young_gap(c: float, d: float, e: Exponents) -> float:
     return c**e.p / e.p + d**e.q / e.q - cross
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalConstants:
     """hbar, particle mass, and the length scale a0. Defaults are natural units."""
 
@@ -116,7 +209,7 @@ NATURAL = PhysicalConstants()
 SI = PhysicalConstants(hbar=1.054571817e-34, mass=9.1093837015e-31, a0=5.29177210903e-11)
 
 
-@dataclass(frozen=True)
+@record
 class Tolerances:
     """Accuracy target of every integral: a panel sum converges once its
     error meets max(abs_tol, rel_tol*|value|) within max_evals integrand
@@ -145,7 +238,7 @@ FAILED = "failed"
 OK = "ok"
 
 
-@dataclass(frozen=True)
+@record
 class MomentValue:
     """Outcome of a moment computation.
 
@@ -190,7 +283,7 @@ def default_slack(rhs: float) -> float:
     return 1e-9 * max(1.0, abs(rhs))
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """One inequality check: sides, ratio, margin, and the boolean outcome.
 
@@ -207,7 +300,7 @@ class Verdict:
     lhs: float
     rhs: float
     slack: float
-    inputs: dict[str, Any] = field(default_factory=dict)
+    inputs: dict[str, Any] = fresh(dict)
     status: str = OK
     detail: str = ""
 

@@ -14,7 +14,6 @@ Two different contracts coexist here and the distinction matters:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -31,6 +30,8 @@ from .core import (
     Verdict,
     make_exponents,
     make_verdict,
+    record,
+    replace,
 )
 from .matrixlab import (
     FiniteState,
@@ -44,7 +45,7 @@ from . import moments as mo
 from .states import ContinuousState
 
 
-@dataclass(frozen=True)
+@record
 class DiscreteDensity:
     """Weighted sample points (f_i, g_i, w_i); weights renormalized to sum 1."""
 
@@ -82,7 +83,7 @@ class DiscreteDensity:
         return DiscreteDensity(f, g, np.ones_like(f))
 
 
-@dataclass(frozen=True)
+@record
 class RadialFunction:
     """A radial factor with the origin power needed for divergence counting."""
 
@@ -283,7 +284,7 @@ def uncertainty_chain_finite(
 # sweeps
 
 
-@dataclass(frozen=True)
+@record
 class SweepTable:
     """One verdict per (p, q) cell, named by its inputs p, q and r_star."""
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataFormatError, DecompositionError, DomainError
+from .core import DataFormatError, DecompositionError, DomainError, record
 from .rng import SplitMix64
 
 _HERMITICITY_ATOL = 1e-12
@@ -40,7 +39,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@record
 class HermitianOperator:
     """An n x n complex matrix validated to equal its conjugate transpose."""
 
@@ -63,7 +62,7 @@ class HermitianOperator:
         return HermitianOperator(self.entries * float(c))
 
 
-@dataclass(frozen=True)
+@record
 class FiniteState:
     """A unit-norm complex amplitude vector."""
 
@@ -83,7 +82,7 @@ class FiniteState:
         return self.amplitudes.shape[0]
 
 
-@dataclass(frozen=True)
+@record
 class SpectralDecomposition:
     """Eigenvalues ascending, eigenvector columns unitary and phase-fixed."""
 

@@ -13,12 +13,11 @@ finite numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .core import CapabilityError, DomainError, MomentValue, Tolerances
+from .core import CapabilityError, DomainError, MomentValue, Tolerances, record, replace
 from .quadrature import Domain, integrate
 from .states import DIM_3D_SPHERICAL, ContinuousState, RadialGridState, RadialStateBase
 
@@ -29,7 +28,7 @@ RADIAL_INVERSE = "radial_inverse"
 CUSTOM_RADIAL = "custom_radial"
 
 
-@dataclass(frozen=True)
+@record
 class Observable:
     """What is being averaged: an axis coordinate, an axis momentum, r, 1/r,
     or a caller-supplied radial function with a declared origin power.

@@ -19,12 +19,11 @@ panel, so an integrand that is not elementwise must keep that shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, DomainError, MomentsError, Tolerances
+from .core import DEFAULT_TOLERANCES, DomainError, MomentsError, Tolerances, record
 
 # 15-point Kronrod nodes on [-1, 1] and their weights, with the embedded
 # 7-point Gauss weights (nonzero only on the odd-indexed nodes).
@@ -59,7 +58,7 @@ SEMI_INFINITE = "semi_infinite"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
+@record
 class Domain:
     """Integration interval: finite [a, b], semi-infinite [a, inf), or the real line."""
 
@@ -83,7 +82,7 @@ class Domain:
         return Domain(INFINITE)
 
 
-@dataclass(frozen=True)
+@record
 class QuadResult:
     value: float
     err_estimate: float

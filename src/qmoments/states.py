@@ -404,8 +404,10 @@ def _origin_power(r: np.ndarray, u: np.ndarray) -> float:
 class RadialGridState(RadialStateBase):
     """A state sampled as (r_i, u_i) and interpolated with a monotone local cubic.
 
-    The grid must be strictly increasing. u is renormalized on construction
-    (the applied factor is recorded); outside the grid u is zero. The origin
+    The grid must be strictly increasing. u is divided by the power of two
+    that puts max|u| in [0.5, 1), which is exact and keeps u^2 inside the
+    double range at any amplitude scale, then renormalized (norm_factor is
+    the factor applied to the scaled u); outside the grid u is zero. The origin
     power m of u (u ~ r^m at r = 0) is the one declared, else read off the
     grid: inf when the grid starts at r > 0 (u is zero below it, so every
     <r^t> is finite, and momentum orders are refused), 0 when it starts at
@@ -440,7 +442,8 @@ class RadialGridState(RadialStateBase):
         if not np.all(np.isfinite(u)):
             raise DataFormatError("grid wavefunction values must be finite")
         self._r = r
-        self._interp, self._dinterp = _monotone_cubic(r, u)
+        peak_exp = math.frexp(np.abs(u).max())[1]
+        self._interp, self._dinterp = _monotone_cubic(r, np.ldexp(u, -peak_exp))
         self.r_max = float(r[-1])
         self.r_scale = max(self.r_max / 90.0, float(np.median(np.diff(r))))
         self.label = label

@@ -525,12 +525,24 @@ def test_malformed_config_is_one_line_error(config, tmp_path, capsys):
     assert err.startswith("error: bad config file") and err.count("\n") == 1
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency: the CLI must import and run without it
+def _modules_after_cli_import(package: str) -> str:
+    """The modules of package that importing qmoments.cli in a fresh
+    interpreter leaves loaded, as a printed sorted list."""
     src = str(Path(qmoments.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, qmoments.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the CLI must import and run without it
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every CLI call imports the package: its value types are built by
+    # core.record, which compiles no code per class as dataclasses does
+    assert _modules_after_cli_import("dataclasses") == "[]"

@@ -288,6 +288,28 @@ def test_grid_state_origin_power_falls_back_without_three_samples():
     assert RadialGridState(r, u).origin_power_u == 1.0
 
 
+def _scale_figures(st):
+    from qmoments.moments import abs_central_moment, momentum_axis, raw_radial_moment
+
+    return ([raw_radial_moment(st, t).require() for t in (-1.0, 2.0)]
+            + [abs_central_moment(st, momentum_axis(3), 1.5).require(), st.kinetic_energy()])
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160, 1e-170, 2.0**-600, 2.0**600])
+def test_grid_state_does_not_depend_on_the_amplitude_scale(scale):
+    # u^2 of u * 1e-160 is subnormal and of u * 1e160 overflows; the state
+    # works on u divided by a power of two, so a power-of-two scale changes
+    # no bit and any other scale only the rounding of the samples
+    r = np.arange(0.0, 30.01, 0.05)
+    u = 2.0 * r * np.exp(-r)
+    want = _scale_figures(RadialGridState(r, u))
+    got = _scale_figures(RadialGridState(r, scale * u))
+    if math.frexp(scale)[0] == 0.5:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_grid_starting_past_the_origin_has_every_position_order():
     # u is zero below r[0] = 0.5, so no order is singular at the origin; the
     # momentum tail has no origin power to come from
