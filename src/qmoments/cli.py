@@ -381,28 +381,30 @@ def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
 def _read_holder_csv(path: str) -> iq.DiscreteDensity:
     rows: list[tuple[float, float, float]] = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = [t.strip() for t in line.split(",")]
-            if lineno == 1 and any(not _is_number(t) for t in parts):
-                continue  # optional header row
-            if len(parts) not in (2, 3):
-                raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}")
-            try:
-                f = float(parts[0])
-                g = float(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if w < 0.0:
-                raise DataFormatError(f"{path}:{lineno}: negative weight {w}")
-            rows.append((f, g, w))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError.not_utf8(path, exc) from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [t.strip() for t in line.split(",")]
+        if lineno == 1 and any(not _is_number(t) for t in parts):
+            continue  # optional header row
+        if len(parts) not in (2, 3):
+            raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}")
+        try:
+            f = float(parts[0])
+            g = float(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if w < 0.0:
+            raise DataFormatError(f"{path}:{lineno}: negative weight {w}")
+        rows.append((f, g, w))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return iq.DiscreteDensity.from_points(rows)
@@ -623,6 +625,8 @@ def _load_config(args) -> RunConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DataFormatError.not_utf8(args.config, exc) from exc
         except (OSError, json.JSONDecodeError) as exc:
             raise DataFormatError(f"bad config file: {exc}") from exc
         if not isinstance(raw, dict) or not isinstance(raw.get("constants", {}), dict):

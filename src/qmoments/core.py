@@ -29,6 +29,11 @@ class DecompositionError(MomentsError):
 class DataFormatError(MomentsError, ValueError):
     """Malformed input file (CSV, radial grid, matrix JSON)."""
 
+    @classmethod
+    def not_utf8(cls, path, exc: UnicodeDecodeError) -> "DataFormatError":
+        """The error for an input file that does not decode as UTF-8."""
+        return cls(f"{path}: not UTF-8 text: {exc}")
+
 
 def _require_positive_finite(name: str, x: float) -> float:
     x = float(x)

@@ -262,7 +262,8 @@ class RadialSamples:
     quarter-period of sin(k_max r) or shorter (and never longer than half
     the radial scale), on which the fixed K15 rule is effectively exact.
     Every k <= k_max is transformed against the same samples, so its value
-    depends on k alone.
+    depends on k alone. u is called once, on a 1-d array of the nodes in
+    ascending order.
 
     Panel j = b*size + o, size = isqrt(n) + 1, has its centre at
     c_j = start_b + offset_o. The samples are kept as a (size, 15 blocks)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,6 +110,7 @@ class _MomentumTable:
         self._cache: dict[float, float] = {}
         self._lock = threading.Lock()
         self._tail_fit: tuple[float, float] | None = None
+        self._edges: np.ndarray | None = None
 
     def w(self, ks) -> np.ndarray:
         """w(k) for an array of k of any shape (the (panels, 15) node arrays
@@ -130,15 +132,20 @@ class _MomentumTable:
 
         The panels are [0, 1e-4/r_scale], 11 geometric panels up to
         1/r_scale and 24 up to k_cut: 36 panels, 540 nodes, fixed by k_cut
-        and r_scale alone. The nodes go to w as one request, so the first
-        call computes them and every later one finds them cached.
+        and r_scale alone. The first call builds the edges and sends the
+        nodes to w as one request; later calls return the same read-only
+        edges. Threads that race on the first call may each send the
+        request; w's cache gives them the same values.
         """
-        kb = 1.0 / self._r_scale
-        edges = np.concatenate([
-            [0.0], np.geomspace(1e-4 * kb, kb, 12), np.geomspace(kb, self.k_cut, 25)[1:],
-        ])
-        self.w(_kronrod_nodes(edges[:-1], edges[1:])[0].ravel())
-        return edges
+        if self._edges is None:
+            kb = 1.0 / self._r_scale
+            edges = np.concatenate([
+                [0.0], np.geomspace(1e-4 * kb, kb, 12), np.geomspace(kb, self.k_cut, 25)[1:],
+            ])
+            self.w(_kronrod_nodes(edges[:-1], edges[1:])[0].ravel())
+            edges.flags.writeable = False
+            self._edges = edges
+        return self._edges
 
     def _batch(self, ks: np.ndarray) -> np.ndarray:
         """w at the k a request misses, from one amplitude call."""
@@ -337,10 +344,26 @@ def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     return d
 
 
+def _horner(s: np.ndarray, coefs) -> np.ndarray:
+    """sum_j c_j s^(d-j) by Horner's rule, for d + 1 >= 2 coefficient arrays
+    c_0..c_d (highest power first, any iterable) that broadcast against s."""
+    coefs = iter(coefs)
+    out = next(coefs) * s
+    out += next(coefs)
+    for c in coefs:
+        out *= s
+        out += c
+    return out
+
+
 class _PiecewiseCubic:
     """A polynomial in the local power s = r - r_i on each knot interval
     [r_i, r_{i+1}], zero outside [r_0, r_N]; coefficients run from the
-    highest power down."""
+    highest power down.
+
+    The three evaluations (__call__, at_ascending, at_knot_nodes) differ only
+    in how they find each point's interval; they share _horner, so a point
+    gets the same value from each of them."""
 
     def __init__(self, r: np.ndarray, coefs):
         # a zero row on each side catches the points left of r_0 and right of
@@ -355,25 +378,23 @@ class _PiecewiseCubic:
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         i = np.searchsorted(self._edges, r, side="right")
-        s = r - self._left.take(i)
-        out = self._coefs[0].take(i)
-        for c in self._coefs[1:]:
-            out *= s
-            out += c.take(i)
-        return out
+        return _horner(r - self._left.take(i), (c.take(i) for c in self._coefs))
+
+    def at_ascending(self, r: np.ndarray) -> np.ndarray:
+        """self(r) for a 1-d r in ascending order. The points of each interval
+        form one run of r, so one search of the edges in r gives the run
+        lengths and np.repeat spreads each interval's row over its run: no
+        search per point."""
+        runs = np.diff(np.searchsorted(r, self._edges), prepend=0, append=r.size)
+        return _horner(r - np.repeat(self._left, runs), (np.repeat(c, runs) for c in self._coefs))
 
     def at_knot_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Values at the (intervals, 15) Kronrod nodes of the knot intervals,
-        and the intervals' half-widths. Row i lies in interval i, so one
-        Horner pass per row replaces the search of __call__, with the same
-        arithmetic and so the same values."""
+        and the intervals' half-widths. Row i lies in interval i, so the
+        coefficients broadcast along the rows and nothing is searched."""
         s, h = _kronrod_nodes(self._knots[:-1], self._knots[1:])
         s -= self._knots[:-1, None]
-        out = np.broadcast_to(self._coefs[0][1:-1, None], s.shape).copy()
-        for c in self._coefs[1:]:
-            out *= s
-            out += c[1:-1, None]
-        return out, h
+        return _horner(s, (c[1:-1, None] for c in self._coefs)), h
 
 
 def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _PiecewiseCubic]:
@@ -435,6 +456,8 @@ class RadialGridState(RadialStateBase):
         u = np.asarray(u, dtype=float)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:
             raise DataFormatError("grid needs matching 1-d arrays with at least 4 samples")
+        if not np.all(np.isfinite(r)):
+            raise DataFormatError("grid radii must be finite")
         if np.any(np.diff(r) <= 0.0):
             raise DataFormatError("grid radii must be strictly increasing")
         if r[0] < 0.0:
@@ -500,6 +523,13 @@ class RadialGridState(RadialStateBase):
             raise CapabilityError("u is zero near r = 0: no origin power sets the momentum tail")
         return super().momentum_tail_power()
 
+    def momentum_amplitude(self, k_cut: float) -> Callable:
+        """The sine transform of u as in RadialStateBase; RadialSamples asks
+        for u at ascending nodes, so the interpolant is evaluated by runs."""
+        samples = RadialSamples(lambda r: self.norm_factor * self._interp.at_ascending(r),
+                                self.r_max, self.r_scale, k_cut)
+        return samples.sine_transform
+
     def kinetic_energy(self) -> float:
         """Gradient route with a coarseness check: the integral is recomputed
         on the half-resolution grid (every other knot) and the difference is
@@ -509,7 +539,7 @@ class RadialGridState(RadialStateBase):
         c = self.constants
         full = self._square_integral(self._dinterp)
         coarse = self._r[::2]
-        _, dcoarse = _monotone_cubic(coarse, self._interp(coarse))
+        _, dcoarse = _monotone_cubic(coarse, self._interp.at_ascending(coarse))
         half_val = self._square_integral(dcoarse)
         rel_err = abs(full - half_val) / max(abs(full), 1e-300)
         if rel_err > self.kinetic_rel_tol:
@@ -530,24 +560,49 @@ class RadialGridState(RadialStateBase):
 
 
 def load_radial_grid(path, **kwargs) -> RadialGridState:
-    """Read a two-column whitespace text file (r, u); '#' starts a comment.
-    kwargs (origin_power, constants, label, tol) go to RadialGridState."""
+    """Read a radial grid file: UTF-8 text in two whitespace-separated
+    columns (r, u), where '#' starts a comment, blank lines are skipped and
+    an entry is anything float() takes. kwargs (origin_power, constants,
+    label, tol) go to RadialGridState."""
+    return RadialGridState(*_read_grid(path), **kwargs)
+
+
+def _read_grid(path) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (r, u) of a grid file.
+
+    numpy's reader takes the file in one pass. Where it fails or finds other
+    than two columns, the line reader below reads the file again: it accepts
+    what float() accepts beyond numpy (such as 1_0), and it names the line of
+    a fault (path:line)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy's warning on no data rows
+            cols = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+    except (OSError, ValueError):
+        cols = None  # the line reader meets the same fault and reports it
+    if cols is not None and cols.shape[1] == 2:
+        r, u = cols.T.copy()
+        return r, u
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError.not_utf8(path, exc) from exc
     rs: list[float] = []
     us: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            try:
-                rs.append(float(parts[0]))
-                us.append(float(parts[1]))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return RadialGridState(rs, us, **kwargs)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise DataFormatError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
+        try:
+            rs.append(float(parts[0]))
+            us.append(float(parts[1]))
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+    return np.array(rs), np.array(us)
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,37 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert main(["--config", str(bad), "hydrogen", "--p", "2", "--q", "2"]) == EXIT_ERROR
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("grid.txt", b"0 0\n1 0.5\xff\n2 0.2\n3 0.1\n",
+     ["sweep", "--grid", "{}", "--p-grid", "2", "--q-grid", "2"]),
+    ("data.csv", b"f,g\n1,0.5\n2,1.5\xff\n", ["holder", "--data", "{}", "--p", "3", "--q", "2"]),
+    ("tol.json", b'{"rel_tol": 1e-8, "slack": "\xff"}',
+     ["--config", "{}", "hydrogen", "--p", "3", "--q", "2"]),
+], ids=["grid", "holder_csv", "config"])
+def test_non_utf8_input_file_is_one_line_error(tmp_path, capsys, name, text, argv):
+    path = tmp_path / name
+    path.write_bytes(text)
+    assert main([a.format(path) for a in argv]) == EXIT_ERROR
+    assert _one_error_line(capsys).startswith(f"error: {path}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_file_with_a_non_finite_radius_is_one_line_error(tmp_path, capsys, bad):
+    r = np.linspace(0.0, 10.0, 50)
+    u = r * np.exp(-r)
+    r[20 if math.isnan(bad) else -1] = bad
+    path = tmp_path / "grid.txt"
+    np.savetxt(path, np.c_[r, u])
+    assert main(["sweep", "--grid", str(path), "--p-grid", "2", "--q-grid", "2"]) == EXIT_ERROR
+    assert _one_error_line(capsys) == "error: grid radii must be finite\n"
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["sweep", "--help"]) == 0

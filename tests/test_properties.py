@@ -1,12 +1,13 @@
-"""Property tests: Young's inequality, the Exponents invariants, and the CLI
-on fuzzed tolerance, slack, dimension and potential values. Skipped where
-hypothesis is absent."""
+"""Property tests: Young's inequality, the Exponents invariants, the grid
+file reader, and the CLI on fuzzed tolerance, slack, dimension and potential
+values. Skipped where hypothesis is absent."""
 
 import contextlib
 import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main  # noqa: E402
 from qmoments.core import make_exponents, young_gap  # noqa: E402
+from qmoments.states import _read_grid  # noqa: E402
 
 # derandomized so that a tier-1 run never depends on the draw
 FIXED = settings(derandomize=True, database=None, deadline=None)
@@ -117,3 +119,43 @@ def test_cli_never_raises_on_fuzzed_buckingham(gamma, r0, sigma):
         assert len([ln for ln in err.getvalue().splitlines() if "error:" in ln]) == 1
     if code == EXIT_OK:
         assert _no_null(json.loads(out.getvalue())["results"])
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+entries = st.tuples(finite_doubles, st.sampled_from([repr, "{:.6e}".format])).map(lambda t: t[1](t[0]))
+data_lines = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t"]), entries, st.sampled_from([" ", "\t", " \t  "]), entries,
+    st.sampled_from(["", " ", "\t", " # r u", "#c", "\t# 1 2 3"]),
+)
+other_lines = st.sampled_from(["", "   ", "\t", "# r u", "  # comment 1 2 3", "#"])
+
+
+def _float_per_token(text: str) -> tuple[list[float], list[float]]:
+    """The reference: float() on each token of each line, comments cut."""
+    rs, us = [], []
+    for line in text.replace("\r\n", "\n").split("\n"):
+        tokens = line.split("#", 1)[0].split()
+        if tokens:
+            r, u = tokens
+            rs.append(float(r))
+            us.append(float(u))
+    return rs, us
+
+
+@settings(FIXED, max_examples=60)
+@given(lines=st.lists(st.one_of(data_lines, other_lines), max_size=25),
+       eol=st.sampled_from(["\n", "\r\n"]), last_eol=st.booleans(), underscore=st.booleans())
+def test_grid_reader_matches_float_per_token(tmp_path_factory, lines, eol, last_eol, underscore):
+    # an underscore token is float() syntax numpy's reader refuses, so the
+    # file then goes through the line reader
+    if underscore:
+        lines = lines + ["1_000.5 -2_5e-1"]
+    text = eol.join(lines) + (eol if last_eol else "")
+    path = tmp_path_factory.getbasetemp() / "grid_property.txt"
+    path.write_bytes(text.encode("utf-8"))
+    r, u = _read_grid(path)
+    want_r, want_u = _float_per_token(text)
+    assert r.dtype == u.dtype == np.float64
+    assert r.tobytes() == np.array(want_r, dtype=float).tobytes()
+    assert u.tobytes() == np.array(want_u, dtype=float).tobytes()

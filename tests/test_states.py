@@ -412,8 +412,41 @@ def test_grid_file_import(tmp_path):
 def test_grid_file_bad_columns(tmp_path):
     path = tmp_path / "bad.dat"
     path.write_text("0.0 0.0\n1.0 0.5 99\n")
-    with pytest.raises(DataFormatError, match="bad.dat:2"):
+    with pytest.raises(DataFormatError) as info:
         load_radial_grid(path)
+    assert str(info.value) == f"{path}:2: expected two columns, got 3"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# r only\n0.0\n1.0\n2.0\n3.0\n", "{}:2: expected two columns, got 1"),
+    ("0.0 0.0\n\n1.0 x\n", "{}:3: could not convert string to float: 'x'"),
+    ("# no data\n\n  # at all\n", "grid needs matching 1-d arrays with at least 4 samples"),
+], ids=["one_column", "bad_token", "comments_only"])
+def test_grid_file_errors_name_the_line(tmp_path, text, message):
+    path = tmp_path / "bad.dat"
+    path.write_text(text)
+    with pytest.raises(DataFormatError) as info:
+        load_radial_grid(path)
+    assert str(info.value) == message.format(path)
+
+
+def test_grid_file_takes_what_float_takes(tmp_path):
+    # underscores are float() syntax that numpy's reader refuses
+    r = np.linspace(0.0, 10.0, 20)
+    u = r * np.exp(-r)
+    path = tmp_path / "grid.dat"
+    rows = zip((r[1:] + 10.0).tolist(), u[1:].tolist())
+    path.write_text("1_0.0 0.0\n" + "".join(f"{a!r} {b!r}\r\n" for a, b in rows))
+    st = load_radial_grid(path)
+    assert st._r[0] == 10.0 and st._r[1:].tobytes() == (r[1:] + 10.0).tobytes()
+
+
+@pytest.mark.parametrize("where, bad", [(2, math.nan), (-1, math.inf), (0, -math.inf)])
+def test_grid_rejects_non_finite_radii(where, bad):
+    r = np.linspace(0.0, 5.0, 10)
+    r[where] = bad
+    with pytest.raises(DataFormatError, match="^grid radii must be finite$"):
+        RadialGridState(r, np.exp(-r))
 
 
 def test_catalog_contents():
@@ -562,6 +595,45 @@ def test_r4test_grid_cell_sine_calls(sine_calls):
 
     sweep(_r4test_grid(), 3, 3, [2.5], [0.9])
     assert 1 <= len(sine_calls) <= 15
+
+
+def test_momentum_table_partition_works_once_per_table(monkeypatch):
+    tbl = _hydrogen_grid().momentum_table()
+    requests = []
+    real = tbl.w
+    monkeypatch.setattr(tbl, "w", lambda ks: requests.append(np.shape(ks)) or real(ks))
+    edges = tbl.partition()
+    assert requests == [(540,)]
+    assert all(tbl.partition() is edges for _ in range(3))
+    assert requests == [(540,)]
+    assert not edges.flags.writeable
+
+
+@pytest.mark.parametrize("make", [_hydrogen_grid, _r4test_grid], ids=["hydrogen", "r4test"])
+def test_grid_interpolant_by_runs_equals_the_search(make):
+    from qmoments.quadrature import RadialSamples, _kronrod_nodes
+
+    st = make()
+    k_cut = st.momentum_table().k_cut
+    seen = []
+    RadialSamples(lambda r: seen.append(r) or np.zeros_like(r), st.r_max, st.r_scale, k_cut)
+    (nodes,) = seen
+    assert nodes.ndim == 1 and np.all(np.diff(nodes) > 0.0)
+    knots = st._r
+    outside = np.array([-1.0, np.nextafter(knots[-1], np.inf), knots[-1] + 1.0])
+    everything = np.sort(np.concatenate([nodes, knots, outside]))
+    knot_nodes = _kronrod_nodes(knots[:-1], knots[1:])[0]
+    for f in (st._interp, st._dinterp):
+        for x in (nodes, knots, knots[::2], knots[-1:], everything):
+            assert f.at_ascending(x).tobytes() == f(x).tobytes()
+        assert np.all(f.at_ascending(outside) == 0.0)
+        assert f.at_knot_nodes()[0].tobytes() == f(knot_nodes).tobytes()
+    # r_N lies in the last interval, not outside
+    assert st._interp.at_ascending(knots[-1:])[0] != 0.0
+    # the state's amplitude is the transform of reduced_radial, bit for bit
+    ks = np.linspace(0.0, k_cut, 64)
+    want = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
+    assert st.momentum_table().w(ks).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, kappa", [(1, 1.0), (4, 1.0), (2, 0.5)])
