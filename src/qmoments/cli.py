@@ -387,13 +387,12 @@ def _read_holder_csv(path: str) -> iq.DiscreteDensity:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError.not_utf8(path, exc) from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = [t.strip() for t in line.split(",")]
-        if lineno == 1 and any(not _is_number(t) for t in parts):
-            continue  # optional header row
+    content = [(lineno, [t.strip() for t in line.split(",")])
+               for lineno, raw in enumerate(lines, start=1)
+               if (line := raw.split("#", 1)[0].strip())]
+    if content and any(not _is_number(t) for t in content[0][1]):
+        del content[0]  # optional header row, the first line with content
+    for lineno, parts in content:
         if len(parts) not in (2, 3):
             raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}")
         try:

@@ -14,6 +14,7 @@ Two different contracts coexist here and the distinction matters:
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -82,18 +83,6 @@ class DiscreteDensity:
         f = np.asarray(f, dtype=float)
         return DiscreteDensity(f, g, np.ones_like(f))
 
-
-@record
-class RadialFunction:
-    """A radial factor with the origin power needed for divergence counting."""
-
-    fn: Callable
-    origin_power: float
-    label: str
-
-
-RF_R = RadialFunction(lambda r: r, 1.0, "r")
-RF_RINV = RadialFunction(lambda r: 1.0 / r, -1.0, "1/r")
 
 #: one side of a two-moment verdict: the moment of a given order
 SideMoment = Callable[[float], MomentValue]
@@ -168,28 +157,30 @@ def _flag_internal_error(v: Verdict) -> Verdict:
 # continuous states
 
 
-def _radial_abs_moment(s: ContinuousState, rf: RadialFunction, order: float) -> MomentValue:
-    obs = mo.custom_radial(lambda r: np.abs(rf.fn(r)), rf.origin_power, f"|{rf.label}|")
+def _abs_product_moment(s: ContinuousState, fs: tuple[mo.Observable, ...],
+                        order: float) -> MomentValue:
+    """<|f_1 ... f_n|^order> for radial observables; their origin powers add."""
+    label = "*".join(f.fn_label for f in fs)
+    obs = mo.custom_radial(lambda r: np.abs(math.prod(mo._radial_values(f, r) for f in fs)),
+                           sum(f.fn_origin_power for f in fs), f"|{label}|")
     return mo.raw_moment(s, obs, order)
 
 
 def holder_verdict_continuous(
     s: ContinuousState,
-    f: RadialFunction,
-    g: RadialFunction,
+    f: mo.Observable,
+    g: mo.Observable,
     e: Exponents,
     slack: float | None = None,
 ) -> Verdict:
-    """The two-function moment bound with radial weights f, g on a state."""
-    inputs = {"state": s.label, "f": f.label, "g": g.label, "p": e.p, "q": e.q,
+    """The two-function moment bound with radial observables f, g as weights
+    on a state: mo.radial(), mo.radial_inverse() or mo.custom_radial(...)."""
+    inputs = {"state": s.label, "f": f.fn_label, "g": g.fn_label, "p": e.p, "q": e.q,
               "r_star": e.r_star, "guaranteed": True}
-    prod = RadialFunction(
-        lambda r: f.fn(r) * g.fn(r), f.origin_power + g.origin_power, f"{f.label}*{g.label}"
-    )
     sides = (
-        (f"<|{prod.label}|^r*>", lambda: _radial_abs_moment(s, prod, e.r_star)),
-        (f"<|{f.label}|^p>", lambda: _radial_abs_moment(s, f, e.p)),
-        (f"<|{g.label}|^q>", lambda: _radial_abs_moment(s, g, e.q)),
+        (f"<|{f.fn_label}*{g.fn_label}|^r*>", lambda: _abs_product_moment(s, (f, g), e.r_star)),
+        (f"<|{f.fn_label}|^p>", lambda: _abs_product_moment(s, (f,), e.p)),
+        (f"<|{g.fn_label}|^q>", lambda: _abs_product_moment(s, (g,), e.q)),
     )
     return _moment_verdict(_Check("holder_continuous", inputs, sides,
                                   lambda lhs, mf, mg: (lhs, mf**e.w_f * mg**e.w_g)), slack)

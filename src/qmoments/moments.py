@@ -24,18 +24,17 @@ from .states import DIM_3D_SPHERICAL, ContinuousState, RadialGridState, RadialSt
 POSITION_AXIS = "position_axis"
 MOMENTUM_AXIS = "momentum_axis"
 RADIAL = "radial"
-RADIAL_INVERSE = "radial_inverse"
-CUSTOM_RADIAL = "custom_radial"
 
 
 @record
 class Observable:
-    """What is being averaged: an axis coordinate, an axis momentum, r, 1/r,
-    or a caller-supplied radial function with a declared origin power.
+    """What is being averaged: an axis coordinate, an axis momentum, or a
+    radial quantity f(r) with origin power a, f ~ r^a (fn_origin_power).
 
-    Custom radial functions are assumed subexponential at large r (the
-    state's exponential density then controls the tail); only their origin
-    behavior needs declaring, as fn ~ r^fn_origin_power."""
+    A radial observable without fn is the pure power r^a: r and 1/r are
+    a = 1 and a = -1. A caller-supplied fn is assumed subexponential at
+    large r (the state's exponential density then controls the tail); only
+    its origin behavior needs declaring."""
 
     kind: str
     axis: int = 3
@@ -46,8 +45,6 @@ class Observable:
     def __post_init__(self):
         if self.kind in (POSITION_AXIS, MOMENTUM_AXIS) and self.axis not in (1, 2, 3):
             raise DomainError(f"axis must be 1, 2, or 3, got {self.axis}")
-        if self.kind == CUSTOM_RADIAL and self.fn is None:
-            raise DomainError("custom radial observable needs a function")
 
 
 def position_axis(axis: int = 3) -> Observable:
@@ -59,15 +56,20 @@ def momentum_axis(axis: int = 3) -> Observable:
 
 
 def radial() -> Observable:
-    return Observable(RADIAL)
+    return Observable(RADIAL, fn_origin_power=1.0, fn_label="r")
 
 
 def radial_inverse() -> Observable:
-    return Observable(RADIAL_INVERSE)
+    return Observable(RADIAL, fn_origin_power=-1.0, fn_label="1/r")
 
 
 def custom_radial(fn: Callable, origin_power: float = 0.0, label: str = "f(r)") -> Observable:
-    return Observable(CUSTOM_RADIAL, fn=fn, fn_origin_power=origin_power, fn_label=label)
+    return Observable(RADIAL, fn=fn, fn_origin_power=origin_power, fn_label=label)
+
+
+def _radial_values(o: Observable, r: np.ndarray) -> np.ndarray:
+    """f(r) of a radial observable at the nodes of an integrand."""
+    return r**o.fn_origin_power if o.fn is None else o.fn(r)
 
 
 def _require_radial(s: ContinuousState) -> RadialStateBase:
@@ -151,23 +153,17 @@ def mean(s: ContinuousState, o: Observable) -> float:
     if o.kind == MOMENTUM_AXIS:
         return s.momentum_mean(o.axis)
     if o.kind == RADIAL:
-        return raw_radial_moment(s, 1.0).require()
-    if o.kind == RADIAL_INVERSE:
-        return raw_radial_moment(s, -1.0).require()
-    if o.kind == CUSTOM_RADIAL:
         return raw_moment(s, o, 1.0).require()
     raise DomainError(f"unknown observable kind {o.kind!r}")
 
 
 def raw_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
-    """<a^order>. Radial-kind observables accept any real order; axis
+    """<a^order>. Radial observables accept any real order; axis
     observables accept integer orders (signed powers of a signed variable)."""
     order = float(order)
     if o.kind == RADIAL:
-        return raw_radial_moment(s, order)
-    if o.kind == RADIAL_INVERSE:
-        return raw_radial_moment(s, -order)
-    if o.kind == CUSTOM_RADIAL:
+        if o.fn is None:
+            return raw_radial_moment(s, o.fn_origin_power * order)
         rs = _require_radial(s)
         if _origin_divergent(rs, order * o.fn_origin_power):
             return MomentValue.divergent(order, f"origin power counting on {o.fn_label}")
@@ -213,37 +209,27 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
         center = mean(s, o)
         return abs_axis_moment_about(s, o, order, center)
     if o.kind == RADIAL:
+        # |f - <f>|^order ~ r^(order min(a, 0)) at the origin; the kink of a
+        # pure power r^a sits at <f>^(1/a), that of a custom fn is not known
         rs = _require_radial(s)
-        mu = raw_radial_moment(s, 1.0).require()
+        a = o.fn_origin_power
+        m = raw_moment(s, o, 1.0)
+        if not m.is_convergent:
+            return MomentValue(m.status, order, None, math.inf, m.detail)
+        if _origin_divergent(rs, order * min(a, 0.0)):
+            return MomentValue.divergent(
+                order, f"origin power counting on ({o.fn_label} - <{o.fn_label}>)"
+            )
+        mu = m.value
+        kinks = []
+        if o.fn is None and a != 0.0 and mu > 0.0:
+            root = mu ** (1.0 / abs(a))  # so 1/r's kink is 1.0 / mu, rounded once
+            kinks = [root if a > 0.0 else 1.0 / root]
 
         def f(r):
-            return rs.radial_density(r) * np.abs(r - mu) ** order
+            return rs.radial_density(r) * np.abs(_radial_values(o, r) - mu) ** order
 
-        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol, [mu])
-    if o.kind == RADIAL_INVERSE:
-        rs = _require_radial(s)
-        inv_mean = raw_radial_moment(s, -1.0)
-        if not inv_mean.is_convergent:
-            return MomentValue(inv_mean.status, order, None, math.inf, inv_mean.detail)
-        if _origin_divergent(rs, -order):
-            return MomentValue.divergent(order, "origin power counting on (1/r - <1/r>)")
-        mu = inv_mean.value
-
-        def f(r):
-            return rs.radial_density(r) * np.abs(1.0 / r - mu) ** order
-
-        return _quad_moment(
-            f, Domain.finite(0.0, rs.r_max), order, s.tol, [1.0 / mu] if mu > 0.0 else []
-        )
-    if o.kind == CUSTOM_RADIAL:
-        rs = _require_radial(s)
-        mu = raw_moment(s, o, 1.0).require()
-
-        def f(r):
-            return rs.radial_density(r) * np.abs(o.fn(r) - mu) ** order
-
-        # no kink breakpoint: the preimage of the mean is not known in general
-        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol)
+        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol, kinks)
     raise DomainError(f"unknown observable kind {o.kind!r}")
 
 

@@ -9,14 +9,13 @@ ground state, free packets) carry closed-form position and momentum
 densities.
 
 All states are immutable after construction and their densities are pure
-functions; lazily built momentum tables are filled behind a lock and only
-read afterwards.
+functions; a momentum table is built on first use and only grows a cache of
+w(k) values afterwards.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from typing import Callable, Sequence
 
@@ -108,7 +107,6 @@ class _MomentumTable:
         self.tail_power = tail_power
         self.k_cut = k_cut
         self._cache: dict[float, float] = {}
-        self._lock = threading.Lock()
         self._tail_fit: tuple[float, float] | None = None
         self._edges: np.ndarray | None = None
 
@@ -122,8 +120,7 @@ class _MomentumTable:
         miss = np.isnan(out)
         if miss.any():
             out[miss] = self._batch(flat[miss])
-            with self._lock:
-                self._cache.update(zip(flat[miss].tolist(), out[miss].tolist()))
+            self._cache.update(zip(flat[miss].tolist(), out[miss].tolist()))
         return out.reshape(ks.shape)
 
     def partition(self) -> np.ndarray:
@@ -134,8 +131,7 @@ class _MomentumTable:
         1/r_scale and 24 up to k_cut: 36 panels, 540 nodes, fixed by k_cut
         and r_scale alone. The first call builds the edges and sends the
         nodes to w as one request; later calls return the same read-only
-        edges. Threads that race on the first call may each send the
-        request; w's cache gives them the same values.
+        edges.
         """
         if self._edges is None:
             kb = 1.0 / self._r_scale
@@ -152,18 +148,15 @@ class _MomentumTable:
         return self._amplitude(ks)
 
     def _fit(self) -> tuple[float, float]:
-        with self._lock:
-            fit = self._tail_fit
-        if fit is not None:
-            return fit
+        if self._tail_fit is not None:
+            return self._tail_fit
         k1, k2 = 0.7 * self.k_cut, self.k_cut
         w1, w2 = self.w(np.array([k1, k2]))
         a1 = w1 * k1 ** (-self.tail_power)
         a2 = w2 * k2 ** (-self.tail_power)
         d = (a1 - a2) / (k1 ** (-2.0) - k2 ** (-2.0))
         c = a2 - d * k2 ** (-2.0)
-        with self._lock:
-            self._tail_fit = (float(c), float(d))
+        self._tail_fit = (float(c), float(d))
         return self._tail_fit
 
     def tail_integral(self, power_shift: float, lower: float) -> float:
@@ -203,7 +196,6 @@ class RadialStateBase(ContinuousState):
     def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(constants, tol)
         self._table: _MomentumTable | None = None
-        self._table_lock = threading.Lock()
 
     # subclasses provide u and its derivative
     def reduced_radial(self, r):
@@ -226,20 +218,18 @@ class RadialStateBase(ContinuousState):
         for odd integer m, and k^-(m+1) for fractional m.
         """
         m = self.origin_power_u
-        if abs(m - round(m)) < 1e-9:
-            mi = int(round(m))
-            j = mi if mi % 2 == 0 else mi + 1
+        if m.is_integer():
+            j = int(m) if m % 2 == 0 else int(m) + 1
             return -(j + 1.0)
         return -(m + 1.0)
 
     def momentum_table(self) -> _MomentumTable:
-        with self._table_lock:
-            if self._table is None:
-                k_cut = 50.0 / self.r_scale
-                self._table = _MomentumTable(
-                    self.momentum_amplitude(k_cut), self.r_scale, self.momentum_tail_power(), k_cut,
-                )
-            return self._table
+        if self._table is None:
+            k_cut = 50.0 / self.r_scale
+            self._table = _MomentumTable(
+                self.momentum_amplitude(k_cut), self.r_scale, self.momentum_tail_power(), k_cut,
+            )
+        return self._table
 
     def momentum_amplitude(self, k_cut: float) -> Callable:
         """w(k) for arrays of 0 <= k <= k_cut: the sine transform of u, with
@@ -407,10 +397,19 @@ def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _Pie
     return _PiecewiseCubic(r, c + (u[:-1],)), _PiecewiseCubic(r, (3.0 * c[0], 2.0 * c[1], c[2]))
 
 
+def _near_integer(m: float) -> float:
+    """m, or the integer within 1e-9 of it. A grid's origin power passes
+    through here, so a fit that misses an integer by rounding cannot cross
+    an exact divergence threshold, at the origin or in the momentum tail."""
+    n = float(np.rint(m))
+    return n if abs(m - n) < 1e-9 else m
+
+
 def _origin_power(r: np.ndarray, u: np.ndarray) -> float:
     """The power m of u ~ r^m at r = 0 from the exact fit of
     log|u| = m log r + b r + c through the first three nonzero interior
-    samples; exact for r^m e^{-kappa r}. 1.0 when the fit is not finite."""
+    samples; exact for r^m e^{-kappa r}, up to the snap to a near integer.
+    1.0 when the fit is not finite."""
     i = 1 + int(np.argmax(np.abs(u[1:]) > 0.0))
     rs, us = r[i:i + 3], np.abs(u[i:i + 3])
     if rs.size < 3 or np.any(us == 0.0):
@@ -419,7 +418,7 @@ def _origin_power(r: np.ndarray, u: np.ndarray) -> float:
         m = float(np.linalg.solve(np.stack([np.log(rs), rs, np.ones(3)], axis=1), np.log(us))[0])
     except np.linalg.LinAlgError:
         return 1.0
-    return m if math.isfinite(m) else 1.0
+    return _near_integer(m) if math.isfinite(m) else 1.0
 
 
 class RadialGridState(RadialStateBase):
@@ -472,7 +471,7 @@ class RadialGridState(RadialStateBase):
         self.label = label
 
         if origin_power is not None:
-            self.origin_power_u = float(origin_power)
+            self.origin_power_u = _near_integer(float(origin_power))
         elif r[0] > 0.0:
             self.origin_power_u = math.inf  # u is zero below r[0]
         elif u[0] != 0.0:

@@ -273,6 +273,19 @@ def test_holder_negative_weight_line_number(tmp_path, capsys):
     assert ":2" in capsys.readouterr().err
 
 
+def test_holder_header_after_comment_lines(tmp_path, capsys):
+    # the optional header is the first line with content, not line 1; a
+    # non-number on a later line is still a data error with its line number
+    path = tmp_path / "hdr.csv"
+    path.write_text("# comment\n\nf,g\n1,2\n2,3\n")
+    code, doc = run_json(capsys, ["holder", "--data", str(path), "--p", "3", "--q", "2"])
+    assert code == EXIT_OK
+    assert doc["results"][0]["inputs"]["n_points"] == 2
+    path.write_text("# comment\n1,2\nf,g\n")
+    assert main(["holder", "--data", str(path), "--p", "3", "--q", "2"]) == EXIT_ERROR
+    assert ":3" in capsys.readouterr().err
+
+
 def test_holder_missing_file(capsys):
     assert main(["holder", "--data", "/nonexistent.csv", "--p", "2", "--q", "2"]) == EXIT_ERROR
 

@@ -7,9 +7,6 @@ from qmoments.core import DIVERGENT, DomainError, MomentsError, MomentValue, mak
 from qmoments.inequalities import (
     RECIPROCAL,
     DiscreteDensity,
-    RF_R,
-    RF_RINV,
-    RadialFunction,
     equality_density,
     holder_verdict,
     holder_verdict_continuous,
@@ -28,6 +25,7 @@ from qmoments.matrixlab import (
     random_state,
     truncated_canonical_pair,
 )
+from qmoments.moments import custom_radial, radial, radial_inverse
 from qmoments.rng import SplitMix64
 from qmoments.states import GaussianPacket, HarmonicOscillatorGround, HydrogenGroundState
 
@@ -102,21 +100,21 @@ def test_schwarz_single_point_equality():
 
 
 def test_holder_continuous_r_rinv(hydrogen):
-    v = holder_verdict_continuous(hydrogen, RF_R, RF_RINV, make_exponents(2, 2))
+    v = holder_verdict_continuous(hydrogen, radial(), radial_inverse(), make_exponents(2, 2))
     assert v.lhs == pytest.approx(1.0, rel=1e-9)  # |r * 1/r| == 1
     assert v.rhs >= 1.0
     assert v.holds
 
 
 def test_holder_continuous_f_equals_g(hydrogen):
-    v = holder_verdict_continuous(hydrogen, RF_R, RF_R, make_exponents(4, 2))
+    v = holder_verdict_continuous(hydrogen, radial(), radial(), make_exponents(4, 2))
     assert v.holds
 
 
 def test_holder_continuous_matches_discretization(hydrogen):
     # bounded f, g at p=q=2, sampled densely on the radial density
-    f = RadialFunction(lambda r: np.exp(-r), 0.0, "exp(-r)")
-    g = RadialFunction(lambda r: 1.0 / (1.0 + r), 0.0, "1/(1+r)")
+    f = custom_radial(lambda r: np.exp(-r), 0.0, "exp(-r)")
+    g = custom_radial(lambda r: 1.0 / (1.0 + r), 0.0, "1/(1+r)")
     cont = holder_verdict_continuous(hydrogen, f, g, make_exponents(2, 2))
     r = np.linspace(1e-6, 45.0, 60_000)
     w = hydrogen.radial_density(r)
@@ -126,8 +124,8 @@ def test_holder_continuous_matches_discretization(hydrogen):
 
 
 def test_holder_continuous_divergent_side(hydrogen):
-    sharp = RadialFunction(lambda r: r**-2.0, -2.0, "1/r^2")
-    out = holder_verdict_continuous(hydrogen, sharp, RF_R, make_exponents(2, 2))
+    sharp = custom_radial(lambda r: r**-2.0, -2.0, "1/r^2")
+    out = holder_verdict_continuous(hydrogen, sharp, radial(), make_exponents(2, 2))
     assert out.status == DIVERGENT
 
 
@@ -192,10 +190,10 @@ def test_canonical_symmetric_order_lhs_exact(hydrogen):
 def test_holder_continuous_randomized_margins(hydrogen):
     rng = SplitMix64(61)
     fams = [
-        RadialFunction(lambda r: np.exp(-0.7 * r), 0.0, "exp(-0.7r)"),
-        RadialFunction(lambda r: 1.0 / (1.0 + r), 0.0, "1/(1+r)"),
-        RF_R,
-        RadialFunction(lambda r: np.sqrt(r), 0.5, "sqrt(r)"),
+        custom_radial(lambda r: np.exp(-0.7 * r), 0.0, "exp(-0.7r)"),
+        custom_radial(lambda r: 1.0 / (1.0 + r), 0.0, "1/(1+r)"),
+        radial(),
+        custom_radial(lambda r: np.sqrt(r), 0.5, "sqrt(r)"),
     ]
     for _ in range(30):
         e = make_exponents(rng.uniform_in(0.25, 8.0), rng.uniform_in(0.25, 8.0))
@@ -465,14 +463,14 @@ def test_failed_moment_raises_in_every_builder(hydrogen, monkeypatch):
 
     _moment_with_status(monkeypatch, "abs_central_moment", mo.MOMENTUM_AXIS, 2.0, "failed")
     _moment_with_status(monkeypatch, "raw_moment", mo.RADIAL, -2.0, "failed")
-    _moment_with_status(monkeypatch, "raw_moment", mo.CUSTOM_RADIAL, 2.0, "failed")
+    _moment_with_status(monkeypatch, "raw_moment", mo.RADIAL, 1.0, "failed")
     e = make_exponents(2, 2)
     with pytest.raises(MomentsError, match="canonical_pair: <\\|Dp\\|\\^q> is failed"):
         uncertainty_verdict_canonical(hydrogen, 3, 3, e)
     with pytest.raises(MomentsError, match="reciprocal_moments: <r\\^-q> is failed"):
         reciprocal_moment_verdict(hydrogen, e)
     with pytest.raises(MomentsError, match="holder_continuous: .* is failed"):
-        holder_verdict_continuous(hydrogen, RF_R, RF_RINV, e)
+        holder_verdict_continuous(hydrogen, radial(), radial_inverse(), e)
 
 
 def test_sweep_csv_header():
@@ -498,7 +496,7 @@ def test_holder_continuous_on_grid_state():
     from qmoments.states import RadialGridState
 
     st = RadialGridState(r, u)
-    v = holder_verdict_continuous(st, RF_R, RF_RINV, make_exponents(2, 2))
+    v = holder_verdict_continuous(st, radial(), radial_inverse(), make_exponents(2, 2))
     assert v.lhs == pytest.approx(1.0, rel=1e-6)
     assert v.holds
 

@@ -231,12 +231,37 @@ def test_origin_power_counting_on_inverse_and_custom_radial(hydrogen):
     assert raw_moment(hydrogen, obs, 2.9).value == pytest.approx(want, rel=1e-9)
 
 
+def test_custom_inverse_central_moment_matches_the_pure_power(hydrogen):
+    # one central-moment path: f = 1/r as a function agrees with r^-1 within
+    # their error estimates, and both are counted divergent at s = 3
+    obs = custom_radial(lambda r: 1.0 / np.asarray(r), origin_power=-1.0, label="1/r")
+    for s in (0.5, 1.0, 2.9):
+        cust = abs_central_moment(hydrogen, obs, s)
+        pure = abs_central_moment(hydrogen, radial_inverse(), s)
+        assert abs(cust.value - pure.value) <= cust.err_estimate + pure.err_estimate
+    for o in (obs, radial_inverse()):
+        m = abs_central_moment(hydrogen, o, 3.0)
+        assert m.status == "divergent"
+        assert m.detail == "origin power counting on (1/r - <1/r>)"
+
+
 # --- the isotropy shortcut against the axis marginals ------------------------
 
 
 def _h_grid():
     r = np.arange(0.0, 40.01, 0.02)
     return RadialGridState(r, 2.0 * r * np.exp(-r))
+
+
+def test_fitted_origin_power_on_an_integer_is_that_integer():
+    # the fit on the h = 0.02 grid misses m = 1 by rounding; read as 1, the
+    # order -3 threshold is met exactly, as for catalog hydrogen, so both
+    # moments are divergent instead of a quadrature that stalls at r = 0
+    st = _h_grid()
+    assert st.origin_power_u == 1.0
+    assert raw_moment(st, radial_inverse(), 3.0).status == "divergent"
+    assert abs_central_moment(st, radial_inverse(), 3.0).status == "divergent"
+    assert raw_moment(st, radial_inverse(), 2.9).is_convergent
 
 
 _AXIS_SIDES = {

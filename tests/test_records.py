@@ -21,7 +21,7 @@ from qmoments.core import (
     Verdict,
     replace,
 )
-from qmoments.inequalities import DiscreteDensity, RadialFunction, SweepTable
+from qmoments.inequalities import DiscreteDensity, SweepTable
 from qmoments.matrixlab import FiniteState, HermitianOperator, SpectralDecomposition
 from qmoments.moments import POSITION_AXIS, Observable
 from qmoments.quadrature import Domain, QuadResult
@@ -40,7 +40,6 @@ CASES = [
     (SpectralDecomposition, (np.array([0.0, 1.0]), np.eye(2))),
     (Observable, (POSITION_AXIS, 3, None, 0.0, "f(r)")),
     (DiscreteDensity, (np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([1.0, 1.0]))),
-    (RadialFunction, (abs, 1.0, "|r|")),
     (SweepTable, ((), "moment")),
     (PowerLawPotential, (1.0, 2.0)),
     (LennardJonesPotential, (1.0, 2.0)),
