@@ -40,7 +40,6 @@ from .matrixlab import (
     commutator,
     eigendecompose,
     expectation,
-    operator_abs_power,
 )
 from .moments import (
     Observable,

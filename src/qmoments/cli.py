@@ -46,7 +46,6 @@ from . import centralfield as cf
 from . import inequalities as iq
 from . import moments as mo
 from .matrixlab import (
-    FiniteState,
     ground_state,
     matrix_to_json,
     pauli,
@@ -195,15 +194,14 @@ def _check_order(name: str, value: float) -> float:
     return v
 
 
-def _scaled_verdict_dict(v: Verdict, cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
-    """Verdict as a dict; under --units si both sides scale by hbar^power."""
-    d = v.to_dict()
-    if cfg.si and hbar_power != 0.0 and v.status == OK:
+def _si_scaled(d: dict[str, Any], cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
+    """A computed verdict's dict; under --units si its sides (and margin and
+    slack, where present) scale by hbar^power and it gains a unit."""
+    if cfg.si and hbar_power != 0.0 and d.get("status", OK) == OK:
         factor = SI.hbar**hbar_power
-        d["lhs"] *= factor
-        d["rhs"] *= factor
-        d["margin"] *= factor
-        d["slack"] *= factor
+        for key in ("lhs", "rhs", "margin", "slack"):
+            if key in d:
+                d[key] *= factor
         d["unit"] = f"hbar^{hbar_power:g} (J*s)^{hbar_power:g}"
     return d
 
@@ -230,7 +228,7 @@ def cmd_hydrogen(args, cfg: RunConfig, argv: list[str]) -> int:
             extras["rhs_pow5_over_lhs_pow5"] = coeff
     code = outcomes.exit_code(cfg)
     payload = {"manifest": _manifest(cfg, argv, outcomes, code),
-               "results": [_scaled_verdict_dict(out, cfg, e.r_star)]}
+               "results": [_si_scaled(out.to_dict(), cfg, e.r_star)]}
     payload.update(extras)
     _emit(cfg, payload)
     return code
@@ -282,13 +280,16 @@ def cmd_sweep(args, cfg: RunConfig, argv: list[str]) -> int:
     for v in table.rows:
         outcomes.add(v, cell=f"(p={v.inputs['p']}, q={v.inputs['q']})")
     code = outcomes.exit_code(cfg)
+    # reciprocal cells are dimensionless
+    rows = [_si_scaled(d, cfg, d["r_star"] if table.kind == iq.CANONICAL else 0.0)
+            for d in table.to_dicts()]
     payload = {
         "manifest": _manifest(cfg, argv, outcomes, code),
-        "results": table.to_dicts(),
+        "results": rows,
         "kind": table.kind,
         "state": state.label,
     }
-    _emit(cfg, payload, text_body=table.to_csv() if cfg.fmt == "csv" else None)
+    _emit(cfg, payload, text_body=table.to_csv(rows) if cfg.fmt == "csv" else None)
     return code
 
 
@@ -331,13 +332,10 @@ def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
                 }
 
     if args.pair == "pauli-xy":
-        psi = ground_state(2) if args.state == "ground" else FiniteState([1, 0])
-        run_pair(pauli("x"), pauli("y"), psi, 0)
+        run_pair(pauli("x"), pauli("y"), ground_state(2), 0)
     elif args.pair == "truncated-xp":
         cc = cfg.compute_constants
         x, pm = truncated_canonical_pair(args.dim, cc.hbar, cc.mass)
-        if args.state != "ground":
-            raise DomainError("truncated-xp supports --state ground only")
         run_pair(x, pm, ground_state(args.dim), 0)
     elif args.pair == "random":
         rng = SplitMix64(cfg.seed)
@@ -594,7 +592,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--trials", type=_positive_int, default=1)
     f.add_argument("--p", type=float, required=True)
     f.add_argument("--q", type=float, required=True)
-    f.add_argument("--state", default="ground", help="initial state for named pairs")
+    f.add_argument("--state", choices=["ground"], default="ground",
+                   help="initial state for named pairs")
     f.add_argument("--gate", choices=["commutator", "both"], default="commutator",
                    help="which chain links decide the exit code (all are reported)")
 
@@ -673,6 +672,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except MomentsError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OverflowError as exc:  # float arithmetic on inputs near the double limits
+        print(f"error: the inputs overflow a double ({exc.args[-1]})", file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -289,9 +289,10 @@ class SweepTable:
                  "lhs": v.lhs, "rhs": v.rhs, "ratio": v.ratio, "holds": v.holds,
                  "status": v.status, "detail": v.detail} for v in self.rows]
 
-    def to_csv(self) -> str:
+    def to_csv(self, rows: list[dict[str, Any]] | None = None) -> str:
+        """CSV text of to_dicts(), or of rows shaped like it."""
         lines = [self.CSV_HEADER]
-        for r in self.to_dicts():
+        for r in self.to_dicts() if rows is None else rows:
             if r["status"] == OK:
                 nums = f"{r['lhs']!r},{r['rhs']!r},{r['ratio']!r},{str(r['holds']).lower()}"
             else:

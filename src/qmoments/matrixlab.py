@@ -2,13 +2,16 @@
 
 This is the brute-force oracle side of the package: every operator
 expression (commutators, modulus powers |M|^s, expectations, centered
-moments) is computed exactly by spectral calculus on explicit matrices, so
-inequality claims can be checked without any analytic shortcuts.
+moments) is computed exactly from explicit matrices, so inequality claims
+can be checked without any analytic shortcuts.
 
-The eigensolver is LAPACK's Hermitian driver through ``np.linalg.eigh``.
-A seeded run repeats bit for bit on one numpy/LAPACK build with one BLAS
-thread count; a counterexample replays from its serialized matrices and
-state on any machine.
+A modulus power <psi| |M|^s |psi> of any square M comes from one SVD
+(``np.linalg.svd``), whose singular values are each within the backward
+error's 2-norm of exact (Weyl); forming M^H M would square M's condition
+number. Hermitian central moments use LAPACK's Hermitian driver
+``np.linalg.eigh``. A seeded run repeats bit for bit on one numpy/LAPACK
+build with one BLAS thread count; a counterexample replays from its
+serialized matrices and state on any machine.
 """
 
 from __future__ import annotations
@@ -104,6 +107,14 @@ def _check_dims(a, b) -> None:
         raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _require_reconstructs(recon: np.ndarray, m: np.ndarray, what: str) -> None:
+    """A factorization must give m back to 1e-10 relative."""
+    scale = max(float(np.abs(m).max(initial=0.0)), 1e-300)
+    # written as not (residual <= tol) so that a NaN residual fails too
+    if not float(np.abs(recon - m).max()) <= _RECON_RTOL * scale:
+        raise DecompositionError(f"{what} reconstruction residual above 1e-10")
+
+
 def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     """LAPACK Hermitian eigendecomposition (``np.linalg.eigh``).
 
@@ -121,11 +132,7 @@ def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
     v = v * (pivots.conj() / np.abs(pivots))
 
     dec = SpectralDecomposition(_frozen(eigenvalues), _frozen(v))
-    recon = dec.reconstruct()
-    scale = max(float(np.abs(op.entries).max(initial=0.0)), 1e-300)
-    # written as not (residual <= tol) so that a NaN residual fails too
-    if not float(np.abs(recon - op.entries).max()) <= _RECON_RTOL * scale:
-        raise DecompositionError("spectral reconstruction residual above 1e-10")
+    _require_reconstructs(dec.reconstruct(), op.entries, "spectral")
     if not float(np.abs(v.conj().T @ v - np.eye(n)).max()) <= 1e-10:
         raise DecompositionError("eigenvector matrix lost unitarity")
     return dec
@@ -135,29 +142,6 @@ def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
     """[A, B] = AB - BA; anti-Hermitian for Hermitian inputs."""
     _check_dims(a, b)
     return a.entries @ b.entries - b.entries @ a.entries
-
-
-def operator_abs_power(m, s: float) -> np.ndarray:
-    """|M|^s as a positive semidefinite matrix.
-
-    For Hermitian M this is U |Lambda|^s U^H; in general it is (M^H M)^{s/2},
-    the unique positive-semidefinite modulus, so it applies to products of
-    centered operators and to commutators alike.
-    """
-    if s <= 0.0:
-        raise DomainError(f"power must be positive, got {s}")
-    m = _as_complex_square(m)
-    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.conj().T).max(initial=0.0) <= _HERMITICITY_ATOL * scale:
-        dec = eigendecompose(HermitianOperator(m))
-        powered = np.abs(dec.eigenvalues) ** s
-    else:
-        h = m.conj().T @ m
-        h = 0.5 * (h + h.conj().T)
-        dec = eigendecompose(HermitianOperator(h))
-        powered = np.clip(dec.eigenvalues, 0.0, None) ** (0.5 * s)
-    u = dec.eigenvectors
-    return (u * powered) @ u.conj().T
 
 
 def expectation(op: HermitianOperator, psi: FiniteState) -> float:
@@ -188,15 +172,24 @@ def abs_central_moment_finite(op: HermitianOperator, psi: FiniteState, s: float)
 
 
 def abs_power_expectation(m: np.ndarray, psi: FiniteState, s: float) -> float:
-    """<psi| |M|^s |psi> for a general square matrix, via spectral weights."""
+    """<psi| |M|^s |psi> = sum_i sigma_i^s |(V^H psi)_i|^2 for any square M.
+
+    One SVD M = U Sigma V^H gives |M| = (M^H M)^(1/2) = V Sigma V^H, the
+    Hermitian polar factor. A Hermitian or anti-Hermitian M needs no special
+    case: its singular values are |lambda|.
+    """
     if s <= 0.0:
         raise DomainError(f"power must be positive, got {s}")
     m = _as_complex_square(m)
-    h = m.conj().T @ m
-    h = 0.5 * (h + h.conj().T)
-    dec = eigendecompose(HermitianOperator(h))
-    w = dec.weights(psi)
-    return float(w @ np.clip(dec.eigenvalues, 0.0, None) ** (0.5 * s))
+    if m.shape[0] != psi.dim:
+        raise DomainError(f"dimension mismatch: {m.shape[0]} vs {psi.dim}")
+    try:
+        u, sigma, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"svd failed: {exc}") from exc
+    _require_reconstructs((u * sigma) @ vh, m, "singular value")
+    w = np.abs(vh @ psi.amplitudes) ** 2
+    return float(w @ sigma**s)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,11 @@ def test_finite_truncated_pair(capsys):
     assert doc["summary"]["informational_violations"] >= 1
 
 
+def test_finite_unknown_state_is_one_line_error(capsys):
+    assert main(["finite", "--pair", "pauli-xy", "--p", "2", "--q", "2", "--state", "foo"]) == EXIT_ERROR
+    assert len([ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]) == 1
+
+
 def test_finite_random_trials_report(capsys):
     code, doc = run_json(capsys, ["finite", "--dim", "8", "--seed", "42", "--trials", "20",
                                   "--p", "3", "--q", "1.5"])
@@ -393,6 +398,28 @@ def test_units_si_scaling(capsys):
     assert vs["rhs"] == pytest.approx(vn["rhs"] * factor, rel=1e-12)
     assert vs["ratio"] == pytest.approx(vn["ratio"], rel=1e-12)
     assert "unit" in vs
+
+
+def test_units_si_sweep_cell_matches_hydrogen(capsys, tmp_path):
+    _, h = run_json(capsys, ["--units", "si", "hydrogen", "--p", "3", "--q", "2"])
+    _, sw = run_json(capsys, ["--units", "si", "sweep", "--p-grid", "3", "--q-grid", "2,2.5"])
+    want, row = h["results"][0], sw["results"][0]
+    assert (row["lhs"], row["rhs"], row["ratio"], row["holds"], row["unit"]) == (
+        want["lhs"], want["rhs"], want["ratio"], want["holds"], want["unit"])
+    assert sw["results"][1]["unit"] == "hbar^1.36364 (J*s)^1.36364"
+    out = tmp_path / "si.csv"
+    main(["--units", "si", "sweep", "--p-grid", "3", "--q-grid", "2", "--format", "csv",
+          "--out", str(out)])
+    capsys.readouterr()
+    cells = out.read_text().splitlines()[1].split(",")
+    assert [float(x) for x in cells[3:6]] == [want["lhs"], want["rhs"], want["ratio"]]
+
+
+def test_units_si_reciprocal_sweep_is_dimensionless(capsys):
+    _, nat = run_json(capsys, ["sweep", "--kind", "reciprocal", "--p-grid", "1", "--q-grid", "2"])
+    _, si = run_json(capsys, ["--units", "si", "sweep", "--kind", "reciprocal",
+                              "--p-grid", "1", "--q-grid", "2"])
+    assert si["results"] == nat["results"]
 
 
 def test_units_si_central_energies(capsys):

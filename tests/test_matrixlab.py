@@ -18,7 +18,6 @@ from qmoments.matrixlab import (
     lowering_matrix,
     matrix_from_json,
     matrix_to_json,
-    operator_abs_power,
     pauli,
     random_hermitian,
     random_state,
@@ -201,33 +200,83 @@ def test_dimension_mismatch():
 
 
 def test_abs_power_diagonal_sqrt():
-    out = operator_abs_power(np.diag([-2.0, 3.0]).astype(complex), 0.5)
-    assert np.allclose(np.diag(out).real, [math.sqrt(2), math.sqrt(3)], atol=1e-12)
+    # Hermitian diagonal M: <|M|^s> = sum_i w_i |lambda_i|^s
+    psi = FiniteState([0.6, 0.8j])
+    out = abs_power_expectation(np.diag([-2.0, 3.0]).astype(complex), psi, 0.5)
+    assert out == pytest.approx(0.36 * math.sqrt(2) + 0.64 * math.sqrt(3), rel=1e-14)
 
 
 def test_abs_power_commutator_modulus():
-    c = commutator(SX, SY)  # 2i sz, anti-Hermitian
-    assert np.allclose(operator_abs_power(c, 1.0), 2.0 * np.eye(2), atol=1e-12)
+    c = commutator(SX, SY)  # 2i sz, anti-Hermitian: |C| = 2 I
+    for psi in (FiniteState([1, 0]), FiniteState([0.6, 0.8j]), random_state(SplitMix64(10), 2)):
+        assert abs_power_expectation(c, psi, 1.0) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_abs_power_square_consistency():
+    # |M|^2 = M^H M, so <|M|^2> = ||M psi||^2 with no decomposition at all
     rng = SplitMix64(11)
-    m = random_hermitian(rng, 6)
-    assert np.abs(operator_abs_power(m.entries, 2.0) - m.entries @ m.entries).max() <= 1e-10
-
-
-def test_abs_power_addition_property():
-    rng = SplitMix64(12)
-    m = random_hermitian(rng, 8).entries
-    s, t = 0.7, 1.9
-    lhs = operator_abs_power(m, s) @ operator_abs_power(m, t)
-    rhs = operator_abs_power(m, s + t)
-    assert np.abs(lhs - rhs).max() <= 1e-9 * max(1.0, np.abs(rhs).max())
+    m = random_hermitian(rng, 6).entries @ random_hermitian(rng, 6).entries + 0.5j * np.eye(6)
+    psi = random_state(rng, 6)
+    want = float(np.linalg.norm(m @ psi.amplitudes) ** 2)
+    assert abs_power_expectation(m, psi, 2.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_abs_power_rejects_nonpositive():
     with pytest.raises(DomainError):
-        operator_abs_power(np.eye(2), 0.0)
+        abs_power_expectation(np.eye(2), FiniteState([1, 0]), 0.0)
+    with pytest.raises(DomainError):
+        abs_power_expectation(np.eye(2), FiniteState([1, 0]), -1.0)
+
+
+def test_abs_power_dimension_mismatch():
+    with pytest.raises(DomainError, match="dimension mismatch: 3 vs 2"):
+        abs_power_expectation(np.eye(3), FiniteState([1, 0]), 1.0)
+
+
+def test_abs_power_svd_failure_is_decomposition_error(monkeypatch):
+    def failing_svd(m):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(DecompositionError):
+        abs_power_expectation(np.eye(2), FiniteState([1, 0]), 1.0)
+
+
+def test_nan_singular_values_fail_reconstruction(monkeypatch):
+    eye = np.eye(2, dtype=complex)
+    monkeypatch.setattr(np.linalg, "svd", lambda m: (eye, np.full(2, np.nan), eye))
+    with pytest.raises(DecompositionError, match="reconstruction"):
+        abs_power_expectation(np.eye(2), FiniteState([1, 0]), 1.0)
+
+
+def _haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Q of a complex Gaussian's QR, with the phases of R's diagonal divided out."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n, rank", [(8, 4), (16, 8), (8, 7), (8, 1)])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_abs_power_known_spectrum(n, rank, s):
+    # M = U diag(sigma) V^H with known sigma, some of them 0: the exact
+    # <|M|^s> is sum_i sigma_i^s |v_i^H psi|^2, which shares no code with the
+    # path under test
+    rng = np.random.default_rng([n, rank])
+    for _ in range(5):
+        u, v = _haar_unitary(rng, n), _haar_unitary(rng, n)
+        sigma = np.zeros(n)
+        sigma[:rank] = rng.uniform(0.1, 3.0, rank)
+        psi = FiniteState(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        m = (u * sigma) @ v.conj().T
+        exact = float(np.abs(v.conj().T @ psi.amplitudes) ** 2 @ sigma**s)
+        got = abs_power_expectation(m, psi, s)
+        if s >= 1.0:
+            assert got == pytest.approx(exact, rel=1e-12)
+        else:
+            # Weyl: each computed sigma is within ~n eps max(sigma) of exact,
+            # and |a^s - b^s| <= |a - b|^s for s < 1
+            assert abs(got - exact) <= (n * np.finfo(float).eps * sigma.max()) ** s
 
 
 def test_expectation_identity():
@@ -284,13 +333,18 @@ def test_abs_central_moment_sz_order_one():
 
 
 def test_abs_central_moment_fourth_order_brute_force():
-    rng = SplitMix64(17)
-    h = random_hermitian(rng, 8)
-    psi = random_state(rng, 8)
-    dec = eigendecompose(h)
-    mu = expectation(h, psi)
-    oracle = float(dec.weights(psi) @ (dec.eigenvalues - mu) ** 4)
-    assert abs_central_moment_finite(h, psi, 4.0) == pytest.approx(oracle, abs=1e-10)
+    # H = U diag(lambda) U^H with a known spectrum, one eigenvalue repeated:
+    # the oracle sum_i |u_i^H psi|^2 |lambda_i - mu|^s needs no eigensolver
+    rng = np.random.default_rng(17)
+    u = _haar_unitary(rng, 8)
+    lam = np.array([-2.5, -1.0, -1.0, -1.0, 0.25, 0.7, 1.5, 3.0])
+    h = HermitianOperator((u * lam) @ u.conj().T)
+    psi = FiniteState(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    w = np.abs(u.conj().T @ psi.amplitudes) ** 2
+    mu = float(w @ lam)
+    for s in (0.5, 1.0, 4.0):
+        oracle = float(w @ np.abs(lam - mu) ** s)
+        assert abs_central_moment_finite(h, psi, s) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_abs_central_moment_scaling():
@@ -327,15 +381,17 @@ def test_lowering_matrix():
 
 
 def test_abs_power_expectation_matches_matrix_route():
+    # at even orders |M|^(2k) = (M^H M)^k, a plain matrix product
     rng = SplitMix64(19)
     a = random_hermitian(rng, 6)
     b = random_hermitian(rng, 6)
     psi = random_state(rng, 6)
     m = a.entries @ b.entries
-    via_weights = abs_power_expectation(m, psi, 1.3)
-    full = operator_abs_power(m, 1.3)
-    via_matrix = float((psi.amplitudes.conj() @ (full @ psi.amplitudes)).real)
-    assert via_weights == pytest.approx(via_matrix, abs=1e-10)
+    h = m.conj().T @ m
+    for k in (1, 2, 3):
+        hk = np.linalg.matrix_power(h, k)
+        via_matrix = float((psi.amplitudes.conj() @ (hk @ psi.amplitudes)).real)
+        assert abs_power_expectation(m, psi, 2.0 * k) == pytest.approx(via_matrix, rel=1e-11)
 
 
 def test_non_hermitian_rejected():

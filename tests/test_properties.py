@@ -1,6 +1,6 @@
 """Property tests: Young's inequality, the Exponents invariants, the grid
-file reader, and the CLI on fuzzed tolerance, slack, dimension and potential
-values. Skipped where hypothesis is absent."""
+file reader, and the CLI on fuzzed tolerance, slack, dimension, potential
+and config-file values. Skipped where hypothesis is absent."""
 
 import contextlib
 import io
@@ -95,6 +95,40 @@ def test_cli_never_raises_on_fuzzed_power_law(alpha, beta):
     code = _run(["central", f"--alpha={alpha!r}", f"--beta={beta!r}"])
     valid = all(math.isfinite(x) and x > 0.0 for x in (alpha, beta))
     assert code in (EXIT_OK, EXIT_DIVERGENT) if valid else code == EXIT_ERROR
+
+
+# each config key is absent, drawn from values it must refuse or that leave
+# the double range on the way, or drawn from valid ones; tolerance draws stay
+# in [1e-9, 1e-3] so that one hydrogen run stays fast
+_BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0, "abc", [1.0], None, 1e300]
+_bad = st.sampled_from(_BAD)
+_extreme = st.sampled_from(_BAD + [1e-300])
+_config_keys = {
+    "rel_tol": st.one_of(_bad, st.floats(min_value=1e-9, max_value=1e-3)),
+    "abs_tol": st.one_of(_bad, st.floats(min_value=1e-9, max_value=1e-3)),
+    "max_evals": st.one_of(_extreme, st.integers(min_value=45, max_value=200_000)),
+    "slack": st.one_of(_extreme, st.floats(min_value=0.0, max_value=1.0)),
+    "seed": st.one_of(_extreme, st.integers(min_value=0, max_value=2**64)),
+}
+_constants = st.dictionaries(st.sampled_from(["hbar", "mass", "a0"]),
+                             st.one_of(_extreme, st.floats(min_value=0.1, max_value=10.0)))
+_configs = st.one_of(
+    st.sampled_from([[], "rel_tol", 1.0, None, {"constants": []}, {"constants": 1.0}]),
+    st.fixed_dictionaries({}, optional={**_config_keys, "constants": _constants}),
+)
+
+
+@settings(FIXED, max_examples=60)
+@given(config=_configs)
+# a0 = 1e-300 overflows the r4test norm (2 kappa)^9 while the catalog is built;
+# hbar = 1e300 overflows the left side (hbar/2)^r*
+@example(config={"constants": {"a0": 1e-300}})
+@example(config={"constants": {"hbar": 1e300}})
+def test_cli_never_raises_on_fuzzed_config(tmp_path_factory, config):
+    path = tmp_path_factory.getbasetemp() / "config_property.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = _run(["--config", str(path), "hydrogen", "--p", "3", "--q", "2"])
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_VIOLATION, EXIT_DIVERGENT)
 
 
 def _no_null(x) -> bool:
