@@ -1,76 +1,78 @@
 """Generalized absolute central moments of quantum states and verdicts for
 two-function moment inequalities, canonical-pair uncertainty checks at
-arbitrary orders, and central-force-field bounds."""
+arbitrary orders, and central-force-field bounds.
+
+Importing the package runs no numpy. The names below resolve on first use
+(PEP 562), and the three array modules, quadrature, states and matrixlab, are
+registered deferred: each runs, numpy with it, at the first access to one of
+its attributes. A catalog command of the CLI never makes that access."""
+
+import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .core import (
-    CapabilityError,
-    DataFormatError,
-    DecompositionError,
-    DomainError,
-    Exponents,
-    MomentsError,
-    MomentValue,
-    NATURAL,
-    PhysicalConstants,
-    SI,
-    Tolerances,
-    Verdict,
-    make_exponents,
-    make_verdict,
-    young_gap,
-)
-from .quadrature import Domain, QuadResult, integrate
-from .states import (
-    ContinuousState,
-    GaussianPacket,
-    HarmonicOscillatorGround,
-    HydrogenGroundState,
-    PowerExpRadialState,
-    RadialGridState,
-    catalog,
-    load_radial_grid,
-)
-from .matrixlab import (
-    FiniteState,
-    HermitianOperator,
-    SpectralDecomposition,
-    abs_central_moment_finite,
-    commutator,
-    eigendecompose,
-    expectation,
-)
-from .moments import (
-    Observable,
-    abs_central_moment,
-    custom_radial,
-    mean,
-    momentum_axis,
-    position_axis,
-    radial,
-    radial_inverse,
-    raw_moment,
-)
-from .inequalities import (
-    DiscreteDensity,
-    SweepTable,
-    holder_verdict,
-    holder_verdict_continuous,
-    reciprocal_moment_verdict,
-    schwarz_verdict,
-    sweep,
-    uncertainty_chain_finite,
-    uncertainty_verdict_canonical,
-)
-from .centralfield import (
-    BuckinghamPotential,
-    LennardJonesPotential,
-    PowerLawPotential,
-    VirialReport,
-    bound_threshold_radius,
-    buckingham_bound,
-    ground_energy_estimate,
-    lennard_jones_mean,
-    virial_report,
-)
+_EXPORTS = {
+    "core": (
+        "CapabilityError", "DataFormatError", "DecompositionError", "DomainError", "Exponents",
+        "MomentsError", "MomentValue", "NATURAL", "PhysicalConstants", "SI", "Tolerances",
+        "Verdict", "make_exponents", "make_verdict", "young_gap",
+    ),
+    "quadrature": ("Domain", "QuadResult", "integrate"),
+    "exact": (
+        "ContinuousState", "GaussianPacket", "HarmonicOscillatorGround", "HydrogenGroundState",
+        "PowerExpRadialState", "catalog",
+    ),
+    "states": ("RadialGridState", "load_radial_grid"),
+    "matrixlab": (
+        "FiniteState", "HermitianOperator", "SpectralDecomposition", "abs_central_moment_finite",
+        "commutator", "eigendecompose", "expectation",
+    ),
+    "moments": (
+        "Observable", "abs_central_moment", "custom_radial", "mean", "momentum_axis",
+        "position_axis", "radial", "radial_inverse", "raw_moment",
+    ),
+    "inequalities": (
+        "DiscreteDensity", "SweepTable", "holder_verdict", "holder_verdict_continuous",
+        "reciprocal_moment_verdict", "schwarz_verdict", "sweep", "uncertainty_chain_finite",
+        "uncertainty_verdict_canonical",
+    ),
+    "centralfield": (
+        "BuckinghamPotential", "LennardJonesPotential", "PowerLawPotential", "VirialReport",
+        "bound_threshold_radius", "buckingham_bound", "ground_energy_estimate",
+        "lennard_jones_mean", "virial_report",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def _defer(name: str) -> None:
+    """Register qmoments.<name> in sys.modules, and as an attribute here,
+    without running it; importlib's LazyLoader runs it at the first
+    attribute access. Code reaches such a module as an attribute
+    (quadrature.integrate), so importing its user loads nothing."""
+    fullname = f"{__name__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    globals()[name] = sys.modules[fullname]
+
+
+for _name in ("quadrature", "states", "matrixlab"):
+    _defer(_name)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .core import (
     DIVERGENT,
     DomainError,
@@ -21,8 +19,8 @@ from .core import (
     _require_positive_finite,
     record,
 )
+from .exact import EXP_DECAY, ContinuousState
 from . import moments as mo
-from .states import ContinuousState
 
 
 @record
@@ -152,12 +150,7 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential) -> BuckinghamRe
     actual = gamma[<e^-r/r0> - sigma^6 <r^-6>] when <r^-6> converges; a
     divergent <r^-6> means the true mean is -infinity and the bound holds
     vacuously. A failed <r^-6> raises MomentsError: it decides nothing."""
-    def exp_decay(r):
-        with np.errstate(over="ignore"):  # r/r0 past the double range: e^-inf = 0
-            return np.exp(-r / v.r0)
-
-    exp_obs = mo.custom_radial(exp_decay, 0.0, "exp(-r/r0)")
-    mean_exp = mo.raw_moment(s, exp_obs, 1.0).require()
+    mean_exp = _mean_exp_decay(s, v.r0)
     r6 = mo.raw_moment(s, mo.radial(), 6.0).require()
     s6 = _sigma_power(v, 6)
     bound = v.gamma * (mean_exp - s6 / r6)
@@ -171,6 +164,21 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential) -> BuckinghamRe
     actual = MomentValue.convergent(value, rm6.err_estimate * v.gamma * s6, 1.0)
     consistent = value <= bound + 1e-10 * max(1.0, abs(bound))
     return BuckinghamResult(bound, actual, consistent)
+
+
+def _mean_exp_decay(s: ContinuousState, r0: float) -> float:
+    """<e^(-r/r0)>: the state's direct moment, else the radial integral of
+    the custom observable e^(-r/r0)."""
+    direct = s.direct_moment(EXP_DECAY, r0)
+    if direct is not None:
+        return direct.value
+    import numpy as np
+
+    def exp_decay(r):
+        with np.errstate(over="ignore"):  # r/r0 past the double range: e^-inf = 0
+            return np.exp(-r / r0)
+
+    return mo.raw_moment(s, mo.custom_radial(exp_decay, 0.0, "exp(-r/r0)"), 1.0).require()
 
 
 def lennard_jones_mean(s: ContinuousState, v: LennardJonesPotential) -> MomentValue:

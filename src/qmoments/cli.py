@@ -10,6 +10,9 @@ Subcommands
 Exit codes: 0 all checks hold; 1 usage/IO/internal error; 2 at least one
 inequality violation detected; 3 a required moment diverged and
 --allow-divergent was not given.
+
+A catalog run loads no numpy: states, matrixlab and quadrature are deferred
+modules that --grid, finite and holder load on first use.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import math
 import sys
 from datetime import datetime, timezone
 from typing import Any
-
-import numpy as np
 
 from . import __version__
 from .core import (
@@ -44,17 +45,10 @@ from .core import (
 )
 from . import centralfield as cf
 from . import inequalities as iq
+from . import matrixlab, states
 from . import moments as mo
-from .matrixlab import (
-    ground_state,
-    matrix_to_json,
-    pauli,
-    random_hermitian,
-    random_state,
-    truncated_canonical_pair,
-)
+from .exact import catalog
 from .rng import SplitMix64
-from .states import catalog, load_radial_grid
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -158,8 +152,6 @@ def _sanitize(obj):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return _sanitize(float(obj))
     return obj
 
 
@@ -252,21 +244,38 @@ def _parse_grid(text: str) -> list[float]:
         count = _parse_number(parts[2], what, int)
         if count < 1:
             raise DomainError("grid count must be >= 1")
-        return list(np.linspace(start, stop, count))
+        return _linspace(start, stop, count)
     vals = [_parse_number(t, what) for t in text.split(",") if t.strip()]
     if not vals:
         raise DomainError("empty grid")
     return vals
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count) bit for bit: start + i*step, the last
+    point set to stop, and numpy's branch (i/div)*delta for a step that is 0
+    (a subnormal difference over many points)."""
+    div = count - 1
+    delta = stop - start
+    if div == 0:
+        return [0 * delta + start]
+    step = delta / div
+    if step == 0:
+        out = [i / div * delta + start for i in range(count)]
+    else:
+        out = [i * step + start for i in range(count)]
+    out[-1] = stop
+    return out
+
+
 def _resolve_state(args, cfg: RunConfig):
     if getattr(args, "grid", None):
-        return load_radial_grid(args.grid, constants=cfg.compute_constants, tol=cfg.tol)
-    states = catalog(cfg.compute_constants, cfg.tol)
+        return states.load_radial_grid(args.grid, constants=cfg.compute_constants, tol=cfg.tol)
+    named = catalog(cfg.compute_constants, cfg.tol)
     name = args.state
-    if name not in states:
-        raise DomainError(f"unknown state {name!r}; choose from {sorted(states)} or --grid FILE")
-    return states[name]
+    if name not in named:
+        raise DomainError(f"unknown state {name!r}; choose from {sorted(named)} or --grid FILE")
+    return named[name]
 
 
 def cmd_sweep(args, cfg: RunConfig, argv: list[str]) -> int:
@@ -326,23 +335,23 @@ def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
                     "label": v.label,
                     "p": p,
                     "q": q,
-                    "A": json.loads(matrix_to_json(a.entries)),
-                    "B": json.loads(matrix_to_json(b.entries)),
+                    "A": json.loads(matrixlab.matrix_to_json(a.entries)),
+                    "B": json.loads(matrixlab.matrix_to_json(b.entries)),
                     "psi": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
                 }
 
     if args.pair == "pauli-xy":
-        run_pair(pauli("x"), pauli("y"), ground_state(2), 0)
+        run_pair(matrixlab.pauli("x"), matrixlab.pauli("y"), matrixlab.ground_state(2), 0)
     elif args.pair == "truncated-xp":
         cc = cfg.compute_constants
-        x, pm = truncated_canonical_pair(args.dim, cc.hbar, cc.mass)
-        run_pair(x, pm, ground_state(args.dim), 0)
+        x, pm = matrixlab.truncated_canonical_pair(args.dim, cc.hbar, cc.mass)
+        run_pair(x, pm, matrixlab.ground_state(args.dim), 0)
     elif args.pair == "random":
         rng = SplitMix64(cfg.seed)
         for t in range(args.trials):
-            a = random_hermitian(rng, args.dim)
-            b = random_hermitian(rng, args.dim)
-            psi = random_state(rng, args.dim)
+            a = matrixlab.random_hermitian(rng, args.dim)
+            b = matrixlab.random_hermitian(rng, args.dim)
+            psi = matrixlab.random_state(rng, args.dim)
             run_pair(a, b, psi, t)
     else:
         raise DomainError(f"unknown pair {args.pair!r}")
@@ -454,7 +463,14 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
 
     if args.alpha is not None:
         pot = cf.PowerLawPotential(args.alpha, args.beta)
-        try:
+        rma = mo.raw_moment(state, mo.radial(), -args.alpha)
+        if rma.status == DIVERGENT:
+            detail = f"moment of order {rma.order} is {rma.status}: {rma.detail}"
+            outcomes.add_divergent(f"virial: {detail}")
+            report["virial"] = {"status": DIVERGENT, "detail": detail}
+        else:
+            # a moment out of the double range raises DomainError here too:
+            # an error, not a divergence
             rep = cf.virial_report(state, pot)
             report["virial"] = {
                 "mean_T": rep.mean_T * energy_unit,
@@ -466,13 +482,9 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
                 "beta": rep.beta,
             }
             outcomes.add_check(True)
-        except DomainError as exc:
-            outcomes.add_divergent(f"virial: {exc}")
-            report["virial"] = {"status": DIVERGENT, "detail": str(exc)}
 
         r1 = mo.raw_moment(state, mo.radial(), 1.0)
         r2 = mo.raw_moment(state, mo.radial(), 2.0)
-        rma = mo.raw_moment(state, mo.radial(), -args.alpha)
         if r1.is_convergent and r2.is_convergent and rma.is_convergent:
             dr2 = r2.value - r1.value**2
             est = cf.ground_energy_estimate(dr2, rma, pot, c)
@@ -482,7 +494,8 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
                 "note": "estimate only; compare against 0 in either direction",
                 "nonpositive": est <= 0.0,
             }
-            b = 8.0 * c.mass * args.beta / c.hbar**2
+            # hbar^2 alone underflows to 0 for hbar below about 2e-162
+            b = 8.0 * c.mass * args.beta / c.hbar / c.hbar
             root = cf.bound_threshold_radius(r2.value, b)
             report["bound_threshold"] = {
                 "b": b,

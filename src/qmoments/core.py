@@ -7,6 +7,7 @@ across threads and processes.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any, Callable
 
 
@@ -40,6 +41,18 @@ def _require_positive_finite(name: str, x: float) -> float:
     if math.isnan(x) or math.isinf(x) or x <= 0.0:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
     return x
+
+
+def _require_normal(what: str, x: float) -> float:
+    """x if it is a normal positive double; DomainError naming what where the
+    computation of x left that range: 0 or a subnormal (underflow), inf
+    (overflow) or NaN. A result that is 0 by underflow would make a bound
+    vacuous, and a subnormal one has lost its digits."""
+    if sys.float_info.min <= x < math.inf:
+        return x
+    if x >= 0.0:
+        raise DomainError(f"{what} {'overflows' if x > 1.0 else 'underflows'} a double")
+    raise DomainError(f"{what} is {x!r}, not a positive double")
 
 
 def _require_slack(x: float) -> float:

@@ -10,6 +10,10 @@ Two different contracts coexist here and the distinction matters:
 * probe inequalities (the finite-dimensional operator chain, canonical-pair
   checks at general orders) are claims under test; violations are reported
   with full reproduction data and never raised as errors.
+
+The canonical, reciprocal and continuous verdicts need no arrays. The
+discrete and finite halves import numpy, and reach matrixlab as a deferred
+module, when first called.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from __future__ import annotations
 import math
 from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
-
-import numpy as np
 
 from .core import (
     DIVERGENT,
@@ -29,21 +31,15 @@ from .core import (
     MomentsError,
     MomentValue,
     Verdict,
+    _require_normal,
     make_exponents,
     make_verdict,
     record,
     replace,
 )
-from .matrixlab import (
-    FiniteState,
-    HermitianOperator,
-    abs_central_moment_finite,
-    abs_power_expectation,
-    central_shift,
-    commutator,
-)
+from .exact import ContinuousState
+from . import matrixlab
 from . import moments as mo
-from .states import ContinuousState
 
 
 @record
@@ -55,6 +51,8 @@ class DiscreteDensity:
     w: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         f = np.asarray(self.f, dtype=float).ravel()
         g = np.asarray(self.g, dtype=float).ravel()
         w = np.asarray(self.w, dtype=float).ravel()
@@ -73,6 +71,8 @@ class DiscreteDensity:
 
     @staticmethod
     def from_points(points: Sequence[tuple[float, float, float]]) -> "DiscreteDensity":
+        import numpy as np
+
         arr = np.asarray(points, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise DomainError("points must be (f, g, weight) triples")
@@ -80,6 +80,8 @@ class DiscreteDensity:
 
     @staticmethod
     def uniform(f, g) -> "DiscreteDensity":
+        import numpy as np
+
         f = np.asarray(f, dtype=float)
         return DiscreteDensity(f, g, np.ones_like(f))
 
@@ -126,9 +128,9 @@ def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None)
     Guaranteed for every valid density; a false verdict is flagged as an
     internal error (numerical bug), not as physics.
     """
-    lhs = float(d.w @ np.abs(d.f * d.g) ** e.r_star)
-    mf = float(d.w @ np.abs(d.f) ** e.p)
-    mg = float(d.w @ np.abs(d.g) ** e.q)
+    lhs = float(d.w @ abs(d.f * d.g) ** e.r_star)
+    mf = float(d.w @ abs(d.f) ** e.p)
+    mg = float(d.w @ abs(d.g) ** e.q)
     rhs = mf**e.w_f * mg**e.w_g
     v = make_verdict(
         "holder_discrete", lhs, rhs, slack,
@@ -140,7 +142,7 @@ def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None)
 def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
     """(Sum w|fg|)^2 <= (Sum w f^2)(Sum w g^2), the squared form so both
     sides carry identical dimensions."""
-    lhs = float(d.w @ np.abs(d.f * d.g)) ** 2
+    lhs = float(d.w @ abs(d.f * d.g)) ** 2
     rhs = float(d.w @ d.f**2) * float(d.w @ d.g**2)
     v = make_verdict("schwarz", lhs, rhs, slack, {"n_points": int(d.f.size), "guaranteed": True})
     return _flag_internal_error(v)
@@ -161,7 +163,7 @@ def _abs_product_moment(s: ContinuousState, fs: tuple[mo.Observable, ...],
                         order: float) -> MomentValue:
     """<|f_1 ... f_n|^order> for radial observables; their origin powers add."""
     label = "*".join(f.fn_label for f in fs)
-    obs = mo.custom_radial(lambda r: np.abs(math.prod(mo._radial_values(f, r) for f in fs)),
+    obs = mo.custom_radial(lambda r: abs(math.prod(mo._radial_values(f, r) for f in fs)),
                            sum(f.fn_origin_power for f in fs), f"|{label}|")
     return mo.raw_moment(s, obs, order)
 
@@ -232,9 +234,24 @@ def uncertainty_verdict_canonical(
 def _canonical_check(s: ContinuousState, i: int, j: int, e: Exponents, x_moment: SideMoment,
                      p_moment: SideMoment) -> _Check:
     inputs = {"state": s.label, "i": i, "j": j, "p": e.p, "q": e.q, "r_star": e.r_star}
-    lhs = (s.constants.hbar / 2.0) ** e.r_star if i == j else 0.0
+    hbar = s.constants.hbar
     sides = (("<|Dx|^p>", lambda: x_moment(e.p)), ("<|Dp|^q>", lambda: p_moment(e.q)))
-    return _Check("canonical_pair", inputs, sides, lambda mx, mp: (lhs, mx**e.w_f * mp**e.w_g))
+
+    def lhs_rhs(mx: float, mp: float) -> tuple[float, float]:
+        return (_half_hbar_power(hbar, e.r_star) if i == j else 0.0), mx**e.w_f * mp**e.w_g
+
+    return _Check("canonical_pair", inputs, sides, lhs_rhs)
+
+
+def _half_hbar_power(hbar: float, r_star: float) -> float:
+    """(hbar/2)^r*, the left side of a cell with i == j. DomainError where it
+    leaves the normal double range: at 0 every such cell would hold
+    vacuously."""
+    try:
+        lhs = (hbar / 2.0) ** r_star
+    except OverflowError:
+        lhs = math.inf
+    return _require_normal(f"the left side (hbar/2)^r* at hbar={hbar:g}, r*={r_star:g}", lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +259,9 @@ def _canonical_check(s: ContinuousState, i: int, j: int, e: Exponents, x_moment:
 
 
 def uncertainty_chain_finite(
-    a: HermitianOperator,
-    b: HermitianOperator,
-    psi: FiniteState,
+    a: matrixlab.HermitianOperator,
+    b: matrixlab.HermitianOperator,
+    psi: matrixlab.FiniteState,
     e: Exponents,
     slack: float | None = None,
 ) -> tuple[Verdict, Verdict]:
@@ -257,13 +274,13 @@ def uncertainty_chain_finite(
     recorded in the verdicts (falsification semantics), never raised.
     """
     rhs = (
-        abs_central_moment_finite(a, psi, e.p) ** e.w_f
-        * abs_central_moment_finite(b, psi, e.q) ** e.w_g
+        matrixlab.abs_central_moment_finite(a, psi, e.p) ** e.w_f
+        * matrixlab.abs_central_moment_finite(b, psi, e.q) ** e.w_g
     )
-    da = central_shift(a, psi)
-    db = central_shift(b, psi)
-    lhs1 = abs_power_expectation(da.entries @ db.entries, psi, e.r_star)
-    lhs2 = abs_power_expectation(commutator(a, b), psi, e.r_star) / 2.0**e.r_star
+    da = matrixlab.central_shift(a, psi)
+    db = matrixlab.central_shift(b, psi)
+    lhs1 = matrixlab.abs_power_expectation(da.entries @ db.entries, psi, e.r_star)
+    lhs2 = matrixlab.abs_power_expectation(matrixlab.commutator(a, b), psi, e.r_star) / 2.0**e.r_star
     inputs = {"dim": a.dim, "p": e.p, "q": e.q, "r_star": e.r_star}
     return (
         make_verdict("finite_product", lhs1, rhs, slack, inputs),
@@ -375,14 +392,16 @@ def sweep(
 
 def random_density(rng, n_points: int) -> DiscreteDensity:
     """Bounded random density: f, g uniform in [0, 2], weights uniform (0, 1]."""
-    f = np.array([rng.uniform_in(0.0, 2.0) for _ in range(n_points)])
-    g = np.array([rng.uniform_in(0.0, 2.0) for _ in range(n_points)])
-    w = np.array([1.0 - rng.uniform() for _ in range(n_points)])
+    f = [rng.uniform_in(0.0, 2.0) for _ in range(n_points)]
+    g = [rng.uniform_in(0.0, 2.0) for _ in range(n_points)]
+    w = [1.0 - rng.uniform() for _ in range(n_points)]
     return DiscreteDensity(f, g, w)
 
 
 def equality_density(rng, n_points: int, e: Exponents) -> DiscreteDensity:
     """A density on the equality manifold |f|^p proportional to |g|^q."""
+    import numpy as np
+
     g = np.array([rng.uniform_in(0.05, 2.0) for _ in range(n_points)])
     w = np.array([1.0 - rng.uniform() for _ in range(n_points)])
     f = g ** (e.q / e.p)

@@ -2,12 +2,16 @@
 
 Moments of axis observables on spherically symmetric states use the exact
 angular reductions <|z|^s> = <r^s>/(s+1) and <|p_z|^s> = <p^s>/(s+1), so 3-d
-integrals never appear; everything is one-dimensional quadrature. Divergence
-is decided before any integration by exact power counting at the origin:
-with u ~ r^m there (the state's origin_power_u), an integrand u^2 r^shift
-diverges iff 2m + shift <= -1. Every radial integral stops at r_max, so the
-tail decides nothing. Divergent moments are reported as such, never as large
-finite numbers.
+integrals never appear. Divergence is decided first, by exact power
+counting at the origin: with u ~ r^m there (the state's origin_power_u), an
+integrand u^2 r^shift diverges iff 2m + shift <= -1. Every radial integral
+stops at r_max, so the tail decides nothing. Divergent moments are reported
+as such, never as large finite numbers.
+
+A finite moment comes from the state's direct_moment where it has one (the
+closed forms of the catalog states, a grid state's knot table), and from
+one-dimensional adaptive quadrature otherwise; the quadrature module and
+numpy are loaded only then.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .core import CapabilityError, DomainError, MomentValue, Tolerances, record, replace
-from .quadrature import Domain, integrate
-from .states import DIM_3D_SPHERICAL, ContinuousState, RadialGridState, RadialStateBase
+from .exact import (
+    DIM_3D_SPHERICAL, MOMENTUM_AXIS, P_POWER, POSITION_AXIS, R_POWER, ContinuousState,
+    RadialStateBase,
+)
+from . import quadrature
 
-POSITION_AXIS = "position_axis"
-MOMENTUM_AXIS = "momentum_axis"
 RADIAL = "radial"
 
 
@@ -67,7 +70,7 @@ def custom_radial(fn: Callable, origin_power: float = 0.0, label: str = "f(r)") 
     return Observable(RADIAL, fn=fn, fn_origin_power=origin_power, fn_label=label)
 
 
-def _radial_values(o: Observable, r: np.ndarray) -> np.ndarray:
+def _radial_values(o: Observable, r):
     """f(r) of a radial observable at the nodes of an integrand."""
     return r**o.fn_origin_power if o.fn is None else o.fn(r)
 
@@ -78,11 +81,12 @@ def _require_radial(s: ContinuousState) -> RadialStateBase:
     return s
 
 
-def _quad_moment(f: Callable, d: Domain, order: float, tol: Tolerances, breakpoints=()) -> MomentValue:
+def _quad_moment(f: Callable, d: quadrature.Domain, order: float, tol: Tolerances,
+                 breakpoints=()) -> MomentValue:
     """The integral of f over d at tol as the moment of the given order;
     failed, not a number, when the quadrature stalls or meets a non-finite
     integrand value."""
-    res = integrate(f, d, tol, breakpoints)
+    res = quadrature.integrate(f, d, tol, breakpoints)
     if res.failed or not res.converged:
         return MomentValue.failed(
             order, f"quadrature stalled (err={res.err_estimate:.2e}, evals={res.evaluations})"
@@ -100,16 +104,15 @@ def _origin_divergent(s: RadialStateBase, shift: float) -> bool:
 
 
 def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
-    """<r^t> for any real t, classified before integration. A grid state's
-    order comes from its knot table when that converges there, and from
-    adaptive integration otherwise."""
+    """<r^t> for any real t, classified before integration; the state's
+    direct moment, else adaptive integration."""
     rs = _require_radial(s)
     if _origin_divergent(rs, t):
         return MomentValue.divergent(t, "origin power counting: non-integrable at r=0")
-    if isinstance(rs, RadialGridState):
-        res = rs.knot_moment(t)
-        if res.converged:
-            return MomentValue.convergent(res.value, res.err_estimate, t)
+    direct = rs.direct_moment(R_POWER, t)
+    if direct is not None:
+        return direct
+    import numpy as np
 
     def f(r):
         # u^2 r^t as (u r^(t/2))^2: r^t alone overflows at the nodes next to
@@ -118,21 +121,26 @@ def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
         with np.errstate(over="ignore"):
             return (rs.reduced_radial(r) * r ** (0.5 * t)) ** 2
 
-    return _quad_moment(f, Domain.finite(0.0, rs.r_max), t, s.tol)
+    return _quad_moment(f, quadrature.Domain.finite(0.0, rs.r_max), t, s.tol)
 
 
 def _radial_momentum_raw(s: RadialStateBase, q: float) -> MomentValue:
-    """<p^q> over the radial momentum density w(k)^2, with tail completion."""
-    tbl = s.momentum_table()
-    if 2.0 * tbl.tail_power + q >= -1.0:
+    """<p^q> over the radial momentum density w(k)^2: the state's direct
+    moment, else the k-integral with tail completion."""
+    if 2.0 * s.momentum_tail_power() + q >= -1.0:
         return MomentValue.divergent(q, "momentum tail power counting: non-integrable")
+    direct = s.direct_moment(P_POWER, q)
+    if direct is not None:
+        return direct
+    tbl = s.momentum_table()
     hbar = s.constants.hbar
 
     def f(k):
         return tbl.w(k) ** 2 * k**q
 
     # the first round runs on the table's shared partition, already transformed
-    body = _quad_moment(f, Domain.finite(0.0, tbl.k_cut), q, s.tol, tbl.partition()[1:-1])
+    body = _quad_moment(f, quadrature.Domain.finite(0.0, tbl.k_cut), q, s.tol,
+                        tbl.partition()[1:-1])
     if not body.is_convergent:
         return body
     tail = tbl.tail_integral(q, tbl.k_cut)
@@ -171,7 +179,7 @@ def raw_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
         def f(r):
             return rs.radial_density(r) * o.fn(r) ** order
 
-        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol)
+        return _quad_moment(f, quadrature.Domain.finite(0.0, rs.r_max), order, s.tol)
     if o.kind in (POSITION_AXIS, MOMENTUM_AXIS):
         if abs(order - round(order)) > 1e-12:
             raise DomainError(
@@ -197,7 +205,7 @@ def _axis_signed_moment(s: ContinuousState, o: Observable, n: int) -> MomentValu
     # odd moments can cancel to zero exactly; a tighter absolute target would
     # chase the round-off floor of the cancellation, so it is floored at 1e-12
     tol = replace(s.tol, abs_tol=max(s.tol.abs_tol, 1e-12))
-    return _quad_moment(f, Domain.infinite(), n, tol, [mean(s, o)])
+    return _quad_moment(f, quadrature.Domain.infinite(), n, tol, [mean(s, o)])
 
 
 def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
@@ -227,9 +235,9 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
             kinks = [root if a > 0.0 else 1.0 / root]
 
         def f(r):
-            return rs.radial_density(r) * np.abs(_radial_values(o, r) - mu) ** order
+            return rs.radial_density(r) * abs(_radial_values(o, r) - mu) ** order
 
-        return _quad_moment(f, Domain.finite(0.0, rs.r_max), order, s.tol, kinks)
+        return _quad_moment(f, quadrature.Domain.finite(0.0, rs.r_max), order, s.tol, kinks)
     raise DomainError(f"unknown observable kind {o.kind!r}")
 
 
@@ -256,10 +264,15 @@ def abs_axis_moment_about(
         return MomentValue.convergent(
             inner.value / (order + 1.0), inner.err_estimate / (order + 1.0), order
         )
-    # one-dimensional state: integrate the marginal directly
+    # one-dimensional state: the direct moment about the mean, else the
+    # marginal integrated directly
+    if center == mean(s, o):
+        direct = s.direct_moment(o.kind, order)
+        if direct is not None:
+            return direct
     dens = _axis_density(s, o)
 
     def f(x):
-        return np.abs(x - center) ** order * dens(x)
+        return abs(x - center) ** order * dens(x)
 
-    return _quad_moment(f, Domain.infinite(), order, s.tol, [center])
+    return _quad_moment(f, quadrature.Domain.infinite(), order, s.tol, [center])

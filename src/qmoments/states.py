@@ -1,16 +1,14 @@
-"""Catalog of quantum states exposing position, radial, and momentum densities.
+"""Radial grid states, and the array machinery of the radial quadrature paths.
 
-Two families are provided. Spherically symmetric states carry a reduced
-radial wavefunction u(r) = r R(r) with int u^2 dr = 1, the radial density
-rho_r = u^2, and the radial momentum amplitude w(k), the sine transform of
-u; their axis moments come from radial ones by isotropy (see moments.py), so
-they expose no axis marginals. One-dimensional Gaussian states (oscillator
-ground state, free packets) carry closed-form position and momentum
-densities.
+A RadialGridState is a state sampled as (r_i, u_i) from a file or arrays and
+interpolated with a monotone cubic; its position moments, norm and kinetic
+energy come from K15 sums over a table of u at the knot intervals' Kronrod
+nodes. _MomentumTable keeps w(k) of any radial state for the momentum
+k-integrals, with a power-law tail model.
 
-All states are immutable after construction and their densities are pure
-functions; a momentum table is built on first use and only grows a cache of
-w(k) values afterwards.
+The catalog states (hydrogen, r4test and any PowerExpRadialState, qho,
+gaussian), their base classes and catalog() live in the numpy-free module
+exact, which gives their moments in closed form; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -22,63 +20,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    CapabilityError, DataFormatError, DEFAULT_TOLERANCES, DomainError, NATURAL, PhysicalConstants,
-    Tolerances,
+    CapabilityError, DataFormatError, DEFAULT_TOLERANCES, DomainError, MomentValue, NATURAL,
+    PhysicalConstants, Tolerances,
 )
-from .quadrature import (
-    Domain, QuadResult, RadialSamples, integrate, _kronrod_nodes, _kronrod_panels,
-    _NonFiniteIntegrand, _WK,
+from .exact import (  # noqa: F401  (the catalog is re-exported)
+    DIM_1D, DIM_3D_SPHERICAL, R_POWER, ContinuousState, GaussianPacket, HarmonicOscillatorGround,
+    HydrogenGroundState, PowerExpRadialState, RadialStateBase, catalog,
 )
-
-DIM_1D = "1d"
-DIM_3D_SPHERICAL = "3d-spherical"
-
-
-class ContinuousState:
-    """Base state: accessors that raise CapabilityError.
-
-    Subclasses override the methods backing the densities they have. A state
-    carries its unit system (constants) and the accuracy target (tol) of
-    every integral over it: its moments, its momentum k-integrals and its
-    kinetic energy.
-    """
-
-    dimensionality: str = DIM_1D
-    label = "state"
-
-    def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
-        self.constants = constants
-        self.tol = tol
-
-    # -- radial surface -----------------------------------------------------
-    def radial_density(self, r):
-        raise CapabilityError(f"{self.label} has no radial density")
-
-    def reduced_radial(self, r):
-        raise CapabilityError(f"{self.label} has no reduced radial wavefunction")
-
-    # -- axis marginals ------------------------------------------------------
-    def axis_position_density(self, axis: int, z):
-        raise CapabilityError(f"{self.label} has no position density")
-
-    def axis_momentum_density(self, axis: int, p):
-        raise CapabilityError(f"{self.label} has no momentum density")
-
-    def position_mean(self, axis: int) -> float:
-        raise CapabilityError(f"{self.label} has no position density")
-
-    def momentum_mean(self, axis: int) -> float:
-        raise CapabilityError(f"{self.label} has no momentum density")
-
-    def kinetic_energy(self) -> float:
-        raise CapabilityError(f"{self.label} cannot form the gradient integral")
-
-    def _check_axis(self, axis: int) -> None:
-        if self.dimensionality == DIM_3D_SPHERICAL:
-            if axis not in (1, 2, 3):
-                raise DomainError(f"axis must be 1, 2, or 3, got {axis}")
-        elif axis != 1:
-            raise CapabilityError(f"{self.label} is one-dimensional; only axis 1 exists")
+from .quadrature import QuadResult, RadialSamples, _kronrod_nodes, _kronrod_panels, _NonFiniteIntegrand, _WK
 
 
 # ---------------------------------------------------------------------------
@@ -176,129 +125,6 @@ class _MomentumTable:
 
         m = 2.0 * tau + power_shift
         return piece(c * c, m) + piece(2.0 * c * d, m - 2.0) + piece(d * d, m - 4.0)
-
-
-# ---------------------------------------------------------------------------
-# spherically symmetric states
-
-
-class RadialStateBase(ContinuousState):
-    """Common machinery for l = 0 states defined by u(r) on [0, inf)."""
-
-    dimensionality = DIM_3D_SPHERICAL
-
-    #: u ~ r^origin_power_u near the origin; inf when u is zero on some
-    #: interval [0, a]
-    origin_power_u: float = 1.0
-    r_max: float = 50.0
-    r_scale: float = 1.0
-
-    def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(constants, tol)
-        self._table: _MomentumTable | None = None
-
-    # subclasses provide u and its derivative
-    def reduced_radial(self, r):
-        raise NotImplementedError
-
-    def reduced_radial_derivative(self, r):
-        raise NotImplementedError
-
-    def radial_density(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0):
-            raise DomainError("radial coordinate must be >= 0")
-        return self.reduced_radial(r) ** 2
-
-    def momentum_tail_power(self) -> float:
-        """Decay exponent tau of w(k) ~ k^tau, from the origin behavior of u.
-
-        For u ~ r^m the transform is driven by the first even derivative of u
-        that survives at the origin: k^-(m+1) for even integer m, k^-(m+2)
-        for odd integer m, and k^-(m+1) for fractional m.
-        """
-        m = self.origin_power_u
-        if m.is_integer():
-            j = int(m) if m % 2 == 0 else int(m) + 1
-            return -(j + 1.0)
-        return -(m + 1.0)
-
-    def momentum_table(self) -> _MomentumTable:
-        if self._table is None:
-            k_cut = 50.0 / self.r_scale
-            self._table = _MomentumTable(
-                self.momentum_amplitude(k_cut), self.r_scale, self.momentum_tail_power(), k_cut,
-            )
-        return self._table
-
-    def momentum_amplitude(self, k_cut: float) -> Callable:
-        """w(k) for arrays of 0 <= k <= k_cut: the sine transform of u, with
-        u sampled once, at the radial panel count k_cut needs."""
-        samples = RadialSamples(self.reduced_radial, self.r_max, self.r_scale, k_cut)
-        return samples.sine_transform
-
-    def position_mean(self, axis: int) -> float:
-        self._check_axis(axis)
-        return 0.0
-
-    def momentum_mean(self, axis: int) -> float:
-        self._check_axis(axis)
-        return 0.0
-
-    def kinetic_energy(self) -> float:
-        """(hbar^2/2m) int u'(r)^2 dr, the gradient-quadrature route."""
-        c = self.constants
-        res = integrate(
-            lambda r: self.reduced_radial_derivative(r) ** 2, Domain.finite(0.0, self.r_max), self.tol
-        )
-        return c.hbar**2 / (2.0 * c.mass) * res.require("gradient integral")
-
-
-class PowerExpRadialState(RadialStateBase):
-    """u(r) = N r^n e^{-kappa r}, normalized in closed form."""
-
-    def __init__(self, n: int, kappa: float, constants: PhysicalConstants = NATURAL,
-                 label: str | None = None, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(constants, tol)
-        if n < 1:
-            raise DomainError("radial power must be >= 1 so that u(0) = 0")
-        if kappa <= 0.0:
-            raise DomainError("decay rate must be positive")
-        self.n = int(n)
-        self.kappa = float(kappa)
-        self.norm = math.sqrt((2.0 * kappa) ** (2 * n + 1) / math.factorial(2 * n))
-        self.origin_power_u = float(n)
-        self.r_scale = 1.0 / kappa
-        self.r_max = (40.0 + 8.0 * n) / kappa
-        self.label = label or f"r{n}exp({kappa:g})"
-
-    def reduced_radial(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.norm * r**self.n * np.exp(-self.kappa * r)
-
-    def reduced_radial_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.norm * np.exp(-self.kappa * r) * (self.n * r ** (self.n - 1) - self.kappa * r**self.n)
-
-    def momentum_amplitude(self, k_cut: float) -> Callable:
-        """The closed form N sqrt(2/pi) n! Im[(kappa+ik)^(n+1)]/(kappa^2+k^2)^(n+1)
-        of the sine transform of u over [0, inf) (Gradshteyn-Ryzhik 3.944)."""
-        c = self.norm * math.sqrt(2.0 / math.pi) * math.factorial(self.n)
-        n1, kappa = self.n + 1, self.kappa
-        return lambda ks: c * np.imag((kappa + 1j * ks) ** n1) / (kappa * kappa + ks * ks) ** n1
-
-
-class HydrogenGroundState(PowerExpRadialState):
-    """The 1s state: psi = (pi a0^3)^{-1/2} e^{-r/a0}, u = 2 a0^{-3/2} r e^{-r/a0}."""
-
-    def __init__(self, a0: float = 1.0, constants: PhysicalConstants | None = None,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
-        if a0 <= 0.0:
-            raise DomainError("a0 must be positive")
-        if constants is None:
-            constants = PhysicalConstants(a0=a0)
-        super().__init__(n=1, kappa=1.0 / a0, constants=constants, label=f"hydrogen(a0={a0:g})", tol=tol)
-        self.a0 = float(a0)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +337,15 @@ class RadialGridState(RadialStateBase):
         return QuadResult(value, err, u.size,
                           converged=err <= max(self.tol.abs_tol, self.tol.rel_tol * abs(value)))
 
+    def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
+        """<r^t> from the knot table where it converges there (knot_moment);
+        None otherwise, and for every other quantity."""
+        if quantity == R_POWER:
+            res = self.knot_moment(x)
+            if res.converged:
+                return MomentValue.convergent(res.value, res.err_estimate, x)
+        return None
+
     def reduced_radial(self, r):
         return self.norm_factor * self._interp(r)
 
@@ -602,100 +437,3 @@ def _read_grid(path) -> tuple[np.ndarray, np.ndarray]:
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
     return np.array(rs), np.array(us)
-
-
-# ---------------------------------------------------------------------------
-# one-dimensional Gaussian states
-
-
-class _Gaussian1D(ContinuousState):
-    """Shared closed-form densities for Gaussian wavefunctions."""
-
-    dimensionality = DIM_1D
-
-    x0 = 0.0
-    p0 = 0.0
-    sigma_x = 1.0
-
-    @property
-    def sigma_p(self) -> float:
-        return self.constants.hbar / (2.0 * self.sigma_x)
-
-    def axis_position_density(self, axis: int, z):
-        self._check_axis(axis)
-        z = np.asarray(z, dtype=float)
-        s = self.sigma_x
-        out = np.exp(-((z - self.x0) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
-        return out if out.ndim else float(out)
-
-    def axis_momentum_density(self, axis: int, p):
-        self._check_axis(axis)
-        p = np.asarray(p, dtype=float)
-        s = self.sigma_p
-        out = np.exp(-((p - self.p0) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
-        return out if out.ndim else float(out)
-
-    def position_mean(self, axis: int) -> float:
-        self._check_axis(axis)
-        return self.x0
-
-    def momentum_mean(self, axis: int) -> float:
-        self._check_axis(axis)
-        return self.p0
-
-    def kinetic_energy(self) -> float:
-        """(hbar^2/2m) int |psi'|^2 dx computed by quadrature."""
-        c = self.constants
-        s = self.sigma_x
-        k0 = self.p0 / c.hbar
-
-        def grad_sq(x):
-            rho = self.axis_position_density(1, x)
-            return ((x - self.x0) ** 2 / (4.0 * s**4) + k0 * k0) * rho
-
-        res = integrate(grad_sq, Domain.infinite(), self.tol, breakpoints=[self.x0])
-        return c.hbar**2 / (2.0 * c.mass) * res.require("gradient integral")
-
-
-class GaussianPacket(_Gaussian1D):
-    """Free Gaussian packet centered at x0 with mean momentum p0 and position s.d. sigma."""
-
-    def __init__(self, x0: float = 0.0, p0: float = 0.0, sigma: float = 1.0,
-                 constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(constants, tol)
-        if sigma <= 0.0:
-            raise DomainError("sigma must be positive")
-        self.x0 = float(x0)
-        self.p0 = float(p0)
-        self.sigma_x = float(sigma)
-        self.label = f"gaussian(x0={x0:g}, p0={p0:g}, sigma={sigma:g})"
-
-
-class HarmonicOscillatorGround(_Gaussian1D):
-    """Oscillator ground state; position s.d. is sqrt(hbar/(2 m omega))."""
-
-    def __init__(self, mass: float = 1.0, omega: float = 1.0, hbar: float = 1.0,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
-        constants = PhysicalConstants(hbar=hbar, mass=mass)
-        super().__init__(constants, tol)
-        if omega <= 0.0:
-            raise DomainError("omega must be positive")
-        self.omega = float(omega)
-        self.sigma_x = math.sqrt(hbar / (2.0 * mass * omega))
-        self.label = f"qho(m={mass:g}, omega={omega:g})"
-
-
-# ---------------------------------------------------------------------------
-# the default catalog
-
-
-def catalog(
-    constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES
-) -> dict[str, ContinuousState]:
-    """The default example states, keyed by CLI name, all at tolerances tol."""
-    return {
-        "hydrogen": HydrogenGroundState(a0=constants.a0, constants=constants, tol=tol),
-        "qho": HarmonicOscillatorGround(mass=constants.mass, hbar=constants.hbar, tol=tol),
-        "gaussian": GaussianPacket(sigma=constants.a0, constants=constants, tol=tol),
-        "r4test": PowerExpRadialState(4, 1.0 / constants.a0, constants=constants, label="r4test", tol=tol),
-    }

@@ -1,4 +1,5 @@
-"""Axis marginals of spherical states by their plain definition, for tests.
+"""Quadrature oracles for tests: axis marginals of spherical states by their
+plain definition, and catalog states with their closed forms switched off.
 
     rho_z(z) = (1/2) int_{|z|}^{r_max} rho_r(r)/r dr
     g(p)     = (1/2) [int_{|p|}^{k_cut} w(k)^2/k dk + tail past k_cut] / hbar
@@ -8,6 +9,8 @@ density value is its own integral, so integrating a density nests two
 adaptive quadratures: slow, but independent of the isotropy reductions
 <|z|^s> = <r^s>/(s+1) and <|p_z|^q> = <p^q>/(q+1) that moments.py uses.
 """
+
+import copy
 
 import numpy as np
 
@@ -57,3 +60,12 @@ def momentum_density(st, p):
         return 0.5 * (res.value + tbl.tail_integral(-1.0, tbl.k_cut)) / hbar
 
     return _each(one, p)
+
+
+def integrated(st):
+    """A copy of st whose direct_moment gives nothing: every moment, and the
+    kinetic energy, then comes from adaptive quadrature (w(k) of a
+    power-exponential state is still its closed-form amplitude)."""
+    out = copy.copy(st)
+    out.direct_moment = lambda quantity, x: None
+    return out

@@ -23,6 +23,14 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def _h_grid(tmp_path) -> str:
+    """The 1s state on a uniform grid (h = 0.02) as a grid file."""
+    r = np.arange(0.0, 40.01, 0.02)
+    grid = tmp_path / "h.dat"
+    grid.write_text("\n".join(f"{a} {b}" for a, b in zip(r, 2.0 * r * np.exp(-r))))
+    return str(grid)
+
+
 def test_hydrogen_basic(capsys):
     code, doc = run_json(capsys, ["hydrogen", "--p", "3", "--q", "2", "--axis", "z"])
     assert code == EXIT_OK
@@ -345,22 +353,29 @@ def test_central_lj_divergent(capsys):
     assert doc["results"][0]["lennard_jones"]["mean"] is None
 
 
-def test_tolerance_flags_reach_every_integral(capsys):
-    # the kinetic energy and <r^-1> integrate at the run's tolerances
-    argv = ["central", "--state", "hydrogen", "--alpha", "1", "--beta", "1"]
+def test_tolerance_flags_reach_every_integral(tmp_path, capsys):
+    # a grid state's momentum k-integral runs at the run's tolerances; the
+    # closed forms of a catalog state integrate nothing, so no flag moves them
+    argv = ["sweep", "--grid", _h_grid(tmp_path), "--p-grid", "2", "--q-grid", "2"]
+    catalog = ["central", "--state", "hydrogen", "--alpha", "1", "--beta", "1"]
     _, base = run_json(capsys, argv)
     for flag in (["--rel-tol", "1e-4"], ["--abs-tol", "1e-3"]):
         code, doc = run_json(capsys, argv + flag)
         assert code == EXIT_OK
-        assert doc["results"][0]["virial"]["mean_T"] != base["results"][0]["virial"]["mean_T"]
-        assert doc["results"][0]["virial"]["mean_T"] == pytest.approx(0.5, rel=1e-4)
+        assert doc["results"][0]["rhs"] != base["results"][0]["rhs"]
+        assert doc["results"][0]["rhs"] == pytest.approx(base["results"][0]["rhs"], rel=1e-4)
+        code, doc = run_json(capsys, catalog + flag)
+        assert code == EXIT_OK
+        assert doc["results"][0]["virial"]["mean_T"] == 0.5
 
 
 def test_failed_moment_in_central_is_an_internal_error(tmp_path, capsys):
-    # <r^-1> is finite but stalls within 100 evaluations: not a divergence
+    # <r^-2.9> of the grid state is finite but stalls within 100
+    # evaluations: not a divergence
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps({"max_evals": 100}))
-    assert main(["--config", str(cfgp), "central", "--alpha", "1", "--beta", "1"]) == EXIT_ERROR
+    argv = ["--config", str(cfgp), "central", "--grid", _h_grid(tmp_path), "--alpha", "2.9"]
+    assert main(argv) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
@@ -578,10 +593,11 @@ def test_report_entry_shapes(tmp_path, capsys):
     assert note.startswith("(p=2.0, q=5.5): <|Dp|^q> is divergent: ")
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps({"max_evals": 100}))
-    code, doc = run_json(capsys, ["--config", str(cfgp), "sweep", "--p-grid", "2", "--q-grid", "2"])
+    code, doc = run_json(capsys, ["--config", str(cfgp), "sweep", "--grid", _h_grid(tmp_path),
+                                  "--p-grid", "2", "--q-grid", "2"])
     assert code == EXIT_ERROR
     [note] = doc["manifest"]["outcomes"]["notes"]
-    assert note.startswith("cell (p=2.0, q=2.0) failed: canonical_pair: <|Dx|^p> is failed: ")
+    assert note.startswith("cell (p=2.0, q=2.0) failed: canonical_pair: <|Dp|^q> is failed: ")
     assert doc["results"][0]["status"] == "failed"
 
 
@@ -617,3 +633,129 @@ def test_cli_import_loads_no_dataclasses():
     # every CLI call imports the package: its value types are built by
     # core.record, which compiles no code per class as dataclasses does
     assert _modules_after_cli_import("dataclasses") == "[]"
+
+
+# the constant, its value, and the exit code of each command: a value out of
+# the double range is one error: line (sweep: failed cells), never a vacuous
+# verdict, a warning or an internal error
+_EXTREME_COMMANDS = {
+    "hydrogen": ["hydrogen", "--p", "3", "--q", "2"],
+    "sweep": ["sweep", "--p-grid", "1,2", "--q-grid", "1,2"],
+    "central": ["central", "--alpha", "1"],
+}
+
+
+@pytest.mark.parametrize("constants, codes", [
+    ({"a0": 1e300}, (EXIT_ERROR, EXIT_ERROR, EXIT_ERROR)),
+    ({"a0": 1e-300}, (EXIT_ERROR, EXIT_ERROR, EXIT_ERROR)),
+    ({"hbar": 1e300}, (EXIT_ERROR, EXIT_ERROR, EXIT_ERROR)),
+    ({"hbar": 1e-300}, (EXIT_ERROR, EXIT_ERROR, EXIT_ERROR)),
+    ({"mass": 1e300}, (EXIT_OK, EXIT_VIOLATION, EXIT_OK)),
+    ({"mass": 1e-300}, (EXIT_OK, EXIT_VIOLATION, EXIT_OK)),
+    # hbar^2 underflows to 0 while every moment is in range: b = 8 m beta /
+    # hbar^2 is infinite, not a division by zero (None: not run)
+    ({"hbar": 1e-170, "a0": 1e-100}, (None, None, EXIT_ERROR)),
+], ids=lambda x: ",".join(f"{k}={v:g}" for k, v in x.items()) if isinstance(x, dict) else None)
+def test_extreme_constants_end_in_one_line_or_a_real_verdict(constants, codes, tmp_path, capsys):
+    import warnings
+
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"constants": constants}))
+    for (name, argv), want in zip(_EXTREME_COMMANDS.items(), codes):
+        if want is None:
+            continue
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--config", str(cfgp)] + argv)
+        captured = capsys.readouterr()
+        assert (code, caught) == (want, []), name
+        if captured.err:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, name
+            assert any(key in captured.err for key in constants) or "b must be" in captured.err
+            continue
+        rows = json.loads(captured.out)["results"]
+        assert name == "sweep" or code != EXIT_ERROR
+        for row in rows if name != "central" else ():
+            assert row.get("status", "ok") in ("ok", "failed")
+            if row.get("status", "ok") == "ok":
+                # (hbar/2)^r* and the moments are normal doubles, so a cell
+                # that holds does not hold because a side is 0
+                assert row["lhs"] >= sys.float_info.min and row["rhs"] >= sys.float_info.min
+
+
+def _fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """python -c code args... in a fresh interpreter that imports this qmoments."""
+    src = str(Path(qmoments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, cwd=cwd)
+
+
+def test_catalog_commands_load_no_numpy(tmp_path):
+    # the five catalog ops of the cold-call benchmark; quadrature, states and
+    # matrixlab import numpy at the top, so none of them ran either
+    code = f"""
+import contextlib, io, sys
+import qmoments.cli
+print("numpy" in sys.modules)
+for argv in (
+    ["hydrogen", "--p", "3", "--q", "2", "--axis", "z"],
+    ["sweep", "--state", "hydrogen", "--p-grid", "1.2:3.7:5", "--q-grid", "0.7:4.7:5",
+     "--format", "csv", "--out", {str(tmp_path / "table.csv")!r}],
+    ["sweep", "--state", "hydrogen", "--kind", "reciprocal", "--p-grid", "1,2.5",
+     "--q-grid", "0.5,2,3,3.5", "--allow-divergent"],
+    ["central", "--state", "hydrogen", "--alpha", "1", "--beta", "1"],
+    ["central", "--state", "r4test", "--buckingham", "1,1,1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exit_code = qmoments.cli.main(argv)
+    print(exit_code in (0, 2), "numpy" in sys.modules)
+"""
+    out = _fresh(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:6] == ["False"] + ["True False"] * 5
+
+
+# every name the package exported when it imported all of its modules
+_EXPORTS = """
+CapabilityError DataFormatError DecompositionError DomainError Exponents MomentsError MomentValue
+NATURAL PhysicalConstants SI Tolerances Verdict make_exponents make_verdict young_gap Domain
+QuadResult integrate ContinuousState GaussianPacket HarmonicOscillatorGround HydrogenGroundState
+PowerExpRadialState RadialGridState catalog load_radial_grid FiniteState HermitianOperator
+SpectralDecomposition abs_central_moment_finite commutator eigendecompose expectation Observable
+abs_central_moment custom_radial mean momentum_axis position_axis radial radial_inverse
+raw_moment DiscreteDensity SweepTable holder_verdict holder_verdict_continuous
+reciprocal_moment_verdict schwarz_verdict sweep uncertainty_chain_finite
+uncertainty_verdict_canonical BuckinghamPotential LennardJonesPotential PowerLawPotential
+VirialReport bound_threshold_radius buckingham_bound ground_energy_estimate lennard_jones_mean
+virial_report
+""".split()
+
+
+def test_every_package_export_still_imports():
+    code = ("import sys, qmoments\n"
+            "names = sys.argv[1:]\n"
+            "for name in names:\n"
+            "    exec(f'from qmoments import {name}')\n"
+            "    assert getattr(qmoments, name) is not None\n"
+            "print(sorted(set(names) - set(qmoments.__all__)))\n"
+            "from qmoments.states import HydrogenGroundState, catalog\n"
+            "print(catalog()['hydrogen'].__class__ is HydrogenGroundState)")
+    out = _fresh(code, *_EXPORTS)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]", "True"]
+
+
+def test_array_commands_run_in_a_fresh_interpreter(tmp_path):
+    # --grid, finite and holder load states, matrixlab and numpy on first use
+    r = np.arange(0.0, 40.01, 0.02)
+    np.savetxt(tmp_path / "h.txt", np.c_[r, 2.0 * r * np.exp(-r)])
+    (tmp_path / "samples.csv").write_text("f,g,weight\n1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n")
+    entry = "import sys; from qmoments.cli import main; sys.exit(main())"
+    for argv in (["sweep", "--grid", "h.txt", "--p-grid", "3", "--q-grid", "2"],
+                 ["central", "--grid", "h.txt", "--alpha", "1", "--beta", "1"],
+                 ["finite", "--dim", "8", "--p", "3", "--q", "2", "--trials", "3", "--seed", "7"],
+                 ["holder", "--data", "samples.csv", "--p", "3", "--q", "2"]):
+        out = _fresh(entry, *argv, cwd=tmp_path)
+        assert (out.returncode, out.stderr) == (EXIT_OK, ""), argv
+        assert json.loads(out.stdout)["manifest"]["outcomes"]["checks"] >= 1

@@ -509,3 +509,13 @@ def test_holder_violation_flagged_internal_error():
     v = holder_verdict(d, make_exponents(2, 2), slack=0.0)
     if not v.holds:  # round-off direction is not guaranteed either way
         assert v.inputs.get("severity") == "internal-error"
+
+
+@pytest.mark.parametrize("hbar, r_star", [(1e-300, 1.2), (1e300, 1.2), (1e-200, 1.6)])
+def test_commutator_side_out_of_range_is_an_error_not_a_vacuous_pass(hbar, r_star):
+    # (hbar/2)^r* at 0 would make every i == j cell hold; subnormal has lost its digits
+    from qmoments.inequalities import _half_hbar_power
+
+    with pytest.raises(DomainError, match="hbar=1e[-+]"):
+        _half_hbar_power(hbar, r_star)
+    assert _half_hbar_power(1e-300, 0.5) == pytest.approx(math.sqrt(5e-301), rel=1e-15)

@@ -1,11 +1,13 @@
 """Property tests: Young's inequality, the Exponents invariants, the grid
-file reader, and the CLI on fuzzed tolerance, slack, dimension, potential
-and config-file values. Skipped where hypothesis is absent."""
+file reader, the a:b:n grid spec, and the CLI on fuzzed tolerance, slack,
+dimension, potential and config-file values. Skipped where hypothesis is
+absent."""
 
 import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main  # noqa: E402
+from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parse_grid, main  # noqa: E402
 from qmoments.core import make_exponents, young_gap  # noqa: E402
 from qmoments.states import _read_grid  # noqa: E402
 
@@ -120,15 +122,46 @@ _configs = st.one_of(
 
 @settings(FIXED, max_examples=60)
 @given(config=_configs)
-# a0 = 1e-300 overflows the r4test norm (2 kappa)^9 while the catalog is built;
-# hbar = 1e300 overflows the left side (hbar/2)^r*
+# a0 = 1e-300 makes <|z|^3> underflow and a0 = 1e300 makes it overflow;
+# hbar = 1e300 overflows <|p_z|^2>, and hbar = 1e-300 underflows it and the
+# left side (hbar/2)^r*, which read 0.0 and held vacuously before
 @example(config={"constants": {"a0": 1e-300}})
+@example(config={"constants": {"a0": 1e300}})
 @example(config={"constants": {"hbar": 1e300}})
+@example(config={"constants": {"hbar": 1e-300}})
 def test_cli_never_raises_on_fuzzed_config(tmp_path_factory, config):
     path = tmp_path_factory.getbasetemp() / "config_property.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    code = _run(["--config", str(path), "hydrogen", "--p", "3", "--q", "2"])
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["--config", str(path), "hydrogen", "--p", "3", "--q", "2"])
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_VIOLATION, EXIT_DIVERGENT)
+    assert caught == []
+    if code == EXIT_ERROR:
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+
+
+# ends of an a:b:n grid: magnitudes 1e-300 to 1e300 of either sign, or 0
+_magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+_ends = st.one_of(st.sampled_from([0.0, -0.0]), _magnitudes, _magnitudes.map(lambda x: -x))
+
+
+@FIXED
+@given(a=_ends, b=_ends, count=st.integers(min_value=1, max_value=50),
+       shape=st.sampled_from(["as drawn", "equal", "reversed"]))
+# adjacent subnormals: the step delta/(n-1) underflows to 0, numpy's branch
+@example(a=5e-324, b=1e-323, count=50, shape="as drawn")
+def test_grid_spec_is_numpy_linspace_bit_for_bit(a, b, count, shape):
+    if shape == "equal":
+        b = a
+    elif shape == "reversed":
+        a, b = b, a
+    got = _parse_grid(f"{a!r}:{b!r}:{count}")
+    assert all(type(x) is float for x in got)
+    assert np.array(got).tobytes() == np.linspace(a, b, count).tobytes()
 
 
 def _no_null(x) -> bool:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from marginals import hydrogen_position_density, momentum_density, position_density
+from marginals import hydrogen_position_density, integrated, momentum_density, position_density
 from qmoments.core import CapabilityError, DataFormatError, Tolerances
 from qmoments.quadrature import Domain, integrate
 from qmoments.states import (
@@ -141,7 +141,8 @@ _GRID_R = np.arange(0.0, 40.01, 0.02)
     lambda tol: GaussianPacket(p0=0.7, tol=tol),
 ], ids=["hydrogen", "r4test", "gaussian"])
 def test_kinetic_energy_integrates_at_the_state_tolerances(make, monkeypatch):
-    import qmoments.states as st
+    # the gradient-quadrature route, which the closed forms take the place of
+    from qmoments import quadrature
 
     evals = []
 
@@ -150,11 +151,11 @@ def test_kinetic_energy_integrates_at_the_state_tolerances(make, monkeypatch):
         evals.append(res.evaluations)
         return res
 
-    monkeypatch.setattr(st, "integrate", counted)
-    tight = make(Tolerances()).kinetic_energy()
+    monkeypatch.setattr(quadrature, "integrate", counted)
+    tight = integrated(make(Tolerances())).kinetic_energy()
     tight_evals = sum(evals)
     evals.clear()
-    loose = make(Tolerances(rel_tol=1e-4)).kinetic_energy()
+    loose = integrated(make(Tolerances(rel_tol=1e-4))).kinetic_energy()
     assert 0 < sum(evals) < tight_evals
     assert loose == pytest.approx(tight, rel=1e-4)
 
@@ -176,9 +177,9 @@ def _knot_oracle(st, f):
 def test_grid_kinetic_energy_does_not_depend_on_the_tolerances(monkeypatch):
     # u'^2 is a quartic on each knot interval: K15 per interval is exact and
     # integrate is never called, whatever the state's tolerances
-    import qmoments.states as st
+    from qmoments import quadrature
 
-    monkeypatch.setattr(st, "integrate", None)
+    monkeypatch.setattr(quadrature, "integrate", None)
     grid = RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R))
     tight = grid.kinetic_energy()
     loose = RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R),
@@ -692,7 +693,7 @@ def test_hydrogen_grid_momentum_moment_near_the_closed_form(q):
     ("r4test", 6.0), ("r4test", 7.5),
 ])
 def test_catalog_momentum_moment_independent_of_the_start(name, q):
-    got = _momentum_moment(catalog()[name], q)
+    got = _momentum_moment(integrated(catalog()[name]), q)
     assert got == pytest.approx(_two_panel_momentum_moment(catalog()[name], q), rel=1e-11)
 
 
@@ -702,7 +703,7 @@ def test_catalog_momentum_moment_independent_of_the_start(name, q):
 @pytest.fixture
 def integrate_calls(monkeypatch):
     """The integrate calls the moments make."""
-    from qmoments import moments as mo
+    from qmoments import quadrature
 
     calls = []
 
@@ -710,7 +711,7 @@ def integrate_calls(monkeypatch):
         calls.append(args[1])
         return integrate(*args, **kwargs)
 
-    monkeypatch.setattr(mo, "integrate", counted)
+    monkeypatch.setattr(quadrature, "integrate", counted)
     return calls
 
 
