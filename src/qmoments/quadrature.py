@@ -231,9 +231,17 @@ def integrate(
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
 _MAX_SINE_PANELS = 1 << 17
-# entries the (2K, 15 blocks) product array of one k-block of a sine
-# transform may hold, unless 15 k need more
-_SINE_BLOCK = 1 << 14
+# Gaussian gridding of the panel sums (Dutt & Rokhlin 1993, Greengard & Lee
+# 2004): 2*_SPREAD window taps on a grid _OVERSAMPLE times the panel count.
+# At 2.5 the transform is within 2e-15 of the per-node sums; at 2 it reached
+# 6e-15, too near the 1e-14 that the tests allow
+_SPREAD = 16
+_OVERSAMPLE = 2.5
+# k per pass of sine_transform, whose work arrays hold (_K_CHUNK, 2 _SPREAD, 30)
+# doubles, so a long request holds no more memory than a short one
+_K_CHUNK = 16
+# 1/(2 pi) as a double-double
+_INV_2PI = (0.15915494309189535, -9.839338337591243e-18)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -243,17 +251,34 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
+def _two_product(a, b):
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker 1971), for
+    floats or broadcasting arrays."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _sin_cos_outer(ks: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sin and cos of the outer product k_i*x_j, corrected to first order for
     the rounding of each product (Dekker's two-product). Uncorrected, that
     rounding (up to an ulp of k*r_max) is noise in k that adaptive
     k-integrals of steep momentum moments cannot get below."""
-    prod = ks[:, None] * x[None, :]
-    (kh, kl), (xh, xl) = _split(ks), _split(x)
-    kh, kl = kh[:, None], kl[:, None]
-    lost = ((kh * xh - prod) + kh * xl + kl * xh) + kl * xl
+    prod, lost = _two_product(ks[:, None], x[None, :])
     s, c = np.sin(prod), np.cos(prod)
     return s + lost * c, c - lost * s
+
+
+def _fft_size(m: int) -> int:
+    """The smallest 5-smooth integer >= m."""
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 class RadialSamples:
@@ -265,10 +290,23 @@ class RadialSamples:
     depends on k alone. u is called once, on a 1-d array of the nodes in
     ascending order.
 
-    Panel j = b*size + o, size = isqrt(n) + 1, has its centre at
-    c_j = start_b + offset_o. The samples are kept as a (size, 15 blocks)
-    array, zero past panel n, so a sum over the panels is a matrix product
-    over the offsets o and then a short sum over the blocks b."""
+    Node m of panel j sits at c_j + h x_m, c_j = (j + 1/2) d, d = 2h. With
+    N = n rounded up to even, j' = j - N/2 and theta = k d,
+    sum_j u_jm sin(k r_jm) = Im[exp(i k ((N/2 + 1/2) d + h x_m)) f_m(theta)],
+    f_m(theta) = sum_j' u_jm exp(i j' theta), a type-2 non-uniform Fourier
+    sum. Gaussian gridding evaluates it: with M >= 2.5 N points
+    theta_t = 2 pi t/M, G_j' = sqrt(tau/pi) exp(-j'^2 tau) and
+    tau = pi _SPREAD/(N^2 rho (rho - 1/2)), rho = M/N,
+    f_m(theta) = (1/M) sum_t H_tm exp(-(theta - theta_t)^2/(4 tau)),
+    H_tm = sum_j' (u_jm/G_j') exp(i j' theta_t),
+    which one real FFT per node column gives: with u_jm/G_j' at index
+    j' mod M of an M-point array, H_tm = conj(R_tm) for its rfft R. Only the
+    2 _SPREAD taps nearest theta count, and only the rows of H that theta
+    in [0, k_max d] reaches are kept, with the K15 weights, h, sqrt(2/pi)
+    and 1/M folded in: a (rows, 30) table of real parts, then imaginary
+    parts. Row t holds H at t mod M, which past M/2 is R_{M - t mod M} as u
+    is real: the rows t < 0 that k near 0 reach, and, where M < 64
+    (n <= 24), rows that a window wider than half the grid reaches."""
 
     def __init__(self, u: Callable, r_max: float, r_scale: float, k_max: float):
         n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
@@ -280,61 +318,69 @@ class RadialSamples:
         self.k_max = k_max
         edges = np.linspace(0.0, r_max, n + 1)
         c = 0.5 * (edges[:-1] + edges[1:])
-        self.h = 0.5 * (edges[1] - edges[0])
-        width = r_max / n
-        uv = np.asarray(u((c[:, None] + self.h * _XK[None, :]).ravel()), dtype=float)
+        h = 0.5 * (edges[1] - edges[0])
+        uv = np.asarray(u((c[:, None] + h * _XK[None, :]).ravel()), dtype=float)
         if not np.all(np.isfinite(uv)):
             raise MomentsError("non-finite radial wavefunction value in sine transform")
-        size = math.isqrt(n) + 1
-        self.blocks = -(-n // size)
-        # block starts, then centre offsets within a block: the phase points
-        self.points = np.concatenate([np.arange(self.blocks) * (size * width),
-                                      (np.arange(size) + 0.5) * width])
-        # u[o, 15 b + m] is the sample at node m of panel b*size + o
-        padded = np.zeros((self.blocks * size, 15))
-        padded[:n] = uv.reshape(n, 15)
-        self.u = padded.reshape(self.blocks, size, 15).transpose(1, 0, 2).reshape(size, -1)
+        half = (n + 1) // 2  # N/2
+        size = _fft_size(math.ceil(_OVERSAMPLE * 2 * half))  # M
+        rho = size / (2 * half)
+        tau = math.pi * _SPREAD / ((2 * half) ** 2 * rho * (rho - 0.5))
+        # the window exp(-(theta - theta_t)^2/(4 tau)) per squared grid step
+        self._alpha = math.pi**2 / (size**2 * tau)
+        # the grid position k*d*M/(2 pi) of theta comes from this scale, a
+        # double-double: the fraction inside the window is then exact to
+        # rounding, and the rounding of k*d is not noise in k
+        d = 2.0 * h
+        dm, dm_lo = _two_product(d, float(size))
+        s_hi, s_lo = _two_product(dm, _INV_2PI[0])
+        self._scale = (s_hi, s_lo + dm * _INV_2PI[1] + dm_lo * _INV_2PI[0])
+        # node m's phase is k*offset_m on top of the grid sum's j'*theta
+        self._offsets = (half + 0.5) * d + h * _XK
+        # rows t = 1 - _SPREAD ... floor(k_max*scale) + _SPREAD, at t mod M
+        t = np.arange(1 - _SPREAD, math.floor(k_max * s_hi) + _SPREAD + 1) % size
+        low = t <= size // 2
+        rows = np.where(low, t, size - t)
+        jp = np.arange(n) - half
+        decon = np.exp(tau * jp.astype(float) ** 2) * (math.sqrt(math.pi / tau) / size)
+        cols = uv.reshape(n, 15) * (decon[:, None] * (_WK * (_SINE_NORM * h)))
+        # column m at index j' mod M: its rfft R gives H_t = conj(R_t)
+        wrapped = np.zeros(size)
+        table = np.empty((t.size, 30))
+        for m in range(15):
+            wrapped[:n - half], wrapped[size - half:] = cols[half:, m], cols[:half, m]
+            spec = np.fft.rfft(wrapped)[rows]
+            table[:, m], table[:, 15 + m] = spec.real, spec.imag
+        np.negative(table[:, 15:], out=table[:, 15:], where=low[:, None])
+        self._table = table
 
     def sine_transform(self, ks) -> np.ndarray:
         """The transform at an array of 0 <= k <= k_max of any shape, shaped
-        like ks.
+        like ks; a non-finite k is a DomainError.
 
-        At node c_j + h*x_m the phase splits as
-        sin(k c_j) cos(k h x_m) + cos(k c_j) sin(k h x_m), and with
-        c_j = start_b + offset_o the centre phase splits as
-        sin(k c_j) = sin(k start_b) cos(k offset_o) + cos(k start_b) sin(k offset_o).
-        Per block of k, one matrix product gives X = cos(k offset) @ u and
-        Y = sin(k offset) @ u; a batched product over the blocks b gives
-        Su = sum_j u_jm sin(k c_j) = sum_b sin(k start_b) X_b + cos(k start_b) Y_b
-        and Cu = sum_j u_jm cos(k c_j) = sum_b cos(k start_b) X_b - sin(k start_b) Y_b;
-        the K15 sum is sum_m WK_m [cos(k h x_m) Su_m + sin(k h x_m) Cu_m].
-        No K x n array is formed. The k run in blocks of
-        max(15, _SINE_BLOCK // (30 blocks)) through work arrays allocated
-        once per call; a k's value does not depend on the block it falls in.
+        Per k: the grid position x = k*scale splits into floor(x) and a
+        fraction, the 2 _SPREAD Gaussian weights of the fraction sum the
+        table rows around floor(x) into f_m, and the 15 node phases (the
+        rounding-corrected _sin_cos_outer) finish the K15 sum. The k run in
+        passes of _K_CHUNK, and every sum runs in numpy's own loops (no BLAS
+        product), so a k's value does not depend on the pass or the request
+        it falls in. k = 0 is exactly 0.
         """
         shape = np.shape(ks)
         ks = np.asarray(ks, dtype=float).ravel()
-        if np.any(ks < 0.0) or np.any(ks > self.k_max):
+        if not np.all((ks >= 0.0) & (ks <= self.k_max)):
             raise DomainError(f"sine transform on these samples needs 0 <= k <= {self.k_max:.6g}")
-        nb, size = self.blocks, self.u.shape[0]
-        step = max(15, _SINE_BLOCK // (30 * nb))
-        m_w = min(step, len(ks))
-        # per k: the offset phases [cos; sin], their products [X; Y] with u,
-        # and the block phases [[sin, cos], [cos, -sin]] that mix them
-        phase_w = np.empty((m_w, 2, size))
-        xy_w = np.empty((m_w, 2, 15 * nb))
-        mix_w = np.empty((m_w, 2, 2 * nb))
-        vals = np.empty(len(ks))
-        for lo in range(0, len(ks), step):
-            kb = ks[lo:lo + step]
-            m = len(kb)
-            s, c = _sin_cos_outer(kb, self.points)
-            phase, xy, mix = phase_w[:m], xy_w[:m], mix_w[:m]
-            phase[:, 0], phase[:, 1] = c[:, nb:], s[:, nb:]
-            np.matmul(phase.reshape(2 * m, size), self.u, out=xy.reshape(2 * m, -1))
-            mix[:, 0, :nb], mix[:, 0, nb:], mix[:, 1, :nb] = s[:, :nb], c[:, :nb], c[:, :nb]
-            np.negative(s[:, :nb], out=mix[:, 1, nb:])
-            su, cu = np.matmul(mix, xy.reshape(m, 2 * nb, 15)).transpose(1, 0, 2)
-            off = kb[:, None] * (self.h * _XK)
-            vals[lo:lo + step] = (np.cos(off) * su + np.sin(off) * cu) @ _WK
-        return _SINE_NORM * self.h * vals.reshape(shape)
+        s_hi, s_lo = self._scale
+        taps = np.arange(2 * _SPREAD)
+        vals = np.empty(ks.size)
+        for lo in range(0, ks.size, _K_CHUNK):
+            kb = ks[lo:lo + _K_CHUNK]
+            x, x_lo = _two_product(kb, s_hi)
+            t0 = np.floor(x)
+            frac = (x - t0) + (x_lo + kb * s_lo)
+            win = np.exp(-self._alpha * (frac[:, None] + (_SPREAD - 1 - taps)) ** 2)
+            f = np.einsum("ktc,kt->kc", self._table[t0.astype(np.intp)[:, None] + taps], win)
+            s, c = _sin_cos_outer(kb, self._offsets)
+            vals[lo:lo + _K_CHUNK] = (s * f[:, :15] + c * f[:, 15:]).sum(axis=1)
+        vals[ks == 0.0] = 0.0
+        return vals.reshape(shape)

@@ -288,16 +288,55 @@ def test_sine_transform_batch_matches_dense_reference_on_grid_state():
 
     st = _hydrogen_grid()
     k_cut = st.momentum_table().k_cut
-    cases = [(st, np.linspace(1e-3, 0.1 * k_cut, 64)), (st, np.linspace(0.5 * k_cut, k_cut, 64))]
-    # geometric, with a leading r = 0, as in the grid benchmark; 96 k span several k-blocks
+    # k whose gridding position k*scale is an integer to rounding: the
+    # fraction inside the window is 0, or 1 less an ulp
+    scale = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut)._scale[0]
+    on_grid = np.arange(1.0, k_cut * scale, 97.0) / scale
+    # (u, r_max, r_scale, k_max, ks); k_max None is ks.max()
+    h = (st.reduced_radial, st.r_max, st.r_scale)
+    cases = [(*h, None, np.linspace(1e-3, 0.1 * k_cut, 64)), (*h, None, np.linspace(0.5 * k_cut, k_cut, 64)),
+             # the window reaches rows t < 0, the conjugate half of the grid
+             (*h, k_cut, np.linspace(0.0, 1e-4 * k_cut, 16)),
+             (*h, k_cut, np.array([k_cut])), (*h, k_cut, on_grid[on_grid <= k_cut])]
+    # geometric, with a leading r = 0, as in the grid benchmark
     r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
     r4 = RadialGridState(r, r**4 * np.exp(-r))
-    cases.append((r4, np.linspace(1e-3, r4.momentum_table().k_cut, 96)))
-    for s, ks in cases:
-        k_max = float(ks.max())
-        vals = RadialSamples(s.reduced_radial, s.r_max, s.r_scale, k_max).sine_transform(ks)
-        ref = _dense_sine_transform(s.reduced_radial, ks, s.r_max, s.r_scale, k_max)
+    cases.append((r4.reduced_radial, r4.r_max, r4.r_scale, None, np.linspace(1e-3, r4.momentum_table().k_cut, 96)))
+    # an even panel count (n = 1274; the benchmark grids have n = 2865)
+    r = np.arange(0.0, 20.01, 0.5)
+    coarse = RadialGridState(r, 2.0 * r * np.exp(-r))
+    cases.append((coarse.reduced_radial, coarse.r_max, coarse.r_scale, None,
+                  np.linspace(0.0, coarse.momentum_table().k_cut, 64)))
+    # n = 4 panels: the window is wider than half the grid, so rows wrap mod M
+    cases.append((_hydrogen_u, 2.0, 1.0, 0.5, np.linspace(0.0, 0.5, 11)))
+    for u, r_max, r_scale, k_max, ks in cases:
+        k_max = float(ks.max()) if k_max is None else k_max
+        vals = RadialSamples(u, r_max, r_scale, k_max).sine_transform(ks)
+        ref = _dense_sine_transform(u, ks, r_max, r_scale, k_max)
         assert np.abs(vals - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+def test_sine_transform_rejects_k_outside_its_range(bad):
+    samples = RadialSamples(_hydrogen_u, 48.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        samples.sine_transform([0.5, bad])
+
+
+def test_sine_transform_values_do_not_depend_on_order_or_batch():
+    from qmoments.quadrature import _kronrod_nodes
+
+    st = _hydrogen_grid()
+    table = st.momentum_table()
+    edges = table.partition()
+    nodes = np.sort(_kronrod_nodes(edges[:-1], edges[1:])[0].ravel())
+    samples = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, table.k_cut)
+    want = samples.sine_transform(nodes)
+    rng = np.random.default_rng(19)
+    ks = rng.permutation(np.concatenate([nodes, nodes[rng.integers(0, nodes.size, 60)]]))
+    for size in (1, 7, 540):
+        vals = np.concatenate([samples.sine_transform(ks[i:i + size]) for i in range(0, ks.size, size)])
+        assert np.array_equal(vals, want[np.searchsorted(nodes, ks)])
 
 
 def test_sine_transform_batch_blocks_match_single_k_and_cap_memory():
@@ -339,6 +378,17 @@ def test_sine_transform_k_integral_reaches_tolerance():
                       Domain.finite(0.0, k_cut), Tolerances(abs_tol=1e-15), breakpoints=[1.0])
     assert res.converged
     assert res.value == pytest.approx(exact.value, rel=1e-9)
+
+
+def test_sine_transform_has_no_rounding_noise_between_adjacent_k():
+    # w at k and two ulps above differs by w'(k) dk (below 1e-19 here); a
+    # rounded node phase k*offset would make it about 4e-17
+    st = _hydrogen_grid()
+    k_cut = st.momentum_table().k_cut
+    samples = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut)
+    ks = np.linspace(0.5 * k_cut, k_cut * (1.0 - 1e-9), 501)
+    up = np.nextafter(np.nextafter(ks, np.inf), np.inf)
+    assert np.abs(samples.sine_transform(up) - samples.sine_transform(ks)).max() <= 5e-18
 
 
 def test_sin_cos_outer_corrects_the_rounding_of_each_product():
