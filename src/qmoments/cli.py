@@ -18,6 +18,7 @@ modules that --grid, finite and holder load on first use.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -564,7 +565,10 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, and
+    # the subcommand tree costs about 2 ms to build
     # global flags are accepted both before and after the subcommand; SUPPRESS
     # keeps the subparser from clobbering values parsed by the main parser
     common = argparse.ArgumentParser(add_help=False)

@@ -296,9 +296,15 @@ class MomentValue:
         raise err(f"moment of order {self.order} is {self.status}: {self.detail}")
 
 
-def default_slack(rhs: float) -> float:
-    """Default numerical slack for verdicts: 1e-9 relative, floored at 1e-9."""
-    return 1e-9 * max(1.0, abs(rhs))
+def default_slack(rhs: float, lhs: float | None = None) -> float:
+    """Default numerical slack for verdicts: 1e-9 relative to rhs, floored at
+    1e-9. Given lhs too, as a moment verdict does, 1e-9 relative to the larger
+    side with no floor: the sides of such a verdict carry powers of the
+    state's constants, and an absolute floor would let a cell hold by slack
+    alone in small enough units."""
+    if lhs is None:
+        return 1e-9 * max(1.0, abs(rhs))
+    return 1e-9 * max(abs(lhs), abs(rhs))
 
 
 @record

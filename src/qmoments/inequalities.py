@@ -32,6 +32,7 @@ from .core import (
     MomentValue,
     Verdict,
     _require_normal,
+    default_slack,
     make_exponents,
     make_verdict,
     record,
@@ -104,7 +105,8 @@ def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
     """Compute the sides in order. The first one that diverges makes a
     DIVERGENT verdict and the later ones are not computed. A failed one
     raises MomentsError instead: it was not computed, so it says nothing
-    about whether the moment is finite."""
+    about whether the moment is finite. The default slack scales with both
+    sides (default_slack), so the verdict does not depend on the units."""
     values = []
     for name, side in c.sides:
         m = side()
@@ -115,6 +117,8 @@ def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
             raise MomentsError(f"{c.label}: {name} is {m.status}: {m.detail}")
         values.append(m.value)
     lhs, rhs = c.lhs_rhs(*values)
+    if slack is None:
+        slack = default_slack(rhs, lhs)
     return _flag_internal_error(make_verdict(c.label, lhs, rhs, slack, c.inputs))
 
 

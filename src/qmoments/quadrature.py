@@ -231,42 +231,79 @@ def integrate(
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
 _MAX_SINE_PANELS = 1 << 17
-# Gaussian gridding of the panel sums (Dutt & Rokhlin 1993, Greengard & Lee
-# 2004): 2*_SPREAD window taps on a grid _OVERSAMPLE times the panel count.
-# At 2.5 the transform is within 2e-15 of the per-node sums; at 2 it reached
-# 6e-15, too near the 1e-14 that the tests allow
-_SPREAD = 16
-_OVERSAMPLE = 2.5
-# k per pass of sine_transform, whose work arrays hold (_K_CHUNK, 2 _SPREAD, 30)
-# doubles, so a long request holds no more memory than a short one
-_K_CHUNK = 16
+# The "exponential of semicircle" window of the gridded panel sums (Barnett,
+# Magland & af Klinteberg 2019): phi(z) = exp(beta (sqrt(1 - (2z/w)^2) - 1))
+# on |z| <= w/2 grid steps, w = _TAPS taps on a grid _OVERSAMPLE times the
+# panel count, beta = 2.30 w. The transform is then within 7.2e-15 of the
+# per-node sums, against the 1e-14 that the tests allow; the error is
+# largest for u near r = 0 and r_max, the panels at the edges of the band
+_TAPS = 16
+_BETA = 2.30 * _TAPS
+_OVERSAMPLE = 2
+# k per pass of sine_transform, whose work arrays hold (_PASS, _TAPS, 30)
+# doubles for every request, so a long request holds no more memory than a
+# short one
+_PASS = 128
+# tap j of a k at grid position floor(x) + frac sits at 2z/w = (frac + w/2 -
+# 1 - j)/(w/2), on table row floor(x) + j
+_TAP_INDEX = np.arange(_TAPS)
+_TAP_OFFSETS = (_TAPS // 2 - 1 - _TAP_INDEX) / (_TAPS // 2)
 # 1/(2 pi) as a double-double
 _INV_2PI = (0.15915494309189535, -9.839338337591243e-18)
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a = hi + lo exactly, hi with at most 26 significant bits (Dekker 1971)."""
+def _split(a):
+    """(a, hi, lo) with a = hi + lo exactly, hi with at most 26 significant
+    bits (Dekker 1971), for a float or an array."""
     t = a * 134217729.0  # 2^27 + 1
     hi = t - (t - a)
-    return hi, a - hi
+    return a, hi, a - hi
 
 
 def _two_product(a, b):
-    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker 1971), for
-    floats or broadcasting arrays."""
+    """(p, e) with p = fl(a*b) and p + e = a*b exactly (Dekker 1971), for a
+    and b split by _split: floats or broadcasting arrays."""
+    (a, ah, al), (b, bh, bl) = a, b
     p = a * b
-    (ah, al), (bh, bl) = _split(a), _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _sin_cos_outer(ks: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of the outer product k_i*x_j, corrected to first order for
-    the rounding of each product (Dekker's two-product). Uncorrected, that
-    rounding (up to an ulp of k*r_max) is noise in k that adaptive
-    k-integrals of steep momentum moments cannot get below."""
-    prod, lost = _two_product(ks[:, None], x[None, :])
+def _sin_cos_outer(k, x) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of the outer product k_i*x_j, for arrays k and x split by
+    _split, corrected to first order for the rounding of each product.
+    Uncorrected, that rounding (up to an ulp of k*r_max) is noise in k that
+    adaptive k-integrals of steep momentum moments cannot get below."""
+    prod, lost = _two_product(tuple(a[:, None] for a in k), x)
     s, c = np.sin(prod), np.cos(prod)
     return s + lost * c, c - lost * s
+
+
+def _window(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The window at a = 2z/w, in place, with scratch an array of a's shape.
+    It is exp(-beta a^2/(1 + sqrt(1 - a^2))): the form sqrt(1 - a^2) - 1 of
+    the exponent would lose its relative precision near a = 0 and make the
+    window's rounding beta times larger. Past |a| = 1, which the rounding of a
+    grid position can reach, 1 - a^2 counts as 0."""
+    np.multiply(a, a, out=a)
+    np.subtract(1.0, a, out=scratch)
+    np.maximum(scratch, 0.0, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    np.add(scratch, 1.0, out=scratch)
+    np.multiply(a, -_BETA, out=a)
+    np.divide(a, scratch, out=a)
+    return np.exp(a, out=a)
+
+
+def _window_transform(size: int, count: int) -> np.ndarray:
+    """phi_hat(2 pi j/size) = integral of phi(z) cos(2 pi j z/size) dz for
+    0 <= j < count <= size/2 + 1. The trapezoid rule at half-step spacing
+    is exact to rounding here: its error is phi_hat at frequencies 4 pi
+    apart, where the window's transform has fallen to e^-beta of its peak.
+    Its cosine sums are one zero-padded real FFT."""
+    phi = _window(np.arange(_TAPS + 1.0) / _TAPS, np.empty(_TAPS + 1))
+    phi[0] *= 0.5
+    reps = -(-(_TAPS + 1) // (2 * size))  # the padded length holds every sample
+    return np.fft.rfft(phi, 2 * size * reps)[:count * reps:reps].real
 
 
 def _fft_size(m: int) -> int:
@@ -294,19 +331,18 @@ class RadialSamples:
     N = n rounded up to even, j' = j - N/2 and theta = k d,
     sum_j u_jm sin(k r_jm) = Im[exp(i k ((N/2 + 1/2) d + h x_m)) f_m(theta)],
     f_m(theta) = sum_j' u_jm exp(i j' theta), a type-2 non-uniform Fourier
-    sum. Gaussian gridding evaluates it: with M >= 2.5 N points
-    theta_t = 2 pi t/M, G_j' = sqrt(tau/pi) exp(-j'^2 tau) and
-    tau = pi _SPREAD/(N^2 rho (rho - 1/2)), rho = M/N,
-    f_m(theta) = (1/M) sum_t H_tm exp(-(theta - theta_t)^2/(4 tau)),
-    H_tm = sum_j' (u_jm/G_j') exp(i j' theta_t),
-    which one real FFT per node column gives: with u_jm/G_j' at index
+    sum. Gridding with the window phi evaluates it: with M >= 2N points
+    theta_t = 2 pi t/M and x = theta M/(2 pi) the grid position of theta,
+    f_m(theta) = sum_t phi(x - t) H_tm,
+    H_tm = sum_j' (u_jm/phi_hat(2 pi j'/M)) exp(i j' theta_t),
+    which one real FFT per node column gives: with u_jm/phi_hat at index
     j' mod M of an M-point array, H_tm = conj(R_tm) for its rfft R. Only the
-    2 _SPREAD taps nearest theta count, and only the rows of H that theta
-    in [0, k_max d] reaches are kept, with the K15 weights, h, sqrt(2/pi)
-    and 1/M folded in: a (rows, 30) table of real parts, then imaginary
-    parts. Row t holds H at t mod M, which past M/2 is R_{M - t mod M} as u
-    is real: the rows t < 0 that k near 0 reach, and, where M < 64
-    (n <= 24), rows that a window wider than half the grid reaches."""
+    _TAPS taps nearest x count, and only the rows of H that theta in
+    [0, k_max d] reaches are kept, with the K15 weights, h and sqrt(2/pi)
+    folded in: a (rows, 30) table of real parts, then imaginary parts. Row t
+    holds H at t mod M, which past M/2 is R_{M - t mod M} as u is real: the
+    rows t < 0 that k near 0 reach, and, where M <= 24 (n <= 12), rows that
+    the window reaches past M/2."""
 
     def __init__(self, u: Callable, r_max: float, r_scale: float, k_max: float):
         n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
@@ -323,26 +359,23 @@ class RadialSamples:
         if not np.all(np.isfinite(uv)):
             raise MomentsError("non-finite radial wavefunction value in sine transform")
         half = (n + 1) // 2  # N/2
-        size = _fft_size(math.ceil(_OVERSAMPLE * 2 * half))  # M
-        rho = size / (2 * half)
-        tau = math.pi * _SPREAD / ((2 * half) ** 2 * rho * (rho - 0.5))
-        # the window exp(-(theta - theta_t)^2/(4 tau)) per squared grid step
-        self._alpha = math.pi**2 / (size**2 * tau)
+        size = _fft_size(_OVERSAMPLE * 2 * half)  # M
         # the grid position k*d*M/(2 pi) of theta comes from this scale, a
         # double-double: the fraction inside the window is then exact to
         # rounding, and the rounding of k*d is not noise in k
         d = 2.0 * h
-        dm, dm_lo = _two_product(d, float(size))
-        s_hi, s_lo = _two_product(dm, _INV_2PI[0])
-        self._scale = (s_hi, s_lo + dm * _INV_2PI[1] + dm_lo * _INV_2PI[0])
+        dm, dm_lo = _two_product(_split(d), _split(float(size)))
+        s_hi, s_lo = _two_product(_split(dm), _split(_INV_2PI[0]))
+        self._scale = _split(s_hi)
+        self._scale_lo = s_lo + dm * _INV_2PI[1] + dm_lo * _INV_2PI[0]
         # node m's phase is k*offset_m on top of the grid sum's j'*theta
-        self._offsets = (half + 0.5) * d + h * _XK
-        # rows t = 1 - _SPREAD ... floor(k_max*scale) + _SPREAD, at t mod M
-        t = np.arange(1 - _SPREAD, math.floor(k_max * s_hi) + _SPREAD + 1) % size
+        self._offsets = _split((half + 0.5) * d + h * _XK)
+        # rows t = 1 - _TAPS/2 ... floor(k_max*scale) + _TAPS/2, at t mod M
+        t = np.arange(1 - _TAPS // 2, math.floor(k_max * s_hi) + _TAPS // 2 + 1) % size
         low = t <= size // 2
         rows = np.where(low, t, size - t)
         jp = np.arange(n) - half
-        decon = np.exp(tau * jp.astype(float) ** 2) * (math.sqrt(math.pi / tau) / size)
+        decon = 1.0 / _window_transform(size, half + 1)[np.abs(jp)]
         cols = uv.reshape(n, 15) * (decon[:, None] * (_WK * (_SINE_NORM * h)))
         # column m at index j' mod M: its rfft R gives H_t = conj(R_t)
         wrapped = np.zeros(size)
@@ -359,28 +392,36 @@ class RadialSamples:
         like ks; a non-finite k is a DomainError.
 
         Per k: the grid position x = k*scale splits into floor(x) and a
-        fraction, the 2 _SPREAD Gaussian weights of the fraction sum the
-        table rows around floor(x) into f_m, and the 15 node phases (the
+        fraction, the _TAPS window weights of the fraction sum the table rows
+        from floor(x) on into f_m, and the 15 node phases (the
         rounding-corrected _sin_cos_outer) finish the K15 sum. The k run in
-        passes of _K_CHUNK, and every sum runs in numpy's own loops (no BLAS
-        product), so a k's value does not depend on the pass or the request
-        it falls in. k = 0 is exactly 0.
+        passes of _PASS through work arrays of a fixed size, and every sum
+        runs in numpy's own loops (no BLAS product), so a k's value does not
+        depend on the pass or the request it falls in. k = 0 is exactly 0.
         """
         shape = np.shape(ks)
         ks = np.asarray(ks, dtype=float).ravel()
         if not np.all((ks >= 0.0) & (ks <= self.k_max)):
             raise DomainError(f"sine transform on these samples needs 0 <= k <= {self.k_max:.6g}")
-        s_hi, s_lo = self._scale
-        taps = np.arange(2 * _SPREAD)
         vals = np.empty(ks.size)
-        for lo in range(0, ks.size, _K_CHUNK):
-            kb = ks[lo:lo + _K_CHUNK]
-            x, x_lo = _two_product(kb, s_hi)
+        win, scratch = np.empty((2, _PASS, _TAPS))
+        rows = np.empty((_PASS, _TAPS), dtype=np.intp)
+        gathered = np.empty((_PASS, _TAPS, 30))
+        f = np.empty((_PASS, 30))
+        for lo in range(0, ks.size, _PASS):
+            kb = _split(ks[lo:lo + _PASS])
+            m = kb[0].size
+            x, x_lo = _two_product(kb, self._scale)
             t0 = np.floor(x)
-            frac = (x - t0) + (x_lo + kb * s_lo)
-            win = np.exp(-self._alpha * (frac[:, None] + (_SPREAD - 1 - taps)) ** 2)
-            f = np.einsum("ktc,kt->kc", self._table[t0.astype(np.intp)[:, None] + taps], win)
+            frac = (x - t0) + (x_lo + kb[0] * self._scale_lo)
+            a = np.add((frac * (2.0 / _TAPS))[:, None], _TAP_OFFSETS, out=win[:m])
+            _window(a, scratch[:m])
+            # rows t0 ... t0 + _TAPS - 1 lie in the table for every
+            # 0 <= k <= k_max, so the take needs no bounds check ("clip")
+            np.add(t0.astype(np.intp)[:, None], _TAP_INDEX, out=rows[:m])
+            np.take(self._table, rows[:m], axis=0, out=gathered[:m], mode="clip")
+            np.einsum("ktc,kt->kc", gathered[:m], a, out=f[:m])
             s, c = _sin_cos_outer(kb, self._offsets)
-            vals[lo:lo + _K_CHUNK] = (s * f[:, :15] + c * f[:, 15:]).sum(axis=1)
+            vals[lo:lo + m] = (s * f[:m, :15] + c * f[:m, 15:]).sum(axis=1)
         vals[ks == 0.0] = 0.0
         return vals.reshape(shape)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -681,6 +682,48 @@ def test_extreme_constants_end_in_one_line_or_a_real_verdict(constants, codes, t
                 # (hbar/2)^r* and the moments are normal doubles, so a cell
                 # that holds does not hold because a side is 0
                 assert row["lhs"] >= sys.float_info.min and row["rhs"] >= sys.float_info.min
+
+
+@pytest.mark.parametrize("kind", ["canonical", "reciprocal"])
+def test_sweep_verdicts_do_not_depend_on_the_units(kind, tmp_path, capsys):
+    # at hbar = 1e-170, a0 = 1e-100 cell (1, 1) has lhs 7.07e-86 > rhs
+    # 5.64e-86: a violation, as at hbar = a0 = 1, not a pass by slack alone
+    argv = ["sweep", "--kind", kind, "--p-grid", "1,2", "--q-grid", "1,2"]
+    outcomes = []
+    for constants in ({"hbar": 1.0, "a0": 1.0}, {"hbar": 1e-170, "a0": 1e-100}):
+        cfgp = tmp_path / "c.json"
+        cfgp.write_text(json.dumps({"constants": constants}))
+        code, doc = run_json(capsys, ["--config", str(cfgp)] + argv)
+        outcomes.append((code, [(row["p"], row["q"], row["holds"]) for row in doc["results"]]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (EXIT_VIOLATION if kind == "canonical" else EXIT_OK)
+
+
+def test_calls_in_one_process_match_calls_run_alone(tmp_path, capsys):
+    # main() builds its parser once per process; a grid sweep, a catalog
+    # call and a parse error in a row print and exit as each does with a
+    # parser of its own
+    from qmoments.cli import _build_parser
+
+    calls = [["sweep", "--grid", _h_grid(tmp_path), "--p-grid", "3", "--q-grid", "2"],
+             ["hydrogen", "--p", "3", "--q", "2"],
+             ["hydrogen", "--p", "3", "--axis", "w"],
+             ["hydrogen", "--p", "3", "--q", "2"]]
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"timestamp": "[^"]*"', "", out), err
+
+    _build_parser.cache_clear()
+    together = [run(argv) for argv in calls]
+    alone = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        alone.append(run(argv))
+    assert together == alone
+    assert [code for code, _, _ in together] == [EXIT_OK, EXIT_OK, EXIT_ERROR, EXIT_OK]
+    assert together[2][2].startswith("usage: qmoments hydrogen")
 
 
 def _fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:

@@ -143,6 +143,13 @@ def test_default_slack_scales_with_rhs():
     assert default_slack(100.0) == pytest.approx(1e-7)
 
 
+def test_default_slack_of_a_moment_verdict_scales_with_both_sides():
+    # no absolute floor: sides of 1e-86 get a slack of 1e-95, not 1e-9
+    assert default_slack(5.6e-86, 7.1e-86) == pytest.approx(7.1e-95)
+    assert default_slack(100.0, 0.5) == pytest.approx(1e-7)
+    assert default_slack(0.0, 0.0) == 0.0
+
+
 def test_verdict_rejects_negative_slack():
     with pytest.raises(DomainError):
         make_verdict("t", 1.0, 1.0, slack=-1e-3)

@@ -324,7 +324,7 @@ def test_sine_transform_rejects_k_outside_its_range(bad):
 
 
 def test_sine_transform_values_do_not_depend_on_order_or_batch():
-    from qmoments.quadrature import _kronrod_nodes
+    from qmoments.quadrature import _PASS, _kronrod_nodes
 
     st = _hydrogen_grid()
     table = st.momentum_table()
@@ -334,7 +334,8 @@ def test_sine_transform_values_do_not_depend_on_order_or_batch():
     want = samples.sine_transform(nodes)
     rng = np.random.default_rng(19)
     ks = rng.permutation(np.concatenate([nodes, nodes[rng.integers(0, nodes.size, 60)]]))
-    for size in (1, 7, 540):
+    # requests of one k, of a partial pass, of one pass and of a pass and one k
+    for size in (1, 7, _PASS - 1, _PASS, _PASS + 1, 540):
         vals = np.concatenate([samples.sine_transform(ks[i:i + size]) for i in range(0, ks.size, size)])
         assert np.array_equal(vals, want[np.searchsorted(nodes, ks)])
 
@@ -391,12 +392,51 @@ def test_sine_transform_has_no_rounding_noise_between_adjacent_k():
     assert np.abs(samples.sine_transform(up) - samples.sine_transform(ks)).max() <= 5e-18
 
 
+def test_window_matches_a_forty_digit_oracle():
+    # the exponent -beta a^2/(1 + sqrt(1 - a^2)) keeps its relative precision
+    # near a = 0; the textbook beta (sqrt(1 - a^2) - 1) is off by up to 2e-15
+    from decimal import Decimal, localcontext
+
+    from qmoments.quadrature import _BETA, _window
+
+    a = np.concatenate([np.linspace(-1.0, 1.0, 401), [1e-9, 0.01, 0.03, 0.999999]])
+    got = _window(a.copy(), np.empty_like(a))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = np.array([float((Decimal(_BETA) * ((1 - Decimal(x) ** 2).sqrt() - 1)).exp()) for x in a])
+    assert np.abs(got - want).max() <= 4e-16
+    # just past |a| = 1, where the rounding of a grid position can put a tap,
+    # the window is finite and continues from its end value
+    assert _window(np.array([1.0 + 1e-12, -1.0 - 1e-12]), np.empty(2)) == pytest.approx(math.exp(-_BETA), rel=1e-10)
+
+
+@pytest.mark.parametrize("size", [8, 30, 5760])
+def test_window_transform_matches_adaptive_quadrature(size):
+    # the oracle integrates the window's Fourier integral adaptively, with no
+    # FFT and no trapezoid rule; size 8 is the grid of n = 4 panels, shorter
+    # than the window's samples
+    from qmoments.quadrature import _TAPS, _window, _window_transform
+
+    half_width = _TAPS // 2
+    count = size // 2 + 1
+    got = _window_transform(size, count)
+    for j in sorted({0, 1, count // 2, count - 1}):
+        xi = 2.0 * math.pi * j / size
+
+        def integrand(z, xi=xi):
+            return 2.0 * _window(z / half_width, np.empty_like(z)) * np.cos(xi * z)
+
+        res = integrate(integrand, Domain.finite(0.0, half_width), Tolerances(rel_tol=1e-15, abs_tol=1e-300),
+                        breakpoints=[1.0, 2.0, 4.0, 6.0, 7.0])
+        assert got[j] == pytest.approx(res.value, rel=1e-13)
+
+
 def test_sin_cos_outer_corrects_the_rounding_of_each_product():
     # oracle: the exact residual d = k*x - fl(k*x) from rationals, then
     # sin(k*x) = sin(p) + d cos(p) to first order, p = fl(k*x)
     from fractions import Fraction
 
-    from qmoments.quadrature import _sin_cos_outer
+    from qmoments.quadrature import _sin_cos_outer, _split
 
     ks = np.linspace(41.0, 50.0, 7) * (1.0 + 1.0 / 3.0)
     x = np.linspace(0.7, 90.0, 11) * (1.0 + 1.0 / 7.0)
@@ -404,7 +444,7 @@ def test_sin_cos_outer_corrects_the_rounding_of_each_product():
     d = np.array([[float(Fraction(k) * Fraction(xj) - Fraction(pk)) for xj, pk in zip(x, row)]
                   for k, row in zip(ks, p)])
     want_s, want_c = np.sin(p) + d * np.cos(p), np.cos(p) - d * np.sin(p)
-    s, c = _sin_cos_outer(ks, x)
+    s, c = _sin_cos_outer(_split(ks), _split(x))
     assert np.abs(s - want_s).max() == 0.0
     assert np.abs(c - want_c).max() == 0.0
     # the plain phases miss by far more than the rounding of sin itself
