@@ -32,6 +32,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     DIVERGENT,
     DomainError,
+    FAILED,
     MomentsError,
     NATURAL,
     OK,
@@ -39,16 +40,18 @@ from .core import (
     SI,
     Tolerances,
     Verdict,
+    _require_normal,
     _require_slack,
     fresh,
     make_exponents,
     record,
+    replace,
 )
 from . import centralfield as cf
 from . import inequalities as iq
 from . import matrixlab, states
 from . import moments as mo
-from .exact import catalog
+from .exact import DIM_3D_SPHERICAL, catalog
 from .rng import SplitMix64
 
 EXIT_OK = 0
@@ -187,6 +190,21 @@ def _check_order(name: str, value: float) -> float:
     return v
 
 
+def _si_checked(v: Verdict, cfg: RunConfig, hbar_power: float) -> Verdict:
+    """v, or v failed where --units si scales a nonzero side of it by
+    hbar^power out of the normal double range (to 0, a subnormal or inf):
+    such a side is an error, never a number."""
+    if cfg.si and hbar_power != 0.0 and v.status == OK:
+        factor = SI.hbar**hbar_power
+        try:
+            for name, side in (("lhs", v.lhs), ("rhs", v.rhs)):
+                if side != 0.0:
+                    _require_normal(f"{name} in SI units (hbar^{hbar_power:g})", abs(side * factor))
+        except DomainError as exc:
+            return Verdict.not_computed(v.label, FAILED, str(exc), v.inputs)
+    return v
+
+
 def _si_scaled(d: dict[str, Any], cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
     """A computed verdict's dict; under --units si its sides (and margin and
     slack, where present) scale by hbar^power and it gains a unit."""
@@ -283,16 +301,18 @@ def cmd_sweep(args, cfg: RunConfig, argv: list[str]) -> int:
     p_grid = [_check_order("p", v) for v in _parse_grid(args.p_grid)]
     q_grid = [_check_order("q", v) for v in _parse_grid(args.q_grid)]
     state = _resolve_state(args, cfg)
-    i = _AXES[args.i]
-    j = _AXES[args.j]
+    axis = "z" if state.dimensionality == DIM_3D_SPHERICAL else "x"  # default: the state's own
+    i = _AXES[args.i or axis]
+    j = _AXES[args.j or axis]
     table = iq.sweep(state, i, j, p_grid, q_grid, kind=args.kind, slack=cfg.slack)
+    canonical = table.kind == iq.CANONICAL  # reciprocal cells are dimensionless
+    table = replace(table, rows=tuple(
+        _si_checked(v, cfg, v.inputs["r_star"] if canonical else 0.0) for v in table.rows))
     outcomes = Outcomes()
     for v in table.rows:
         outcomes.add(v, cell=f"(p={v.inputs['p']}, q={v.inputs['q']})")
     code = outcomes.exit_code(cfg)
-    # reciprocal cells are dimensionless
-    rows = [_si_scaled(d, cfg, d["r_star"] if table.kind == iq.CANONICAL else 0.0)
-            for d in table.to_dicts()]
+    rows = [_si_scaled(d, cfg, d["r_star"] if canonical else 0.0) for d in table.to_dicts()]
     payload = {
         "manifest": _manifest(cfg, argv, outcomes, code),
         "results": rows,
@@ -597,8 +617,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sweep", help="verdict table over a (p, q) grid", parents=[common])
     s.add_argument("--state", default="hydrogen")
     s.add_argument("--grid", default=None, help="radial grid file instead of a catalog state")
-    s.add_argument("--i", choices=sorted(_AXES), default="z")
-    s.add_argument("--j", choices=sorted(_AXES), default="z")
+    s.add_argument("--i", choices=sorted(_AXES), default=None, help="default: the state's own axis")
+    s.add_argument("--j", choices=sorted(_AXES), default=None)
     s.add_argument("--p-grid", required=True, help="comma list or start:stop:count")
     s.add_argument("--q-grid", required=True)
     s.add_argument("--kind", choices=[iq.CANONICAL, iq.RECIPROCAL], default=iq.CANONICAL)

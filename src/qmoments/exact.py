@@ -5,19 +5,20 @@ Two families live here. Power-exponential radial states u = N r^n e^{-kappa r}
 u(r) = r R(r) with int u^2 dr = 1 and the radial momentum amplitude w(k), the
 sine transform of u; their axis moments come from radial ones by isotropy
 (see moments.py). One-dimensional Gaussian states (oscillator ground state,
-free packets) carry closed-form position and momentum densities.
+free packets) are normal in position and in momentum.
 
 Every moment a catalog command needs has a closed form here, which a state
-gives through one hook, direct_moment: the moment functions and the kinetic
-energy consult it before they build an integrand, and integrate only where
-it returns None. A closed form is evaluated in log space with math.lgamma,
+gives through one hook, direct_moment: the moment functions consult it
+before they build an integrand, and integrate only where it returns None.
+The kinetic energy and the axis moments of a 1-d state have no other route.
+A closed form is evaluated in log space with math.lgamma,
 and its err_estimate is a rounding-level bound (see _from_logs). A finite
 positive moment that leaves the normal double range raises DomainError; it
 never comes back as 0, a subnormal or inf.
 
-Nothing here imports numpy at module level. The array methods (densities,
-momentum tables, gradient integrals) serve the quadrature paths: they import
-numpy, and reach quadrature and states as deferred modules, when first called.
+Nothing here imports numpy at module level. The array methods (radial
+densities, momentum tables) serve the quadrature paths: they import numpy,
+and reach quadrature and states as deferred modules, when first called.
 
 All states are immutable after construction and their densities are pure
 functions; a momentum table is built on first use and only grows a cache of
@@ -43,6 +44,8 @@ R_POWER = "r^t"                     # <r^t>, x = t
 P_POWER = "p^q"                     # <p^q> with p = hbar k, x = q
 POSITION_AXIS = "position_axis"     # <|x - <x>|^s> of a 1-d state, x = s
 MOMENTUM_AXIS = "momentum_axis"     # <|p - <p>|^s> of a 1-d state, x = s
+POSITION_SIGNED = "x^n"             # <x^n> of a 1-d state, x = n, an integer >= 0
+MOMENTUM_SIGNED = "p_x^n"           # <p^n> of a 1-d state, x = n, an integer >= 0
 KINETIC = "T"                       # <T>, x unused
 EXP_DECAY = "exp(-r/r0)"            # <e^(-r/r0)>, x = r0
 
@@ -77,8 +80,7 @@ class ContinuousState:
 
     Subclasses override the methods backing the densities they have. A state
     carries its unit system (constants) and the accuracy target (tol) of
-    every integral over it: its moments, its momentum k-integrals and its
-    kinetic energy.
+    every integral over it: its moments and its momentum k-integrals.
     """
 
     dimensionality: str = DIM_1D
@@ -90,9 +92,10 @@ class ContinuousState:
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """The quantity (R_POWER, P_POWER, POSITION_AXIS, MOMENTUM_AXIS,
-        KINETIC or EXP_DECAY) at x without adaptive integration, or None
-        where the state has no such route and the caller integrates. Callers
-        decide divergence first: this is asked only for finite moments."""
+        POSITION_SIGNED, MOMENTUM_SIGNED, KINETIC or EXP_DECAY) at x without
+        adaptive integration, or None where the state has no such route.
+        Callers decide divergence first: this is asked only for finite
+        moments."""
         return None
 
     # -- radial surface -----------------------------------------------------
@@ -103,12 +106,6 @@ class ContinuousState:
         raise CapabilityError(f"{self.label} has no reduced radial wavefunction")
 
     # -- axis marginals ------------------------------------------------------
-    def axis_position_density(self, axis: int, z):
-        raise CapabilityError(f"{self.label} has no position density")
-
-    def axis_momentum_density(self, axis: int, p):
-        raise CapabilityError(f"{self.label} has no momentum density")
-
     def position_mean(self, axis: int) -> float:
         raise CapabilityError(f"{self.label} has no position density")
 
@@ -116,7 +113,12 @@ class ContinuousState:
         raise CapabilityError(f"{self.label} has no momentum density")
 
     def kinetic_energy(self) -> float:
-        raise CapabilityError(f"{self.label} cannot form the gradient integral")
+        """<T> from direct_moment(KINETIC); CapabilityError where the state
+        has none."""
+        direct = self.direct_moment(KINETIC, 0.0)
+        if direct is None:
+            raise CapabilityError(f"{self.label} has no kinetic energy")
+        return direct.value
 
     def _check_axis(self, axis: int) -> None:
         if self.dimensionality == DIM_3D_SPHERICAL:
@@ -144,13 +146,6 @@ class RadialStateBase(ContinuousState):
     def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
         super().__init__(constants, tol)
         self._table = None
-
-    # subclasses provide u and its derivative
-    def reduced_radial(self, r):
-        raise NotImplementedError
-
-    def reduced_radial_derivative(self, r):
-        raise NotImplementedError
 
     def radial_density(self, r):
         import numpy as np
@@ -195,19 +190,6 @@ class RadialStateBase(ContinuousState):
         self._check_axis(axis)
         return 0.0
 
-    def kinetic_energy(self) -> float:
-        """<T>: the closed form where the state has one, else
-        (hbar^2/2m) int u'(r)^2 dr, the gradient-quadrature route."""
-        direct = self.direct_moment(KINETIC, 0.0)
-        if direct is not None:
-            return direct.value
-        c = self.constants
-        res = quadrature.integrate(
-            lambda r: self.reduced_radial_derivative(r) ** 2,
-            quadrature.Domain.finite(0.0, self.r_max), self.tol,
-        )
-        return c.hbar**2 / (2.0 * c.mass) * res.require("gradient integral")
-
 
 class PowerExpRadialState(RadialStateBase):
     """u(r) = N r^n e^{-kappa r}, normalized in closed form, with every
@@ -251,12 +233,6 @@ class PowerExpRadialState(RadialStateBase):
 
         r = np.asarray(r, dtype=float)
         return self.norm * r**self.n * np.exp(-self.kappa * r)
-
-    def reduced_radial_derivative(self, r):
-        import numpy as np
-
-        r = np.asarray(r, dtype=float)
-        return self.norm * np.exp(-self.kappa * r) * (self.n * r ** (self.n - 1) - self.kappa * r**self.n)
 
     def momentum_amplitude(self, k_cut: float) -> Callable:
         """The closed form N sqrt(2/pi) n! Im[(kappa+ik)^(n+1)]/(kappa^2+k^2)^(n+1)
@@ -331,12 +307,13 @@ class HydrogenGroundState(PowerExpRadialState):
 
 
 class _Gaussian1D(ContinuousState):
-    """Shared closed-form densities and moments for Gaussian wavefunctions:
+    """Shared closed-form moments for Gaussian wavefunctions:
 
         <|x - x0|^s> = (sqrt(2) sigma)^s Gamma((s+1)/2) / sqrt(pi)
+        <x^n>        = sum_k C(n,2k) x0^(n-2k) sigma^(2k) (2k-1)!!
 
-    in position and, with sigma_p = hbar / (2 sigma), in momentum, and
-    <T> = (sigma_p^2 + p0^2) / (2m). The widths are kept as logs, so a
+    in position and, with p0 and sigma_p = hbar / (2 sigma), in momentum,
+    and <T> = (sigma_p^2 + p0^2) / (2m). The widths are kept as logs, so a
     moment in range never passes through a width that is not."""
 
     dimensionality = DIM_1D
@@ -357,20 +334,6 @@ class _Gaussian1D(ContinuousState):
     def _log_sigma_p(self) -> float:
         return math.log(self.constants.hbar) - _LOG2 - self._log_sigma_x
 
-    def axis_position_density(self, axis: int, z):
-        return self._normal_density(axis, z, self.x0, self.sigma_x)
-
-    def axis_momentum_density(self, axis: int, p):
-        return self._normal_density(axis, p, self.p0, self.sigma_p)
-
-    def _normal_density(self, axis: int, z, center: float, s: float):
-        import numpy as np
-
-        self._check_axis(axis)
-        z = np.asarray(z, dtype=float)
-        out = np.exp(-((z - center) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
-        return out if out.ndim else float(out)
-
     def position_mean(self, axis: int) -> float:
         self._check_axis(axis)
         return self.x0
@@ -380,34 +343,42 @@ class _Gaussian1D(ContinuousState):
         return self.p0
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
-        if quantity in (POSITION_AXIS, MOMENTUM_AXIS):
-            log_sigma = self._log_sigma_x if quantity == POSITION_AXIS else self._log_sigma_p
-            terms = [x * (0.5 * _LOG2 + log_sigma), math.lgamma(0.5 * (x + 1.0)), -0.5 * _LOG_PI]
-            side = "x - x0" if quantity == POSITION_AXIS else "p - p0"
-            return _direct(terms, f"<|{side}|^{x:g}> of {self.label}", x)
         if quantity == KINETIC:
             c = self.constants
             log_p = math.log(math.hypot(self.sigma_p, self.p0)) if self.p0 else self._log_sigma_p
             terms = [2.0 * log_p, -_LOG2 - math.log(c.mass)]
             return _direct(terms, f"<T> of {self.label} at hbar={c.hbar:g}, mass={c.mass:g}", 1.0)
-        return None
+        if quantity in (POSITION_AXIS, POSITION_SIGNED):
+            side, mu, log_sigma = "x", self.x0, self._log_sigma_x
+        elif quantity in (MOMENTUM_AXIS, MOMENTUM_SIGNED):
+            side, mu, log_sigma = "p", self.p0, self._log_sigma_p
+        else:
+            return None
+        if quantity in (POSITION_SIGNED, MOMENTUM_SIGNED):
+            n = int(x)
+            return _normal_raw_moment(n, mu, log_sigma, f"<{side}^{n}> of {self.label}")
+        terms = [x * (0.5 * _LOG2 + log_sigma), math.lgamma(0.5 * (x + 1.0)), -0.5 * _LOG_PI]
+        return _direct(terms, f"<|{side} - {side}0|^{x:g}> of {self.label}", x)
 
-    def kinetic_energy(self) -> float:
-        """<T> in closed form, else (hbar^2/2m) int |psi'|^2 dx by quadrature."""
-        direct = self.direct_moment(KINETIC, 0.0)
-        if direct is not None:
-            return direct.value
-        c = self.constants
-        s = self.sigma_x
-        k0 = self.p0 / c.hbar
 
-        def grad_sq(x):
-            rho = self.axis_position_density(1, x)
-            return ((x - self.x0) ** 2 / (4.0 * s**4) + k0 * k0) * rho
-
-        res = quadrature.integrate(grad_sq, quadrature.Domain.infinite(), self.tol,
-                                   breakpoints=[self.x0])
-        return c.hbar**2 / (2.0 * c.mass) * res.require("gradient integral")
+def _normal_raw_moment(n: int, mu: float, log_sigma: float, what: str) -> MomentValue:
+    """E[(mu + sigma Z)^n] for a standard normal Z, as the sum over k of
+    C(n,2k) mu^(n-2k) sigma^(2k) (2k-1)!!. The terms share the sign of mu^n,
+    so nothing cancels, and the rounding bound is 16 eps sum|term|, each
+    term widened by the error that exp carries from its argument 2k log
+    sigma. Exactly 0 for odd n at mu = 0; DomainError where the value
+    leaves the normal double range."""
+    if n % 2 == 1 and mu == 0.0:
+        return MomentValue.convergent(0.0, 0.0, n)  # parity, exact
+    try:
+        terms = [(math.comb(n, 2 * k) * math.prod(range(2 * k - 1, 0, -2)) * mu ** (n - 2 * k)
+                  * math.exp(2 * k * log_sigma), 2 * k * abs(log_sigma)) for k in range(n // 2 + 1)]
+        value = math.fsum(t for t, _ in terms)
+    except OverflowError:
+        value = math.inf
+    _require_normal(what, abs(value))
+    err = 16.0 * _EPS * math.fsum(abs(t) * (1.0 + lg) for t, lg in terms)
+    return MomentValue.convergent(value, err, n)
 
 
 class GaussianPacket(_Gaussian1D):

@@ -388,25 +388,3 @@ def sweep(
             except Exception as exc:  # failure is a per-cell outcome
                 rows.append(Verdict.not_computed(c.label, FAILED, str(exc), c.inputs))
     return SweepTable(tuple(rows), kind)
-
-
-# ---------------------------------------------------------------------------
-# seeded random inputs for the harnesses
-
-
-def random_density(rng, n_points: int) -> DiscreteDensity:
-    """Bounded random density: f, g uniform in [0, 2], weights uniform (0, 1]."""
-    f = [rng.uniform_in(0.0, 2.0) for _ in range(n_points)]
-    g = [rng.uniform_in(0.0, 2.0) for _ in range(n_points)]
-    w = [1.0 - rng.uniform() for _ in range(n_points)]
-    return DiscreteDensity(f, g, w)
-
-
-def equality_density(rng, n_points: int, e: Exponents) -> DiscreteDensity:
-    """A density on the equality manifold |f|^p proportional to |g|^q."""
-    import numpy as np
-
-    g = np.array([rng.uniform_in(0.05, 2.0) for _ in range(n_points)])
-    w = np.array([1.0 - rng.uniform() for _ in range(n_points)])
-    f = g ** (e.q / e.p)
-    return DiscreteDensity(f, g, w)

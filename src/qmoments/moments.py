@@ -10,8 +10,9 @@ as such, never as large finite numbers.
 
 A finite moment comes from the state's direct_moment where it has one (the
 closed forms of the catalog states, a grid state's knot table), and from
-one-dimensional adaptive quadrature otherwise; the quadrature module and
-numpy are loaded only then.
+adaptive quadrature over a finite interval otherwise; the quadrature module
+and numpy are loaded only then. The axis moments of a one-dimensional state
+come from its direct_moment alone.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import CapabilityError, DomainError, MomentValue, Tolerances, record, replace
+from .core import CapabilityError, DomainError, MomentValue, Tolerances, record
 from .exact import (
-    DIM_3D_SPHERICAL, MOMENTUM_AXIS, P_POWER, POSITION_AXIS, R_POWER, ContinuousState,
-    RadialStateBase,
+    DIM_3D_SPHERICAL, MOMENTUM_AXIS, MOMENTUM_SIGNED, P_POWER, POSITION_AXIS, POSITION_SIGNED,
+    R_POWER, ContinuousState, RadialStateBase,
 )
 from . import quadrature
 
@@ -196,16 +197,9 @@ def _axis_signed_moment(s: ContinuousState, o: Observable, n: int) -> MomentValu
     if s.dimensionality == DIM_3D_SPHERICAL:
         if n % 2 == 1:
             return MomentValue.convergent(0.0, 0.0, n)  # parity, exact
-        return abs_axis_moment_about(s, o, float(n), center=0.0)
-    dens = _axis_density(s, o)
-
-    def f(x):
-        return x**n * dens(x)
-
-    # odd moments can cancel to zero exactly; a tighter absolute target would
-    # chase the round-off floor of the cancellation, so it is floored at 1e-12
-    tol = replace(s.tol, abs_tol=max(s.tol.abs_tol, 1e-12))
-    return _quad_moment(f, quadrature.Domain.infinite(), n, tol, [mean(s, o)])
+        return _isotropic_axis_moment(s, o, float(n))
+    signed = POSITION_SIGNED if o.kind == POSITION_AXIS else MOMENTUM_SIGNED
+    return _direct_axis_moment(s, o, signed, n)
 
 
 def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
@@ -214,8 +208,9 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
     if order <= 0.0:
         raise DomainError(f"moment order must be positive, got {order}")
     if o.kind == POSITION_AXIS or o.kind == MOMENTUM_AXIS:
-        center = mean(s, o)
-        return abs_axis_moment_about(s, o, order, center)
+        if s.dimensionality == DIM_3D_SPHERICAL:
+            return _isotropic_axis_moment(s, o, order)
+        return _direct_axis_moment(s, o, o.kind, order)
     if o.kind == RADIAL:
         # |f - <f>|^order ~ r^(order min(a, 0)) at the origin; the kink of a
         # pure power r^a sits at <f>^(1/a), that of a custom fn is not known
@@ -241,38 +236,28 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
     raise DomainError(f"unknown observable kind {o.kind!r}")
 
 
-def _axis_density(s: ContinuousState, o: Observable) -> Callable:
+def _isotropic_axis_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
+    """<|a|^order> of an axis observable on a spherical state, whose axis
+    means are 0: <r^order>/(order+1) or <p^order>/(order+1)."""
+    rs = _require_radial(s)
     if o.kind == POSITION_AXIS:
-        return lambda x: s.axis_position_density(o.axis, x)
-    return lambda x: s.axis_momentum_density(o.axis, x)
+        inner = raw_radial_moment(rs, order)
+    else:
+        inner = _radial_momentum_raw(rs, order)
+    if not inner.is_convergent:
+        return MomentValue(inner.status, order, None, math.inf, inner.detail)
+    return MomentValue.convergent(
+        inner.value / (order + 1.0), inner.err_estimate / (order + 1.0), order
+    )
 
 
-def abs_axis_moment_about(
-    s: ContinuousState, o: Observable, order: float, center: float
-) -> MomentValue:
-    """<|a - center|^order> for an axis observable (position or momentum)."""
-    if s.dimensionality == DIM_3D_SPHERICAL:
-        rs = _require_radial(s)
-        if center != 0.0:
-            raise DomainError("spherical states have zero axis means; center must be 0")
-        if o.kind == POSITION_AXIS:
-            inner = raw_radial_moment(s, order)
-        else:
-            inner = _radial_momentum_raw(rs, order)
-        if not inner.is_convergent:
-            return MomentValue(inner.status, order, None, math.inf, inner.detail)
-        return MomentValue.convergent(
-            inner.value / (order + 1.0), inner.err_estimate / (order + 1.0), order
-        )
-    # one-dimensional state: the direct moment about the mean, else the
-    # marginal integrated directly
-    if center == mean(s, o):
-        direct = s.direct_moment(o.kind, order)
-        if direct is not None:
-            return direct
-    dens = _axis_density(s, o)
-
-    def f(x):
-        return abs(x - center) ** order * dens(x)
-
-    return _quad_moment(f, quadrature.Domain.infinite(), order, s.tol, [center])
+def _direct_axis_moment(s: ContinuousState, o: Observable, quantity: str, x: float) -> MomentValue:
+    """An axis moment of a one-dimensional state from its direct_moment;
+    CapabilityError on an axis it does not have, or where it has no such
+    moment."""
+    mean(s, o)  # the state checks the axis
+    direct = s.direct_moment(quantity, x)
+    if direct is None:
+        side = "position" if o.kind == POSITION_AXIS else "momentum"
+        raise CapabilityError(f"{s.label} has no {side} moments")
+    return direct

@@ -1,15 +1,8 @@
-"""Deterministic adaptive quadrature over finite and infinite intervals.
+"""Deterministic adaptive quadrature over finite intervals, and the radial
+sine transform.
 
-The engine is an adaptive Gauss-Kronrod (G7/K15) panel scheme. Infinite
-domains are mapped algebraically onto finite parameter intervals:
-
-    [a, inf)      r = a + t/(1-t),     t in [0, 1)
-    (-inf, inf)   x = t/(1-t^2),       t in (-1, 1)
-
-The algebraic map is used (rather than an exponential one) because the
-integrands handled here are exponential- or power-tailed and the map keeps
-them smooth in t. Kronrod nodes are interior, so endpoint singularities of
-the mapped integrand are never sampled.
+The engine is an adaptive Gauss-Kronrod (G7/K15) panel scheme. Kronrod nodes
+are interior, so endpoint singularities of the integrand are never sampled.
 
 Integrands must be vectorized: f(np.ndarray) -> np.ndarray of the same shape.
 integrate() calls f on a (panels, 15) array of Kronrod nodes, one row per
@@ -19,7 +12,7 @@ panel, so an integrand that is not elementwise must keep that shape.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,33 +46,20 @@ _WKG = _WK.copy()
 _WKG[_GAUSS_IDX] -= _WG
 _W_PANEL = np.stack([_WK, _WKG], axis=1)
 
-FINITE = "finite"
-SEMI_INFINITE = "semi_infinite"
-INFINITE = "infinite"
-
 
 @record
 class Domain:
-    """Integration interval: finite [a, b], semi-infinite [a, inf), or the real line."""
+    """Integration interval [a, b]."""
 
-    kind: str
-    a: float = 0.0
-    b: float = 0.0
+    a: float
+    b: float
 
     @staticmethod
     def finite(a: float, b: float) -> "Domain":
         a, b = float(a), float(b)
         if not a < b:
             raise DomainError(f"finite domain needs a < b, got [{a}, {b}]")
-        return Domain(FINITE, a, b)
-
-    @staticmethod
-    def semi_infinite(a: float = 0.0) -> "Domain":
-        return Domain(SEMI_INFINITE, float(a))
-
-    @staticmethod
-    def infinite() -> "Domain":
-        return Domain(INFINITE)
+        return Domain(a, b)
 
 
 @record
@@ -125,40 +105,6 @@ def _kronrod_panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.nda
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def _map_domain(f: Callable, d: Domain, breakpoints: Iterable[float]):
-    """Return (mapped integrand, t-interval, mapped interior breakpoints)."""
-    pts = sorted(float(p) for p in breakpoints)
-    if d.kind == FINITE:
-        inner = [p for p in pts if d.a < p < d.b]
-        return f, (d.a, d.b), inner
-    if d.kind == SEMI_INFINITE:
-        a = d.a
-
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            om = 1.0 - t
-            return f(a + t / om) / om**2
-
-        inner = [(p - a) / (1.0 + (p - a)) for p in pts if p > a]
-        # default split keeps the first panel from straddling both scales
-        return g, (0.0, 1.0), sorted(set(inner) | {0.5})
-    if d.kind == INFINITE:
-
-        def g(t):
-            t = np.asarray(t, dtype=float)
-            om = 1.0 - t * t
-            return f(t / om) * (1.0 + t * t) / om**2
-
-        def tmap(x):
-            if x == 0.0:
-                return 0.0
-            return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
-
-        inner = [tmap(p) for p in pts]
-        return g, (-1.0, 1.0), sorted(set(inner) | {-0.5, 0.0, 0.5})
-    raise DomainError(f"unknown domain kind {d.kind!r}")
-
-
 def integrate(
     f: Callable,
     d: Domain,
@@ -167,8 +113,8 @@ def integrate(
 ) -> QuadResult:
     """Adaptive panel integration of f over d.
 
-    breakpoints are interior points (in the original coordinate) where the
-    integrand has kinks or scale changes; panels never straddle them.
+    breakpoints are points where the integrand has kinks or scale changes;
+    panels never straddle them, and those outside (a, b) are ignored.
     converged means the summed panel error met
     max(tol.abs_tol, tol.rel_tol*|value|) within tol.max_evals integrand
     evaluations; Tolerances validated both targets when it was built. A
@@ -181,8 +127,8 @@ def integrate(
     same shape. Refinement stops when the largest-error panel is too narrow
     to bisect.
     """
-    g, (lo, hi), inner = _map_domain(f, d, breakpoints)
-
+    lo, hi = d.a, d.b
+    inner = sorted(float(p) for p in breakpoints)
     edges = np.array([lo] + [p for p in inner if lo < p < hi] + [hi])
     n = edges.size - 1
     # panel table, one column per panel: lower end, upper end, K15 value,
@@ -191,7 +137,7 @@ def integrate(
     pan[0, :n], pan[1, :n] = edges[:-1], edges[1:]
     evals = 0
     try:
-        pan[2, :n], pan[3, :n] = _kronrod_panels(g, pan[0, :n], pan[1, :n])
+        pan[2, :n], pan[3, :n] = _kronrod_panels(f, pan[0, :n], pan[1, :n])
         evals += 15 * n
         while True:
             a, b, k, e = pan[:, :n]
@@ -214,7 +160,7 @@ def integrate(
             if not splittable.all():
                 take, lo_t, hi_t, mid = take[splittable], lo_t[splittable], hi_t[splittable], mid[splittable]
             m = take.size
-            kc, ec = _kronrod_panels(g, np.concatenate([lo_t, mid]), np.concatenate([mid, hi_t]))
+            kc, ec = _kronrod_panels(f, np.concatenate([lo_t, mid]), np.concatenate([mid, hi_t]))
             evals += 30 * m
             if n + m > pan.shape[1]:
                 pan = np.concatenate([pan, np.empty((4, n + m))], axis=1)

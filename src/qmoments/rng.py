@@ -32,9 +32,6 @@ class SplitMix64:
         """Uniform in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def uniform_in(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.uniform()
-
     def normal(self) -> float:
         """Standard normal via Box-Muller; pairs are consumed in order."""
         if self._spare is not None:
@@ -48,11 +45,3 @@ class SplitMix64:
         r = math.sqrt(-2.0 * math.log(u1))
         self._spare = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
-
-    def integer(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive (rejection-free modulo bias
-        is irrelevant at these ranges)."""
-        if hi < lo:
-            raise ValueError("empty integer range")
-        span = hi - lo + 1
-        return lo + self.next_u64() % span

@@ -24,8 +24,8 @@ from .core import (
     PhysicalConstants, Tolerances,
 )
 from .exact import (  # noqa: F401  (the catalog is re-exported)
-    DIM_1D, DIM_3D_SPHERICAL, R_POWER, ContinuousState, GaussianPacket, HarmonicOscillatorGround,
-    HydrogenGroundState, PowerExpRadialState, RadialStateBase, catalog,
+    DIM_1D, DIM_3D_SPHERICAL, KINETIC, R_POWER, ContinuousState, GaussianPacket,
+    HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState, RadialStateBase, catalog,
 )
 from .quadrature import QuadResult, RadialSamples, _kronrod_nodes, _kronrod_panels, _NonFiniteIntegrand, _WK
 
@@ -338,19 +338,19 @@ class RadialGridState(RadialStateBase):
                           converged=err <= max(self.tol.abs_tol, self.tol.rel_tol * abs(value)))
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
-        """<r^t> from the knot table where it converges there (knot_moment);
-        None otherwise, and for every other quantity."""
+        """<r^t> from the knot table where it converges there (knot_moment),
+        and <T> from the knot sums of u'^2 (_kinetic); None otherwise, and
+        for every other quantity."""
         if quantity == R_POWER:
             res = self.knot_moment(x)
             if res.converged:
                 return MomentValue.convergent(res.value, res.err_estimate, x)
+        if quantity == KINETIC:
+            return self._kinetic()
         return None
 
     def reduced_radial(self, r):
         return self.norm_factor * self._interp(r)
-
-    def reduced_radial_derivative(self, r):
-        return self.norm_factor * self._dinterp(r)
 
     def momentum_tail_power(self) -> float:
         if math.isinf(self.origin_power_u):
@@ -364,12 +364,13 @@ class RadialGridState(RadialStateBase):
                                 self.r_max, self.r_scale, k_cut)
         return samples.sine_transform
 
-    def kinetic_energy(self) -> float:
-        """Gradient route with a coarseness check: the integral is recomputed
-        on the half-resolution grid (every other knot) and the difference is
-        the error estimate. u'^2 is a quartic on each knot interval, so both
-        integrals are K15 sums over the knot intervals, exact up to rounding
-        and independent of the state's tolerances."""
+    def _kinetic(self) -> MomentValue:
+        """<T> = (hbar^2/2m) int u'^2 dr with a coarseness check: the integral
+        is recomputed on the half-resolution grid (every other knot) and the
+        difference is the error estimate; CapabilityError where it exceeds
+        kinetic_rel_tol of the value. u'^2 is a quartic on each knot
+        interval, so both integrals are K15 sums over the knot intervals,
+        exact up to rounding and independent of the state's tolerances."""
         c = self.constants
         full = self._square_integral(self._dinterp)
         coarse = self._r[::2]
@@ -381,7 +382,8 @@ class RadialGridState(RadialStateBase):
                 f"grid too coarse for the gradient route: estimated relative "
                 f"derivative error {rel_err:.2e} exceeds {self.kinetic_rel_tol:.0e}"
             )
-        return c.hbar**2 / (2.0 * c.mass) * full
+        scale = c.hbar**2 / (2.0 * c.mass)
+        return MomentValue.convergent(scale * full, scale * abs(full - half_val), 1.0)
 
     def _square_integral(self, f: _PiecewiseCubic) -> float:
         """int (norm_factor f)^2 over f's knots by K15 on each interval."""

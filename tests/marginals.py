@@ -1,5 +1,8 @@
-"""Quadrature oracles for tests: axis marginals of spherical states by their
-plain definition, and catalog states with their closed forms switched off.
+"""Quadrature oracles for tests: axis marginals by their plain definition,
+integrals over infinite domains, and catalog states whose closed forms are
+switched off.
+
+For a spherical state
 
     rho_z(z) = (1/2) int_{|z|}^{r_max} rho_r(r)/r dr
     g(p)     = (1/2) [int_{|p|}^{k_cut} w(k)^2/k dk + tail past k_cut] / hbar
@@ -7,21 +10,88 @@ plain definition, and catalog states with their closed forms switched off.
 with k = |p|/hbar and the tail from the momentum table's fitted model. Each
 density value is its own integral, so integrating a density nests two
 adaptive quadratures: slow, but independent of the isotropy reductions
-<|z|^s> = <r^s>/(s+1) and <|p_z|^q> = <p^q>/(q+1) that moments.py uses.
+<|z|^s> = <r^s>/(s+1) and <|p_z|^q> = <p^q>/(q+1) that moments.py uses. A
+one-dimensional Gaussian state's marginals are normal densities.
+
+qmoments.quadrature integrates finite intervals only; semi_infinite and
+real_line map [a, inf) and the real line onto one algebraically:
+
+    [a, inf)      r = a + t/(1-t),     t in [0, 1)
+    (-inf, inf)   x = t/(1-t^2),       t in (-1, 1)
+
+The algebraic map keeps exponential- and power-tailed integrands smooth in
+t, and the Kronrod nodes never sample the singular ends of the map.
 """
 
 import copy
+import math
 
 import numpy as np
 
-from qmoments.core import Tolerances
+from qmoments.core import DEFAULT_TOLERANCES, MomentValue, Tolerances, replace
+from qmoments.exact import (
+    DIM_1D, KINETIC, MOMENTUM_AXIS, MOMENTUM_SIGNED, POSITION_AXIS, POSITION_SIGNED,
+)
 from qmoments.quadrature import Domain, integrate
+from qmoments.states import RadialGridState
+
+
+# --- infinite domains ---------------------------------------------------------
+
+
+def semi_infinite(f, a=0.0, breakpoints=()):
+    """(g, domain, breakpoints) of f on [a, inf) mapped onto [0, 1)."""
+
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        om = 1.0 - t
+        return f(a + t / om) / om**2
+
+    inner = [(p - a) / (1.0 + (p - a)) for p in sorted(float(p) for p in breakpoints) if p > a]
+    # default split keeps the first panel from straddling both scales
+    return g, Domain(0.0, 1.0), sorted(set(inner) | {0.5})
+
+
+def real_line(f, breakpoints=()):
+    """(g, domain, breakpoints) of f on the real line mapped onto (-1, 1)."""
+
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        om = 1.0 - t * t
+        return f(t / om) * (1.0 + t * t) / om**2
+
+    def tmap(x):
+        if x == 0.0:
+            return 0.0
+        return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
+
+    inner = [tmap(p) for p in sorted(float(p) for p in breakpoints)]
+    return g, Domain(-1.0, 1.0), sorted(set(inner) | {-0.5, 0.0, 0.5})
+
+
+def integrate_semi_infinite(f, a=0.0, tol=DEFAULT_TOLERANCES, breakpoints=()):
+    g, d, inner = semi_infinite(f, a, breakpoints)
+    return integrate(g, d, tol, inner)
+
+
+def integrate_real_line(f, tol=DEFAULT_TOLERANCES, breakpoints=()):
+    g, d, inner = real_line(f, breakpoints)
+    return integrate(g, d, tol, inner)
+
+
+# --- axis marginals -------------------------------------------------------------
 
 
 def hydrogen_position_density(z):
     """The closed form of rho_z for hydrogen with a0 = 1."""
     z = np.abs(z)
     return np.exp(-2.0 * z) * (z + 0.5)
+
+
+def _normal_density(z, center, s):
+    z = np.asarray(z, dtype=float)
+    out = np.exp(-((z - center) ** 2) / (2.0 * s * s)) / (s * math.sqrt(2.0 * math.pi))
+    return out if out.ndim else float(out)
 
 
 def _each(fn, x):
@@ -32,7 +102,10 @@ def _each(fn, x):
 
 
 def position_density(st, z):
-    """rho_z(z) of a spherical state, by one radial integral per value."""
+    """The position marginal of st at z: normal for a 1-d Gaussian state,
+    rho_z(z) by one radial integral per value for a spherical state."""
+    if st.dimensionality == DIM_1D:
+        return _normal_density(z, st.x0, st.sigma_x)
 
     def one(lo):
         if lo >= st.r_max:
@@ -45,7 +118,10 @@ def position_density(st, z):
 
 
 def momentum_density(st, p):
-    """g(p) of a spherical state, by one k-integral per value."""
+    """The momentum marginal of st at p: normal for a 1-d Gaussian state,
+    g(p) by one k-integral per value for a spherical state."""
+    if st.dimensionality == DIM_1D:
+        return _normal_density(p, st.p0, st.sigma_p)
     hbar = st.constants.hbar
     tbl = st.momentum_table()
     # the partition only places the first panels where w is already cached
@@ -62,10 +138,76 @@ def momentum_density(st, p):
     return _each(one, p)
 
 
+# --- the quadrature routes the closed forms replaced --------------------------
+
+
+def reduced_radial_derivative(st, r):
+    """u'(r) of a grid state's interpolant or of a power-exponential state."""
+    if isinstance(st, RadialGridState):
+        return st.norm_factor * st._dinterp(r)
+    r = np.asarray(r, dtype=float)
+    return st.norm * np.exp(-st.kappa * r) * (st.n * r ** (st.n - 1) - st.kappa * r**st.n)
+
+
+def _moment(res, order):
+    if res.failed or not res.converged:
+        return MomentValue.failed(order, f"quadrature stalled (err={res.err_estimate:.2e}, evals={res.evaluations})")
+    return MomentValue.convergent(res.value, res.err_estimate, order)
+
+
+def _kinetic_energy(st):
+    """(hbar^2/2m) int |psi'|^2: over the real line for a 1-d Gaussian
+    state, int_0^r_max u'^2 dr for a radial one."""
+    c = st.constants
+    if st.dimensionality == DIM_1D:
+        s, k0 = st.sigma_x, st.p0 / c.hbar
+
+        def grad_sq(x):
+            rho = position_density(st, x)
+            return ((x - st.x0) ** 2 / (4.0 * s**4) + k0 * k0) * rho
+
+        res = integrate_real_line(grad_sq, st.tol, breakpoints=[st.x0])
+    else:
+        res = integrate(lambda r: reduced_radial_derivative(st, r) ** 2,
+                        Domain.finite(0.0, st.r_max), st.tol)
+    scale = c.hbar**2 / (2.0 * c.mass)
+    return MomentValue.convergent(scale * res.require("gradient integral"), scale * res.err_estimate, 1.0)
+
+
+def axis_moment(st, quantity, x):
+    """An axis moment of a 1-d Gaussian state over its marginal on the real
+    line: <|a - <a>|^x> for POSITION_AXIS and MOMENTUM_AXIS, the signed
+    <a^x> for POSITION_SIGNED and MOMENTUM_SIGNED. The absolute target of a
+    signed moment is floored at 1e-12: odd moments cancel to zero, and a
+    tighter one would chase the round-off floor of the cancellation."""
+    position = quantity in (POSITION_AXIS, POSITION_SIGNED)
+    center = st.x0 if position else st.p0
+
+    def dens(z):
+        return position_density(st, z) if position else momentum_density(st, z)
+
+    if quantity in (POSITION_SIGNED, MOMENTUM_SIGNED):
+        tol = replace(st.tol, abs_tol=max(st.tol.abs_tol, 1e-12))
+        return _moment(integrate_real_line(lambda z: z**x * dens(z), tol, [center]), x)
+    return _moment(integrate_real_line(lambda z: abs(z - center) ** x * dens(z), st.tol, [center]), x)
+
+
 def integrated(st):
-    """A copy of st whose direct_moment gives nothing: every moment, and the
-    kinetic energy, then comes from adaptive quadrature (w(k) of a
-    power-exponential state is still its closed-form amplitude)."""
+    """A copy of st whose direct_moment gives only what the quadrature
+    routes above compute: every radial moment then comes from adaptive
+    quadrature (w(k) of a power-exponential state is still its closed-form
+    amplitude), and the axis moments of a 1-d state and every kinetic
+    energy from this module."""
+
+    def direct(quantity, x):
+        if quantity == KINETIC:
+            return _kinetic_energy(st)
+        if st.dimensionality == DIM_1D and quantity in (
+                POSITION_AXIS, MOMENTUM_AXIS, POSITION_SIGNED, MOMENTUM_SIGNED):
+            return axis_moment(st, quantity, x)
+        return None
+
     out = copy.copy(st)
-    out.direct_moment = lambda quantity, x: None
+    out.direct_moment = direct
     return out
+

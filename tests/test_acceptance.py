@@ -12,28 +12,25 @@ import numpy as np
 import pytest
 
 import qmoments.inequalities
-from marginals import momentum_density
+from marginals import integrate_real_line, integrate_semi_infinite, momentum_density
 from qmoments.centralfield import BuckinghamPotential, PowerLawPotential, buckingham_bound, virial_report
 from qmoments.cli import EXIT_DIVERGENT, EXIT_OK, EXIT_VIOLATION, main
 from qmoments.core import DIVERGENT, Tolerances, Verdict, make_exponents
 from qmoments.inequalities import (
-    equality_density,
     holder_verdict,
-    random_density,
     reciprocal_moment_verdict,
     uncertainty_chain_finite,
     uncertainty_verdict_canonical,
 )
 from qmoments.matrixlab import FiniteState, ground_state, pauli, truncated_canonical_pair
 from qmoments.moments import abs_central_moment, momentum_axis
-from qmoments.quadrature import Domain, integrate
-from qmoments.rng import SplitMix64
 from qmoments.states import (
     GaussianPacket,
     HarmonicOscillatorGround,
     HydrogenGroundState,
     PowerExpRadialState,
 )
+from seeded import SplitMix64, equality_density, random_density
 
 
 def _report(n, text):
@@ -57,7 +54,7 @@ def test_criterion_01_hydrogen_worked_example(capsys):
 @pytest.mark.parametrize("a0", [1.0, 1.3])
 def test_criterion_02_angular_reduction_integral(a0, capsys):
     # int |x3|^3 e^{-2r/a0} d^3r reduces to pi * int_0^inf r^5 e^{-2r/a0} dr
-    res = integrate(lambda r: math.pi * r**5 * np.exp(-2.0 * r / a0), Domain.semi_infinite(0.0))
+    res = integrate_semi_infinite(lambda r: math.pi * r**5 * np.exp(-2.0 * r / a0))
     exact = 15.0 * math.pi / 8.0 * a0**6
     assert res.converged
     assert res.value == pytest.approx(exact, rel=1e-8)
@@ -71,8 +68,8 @@ def test_criterion_03_pz_squared_two_routes(capsys):
     gradient_route = 2.0 * h.constants.mass * h.kinetic_energy() / 3.0
     marginal_route = abs_central_moment(h, momentum_axis(3), 2.0).require()
     # and the same number by brute-force integration of the marginal itself
-    marginal_direct = integrate(
-        lambda p: p * p * momentum_density(h, p), Domain.infinite(),
+    marginal_direct = integrate_real_line(
+        lambda p: p * p * momentum_density(h, p),
         Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     ).require()
     assert gradient_route == pytest.approx(target, rel=1e-6)

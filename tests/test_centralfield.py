@@ -15,8 +15,8 @@ from qmoments.centralfield import (
 )
 from qmoments.core import DomainError, MomentsError, NATURAL
 from qmoments.moments import custom_radial, radial, raw_moment
-from qmoments.rng import SplitMix64
 from qmoments.states import HydrogenGroundState, PowerExpRadialState, RadialGridState
+from seeded import SplitMix64
 
 
 @pytest.fixture(scope="module")

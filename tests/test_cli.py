@@ -129,6 +129,23 @@ def test_sweep_reciprocal_kind(tmp_path, capsys):
     assert all(r["holds"] for r in doc["results"])
 
 
+@pytest.mark.parametrize("state, axis", [("qho", 1), ("gaussian", 1), ("hydrogen", 3), ("r4test", 3)])
+def test_sweep_defaults_to_the_state_axis(state, axis, capsys, monkeypatch):
+    # without --i and --j a sweep runs on the state's own axis: x for a 1-d
+    # state, which has no z, and z for a spherical one
+    seen = []
+    real = iq.sweep
+    monkeypatch.setattr(iq, "sweep", lambda s, i, j, *a, **kw: seen.append((i, j)) or real(s, i, j, *a, **kw))
+    argv = ["sweep", "--state", state, "--p-grid", "2,3", "--q-grid", "2"]
+    code, doc = run_json(capsys, argv)
+    name = {1: "x", 3: "z"}[axis]
+    want_code, want = run_json(capsys, argv + ["--i", name, "--j", name])
+    assert seen == [(axis, axis)] * 2
+    assert code == want_code != EXIT_ERROR
+    assert doc["results"] == want["results"]
+    assert all(row["status"] == "ok" for row in doc["results"])
+
+
 def test_sweep_empty_grid_usage_error(capsys):
     assert main(["sweep", "--p-grid", "", "--q-grid", "2"]) == EXIT_ERROR
 
@@ -429,6 +446,24 @@ def test_units_si_sweep_cell_matches_hydrogen(capsys, tmp_path):
     capsys.readouterr()
     cells = out.read_text().splitlines()[1].split(",")
     assert [float(x) for x in cells[3:6]] == [want["lhs"], want["rhs"], want["ratio"]]
+
+
+def test_units_si_side_out_of_the_double_range_fails_the_cell(capsys):
+    # hbar^20 in SI units is 2.9e-681: a nonzero side scaled to 0 is an
+    # error, never a number, and the cell reads failed (exit 1)
+    code, doc = run_json(capsys, ["--units", "si", "sweep", "--state", "qho", "--i", "x", "--j", "x",
+                                  "--p-grid", "2,40", "--q-grid", "40"])
+    assert code == EXIT_ERROR
+    ok, bad = doc["results"]
+    assert ok["status"] == "ok" and ok["lhs"] > 0.0
+    assert (bad["status"], bad["lhs"], bad["rhs"]) == ("failed", None, None)
+    assert bad["detail"] == "lhs in SI units (hbar^20) underflows a double"
+    assert doc["manifest"]["outcomes"]["checks"] == 1
+    # an i != j cell: its lhs is exactly 0, a valid side
+    code, doc = run_json(capsys, ["--units", "si", "sweep", "--i", "x", "--j", "y",
+                                  "--p-grid", "3", "--q-grid", "2"])
+    assert code == EXIT_OK
+    assert (doc["results"][0]["status"], doc["results"][0]["lhs"]) == ("ok", 0.0)
 
 
 def test_units_si_reciprocal_sweep_is_dimensionless(capsys):

@@ -10,7 +10,7 @@ from qmoments.core import (
     make_verdict,
     young_gap,
 )
-from qmoments.rng import SplitMix64
+from seeded import SplitMix64
 
 
 def test_symmetric_exponents():

@@ -4,15 +4,15 @@ sine-transform paths that grid states keep, which share no code with them."""
 import numpy as np
 import pytest
 
-from marginals import integrated
+from marginals import axis_moment, integrated, reduced_radial_derivative
 from qmoments import moments as mo
 from qmoments import quadrature
 from qmoments.centralfield import BuckinghamPotential, PowerLawPotential, buckingham_bound, virial_report
 from qmoments.cli import main
 from qmoments.core import DomainError, PhysicalConstants, Tolerances, make_exponents
 from qmoments.exact import (
-    EXP_DECAY, GaussianPacket, HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState,
-    RadialStateBase,
+    EXP_DECAY, MOMENTUM_SIGNED, POSITION_SIGNED, GaussianPacket, HarmonicOscillatorGround,
+    HydrogenGroundState, PowerExpRadialState, RadialStateBase,
 )
 from qmoments.inequalities import uncertainty_verdict_canonical
 
@@ -50,7 +50,7 @@ def test_power_exp_closed_forms_match_quadrature(n, kappa):
     assert threshold == (5.0 if n < 4 else 9.0)
     for q in (0.5, 2.0, threshold - 0.1):
         _agree(mo._radial_momentum_raw(st, q), mo._radial_momentum_raw(quad, q))
-    grad = quadrature.integrate(lambda r: quad.reduced_radial_derivative(r) ** 2,
+    grad = quadrature.integrate(lambda r: reduced_radial_derivative(quad, r) ** 2,
                                 quadrature.Domain.finite(0.0, quad.r_max), quad.tol)
     assert abs(st.kinetic_energy() - 0.5 * grad.value) <= FACTOR * 0.5 * grad.err_estimate
     for r0 in (0.3, 1.0, 5.0):
@@ -68,6 +68,28 @@ def test_gaussian_closed_forms_match_quadrature(state):
         for obs in (mo.position_axis(1), mo.momentum_axis(1)):
             _agree(mo.abs_central_moment(state, obs, s), mo.abs_central_moment(quad, obs, s))
     assert state.kinetic_energy() == pytest.approx(quad.kinetic_energy(), rel=1e-10)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tol: GaussianPacket(x0=1.0, p0=0.5, sigma=1.7, tol=tol),
+    lambda tol: HarmonicOscillatorGround(mass=2.0, omega=3.0, tol=tol),
+], ids=["packet", "qho"])
+def test_signed_axis_moments_match_quadrature(make):
+    # E[(mu + sigma Z)^n] against x^n integrated over the normal marginal on
+    # the real line. The oracle's absolute target is 1e-10: <p^7> of the
+    # oscillator cancels to 0 from terms of order 1e3, and at 1e-12 its
+    # quadrature stalls on that rounding floor
+    state = make(Tolerances(abs_tol=1e-10))
+    for quantity, obs in ((POSITION_SIGNED, mo.position_axis(1)), (MOMENTUM_SIGNED, mo.momentum_axis(1))):
+        for n in range(9):
+            closed, quad = mo.raw_moment(state, obs, n), axis_moment(state, quantity, n)
+            assert closed.is_convergent and quad.is_convergent, (closed, quad)
+            assert abs(closed.value - quad.value) <= closed.err_estimate + quad.err_estimate, (n, closed, quad)
+            assert closed.err_estimate <= 1e-13 * abs(closed.value)
+            if n % 2 == 1 and mo.mean(state, obs) == 0.0:
+                assert closed.value == 0.0 and closed.err_estimate == 0.0
+        with pytest.raises(DomainError, match="overflows a double"):
+            mo.raw_moment(state, obs, 400)
 
 
 def test_closed_forms_at_the_catalog_values():

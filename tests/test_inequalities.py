@@ -7,10 +7,8 @@ from qmoments.core import DIVERGENT, DomainError, MomentsError, MomentValue, mak
 from qmoments.inequalities import (
     RECIPROCAL,
     DiscreteDensity,
-    equality_density,
     holder_verdict,
     holder_verdict_continuous,
-    random_density,
     reciprocal_moment_verdict,
     schwarz_verdict,
     sweep,
@@ -26,8 +24,8 @@ from qmoments.matrixlab import (
     truncated_canonical_pair,
 )
 from qmoments.moments import custom_radial, radial, radial_inverse
-from qmoments.rng import SplitMix64
 from qmoments.states import GaussianPacket, HarmonicOscillatorGround, HydrogenGroundState
+from seeded import SplitMix64, equality_density, random_density
 
 
 @pytest.fixture(scope="module")

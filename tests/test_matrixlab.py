@@ -23,7 +23,7 @@ from qmoments.matrixlab import (
     random_state,
     truncated_canonical_pair,
 )
-from qmoments.rng import SplitMix64
+from seeded import SplitMix64
 
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 

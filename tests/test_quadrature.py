@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from marginals import integrate_real_line, integrate_semi_infinite, real_line, semi_infinite
 from qmoments.core import DomainError, MomentsError, Tolerances
 from qmoments.quadrature import Domain, RadialSamples, integrate
-from qmoments.rng import SplitMix64
+from seeded import SplitMix64
 
 
 def test_r5_exponential_tail():
     # int_0^inf r^5 e^{-2r} dr = 5!/2^6
-    res = integrate(lambda r: r**5 * np.exp(-2.0 * r), Domain.semi_infinite(0.0))
+    res = integrate_semi_infinite(lambda r: r**5 * np.exp(-2.0 * r))
     assert res.converged
     assert res.value == pytest.approx(1.875, rel=1e-12)
 
 
 def test_gaussian_whole_line():
-    res = integrate(lambda x: np.exp(-x * x), Domain.infinite())
+    res = integrate_real_line(lambda x: np.exp(-x * x))
     assert res.converged
     assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
@@ -24,7 +25,7 @@ def test_gaussian_whole_line():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gamma_oracle(k):
     for n in range(13):
-        res = integrate(lambda r: r**n * np.exp(-k * r), Domain.semi_infinite(0.0))
+        res = integrate_semi_infinite(lambda r: r**n * np.exp(-k * r))
         exact = math.factorial(n) / k ** (n + 1)
         assert res.converged
         assert res.value == pytest.approx(exact, rel=1e-10)
@@ -41,10 +42,9 @@ def test_linearity_random():
         k2 = rng.uniform_in(0.5, 3.0)
         f = lambda r: r**n * np.exp(-k1 * r)
         g = lambda r: r**m * np.exp(-k2 * r)
-        d = Domain.semi_infinite(0.0)
-        lin = integrate(lambda r: a * f(r) + b * g(r), d)
-        sep_f = integrate(f, d)
-        sep_g = integrate(g, d)
+        lin = integrate_semi_infinite(lambda r: a * f(r) + b * g(r))
+        sep_f = integrate_semi_infinite(f)
+        sep_g = integrate_semi_infinite(g)
         combined = a * sep_f.value + b * sep_g.value
         tol = 10.0 * (lin.err_estimate + abs(a) * sep_f.err_estimate + abs(b) * sep_g.err_estimate)
         assert abs(lin.value - combined) <= max(tol, 1e-13)
@@ -53,7 +53,7 @@ def test_linearity_random():
 def test_substitution_invariance():
     # [0, inf) directly vs the manual map r = t/(1-t) on [0, 1)
     f = lambda r: r**3 * np.exp(-1.5 * r)
-    direct = integrate(f, Domain.semi_infinite(0.0))
+    direct = integrate_semi_infinite(f)
 
     def mapped(t):
         t = np.asarray(t, dtype=float)
@@ -72,7 +72,7 @@ def test_kink_with_breakpoint():
 
 
 def test_shifted_semi_infinite():
-    res = integrate(lambda r: np.exp(-(r - 2.0)), Domain.semi_infinite(2.0))
+    res = integrate_semi_infinite(lambda r: np.exp(-(r - 2.0)), 2.0)
     assert res.value == pytest.approx(1.0, rel=1e-11)
 
 
@@ -96,14 +96,15 @@ def test_nan_integrand_fails():
 # --- batched refinement ------------------------------------------------------
 
 
-def _serial_integrate(f, d, tol=Tolerances(), breakpoints=()):
+def _serial_integrate(g, d, tol=Tolerances(), breakpoints=()):
     """The one-panel-at-a-time heap loop: pop the largest-error panel, bisect
     it, evaluate each child in its own integrand call."""
     import heapq
 
-    from qmoments.quadrature import _GAUSS_IDX, _WG, _WK, _XK, _map_domain
+    from qmoments.quadrature import _GAUSS_IDX, _WG, _WK, _XK
 
-    g, (lo, hi), inner = _map_domain(f, d, breakpoints)
+    lo, hi = d.a, d.b
+    inner = sorted(float(p) for p in breakpoints)
     rel_tol, abs_tol, max_evals = tol.rel_tol, tol.abs_tol, tol.max_evals
 
     def panel(a, b):
@@ -136,9 +137,13 @@ def _serial_integrate(f, d, tol=Tolerances(), breakpoints=()):
     return total, max(errsum, 0.0)
 
 
+def _mapped(g, d, breakpoints):
+    return g, d, {"breakpoints": breakpoints}
+
+
 @pytest.mark.parametrize("f, d, kwargs", [
-    (lambda r: r**7 * np.exp(-3.0 * r), Domain.semi_infinite(0.0), {}),
-    (lambda x: np.exp(-x * x), Domain.infinite(), {}),
+    _mapped(*semi_infinite(lambda r: r**7 * np.exp(-3.0 * r))),
+    _mapped(*real_line(lambda x: np.exp(-x * x))),
     (lambda x: np.abs(x - 0.3) ** 3, Domain.finite(-1.0, 1.0), {"breakpoints": [0.3]}),
     (lambda x: x ** (-0.999), Domain.finite(1e-12, 1.0), {"tol": Tolerances(rel_tol=1e-12, abs_tol=1e-16)}),
 ], ids=["gamma", "gaussian", "kink", "r^-0.999"])
@@ -161,7 +166,7 @@ def _counted(f):
 
 def test_integrand_calls_far_fewer_than_panels():
     g, shapes = _counted(lambda r: r**5 * np.exp(-2.0 * r))
-    res = integrate(g, Domain.semi_infinite(0.0))
+    res = integrate_semi_infinite(g)
     assert res.value == pytest.approx(1.875, rel=1e-12)
     assert len(shapes) <= 20 and 3 * len(shapes) <= res.evaluations // 15
     # sixty cusps of sqrt|sin(30 x)|: thousands of panels, refined in rounds
@@ -173,7 +178,7 @@ def test_integrand_calls_far_fewer_than_panels():
 
 def test_integrand_sees_panel_rows():
     g, shapes = _counted(lambda x: np.exp(-x * x))
-    integrate(g, Domain.infinite())
+    integrate_real_line(g)
     assert all(len(s) == 2 and s[1] == 15 for s in shapes)
     assert shapes[0][0] == 4  # the four initial panels of the real line, in one call
     assert max(s[0] for s in shapes) > 1

@@ -33,7 +33,7 @@ CASES = [
     (Tolerances, (1e-8, 1e-12, 1000)),
     (MomentValue, ("convergent", 2.0, 1.5, 1e-9, "")),
     (Verdict, ("x", 1.0, 2.0, 1e-9, {"p": 2.0}, "ok", "")),
-    (Domain, ("finite", 0.0, 1.0)),
+    (Domain, (0.0, 1.0)),
     (QuadResult, (1.0, 1e-12, 45, True, False)),
     (HermitianOperator, (np.eye(2),)),
     (FiniteState, (np.array([1.0, 0.0]),)),
@@ -125,7 +125,7 @@ def test_equal_fields_give_equal_objects(cls, args):
 
 def test_objects_differing_in_one_field_are_unequal():
     assert Tolerances(rel_tol=1e-8) != Tolerances(rel_tol=1e-9)
-    assert Domain("finite", 0.0, 1.0) != Domain("finite", 0.0, 2.0)
+    assert Domain(0.0, 1.0) != Domain(0.0, 2.0)
     assert Outcomes(checks=1) != Outcomes(checks=2)
 
 

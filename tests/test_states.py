@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from marginals import hydrogen_position_density, integrated, momentum_density, position_density
+from marginals import (
+    hydrogen_position_density, integrate_real_line, integrate_semi_infinite, integrated,
+    momentum_density, position_density, reduced_radial_derivative,
+)
 from qmoments.core import CapabilityError, DataFormatError, Tolerances
+from qmoments.exact import KINETIC
 from qmoments.quadrature import Domain, integrate
 from qmoments.states import (
     GaussianPacket,
@@ -36,7 +40,7 @@ def test_hydrogen_radial_density_origin(hydrogen):
 
 
 def test_radial_density_normalized(hydrogen):
-    res = integrate(lambda r: hydrogen.radial_density(r), Domain.semi_infinite(0.0))
+    res = integrate_semi_infinite(lambda r: hydrogen.radial_density(r))
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -56,8 +60,8 @@ def test_axis_density_even():
 
 
 def test_axis_density_normalized():
-    res = integrate(
-        hydrogen_position_density, Domain.infinite(),
+    res = integrate_real_line(
+        hydrogen_position_density,
         Tolerances(rel_tol=1e-9, abs_tol=1e-13), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-8)
@@ -65,7 +69,7 @@ def test_axis_density_normalized():
 
 def test_gaussian_peak_density():
     g = GaussianPacket(x0=2.0, sigma=1.3)
-    assert g.axis_position_density(1, 2.0) == pytest.approx(
+    assert position_density(g, 2.0) == pytest.approx(
         1.0 / (1.3 * math.sqrt(2 * math.pi)), rel=1e-14
     )
 
@@ -79,16 +83,16 @@ def test_gaussian_means():
 def test_gaussian_momentum_width():
     g = GaussianPacket(sigma=2.0)
     # sigma_p = hbar / (2 sigma)
-    res = integrate(
-        lambda p: p * p * g.axis_momentum_density(1, p), Domain.infinite(),
+    res = integrate_real_line(
+        lambda p: p * p * momentum_density(g, p),
         breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0 / 16.0, rel=1e-10)
 
 
 def test_momentum_marginal_normalized(hydrogen):
-    res = integrate(
-        lambda p: momentum_density(hydrogen, p), Domain.infinite(),
+    res = integrate_real_line(
+        lambda p: momentum_density(hydrogen, p),
         Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -96,8 +100,8 @@ def test_momentum_marginal_normalized(hydrogen):
 
 def test_momentum_marginal_second_moment(hydrogen):
     # <p_z^2> = hbar^2/(3 a0^2), via direct integration of the marginal
-    res = integrate(
-        lambda p: p * p * momentum_density(hydrogen, p), Domain.infinite(),
+    res = integrate_real_line(
+        lambda p: p * p * momentum_density(hydrogen, p),
         Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-6)
@@ -135,31 +139,6 @@ def test_kinetic_gaussian_boosted():
 _GRID_R = np.arange(0.0, 40.01, 0.02)
 
 
-@pytest.mark.parametrize("make", [
-    lambda tol: HydrogenGroundState(tol=tol),
-    lambda tol: PowerExpRadialState(4, 1.0, tol=tol),
-    lambda tol: GaussianPacket(p0=0.7, tol=tol),
-], ids=["hydrogen", "r4test", "gaussian"])
-def test_kinetic_energy_integrates_at_the_state_tolerances(make, monkeypatch):
-    # the gradient-quadrature route, which the closed forms take the place of
-    from qmoments import quadrature
-
-    evals = []
-
-    def counted(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        evals.append(res.evaluations)
-        return res
-
-    monkeypatch.setattr(quadrature, "integrate", counted)
-    tight = integrated(make(Tolerances())).kinetic_energy()
-    tight_evals = sum(evals)
-    evals.clear()
-    loose = integrated(make(Tolerances(rel_tol=1e-4))).kinetic_energy()
-    assert 0 < sum(evals) < tight_evals
-    assert loose == pytest.approx(tight, rel=1e-4)
-
-
 def _knot_oracle(st, f):
     """int f over the grid by integrate at rel_tol 1e-13, split at every knot
     and knot-interval midpoint: no panel straddles a knot, whose kink a K-G
@@ -185,7 +164,7 @@ def test_grid_kinetic_energy_does_not_depend_on_the_tolerances(monkeypatch):
     loose = RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R),
                             tol=Tolerances(rel_tol=1e-4, abs_tol=1e-6, max_evals=45)).kinetic_energy()
     assert loose == tight
-    want = 0.5 * _knot_oracle(grid, lambda r: grid.reduced_radial_derivative(r) ** 2)
+    want = 0.5 * _knot_oracle(grid, lambda r: reduced_radial_derivative(grid, r) ** 2)
     assert tight == pytest.approx(want, rel=1e-12)
 
 
@@ -201,8 +180,8 @@ def test_p_squared_three_routes(hydrogen):
     # gradient route
     via_gradient = 2.0 * hydrogen.constants.mass * hydrogen.kinetic_energy()
     # marginal route, summed over the three axes
-    res = integrate(
-        lambda p: p * p * momentum_density(hydrogen, p), Domain.infinite(),
+    res = integrate_real_line(
+        lambda p: p * p * momentum_density(hydrogen, p),
         Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     via_marginals = 3.0 * res.value
@@ -224,7 +203,7 @@ def test_capability_errors(qho):
     with pytest.raises(CapabilityError):
         qho.radial_density(1.0)
     with pytest.raises(CapabilityError):
-        qho.axis_position_density(2, 0.0)  # 1d states expose axis 1 only
+        qho.position_mean(2)  # 1d states expose axis 1 only
 
 
 def test_momentum_tail_powers(hydrogen):
@@ -379,6 +358,18 @@ def test_grid_state_kinetic_close_to_analytic():
     assert st.kinetic_energy() == pytest.approx(0.5, rel=5e-4)
 
 
+@pytest.mark.parametrize("r, u, exact", [
+    (np.arange(0.0, 40.005, 0.01), lambda r: 2.0 * r * np.exp(-r), 0.5),
+    (np.arange(0.0, 40.01, 0.02), lambda r: 2.0 * r * np.exp(-r), 0.5),
+    (np.arange(0.0, 40.02, 0.04), lambda r: 2.0 * r * np.exp(-r), 0.5),
+    (np.r_[0.0, np.geomspace(1e-3, 45.0, 400)], lambda r: r**4 * np.exp(-r), 1.0 / 14.0),
+], ids=["h0.01", "h0.02", "h0.04", "r4-geometric"])
+def test_grid_kinetic_error_estimate_covers_the_closed_form(r, u, exact):
+    # the half-resolution difference is the kinetic energy's err_estimate
+    m = RadialGridState(r, u(r)).direct_moment(KINETIC, 0.0)
+    assert abs(m.value - exact) <= m.err_estimate <= 1e-4 * m.value
+
+
 def test_grid_state_coarse_kinetic_fails():
     r = np.linspace(0.0, 30.0, 28)
     u = r * np.exp(-r)
@@ -458,10 +449,10 @@ def test_catalog_contents():
 
 def test_gaussian_means_by_integration():
     g = GaussianPacket(x0=1.4, p0=0.6, sigma=0.9)
-    mx = integrate(lambda x: x * g.axis_position_density(1, x), Domain.infinite(),
-                   breakpoints=[1.4])
-    mp = integrate(lambda p: p * g.axis_momentum_density(1, p), Domain.infinite(),
-                   breakpoints=[0.6])
+    mx = integrate_real_line(lambda x: x * position_density(g, x),
+                             breakpoints=[1.4])
+    mp = integrate_real_line(lambda p: p * momentum_density(g, p),
+                             breakpoints=[0.6])
     assert mx.value == pytest.approx(1.4, abs=1e-9)
     assert mp.value == pytest.approx(0.6, abs=1e-9)
 
@@ -476,8 +467,8 @@ def test_r4_p_squared_three_routes():
     res = integrate(lambda k: tbl.w(k) ** 2 * k * k, Domain.finite(0.0, tbl.k_cut))
     via_radial = res.value + tbl.tail_integral(2.0, tbl.k_cut)
     assert via_radial == pytest.approx(via_gradient, rel=1e-6)
-    res2 = integrate(
-        lambda p: p * p * momentum_density(st, p), Domain.infinite(),
+    res2 = integrate_real_line(
+        lambda p: p * p * momentum_density(st, p),
         Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert 3.0 * res2.value == pytest.approx(via_gradient, rel=1e-6)
@@ -485,8 +476,8 @@ def test_r4_p_squared_three_routes():
 
 def test_r4_momentum_marginal_normalized():
     st = PowerExpRadialState(4, 1.0)
-    res = integrate(
-        lambda p: momentum_density(st, p), Domain.infinite(),
+    res = integrate_real_line(
+        lambda p: momentum_density(st, p),
         Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
@@ -731,7 +722,7 @@ def test_grid_knot_table_matches_integrate_on_the_interpolant(make, integrate_ca
     assert norm.converged
     assert norm.value == pytest.approx(_knot_oracle(st, lambda r: st.reduced_radial(r) ** 2), rel=1e-12)
     assert norm.value == pytest.approx(1.0, rel=1e-14)
-    kinetic = 0.5 * _knot_oracle(st, lambda r: st.reduced_radial_derivative(r) ** 2)
+    kinetic = 0.5 * _knot_oracle(st, lambda r: reduced_radial_derivative(st, r) ** 2)
     assert st.kinetic_energy() == pytest.approx(kinetic, rel=1e-12)
 
 
