@@ -409,7 +409,7 @@ def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
 def _read_holder_csv(path: str) -> iq.DiscreteDensity:
     rows: list[tuple[float, float, float]] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
@@ -658,7 +658,7 @@ def _load_config(args) -> RunConfig:
     tol: dict[str, Any] = {}
     if getattr(args, "config", None):
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except UnicodeDecodeError as exc:
             raise DataFormatError.not_utf8(args.config, exc) from exc

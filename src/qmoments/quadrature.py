@@ -92,10 +92,10 @@ def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return c[:, None] + h[:, None] * _XK, h
 
 
-def _kronrod_panels(g: Callable, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K15/G7 on every panel [lo_i, hi_i] from one integrand call on the
-    (panels, 15) node array; returns (kronrod, |kronrod - gauss|) per panel."""
-    nodes, h = _kronrod_nodes(lo, hi)
+def _kronrod_panels(g: Callable, nodes: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """K15/G7 on every panel from one integrand call on its (panels, 15)
+    Kronrod nodes, given with the half-widths h as _kronrod_nodes makes
+    them; returns (kronrod, |kronrod - gauss|) per panel."""
     vals = np.asarray(g(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise DomainError("integrand is not vectorized: wrong output shape")
@@ -137,7 +137,7 @@ def integrate(
     pan[0, :n], pan[1, :n] = edges[:-1], edges[1:]
     evals = 0
     try:
-        pan[2, :n], pan[3, :n] = _kronrod_panels(f, pan[0, :n], pan[1, :n])
+        pan[2, :n], pan[3, :n] = _kronrod_panels(f, *_kronrod_nodes(pan[0, :n], pan[1, :n]))
         evals += 15 * n
         while True:
             a, b, k, e = pan[:, :n]
@@ -160,7 +160,8 @@ def integrate(
             if not splittable.all():
                 take, lo_t, hi_t, mid = take[splittable], lo_t[splittable], hi_t[splittable], mid[splittable]
             m = take.size
-            kc, ec = _kronrod_panels(f, np.concatenate([lo_t, mid]), np.concatenate([mid, hi_t]))
+            kc, ec = _kronrod_panels(f, *_kronrod_nodes(np.concatenate([lo_t, mid]),
+                                                        np.concatenate([mid, hi_t])))
             evals += 30 * m
             if n + m > pan.shape[1]:
                 pan = np.concatenate([pan, np.empty((4, n + m))], axis=1)

@@ -3,8 +3,10 @@
 A RadialGridState is a state sampled as (r_i, u_i) from a file or arrays and
 interpolated with a monotone cubic; its position moments, norm and kinetic
 energy come from K15 sums over a table of u at the knot intervals' Kronrod
-nodes. _MomentumTable keeps w(k) of any radial state for the momentum
-k-integrals, with a power-law tail model.
+nodes, which the state computes once. _MomentumTable gives w(k) of any radial
+state for the momentum k-integrals: one fixed table of w at the nodes of the
+shared k-partition, one transform call for any other request, and a
+power-law tail model.
 
 The catalog states (hydrogen, r4test and any PowerExpRadialState, qho,
 gaussian), their base classes and catalog() live in the numpy-free module
@@ -35,19 +37,21 @@ from .quadrature import QuadResult, RadialSamples, _kronrod_nodes, _kronrod_pane
 
 
 class _MomentumTable:
-    """Amplitudes w(k) on demand, with a power-law tail model.
+    """Amplitudes w(k) for the momentum k-integrals, with a power-law tail model.
 
-    amplitude(ks) gives w at any array of 0 <= k <= k_cut, and a value
-    depends on its k alone: a grid state transforms every k against one
-    sampling of u fine enough for k_cut, a power-exponential state has the
-    closed form. Values are memoized up to k_cut; beyond it the amplitude
-    is represented as C k^tau + D k^(tau-2) with the coefficients fitted at
-    0.7*k_cut and k_cut, which keeps heavy momentum tails cheap without
-    truncating them.
+    w(ks) gives w at any array of 0 <= k <= k_cut, and a value depends on
+    its k alone: a grid state transforms every k against one sampling of u
+    fine enough for k_cut, a power-exponential state has the closed form.
+    Beyond k_cut the amplitude is represented as C k^tau + D k^(tau-2) with
+    the coefficients fitted at 0.7*k_cut and k_cut, which keeps heavy
+    momentum tails cheap without truncating them.
 
     Every momentum order of a state starts its k-integral from one shared
-    partition of [0, k_cut] (partition()); later orders find its nodes
-    cached and compute only the k-panels their own refinement adds.
+    partition of [0, k_cut] (partition()). The table computes w at the
+    partition's nodes and at the two fit points once, in one _batch call,
+    and keeps them: integrate's first round of every order asks for exactly
+    those nodes and gets the kept array back. Any other request is one
+    _batch call of all its k.
     """
 
     def __init__(self, amplitude: Callable, r_scale: float, tail_power: float, k_cut: float):
@@ -55,64 +59,54 @@ class _MomentumTable:
         self._r_scale = r_scale
         self.tail_power = tail_power
         self.k_cut = k_cut
-        self._cache: dict[float, float] = {}
-        self._tail_fit: tuple[float, float] | None = None
         self._edges: np.ndarray | None = None
 
     def w(self, ks) -> np.ndarray:
         """w(k) for an array of k of any shape (the (panels, 15) node arrays
-        of integrate among them): cached values, and the missing k computed
-        in one _batch call."""
+        of integrate among them): the kept read-only array for the
+        partition's nodes, else one _batch call."""
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        flat = ks.ravel()
-        out = np.array([self._cache.get(k, math.nan) for k in flat.tolist()])
-        miss = np.isnan(out)
-        if miss.any():
-            out[miss] = self._batch(flat[miss])
-            self._cache.update(zip(flat[miss].tolist(), out[miss].tolist()))
-        return out.reshape(ks.shape)
+        if self._edges is not None and np.array_equal(ks, self._nodes):
+            return self._w_nodes
+        return self._batch(ks.ravel()).reshape(ks.shape)
 
     def partition(self) -> np.ndarray:
-        """Edges of the shared starting partition of [0, k_cut], with w
-        computed at every K15 node of it.
+        """Edges of the shared starting partition of [0, k_cut].
 
         The panels are [0, 1e-4/r_scale], 11 geometric panels up to
         1/r_scale and 24 up to k_cut: 36 panels, 540 nodes, fixed by k_cut
-        and r_scale alone. The first call builds the edges and sends the
-        nodes to w as one request; later calls return the same read-only
-        edges.
+        and r_scale alone. The first call builds the edges and the table: w
+        at the (36, 15) K15 nodes and the tail fit, all read-only; later
+        calls return the same edges.
         """
         if self._edges is None:
             kb = 1.0 / self._r_scale
             edges = np.concatenate([
                 [0.0], np.geomspace(1e-4 * kb, kb, 12), np.geomspace(kb, self.k_cut, 25)[1:],
             ])
-            self.w(_kronrod_nodes(edges[:-1], edges[1:])[0].ravel())
-            edges.flags.writeable = False
+            nodes = _kronrod_nodes(edges[:-1], edges[1:])[0]
+            k1, k2 = 0.7 * self.k_cut, self.k_cut
+            w = self._batch(np.append(nodes, (k1, k2)))
+            edges.flags.writeable = nodes.flags.writeable = w.flags.writeable = False
+            self._nodes, self._w_nodes = nodes, w[:-2].reshape(nodes.shape)
+            # C k^tau + D k^(tau-2) through w(k1) and w(k2)
+            a1 = w[-2] * k1 ** (-self.tail_power)
+            a2 = w[-1] * k2 ** (-self.tail_power)
+            d = (a1 - a2) / (k1 ** (-2.0) - k2 ** (-2.0))
+            self._tail_fit = (float(a2 - d * k2 ** (-2.0)), float(d))
             self._edges = edges
         return self._edges
 
     def _batch(self, ks: np.ndarray) -> np.ndarray:
-        """w at the k a request misses, from one amplitude call."""
+        """w at the k of a request, from one amplitude call."""
         return self._amplitude(ks)
-
-    def _fit(self) -> tuple[float, float]:
-        if self._tail_fit is not None:
-            return self._tail_fit
-        k1, k2 = 0.7 * self.k_cut, self.k_cut
-        w1, w2 = self.w(np.array([k1, k2]))
-        a1 = w1 * k1 ** (-self.tail_power)
-        a2 = w2 * k2 ** (-self.tail_power)
-        d = (a1 - a2) / (k1 ** (-2.0) - k2 ** (-2.0))
-        c = a2 - d * k2 ** (-2.0)
-        self._tail_fit = (float(c), float(d))
-        return self._tail_fit
 
     def tail_integral(self, power_shift: float, lower: float) -> float:
         """int_lower^inf w(k)^2 k^power_shift dk under the tail model."""
         if lower < self.k_cut:
             raise DomainError("tail integral starts below the fitted region")
-        c, d = self._fit()
+        self.partition()
+        c, d = self._tail_fit
         tau = self.tail_power
 
         def piece(coef: float, expo: float) -> float:
@@ -204,13 +198,11 @@ class _PiecewiseCubic:
         runs = np.diff(np.searchsorted(r, self._edges), prepend=0, append=r.size)
         return _horner(r - np.repeat(self._left, runs), (np.repeat(c, runs) for c in self._coefs))
 
-    def at_knot_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Values at the (intervals, 15) Kronrod nodes of the knot intervals,
-        and the intervals' half-widths. Row i lies in interval i, so the
+    def at_knot_nodes(self, nodes: np.ndarray) -> np.ndarray:
+        """Values at nodes, the (intervals, 15) Kronrod nodes of the knot
+        intervals (_kronrod_nodes). Row i lies in interval i, so the
         coefficients broadcast along the rows and nothing is searched."""
-        s, h = _kronrod_nodes(self._knots[:-1], self._knots[1:])
-        s -= self._knots[:-1, None]
-        return _horner(s, (c[1:-1, None] for c in self._coefs)), h
+        return _horner(nodes - self._knots[:-1, None], (c[1:-1, None] for c in self._coefs))
 
 
 def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _PiecewiseCubic]:
@@ -305,8 +297,9 @@ class RadialGridState(RadialStateBase):
         else:
             self.origin_power_u = _origin_power(r, u)
 
-        u_knots, h = self._interp.at_knot_nodes()
-        norm2 = float((h * (u_knots**2 @ _WK)).sum())
+        self._knot_nodes = _kronrod_nodes(r[:-1], r[1:])  # (nodes, half-widths)
+        u_knots = self._interp.at_knot_nodes(self._knot_nodes[0])
+        norm2 = float((self._knot_nodes[1] * (u_knots**2 @ _WK)).sum())
         if not (math.isfinite(norm2) and norm2 > 0.0):
             raise DataFormatError("grid wavefunction has non-finite or zero norm")
         self.norm_factor = 1.0 / math.sqrt(norm2)
@@ -330,7 +323,7 @@ class RadialGridState(RadialStateBase):
             return ux
 
         try:
-            k, e = _kronrod_panels(f, self._r[:-1], self._r[1:])
+            k, e = _kronrod_panels(f, *self._knot_nodes)
         except _NonFiniteIntegrand:
             return QuadResult(math.nan, math.inf, u.size, converged=False, failed=True)
         value, err = float(k.sum()), float(e.sum())
@@ -372,10 +365,10 @@ class RadialGridState(RadialStateBase):
         interval, so both integrals are K15 sums over the knot intervals,
         exact up to rounding and independent of the state's tolerances."""
         c = self.constants
-        full = self._square_integral(self._dinterp)
+        full = self._square_integral(self._dinterp, *self._knot_nodes)
         coarse = self._r[::2]
         _, dcoarse = _monotone_cubic(coarse, self._interp.at_ascending(coarse))
-        half_val = self._square_integral(dcoarse)
+        half_val = self._square_integral(dcoarse, *_kronrod_nodes(coarse[:-1], coarse[1:]))
         rel_err = abs(full - half_val) / max(abs(full), 1e-300)
         if rel_err > self.kinetic_rel_tol:
             raise CapabilityError(
@@ -385,9 +378,10 @@ class RadialGridState(RadialStateBase):
         scale = c.hbar**2 / (2.0 * c.mass)
         return MomentValue.convergent(scale * full, scale * abs(full - half_val), 1.0)
 
-    def _square_integral(self, f: _PiecewiseCubic) -> float:
-        """int (norm_factor f)^2 over f's knots by K15 on each interval."""
-        vals, h = f.at_knot_nodes()
+    def _square_integral(self, f: _PiecewiseCubic, nodes: np.ndarray, h: np.ndarray) -> float:
+        """int (norm_factor f)^2 over f's knots by K15 on each interval, from
+        the intervals' Kronrod nodes and half-widths."""
+        vals = f.at_knot_nodes(nodes)
         vals *= self.norm_factor
         vals *= vals
         return float((h * (vals @ _WK)).sum())
@@ -396,10 +390,10 @@ class RadialGridState(RadialStateBase):
 
 
 def load_radial_grid(path, **kwargs) -> RadialGridState:
-    """Read a radial grid file: UTF-8 text in two whitespace-separated
-    columns (r, u), where '#' starts a comment, blank lines are skipped and
-    an entry is anything float() takes. kwargs (origin_power, constants,
-    label, tol) go to RadialGridState."""
+    """Read a radial grid file: UTF-8 text, with or without a BOM, in two
+    whitespace-separated columns (r, u), where '#' starts a comment, blank
+    lines are skipped and an entry is anything float() takes. kwargs
+    (origin_power, constants, label, tol) go to RadialGridState."""
     return RadialGridState(*_read_grid(path), **kwargs)
 
 
@@ -413,14 +407,14 @@ def _read_grid(path) -> tuple[np.ndarray, np.ndarray]:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # numpy's warning on no data rows
-            cols = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+            cols = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8-sig")
     except (OSError, ValueError):
         cols = None  # the line reader meets the same fault and reports it
     if cols is not None and cols.shape[1] == 2:
         r, u = cols.T.copy()
         return r, u
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataFormatError.not_utf8(path, exc) from exc

@@ -528,6 +528,33 @@ def test_non_utf8_input_file_is_one_line_error(tmp_path, capsys, name, text, arg
     assert _one_error_line(capsys).startswith(f"error: {path}: not UTF-8 text: ")
 
 
+_BOM = b"\xef\xbb\xbf"
+_H_R = np.arange(0.0, 40.01, 0.02)
+_GRID_ROWS = "".join(f"{a!r} {b!r}\n" for a, b in zip(_H_R.tolist(), (2.0 * _H_R * np.exp(-_H_R)).tolist()))
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("grid.txt", _GRID_ROWS, ["sweep", "--grid", "{}", "--p-grid", "3", "--q-grid", "2"]),
+    # a comment first, and a token only float() reads (the line reader's path)
+    ("grid.txt", "# r u\n" + _GRID_ROWS.replace("0.02 ", "0.0_2 ", 1),
+     ["sweep", "--grid", "{}", "--p-grid", "3", "--q-grid", "2"]),
+    # headerless: the first row is data, not a header to drop
+    ("data.csv", "1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n", ["holder", "--data", "{}", "--p", "3", "--q", "2"]),
+    ("data.csv", "f,g\n1.0,0.5\n2.0,1.5\n", ["holder", "--data", "{}", "--p", "3", "--q", "2"]),
+    ("tol.json", '{"rel_tol": 1e-8, "slack": 1e-6}', ["--config", "{}", "hydrogen", "--p", "3", "--q", "2"]),
+], ids=["grid", "grid_comment_first", "holder_csv_headerless", "holder_csv_header", "config"])
+def test_utf8_bom_input_file_reads_as_without_it(tmp_path, capsys, name, text, argv):
+    docs = []
+    for prefix in (b"", _BOM):
+        path = tmp_path / name
+        path.write_bytes(prefix + text.encode())
+        code, doc = run_json(capsys, [a.format(path) for a in argv])
+        del doc["manifest"]["timestamp"]
+        docs.append((code, doc))
+    assert docs[0][0] == EXIT_OK
+    assert json.dumps(docs[1]) == json.dumps(docs[0])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_grid_file_with_a_non_finite_radius_is_one_line_error(tmp_path, capsys, bad):
     r = np.linspace(0.0, 10.0, 50)

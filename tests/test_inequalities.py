@@ -390,8 +390,7 @@ def _grid_hydrogen():
 @pytest.mark.parametrize("make_state", [HydrogenGroundState, _grid_hydrogen])
 @pytest.mark.parametrize("kind", ["canonical", RECIPROCAL])
 def test_sweep_rows_match_cell_builders_bitwise(make_state, kind):
-    # fresh states on both sides: momentum-table chunks depend on the order
-    # in which moments first ask for amplitudes
+    # fresh states on both sides, so neither side reuses the other's tables
     ps, qs = [1.5, 2.5], [1.0, 2.0, 2.9]
     table = sweep(make_state(), 3, 3, ps, qs, kind=kind)
     st = make_state()

@@ -542,18 +542,30 @@ def test_momentum_table_amplitude_depends_on_k_alone():
 
 
 def test_momentum_table_request_with_misses_makes_one_transform(sine_calls):
+    # a request other than the partition's nodes is one transform of all its
+    # k, whatever the table computed before
+    from qmoments.quadrature import _kronrod_nodes
+
     rows = _k_panels()
     tbl = _hydrogen_grid().momentum_table()
-    tbl.w(rows[1])  # a cached row
-    tbl.w(rows[3, :5])  # and a partly cached one
+    edges = tbl.partition()
+    tbl.w(rows[1])
+    tbl.w(rows[3, :5])
     sine_calls.clear()
     got = tbl.w(rows)
     assert got.shape == rows.shape
-    assert sine_calls == [(55,)]  # the 75 nodes less the 20 cached ones
-    assert np.array_equal(tbl.w(rows), got)  # now all cached
+    assert sine_calls == [(75,)]
+    assert tbl.w(rows).tobytes() == got.tobytes()
+    assert sine_calls == [(75,), (75,)]
+    # the partition's nodes make none; other k of their shape make one
+    nodes = _kronrod_nodes(edges[:-1], edges[1:])[0]
+    kept = tbl.w(nodes)
+    assert kept.shape == (36, 15) and not kept.flags.writeable
+    assert sine_calls == [(75,), (75,)]
+    assert tbl.w(0.5 * nodes).tobytes() == tbl._batch(0.5 * nodes.ravel()).tobytes()
     ks = np.linspace(50.0, 0.1, 300)
     tbl.w(ks)
-    assert sine_calls == [(55,), (300,)]
+    assert sine_calls == [(75,), (75,), (540,), (540,), (300,)]
 
 
 def test_momentum_table_partition_is_cached_for_the_first_round(sine_calls):
@@ -561,7 +573,7 @@ def test_momentum_table_partition_is_cached_for_the_first_round(sine_calls):
     edges = tbl.partition()
     assert edges.size == 37 and edges[0] == 0.0 and edges[-1] == tbl.k_cut
     assert np.all(np.diff(edges) > 0.0)
-    assert sine_calls == [(540,)]
+    assert sine_calls == [(542,)]  # the 540 nodes and the two tail-fit points
     assert np.array_equal(tbl.partition(), edges)
     # integrate's first round on these edges asks for exactly those nodes
     seen = []
@@ -591,14 +603,31 @@ def test_r4test_grid_cell_sine_calls(sine_calls):
 
 def test_momentum_table_partition_works_once_per_table(monkeypatch):
     tbl = _hydrogen_grid().momentum_table()
-    requests = []
-    real = tbl.w
-    monkeypatch.setattr(tbl, "w", lambda ks: requests.append(np.shape(ks)) or real(ks))
+    batches = []
+    real = tbl._batch
+    monkeypatch.setattr(tbl, "_batch", lambda ks: batches.append(np.shape(ks)) or real(ks))
+    # the tail fit builds the table as well, and reads the fit points from it
+    tail = tbl.tail_integral(2.0, tbl.k_cut)
+    assert batches == [(542,)]
     edges = tbl.partition()
-    assert requests == [(540,)]
     assert all(tbl.partition() is edges for _ in range(3))
-    assert requests == [(540,)]
+    assert tbl.tail_integral(2.0, tbl.k_cut) == tail
+    assert batches == [(542,)]
     assert not edges.flags.writeable
+
+
+@pytest.mark.parametrize("make", [_hydrogen_grid, _r4test_grid], ids=["hydrogen", "r4test"])
+def test_grid_sweep_cell_alone_equals_the_cell_in_a_sweep(make):
+    # no cache ties the orders of a state together: w depends on k alone, so
+    # a cell does not depend on the orders its state ran before it
+    import json
+
+    from qmoments.inequalities import sweep
+
+    ps, qs = [1.5, 2.5, 3.5], [0.9, 1.5, 2.0]
+    in_sweep = sweep(make(), 3, 3, ps, qs).to_dicts()
+    alone = [sweep(make(), 3, 3, [p], [q]).to_dicts()[0] for p in ps for q in qs]
+    assert json.dumps(alone) == json.dumps(in_sweep)
 
 
 @pytest.mark.parametrize("make", [_hydrogen_grid, _r4test_grid], ids=["hydrogen", "r4test"])
@@ -619,7 +648,7 @@ def test_grid_interpolant_by_runs_equals_the_search(make):
         for x in (nodes, knots, knots[::2], knots[-1:], everything):
             assert f.at_ascending(x).tobytes() == f(x).tobytes()
         assert np.all(f.at_ascending(outside) == 0.0)
-        assert f.at_knot_nodes()[0].tobytes() == f(knot_nodes).tobytes()
+        assert f.at_knot_nodes(knot_nodes).tobytes() == f(knot_nodes).tobytes()
     # r_N lies in the last interval, not outside
     assert st._interp.at_ascending(knots[-1:])[0] != 0.0
     # the state's amplitude is the transform of reduced_radial, bit for bit
