@@ -266,13 +266,14 @@ def _fft_size(m: int) -> int:
 
 
 class RadialSamples:
-    """u sampled once at the 15n Kronrod nodes of n equal panels of [0, r_max],
-    n = max(ceil(2 r_max/r_scale), ceil(2 k_max r_max/pi), 4): panels a
-    quarter-period of sin(k_max r) or shorter (and never longer than half
-    the radial scale), on which the fixed K15 rule is effectively exact.
-    Every k <= k_max is transformed against the same samples, so its value
-    depends on k alone. u is called once, on a 1-d array of the nodes in
-    ascending order.
+    """The sine transform of u from its values at the 15n Kronrod nodes of n
+    equal panels of [0, r_max]. The constructor picks n = max(ceil(2
+    r_max/r_scale), ceil(2 k_max r_max/pi), 4): panels a quarter-period of
+    sin(k_max r) or shorter (and never longer than half the radial scale), on
+    which the fixed K15 rule is effectively exact, and calls u once, on a 1-d
+    array of the nodes in ascending order; on_panels takes the values on
+    panels the caller chose. Every k <= k_max is transformed against the
+    same samples, so its value depends on k alone.
 
     Node m of panel j sits at c_j + h x_m, c_j = (j + 1/2) d, d = 2h. With
     N = n rounded up to even, j' = j - N/2 and theta = k d,
@@ -288,8 +289,8 @@ class RadialSamples:
     [0, k_max d] reaches are kept, with the K15 weights, h and sqrt(2/pi)
     folded in: a (rows, 30) table of real parts, then imaginary parts. Row t
     holds H at t mod M, which past M/2 is R_{M - t mod M} as u is real: the
-    rows t < 0 that k near 0 reach, and, where M <= 24 (n <= 12), rows that
-    the window reaches past M/2."""
+    rows t < 0 that k near 0 reach, and the rows past M/2 that the window
+    reaches where k_max d is near pi (half-period panels) or M <= 24."""
 
     def __init__(self, u: Callable, r_max: float, r_scale: float, k_max: float):
         n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
@@ -298,13 +299,27 @@ class RadialSamples:
                 f"sine transform needs {n} panels (k={k_max:.3g}, r_max={r_max:.3g}); "
                 f"exceeds the {_MAX_SINE_PANELS} panel cap"
             )
-        self.k_max = k_max
         edges = np.linspace(0.0, r_max, n + 1)
         c = 0.5 * (edges[:-1] + edges[1:])
         h = 0.5 * (edges[1] - edges[0])
         uv = np.asarray(u((c[:, None] + h * _XK[None, :]).ravel()), dtype=float)
-        if not np.all(np.isfinite(uv)):
+        self._tabulate(uv.reshape(n, 15), r_max, k_max)
+
+    @classmethod
+    def on_panels(cls, values: np.ndarray, r_max: float, k_max: float) -> "RadialSamples":
+        """From the (n, 15) values of u at the nodes of n equal panels of
+        [0, r_max], each at most half a period of sin(k_max r) wide."""
+        self = cls.__new__(cls)
+        self._tabulate(values, r_max, k_max)
+        return self
+
+    def _tabulate(self, values: np.ndarray, r_max: float, k_max: float) -> None:
+        """The gridded table of the (n, 15) node values (class docstring)."""
+        if not np.all(np.isfinite(values)):
             raise MomentsError("non-finite radial wavefunction value in sine transform")
+        self.k_max = k_max
+        n = values.shape[0]
+        h = 0.5 * (r_max / n)  # bit for bit the h of __init__'s linspace
         half = (n + 1) // 2  # N/2
         size = _fft_size(_OVERSAMPLE * 2 * half)  # M
         # the grid position k*d*M/(2 pi) of theta comes from this scale, a
@@ -323,7 +338,7 @@ class RadialSamples:
         rows = np.where(low, t, size - t)
         jp = np.arange(n) - half
         decon = 1.0 / _window_transform(size, half + 1)[np.abs(jp)]
-        cols = uv.reshape(n, 15) * (decon[:, None] * (_WK * (_SINE_NORM * h)))
+        cols = values * (decon[:, None] * (_WK * (_SINE_NORM * h)))
         # column m at index j' mod M: its rfft R gives H_t = conj(R_t)
         wrapped = np.zeros(size)
         table = np.empty((t.size, 30))

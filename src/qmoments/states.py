@@ -3,10 +3,11 @@
 A RadialGridState is a state sampled as (r_i, u_i) from a file or arrays and
 interpolated with a monotone cubic; its position moments, norm and kinetic
 energy come from K15 sums over a table of u at the knot intervals' Kronrod
-nodes, which the state computes once. _MomentumTable gives w(k) of any radial
-state for the momentum k-integrals: one fixed table of w at the nodes of the
-shared k-partition, one transform call for any other request, and a
-power-law tail model.
+nodes, which the state computes once; on a grid uniform from r = 0, so does
+its sine transform, which is then exact for the model. _MomentumTable gives
+w(k) of any radial state for the momentum k-integrals: one fixed table of w at
+the nodes of the shared k-partition, one transform call for any other
+request, and a power-law tail model.
 
 The catalog states (hydrogen, r4test and any PowerExpRadialState, qho,
 gaussian), their base classes and catalog() live in the numpy-free module
@@ -29,7 +30,10 @@ from .exact import (  # noqa: F401  (the catalog is re-exported)
     DIM_1D, DIM_3D_SPHERICAL, KINETIC, R_POWER, ContinuousState, GaussianPacket,
     HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState, RadialStateBase, catalog,
 )
-from .quadrature import QuadResult, RadialSamples, _kronrod_nodes, _kronrod_panels, _NonFiniteIntegrand, _WK
+from .quadrature import (
+    _MAX_SINE_PANELS, _WK, _XK, QuadResult, RadialSamples, _kronrod_nodes, _kronrod_panels,
+    _NonFiniteIntegrand,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +355,28 @@ class RadialGridState(RadialStateBase):
         return super().momentum_tail_power()
 
     def momentum_amplitude(self, k_cut: float) -> Callable:
-        """The sine transform of u as in RadialStateBase; RadialSamples asks
-        for u at ascending nodes, so the interpolant is evaluated by runs."""
-        samples = RadialSamples(lambda r: self.norm_factor * self._interp.at_ascending(r),
-                                self.r_max, self.r_scale, k_cut)
+        """The sine transform of u. Where the knots are uniform from r = 0
+        (|r_i - i h| <= 4 eps r_N, h = r_N/N), its panels are the knot
+        intervals split into s = max(1, ceil(h k_cut/pi)) parts: u is one
+        cubic on each, which is at most half a period of sin(k_cut r), so K15
+        is exact for the model, and at s = 1 the samples are the knot table.
+        Other grids, and an s N past the cap, take RadialStateBase's equal
+        panels, with the interpolant evaluated by runs at ascending nodes."""
+        r, n = self._r, self._r.size - 1
+        h = self.r_max / n
+        s = max(1, math.ceil(h * k_cut / math.pi))
+        uniform = np.all(np.abs(r - h * np.arange(n + 1)) <= 4.0 * np.finfo(float).eps * self.r_max)
+        if uniform and s * n <= _MAX_SINE_PANELS:
+            if s == 1:
+                values = self._u_knots
+            else:
+                # the Kronrod nodes of the s sub-panels of an interval, from its knot
+                x = ((np.arange(s)[:, None] + 0.5) * (h / s) + (0.5 * h / s) * _XK).ravel()
+                values = self.norm_factor * self._interp.at_knot_nodes(r[:-1, None] + x)
+            samples = RadialSamples.on_panels(values.reshape(s * n, 15), self.r_max, k_cut)
+        else:
+            samples = RadialSamples(lambda r: self.norm_factor * self._interp.at_ascending(r),
+                                    self.r_max, self.r_scale, k_cut)
         return samples.sine_transform
 
     def _kinetic(self) -> MomentValue:

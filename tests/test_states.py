@@ -651,10 +651,85 @@ def test_grid_interpolant_by_runs_equals_the_search(make):
         assert f.at_knot_nodes(knot_nodes).tobytes() == f(knot_nodes).tobytes()
     # r_N lies in the last interval, not outside
     assert st._interp.at_ascending(knots[-1:])[0] != 0.0
-    # the state's amplitude is the transform of reduced_radial, bit for bit
+    # the state's amplitude is the transform of its knot table on the uniform
+    # grid, and of reduced_radial at equal panels on the geometric one, bit
+    # for bit
+    ks = np.linspace(0.0, k_cut, 64)
+    if make is _hydrogen_grid:
+        want = RadialSamples.on_panels(st._u_knots, st.r_max, k_cut).sine_transform(ks)
+    else:
+        want = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
+    assert st.momentum_table().w(ks).tobytes() == want.tobytes()
+
+
+def _aligned_transform_oracle(st, ks, sub):
+    """sqrt(2/pi) int u sin(kr) dr by K15 on sub equal sub-panels of every
+    knot interval, with u from the interpolant and np.sin at every node: no
+    FFT, and no node of the momentum table."""
+    from qmoments.quadrature import _WK, _XK
+
+    r = st._r
+    edges = r[:-1, None] + np.diff(r)[:, None] * (np.arange(sub + 1) / sub)
+    c, hw = 0.5 * (edges[:, 1:] + edges[:, :-1]).ravel(), 0.5 * np.diff(edges, axis=1).ravel()
+    x = (c[:, None] + hw[:, None] * _XK).ravel()
+    wu = math.sqrt(2.0 / math.pi) * (hw[:, None] * _WK).ravel() * st.reduced_radial(x)
+    return np.array([np.sin(k * x) @ wu for k in ks])
+
+
+def _uniform_grid(h, r_end=40.0):
+    r = np.arange(0.0, r_end + 0.5 * h, h)
+    return r, 2.0 * r * np.exp(-r)
+
+
+def _fixed_decimals_grid(tmp_path):
+    path = tmp_path / "grid.txt"
+    np.savetxt(path, np.c_[_uniform_grid(0.02)], fmt="%.6f")
+    return load_radial_grid(path)
+
+
+@pytest.mark.parametrize("make, subpanels", [
+    (lambda _: RadialGridState(*_uniform_grid(0.02)), 1),
+    (lambda _: RadialGridState(*_uniform_grid(0.5, 20.0)), 16),
+    (_fixed_decimals_grid, 1),
+    (lambda _: RadialGridState(*_uniform_grid(0.02, 39.98)), 1),
+], ids=["h0.02", "h0.5", "fixed-decimals", "odd-intervals"])
+def test_uniform_grid_transform_is_exact_for_the_model(make, subpanels, tmp_path):
+    # the panels are the knot intervals, split into s sub-panels: u is one
+    # cubic on each and K15 is exact for the model; equal panels that
+    # straddle the knots are 5e-11 of max|w| off on the h = 0.02 grid
+    st = make(tmp_path)
+    tbl = st.momentum_table()
+    h = st.r_max / (st._r.size - 1)
+    assert max(1, math.ceil(h * tbl.k_cut / math.pi)) == subpanels
+    ks = np.linspace(0.0, tbl.k_cut, 400)
+    w = tbl.w(ks)
+    want = _aligned_transform_oracle(st, ks, 4 * subpanels)
+    assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _moved_knot_grid():
+    r, u = _uniform_grid(0.02)
+    r[700] += 1e-9 * r[-1]
+    return RadialGridState(r, u)
+
+
+@pytest.mark.parametrize("make, cap", [
+    (_r4test_grid, None),
+    (_moved_knot_grid, None),
+    (lambda: RadialGridState(*(a[1:] for a in _uniform_grid(0.02))), None),
+    (_hydrogen_grid, 1999),
+], ids=["geometric", "moved-knot", "starts-past-0", "past-the-cap"])
+def test_other_grids_keep_the_equal_panels(make, cap, monkeypatch):
+    from qmoments import states
+    from qmoments.quadrature import RadialSamples
+
+    if cap is not None:
+        monkeypatch.setattr(states, "_MAX_SINE_PANELS", cap)  # s N = 2000 on this grid
+    st = make()
+    k_cut = 50.0 / st.r_scale  # momentum_table's; a grid past r = 0 builds no table
     ks = np.linspace(0.0, k_cut, 64)
     want = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
-    assert st.momentum_table().w(ks).tobytes() == want.tobytes()
+    assert st.momentum_amplitude(k_cut)(ks).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, kappa", [(1, 1.0), (4, 1.0), (2, 0.5)])
