@@ -2,39 +2,32 @@
 
 Two families live here. Power-exponential radial states u = N r^n e^{-kappa r}
 (hydrogen 1s is n = 1, kappa = 1/a0) carry a reduced radial wavefunction
-u(r) = r R(r) with int u^2 dr = 1 and the radial momentum amplitude w(k), the
-sine transform of u; their axis moments come from radial ones by isotropy
-(see moments.py). One-dimensional Gaussian states (oscillator ground state,
-free packets) are normal in position and in momentum.
+u(r) = r R(r) with int u^2 dr = 1; their axis moments come from radial ones
+by isotropy (see moments.py). One-dimensional Gaussian states (oscillator
+ground state, free packets) are normal in position and in momentum.
 
 Every moment a catalog command needs has a closed form here, which a state
 gives through one hook, direct_moment: the moment functions consult it
 before they build an integrand, and integrate only where it returns None.
-The kinetic energy and the axis moments of a 1-d state have no other route.
-A closed form is evaluated in log space with math.lgamma,
-and its err_estimate is a rounding-level bound (see _from_logs). A finite
-positive moment that leaves the normal double range raises DomainError; it
-never comes back as 0, a subnormal or inf.
+The kinetic energy, the momentum orders and the axis moments of a 1-d state
+have no other route; a radial state here only counts where its momentum
+moments diverge (momentum_tail_power). A closed form is evaluated in log
+space with math.lgamma, and its err_estimate is a rounding-level bound (see
+_from_logs). A finite positive moment that leaves the normal double range
+raises DomainError; it never comes back as 0, a subnormal or inf.
 
-Nothing here imports numpy at module level. The array methods (radial
-densities, momentum tables) serve the quadrature paths: they import numpy,
-and reach quadrature and states as deferred modules, when first called.
-
-All states are immutable after construction and their densities are pure
-functions; a momentum table is built on first use and only grows a cache of
-w(k) values afterwards.
+Nothing here imports numpy at module level; the radial densities import it
+when first called. All states are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .core import (
     DEFAULT_TOLERANCES, CapabilityError, DomainError, MomentValue, NATURAL, PhysicalConstants,
     Tolerances, _require_normal,
 )
-from . import quadrature, states
 
 DIM_1D = "1d"
 DIM_3D_SPHERICAL = "3d-spherical"
@@ -92,10 +85,10 @@ class ContinuousState:
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """The quantity (R_POWER, P_POWER, POSITION_AXIS, MOMENTUM_AXIS,
-        POSITION_SIGNED, MOMENTUM_SIGNED, KINETIC or EXP_DECAY) at x without
-        adaptive integration, or None where the state has no such route.
-        Callers decide divergence first: this is asked only for finite
-        moments."""
+        POSITION_SIGNED, MOMENTUM_SIGNED, KINETIC or EXP_DECAY) at x from a
+        route of the state's own (a closed form here, a grid state's tables),
+        or None where the state has no such route. Callers decide divergence
+        first: this is asked only for finite moments."""
         return None
 
     # -- radial surface -----------------------------------------------------
@@ -141,11 +134,6 @@ class RadialStateBase(ContinuousState):
     #: interval [0, a]
     origin_power_u: float = 1.0
     r_max: float = 50.0
-    r_scale: float = 1.0
-
-    def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(constants, tol)
-        self._table = None
 
     def radial_density(self, r):
         import numpy as np
@@ -167,20 +155,6 @@ class RadialStateBase(ContinuousState):
             j = int(m) if m % 2 == 0 else int(m) + 1
             return -(j + 1.0)
         return -(m + 1.0)
-
-    def momentum_table(self) -> states._MomentumTable:
-        if self._table is None:
-            k_cut = 50.0 / self.r_scale
-            self._table = states._MomentumTable(
-                self.momentum_amplitude(k_cut), self.r_scale, self.momentum_tail_power(), k_cut,
-            )
-        return self._table
-
-    def momentum_amplitude(self, k_cut: float) -> Callable:
-        """w(k) for arrays of 0 <= k <= k_cut: the sine transform of u, with
-        u sampled once, at the radial panel count k_cut needs."""
-        samples = quadrature.RadialSamples(self.reduced_radial, self.r_max, self.r_scale, k_cut)
-        return samples.sine_transform
 
     def position_mean(self, axis: int) -> float:
         self._check_axis(axis)
@@ -216,7 +190,6 @@ class PowerExpRadialState(RadialStateBase):
         self.n = int(n)
         self.kappa = float(kappa)
         self.origin_power_u = float(n)
-        self.r_scale = 1.0 / kappa
         self.r_max = (40.0 + 8.0 * n) / kappa
         self.label = label or f"r{n}exp({kappa:g})"
 
@@ -233,15 +206,6 @@ class PowerExpRadialState(RadialStateBase):
 
         r = np.asarray(r, dtype=float)
         return self.norm * r**self.n * np.exp(-self.kappa * r)
-
-    def momentum_amplitude(self, k_cut: float) -> Callable:
-        """The closed form N sqrt(2/pi) n! Im[(kappa+ik)^(n+1)]/(kappa^2+k^2)^(n+1)
-        of the sine transform of u over [0, inf) (Gradshteyn-Ryzhik 3.944)."""
-        import numpy as np
-
-        c = self.norm * math.sqrt(2.0 / math.pi) * math.factorial(self.n)
-        n1, kappa = self.n + 1, self.kappa
-        return lambda ks: c * np.imag((kappa + 1j * ks) ** n1) / (kappa * kappa + ks * ks) ** n1
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         n, log_kappa = self.n, math.log(self.kappa)

@@ -9,10 +9,11 @@ stops at r_max, so the tail decides nothing. Divergent moments are reported
 as such, never as large finite numbers.
 
 A finite moment comes from the state's direct_moment where it has one (the
-closed forms of the catalog states, a grid state's knot table), and from
-adaptive quadrature over a finite interval otherwise; the quadrature module
-and numpy are loaded only then. The axis moments of a one-dimensional state
-come from its direct_moment alone.
+closed forms of the catalog states, a grid state's own routes), and a
+position moment from adaptive quadrature over a finite interval otherwise;
+the quadrature module and numpy are loaded only then. The momentum orders
+of a radial state and the axis moments of a one-dimensional state come from
+its direct_moment alone.
 """
 
 from __future__ import annotations
@@ -87,12 +88,7 @@ def _quad_moment(f: Callable, d: quadrature.Domain, order: float, tol: Tolerance
     """The integral of f over d at tol as the moment of the given order;
     failed, not a number, when the quadrature stalls or meets a non-finite
     integrand value."""
-    res = quadrature.integrate(f, d, tol, breakpoints)
-    if res.failed or not res.converged:
-        return MomentValue.failed(
-            order, f"quadrature stalled (err={res.err_estimate:.2e}, evals={res.evaluations})"
-        )
-    return MomentValue.convergent(res.value, res.err_estimate, order)
+    return quadrature.integrate(f, d, tol, breakpoints).as_moment(order)
 
 
 # ---------------------------------------------------------------------------
@@ -126,28 +122,14 @@ def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
 
 
 def _radial_momentum_raw(s: RadialStateBase, q: float) -> MomentValue:
-    """<p^q> over the radial momentum density w(k)^2: the state's direct
-    moment, else the k-integral with tail completion."""
+    """<p^q>, classified by the momentum tail power, from the state's direct
+    moment; CapabilityError where it has none."""
     if 2.0 * s.momentum_tail_power() + q >= -1.0:
         return MomentValue.divergent(q, "momentum tail power counting: non-integrable")
     direct = s.direct_moment(P_POWER, q)
-    if direct is not None:
-        return direct
-    tbl = s.momentum_table()
-    hbar = s.constants.hbar
-
-    def f(k):
-        return tbl.w(k) ** 2 * k**q
-
-    # the first round runs on the table's shared partition, already transformed
-    body = _quad_moment(f, quadrature.Domain.finite(0.0, tbl.k_cut), q, s.tol,
-                        tbl.partition()[1:-1])
-    if not body.is_convergent:
-        return body
-    tail = tbl.tail_integral(q, tbl.k_cut)
-    value = hbar**q * (body.value + tail)
-    err = hbar**q * (body.err_estimate + 1e-4 * abs(tail))
-    return MomentValue.convergent(value, err, q)
+    if direct is None:
+        raise CapabilityError(f"{s.label} has no momentum moments")
+    return direct
 
 
 # ---------------------------------------------------------------------------

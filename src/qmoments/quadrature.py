@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCES, DomainError, MomentsError, Tolerances, record
+from .core import DEFAULT_TOLERANCES, DomainError, MomentsError, MomentValue, Tolerances, record
 
 # 15-point Kronrod nodes on [-1, 1] and their weights, with the embedded
 # 7-point Gauss weights (nonzero only on the odd-indexed nodes).
@@ -78,6 +78,14 @@ class QuadResult:
             )
         return self.value
 
+    def as_moment(self, order: float) -> MomentValue:
+        """The integral as the moment of the given order; failed, not a
+        number, where the quadrature stalled or met a non-finite value."""
+        if self.failed or not self.converged:
+            detail = f"quadrature stalled (err={self.err_estimate:.2e}, evals={self.evaluations})"
+            return MomentValue.failed(order, detail)
+        return MomentValue.convergent(self.value, self.err_estimate, order)
+
 
 class _NonFiniteIntegrand(Exception):
     pass
@@ -95,13 +103,15 @@ def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _kronrod_panels(g: Callable, nodes: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15/G7 on every panel from one integrand call on its (panels, 15)
     Kronrod nodes, given with the half-widths h as _kronrod_nodes makes
-    them; returns (kronrod, |kronrod - gauss|) per panel."""
+    them; returns (kronrod, |kronrod - gauss|) per panel. A non-finite panel
+    sum, which a non-finite integrand value makes too, raises _NonFiniteIntegrand."""
     vals = np.asarray(g(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise DomainError("integrand is not vectorized: wrong output shape")
-    if not np.isfinite(vals).all():
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = h[:, None] * (vals @ _W_PANEL)
+    if not np.isfinite(sums).all():
         raise _NonFiniteIntegrand
-    sums = h[:, None] * (vals @ _W_PANEL)
     return sums[:, 0], np.abs(sums[:, 1])
 
 
@@ -118,7 +128,8 @@ def integrate(
     converged means the summed panel error met
     max(tol.abs_tol, tol.rel_tol*|value|) within tol.max_evals integrand
     evaluations; Tolerances validated both targets when it was built. A
-    non-finite integrand value yields a failed result rather than a number.
+    non-finite integrand value or panel sum yields a failed result at once,
+    rather than a number.
 
     Refinement runs in rounds. Each round bisects the largest-error panels
     whose errors sum to at least the excess over the target, as many as the

@@ -1,13 +1,13 @@
-"""Radial grid states, and the array machinery of the radial quadrature paths.
+"""Radial grid states, and the array machinery of their moments.
 
 A RadialGridState is a state sampled as (r_i, u_i) from a file or arrays and
 interpolated with a monotone cubic; its position moments, norm and kinetic
 energy come from K15 sums over a table of u at the knot intervals' Kronrod
 nodes, which the state computes once; on a grid uniform from r = 0, so does
-its sine transform, which is then exact for the model. _MomentumTable gives
-w(k) of any radial state for the momentum k-integrals: one fixed table of w at
-the nodes of the shared k-partition, one transform call for any other
-request, and a power-law tail model.
+its sine transform, which is then exact for the model. Its momentum orders
+<p^q> come from a _MomentumTable, the one owner of the momentum k-integral:
+one fixed table of w at the nodes of a shared k-partition, one transform call
+for any other request, and a power-law tail model.
 
 The catalog states (hydrogen, r4test and any PowerExpRadialState, qho,
 gaussian), their base classes and catalog() live in the numpy-free module
@@ -24,94 +24,88 @@ import numpy as np
 
 from .core import (
     CapabilityError, DataFormatError, DEFAULT_TOLERANCES, DomainError, MomentValue, NATURAL,
-    PhysicalConstants, Tolerances,
+    PhysicalConstants, Tolerances, _require_normal,
 )
 from .exact import (  # noqa: F401  (the catalog is re-exported)
-    DIM_1D, DIM_3D_SPHERICAL, KINETIC, R_POWER, ContinuousState, GaussianPacket,
+    DIM_1D, DIM_3D_SPHERICAL, KINETIC, P_POWER, R_POWER, ContinuousState, GaussianPacket,
     HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState, RadialStateBase, catalog,
 )
 from .quadrature import (
-    _MAX_SINE_PANELS, _WK, _XK, QuadResult, RadialSamples, _kronrod_nodes, _kronrod_panels,
-    _NonFiniteIntegrand,
+    _MAX_SINE_PANELS, _WK, _XK, Domain, QuadResult, RadialSamples, _kronrod_nodes,
+    _kronrod_panels, _NonFiniteIntegrand, integrate,
 )
 
 
 # ---------------------------------------------------------------------------
-# momentum tables for radial states
+# momentum tables of grid states
 
 
 class _MomentumTable:
-    """Amplitudes w(k) for the momentum k-integrals, with a power-law tail model.
+    """w(k) of a grid state for its momentum k-integrals, with a power-law
+    tail model, and the moments <p^q> they give.
 
-    w(ks) gives w at any array of 0 <= k <= k_cut, and a value depends on
-    its k alone: a grid state transforms every k against one sampling of u
-    fine enough for k_cut, a power-exponential state has the closed form.
-    Beyond k_cut the amplitude is represented as C k^tau + D k^(tau-2) with
-    the coefficients fitted at 0.7*k_cut and k_cut, which keeps heavy
-    momentum tails cheap without truncating them.
-
-    Every momentum order of a state starts its k-integral from one shared
-    partition of [0, k_cut] (partition()). The table computes w at the
-    partition's nodes and at the two fit points once, in one _batch call,
-    and keeps them: integrate's first round of every order asks for exactly
-    those nodes and gets the kept array back. Any other request is one
-    _batch call of all its k.
+    amplitude(k_cut) is the state's w on arrays of 0 <= k <= k_cut =
+    50/r_scale, a value depending on its k alone. Past k_cut, w is
+    C k^tau + D k^(tau-2), fitted at 0.7 k_cut and k_cut, which keeps heavy
+    tails cheap without truncating them. Every order starts its k-integral
+    from one partition of [0, k_cut] (edges): [0, 1e-4/r_scale], 11
+    geometric panels up to 1/r_scale and 24 up to k_cut, 540 Kronrod nodes.
+    The constructor computes w at those nodes and the two fit points in one
+    _batch call and keeps them read-only, so integrate's first round of
+    every order computes nothing; any other request is one _batch call of
+    all its k.
     """
 
-    def __init__(self, amplitude: Callable, r_scale: float, tail_power: float, k_cut: float):
-        self._amplitude = amplitude
-        self._r_scale = r_scale
-        self.tail_power = tail_power
-        self.k_cut = k_cut
-        self._edges: np.ndarray | None = None
+    def __init__(self, amplitude: Callable, r_scale: float, tail_power: float):
+        self.k_cut = k_cut = 50.0 / r_scale
+        self._amplitude = amplitude(k_cut)
+        kb = 1.0 / r_scale
+        edges = np.concatenate([[0.0], np.geomspace(1e-4 * kb, kb, 12), np.geomspace(kb, k_cut, 25)[1:]])
+        nodes = _kronrod_nodes(edges[:-1], edges[1:])[0]
+        k1, k2 = 0.7 * k_cut, k_cut
+        w = self._batch(np.append(nodes, (k1, k2)))
+        edges.flags.writeable = nodes.flags.writeable = w.flags.writeable = False
+        self.edges, self._nodes, self._w_nodes = edges, nodes, w[:-2].reshape(nodes.shape)
+        # C k^tau + D k^(tau-2) through w(k1) and w(k2)
+        a1 = w[-2] * k1 ** (-tail_power)
+        a2 = w[-1] * k2 ** (-tail_power)
+        d = (a1 - a2) / (k1 ** (-2.0) - k2 ** (-2.0))
+        self._tail_fit = (float(a2 - d * k2 ** (-2.0)), float(d), tail_power)
 
     def w(self, ks) -> np.ndarray:
         """w(k) for an array of k of any shape (the (panels, 15) node arrays
         of integrate among them): the kept read-only array for the
         partition's nodes, else one _batch call."""
         ks = np.atleast_1d(np.asarray(ks, dtype=float))
-        if self._edges is not None and np.array_equal(ks, self._nodes):
+        if np.array_equal(ks, self._nodes):
             return self._w_nodes
         return self._batch(ks.ravel()).reshape(ks.shape)
 
-    def partition(self) -> np.ndarray:
-        """Edges of the shared starting partition of [0, k_cut].
-
-        The panels are [0, 1e-4/r_scale], 11 geometric panels up to
-        1/r_scale and 24 up to k_cut: 36 panels, 540 nodes, fixed by k_cut
-        and r_scale alone. The first call builds the edges and the table: w
-        at the (36, 15) K15 nodes and the tail fit, all read-only; later
-        calls return the same edges.
-        """
-        if self._edges is None:
-            kb = 1.0 / self._r_scale
-            edges = np.concatenate([
-                [0.0], np.geomspace(1e-4 * kb, kb, 12), np.geomspace(kb, self.k_cut, 25)[1:],
-            ])
-            nodes = _kronrod_nodes(edges[:-1], edges[1:])[0]
-            k1, k2 = 0.7 * self.k_cut, self.k_cut
-            w = self._batch(np.append(nodes, (k1, k2)))
-            edges.flags.writeable = nodes.flags.writeable = w.flags.writeable = False
-            self._nodes, self._w_nodes = nodes, w[:-2].reshape(nodes.shape)
-            # C k^tau + D k^(tau-2) through w(k1) and w(k2)
-            a1 = w[-2] * k1 ** (-self.tail_power)
-            a2 = w[-1] * k2 ** (-self.tail_power)
-            d = (a1 - a2) / (k1 ** (-2.0) - k2 ** (-2.0))
-            self._tail_fit = (float(a2 - d * k2 ** (-2.0)), float(d))
-            self._edges = edges
-        return self._edges
-
     def _batch(self, ks: np.ndarray) -> np.ndarray:
-        """w at the k of a request, from one amplitude call."""
+        """w at the k of a request, from one amplitude call: the one caller
+        of the amplitude, which qbench/tracing.py hooks to count the
+        transformed k (states.w.k_transformed)."""
         return self._amplitude(ks)
+
+    def moment(self, q: float, tol: Tolerances, hbar: float) -> MomentValue:
+        """<p^q> = hbar^q int_0^inf w^2 k^q dk, for q below the tail's
+        divergence threshold: integrate over [0, k_cut] at tol from the
+        edges (failed where it stalls), plus the tail model, which adds 1e-4
+        of itself to the error."""
+        body = integrate(lambda k: self.w(k) ** 2 * k**q, Domain.finite(0.0, self.k_cut), tol,
+                         self.edges[1:-1]).as_moment(q)
+        if not body.is_convergent:
+            return body
+        tail = self.tail_integral(q, self.k_cut)
+        value = hbar**q * (body.value + tail)
+        err = hbar**q * (body.err_estimate + 1e-4 * abs(tail))
+        return MomentValue.convergent(value, err, q)
 
     def tail_integral(self, power_shift: float, lower: float) -> float:
         """int_lower^inf w(k)^2 k^power_shift dk under the tail model."""
         if lower < self.k_cut:
             raise DomainError("tail integral starts below the fitted region")
-        self.partition()
-        c, d = self._tail_fit
-        tau = self.tail_power
+        c, d, tau = self._tail_fit
 
         def piece(coef: float, expo: float) -> float:
             # int_lower^inf coef * k^expo dk, requires expo < -1
@@ -144,15 +138,15 @@ def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Knot slopes for knot spacings h and secants m (Fritsch & Carlson 1980,
     Fritsch & Butland 1984): 0 where the neighbouring secants change sign or
-    either is 0, else their weighted harmonic mean. Two knots give a line."""
+    either is 0 (the divisions by 0 that np.where discards are silenced by
+    _monotone_cubic), else their weighted harmonic mean. Two knots give a line."""
     if m.size == 1:
         return np.repeat(m, 2)
     w1 = 2.0 * h[1:] + h[:-1]
     w2 = h[1:] + 2.0 * h[:-1]
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
     d = np.empty(m.size + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d[1:-1] = np.where(flat, 0.0, (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]))
+    d[1:-1] = np.where(flat, 0.0, (w1 + w2) / (w1 / m[:-1] + w2 / m[1:]))
     d[0] = _end_slope(h[0], h[1], m[0], m[1])
     d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
     return d
@@ -210,12 +204,14 @@ class _PiecewiseCubic:
 
 
 def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _PiecewiseCubic]:
-    """The monotone cubic Hermite interpolant of (r, u) and its derivative."""
-    h = np.diff(r)
-    m = np.diff(u) / h
-    d = _pchip_slopes(h, m)
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c = (t / h, (m - d[:-1]) / h - t, d[:-1])
+    """The monotone cubic Hermite interpolant of (r, u) and its derivative;
+    coefficients that overflow are left non-finite, without a warning."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h = np.diff(r)
+        m = np.diff(u) / h
+        d = _pchip_slopes(h, m)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        c = (t / h, (m - d[:-1]) / h - t, d[:-1])
     return _PiecewiseCubic(r, c + (u[:-1],)), _PiecewiseCubic(r, (3.0 * c[0], 2.0 * c[1], c[2]))
 
 
@@ -288,6 +284,17 @@ class RadialGridState(RadialStateBase):
         self._r = r
         peak_exp = math.frexp(np.abs(u).max())[1]
         self._interp, self._dinterp = _monotone_cubic(r, np.ldexp(u, -peak_exp))
+        self._knot_nodes = _kronrod_nodes(r[:-1], r[1:])  # (nodes, half-widths)
+        # the norm check refuses a model whose coefficients overflow, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_knots = self._interp.at_knot_nodes(self._knot_nodes[0])
+            norm2 = float((self._knot_nodes[1] * (u_knots**2 @ _WK)).sum())
+        if not (math.isfinite(norm2) and norm2 > 0.0):
+            raise DataFormatError("grid wavefunction has non-finite or zero norm")
+        self.norm_factor = 1.0 / math.sqrt(norm2)
+        u_knots *= self.norm_factor
+        self._u_knots = u_knots
+        self._table: _MomentumTable | None = None
         self.r_max = float(r[-1])
         self.r_scale = max(self.r_max / 90.0, float(np.median(np.diff(r))))
         self.label = label
@@ -301,20 +308,12 @@ class RadialGridState(RadialStateBase):
         else:
             self.origin_power_u = _origin_power(r, u)
 
-        self._knot_nodes = _kronrod_nodes(r[:-1], r[1:])  # (nodes, half-widths)
-        u_knots = self._interp.at_knot_nodes(self._knot_nodes[0])
-        norm2 = float((self._knot_nodes[1] * (u_knots**2 @ _WK)).sum())
-        if not (math.isfinite(norm2) and norm2 > 0.0):
-            raise DataFormatError("grid wavefunction has non-finite or zero norm")
-        self.norm_factor = 1.0 / math.sqrt(norm2)
-        u_knots *= self.norm_factor
-        self._u_knots = u_knots
-
     def knot_moment(self, t: float) -> QuadResult:
         """<r^t> = int u^2 r^t dr by K15 on every knot interval, from the
         tabled u: one evaluation of (u r^(t/2))^2, no refinement. Converged
         by integrate's rule at the state's tolerances, on the summed K-G
-        errors of the intervals; failed on a non-finite value. An order the
+        errors of the intervals; failed on a non-finite value or interval
+        sum. An order the
         fixed nodes cannot resolve (a steep power at the origin) does not
         converge and needs integrate."""
         u = self._u_knots
@@ -336,15 +335,29 @@ class RadialGridState(RadialStateBase):
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """<r^t> from the knot table where it converges there (knot_moment),
-        and <T> from the knot sums of u'^2 (_kinetic); None otherwise, and
-        for every other quantity."""
+        <T> from the knot sums of u'^2 (_kinetic) and <p^q> from the
+        momentum table; None otherwise. A value outside the normal double
+        range raises DomainError, as a closed form's does."""
         if quantity == R_POWER:
             res = self.knot_moment(x)
-            if res.converged:
-                return MomentValue.convergent(res.value, res.err_estimate, x)
-        if quantity == KINETIC:
-            return self._kinetic()
-        return None
+            m = MomentValue.convergent(res.value, res.err_estimate, x) if res.converged else None
+        elif quantity == KINETIC:
+            m = self._kinetic()
+        elif quantity == P_POWER:
+            m = self.momentum_table().moment(x, self.tol, self.constants.hbar)
+        else:
+            return None
+        if m is not None and m.is_convergent:
+            what = {R_POWER: f"<r^{x:g}>", P_POWER: f"<p^{x:g}>", KINETIC: "<T>"}[quantity]
+            _require_normal(f"{what} of {self.label}", m.value)
+        return m
+
+    def momentum_table(self) -> _MomentumTable:
+        """The state's momentum table, built on first use."""
+        if self._table is None:
+            self._table = _MomentumTable(self.momentum_amplitude, self.r_scale,
+                                         self.momentum_tail_power())
+        return self._table
 
     def reduced_radial(self, r):
         return self.norm_factor * self._interp(r)
@@ -360,7 +373,7 @@ class RadialGridState(RadialStateBase):
         intervals split into s = max(1, ceil(h k_cut/pi)) parts: u is one
         cubic on each, which is at most half a period of sin(k_cut r), so K15
         is exact for the model, and at s = 1 the samples are the knot table.
-        Other grids, and an s N past the cap, take RadialStateBase's equal
+        Other grids, and an s N past the cap, take RadialSamples' equal
         panels, with the interpolant evaluated by runs at ascending nodes."""
         r, n = self._r, self._r.size - 1
         h = self.r_max / n
@@ -392,7 +405,7 @@ class RadialGridState(RadialStateBase):
         _, dcoarse = _monotone_cubic(coarse, self._interp.at_ascending(coarse))
         half_val = self._square_integral(dcoarse, *_kronrod_nodes(coarse[:-1], coarse[1:]))
         rel_err = abs(full - half_val) / max(abs(full), 1e-300)
-        if rel_err > self.kinetic_rel_tol:
+        if not rel_err <= self.kinetic_rel_tol:  # a NaN too
             raise CapabilityError(
                 f"grid too coarse for the gradient route: estimated relative "
                 f"derivative error {rel_err:.2e} exceeds {self.kinetic_rel_tol:.0e}"

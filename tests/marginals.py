@@ -1,6 +1,6 @@
 """Quadrature oracles for tests: axis marginals by their plain definition,
-integrals over infinite domains, and catalog states whose closed forms are
-switched off.
+integrals over infinite domains, momentum tables of catalog states, and
+catalog states whose closed forms are switched off.
 
 For a spherical state
 
@@ -24,16 +24,17 @@ t, and the Kronrod nodes never sample the singular ends of the map.
 """
 
 import copy
+import functools
 import math
 
 import numpy as np
 
 from qmoments.core import DEFAULT_TOLERANCES, MomentValue, Tolerances, replace
 from qmoments.exact import (
-    DIM_1D, KINETIC, MOMENTUM_AXIS, MOMENTUM_SIGNED, POSITION_AXIS, POSITION_SIGNED,
+    DIM_1D, KINETIC, MOMENTUM_AXIS, MOMENTUM_SIGNED, P_POWER, POSITION_AXIS, POSITION_SIGNED,
 )
-from qmoments.quadrature import Domain, integrate
-from qmoments.states import RadialGridState
+from qmoments.quadrature import Domain, RadialSamples, integrate
+from qmoments.states import RadialGridState, _MomentumTable
 
 
 # --- infinite domains ---------------------------------------------------------
@@ -77,6 +78,35 @@ def integrate_semi_infinite(f, a=0.0, tol=DEFAULT_TOLERANCES, breakpoints=()):
 def integrate_real_line(f, tol=DEFAULT_TOLERANCES, breakpoints=()):
     g, d, inner = real_line(f, breakpoints)
     return integrate(g, d, tol, inner)
+
+
+# --- momentum tables -----------------------------------------------------------
+
+
+def power_exp_amplitude(st, k):
+    """The closed form N sqrt(2/pi) n! Im[(kappa+ik)^(n+1)]/(kappa^2+k^2)^(n+1)
+    of the sine transform of u = N r^n e^{-kappa r} over [0, inf)
+    (Gradshteyn-Ryzhik 3.944)."""
+    c = st.norm * math.sqrt(2.0 / math.pi) * math.factorial(st.n)
+    n1, kappa = st.n + 1, st.kappa
+    return c * np.imag((kappa + 1j * k) ** n1) / (kappa * kappa + k * k) ** n1
+
+
+def momentum_table(st, sampled=False):
+    """The momentum table of a radial state: a grid state's own, else one
+    built for a power-exponential state at r_scale = 1/kappa, with w the
+    closed form, or with sampled the sine transform of u on equal panels
+    (RadialSamples), as for a grid state that is not uniform."""
+    if isinstance(st, RadialGridState):
+        return st.momentum_table()
+    r_scale = 1.0 / st.kappa
+    if sampled:
+        def amplitude(k_cut):
+            return RadialSamples(st.reduced_radial, st.r_max, r_scale, k_cut).sine_transform
+    else:
+        def amplitude(k_cut):
+            return functools.partial(power_exp_amplitude, st)
+    return _MomentumTable(amplitude, r_scale, st.momentum_tail_power())
 
 
 # --- axis marginals -------------------------------------------------------------
@@ -123,9 +153,9 @@ def momentum_density(st, p):
     if st.dimensionality == DIM_1D:
         return _normal_density(p, st.p0, st.sigma_p)
     hbar = st.constants.hbar
-    tbl = st.momentum_table()
-    # the partition only places the first panels where w is already cached
-    edges = tbl.partition()[1:-1]
+    tbl = momentum_table(st)
+    # the partition only places the first panels where w is already kept
+    edges = tbl.edges[1:-1]
 
     def one(ap):
         k = ap / hbar
@@ -147,12 +177,6 @@ def reduced_radial_derivative(st, r):
         return st.norm_factor * st._dinterp(r)
     r = np.asarray(r, dtype=float)
     return st.norm * np.exp(-st.kappa * r) * (st.n * r ** (st.n - 1) - st.kappa * r**st.n)
-
-
-def _moment(res, order):
-    if res.failed or not res.converged:
-        return MomentValue.failed(order, f"quadrature stalled (err={res.err_estimate:.2e}, evals={res.evaluations})")
-    return MomentValue.convergent(res.value, res.err_estimate, order)
 
 
 def _kinetic_energy(st):
@@ -188,20 +212,23 @@ def axis_moment(st, quantity, x):
 
     if quantity in (POSITION_SIGNED, MOMENTUM_SIGNED):
         tol = replace(st.tol, abs_tol=max(st.tol.abs_tol, 1e-12))
-        return _moment(integrate_real_line(lambda z: z**x * dens(z), tol, [center]), x)
-    return _moment(integrate_real_line(lambda z: abs(z - center) ** x * dens(z), st.tol, [center]), x)
+        return integrate_real_line(lambda z: z**x * dens(z), tol, [center]).as_moment(x)
+    return integrate_real_line(lambda z: abs(z - center) ** x * dens(z), st.tol, [center]).as_moment(x)
 
 
-def integrated(st):
+def integrated(st, sampled=False):
     """A copy of st whose direct_moment gives only what the quadrature
-    routes above compute: every radial moment then comes from adaptive
-    quadrature (w(k) of a power-exponential state is still its closed-form
-    amplitude), and the axis moments of a 1-d state and every kinetic
-    energy from this module."""
+    routes above compute: every position moment then comes from adaptive
+    quadrature, every momentum order from the k-integral of a momentum
+    table (momentum_table(st, sampled)), and the axis moments of a 1-d
+    state and every kinetic energy from this module."""
+    table = functools.cache(lambda: momentum_table(st, sampled))
 
     def direct(quantity, x):
         if quantity == KINETIC:
             return _kinetic_energy(st)
+        if quantity == P_POWER and st.dimensionality != DIM_1D:
+            return table().moment(x, st.tol, st.constants.hbar)
         if st.dimensionality == DIM_1D and quantity in (
                 POSITION_AXIS, MOMENTUM_AXIS, POSITION_SIGNED, MOMENTUM_SIGNED):
             return axis_moment(st, quantity, x)
@@ -210,4 +237,3 @@ def integrated(st):
     out = copy.copy(st)
     out.direct_moment = direct
     return out
-

@@ -528,6 +528,39 @@ def test_non_utf8_input_file_is_one_line_error(tmp_path, capsys, name, text, arg
     assert _one_error_line(capsys).startswith(f"error: {path}: not UTF-8 text: ")
 
 
+# grid files that are valid but whose numbers leave the double range on the
+# way: knots near 1e200, where a panel sum of u^2 r^2 overflows and <r^-1>,
+# <r^-2> and <T> underflow, and a first knot interval of 1e-200, where the
+# monotone cubic's coefficients overflow
+_EXTREME_GRIDS = {
+    "huge": "0 0\n1e200 1\n2e200 0.5\n3e200 0.1\n4e200 0\n",
+    "tiny": "0 0\n1e-200 1\n1 1\n2 1\n",
+}
+
+
+@pytest.mark.parametrize("grid, argv", [
+    ("huge", ["central", "--grid", "{}", "--alpha", "1", "--beta", "1"]),
+    ("tiny", ["sweep", "--grid", "{}", "--p-grid", "3", "--q-grid", "2"]),
+])
+def test_extreme_grid_file_is_one_line_error(grid, argv, tmp_path, capsys):
+    # no traceback, no numpy warning, and no moment that is a convergent inf or 0
+    path = tmp_path / "grid.txt"
+    path.write_text(_EXTREME_GRIDS[grid])
+    assert main([a.format(path) for a in argv]) == EXIT_ERROR
+    _one_error_line(capsys)
+
+
+def test_extreme_grid_reciprocal_cell_is_failed_not_violated(tmp_path, capsys):
+    # the reciprocal bound is guaranteed: with <r^2> overflowing and <r^-2>
+    # underflowing, the cell is failed (exit 1), not a violation (exit 2)
+    path = tmp_path / "grid.txt"
+    path.write_text(_EXTREME_GRIDS["huge"])
+    code, doc = run_json(capsys, ["sweep", "--grid", str(path), "--kind", "reciprocal",
+                                  "--p-grid", "2", "--q-grid", "2"])
+    [row] = doc["results"]
+    assert (code, row["status"], row["holds"], row["rhs"]) == (EXIT_ERROR, "failed", None, None)
+
+
 _BOM = b"\xef\xbb\xbf"
 _H_R = np.arange(0.0, 40.01, 0.02)
 _GRID_ROWS = "".join(f"{a!r} {b!r}\n" for a, b in zip(_H_R.tolist(), (2.0 * _H_R * np.exp(-_H_R)).tolist()))
@@ -819,6 +852,23 @@ for argv in (
     out = _fresh(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n")[:6] == ["False"] + ["True False"] * 5
+
+
+def test_exact_alone_gives_catalog_moments_without_numpy():
+    # exact holds the closed forms and imports neither states nor quadrature
+    code = """
+import sys
+from qmoments import exact
+h = exact.HydrogenGroundState()
+print(h.direct_moment(exact.P_POWER, 2.0).value, h.direct_moment(exact.R_POWER, 1.0).value,
+      h.kinetic_energy())
+print(hasattr(exact, "states"), hasattr(exact, "quadrature"), "numpy" in sys.modules)
+"""
+    out = _fresh(code)
+    assert out.returncode == 0, out.stderr
+    values, flags = out.stdout.split("\n")[:2]
+    assert [float(v) for v in values.split()] == pytest.approx([1.0, 1.5, 0.5], rel=1e-14)
+    assert flags == "False False False"
 
 
 # every name the package exported when it imported all of its modules

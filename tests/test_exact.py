@@ -12,7 +12,7 @@ from qmoments.cli import main
 from qmoments.core import DomainError, PhysicalConstants, Tolerances, make_exponents
 from qmoments.exact import (
     EXP_DECAY, MOMENTUM_SIGNED, POSITION_SIGNED, GaussianPacket, HarmonicOscillatorGround,
-    HydrogenGroundState, PowerExpRadialState, RadialStateBase,
+    HydrogenGroundState, PowerExpRadialState,
 )
 from qmoments.inequalities import uncertainty_verdict_canonical
 
@@ -31,9 +31,7 @@ def _agree(closed, quad):
 def _quadrature_state(n, kappa):
     """The state with its closed forms off and w(k) the numerical sine
     transform of u, as for a grid state."""
-    st = integrated(PowerExpRadialState(n, kappa))
-    st.momentum_amplitude = lambda k_cut: RadialStateBase.momentum_amplitude(st, k_cut)
-    return st
+    return integrated(PowerExpRadialState(n, kappa), sampled=True)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])

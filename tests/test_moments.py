@@ -22,6 +22,7 @@ from qmoments.states import (
     HydrogenGroundState,
     PowerExpRadialState,
     RadialGridState,
+    RadialStateBase,
 )
 from seeded import SplitMix64
 
@@ -301,3 +302,18 @@ def test_state_without_axis_densities_raises_capability_error():
     for obs in (position_axis(1), momentum_axis(1)):
         with pytest.raises(CapabilityError):
             abs_central_moment(MeansOnly(), obs, 1.5)
+
+
+def test_radial_state_with_only_u_has_no_momentum_moments():
+    # the momentum orders come from a state's direct_moment alone: a radial
+    # state with only u gets its position moments by quadrature, and its
+    # momentum moments are refused, not integrated
+    class Bare(RadialStateBase):
+        label = "bare"
+
+        def reduced_radial(self, r):
+            return 2.0 * r * np.exp(-r)
+
+    assert raw_moment(Bare(), radial(), 1.0).value == pytest.approx(1.5, rel=1e-10)
+    with pytest.raises(CapabilityError, match="^bare has no momentum moments$"):
+        abs_central_moment(Bare(), momentum_axis(3), 2.0)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from marginals import integrate_real_line, integrate_semi_infinite, real_line, semi_infinite
+from marginals import (
+    integrate_real_line, integrate_semi_infinite, power_exp_amplitude, real_line, semi_infinite,
+)
 from qmoments.core import DomainError, MomentsError, Tolerances
 from qmoments.quadrature import Domain, RadialSamples, integrate
 from seeded import SplitMix64
@@ -248,22 +250,16 @@ def test_sine_transform_gaussian_reciprocal_width():
     assert w1 / w2 == pytest.approx(expected_ratio, rel=1e-9)
 
 
-def _power_exp_amplitude(st, k):
-    # Laplace transform of r^n e^{-kappa r}: N sqrt(2/pi) n! Im[(kappa - ik)^-(n+1)]
-    return (st.norm * math.sqrt(2.0 / math.pi) * math.factorial(st.n)
-            * np.imag((st.kappa - 1j * k) ** (-(st.n + 1))))
-
-
 @pytest.mark.parametrize("n, kappa", [(1, 1.0), (4, 1.0), (2, 0.5)])
 def test_sine_transform_batch_power_exp_closed_form(n, kappa):
     from qmoments.states import PowerExpRadialState
 
     st = PowerExpRadialState(n, kappa)
-    ks = np.geomspace(1e-5, 50.0 / st.r_scale, 640)
+    ks = np.geomspace(1e-5, 50.0 * kappa, 640)
     for start in range(0, ks.size, 128):  # ascending chunks: the panel count grows with k
         chunk = ks[start:start + 128]
-        vals = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, chunk.max()).sine_transform(chunk)
-        assert np.abs(vals - _power_exp_amplitude(st, chunk)).max() <= 1e-13
+        vals = RadialSamples(st.reduced_radial, st.r_max, 1.0 / kappa, chunk.max()).sine_transform(chunk)
+        assert np.abs(vals - power_exp_amplitude(st, chunk)).max() <= 1e-13
 
 
 def _dense_sine_transform(u, ks, r_max, r_scale, k_max):
@@ -333,7 +329,7 @@ def test_sine_transform_values_do_not_depend_on_order_or_batch():
 
     st = _hydrogen_grid()
     table = st.momentum_table()
-    edges = table.partition()
+    edges = table.edges
     nodes = np.sort(_kronrod_nodes(edges[:-1], edges[1:])[0].ravel())
     samples = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, table.k_cut)
     want = samples.sine_transform(nodes)
@@ -376,11 +372,11 @@ def test_sine_transform_k_integral_reaches_tolerance():
 
     st = PowerExpRadialState(4, 1.0)
     k_cut = 50.0
-    samples = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut)
+    samples = RadialSamples(st.reduced_radial, st.r_max, 1.0, k_cut)
 
     res = integrate(lambda k: samples.sine_transform(k) ** 2 * k**8, Domain.finite(0.0, k_cut),
                     Tolerances(abs_tol=1e-15, max_evals=20_000), breakpoints=[1.0])
-    exact = integrate(lambda k: _power_exp_amplitude(st, k) ** 2 * k**8,
+    exact = integrate(lambda k: power_exp_amplitude(st, k) ** 2 * k**8,
                       Domain.finite(0.0, k_cut), Tolerances(abs_tol=1e-15), breakpoints=[1.0])
     assert res.converged
     assert res.value == pytest.approx(exact.value, rel=1e-9)
@@ -454,6 +450,14 @@ def test_sin_cos_outer_corrects_the_rounding_of_each_product():
     assert np.abs(c - want_c).max() == 0.0
     # the plain phases miss by far more than the rounding of sin itself
     assert np.abs(np.sin(p) - want_s).max() > 1e-13
+
+
+def test_overflowing_panel_sum_fails_at_once():
+    # every value is finite, but 1e300 over a panel 1e10 wide is not: the
+    # result is failed after the first round, with no warning, not a
+    # convergent inf after the whole budget
+    res = integrate(lambda x: np.full_like(x, 1e300), Domain.finite(0.0, 1e10))
+    assert res.failed and not res.converged and res.evaluations < 100
 
 
 def test_finite_domain_validation():

@@ -5,10 +5,10 @@ import pytest
 
 from marginals import (
     hydrogen_position_density, integrate_real_line, integrate_semi_infinite, integrated,
-    momentum_density, position_density, reduced_radial_derivative,
+    momentum_density, momentum_table, position_density, reduced_radial_derivative,
 )
 from qmoments.core import CapabilityError, DataFormatError, Tolerances
-from qmoments.exact import KINETIC
+from qmoments.exact import KINETIC, R_POWER
 from qmoments.quadrature import Domain, integrate
 from qmoments.states import (
     GaussianPacket,
@@ -186,7 +186,7 @@ def test_p_squared_three_routes(hydrogen):
     )
     via_marginals = 3.0 * res.value
     # radial momentum density route
-    tbl = hydrogen.momentum_table()
+    tbl = momentum_table(hydrogen)
     res2 = integrate(lambda k: tbl.w(k) ** 2 * k * k, Domain.finite(0.0, tbl.k_cut))
     via_radial = res2.value + tbl.tail_integral(2.0, tbl.k_cut)
     assert via_gradient == pytest.approx(1.0, rel=1e-8)
@@ -216,7 +216,7 @@ def test_momentum_tail_powers(hydrogen):
 def test_r4_momentum_amplitude_closed_form():
     # u = N r^4 e^{-r}: transform proportional to (k^5 - 10 k^3 + 5 k)/(1+k^2)^5
     st = PowerExpRadialState(4, 1.0)
-    tbl = st.momentum_table()
+    tbl = momentum_table(st)
     k = np.array([0.4, 1.9, 6.0])
     shape = (k**5 - 10 * k**3 + 5 * k) / (1 + k * k) ** 5
     vals = tbl.w(k)
@@ -463,7 +463,7 @@ def test_r4_p_squared_three_routes():
     st = PowerExpRadialState(4, 1.0)
     via_gradient = 2.0 * st.kinetic_energy()
     assert via_gradient == pytest.approx(1.0 / 7.0, rel=1e-9)
-    tbl = st.momentum_table()
+    tbl = momentum_table(st)
     res = integrate(lambda k: tbl.w(k) ** 2 * k * k, Domain.finite(0.0, tbl.k_cut))
     via_radial = res.value + tbl.tail_integral(2.0, tbl.k_cut)
     assert via_radial == pytest.approx(via_gradient, rel=1e-6)
@@ -548,7 +548,7 @@ def test_momentum_table_request_with_misses_makes_one_transform(sine_calls):
 
     rows = _k_panels()
     tbl = _hydrogen_grid().momentum_table()
-    edges = tbl.partition()
+    edges = tbl.edges
     tbl.w(rows[1])
     tbl.w(rows[3, :5])
     sine_calls.clear()
@@ -570,11 +570,10 @@ def test_momentum_table_request_with_misses_makes_one_transform(sine_calls):
 
 def test_momentum_table_partition_is_cached_for_the_first_round(sine_calls):
     tbl = _hydrogen_grid().momentum_table()
-    edges = tbl.partition()
+    edges = tbl.edges
     assert edges.size == 37 and edges[0] == 0.0 and edges[-1] == tbl.k_cut
     assert np.all(np.diff(edges) > 0.0)
     assert sine_calls == [(542,)]  # the 540 nodes and the two tail-fit points
-    assert np.array_equal(tbl.partition(), edges)
     # integrate's first round on these edges asks for exactly those nodes
     seen = []
     res = integrate(lambda k: seen.append(k.shape) or tbl.w(k) ** 2, Domain.finite(0.0, tbl.k_cut),
@@ -602,15 +601,20 @@ def test_r4test_grid_cell_sine_calls(sine_calls):
 
 
 def test_momentum_table_partition_works_once_per_table(monkeypatch):
-    tbl = _hydrogen_grid().momentum_table()
+    from qmoments.states import _MomentumTable
+
     batches = []
-    real = tbl._batch
-    monkeypatch.setattr(tbl, "_batch", lambda ks: batches.append(np.shape(ks)) or real(ks))
-    # the tail fit builds the table as well, and reads the fit points from it
-    tail = tbl.tail_integral(2.0, tbl.k_cut)
+    real = _MomentumTable._batch
+    monkeypatch.setattr(_MomentumTable, "_batch",
+                        lambda self, ks: batches.append(np.shape(ks)) or real(self, ks))
+    # the constructor builds the whole table, the tail-fit points with the
+    # partition's nodes, in one request
+    st = _hydrogen_grid()
+    tbl = st.momentum_table()
     assert batches == [(542,)]
-    edges = tbl.partition()
-    assert all(tbl.partition() is edges for _ in range(3))
+    tail = tbl.tail_integral(2.0, tbl.k_cut)
+    edges = tbl.edges
+    assert all(st.momentum_table() is tbl for _ in range(3))
     assert tbl.tail_integral(2.0, tbl.k_cut) == tail
     assert batches == [(542,)]
     assert not edges.flags.writeable
@@ -734,21 +738,20 @@ def test_other_grids_keep_the_equal_panels(make, cap, monkeypatch):
 
 @pytest.mark.parametrize("n, kappa", [(1, 1.0), (4, 1.0), (2, 0.5)])
 def test_power_exp_closed_form_amplitude_matches_the_sine_transform(n, kappa):
-    from qmoments.states import RadialStateBase
-
     st = PowerExpRadialState(n, kappa)
-    tbl = st.momentum_table()
+    tbl, sampled = momentum_table(st), momentum_table(st, sampled=True)
+    assert sampled.k_cut == tbl.k_cut
     ks = np.geomspace(1e-5, tbl.k_cut, 640)
-    numeric = RadialStateBase.momentum_amplitude(st, tbl.k_cut)(ks)
-    assert np.abs(tbl.w(ks) - numeric).max() <= 1e-13
+    assert np.abs(tbl.w(ks) - sampled.w(ks)).max() <= 1e-13
 
 
 def _two_panel_momentum_moment(s, q):
     """<p^q> integrated from [0, 1/r_scale] and [1/r_scale, k_cut], the
     start every order had before the shared partition."""
-    tbl = s.momentum_table()
+    tbl = momentum_table(s)
+    # edges[12] is 1/r_scale, the end of the geometric panels near 0
     res = integrate(lambda k: tbl.w(k) ** 2 * k**q, Domain.finite(0.0, tbl.k_cut),
-                    Tolerances(abs_tol=1e-15), breakpoints=[1.0 / s.r_scale])
+                    Tolerances(abs_tol=1e-15), breakpoints=[tbl.edges[12]])
     assert res.converged
     return res.value + tbl.tail_integral(q, tbl.k_cut)
 
@@ -790,6 +793,22 @@ def test_hydrogen_grid_momentum_moment_near_the_closed_form(q):
 def test_catalog_momentum_moment_independent_of_the_start(name, q):
     got = _momentum_moment(integrated(catalog()[name]), q)
     assert got == pytest.approx(_two_panel_momentum_moment(catalog()[name], q), rel=1e-11)
+
+
+def test_huge_grid_moments_are_never_a_convergent_inf_or_0():
+    # knots near 1e200: the interval sums of u^2 r^2 overflow, and <r^-1>,
+    # <r^-2> and <T> underflow to 0
+    from qmoments.core import DomainError
+    from qmoments.moments import raw_radial_moment
+
+    st = RadialGridState([0.0, 1e200, 2e200, 3e200, 4e200], [0.0, 1.0, 0.5, 0.1, 0.0])
+    res = st.knot_moment(2.0)
+    assert res.failed and not res.converged
+    assert raw_radial_moment(st, 2.0).status == "failed"
+    assert raw_radial_moment(st, 1.0).value == pytest.approx(1.28e200, rel=1e-2)
+    for quantity, x in ((R_POWER, -1.0), (R_POWER, -2.0), (KINETIC, 0.0)):
+        with pytest.raises(DomainError, match="of grid state underflows a double"):
+            st.direct_moment(quantity, x)
 
 
 # --- knot-table moments of grid states ----------------------------------------
