@@ -19,7 +19,7 @@ _EXPORTS = {
         "MomentsError", "MomentValue", "NATURAL", "PhysicalConstants", "SI", "Tolerances",
         "Verdict", "make_exponents", "make_verdict", "young_gap",
     ),
-    "quadrature": ("Domain", "QuadResult", "integrate"),
+    "quadrature": ("QuadResult", "integrate"),
     "exact": (
         "ContinuousState", "GaussianPacket", "HarmonicOscillatorGround", "HydrogenGroundState",
         "PowerExpRadialState", "catalog",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .core import CapabilityError, DomainError, MomentValue, Tolerances, record
+from .core import CapabilityError, DomainError, MomentValue, record
 from .exact import (
     DIM_3D_SPHERICAL, MOMENTUM_AXIS, MOMENTUM_SIGNED, P_POWER, POSITION_AXIS, POSITION_SIGNED,
     R_POWER, ContinuousState, RadialStateBase,
@@ -83,12 +83,11 @@ def _require_radial(s: ContinuousState) -> RadialStateBase:
     return s
 
 
-def _quad_moment(f: Callable, d: quadrature.Domain, order: float, tol: Tolerances,
-                 breakpoints=()) -> MomentValue:
-    """The integral of f over d at tol as the moment of the given order;
-    failed, not a number, when the quadrature stalls or meets a non-finite
-    integrand value."""
-    return quadrature.integrate(f, d, tol, breakpoints).as_moment(order)
+def _quad_moment(f: Callable, s: RadialStateBase, order: float, breakpoints=()) -> MomentValue:
+    """The integral of f over [0, r_max] at the state's tolerances as the
+    moment of the given order; failed, not a number, when the quadrature
+    stalls or meets a non-finite integrand value."""
+    return quadrature.integrate(f, 0.0, s.r_max, s.tol, breakpoints).as_moment(order)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +117,7 @@ def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
         with np.errstate(over="ignore"):
             return (rs.reduced_radial(r) * r ** (0.5 * t)) ** 2
 
-    return _quad_moment(f, quadrature.Domain.finite(0.0, rs.r_max), t, s.tol)
+    return _quad_moment(f, rs, t)
 
 
 def _radial_momentum_raw(s: RadialStateBase, q: float) -> MomentValue:
@@ -162,7 +161,7 @@ def raw_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
         def f(r):
             return rs.radial_density(r) * o.fn(r) ** order
 
-        return _quad_moment(f, quadrature.Domain.finite(0.0, rs.r_max), order, s.tol)
+        return _quad_moment(f, rs, order)
     if o.kind in (POSITION_AXIS, MOMENTUM_AXIS):
         if abs(order - round(order)) > 1e-12:
             raise DomainError(
@@ -214,7 +213,7 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
         def f(r):
             return rs.radial_density(r) * abs(_radial_values(o, r) - mu) ** order
 
-        return _quad_moment(f, quadrature.Domain.finite(0.0, rs.r_max), order, s.tol, kinks)
+        return _quad_moment(f, rs, order, kinks)
     raise DomainError(f"unknown observable kind {o.kind!r}")
 
 

@@ -1,12 +1,13 @@
-"""Deterministic adaptive quadrature over finite intervals, and the radial
-sine transform.
+"""The G7/K15 Gauss-Kronrod rule, of which this module is the one owner, and
+the radial sine transform.
 
-The engine is an adaptive Gauss-Kronrod (G7/K15) panel scheme. Kronrod nodes
-are interior, so endpoint singularities of the integrand are never sampled.
-
-Integrands must be vectorized: f(np.ndarray) -> np.ndarray of the same shape.
-integrate() calls f on a (panels, 15) array of Kronrod nodes, one row per
-panel, so an integrand that is not elementwise must keep that shape.
+integrate(f, a, b, tol, breakpoints) refines panels of [a, b] adaptively;
+panel_sum(f, nodes, h, tol) makes one pass on panels the caller chose
+(kronrod_nodes); both converge by one target. RadialSamples transforms values
+sampled at RadialSamples.nodes. Kronrod nodes are interior, so endpoint
+singularities are never sampled. Integrands must be vectorized: both sums
+call f on a (panels, 15) array of nodes, one row per panel, and an integrand
+that is not elementwise must keep that shape.
 """
 
 from __future__ import annotations
@@ -48,35 +49,12 @@ _W_PANEL = np.stack([_WK, _WKG], axis=1)
 
 
 @record
-class Domain:
-    """Integration interval [a, b]."""
-
-    a: float
-    b: float
-
-    @staticmethod
-    def finite(a: float, b: float) -> "Domain":
-        a, b = float(a), float(b)
-        if not a < b:
-            raise DomainError(f"finite domain needs a < b, got [{a}, {b}]")
-        return Domain(a, b)
-
-
-@record
 class QuadResult:
     value: float
     err_estimate: float
     evaluations: int
     converged: bool
     failed: bool = False
-
-    def require(self, what: str = "integral") -> float:
-        if self.failed or not self.converged:
-            raise MomentsError(
-                f"{what} did not converge "
-                f"(err={self.err_estimate:.3g}, evals={self.evaluations}, failed={self.failed})"
-            )
-        return self.value
 
     def as_moment(self, order: float) -> MomentValue:
         """The integral as the moment of the given order; failed, not a
@@ -91,7 +69,7 @@ class _NonFiniteIntegrand(Exception):
     pass
 
 
-def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (panels, 15) Kronrod nodes of the panels [lo_i, hi_i] and their
     half-widths. integrate() forms its nodes here, so a table built on the
     same edges holds exactly the nodes integrate() will ask for."""
@@ -102,7 +80,7 @@ def _kronrod_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _kronrod_panels(g: Callable, nodes: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15/G7 on every panel from one integrand call on its (panels, 15)
-    Kronrod nodes, given with the half-widths h as _kronrod_nodes makes
+    Kronrod nodes, given with the half-widths h as kronrod_nodes makes
     them; returns (kronrod, |kronrod - gauss|) per panel. A non-finite panel
     sum, which a non-finite integrand value makes too, raises _NonFiniteIntegrand."""
     vals = np.asarray(g(nodes), dtype=float)
@@ -115,13 +93,32 @@ def _kronrod_panels(g: Callable, nodes: np.ndarray, h: np.ndarray) -> tuple[np.n
     return sums[:, 0], np.abs(sums[:, 1])
 
 
+def _target(tol: Tolerances, value: float) -> float:
+    """The error an integral of this value must meet at tol."""
+    return max(tol.abs_tol, tol.rel_tol * abs(value))
+
+
+def panel_sum(f: Callable, nodes: np.ndarray, h: np.ndarray, tol: Tolerances) -> QuadResult:
+    """One K15/G7 pass, no refinement, on the panels whose nodes and
+    half-widths kronrod_nodes gave. converged means the summed K-G error
+    met integrate's target at tol; a non-finite integrand value or panel sum
+    yields a failed result, rather than a number."""
+    try:
+        k, e = _kronrod_panels(f, nodes, h)
+    except _NonFiniteIntegrand:
+        return QuadResult(math.nan, math.inf, nodes.size, converged=False, failed=True)
+    value, err = float(k.sum()), float(e.sum())
+    return QuadResult(value, err, nodes.size, converged=err <= _target(tol, value))
+
+
 def integrate(
     f: Callable,
-    d: Domain,
+    a: float,
+    b: float,
     tol: Tolerances = DEFAULT_TOLERANCES,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
-    """Adaptive panel integration of f over d.
+    """Adaptive panel integration of f over [a, b]; DomainError unless a < b.
 
     breakpoints are points where the integrand has kinks or scale changes;
     panels never straddle them, and those outside (a, b) are ignored.
@@ -129,7 +126,7 @@ def integrate(
     max(tol.abs_tol, tol.rel_tol*|value|) within tol.max_evals integrand
     evaluations; Tolerances validated both targets when it was built. A
     non-finite integrand value or panel sum yields a failed result at once,
-    rather than a number.
+    rather than a number; its evaluations count the round that met it.
 
     Refinement runs in rounds. Each round bisects the largest-error panels
     whose errors sum to at least the excess over the target, as many as the
@@ -138,7 +135,9 @@ def integrate(
     same shape. Refinement stops when the largest-error panel is too narrow
     to bisect.
     """
-    lo, hi = d.a, d.b
+    lo, hi = float(a), float(b)
+    if not lo < hi:
+        raise DomainError(f"integration interval needs a < b, got [{lo}, {hi}]")
     inner = sorted(float(p) for p in breakpoints)
     edges = np.array([lo] + [p for p in inner if lo < p < hi] + [hi])
     n = edges.size - 1
@@ -146,14 +145,15 @@ def integrate(
     # K-G error; columns [0, n) are live, the rest is room to grow
     pan = np.empty((4, 4 * n))
     pan[0, :n], pan[1, :n] = edges[:-1], edges[1:]
-    evals = 0
+    # each round's evaluations count before its integrand call, so a round
+    # that meets a non-finite value still reports them
+    evals = 15 * n
     try:
-        pan[2, :n], pan[3, :n] = _kronrod_panels(f, *_kronrod_nodes(pan[0, :n], pan[1, :n]))
-        evals += 15 * n
+        pan[2, :n], pan[3, :n] = _kronrod_panels(f, *kronrod_nodes(pan[0, :n], pan[1, :n]))
         while True:
-            a, b, k, e = pan[:, :n]
+            left, right, k, e = pan[:, :n]
             total, errsum = float(k.sum()), float(e.sum())
-            excess = errsum - max(tol.abs_tol, tol.rel_tol * abs(total))
+            excess = errsum - _target(tol, total)
             room = (tol.max_evals - evals) // 30
             if excess <= 0.0 or room < 1:
                 break
@@ -163,7 +163,7 @@ def integrate(
             else:
                 order = np.argsort(e)[::-1]
                 take = order[: min(room, int(np.searchsorted(np.cumsum(e[order]), excess)) + 1)]
-            lo_t, hi_t = a[take], b[take]
+            lo_t, hi_t = left[take], right[take]
             mid = 0.5 * (lo_t + hi_t)
             splittable = (lo_t < mid) & (mid < hi_t)
             if not splittable[0]:
@@ -171,9 +171,9 @@ def integrate(
             if not splittable.all():
                 take, lo_t, hi_t, mid = take[splittable], lo_t[splittable], hi_t[splittable], mid[splittable]
             m = take.size
-            kc, ec = _kronrod_panels(f, *_kronrod_nodes(np.concatenate([lo_t, mid]),
-                                                        np.concatenate([mid, hi_t])))
             evals += 30 * m
+            kc, ec = _kronrod_panels(f, *kronrod_nodes(np.concatenate([lo_t, mid]),
+                                                       np.concatenate([mid, hi_t])))
             if n + m > pan.shape[1]:
                 pan = np.concatenate([pan, np.empty((4, n + m))], axis=1)
             # left children replace their parents, right children are appended
@@ -183,12 +183,11 @@ def integrate(
     except _NonFiniteIntegrand:
         return QuadResult(math.nan, math.inf, evals, converged=False, failed=True)
 
-    converged = errsum <= max(tol.abs_tol, tol.rel_tol * abs(total))
-    return QuadResult(total, errsum, evals, converged)
+    return QuadResult(total, errsum, evals, errsum <= _target(tol, total))
 
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)
-_MAX_SINE_PANELS = 1 << 17
+MAX_SINE_PANELS = 1 << 17
 # The "exponential of semicircle" window of the gridded panel sums (Barnett,
 # Magland & af Klinteberg 2019): phi(z) = exp(beta (sqrt(1 - (2z/w)^2) - 1))
 # on |z| <= w/2 grid steps, w = _TAPS taps on a grid _OVERSAMPLE times the
@@ -277,14 +276,13 @@ def _fft_size(m: int) -> int:
 
 
 class RadialSamples:
-    """The sine transform of u from its values at the 15n Kronrod nodes of n
-    equal panels of [0, r_max]. The constructor picks n = max(ceil(2
-    r_max/r_scale), ceil(2 k_max r_max/pi), 4): panels a quarter-period of
-    sin(k_max r) or shorter (and never longer than half the radial scale), on
-    which the fixed K15 rule is effectively exact, and calls u once, on a 1-d
-    array of the nodes in ascending order; on_panels takes the values on
-    panels the caller chose. Every k <= k_max is transformed against the
-    same samples, so its value depends on k alone.
+    """The sine transform of u from its (n, 15) values at the Kronrod nodes
+    of n equal panels of [0, r_max] (nodes(r_max, n)), each at most half a
+    period of sin(k_max r) wide, so that the fixed K15 rule is exact to
+    rounding for a u that is one cubic per panel. The caller picks n and
+    samples u; the constructor refuses more than MAX_SINE_PANELS panels.
+    Every k <= k_max is transformed against the same samples, so its value
+    depends on k alone.
 
     Node m of panel j sits at c_j + h x_m, c_j = (j + 1/2) d, d = 2h. With
     N = n rounded up to even, j' = j - N/2 and theta = k d,
@@ -303,34 +301,27 @@ class RadialSamples:
     rows t < 0 that k near 0 reach, and the rows past M/2 that the window
     reaches where k_max d is near pi (half-period panels) or M <= 24."""
 
-    def __init__(self, u: Callable, r_max: float, r_scale: float, k_max: float):
-        n = max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
-        if n > _MAX_SINE_PANELS:
-            raise MomentsError(
-                f"sine transform needs {n} panels (k={k_max:.3g}, r_max={r_max:.3g}); "
-                f"exceeds the {_MAX_SINE_PANELS} panel cap"
-            )
+    @staticmethod
+    def nodes(r_max: float, n: int) -> np.ndarray:
+        """The (n, 15) Kronrod nodes of n equal panels of [0, r_max], in
+        ascending order: where the constructor takes the values of u."""
         edges = np.linspace(0.0, r_max, n + 1)
         c = 0.5 * (edges[:-1] + edges[1:])
         h = 0.5 * (edges[1] - edges[0])
-        uv = np.asarray(u((c[:, None] + h * _XK[None, :]).ravel()), dtype=float)
-        self._tabulate(uv.reshape(n, 15), r_max, k_max)
+        return c[:, None] + h * _XK[None, :]
 
-    @classmethod
-    def on_panels(cls, values: np.ndarray, r_max: float, k_max: float) -> "RadialSamples":
-        """From the (n, 15) values of u at the nodes of n equal panels of
-        [0, r_max], each at most half a period of sin(k_max r) wide."""
-        self = cls.__new__(cls)
-        self._tabulate(values, r_max, k_max)
-        return self
-
-    def _tabulate(self, values: np.ndarray, r_max: float, k_max: float) -> None:
+    def __init__(self, values: np.ndarray, r_max: float, k_max: float):
         """The gridded table of the (n, 15) node values (class docstring)."""
+        n = values.shape[0]
+        if n > MAX_SINE_PANELS:
+            raise MomentsError(
+                f"sine transform needs {n} panels (k={k_max:.3g}, r_max={r_max:.3g}); "
+                f"exceeds the {MAX_SINE_PANELS} panel cap"
+            )
         if not np.all(np.isfinite(values)):
             raise MomentsError("non-finite radial wavefunction value in sine transform")
         self.k_max = k_max
-        n = values.shape[0]
-        h = 0.5 * (r_max / n)  # bit for bit the h of __init__'s linspace
+        h = 0.5 * (r_max / n)  # bit for bit the h of nodes' linspace
         half = (n + 1) // 2  # N/2
         size = _fft_size(_OVERSAMPLE * 2 * half)  # M
         # the grid position k*d*M/(2 pi) of theta comes from this scale, a

@@ -30,10 +30,7 @@ from .exact import (  # noqa: F401  (the catalog is re-exported)
     DIM_1D, DIM_3D_SPHERICAL, KINETIC, P_POWER, R_POWER, ContinuousState, GaussianPacket,
     HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState, RadialStateBase, catalog,
 )
-from .quadrature import (
-    _MAX_SINE_PANELS, _WK, _XK, Domain, QuadResult, RadialSamples, _kronrod_nodes,
-    _kronrod_panels, _NonFiniteIntegrand, integrate,
-)
+from .quadrature import MAX_SINE_PANELS, QuadResult, RadialSamples, integrate, kronrod_nodes, panel_sum
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +58,7 @@ class _MomentumTable:
         self._amplitude = amplitude(k_cut)
         kb = 1.0 / r_scale
         edges = np.concatenate([[0.0], np.geomspace(1e-4 * kb, kb, 12), np.geomspace(kb, k_cut, 25)[1:]])
-        nodes = _kronrod_nodes(edges[:-1], edges[1:])[0]
+        nodes = kronrod_nodes(edges[:-1], edges[1:])[0]
         k1, k2 = 0.7 * k_cut, k_cut
         w = self._batch(np.append(nodes, (k1, k2)))
         edges.flags.writeable = nodes.flags.writeable = w.flags.writeable = False
@@ -92,7 +89,7 @@ class _MomentumTable:
         divergence threshold: integrate over [0, k_cut] at tol from the
         edges (failed where it stalls), plus the tail model, which adds 1e-4
         of itself to the error."""
-        body = integrate(lambda k: self.w(k) ** 2 * k**q, Domain.finite(0.0, self.k_cut), tol,
+        body = integrate(lambda k: self.w(k) ** 2 * k**q, 0.0, self.k_cut, tol,
                          self.edges[1:-1]).as_moment(q)
         if not body.is_convergent:
             return body
@@ -198,7 +195,7 @@ class _PiecewiseCubic:
 
     def at_knot_nodes(self, nodes: np.ndarray) -> np.ndarray:
         """Values at nodes, the (intervals, 15) Kronrod nodes of the knot
-        intervals (_kronrod_nodes). Row i lies in interval i, so the
+        intervals (kronrod_nodes). Row i lies in interval i, so the
         coefficients broadcast along the rows and nothing is searched."""
         return _horner(nodes - self._knots[:-1, None], (c[1:-1, None] for c in self._coefs))
 
@@ -284,11 +281,11 @@ class RadialGridState(RadialStateBase):
         self._r = r
         peak_exp = math.frexp(np.abs(u).max())[1]
         self._interp, self._dinterp = _monotone_cubic(r, np.ldexp(u, -peak_exp))
-        self._knot_nodes = _kronrod_nodes(r[:-1], r[1:])  # (nodes, half-widths)
+        self._knot_nodes = kronrod_nodes(r[:-1], r[1:])  # (nodes, half-widths)
         # the norm check refuses a model whose coefficients overflow, silently
         with np.errstate(over="ignore", invalid="ignore"):
             u_knots = self._interp.at_knot_nodes(self._knot_nodes[0])
-            norm2 = float((self._knot_nodes[1] * (u_knots**2 @ _WK)).sum())
+            norm2 = panel_sum(lambda _: u_knots**2, *self._knot_nodes, tol).value
         if not (math.isfinite(norm2) and norm2 > 0.0):
             raise DataFormatError("grid wavefunction has non-finite or zero norm")
         self.norm_factor = 1.0 / math.sqrt(norm2)
@@ -309,13 +306,11 @@ class RadialGridState(RadialStateBase):
             self.origin_power_u = _origin_power(r, u)
 
     def knot_moment(self, t: float) -> QuadResult:
-        """<r^t> = int u^2 r^t dr by K15 on every knot interval, from the
-        tabled u: one evaluation of (u r^(t/2))^2, no refinement. Converged
-        by integrate's rule at the state's tolerances, on the summed K-G
-        errors of the intervals; failed on a non-finite value or interval
-        sum. An order the
-        fixed nodes cannot resolve (a steep power at the origin) does not
-        converge and needs integrate."""
+        """<r^t> = int u^2 r^t dr by one panel_sum on the knot intervals,
+        from the tabled u: one evaluation of (u r^(t/2))^2, no refinement,
+        converged at the state's tolerances. An order the fixed nodes cannot
+        resolve (a steep power at the origin) does not converge and needs
+        integrate."""
         u = self._u_knots
 
         def f(x):
@@ -325,13 +320,7 @@ class RadialGridState(RadialStateBase):
             ux *= ux
             return ux
 
-        try:
-            k, e = _kronrod_panels(f, *self._knot_nodes)
-        except _NonFiniteIntegrand:
-            return QuadResult(math.nan, math.inf, u.size, converged=False, failed=True)
-        value, err = float(k.sum()), float(e.sum())
-        return QuadResult(value, err, u.size,
-                          converged=err <= max(self.tol.abs_tol, self.tol.rel_tol * abs(value)))
+        return panel_sum(f, *self._knot_nodes, self.tol)
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """<r^t> from the knot table where it converges there (knot_moment),
@@ -353,10 +342,15 @@ class RadialGridState(RadialStateBase):
         return m
 
     def momentum_table(self) -> _MomentumTable:
-        """The state's momentum table, built on first use."""
+        """The state's momentum table, built on first use; DomainError where
+        its tail fit overflows (k_cut near 1e-199 for knots near 1e200)."""
         if self._table is None:
-            self._table = _MomentumTable(self.momentum_amplitude, self.r_scale,
-                                         self.momentum_tail_power())
+            try:
+                self._table = _MomentumTable(self.momentum_amplitude, self.r_scale,
+                                             self.momentum_tail_power())
+            except OverflowError as exc:
+                raise DomainError(f"the momentum tail fit of {self.label} overflows a double "
+                                  f"(r_scale = {self.r_scale:.3g})") from exc
         return self._table
 
     def reduced_radial(self, r):
@@ -368,29 +362,30 @@ class RadialGridState(RadialStateBase):
         return super().momentum_tail_power()
 
     def momentum_amplitude(self, k_cut: float) -> Callable:
-        """The sine transform of u. Where the knots are uniform from r = 0
-        (|r_i - i h| <= 4 eps r_N, h = r_N/N), its panels are the knot
-        intervals split into s = max(1, ceil(h k_cut/pi)) parts: u is one
-        cubic on each, which is at most half a period of sin(k_cut r), so K15
-        is exact for the model, and at s = 1 the samples are the knot table.
-        Other grids, and an s N past the cap, take RadialSamples' equal
-        panels, with the interpolant evaluated by runs at ascending nodes."""
+        """The sine transform of u; this method alone picks its panels.
+        Where the knots are uniform from r = 0 (|r_i - i h| <= 4 eps r_N,
+        h = r_N/N), the panels are the knot intervals split into
+        s = max(1, ceil(h k_cut/pi)) parts: u is one cubic on each, which is
+        at most half a period of sin(k_cut r), so K15 is exact for the
+        model. At s = 1 the samples are the knot table; for s > 1 row i of
+        the (N, 15 s) sub-panel nodes lies in knot interval i. Other grids,
+        and an s N past the cap, take ceil(2 k_cut r_N/pi) equal panels, a
+        quarter-period of sin(k_cut r) or shorter, with the interpolant
+        evaluated once, by runs, at their ascending nodes."""
         r, n = self._r, self._r.size - 1
         h = self.r_max / n
         s = max(1, math.ceil(h * k_cut / math.pi))
         uniform = np.all(np.abs(r - h * np.arange(n + 1)) <= 4.0 * np.finfo(float).eps * self.r_max)
-        if uniform and s * n <= _MAX_SINE_PANELS:
+        if uniform and s * n <= MAX_SINE_PANELS:
             if s == 1:
                 values = self._u_knots
             else:
-                # the Kronrod nodes of the s sub-panels of an interval, from its knot
-                x = ((np.arange(s)[:, None] + 0.5) * (h / s) + (0.5 * h / s) * _XK).ravel()
-                values = self.norm_factor * self._interp.at_knot_nodes(r[:-1, None] + x)
-            samples = RadialSamples.on_panels(values.reshape(s * n, 15), self.r_max, k_cut)
+                nodes = RadialSamples.nodes(self.r_max, s * n).reshape(n, 15 * s)
+                values = self.norm_factor * self._interp.at_knot_nodes(nodes)
         else:
-            samples = RadialSamples(lambda r: self.norm_factor * self._interp.at_ascending(r),
-                                    self.r_max, self.r_scale, k_cut)
-        return samples.sine_transform
+            nodes = RadialSamples.nodes(self.r_max, math.ceil(2.0 * k_cut * self.r_max / math.pi))
+            values = self.norm_factor * self._interp.at_ascending(nodes.ravel())
+        return RadialSamples(values.reshape(-1, 15), self.r_max, k_cut).sine_transform
 
     def _kinetic(self) -> MomentValue:
         """<T> = (hbar^2/2m) int u'^2 dr with a coarseness check: the integral
@@ -403,7 +398,7 @@ class RadialGridState(RadialStateBase):
         full = self._square_integral(self._dinterp, *self._knot_nodes)
         coarse = self._r[::2]
         _, dcoarse = _monotone_cubic(coarse, self._interp.at_ascending(coarse))
-        half_val = self._square_integral(dcoarse, *_kronrod_nodes(coarse[:-1], coarse[1:]))
+        half_val = self._square_integral(dcoarse, *kronrod_nodes(coarse[:-1], coarse[1:]))
         rel_err = abs(full - half_val) / max(abs(full), 1e-300)
         if not rel_err <= self.kinetic_rel_tol:  # a NaN too
             raise CapabilityError(
@@ -414,12 +409,16 @@ class RadialGridState(RadialStateBase):
         return MomentValue.convergent(scale * full, scale * abs(full - half_val), 1.0)
 
     def _square_integral(self, f: _PiecewiseCubic, nodes: np.ndarray, h: np.ndarray) -> float:
-        """int (norm_factor f)^2 over f's knots by K15 on each interval, from
-        the intervals' Kronrod nodes and half-widths."""
-        vals = f.at_knot_nodes(nodes)
-        vals *= self.norm_factor
-        vals *= vals
-        return float((h * (vals @ _WK)).sum())
+        """int (norm_factor f)^2 by one panel_sum on f's knot intervals, from
+        their Kronrod nodes and half-widths; NaN where that fails."""
+
+        def square(x):
+            vals = f.at_knot_nodes(x)
+            vals *= self.norm_factor
+            vals *= vals
+            return vals
+
+        return panel_sum(square, nodes, h, self.tol).value
 
     kinetic_rel_tol = 1e-4
 

@@ -33,7 +33,7 @@ from qmoments.core import DEFAULT_TOLERANCES, MomentValue, Tolerances, replace
 from qmoments.exact import (
     DIM_1D, KINETIC, MOMENTUM_AXIS, MOMENTUM_SIGNED, P_POWER, POSITION_AXIS, POSITION_SIGNED,
 )
-from qmoments.quadrature import Domain, RadialSamples, integrate
+from qmoments.quadrature import RadialSamples, integrate
 from qmoments.states import RadialGridState, _MomentumTable
 
 
@@ -41,7 +41,7 @@ from qmoments.states import RadialGridState, _MomentumTable
 
 
 def semi_infinite(f, a=0.0, breakpoints=()):
-    """(g, domain, breakpoints) of f on [a, inf) mapped onto [0, 1)."""
+    """(g, 0, 1, breakpoints) of f on [a, inf) mapped onto [0, 1)."""
 
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -50,11 +50,11 @@ def semi_infinite(f, a=0.0, breakpoints=()):
 
     inner = [(p - a) / (1.0 + (p - a)) for p in sorted(float(p) for p in breakpoints) if p > a]
     # default split keeps the first panel from straddling both scales
-    return g, Domain(0.0, 1.0), sorted(set(inner) | {0.5})
+    return g, 0.0, 1.0, sorted(set(inner) | {0.5})
 
 
 def real_line(f, breakpoints=()):
-    """(g, domain, breakpoints) of f on the real line mapped onto (-1, 1)."""
+    """(g, -1, 1, breakpoints) of f on the real line mapped onto (-1, 1)."""
 
     def g(t):
         t = np.asarray(t, dtype=float)
@@ -67,17 +67,17 @@ def real_line(f, breakpoints=()):
         return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
 
     inner = [tmap(p) for p in sorted(float(p) for p in breakpoints)]
-    return g, Domain(-1.0, 1.0), sorted(set(inner) | {-0.5, 0.0, 0.5})
+    return g, -1.0, 1.0, sorted(set(inner) | {-0.5, 0.0, 0.5})
 
 
 def integrate_semi_infinite(f, a=0.0, tol=DEFAULT_TOLERANCES, breakpoints=()):
-    g, d, inner = semi_infinite(f, a, breakpoints)
-    return integrate(g, d, tol, inner)
+    g, lo, hi, inner = semi_infinite(f, a, breakpoints)
+    return integrate(g, lo, hi, tol, inner)
 
 
 def integrate_real_line(f, tol=DEFAULT_TOLERANCES, breakpoints=()):
-    g, d, inner = real_line(f, breakpoints)
-    return integrate(g, d, tol, inner)
+    g, lo, hi, inner = real_line(f, breakpoints)
+    return integrate(g, lo, hi, tol, inner)
 
 
 # --- momentum tables -----------------------------------------------------------
@@ -92,17 +92,32 @@ def power_exp_amplitude(st, k):
     return c * np.imag((kappa + 1j * k) ** n1) / (kappa * kappa + k * k) ** n1
 
 
+def equal_panel_count(r_max, r_scale, k_max):
+    """The panel count of the catalog's equal-panel samples: panels a
+    quarter-period of sin(k_max r) or shorter, never longer than half the
+    radial scale, and at least 4."""
+    return max(math.ceil(r_max / (0.5 * r_scale)), math.ceil(2.0 * k_max * r_max / math.pi), 4)
+
+
+def equal_panel_samples(u, r_max, r_scale, k_max):
+    """RadialSamples of u on equal_panel_count equal panels of [0, r_max],
+    with u called once, on a 1-d array of the nodes in ascending order."""
+    n = equal_panel_count(r_max, r_scale, k_max)
+    values = np.asarray(u(RadialSamples.nodes(r_max, n).ravel()), dtype=float)
+    return RadialSamples(values.reshape(n, 15), r_max, k_max)
+
+
 def momentum_table(st, sampled=False):
     """The momentum table of a radial state: a grid state's own, else one
     built for a power-exponential state at r_scale = 1/kappa, with w the
     closed form, or with sampled the sine transform of u on equal panels
-    (RadialSamples), as for a grid state that is not uniform."""
+    (equal_panel_samples), as for a grid state that is not uniform."""
     if isinstance(st, RadialGridState):
         return st.momentum_table()
     r_scale = 1.0 / st.kappa
     if sampled:
         def amplitude(k_cut):
-            return RadialSamples(st.reduced_radial, st.r_max, r_scale, k_cut).sine_transform
+            return equal_panel_samples(st.reduced_radial, st.r_max, r_scale, k_cut).sine_transform
     else:
         def amplitude(k_cut):
             return functools.partial(power_exp_amplitude, st)
@@ -140,7 +155,7 @@ def position_density(st, z):
     def one(lo):
         if lo >= st.r_max:
             return 0.0
-        res = integrate(lambda r: st.radial_density(r) / r, Domain.finite(lo, st.r_max),
+        res = integrate(lambda r: st.radial_density(r) / r, lo, st.r_max,
                         Tolerances(rel_tol=1e-11, abs_tol=1e-16))
         return 0.5 * res.value
 
@@ -161,7 +176,7 @@ def momentum_density(st, p):
         k = ap / hbar
         if k >= tbl.k_cut:
             return 0.5 * tbl.tail_integral(-1.0, k) / hbar
-        res = integrate(lambda kk: tbl.w(kk) ** 2 / kk, Domain.finite(k, tbl.k_cut),
+        res = integrate(lambda kk: tbl.w(kk) ** 2 / kk, k, tbl.k_cut,
                         Tolerances(rel_tol=1e-11, abs_tol=1e-16), breakpoints=edges)
         return 0.5 * (res.value + tbl.tail_integral(-1.0, tbl.k_cut)) / hbar
 
@@ -192,10 +207,10 @@ def _kinetic_energy(st):
 
         res = integrate_real_line(grad_sq, st.tol, breakpoints=[st.x0])
     else:
-        res = integrate(lambda r: reduced_radial_derivative(st, r) ** 2,
-                        Domain.finite(0.0, st.r_max), st.tol)
+        res = integrate(lambda r: reduced_radial_derivative(st, r) ** 2, 0.0, st.r_max, st.tol)
     scale = c.hbar**2 / (2.0 * c.mass)
-    return MomentValue.convergent(scale * res.require("gradient integral"), scale * res.err_estimate, 1.0)
+    m = res.as_moment(1.0)
+    return MomentValue.convergent(scale * m.require(), scale * m.err_estimate, 1.0)
 
 
 def axis_moment(st, quantity, x):

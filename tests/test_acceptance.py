@@ -71,7 +71,7 @@ def test_criterion_03_pz_squared_two_routes(capsys):
     marginal_direct = integrate_real_line(
         lambda p: p * p * momentum_density(h, p),
         Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
-    ).require()
+    ).as_moment(2.0).require()
     assert gradient_route == pytest.approx(target, rel=1e-6)
     assert marginal_route == pytest.approx(target, rel=1e-6)
     assert marginal_direct == pytest.approx(target, rel=1e-6)

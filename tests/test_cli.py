@@ -559,6 +559,19 @@ def test_extreme_grid_reciprocal_cell_is_failed_not_violated(tmp_path, capsys):
                                   "--p-grid", "2", "--q-grid", "2"])
     [row] = doc["results"]
     assert (code, row["status"], row["holds"], row["rhs"]) == (EXIT_ERROR, "failed", None, None)
+    # the first round met the overflow, and its 15 evaluations count
+    assert row["detail"].endswith("quadrature stalled (err=inf, evals=15)")
+
+
+def test_extreme_grid_momentum_cell_names_the_tail_fit(tmp_path, capsys):
+    # k_cut near 5e-199: the momentum tail fit overflows, and the failed
+    # cell says so
+    path = tmp_path / "grid.txt"
+    path.write_text(_EXTREME_GRIDS["huge"])
+    code, doc = run_json(capsys, ["sweep", "--grid", str(path), "--p-grid", "1", "--q-grid", "2"])
+    [row] = doc["results"]
+    assert (code, row["status"]) == (EXIT_ERROR, "failed")
+    assert "the momentum tail fit of grid state overflows a double" in row["detail"]
 
 
 _BOM = b"\xef\xbb\xbf"
@@ -874,7 +887,7 @@ print(hasattr(exact, "states"), hasattr(exact, "quadrature"), "numpy" in sys.mod
 # every name the package exported when it imported all of its modules
 _EXPORTS = """
 CapabilityError DataFormatError DecompositionError DomainError Exponents MomentsError MomentValue
-NATURAL PhysicalConstants SI Tolerances Verdict make_exponents make_verdict young_gap Domain
+NATURAL PhysicalConstants SI Tolerances Verdict make_exponents make_verdict young_gap
 QuadResult integrate ContinuousState GaussianPacket HarmonicOscillatorGround HydrogenGroundState
 PowerExpRadialState RadialGridState catalog load_radial_grid FiniteState HermitianOperator
 SpectralDecomposition abs_central_moment_finite commutator eigendecompose expectation Observable

@@ -49,7 +49,7 @@ def test_power_exp_closed_forms_match_quadrature(n, kappa):
     for q in (0.5, 2.0, threshold - 0.1):
         _agree(mo._radial_momentum_raw(st, q), mo._radial_momentum_raw(quad, q))
     grad = quadrature.integrate(lambda r: reduced_radial_derivative(quad, r) ** 2,
-                                quadrature.Domain.finite(0.0, quad.r_max), quad.tol)
+                                0.0, quad.r_max, quad.tol)
     assert abs(st.kinetic_energy() - 0.5 * grad.value) <= FACTOR * 0.5 * grad.err_estimate
     for r0 in (0.3, 1.0, 5.0):
         obs = mo.custom_radial(lambda r, r0=r0: np.exp(-r / r0), 0.0, "exp(-r/r0)")

@@ -286,7 +286,7 @@ def test_isotropy_shortcut_matches_the_axis_marginal(state, side, order, request
     obs, density = _AXIS_SIDES[side]
     direct = 2.0 * integrate_semi_infinite(
         lambda x: x**order * density(st, x), tol=Tolerances(rel_tol=1e-9),
-    ).require()
+    ).as_moment(order).require()
     m = abs_central_moment(st, obs, order)
     assert m.value == pytest.approx(direct, rel=1e-8)
 

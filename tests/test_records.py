@@ -24,7 +24,7 @@ from qmoments.core import (
 from qmoments.inequalities import DiscreteDensity, SweepTable
 from qmoments.matrixlab import FiniteState, HermitianOperator, SpectralDecomposition
 from qmoments.moments import POSITION_AXIS, Observable
-from qmoments.quadrature import Domain, QuadResult
+from qmoments.quadrature import QuadResult
 
 #: each record type with valid field values, in field order
 CASES = [
@@ -33,7 +33,6 @@ CASES = [
     (Tolerances, (1e-8, 1e-12, 1000)),
     (MomentValue, ("convergent", 2.0, 1.5, 1e-9, "")),
     (Verdict, ("x", 1.0, 2.0, 1e-9, {"p": 2.0}, "ok", "")),
-    (Domain, (0.0, 1.0)),
     (QuadResult, (1.0, 1e-12, 45, True, False)),
     (HermitianOperator, (np.eye(2),)),
     (FiniteState, (np.array([1.0, 0.0]),)),
@@ -125,7 +124,7 @@ def test_equal_fields_give_equal_objects(cls, args):
 
 def test_objects_differing_in_one_field_are_unequal():
     assert Tolerances(rel_tol=1e-8) != Tolerances(rel_tol=1e-9)
-    assert Domain(0.0, 1.0) != Domain(0.0, 2.0)
+    assert QuadResult(1.0, 0.0, 15, True) != QuadResult(2.0, 0.0, 15, True)
     assert Outcomes(checks=1) != Outcomes(checks=2)
 
 

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from marginals import (
-    hydrogen_position_density, integrate_real_line, integrate_semi_infinite, integrated,
-    momentum_density, momentum_table, position_density, reduced_radial_derivative,
+    equal_panel_samples, hydrogen_position_density, integrate_real_line, integrate_semi_infinite,
+    integrated, momentum_density, momentum_table, position_density, reduced_radial_derivative,
 )
 from qmoments.core import CapabilityError, DataFormatError, Tolerances
 from qmoments.exact import KINETIC, R_POWER
-from qmoments.quadrature import Domain, integrate
+from qmoments.quadrature import integrate
 from qmoments.states import (
     GaussianPacket,
     HarmonicOscillatorGround,
@@ -147,7 +147,7 @@ def _knot_oracle(st, f):
     is a node of the knot table."""
     r = st._r
     pts = np.sort(np.concatenate([r[1:-1], 0.5 * (r[:-1] + r[1:])]))
-    res = integrate(f, Domain.finite(r[0], r[-1]), Tolerances(rel_tol=1e-13, abs_tol=1e-300),
+    res = integrate(f, r[0], r[-1], Tolerances(rel_tol=1e-13, abs_tol=1e-300),
                     breakpoints=pts)
     assert res.converged
     return res.value
@@ -187,7 +187,7 @@ def test_p_squared_three_routes(hydrogen):
     via_marginals = 3.0 * res.value
     # radial momentum density route
     tbl = momentum_table(hydrogen)
-    res2 = integrate(lambda k: tbl.w(k) ** 2 * k * k, Domain.finite(0.0, tbl.k_cut))
+    res2 = integrate(lambda k: tbl.w(k) ** 2 * k * k, 0.0, tbl.k_cut)
     via_radial = res2.value + tbl.tail_integral(2.0, tbl.k_cut)
     assert via_gradient == pytest.approx(1.0, rel=1e-8)
     assert via_marginals == pytest.approx(via_gradient, rel=1e-6)
@@ -235,7 +235,7 @@ def _dense_grid_state(n_power=1, kappa=1.0, n_pts=3000, r_end=40.0):
 
 def test_grid_state_renormalizes():
     st = _dense_grid_state()
-    res = integrate(lambda r: st.radial_density(r), Domain.finite(0.0, st.r_max))
+    res = integrate(lambda r: st.radial_density(r), 0.0, st.r_max)
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -464,7 +464,7 @@ def test_r4_p_squared_three_routes():
     via_gradient = 2.0 * st.kinetic_energy()
     assert via_gradient == pytest.approx(1.0 / 7.0, rel=1e-9)
     tbl = momentum_table(st)
-    res = integrate(lambda k: tbl.w(k) ** 2 * k * k, Domain.finite(0.0, tbl.k_cut))
+    res = integrate(lambda k: tbl.w(k) ** 2 * k * k, 0.0, tbl.k_cut)
     via_radial = res.value + tbl.tail_integral(2.0, tbl.k_cut)
     assert via_radial == pytest.approx(via_gradient, rel=1e-6)
     res2 = integrate_real_line(
@@ -523,10 +523,10 @@ def _r4test_grid():
 
 def _k_panels():
     """k-panels as integrate passes them: a (5, 15) array of Kronrod nodes."""
-    from qmoments.quadrature import _kronrod_nodes
+    from qmoments.quadrature import kronrod_nodes
 
     edges = np.array([1e-3, 0.5, 1.0, 5.0, 40.0, 100.0])
-    return _kronrod_nodes(edges[:-1], edges[1:])[0]
+    return kronrod_nodes(edges[:-1], edges[1:])[0]
 
 
 def test_momentum_table_amplitude_depends_on_k_alone():
@@ -544,7 +544,7 @@ def test_momentum_table_amplitude_depends_on_k_alone():
 def test_momentum_table_request_with_misses_makes_one_transform(sine_calls):
     # a request other than the partition's nodes is one transform of all its
     # k, whatever the table computed before
-    from qmoments.quadrature import _kronrod_nodes
+    from qmoments.quadrature import kronrod_nodes
 
     rows = _k_panels()
     tbl = _hydrogen_grid().momentum_table()
@@ -558,7 +558,7 @@ def test_momentum_table_request_with_misses_makes_one_transform(sine_calls):
     assert tbl.w(rows).tobytes() == got.tobytes()
     assert sine_calls == [(75,), (75,)]
     # the partition's nodes make none; other k of their shape make one
-    nodes = _kronrod_nodes(edges[:-1], edges[1:])[0]
+    nodes = kronrod_nodes(edges[:-1], edges[1:])[0]
     kept = tbl.w(nodes)
     assert kept.shape == (36, 15) and not kept.flags.writeable
     assert sine_calls == [(75,), (75,)]
@@ -576,7 +576,7 @@ def test_momentum_table_partition_is_cached_for_the_first_round(sine_calls):
     assert sine_calls == [(542,)]  # the 540 nodes and the two tail-fit points
     # integrate's first round on these edges asks for exactly those nodes
     seen = []
-    res = integrate(lambda k: seen.append(k.shape) or tbl.w(k) ** 2, Domain.finite(0.0, tbl.k_cut),
+    res = integrate(lambda k: seen.append(k.shape) or tbl.w(k) ** 2, 0.0, tbl.k_cut,
                     Tolerances(max_evals=540), breakpoints=edges[1:-1])
     assert seen == [(36, 15)] and res.evaluations == 540
     assert len(sine_calls) == 1
@@ -636,18 +636,17 @@ def test_grid_sweep_cell_alone_equals_the_cell_in_a_sweep(make):
 
 @pytest.mark.parametrize("make", [_hydrogen_grid, _r4test_grid], ids=["hydrogen", "r4test"])
 def test_grid_interpolant_by_runs_equals_the_search(make):
-    from qmoments.quadrature import RadialSamples, _kronrod_nodes
+    from qmoments.quadrature import RadialSamples, kronrod_nodes
 
     st = make()
     k_cut = st.momentum_table().k_cut
-    seen = []
-    RadialSamples(lambda r: seen.append(r) or np.zeros_like(r), st.r_max, st.r_scale, k_cut)
-    (nodes,) = seen
-    assert nodes.ndim == 1 and np.all(np.diff(nodes) > 0.0)
+    # the ascending nodes of the equal panels (momentum_amplitude's fallback)
+    nodes = RadialSamples.nodes(st.r_max, math.ceil(2.0 * k_cut * st.r_max / math.pi)).ravel()
+    assert np.all(np.diff(nodes) > 0.0)
     knots = st._r
     outside = np.array([-1.0, np.nextafter(knots[-1], np.inf), knots[-1] + 1.0])
     everything = np.sort(np.concatenate([nodes, knots, outside]))
-    knot_nodes = _kronrod_nodes(knots[:-1], knots[1:])[0]
+    knot_nodes = kronrod_nodes(knots[:-1], knots[1:])[0]
     for f in (st._interp, st._dinterp):
         for x in (nodes, knots, knots[::2], knots[-1:], everything):
             assert f.at_ascending(x).tobytes() == f(x).tobytes()
@@ -660,9 +659,9 @@ def test_grid_interpolant_by_runs_equals_the_search(make):
     # for bit
     ks = np.linspace(0.0, k_cut, 64)
     if make is _hydrogen_grid:
-        want = RadialSamples.on_panels(st._u_knots, st.r_max, k_cut).sine_transform(ks)
+        want = RadialSamples(st._u_knots, st.r_max, k_cut).sine_transform(ks)
     else:
-        want = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
+        want = equal_panel_samples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
     assert st.momentum_table().w(ks).tobytes() == want.tobytes()
 
 
@@ -725,15 +724,43 @@ def _moved_knot_grid():
 ], ids=["geometric", "moved-knot", "starts-past-0", "past-the-cap"])
 def test_other_grids_keep_the_equal_panels(make, cap, monkeypatch):
     from qmoments import states
-    from qmoments.quadrature import RadialSamples
 
     if cap is not None:
-        monkeypatch.setattr(states, "_MAX_SINE_PANELS", cap)  # s N = 2000 on this grid
+        monkeypatch.setattr(states, "MAX_SINE_PANELS", cap)  # s N = 2000 on this grid
     st = make()
     k_cut = 50.0 / st.r_scale  # momentum_table's; a grid past r = 0 builds no table
     ks = np.linspace(0.0, k_cut, 64)
-    want = RadialSamples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
+    want = equal_panel_samples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
     assert st.momentum_amplitude(k_cut)(ks).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make, cap", [
+    (_r4test_grid, None),
+    (_hydrogen_grid, 1999),
+    (_hydrogen_grid, None),
+], ids=["geometric", "past-the-cap", "knot-table"])
+def test_momentum_amplitude_samples_the_interpolant_once_at_ascending_nodes(make, cap, monkeypatch):
+    # the equal panels evaluate the interpolant in one call, on a 1-d array
+    # of their nodes in ascending order; the knot table of a uniform grid
+    # (s = 1) evaluates nothing
+    from qmoments import states
+    from qmoments.quadrature import RadialSamples
+
+    if cap is not None:
+        monkeypatch.setattr(states, "MAX_SINE_PANELS", cap)
+    st = make()
+    k_cut = 50.0 / st.r_scale
+    seen = []
+    real = st._interp.at_ascending
+    monkeypatch.setattr(st._interp, "at_ascending", lambda r: seen.append(r) or real(r))
+    st.momentum_amplitude(k_cut)
+    if make is _hydrogen_grid and cap is None:
+        assert seen == []
+        return
+    (nodes,) = seen
+    n = math.ceil(2.0 * k_cut * st.r_max / math.pi)
+    assert nodes.ndim == 1 and np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, RadialSamples.nodes(st.r_max, n).ravel())
 
 
 @pytest.mark.parametrize("n, kappa", [(1, 1.0), (4, 1.0), (2, 0.5)])
@@ -750,7 +777,7 @@ def _two_panel_momentum_moment(s, q):
     start every order had before the shared partition."""
     tbl = momentum_table(s)
     # edges[12] is 1/r_scale, the end of the geometric panels near 0
-    res = integrate(lambda k: tbl.w(k) ** 2 * k**q, Domain.finite(0.0, tbl.k_cut),
+    res = integrate(lambda k: tbl.w(k) ** 2 * k**q, 0.0, tbl.k_cut,
                     Tolerances(abs_tol=1e-15), breakpoints=[tbl.edges[12]])
     assert res.converged
     return res.value + tbl.tail_integral(q, tbl.k_cut)
@@ -811,6 +838,19 @@ def test_huge_grid_moments_are_never_a_convergent_inf_or_0():
             st.direct_moment(quantity, x)
 
 
+def test_huge_grid_momentum_tail_fit_is_a_domain_error():
+    # k_cut = 50/r_scale is near 5e-199 there, and the tail fit's k^-2
+    # overflows: a DomainError that names the state and the fit, not a bare
+    # OverflowError
+    from qmoments.core import DomainError
+    from qmoments.moments import abs_central_moment, momentum_axis
+
+    st = RadialGridState([0.0, 1e200, 2e200, 3e200, 4e200], [0.0, 1.0, 0.5, 0.1, 0.0],
+                         label="huge grid")
+    with pytest.raises(DomainError, match="momentum tail fit of huge grid overflows a double"):
+        abs_central_moment(st, momentum_axis(3), 2.0)
+
+
 # --- knot-table moments of grid states ----------------------------------------
 
 
@@ -822,7 +862,7 @@ def integrate_calls(monkeypatch):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[1:3])  # the interval
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "integrate", counted)
