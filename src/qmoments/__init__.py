@@ -3,9 +3,10 @@ two-function moment inequalities, canonical-pair uncertainty checks at
 arbitrary orders, and central-force-field bounds.
 
 Importing the package runs no numpy. The names below resolve on first use
-(PEP 562), and the three array modules, quadrature, states and matrixlab, are
-registered deferred: each runs, numpy with it, at the first access to one of
-its attributes. A catalog command of the CLI never makes that access."""
+(PEP 562), and four modules are registered deferred: each runs at the first
+access to one of its attributes. The three array modules, quadrature, states
+and matrixlab, load numpy then, and a catalog command of the CLI never makes
+that access; centralfield runs only for the central command."""
 
 import importlib
 import importlib.util
@@ -64,7 +65,7 @@ def _defer(name: str) -> None:
     globals()[name] = sys.modules[fullname]
 
 
-for _name in ("quadrature", "states", "matrixlab"):
+for _name in ("quadrature", "states", "matrixlab", "centralfield"):
     _defer(_name)
 
 

@@ -159,25 +159,20 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(cfg: RunConfig, payload: dict[str, Any], text_body: str | None = None) -> None:
-    """Write the report. CSV bodies go to --out (or stdout) with the JSON
-    manifest on stdout (or stderr when the CSV itself uses stdout)."""
-    if text_body is not None:
-        if cfg.out:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
-                fh.write(text_body)
-            print(json.dumps(_sanitize(payload), indent=2))
-        else:
-            sys.stdout.write(text_body)
-            print(json.dumps(_sanitize(payload), indent=2), file=sys.stderr)
-        return
-    text = json.dumps(_sanitize(payload), indent=2)
+def _emit(cfg: RunConfig, report: dict[str, Any], csv_text: str | None) -> None:
+    """Write the report. The body, the CSV where there is one and else the
+    JSON, goes to --out or stdout; the JSON also goes to stdout after --out,
+    or to stderr when the CSV holds stdout."""
+    text = json.dumps(_sanitize(report), indent=2) + "\n"
+    body = text if csv_text is None else csv_text
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(text)
+            fh.write(body)
+        sys.stdout.write(text)
     else:
-        print(text)
+        sys.stdout.write(body)
+        if csv_text is not None:
+            sys.stderr.write(text)
 
 
 def _check_order(name: str, value: float) -> float:
@@ -218,10 +213,11 @@ def _si_scaled(d: dict[str, Any], cfg: RunConfig, hbar_power: float) -> dict[str
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its outcomes, the report's keys after the
+# manifest, and a CSV body or None
 
 
-def cmd_hydrogen(args, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_hydrogen(args, cfg: RunConfig):
     p = _check_order("p", args.p)
     q = _check_order("q", args.q)
     e = make_exponents(p, q)
@@ -231,18 +227,13 @@ def cmd_hydrogen(args, cfg: RunConfig, argv: list[str]) -> int:
     out = iq.uncertainty_verdict_canonical(state, i, j, e, cfg.slack)
     outcomes = Outcomes()
     outcomes.add(out)
-    extras: dict[str, Any] = {}
+    body: dict[str, Any] = {"results": [_si_scaled(out.to_dict(), cfg, e.r_star)]}
     if out.status == OK and out.lhs > 0.0:
         coeff = (out.rhs / out.lhs) ** (p + q)
-        extras["coefficient_ratio_pow_p_plus_q"] = coeff
+        body["coefficient_ratio_pow_p_plus_q"] = coeff
         if p + q == 5.0:
-            extras["rhs_pow5_over_lhs_pow5"] = coeff
-    code = outcomes.exit_code(cfg)
-    payload = {"manifest": _manifest(cfg, argv, outcomes, code),
-               "results": [_si_scaled(out.to_dict(), cfg, e.r_star)]}
-    payload.update(extras)
-    _emit(cfg, payload)
-    return code
+            body["rhs_pow5_over_lhs_pow5"] = coeff
+    return outcomes, body, None
 
 
 def _parse_number(text: str, what: str, kind: type = float):
@@ -297,7 +288,7 @@ def _resolve_state(args, cfg: RunConfig):
     return named[name]
 
 
-def cmd_sweep(args, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_sweep(args, cfg: RunConfig):
     p_grid = [_check_order("p", v) for v in _parse_grid(args.p_grid)]
     q_grid = [_check_order("q", v) for v in _parse_grid(args.q_grid)]
     state = _resolve_state(args, cfg)
@@ -311,45 +302,43 @@ def cmd_sweep(args, cfg: RunConfig, argv: list[str]) -> int:
     outcomes = Outcomes()
     for v in table.rows:
         outcomes.add(v, cell=f"(p={v.inputs['p']}, q={v.inputs['q']})")
-    code = outcomes.exit_code(cfg)
     rows = [_si_scaled(d, cfg, d["r_star"] if canonical else 0.0) for d in table.to_dicts()]
-    payload = {
-        "manifest": _manifest(cfg, argv, outcomes, code),
-        "results": rows,
-        "kind": table.kind,
-        "state": state.label,
-    }
-    _emit(cfg, payload, text_body=table.to_csv(rows) if cfg.fmt == "csv" else None)
-    return code
+    body = {"results": rows, "kind": table.kind, "state": state.label}
+    return outcomes, body, table.to_csv(rows) if cfg.fmt == "csv" else None
 
 
-def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_finite(args, cfg: RunConfig):
     if args.dim > 256:
         raise DomainError("dim is capped at 256")
     p = _check_order("p", args.p)
     q = _check_order("q", args.q)
     e = make_exponents(p, q)
+    if args.pair == "pauli-xy":
+        triples = [(matrixlab.pauli("x"), matrixlab.pauli("y"), matrixlab.ground_state(2))]
+    elif args.pair == "truncated-xp":
+        cc = cfg.compute_constants
+        triples = [(*matrixlab.truncated_canonical_pair(args.dim, cc.hbar, cc.mass),
+                    matrixlab.ground_state(args.dim))]
+    elif args.pair == "random":
+        rng = SplitMix64(cfg.seed)
+        triples = ((matrixlab.random_hermitian(rng, args.dim),  # each trial draws A, B, psi
+                    matrixlab.random_hermitian(rng, args.dim),
+                    matrixlab.random_state(rng, args.dim)) for _ in range(args.trials))
+    else:
+        raise DomainError(f"unknown pair {args.pair!r}")
+
     outcomes = Outcomes()
     results = []
     counterexample = None
-    margins = []
-
     informational_violations = 0
-
-    def run_pair(a, b, psi, trial):
-        nonlocal counterexample, informational_violations
-        v1, v2 = iq.uncertainty_chain_finite(a, b, psi, e, cfg.slack)
-        for v in (v1, v2):
+    for trial, (a, b, psi) in enumerate(triples):
+        for v in iq.uncertainty_chain_finite(a, b, psi, e, cfg.slack):
             gates = args.gate == "both" or v.label == "finite_commutator"
             if gates:
                 outcomes.add(v)
             elif not v.holds:
                 informational_violations += 1
-            d = v.to_dict()
-            d["trial"] = trial
-            d["gates_exit"] = gates
-            results.append(d)
-            margins.append((v.margin, v.label, trial))
+            results.append({**v.to_dict(), "trial": trial, "gates_exit": gates})
             if gates and not v.holds and counterexample is None:
                 counterexample = {
                     "trial": trial,
@@ -361,49 +350,28 @@ def cmd_finite(args, cfg: RunConfig, argv: list[str]) -> int:
                     "psi": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
                 }
 
-    if args.pair == "pauli-xy":
-        run_pair(matrixlab.pauli("x"), matrixlab.pauli("y"), matrixlab.ground_state(2), 0)
-    elif args.pair == "truncated-xp":
-        cc = cfg.compute_constants
-        x, pm = matrixlab.truncated_canonical_pair(args.dim, cc.hbar, cc.mass)
-        run_pair(x, pm, matrixlab.ground_state(args.dim), 0)
-    elif args.pair == "random":
-        rng = SplitMix64(cfg.seed)
-        for t in range(args.trials):
-            a = matrixlab.random_hermitian(rng, args.dim)
-            b = matrixlab.random_hermitian(rng, args.dim)
-            psi = matrixlab.random_state(rng, args.dim)
-            run_pair(a, b, psi, t)
-    else:
-        raise DomainError(f"unknown pair {args.pair!r}")
-
-    min_margin = min(margins, key=lambda m: m[0]) if margins else None
-    code = outcomes.exit_code(cfg)
-    payload = {
-        "manifest": _manifest(cfg, argv, outcomes, code),
+    least = min(results, key=lambda d: d["margin"])
+    body: dict[str, Any] = {
         "results": results,
         "summary": {
             "trials": args.trials if args.pair == "random" else 1,
-            "min_margin": None if min_margin is None else {
-                "margin": min_margin[0], "label": min_margin[1], "trial": min_margin[2]},
+            "min_margin": {key: least[key] for key in ("margin", "label", "trial")},
             "violations": outcomes.violations,
             "informational_violations": informational_violations,
             "gate": args.gate,
         },
     }
     if counterexample is not None:
-        payload["counterexample"] = counterexample
-    if cfg.fmt == "csv":
-        lines = ["trial,label,p,q,r_star,lhs,rhs,ratio,margin,holds"]
-        for d in results:
-            lines.append(
-                f"{d['trial']},{d['label']},{p!r},{q!r},{e.r_star!r},{d['lhs']!r},"
-                f"{d['rhs']!r},{d['ratio']!r},{d['margin']!r},{str(d['holds']).lower()}"
-            )
-        _emit(cfg, payload, text_body="\n".join(lines) + "\n")
-    else:
-        _emit(cfg, payload)
-    return code
+        body["counterexample"] = counterexample
+    if cfg.fmt != "csv":
+        return outcomes, body, None
+    lines = ["trial,label,p,q,r_star,lhs,rhs,ratio,margin,holds"]
+    for d in results:
+        lines.append(
+            f"{d['trial']},{d['label']},{p!r},{q!r},{e.r_star!r},{d['lhs']!r},"
+            f"{d['rhs']!r},{d['ratio']!r},{d['margin']!r},{str(d['holds']).lower()}"
+        )
+    return outcomes, body, "\n".join(lines) + "\n"
 
 
 def _read_holder_csv(path: str) -> iq.DiscreteDensity:
@@ -445,7 +413,7 @@ def _is_number(t: str) -> bool:
         return False
 
 
-def cmd_holder(args, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_holder(args, cfg: RunConfig):
     p = _check_order("p", args.p)
     q = _check_order("q", args.q)
     e = make_exponents(p, q)
@@ -455,13 +423,7 @@ def cmd_holder(args, cfg: RunConfig, argv: list[str]) -> int:
     outcomes = Outcomes()
     outcomes.add(v1)
     outcomes.add(v2)
-    code = outcomes.exit_code(cfg)
-    payload = {
-        "manifest": _manifest(cfg, argv, outcomes, code),
-        "results": [v1.to_dict(), v2.to_dict()],
-    }
-    _emit(cfg, payload)
-    return code
+    return outcomes, {"results": [v1.to_dict(), v2.to_dict()]}, None
 
 
 def _parse_params(text: str, names: tuple[str, ...]) -> list[float]:
@@ -472,7 +434,7 @@ def _parse_params(text: str, names: tuple[str, ...]) -> list[float]:
     return parts
 
 
-def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
+def cmd_central(args, cfg: RunConfig):
     if args.alpha is None and not args.buckingham and not args.lj:
         raise DomainError("central needs --alpha and/or a potential (--buckingham, --lj)")
     state = _resolve_state(args, cfg)
@@ -565,10 +527,7 @@ def cmd_central(args, cfg: RunConfig, argv: list[str]) -> int:
     if cfg.si:
         report["units"] = {"energy": "hartree-scaled J", "length": "m",
                            "energy_unit": energy_unit, "length_unit": length_unit}
-    code = outcomes.exit_code(cfg)
-    payload = {"manifest": _manifest(cfg, argv, outcomes, code), "results": [report]}
-    _emit(cfg, payload)
-    return code
+    return outcomes, {"results": [report]}, None
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +662,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](args, cfg, argv)
+        outcomes, body, csv_text = _COMMANDS[args.command](args, cfg)
+        code = outcomes.exit_code(cfg)
+        _emit(cfg, {"manifest": _manifest(cfg, argv, outcomes, code), **body}, csv_text)
+        return code
     except (DomainError, DataFormatError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -48,7 +48,9 @@ class Observable:
     fn_label: str = "f(r)"
 
     def __post_init__(self):
-        if self.kind in (POSITION_AXIS, MOMENTUM_AXIS) and self.axis not in (1, 2, 3):
+        if self.kind not in (POSITION_AXIS, MOMENTUM_AXIS, RADIAL):
+            raise DomainError(f"unknown observable kind {self.kind!r}")
+        if self.kind != RADIAL and self.axis not in (1, 2, 3):
             raise DomainError(f"axis must be 1, 2, or 3, got {self.axis}")
 
 
@@ -142,9 +144,7 @@ def mean(s: ContinuousState, o: Observable) -> float:
         return s.position_mean(o.axis)
     if o.kind == MOMENTUM_AXIS:
         return s.momentum_mean(o.axis)
-    if o.kind == RADIAL:
-        return raw_moment(s, o, 1.0).require()
-    raise DomainError(f"unknown observable kind {o.kind!r}")
+    return raw_moment(s, o, 1.0).require()
 
 
 def raw_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
@@ -162,14 +162,12 @@ def raw_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:
             return rs.radial_density(r) * o.fn(r) ** order
 
         return _quad_moment(f, rs, order)
-    if o.kind in (POSITION_AXIS, MOMENTUM_AXIS):
-        if abs(order - round(order)) > 1e-12:
-            raise DomainError(
-                "fractional raw moments of signed observables are undefined; "
-                "use abs_central_moment"
-            )
-        return _axis_signed_moment(s, o, int(round(order)))
-    raise DomainError(f"unknown observable kind {o.kind!r}")
+    if abs(order - round(order)) > 1e-12:
+        raise DomainError(
+            "fractional raw moments of signed observables are undefined; "
+            "use abs_central_moment"
+        )
+    return _axis_signed_moment(s, o, int(round(order)))
 
 
 def _axis_signed_moment(s: ContinuousState, o: Observable, n: int) -> MomentValue:
@@ -192,29 +190,27 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
         if s.dimensionality == DIM_3D_SPHERICAL:
             return _isotropic_axis_moment(s, o, order)
         return _direct_axis_moment(s, o, o.kind, order)
-    if o.kind == RADIAL:
-        # |f - <f>|^order ~ r^(order min(a, 0)) at the origin; the kink of a
-        # pure power r^a sits at <f>^(1/a), that of a custom fn is not known
-        rs = _require_radial(s)
-        a = o.fn_origin_power
-        m = raw_moment(s, o, 1.0)
-        if not m.is_convergent:
-            return MomentValue(m.status, order, None, math.inf, m.detail)
-        if _origin_divergent(rs, order * min(a, 0.0)):
-            return MomentValue.divergent(
-                order, f"origin power counting on ({o.fn_label} - <{o.fn_label}>)"
-            )
-        mu = m.value
-        kinks = []
-        if o.fn is None and a != 0.0 and mu > 0.0:
-            root = mu ** (1.0 / abs(a))  # so 1/r's kink is 1.0 / mu, rounded once
-            kinks = [root if a > 0.0 else 1.0 / root]
+    # |f - <f>|^order ~ r^(order min(a, 0)) at the origin; the kink of a
+    # pure power r^a sits at <f>^(1/a), that of a custom fn is not known
+    rs = _require_radial(s)
+    a = o.fn_origin_power
+    m = raw_moment(s, o, 1.0)
+    if not m.is_convergent:
+        return MomentValue(m.status, order, None, math.inf, m.detail)
+    if _origin_divergent(rs, order * min(a, 0.0)):
+        return MomentValue.divergent(
+            order, f"origin power counting on ({o.fn_label} - <{o.fn_label}>)"
+        )
+    mu = m.value
+    kinks = []
+    if o.fn is None and a != 0.0 and mu > 0.0:
+        root = mu ** (1.0 / abs(a))  # so 1/r's kink is 1.0 / mu, rounded once
+        kinks = [root if a > 0.0 else 1.0 / root]
 
-        def f(r):
-            return rs.radial_density(r) * abs(_radial_values(o, r) - mu) ** order
+    def f(r):
+        return rs.radial_density(r) * abs(_radial_values(o, r) - mu) ** order
 
-        return _quad_moment(f, rs, order, kinks)
-    raise DomainError(f"unknown observable kind {o.kind!r}")
+    return _quad_moment(f, rs, order, kinks)
 
 
 def _isotropic_axis_moment(s: ContinuousState, o: Observable, order: float) -> MomentValue:

@@ -1,0 +1,140 @@
+"""The recorded CLI contract: what each `qmoments` command below leaves on
+stdout, stderr and its --out file, and with which exit code.
+
+A record keeps, for each stream and the --out file, the JSON report (its key
+paths in order and every leaf, `manifest.timestamp` left out), the CSV header
+and row count, or the text lines. `test_contract.py` replays each record and
+compares numbers to 1e-12 relative (1e-14 absolute near 0), everything else
+exactly.
+
+    python tests/contract/record.py     # rewrite the records from this code
+
+prints every leaf that moved against the old record, so a change that
+rewrites a record can say which values moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+RECORDS = Path(__file__).resolve().parent / "records"
+
+SAMPLES_CSV = "f,g,weight\n1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n"
+SWEEP = ["sweep", "--state", "hydrogen", "--p-grid", "2:3:5", "--q-grid", "2:3:5"]
+
+# name -> (argv, input files); the README examples first, then one command
+# per output route that they leave out, and an error exit
+CASES = {
+    "readme_hydrogen": (["hydrogen", "--p", "3", "--q", "2", "--axis", "z"], {}),
+    "readme_sweep_csv_out": (SWEEP + ["--format", "csv", "--out", "table.csv"], {}),
+    "readme_sweep_reciprocal": (["sweep", "--state", "hydrogen", "--kind", "reciprocal",
+                                 "--p-grid", "1,2", "--q-grid", "3,4", "--allow-divergent"], {}),
+    "readme_finite": (["finite", "--dim", "8", "--seed", "42", "--trials", "100",
+                       "--p", "3", "--q", "1.5"], {}),
+    "readme_holder": (["holder", "--data", "samples.csv", "--p", "3", "--q", "2"],
+                      {"samples.csv": SAMPLES_CSV}),
+    "readme_central_virial": (["central", "--state", "hydrogen", "--alpha", "1",
+                               "--beta", "1"], {}),
+    "readme_central_buckingham": (["central", "--state", "r4test", "--buckingham", "1,1,1"], {}),
+    "route_json_out": (["hydrogen", "--p", "3", "--q", "2", "--out", "report.json"], {}),
+    "route_csv_stdout": (SWEEP + ["--format", "csv"], {}),
+    "route_finite_csv_stdout": (["finite", "--pair", "pauli-xy", "--p", "2", "--q", "2",
+                                 "--format", "csv"], {}),
+    "error_exit": (["central", "--alpha", "1", "--beta", "1e308"], {}),
+}
+
+
+def _stream(text: str, csv: bool):
+    """One stream or file as a record: None when empty, else the JSON
+    report, the CSV header and row count, or the text lines."""
+    if not text:
+        return None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        pass
+    else:
+        doc["manifest"].pop("timestamp")
+        return {"json": doc}
+    lines = text.splitlines()
+    if csv:
+        return {"csv": {"header": lines[0], "rows": len(lines) - 1}}
+    return {"lines": lines}
+
+
+def run(argv: list[str], files: dict[str, str]) -> dict:
+    """Run `qmoments argv` in-process in a fresh directory holding files."""
+    from qmoments.cli import main
+
+    csv = "csv" in argv
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        os.chdir(tmp)
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+        finally:
+            os.chdir(home)
+        written = sorted(set(os.listdir(tmp)) - set(files))
+        result = {"argv": argv, "files": files, "exit_code": code,
+                  "stdout": _stream(out.getvalue(), csv), "stderr": _stream(err.getvalue(), csv)}
+        for name in written:
+            result[f"out:{name}"] = _stream(Path(tmp, name).read_text(encoding="utf-8"), csv)
+    return result
+
+
+def _leaves(node, path: str = ""):
+    """(path, leaf) in document order; an empty dict or list is a leaf."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+def _same(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-14)
+    return a == b
+
+
+def differences(recorded: dict, observed: dict) -> list[str]:
+    """Every key path, leaf or exit code where observed leaves the record."""
+    old, new = list(_leaves(recorded)), list(_leaves(observed))
+    paths = [p for p, _ in old], [p for p, _ in new]
+    if paths[0] != paths[1]:
+        i = next((i for i, (a, b) in enumerate(zip(*paths)) if a != b), min(map(len, paths)))
+        return [f"key paths differ from path {i}: "
+                f"recorded {paths[0][i:i + 3]}, observed {paths[1][i:i + 3]}"]
+    return [f"{p}: {a!r} -> {b!r}" for (p, a), (_, b) in zip(old, new) if not _same(a, b)]
+
+
+def main() -> int:
+    RECORDS.mkdir(exist_ok=True)
+    for name, (argv, files) in CASES.items():
+        observed = run(argv, files)
+        path = RECORDS / f"{name}.json"
+        if path.exists():
+            for line in differences(json.loads(path.read_text(encoding="utf-8")), observed):
+                print(f"{name}: {line}")
+        path.write_text(json.dumps(observed, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

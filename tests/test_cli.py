@@ -867,6 +867,24 @@ for argv in (
     assert out.stdout.split("\n")[:6] == ["False"] + ["True False"] * 5
 
 
+def test_only_central_runs_the_centralfield_module():
+    # centralfield is deferred: a hydrogen call leaves its body unrun. Its
+    # __dict__ is read past the lazy module's __getattribute__, which would
+    # run it
+    code = """
+import contextlib, io, sys
+import qmoments.cli
+cf = sys.modules["qmoments.centralfield"]
+for argv in (["hydrogen", "--p", "3", "--q", "2"], ["central", "--alpha", "1", "--beta", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exit_code = qmoments.cli.main(argv)
+    print(exit_code, "virial_report" in object.__getattribute__(cf, "__dict__"))
+"""
+    out = _fresh(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["0 False", "0 True"]
+
+
 def test_exact_alone_gives_catalog_moments_without_numpy():
     # exact holds the closed forms and imports neither states nor quadrature
     code = """

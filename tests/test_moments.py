@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from marginals import integrate_semi_infinite, momentum_density, position_density
-from qmoments.core import CapabilityError, DomainError, Tolerances
+from qmoments.core import CapabilityError, DomainError, Tolerances, replace
 from qmoments.moments import (
+    Observable,
     abs_central_moment,
     custom_radial,
     mean,
@@ -171,6 +172,14 @@ def test_custom_radial_central_moment(hydrogen):
     obs = custom_radial(lambda r: np.asarray(r), origin_power=1.0, label="r")
     c2 = abs_central_moment(hydrogen, obs, 2.0)
     assert c2.value == pytest.approx(0.75, rel=1e-6)
+
+
+def test_unknown_observable_kind_is_refused_when_built():
+    # checked once, at construction, so no moment function meets it
+    with pytest.raises(DomainError, match="unknown observable kind 'bogus'"):
+        Observable("bogus")
+    with pytest.raises(DomainError, match="unknown observable kind 'bogus'"):
+        replace(radial(), kind="bogus")
 
 
 def test_fractional_axis_raw_rejected(hydrogen):
