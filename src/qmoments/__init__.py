@@ -35,7 +35,7 @@ _EXPORTS = {
         "position_axis", "radial", "radial_inverse", "raw_moment",
     ),
     "inequalities": (
-        "DiscreteDensity", "SweepTable", "holder_verdict", "holder_verdict_continuous",
+        "DiscreteDensity", "holder_verdict", "holder_verdict_continuous",
         "reciprocal_moment_verdict", "schwarz_verdict", "sweep", "uncertainty_chain_finite",
         "uncertainty_verdict_canonical",
     ),

@@ -79,10 +79,11 @@ class VirialReport:
     beta: float
 
 
-def virial_report(s: ContinuousState, v: PowerLawPotential) -> VirialReport:
+def virial_report(s: ContinuousState, v: PowerLawPotential,
+                  r_inv_alpha: MomentValue) -> VirialReport:
     """Energy balance of the state in the well, in the state's own unit
-    system; <r^-alpha> must converge."""
-    inv_alpha = mo.raw_moment(s, mo.radial(), -v.alpha).require()
+    system, given its <r^-alpha>, which must converge."""
+    inv_alpha = r_inv_alpha.require()
     mean_v = -v.beta * inv_alpha
     mean_t = s.kinetic_energy()
     residual = abs(mean_t + 0.5 * v.alpha * mean_v) / max(abs(mean_t), abs(mean_v))

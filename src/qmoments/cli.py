@@ -45,7 +45,6 @@ from .core import (
     fresh,
     make_exponents,
     record,
-    replace,
 )
 from . import centralfield as cf
 from . import inequalities as iq
@@ -66,6 +65,9 @@ _AXES = {"x": 1, "y": 2, "z": 3, "1": 1, "2": 2, "3": 3}
 MAX_CLI_ORDER = 64.0
 MIN_CLI_ORDER = 0.05
 
+SWEEP_CSV = ("p", "q", "r_star", "lhs", "rhs", "ratio", "holds", "status")
+FINITE_CSV = ("trial", "label", "p", "q", "r_star", "lhs", "rhs", "ratio", "margin", "holds")
+
 
 @record(frozen=False)
 class RunConfig:
@@ -81,13 +83,6 @@ class RunConfig:
     @property
     def si(self) -> bool:
         return self.units == "si"
-
-    @property
-    def compute_constants(self) -> PhysicalConstants:
-        """Constants used to build states. SI output mode still computes in
-        natural units (quadrature at SI magnitudes would underflow); emitted
-        quantities are rescaled by their dimension factors instead."""
-        return NATURAL if self.si else self.constants
 
 
 @record(frozen=False)
@@ -185,31 +180,32 @@ def _check_order(name: str, value: float) -> float:
     return v
 
 
-def _si_checked(v: Verdict, cfg: RunConfig, hbar_power: float) -> Verdict:
-    """v, or v failed where --units si scales a nonzero side of it by
-    hbar^power out of the normal double range (to 0, a subnormal or inf):
-    such a side is an error, never a number."""
+def _entry(v: Verdict, cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
+    """The result entry of a verdict: v.to_dict(), whose computed sides (and
+    margin and slack) --units si scales by hbar^power, adding a unit.
+    DomainError where that takes a nonzero side out of the normal double
+    range (to 0, a subnormal or inf): such a side is an error, never a
+    number."""
+    d = v.to_dict()
     if cfg.si and hbar_power != 0.0 and v.status == OK:
         factor = SI.hbar**hbar_power
-        try:
-            for name, side in (("lhs", v.lhs), ("rhs", v.rhs)):
-                if side != 0.0:
-                    _require_normal(f"{name} in SI units (hbar^{hbar_power:g})", abs(side * factor))
-        except DomainError as exc:
-            return Verdict.not_computed(v.label, FAILED, str(exc), v.inputs)
-    return v
-
-
-def _si_scaled(d: dict[str, Any], cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
-    """A computed verdict's dict; under --units si its sides (and margin and
-    slack, where present) scale by hbar^power and it gains a unit."""
-    if cfg.si and hbar_power != 0.0 and d.get("status", OK) == OK:
-        factor = SI.hbar**hbar_power
+        for name in ("lhs", "rhs"):
+            if d[name] != 0.0:
+                _require_normal(f"{name} in SI units (hbar^{hbar_power:g})", abs(d[name] * factor))
         for key in ("lhs", "rhs", "margin", "slack"):
-            if key in d:
-                d[key] *= factor
+            d[key] *= factor
         d["unit"] = f"hbar^{hbar_power:g} (J*s)^{hbar_power:g}"
     return d
+
+
+def _csv(keys: tuple[str, ...], rows: list[dict[str, Any]]) -> str:
+    """CSV text of rows under the header keys: floats by repr, booleans
+    lower-case, None empty."""
+    def cell(x) -> str:
+        return "" if x is None else str(x).lower() if isinstance(x, bool) else str(x)
+
+    lines = [",".join(keys)] + [",".join(cell(r[k]) for k in keys) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +219,11 @@ def cmd_hydrogen(args, cfg: RunConfig):
     e = make_exponents(p, q)
     i = _AXES[args.i or args.axis]
     j = _AXES[args.j or args.axis]
-    state = catalog(cfg.compute_constants, cfg.tol)["hydrogen"]
+    state = catalog(cfg.constants, cfg.tol)["hydrogen"]
     out = iq.uncertainty_verdict_canonical(state, i, j, e, cfg.slack)
     outcomes = Outcomes()
     outcomes.add(out)
-    body: dict[str, Any] = {"results": [_si_scaled(out.to_dict(), cfg, e.r_star)]}
+    body: dict[str, Any] = {"results": [_entry(out, cfg, e.r_star)]}
     if out.status == OK and out.lhs > 0.0:
         coeff = (out.rhs / out.lhs) ** (p + q)
         body["coefficient_ratio_pow_p_plus_q"] = coeff
@@ -280,8 +276,8 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
 
 def _resolve_state(args, cfg: RunConfig):
     if getattr(args, "grid", None):
-        return states.load_radial_grid(args.grid, constants=cfg.compute_constants, tol=cfg.tol)
-    named = catalog(cfg.compute_constants, cfg.tol)
+        return states.load_radial_grid(args.grid, constants=cfg.constants, tol=cfg.tol)
+    named = catalog(cfg.constants, cfg.tol)
     name = args.state
     if name not in named:
         raise DomainError(f"unknown state {name!r}; choose from {sorted(named)} or --grid FILE")
@@ -295,16 +291,23 @@ def cmd_sweep(args, cfg: RunConfig):
     axis = "z" if state.dimensionality == DIM_3D_SPHERICAL else "x"  # default: the state's own
     i = _AXES[args.i or axis]
     j = _AXES[args.j or axis]
-    table = iq.sweep(state, i, j, p_grid, q_grid, kind=args.kind, slack=cfg.slack)
-    canonical = table.kind == iq.CANONICAL  # reciprocal cells are dimensionless
-    table = replace(table, rows=tuple(
-        _si_checked(v, cfg, v.inputs["r_star"] if canonical else 0.0) for v in table.rows))
+    canonical = args.kind == iq.CANONICAL  # reciprocal cells are dimensionless
     outcomes = Outcomes()
-    for v in table.rows:
-        outcomes.add(v, cell=f"(p={v.inputs['p']}, q={v.inputs['q']})")
-    rows = [_si_scaled(d, cfg, d["r_star"] if canonical else 0.0) for d in table.to_dicts()]
-    body = {"results": rows, "kind": table.kind, "state": state.label}
-    return outcomes, body, table.to_csv(rows) if cfg.fmt == "csv" else None
+    rows = []
+    for v in iq.sweep(state, i, j, p_grid, q_grid, kind=args.kind, slack=cfg.slack):
+        p, q, r_star = (v.inputs[key] for key in ("p", "q", "r_star"))
+        try:
+            entry = _entry(v, cfg, r_star if canonical else 0.0)
+        except DomainError as exc:  # a failed cell, not a failed sweep
+            v = Verdict.not_computed(v.label, FAILED, str(exc), v.inputs)
+            entry = v.to_dict()
+        outcomes.add(v, cell=f"(p={p}, q={q})")
+        rows.append({"p": p, "q": q, "r_star": r_star,
+                     **{key: entry.get(key) for key in ("lhs", "rhs", "ratio", "holds")},
+                     "status": v.status, "detail": v.detail,
+                     **({"unit": entry["unit"]} if "unit" in entry else {})})
+    body = {"results": rows, "kind": args.kind, "state": state.label}
+    return outcomes, body, _csv(SWEEP_CSV, rows) if cfg.fmt == "csv" else None
 
 
 def cmd_finite(args, cfg: RunConfig):
@@ -316,7 +319,7 @@ def cmd_finite(args, cfg: RunConfig):
     if args.pair == "pauli-xy":
         triples = [(matrixlab.pauli("x"), matrixlab.pauli("y"), matrixlab.ground_state(2))]
     elif args.pair == "truncated-xp":
-        cc = cfg.compute_constants
+        cc = cfg.constants
         triples = [(*matrixlab.truncated_canonical_pair(args.dim, cc.hbar, cc.mass),
                     matrixlab.ground_state(args.dim))]
     elif args.pair == "random":
@@ -327,6 +330,7 @@ def cmd_finite(args, cfg: RunConfig):
     else:
         raise DomainError(f"unknown pair {args.pair!r}")
 
+    hbar_power = e.r_star if args.pair == "truncated-xp" else 0.0  # X P carries hbar
     outcomes = Outcomes()
     results = []
     counterexample = None
@@ -338,7 +342,7 @@ def cmd_finite(args, cfg: RunConfig):
                 outcomes.add(v)
             elif not v.holds:
                 informational_violations += 1
-            results.append({**v.to_dict(), "trial": trial, "gates_exit": gates})
+            results.append({**_entry(v, cfg, hbar_power), "trial": trial, "gates_exit": gates})
             if gates and not v.holds and counterexample is None:
                 counterexample = {
                     "trial": trial,
@@ -365,13 +369,7 @@ def cmd_finite(args, cfg: RunConfig):
         body["counterexample"] = counterexample
     if cfg.fmt != "csv":
         return outcomes, body, None
-    lines = ["trial,label,p,q,r_star,lhs,rhs,ratio,margin,holds"]
-    for d in results:
-        lines.append(
-            f"{d['trial']},{d['label']},{p!r},{q!r},{e.r_star!r},{d['lhs']!r},"
-            f"{d['rhs']!r},{d['ratio']!r},{d['margin']!r},{str(d['holds']).lower()}"
-        )
-    return outcomes, body, "\n".join(lines) + "\n"
+    return outcomes, body, _csv(FINITE_CSV, [{**d, **d["inputs"]} for d in results])
 
 
 def _read_holder_csv(path: str) -> iq.DiscreteDensity:
@@ -418,12 +416,11 @@ def cmd_holder(args, cfg: RunConfig):
     q = _check_order("q", args.q)
     e = make_exponents(p, q)
     density = _read_holder_csv(args.data)
-    v1 = iq.holder_verdict(density, e, cfg.slack)
-    v2 = iq.schwarz_verdict(density, cfg.slack)
+    verdicts = (iq.holder_verdict(density, e, cfg.slack), iq.schwarz_verdict(density, cfg.slack))
     outcomes = Outcomes()
-    outcomes.add(v1)
-    outcomes.add(v2)
-    return outcomes, {"results": [v1.to_dict(), v2.to_dict()]}, None
+    for v in verdicts:
+        outcomes.add(v)
+    return outcomes, {"results": [_entry(v, cfg, 0.0) for v in verdicts]}, None
 
 
 def _parse_params(text: str, names: tuple[str, ...]) -> list[float]:
@@ -452,9 +449,9 @@ def cmd_central(args, cfg: RunConfig):
             outcomes.add_divergent(f"virial: {detail}")
             report["virial"] = {"status": DIVERGENT, "detail": detail}
         else:
-            # a moment out of the double range raises DomainError here too:
-            # an error, not a divergence
-            rep = cf.virial_report(state, pot)
+            # <T> out of the double range raises DomainError here, as
+            # <r^-alpha> does above: an error, not a divergence
+            rep = cf.virial_report(state, pot, rma)
             report["virial"] = {
                 "mean_T": rep.mean_T * energy_unit,
                 "mean_V": rep.mean_V * energy_unit,
@@ -647,6 +644,9 @@ def _load_config(args) -> RunConfig:
     for key in ("slack", "seed", "fmt", "out", "allow_divergent", "units"):
         if hasattr(args, key):
             setattr(cfg, key, getattr(args, key))
+    if cfg.si and cfg.constants != NATURAL:
+        raise DomainError("--units si scales results computed in natural units, "
+                          "so it takes no config constants")
     cfg.tol = Tolerances(**tol)
     if cfg.slack is not None:
         cfg.slack = _require_slack(cfg.slack)

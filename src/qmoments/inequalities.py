@@ -25,7 +25,6 @@ from typing import Any, Callable, NamedTuple, Sequence
 from .core import (
     DIVERGENT,
     FAILED,
-    OK,
     DomainError,
     Exponents,
     MomentsError,
@@ -296,40 +295,6 @@ def uncertainty_chain_finite(
 # sweeps
 
 
-@record
-class SweepTable:
-    """One verdict per (p, q) cell, named by its inputs p, q and r_star."""
-
-    rows: tuple[Verdict, ...]
-    kind: str
-
-    CSV_HEADER = "p,q,r_star,lhs,rhs,ratio,holds,status"
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [{"p": v.inputs["p"], "q": v.inputs["q"], "r_star": v.inputs["r_star"],
-                 "lhs": v.lhs, "rhs": v.rhs, "ratio": v.ratio, "holds": v.holds,
-                 "status": v.status, "detail": v.detail} for v in self.rows]
-
-    def to_csv(self, rows: list[dict[str, Any]] | None = None) -> str:
-        """CSV text of to_dicts(), or of rows shaped like it."""
-        lines = [self.CSV_HEADER]
-        for r in self.to_dicts() if rows is None else rows:
-            if r["status"] == OK:
-                nums = f"{r['lhs']!r},{r['rhs']!r},{r['ratio']!r},{str(r['holds']).lower()}"
-            else:
-                nums = ",,,"
-            lines.append(f"{r['p']!r},{r['q']!r},{r['r_star']!r},{nums},{r['status']}")
-        return "\n".join(lines) + "\n"
-
-    @property
-    def any_violation(self) -> bool:
-        return any(r.holds is False for r in self.rows)
-
-    @property
-    def any_divergent(self) -> bool:
-        return any(r.status == DIVERGENT for r in self.rows)
-
-
 CANONICAL = "canonical"
 RECIPROCAL = "reciprocal"
 
@@ -363,8 +328,9 @@ def sweep(
     q_grid: Sequence[float],
     kind: str = CANONICAL,
     slack: float | None = None,
-) -> SweepTable:
-    """One verdict per (p, q) cell, row-major over the grids.
+) -> tuple[Verdict, ...]:
+    """One verdict per (p, q) cell, row-major over the grids; each names its
+    cell by its inputs p, q and r_star.
 
     Cells whose moments diverge carry status DIVERGENT; a cell that raises
     is a FAILED verdict with the cell's label and inputs, and never aborts
@@ -387,4 +353,4 @@ def sweep(
                 rows.append(_moment_verdict(c, slack))
             except Exception as exc:  # failure is a per-cell outcome
                 rows.append(Verdict.not_computed(c.label, FAILED, str(exc), c.inputs))
-    return SweepTable(tuple(rows), kind)
+    return tuple(rows)

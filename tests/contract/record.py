@@ -3,7 +3,8 @@ stdout, stderr and its --out file, and with which exit code.
 
 A record keeps, for each stream and the --out file, the JSON report (its key
 paths in order and every leaf, `manifest.timestamp` left out), the CSV header
-and row count, or the text lines. `test_contract.py` replays each record and
+and every cell (a finite number as a float, any other cell as its text), or
+the text lines. `test_contract.py` replays each record and
 compares numbers to 1e-12 relative (1e-14 absolute near 0), everything else
 exactly.
 
@@ -27,6 +28,8 @@ from pathlib import Path
 RECORDS = Path(__file__).resolve().parent / "records"
 
 SAMPLES_CSV = "f,g,weight\n1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n"
+# the 1s wavefunction u = 2 r e^-r on a uniform grid, h = 0.1 to r = 30
+H_GRID = "".join(f"{r!r} {2.0 * r * math.exp(-r)!r}\n" for r in (i * 0.1 for i in range(301)))
 SWEEP = ["sweep", "--state", "hydrogen", "--p-grid", "2:3:5", "--q-grid", "2:3:5"]
 
 # name -> (argv, input files); the README examples first, then one command
@@ -48,12 +51,36 @@ CASES = {
     "route_finite_csv_stdout": (["finite", "--pair", "pauli-xy", "--p", "2", "--q", "2",
                                  "--format", "csv"], {}),
     "error_exit": (["central", "--alpha", "1", "--beta", "1e308"], {}),
+    # --units si: a catalog cell, failed SI cells in a CSV on stdout (exit 1)
+    # and a grid sweep
+    "si_hydrogen": (["hydrogen", "--p", "3", "--q", "2", "--units", "si"], {}),
+    "si_sweep_failed_csv": (["sweep", "--state", "qho", "--i", "x", "--j", "x",
+                             "--p-grid", "1,2,40", "--q-grid", "1,2,40", "--units", "si",
+                             "--format", "csv"], {}),
+    "si_grid_sweep": (["sweep", "--grid", "h.txt", "--p-grid", "1.5,3", "--q-grid", "1,2",
+                       "--units", "si"], {"h.txt": H_GRID}),
+    # empty CSV cells on divergent rows (exit 3), and a finite CSV to --out
+    "reciprocal_csv_out": (["sweep", "--state", "hydrogen", "--kind", "reciprocal",
+                            "--p-grid", "1,2", "--q-grid", "2,3,4", "--format", "csv",
+                            "--out", "recip.csv"], {}),
+    "finite_csv_out": (["finite", "--dim", "4", "--trials", "5", "--p", "2", "--q", "2",
+                        "--format", "csv", "--out", "f.csv", "--gate", "both"], {}),
 }
+
+
+def _cell(text: str):
+    """A CSV cell: a finite number as a float, so that it compares to
+    tolerance; anything else ("", true/false, a status) as its text."""
+    try:
+        x = float(text)
+    except ValueError:
+        return text
+    return x if math.isfinite(x) else text
 
 
 def _stream(text: str, csv: bool):
     """One stream or file as a record: None when empty, else the JSON
-    report, the CSV header and row count, or the text lines."""
+    report, the CSV header and cells, or the text lines."""
     if not text:
         return None
     try:
@@ -65,7 +92,8 @@ def _stream(text: str, csv: bool):
         return {"json": doc}
     lines = text.splitlines()
     if csv:
-        return {"csv": {"header": lines[0], "rows": len(lines) - 1}}
+        return {"csv": {"header": lines[0],
+                        "rows": [[_cell(t) for t in line.split(",")] for line in lines[1:]]}}
     return {"lines": lines}
 
 

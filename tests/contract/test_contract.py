@@ -12,6 +12,9 @@ ROUTES = {
     "readme_sweep_csv_out": {"stdout": "json", "out:table.csv": "csv"},
     "route_csv_stdout": {"stdout": "csv", "stderr": "json"},
     "error_exit": {"stderr": "lines"},
+    "si_sweep_failed_csv": {"stdout": "csv", "stderr": "json"},
+    "reciprocal_csv_out": {"stdout": "json", "out:recip.csv": "csv"},
+    "finite_csv_out": {"stdout": "json", "out:f.csv": "csv"},
 }
 
 

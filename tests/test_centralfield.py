@@ -30,7 +30,7 @@ def r4test():
 
 
 def test_virial_hydrogen(hydrogen):
-    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0))
+    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_moment(hydrogen, radial(), -1.0))
     assert rep.mean_T == pytest.approx(0.5, rel=1e-8)
     assert rep.mean_V == pytest.approx(-1.0, rel=1e-8)
     assert rep.total_E == pytest.approx(-0.5, rel=1e-8)
@@ -38,26 +38,27 @@ def test_virial_hydrogen(hydrogen):
 
 
 def test_virial_e_formula(hydrogen):
-    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0))
+    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_moment(hydrogen, radial(), -1.0))
     # (alpha/2 - 1) beta <1/r> = -1/2
     assert rep.e_formula == pytest.approx(-0.5, rel=1e-8)
 
 
 def test_virial_total_is_sum(hydrogen):
-    rep = virial_report(hydrogen, PowerLawPotential(0.5, 2.0))
+    rep = virial_report(hydrogen, PowerLawPotential(0.5, 2.0), raw_moment(hydrogen, radial(), -0.5))
     assert rep.total_E == pytest.approx(rep.mean_T + rep.mean_V, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_e_formula_negative_for_binding_range(hydrogen, r4test, alpha):
     for st in (hydrogen, r4test):
-        rep = virial_report(st, PowerLawPotential(alpha, 1.3))
+        rep = virial_report(st, PowerLawPotential(alpha, 1.3), raw_moment(st, radial(), -alpha))
         assert rep.e_formula < 0.0
 
 
 def test_virial_divergent_moment_raises(hydrogen):
     with pytest.raises(DomainError):
-        virial_report(hydrogen, PowerLawPotential(3.5, 1.0))  # <r^-3.5> diverges
+        # <r^-3.5> diverges
+        virial_report(hydrogen, PowerLawPotential(3.5, 1.0), raw_moment(hydrogen, radial(), -3.5))
 
 
 def test_ground_energy_estimate_hydrogen(hydrogen):

@@ -333,6 +333,22 @@ def test_central_hydrogen(capsys):
     assert abs(rep["bound_threshold"]["residual"]) <= 1e-12 * rep["bound_threshold"]["mean_r2"]
 
 
+def test_central_computes_each_radial_moment_once(monkeypatch, capsys):
+    from qmoments import moments as mo
+
+    orders = []
+    real = mo.raw_moment
+
+    def counted(s, o, order):
+        orders.append(order)
+        return real(s, o, order)
+
+    monkeypatch.setattr(mo, "raw_moment", counted)
+    code, _ = run_json(capsys, ["central", "--state", "hydrogen", "--alpha", "2.9", "--beta", "1"])
+    assert code == EXIT_OK
+    assert orders == [-2.9, 1.0, 2.0]  # <r^-alpha> serves the virial and the estimate
+
+
 def test_central_buckingham_divergence_exit(capsys):
     code = main(["central", "--state", "hydrogen", "--buckingham", "1,1,1"])
     capsys.readouterr()
@@ -471,6 +487,42 @@ def test_units_si_reciprocal_sweep_is_dimensionless(capsys):
     _, si = run_json(capsys, ["--units", "si", "sweep", "--kind", "reciprocal",
                               "--p-grid", "1", "--q-grid", "2"])
     assert si["results"] == nat["results"]
+
+
+def test_units_si_finite_canonical_pair_scales_by_hbar_power_r_star(capsys):
+    # X P carries hbar, so both links scale by hbar^r* as a canonical cell
+    argv = ["finite", "--pair", "truncated-xp", "--dim", "16", "--p", "1", "--q", "1"]
+    _, nat = run_json(capsys, argv)
+    _, si = run_json(capsys, ["--units", "si"] + argv)
+    factor = 1.054571817e-34**0.5
+    for vn, vs in zip(nat["results"], si["results"]):
+        assert vs["unit"] == "hbar^0.5 (J*s)^0.5"
+        for key in ("lhs", "rhs", "margin", "slack"):
+            assert vs[key] == pytest.approx(vn[key] * factor, rel=1e-12)
+        assert vs["ratio"] == vn["ratio"]
+    assert si["results"][1]["lhs"] == pytest.approx((1.054571817e-34 / 2.0)**0.5, rel=1e-12)
+    # the counterexample stays in natural units, so that it replays
+    assert si["counterexample"] == nat["counterexample"]
+    # the dimensionless pairs keep their natural values
+    _, pauli = run_json(capsys, ["--units", "si", "finite", "--pair", "pauli-xy",
+                                 "--p", "2", "--q", "2"])
+    assert all("unit" not in v for v in pauli["results"])
+    # hbar^20 underflows a double: an error, not a side of 0
+    assert main(["--units", "si", "finite", "--pair", "truncated-xp", "--dim", "16",
+                 "--p", "40", "--q", "40"]) == EXIT_ERROR
+    assert _one_error_line(capsys) == "error: lhs in SI units (hbar^20) underflows a double\n"
+
+
+def test_units_si_refuses_config_constants(tmp_path, capsys):
+    # SI output scales results computed with hbar = m = a0 = 1, so config
+    # constants would be echoed in the manifest but not used
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps({"constants": {"hbar": 2.0}}))
+    argv = ["--config", str(cfgp), "hydrogen", "--p", "3", "--q", "2"]
+    assert main(argv + ["--units", "si"]) == EXIT_ERROR
+    assert "config constants" in _one_error_line(capsys)
+    code, doc = run_json(capsys, argv)
+    assert code == EXIT_OK and doc["manifest"]["constants"]["hbar"] == 2.0
 
 
 def test_units_si_central_energies(capsys):
@@ -616,6 +668,13 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["sweep", "--help"]) == 0
     capsys.readouterr()
+
+
+def test_sweep_csv_header(capsys):
+    assert main(["sweep", "--p-grid", "2", "--q-grid", "2", "--format", "csv"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "p,q,r_star,lhs,rhs,ratio,holds,status"
+    assert lines[1].endswith(",ok")
 
 
 def test_finite_csv_format(tmp_path, capsys):
@@ -910,7 +969,7 @@ QuadResult integrate ContinuousState GaussianPacket HarmonicOscillatorGround Hyd
 PowerExpRadialState RadialGridState catalog load_radial_grid FiniteState HermitianOperator
 SpectralDecomposition abs_central_moment_finite commutator eigendecompose expectation Observable
 abs_central_moment custom_radial mean momentum_axis position_axis radial radial_inverse
-raw_moment DiscreteDensity SweepTable holder_verdict holder_verdict_continuous
+raw_moment DiscreteDensity holder_verdict holder_verdict_continuous
 reciprocal_moment_verdict schwarz_verdict sweep uncertainty_chain_finite
 uncertainty_verdict_canonical BuckinghamPotential LennardJonesPotential PowerLawPotential
 VirialReport bound_threshold_radius buckingham_bound ground_energy_estimate lennard_jones_mean

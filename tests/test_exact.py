@@ -98,7 +98,7 @@ def test_closed_forms_at_the_catalog_values():
     assert h.direct_moment(EXP_DECAY, 1.0).value == pytest.approx(8.0 / 27.0, rel=1e-15)
     pz2 = mo.abs_central_moment(h, mo.momentum_axis(3), 2.0)
     assert pz2.value == pytest.approx(1.0 / 3.0, rel=1e-15)
-    rep = virial_report(h, PowerLawPotential(1.0, 1.0))
+    rep = virial_report(h, PowerLawPotential(1.0, 1.0), mo.raw_moment(h, mo.radial(), -1.0))
     assert rep.virial_residual <= 1e-15
 
 

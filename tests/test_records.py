@@ -21,7 +21,7 @@ from qmoments.core import (
     Verdict,
     replace,
 )
-from qmoments.inequalities import DiscreteDensity, SweepTable
+from qmoments.inequalities import DiscreteDensity
 from qmoments.matrixlab import FiniteState, HermitianOperator, SpectralDecomposition
 from qmoments.moments import POSITION_AXIS, Observable
 from qmoments.quadrature import QuadResult
@@ -39,7 +39,6 @@ CASES = [
     (SpectralDecomposition, (np.array([0.0, 1.0]), np.eye(2))),
     (Observable, (POSITION_AXIS, 3, None, 0.0, "f(r)")),
     (DiscreteDensity, (np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([1.0, 1.0]))),
-    (SweepTable, ((), "moment")),
     (PowerLawPotential, (1.0, 2.0)),
     (LennardJonesPotential, (1.0, 2.0)),
     (BuckinghamPotential, (1.0, 2.0, 3.0)),
@@ -53,7 +52,7 @@ MUTABLE = (RunConfig, Outcomes)
 #: types with an array field, whose field-wise equality has no truth value
 ARRAY_FIELDS = (HermitianOperator, FiniteState, SpectralDecomposition, DiscreteDensity)
 #: types with an unhashable (dict or list) field value
-UNHASHABLE_FIELDS = (Verdict, SweepTable)
+UNHASHABLE_FIELDS = (Verdict,)
 
 
 def _names(cls):

@@ -629,8 +629,8 @@ def test_grid_sweep_cell_alone_equals_the_cell_in_a_sweep(make):
     from qmoments.inequalities import sweep
 
     ps, qs = [1.5, 2.5, 3.5], [0.9, 1.5, 2.0]
-    in_sweep = sweep(make(), 3, 3, ps, qs).to_dicts()
-    alone = [sweep(make(), 3, 3, [p], [q]).to_dicts()[0] for p in ps for q in qs]
+    in_sweep = [v.to_dict() for v in sweep(make(), 3, 3, ps, qs)]
+    alone = [sweep(make(), 3, 3, [p], [q])[0].to_dict() for p in ps for q in qs]
     assert json.dumps(alone) == json.dumps(in_sweep)
 
 
