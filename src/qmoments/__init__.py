@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "states": ("RadialGridState", "load_radial_grid"),
     "matrixlab": (
-        "FiniteState", "HermitianOperator", "SpectralDecomposition", "abs_central_moment_finite",
-        "commutator", "eigendecompose", "expectation",
+        "FiniteState", "HermitianOperator", "abs_central_moment_finite", "commutator",
+        "expectation",
     ),
     "moments": (
         "Observable", "abs_central_moment", "custom_radial", "mean", "momentum_axis",

@@ -198,13 +198,16 @@ def _entry(v: Verdict, cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
     return d
 
 
-def _csv(keys: tuple[str, ...], rows: list[dict[str, Any]]) -> str:
-    """CSV text of rows under the header keys: floats by repr, booleans
-    lower-case, None empty."""
+def _csv(keys: tuple[str, ...], rows: list[dict[str, Any]], cfg: RunConfig) -> str:
+    """CSV text of rows under the header keys, with a trailing unit column
+    under --units si: floats by repr, booleans lower-case, None and a
+    missing key (the unit of a dimensionless or not-computed row) empty."""
     def cell(x) -> str:
         return "" if x is None else str(x).lower() if isinstance(x, bool) else str(x)
 
-    lines = [",".join(keys)] + [",".join(cell(r[k]) for k in keys) for r in rows]
+    if cfg.si:
+        keys += ("unit",)
+    lines = [",".join(keys)] + [",".join(cell(r.get(k)) for k in keys) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +310,7 @@ def cmd_sweep(args, cfg: RunConfig):
                      "status": v.status, "detail": v.detail,
                      **({"unit": entry["unit"]} if "unit" in entry else {})})
     body = {"results": rows, "kind": args.kind, "state": state.label}
-    return outcomes, body, _csv(SWEEP_CSV, rows) if cfg.fmt == "csv" else None
+    return outcomes, body, _csv(SWEEP_CSV, rows, cfg) if cfg.fmt == "csv" else None
 
 
 def cmd_finite(args, cfg: RunConfig):
@@ -369,7 +372,7 @@ def cmd_finite(args, cfg: RunConfig):
         body["counterexample"] = counterexample
     if cfg.fmt != "csv":
         return outcomes, body, None
-    return outcomes, body, _csv(FINITE_CSV, [{**d, **d["inputs"]} for d in results])
+    return outcomes, body, _csv(FINITE_CSV, [{**d, **d["inputs"]} for d in results], cfg)
 
 
 def _read_holder_csv(path: str) -> iq.DiscreteDensity:
@@ -609,6 +612,9 @@ _COMMANDS = {"hydrogen": cmd_hydrogen, "sweep": cmd_sweep, "finite": cmd_finite,
              "holder": cmd_holder, "central": cmd_central}
 
 
+_CONFIG_KEYS = ("rel_tol", "abs_tol", "max_evals", "slack", "seed", "constants")
+
+
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     tol: dict[str, Any] = {}
@@ -622,6 +628,10 @@ def _load_config(args) -> RunConfig:
             raise DataFormatError(f"bad config file: {exc}") from exc
         if not isinstance(raw, dict) or not isinstance(raw.get("constants", {}), dict):
             raise DataFormatError("bad config file: expected a JSON object")
+        unknown = [key for key in raw if key not in _CONFIG_KEYS]
+        unknown += [key for key in raw.get("constants", {}) if key not in ("hbar", "mass", "a0")]
+        if unknown:
+            raise DataFormatError(f"bad config file: unknown key {unknown[0]!r}")
         try:
             tol = {key: float(raw[key]) for key in ("rel_tol", "abs_tol") if key in raw}
             if "max_evals" in raw:

@@ -276,12 +276,12 @@ def uncertainty_chain_finite(
     Either link may fail for particular (A, B, psi, p, q); failures are
     recorded in the verdicts (falsification semantics), never raised.
     """
-    rhs = (
-        matrixlab.abs_central_moment_finite(a, psi, e.p) ** e.w_f
-        * matrixlab.abs_central_moment_finite(b, psi, e.q) ** e.w_g
-    )
     da = matrixlab.central_shift(a, psi)
     db = matrixlab.central_shift(b, psi)
+    rhs = (
+        matrixlab.abs_power_expectation(da, psi, e.p) ** e.w_f
+        * matrixlab.abs_power_expectation(db, psi, e.q) ** e.w_g
+    )
     lhs1 = matrixlab.abs_power_expectation(da.entries @ db.entries, psi, e.r_star)
     lhs2 = matrixlab.abs_power_expectation(matrixlab.commutator(a, b), psi, e.r_star) / 2.0**e.r_star
     inputs = {"dim": a.dim, "p": e.p, "q": e.q, "r_star": e.r_star}

@@ -5,13 +5,14 @@ expression (commutators, modulus powers |M|^s, expectations, centered
 moments) is computed exactly from explicit matrices, so inequality claims
 can be checked without any analytic shortcuts.
 
-A modulus power <psi| |M|^s |psi> of any square M comes from one SVD
-(``np.linalg.svd``), whose singular values are each within the backward
-error's 2-norm of exact (Weyl); forming M^H M would square M's condition
-number. Hermitian central moments use LAPACK's Hermitian driver
-``np.linalg.eigh``. A seeded run repeats bit for bit on one numpy/LAPACK
-build with one BLAS thread count; a counterexample replays from its
-serialized matrices and state on any machine.
+Every moment is a modulus power <psi| |M|^s |psi>, and each comes from one
+SVD in abs_power_expectation, whose singular values are each within the
+backward error's 2-norm of exact (Weyl); forming M^H M would square M's
+condition number. A HermitianOperator, such as a centered A - <A>, goes to
+LAPACK's Hermitian driver (numpy's svd with hermitian=True runs eigh and
+returns |lambda| as the singular values). A seeded run repeats bit for bit
+on one numpy/LAPACK build with one BLAS thread count; a counterexample
+replays from its serialized matrices and state on any machine.
 """
 
 from __future__ import annotations
@@ -85,57 +86,9 @@ class FiniteState:
         return self.amplitudes.shape[0]
 
 
-@record
-class SpectralDecomposition:
-    """Eigenvalues ascending, eigenvector columns unitary and phase-fixed."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-    def weights(self, psi: FiniteState) -> np.ndarray:
-        """Spectral weights |<u_i|psi>|^2; they sum to 1."""
-        amps = self.eigenvectors.conj().T @ psi.amplitudes
-        return np.abs(amps) ** 2
-
-
 def _check_dims(a, b) -> None:
     if a.dim != b.dim:
         raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def _require_reconstructs(recon: np.ndarray, m: np.ndarray, what: str) -> None:
-    """A factorization must give m back to 1e-10 relative."""
-    scale = max(float(np.abs(m).max(initial=0.0)), 1e-300)
-    # written as not (residual <= tol) so that a NaN residual fails too
-    if not float(np.abs(recon - m).max()) <= _RECON_RTOL * scale:
-        raise DecompositionError(f"{what} reconstruction residual above 1e-10")
-
-
-def eigendecompose(op: HermitianOperator) -> SpectralDecomposition:
-    """LAPACK Hermitian eigendecomposition (``np.linalg.eigh``).
-
-    Eigenvalues ascend; each eigenvector's first significant component is
-    made real positive. The result is checked to reconstruct the matrix to
-    1e-10 relative and to have unitary eigenvectors.
-    """
-    n = op.dim
-    try:
-        eigenvalues, v = np.linalg.eigh(op.entries)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigh failed: {exc}") from exc
-    # phase fix: first significant component real positive
-    pivots = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(n)]
-    v = v * (pivots.conj() / np.abs(pivots))
-
-    dec = SpectralDecomposition(_frozen(eigenvalues), _frozen(v))
-    _require_reconstructs(dec.reconstruct(), op.entries, "spectral")
-    if not float(np.abs(v.conj().T @ v - np.eye(n)).max()) <= 1e-10:
-        raise DecompositionError("eigenvector matrix lost unitarity")
-    return dec
 
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
@@ -160,36 +113,41 @@ def central_shift(op: HermitianOperator, psi: FiniteState) -> HermitianOperator:
     return HermitianOperator(op.entries - mu * np.eye(op.dim))
 
 
-def abs_central_moment_finite(op: HermitianOperator, psi: FiniteState, s: float) -> float:
-    """<psi| |A - <A>|^s |psi> = sum_i w_i |lambda_i - <A>|^s."""
-    if s <= 0.0:
-        raise DomainError(f"moment order must be positive, got {s}")
-    _check_dims(op, psi)
-    mu = expectation(op, psi)
-    dec = eigendecompose(op)
-    w = dec.weights(psi)
-    return float(w @ np.abs(dec.eigenvalues - mu) ** s)
-
-
-def abs_power_expectation(m: np.ndarray, psi: FiniteState, s: float) -> float:
-    """<psi| |M|^s |psi> = sum_i sigma_i^s |(V^H psi)_i|^2 for any square M.
+def abs_power_expectation(m: HermitianOperator | np.ndarray, psi: FiniteState, s: float) -> float:
+    """<psi| |M|^s |psi> = sum_i sigma_i^s |(V^H psi)_i|^2 for a
+    HermitianOperator or any square array M.
 
     One SVD M = U Sigma V^H gives |M| = (M^H M)^(1/2) = V Sigma V^H, the
-    Hermitian polar factor. A Hermitian or anti-Hermitian M needs no special
-    case: its singular values are |lambda|.
+    Hermitian polar factor. A HermitianOperator takes LAPACK's Hermitian
+    driver: U holds its eigenvectors, sigma_i = |lambda_i| and V^H carries
+    the signs. The factors must give M back to 1e-10 relative, and U must
+    be unitary (V^H is not checked: a sign rule may zero the row of an
+    exactly zero eigenvalue, where sigma is 0 too).
     """
     if s <= 0.0:
         raise DomainError(f"power must be positive, got {s}")
-    m = _as_complex_square(m)
-    if m.shape[0] != psi.dim:
-        raise DomainError(f"dimension mismatch: {m.shape[0]} vs {psi.dim}")
+    hermitian = isinstance(m, HermitianOperator)
+    m = m.entries if hermitian else _as_complex_square(m)
+    n = m.shape[0]
+    if n != psi.dim:
+        raise DomainError(f"dimension mismatch: {n} vs {psi.dim}")
     try:
-        u, sigma, vh = np.linalg.svd(m)
+        u, sigma, vh = np.linalg.svd(m, hermitian=hermitian)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"svd failed: {exc}") from exc
-    _require_reconstructs((u * sigma) @ vh, m, "singular value")
+    scale = max(float(np.abs(m).max(initial=0.0)), 1e-300)
+    # written as not (residual <= tol) so that a NaN residual fails too
+    if not float(np.abs((u * sigma) @ vh - m).max()) <= _RECON_RTOL * scale:
+        raise DecompositionError("singular value reconstruction residual above 1e-10")
+    if not float(np.abs(u.conj().T @ u - np.eye(n)).max()) <= 1e-10:
+        raise DecompositionError("singular vector matrix lost unitarity")
     w = np.abs(vh @ psi.amplitudes) ** 2
     return float(w @ sigma**s)
+
+
+def abs_central_moment_finite(op: HermitianOperator, psi: FiniteState, s: float) -> float:
+    """<psi| |A - <A>|^s |psi> = sum_i w_i |lambda_i - <A>|^s."""
+    return abs_power_expectation(central_shift(op, psi), psi, s)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +172,7 @@ def lowering_matrix(dim: int) -> np.ndarray:
 
 
 def truncated_canonical_pair(
-    dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
+    dim: int, hbar: float = 1.0, mass: float = 1.0
 ) -> tuple[HermitianOperator, HermitianOperator]:
     """Position/momentum matrices in the oscillator number basis.
 
@@ -226,8 +184,8 @@ def truncated_canonical_pair(
         raise DomainError("truncated pair needs dim >= 2")
     a = lowering_matrix(dim)
     ad = a.conj().T
-    x = math.sqrt(hbar / (2.0 * mass * omega)) * (a + ad)
-    p = 1j * math.sqrt(hbar * mass * omega / 2.0) * (ad - a)
+    x = math.sqrt(hbar / (2.0 * mass)) * (a + ad)
+    p = 1j * math.sqrt(hbar * mass / 2.0) * (ad - a)
     return HermitianOperator(x), HermitianOperator(p)
 
 
@@ -237,20 +195,15 @@ def ground_state(dim: int) -> FiniteState:
     return FiniteState(v)
 
 
-def random_hermitian(rng: SplitMix64, dim: int, scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(rng: SplitMix64, dim: int) -> HermitianOperator:
     """H = (G + G^H)/2 with G filled row-major, real part before imaginary."""
-    g = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            g[i, j] = complex(rng.normal(), rng.normal())
-    return HermitianOperator(scale * 0.5 * (g + g.conj().T))
+    g = np.array([complex(rng.normal(), rng.normal()) for _ in range(dim * dim)])
+    g = g.reshape(dim, dim)
+    return HermitianOperator(0.5 * (g + g.conj().T))
 
 
 def random_state(rng: SplitMix64, dim: int) -> FiniteState:
-    v = np.empty(dim, dtype=complex)
-    for i in range(dim):
-        v[i] = complex(rng.normal(), rng.normal())
-    return FiniteState(v)
+    return FiniteState([complex(rng.normal(), rng.normal()) for _ in range(dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -243,12 +243,11 @@ class RadialGridState(RadialStateBase):
     that puts max|u| in [0.5, 1), which is exact and keeps u^2 inside the
     double range at any amplitude scale, then renormalized (norm_factor is
     the factor applied to the scaled u); outside the grid u is zero. The origin
-    power m of u (u ~ r^m at r = 0) is the one declared, else read off the
-    grid: inf when the grid starts at r > 0 (u is zero below it, so every
-    <r^t> is finite, and momentum orders are refused), 0 when it starts at
-    r = 0 with u != 0 (a jump: <r^t> is finite exactly for t > -1, and
-    w ~ k^-1, so <p^q> exactly for q < 1), and fitted when it starts at
-    r = 0 with u = 0.
+    power m of u (u ~ r^m at r = 0) is read off the grid: inf when the grid
+    starts at r > 0 (u is zero below it, so every <r^t> is finite, and
+    momentum orders are refused), 0 when it starts at r = 0 with u != 0 (a
+    jump: <r^t> is finite exactly for t > -1, and w ~ k^-1, so <p^q> exactly
+    for q < 1), and fitted when it starts at r = 0 with u = 0.
 
     u is kept at the 15 Kronrod nodes of every knot interval. K15 is exact
     there for the square of a piecewise cubic, so the norm comes from this
@@ -260,7 +259,6 @@ class RadialGridState(RadialStateBase):
         self,
         r: Sequence[float],
         u: Sequence[float],
-        origin_power: float | None = None,
         constants: PhysicalConstants = NATURAL,
         label: str = "grid state",
         tol: Tolerances = DEFAULT_TOLERANCES,
@@ -296,9 +294,7 @@ class RadialGridState(RadialStateBase):
         self.r_scale = max(self.r_max / 90.0, float(np.median(np.diff(r))))
         self.label = label
 
-        if origin_power is not None:
-            self.origin_power_u = _near_integer(float(origin_power))
-        elif r[0] > 0.0:
+        if r[0] > 0.0:
             self.origin_power_u = math.inf  # u is zero below r[0]
         elif u[0] != 0.0:
             self.origin_power_u = 0.0  # a jump at the origin
@@ -427,7 +423,7 @@ def load_radial_grid(path, **kwargs) -> RadialGridState:
     """Read a radial grid file: UTF-8 text, with or without a BOM, in two
     whitespace-separated columns (r, u), where '#' starts a comment, blank
     lines are skipped and an entry is anything float() takes. kwargs
-    (origin_power, constants, label, tol) go to RadialGridState."""
+    (constants, label, tol) go to RadialGridState."""
     return RadialGridState(*_read_grid(path), **kwargs)
 
 

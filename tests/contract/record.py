@@ -65,6 +65,20 @@ CASES = {
                             "--out", "recip.csv"], {}),
     "finite_csv_out": (["finite", "--dim", "4", "--trials", "5", "--p", "2", "--q", "2",
                         "--format", "csv", "--out", "f.csv", "--gate", "both"], {}),
+    # the finite commands of CI (exit 0, 0, 2, 2), a seeded counterexample,
+    # and a low order where a zero eigenvalue of X_33 enters as |0|^0.05
+    "finite_random": (["finite", "--dim", "8", "--p", "3", "--q", "2", "--trials", "10",
+                       "--seed", "7"], {}),
+    "finite_xp_32_2": (["finite", "--pair", "truncated-xp", "--dim", "32", "--p", "2",
+                        "--q", "2"], {}),
+    "finite_xp_32_1": (["finite", "--pair", "truncated-xp", "--dim", "32", "--p", "1",
+                        "--q", "1"], {}),
+    "finite_xp_16_si": (["finite", "--pair", "truncated-xp", "--dim", "16", "--p", "1",
+                         "--q", "1", "--units", "si"], {}),
+    "finite_counterexample": (["finite", "--dim", "2", "--p", "1", "--q", "1", "--trials",
+                               "50", "--seed", "3", "--gate", "both"], {}),
+    "finite_xp_33_low_order": (["finite", "--pair", "truncated-xp", "--dim", "33", "--p",
+                                "0.05", "--q", "0.05"], {}),
 }
 
 

@@ -275,6 +275,26 @@ def test_finite_dim_cap(capsys):
     assert main(["finite", "--dim", "300", "--p", "2", "--q", "2"]) == EXIT_ERROR
 
 
+def test_finite_trial_takes_four_svds_and_two_means(capsys, monkeypatch):
+    # A and B are centred once; both sides of the chain read the centred
+    # pair, and each of DA, DB, DA DB and [A, B] is one SVD
+    from qmoments import matrixlab
+
+    calls = {"svd": 0, "expectation": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(matrixlab, "expectation", counted("expectation", matrixlab.expectation))
+    code, _ = run_json(capsys, ["finite", "--dim", "5", "--trials", "3", "--p", "3", "--q", "2"])
+    assert code in (EXIT_OK, EXIT_VIOLATION)
+    assert calls == {"svd": 4 * 3, "expectation": 2 * 3}
+
+
 def test_holder_equal_columns(tmp_path, capsys):
     path = tmp_path / "d.csv"
     path.write_text("f,g\n1.0,1.0\n2.0,2.0\n0.3,0.3\n")
@@ -511,6 +531,21 @@ def test_units_si_finite_canonical_pair_scales_by_hbar_power_r_star(capsys):
     assert main(["--units", "si", "finite", "--pair", "truncated-xp", "--dim", "16",
                  "--p", "40", "--q", "40"]) == EXIT_ERROR
     assert _one_error_line(capsys) == "error: lhs in SI units (hbar^20) underflows a double\n"
+
+
+def test_units_si_csv_names_the_unit_of_each_row(capsys):
+    # a CSV read alone tells SI values from natural ones: the pair's rows
+    # carry hbar^r*, a dimensionless pair's rows an empty unit
+    argv = ["--units", "si", "finite", "--pair", "truncated-xp", "--dim", "16", "--p", "1",
+            "--q", "1", "--format", "csv"]
+    assert main(argv) == EXIT_VIOLATION
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "trial,label,p,q,r_star,lhs,rhs,ratio,margin,holds,unit"
+    assert [row.split(",")[-1] for row in rows] == ["hbar^0.5 (J*s)^0.5"] * 2
+    assert main(["--units", "si", "finite", "--pair", "pauli-xy", "--p", "2", "--q", "2",
+                 "--format", "csv"]) == EXIT_OK
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.endswith(",holds,unit") and all(row.endswith(",true,") for row in rows)
 
 
 def test_units_si_refuses_config_constants(tmp_path, capsys):
@@ -771,6 +806,8 @@ def test_report_entry_shapes(tmp_path, capsys):
 
 @pytest.mark.parametrize("config", [
     {"slack": "abc"}, {"seed": "x"}, [1], {"max_evals": 1e400}, {"seed": 1e400},
+    # a misspelt key would otherwise leave its setting at the default unseen
+    {"rel_tl": 1e-3, "constants": {"hbar": 5}}, {"rel_tol": 1e-8, "constants": {"hbr": 5}},
 ])
 def test_malformed_config_is_one_line_error(config, tmp_path, capsys):
     cfgp = tmp_path / "c.json"
@@ -778,6 +815,9 @@ def test_malformed_config_is_one_line_error(config, tmp_path, capsys):
     assert main(["--config", str(cfgp), "hydrogen", "--p", "2", "--q", "2"]) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: bad config file") and err.count("\n") == 1
+    for key in ("rel_tl", "hbr"):
+        if f'"{key}"' in cfgp.read_text():
+            assert err == f"error: bad config file: unknown key '{key}'\n"
 
 
 def _modules_after_cli_import(package: str) -> str:
@@ -967,7 +1007,7 @@ CapabilityError DataFormatError DecompositionError DomainError Exponents Moments
 NATURAL PhysicalConstants SI Tolerances Verdict make_exponents make_verdict young_gap
 QuadResult integrate ContinuousState GaussianPacket HarmonicOscillatorGround HydrogenGroundState
 PowerExpRadialState RadialGridState catalog load_radial_grid FiniteState HermitianOperator
-SpectralDecomposition abs_central_moment_finite commutator eigendecompose expectation Observable
+abs_central_moment_finite commutator expectation Observable
 abs_central_moment custom_radial mean momentum_axis position_axis radial radial_inverse
 raw_moment DiscreteDensity holder_verdict holder_verdict_continuous
 reciprocal_moment_verdict schwarz_verdict sweep uncertainty_chain_finite

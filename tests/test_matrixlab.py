@@ -12,7 +12,6 @@ from qmoments.matrixlab import (
     abs_power_expectation,
     central_shift,
     commutator,
-    eigendecompose,
     expectation,
     ground_state,
     lowering_matrix,
@@ -28,27 +27,70 @@ from seeded import SplitMix64
 SX, SY, SZ = pauli("x"), pauli("y"), pauli("z")
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every np.linalg.svd call as (matrix, hermitian flag, (U, sigma, V^H))."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def spy(m, hermitian=False):
+        out = real_svd(m, hermitian=hermitian)
+        calls.append((m, hermitian, out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def _assert_factors_sound(m, u, sigma, vh):
+    """The factors give m back to 1e-10 relative, and U is unitary."""
+    scale = max(np.abs(m).max(), 1e-300)
+    assert np.abs((u * sigma) @ vh - m).max() <= 1e-10 * scale
+    assert np.abs(u.conj().T @ u - np.eye(m.shape[0])).max() <= 1e-10
+
+
 def test_pauli_x_spectrum():
-    dec = eigendecompose(SX)
-    assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    # spectrum {-1, 1}: |sx| = I, and with psi = (cos t, sin t) the mean is
+    # sin 2t and the eigenvector weights are (1 +- sin 2t) / 2
+    t = 0.3
+    psi = FiniteState([math.cos(t), math.sin(t)])
+    mu = math.sin(2.0 * t)
+    for s in (0.5, 1.0, 3.0):
+        assert abs_power_expectation(SX, psi, s) == pytest.approx(1.0, rel=1e-14)
+        want = 0.5 * (1.0 + mu) * (1.0 - mu) ** s + 0.5 * (1.0 - mu) * (1.0 + mu) ** s
+        assert abs_central_moment_finite(SX, psi, s) == pytest.approx(want, rel=1e-13)
 
 
 def test_diagonal_matrix_sorted():
-    dec = eigendecompose(HermitianOperator(np.diag([3.0, -2.0, 7.0])))
-    assert np.allclose(dec.eigenvalues, [-2.0, 3.0, 7.0])
-    # permutation eigenvectors, phase-fixed real positive
-    assert np.allclose(np.abs(dec.eigenvectors), np.eye(3)[:, [1, 0, 2]])
+    # sum_i |psi_i|^2 |d_i - mu|^s, whatever the order of the diagonal
+    d = np.array([3.0, -2.0, 7.0])
+    amps = np.array([0.6, 0.48j, 0.64])
+    w = np.abs(amps) ** 2
+    mu = float(w @ d)
+    order = np.argsort(d)
+    for s in (0.5, 2.0):
+        want = float(w @ np.abs(d - mu) ** s)
+        got = abs_central_moment_finite(HermitianOperator(np.diag(d)), FiniteState(amps), s)
+        in_order = abs_central_moment_finite(HermitianOperator(np.diag(d[order])),
+                                             FiniteState(amps[order]), s)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert in_order == pytest.approx(want, rel=1e-14)
 
 
-def test_reconstruction_residual_random16():
+def test_reconstruction_residual_random16(svd_calls):
+    # at s = 2 the central moment is ||(H - mu) psi||^2, with no decomposition
     rng = SplitMix64(1234)
     h = random_hermitian(rng, 16)
-    dec = eigendecompose(h)
-    scale = np.abs(h.entries).max()
-    assert np.abs(dec.reconstruct() - h.entries).max() <= 1e-10 * scale
+    psi = random_state(rng, 16)
+    shifted = central_shift(h, psi)
+    want = float(np.linalg.norm(shifted.entries @ psi.amplitudes) ** 2)
+    assert abs_central_moment_finite(h, psi, 2.0) == pytest.approx(want, rel=1e-12)
+    (m, hermitian, factors), = svd_calls
+    assert hermitian and np.array_equal(m, shifted.entries)
+    _assert_factors_sound(m, *factors)
 
 
-def test_reconstruction_residual_thousand_matrices():
+def test_reconstruction_residual_thousand_matrices(svd_calls):
     # 1000 random Hermitian matrices with dimensions up to 64, weighted toward
     # small sizes to keep the sweep affordable
     rng = SplitMix64(999)
@@ -56,39 +98,32 @@ def test_reconstruction_residual_thousand_matrices():
     dims += [rng.integer(13, 32) for _ in range(45)]
     dims += [rng.integer(33, 64) for _ in range(5)]
     for d in dims:
-        h = random_hermitian(rng, d)
-        dec = eigendecompose(h)
-        scale = max(np.abs(h.entries).max(), 1e-300)
-        assert np.abs(dec.reconstruct() - h.entries).max() <= 1e-10 * scale
-        assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(d)).max() <= 1e-10
+        abs_power_expectation(random_hermitian(rng, d), FiniteState(np.eye(d)[0]), 1.0)
+    assert len(svd_calls) == 1000
+    for m, hermitian, factors in svd_calls:
+        assert hermitian
+        _assert_factors_sound(m, *factors)
 
 
-def test_eigenvalues_match_numpy_oracle():
+def test_eigenvalues_match_numpy_oracle(svd_calls):
     rng = SplitMix64(4)
     for d in (3, 7, 12):
         h = random_hermitian(rng, d)
-        dec = eigendecompose(h)
-        assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(h.entries), atol=1e-11)
+        abs_power_expectation(h, random_state(rng, d), 1.0)
+        sigma = svd_calls[-1][2][1]
+        want = np.sort(np.abs(np.linalg.eigvalsh(h.entries)))[::-1]
+        assert np.allclose(sigma, want, atol=1e-11)
 
 
-def test_eigendecompose_deterministic():
+def test_abs_central_moment_deterministic():
     rng = SplitMix64(2024)
     h = random_hermitian(rng, 9)
-    d1 = eigendecompose(h)
-    d2 = eigendecompose(h)
-    assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+    psi = random_state(rng, 9)
+    for s in (0.5, 1.0, 2.7):
+        assert abs_central_moment_finite(h, psi, s) == abs_central_moment_finite(h, psi, s)
 
 
-# closed-form spectra: oracles that do not go through np.linalg.eigh
-
-
-def _assert_phase_fixed(u):
-    """Each column's first component with modulus above 1e-12 is real positive."""
-    for col in u.T:
-        pivot = col[np.argmax(np.abs(col) > 1e-12)]
-        assert pivot.real > 0.0
-        assert abs(pivot.imag) <= 1e-14
+# closed-form spectra: oracles that do not go through np.linalg.svd
 
 
 @pytest.mark.parametrize("a, d, b", [
@@ -97,73 +132,91 @@ def _assert_phase_fixed(u):
     (0.3, -4.2, 1.0 - 2.0j),
     (-1e3, 7.5, 0.25j),
 ])
-def test_two_by_two_closed_form_spectrum(a, d, b):
+def test_two_by_two_closed_form_spectrum(a, d, b, svd_calls):
+    # lambda_+- = mid +- half_gap; the weights w_+- follow from w_+ + w_- = 1
+    # and w_+ lambda_+ + w_- lambda_- = mu, so the moment needs no eigenvector
     h = HermitianOperator([[a, b], [np.conj(b), d]])
-    dec = eigendecompose(h)
+    psi = FiniteState([0.6, 0.8j])
     mid = 0.5 * (a + d)
     half_gap = math.sqrt((0.5 * (a - d)) ** 2 + abs(b) ** 2)
+    lo, hi = mid - half_gap, mid + half_gap
+    mu = expectation(h, psi)
+    w_hi = (mu - lo) / (hi - lo)
     scale = max(abs(a), abs(d), abs(b))
-    assert np.abs(dec.eigenvalues - [mid - half_gap, mid + half_gap]).max() <= 1e-14 * scale
-    _assert_phase_fixed(dec.eigenvectors)
+    for s in (0.5, 1.0, 3.0):
+        want = w_hi * abs(hi - mu) ** s + (1.0 - w_hi) * abs(lo - mu) ** s
+        assert abs_central_moment_finite(h, psi, s) == pytest.approx(want, rel=1e-12)
+        sigma = svd_calls[-1][2][1]
+        assert np.abs(np.sort(sigma) - np.sort([abs(hi - mu), abs(lo - mu)])).max() <= 1e-13 * scale
 
 
 def test_rank_one_projector_spectrum_and_top_eigenvector():
+    # P = v v^H has spectrum {0 (5 times), |v|^2}; the weight of the top
+    # eigenvector v / |v| is mu / |v|^2
     v = np.array([0.5 - 1.0j, 2.0, -0.75j, 1.0 + 1.0j, -0.25, 0.125 + 3.0j])
     norm2 = float(np.vdot(v, v).real)
-    dec = eigendecompose(HermitianOperator(np.outer(v, v.conj())))
-    expected = np.zeros(v.size)
-    expected[-1] = norm2
-    assert np.abs(dec.eigenvalues - expected).max() <= 1e-13 * norm2
-    # top eigenvector is v / |v| rotated so that its first component is real positive
-    top = v * (np.conj(v[0]) / abs(v[0])) / math.sqrt(norm2)
-    assert np.abs(dec.eigenvectors[:, -1] - top).max() <= 1e-13
-    _assert_phase_fixed(dec.eigenvectors)
+    proj = HermitianOperator(np.outer(v, v.conj()))
+    psi = FiniteState([1.0, 0.5j, -0.25, 2.0, 0.75 - 0.5j, -1.0j])
+    mu = expectation(proj, psi)
+    for s in (0.5, 1.0, 2.0):
+        want = (mu / norm2) * (norm2 - mu) ** s + (1.0 - mu / norm2) * mu**s
+        assert abs_central_moment_finite(proj, psi, s) == pytest.approx(want, rel=1e-12)
+    # in the top eigenvector itself P - mu I annihilates psi
+    top = FiniteState(v)
+    assert abs_central_moment_finite(proj, top, 2.0) <= (1e-13 * norm2) ** 2
+    assert abs_power_expectation(proj, top, 1.0) == pytest.approx(norm2, rel=1e-13)
 
 
 @pytest.mark.parametrize("c", [0.0, 2.5, -7.0])
-def test_degenerate_multiple_of_identity(c):
+def test_degenerate_multiple_of_identity(c, svd_calls):
+    # <e_0| c I |e_0> is c exactly, so A - <A> is the zero matrix
     n = 5
-    dec = eigendecompose(HermitianOperator(c * np.eye(n)))
-    assert np.abs(dec.eigenvalues - c).max() <= 1e-15 * max(1.0, abs(c))
-    _assert_phase_fixed(dec.eigenvectors)
-    assert np.abs(dec.reconstruct() - c * np.eye(n)).max() <= 1e-10 * max(abs(c), 1e-300)
-    assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(n)).max() <= 1e-10
+    op = HermitianOperator(c * np.eye(n))
+    e0 = ground_state(n)
+    for s in (0.5, 1.0, 2.0):
+        assert abs_central_moment_finite(op, e0, s) == 0.0
+        assert abs_power_expectation(op, random_state(SplitMix64(5), n), s) == pytest.approx(
+            abs(c) ** s, rel=1e-14, abs=0.0)
+    for m, _, factors in svd_calls:
+        _assert_factors_sound(m, *factors)
 
 
 def test_lapack_failure_is_decomposition_error(monkeypatch):
-    def failing_eigh(m):
+    def failing_svd(m, hermitian=False):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    with pytest.raises(DecompositionError):
-        eigendecompose(SX)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(DecompositionError, match="svd failed"):
+        abs_central_moment_finite(SX, FiniteState([1, 0]), 1.0)
 
 
 def test_perturbed_eigenvectors_fail_reconstruction(monkeypatch):
-    real_eigh = np.linalg.eigh
+    real_svd = np.linalg.svd
     h = random_hermitian(SplitMix64(31), 6)
 
-    def perturbed_eigh(m):
-        w, v = real_eigh(m)
-        return w, v + 1e-6 * np.eye(v.shape[0])
+    def perturbed_svd(m, hermitian=False):
+        u, sigma, vh = real_svd(m, hermitian=hermitian)
+        return u + 1e-6 * np.eye(u.shape[0]), sigma, vh
 
-    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    monkeypatch.setattr(np.linalg, "svd", perturbed_svd)
     with pytest.raises(DecompositionError, match="reconstruction"):
-        eigendecompose(h)
+        abs_central_moment_finite(h, ground_state(6), 1.0)
 
 
 def test_non_unitary_eigenvectors_fail_unitarity(monkeypatch):
-    # the zero matrix reconstructs exactly from any eigenvectors, so only the
+    # the zero matrix reconstructs exactly from any factors, so only the
     # unitarity check can catch a doubled basis
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(3), 2.0 * np.eye(3, dtype=complex)))
+    eye = np.eye(3, dtype=complex)
+    monkeypatch.setattr(np.linalg, "svd", lambda m, hermitian=False: (2.0 * eye, np.zeros(3), eye))
     with pytest.raises(DecompositionError, match="unitarity"):
-        eigendecompose(HermitianOperator(np.zeros((3, 3))))
+        abs_central_moment_finite(HermitianOperator(np.zeros((3, 3))), ground_state(3), 1.0)
 
 
 def test_nan_spectrum_fails_reconstruction(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.full(2, np.nan), np.eye(2, dtype=complex)))
+    eye = np.eye(2, dtype=complex)
+    monkeypatch.setattr(np.linalg, "svd", lambda m, hermitian=False: (eye, np.full(2, np.nan), eye))
     with pytest.raises(DecompositionError, match="reconstruction"):
-        eigendecompose(SX)
+        abs_central_moment_finite(SX, FiniteState([1, 0]), 1.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -234,7 +287,7 @@ def test_abs_power_dimension_mismatch():
 
 
 def test_abs_power_svd_failure_is_decomposition_error(monkeypatch):
-    def failing_svd(m):
+    def failing_svd(m, hermitian=False):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
@@ -244,7 +297,7 @@ def test_abs_power_svd_failure_is_decomposition_error(monkeypatch):
 
 def test_nan_singular_values_fail_reconstruction(monkeypatch):
     eye = np.eye(2, dtype=complex)
-    monkeypatch.setattr(np.linalg, "svd", lambda m: (eye, np.full(2, np.nan), eye))
+    monkeypatch.setattr(np.linalg, "svd", lambda m, hermitian=False: (eye, np.full(2, np.nan), eye))
     with pytest.raises(DecompositionError, match="reconstruction"):
         abs_power_expectation(np.eye(2), FiniteState([1, 0]), 1.0)
 
@@ -293,8 +346,8 @@ def test_expectation_spectral_weight_oracle():
     rng = SplitMix64(14)
     h = random_hermitian(rng, 10)
     psi = random_state(rng, 10)
-    dec = eigendecompose(h)
-    oracle = float(dec.weights(psi) @ dec.eigenvalues)
+    lam, u = np.linalg.eigh(h.entries)
+    oracle = float(np.abs(u.conj().T @ psi.amplitudes) ** 2 @ lam)
     assert expectation(h, psi) == pytest.approx(oracle, abs=1e-10)
 
 

@@ -22,7 +22,7 @@ from qmoments.core import (
     replace,
 )
 from qmoments.inequalities import DiscreteDensity
-from qmoments.matrixlab import FiniteState, HermitianOperator, SpectralDecomposition
+from qmoments.matrixlab import FiniteState, HermitianOperator
 from qmoments.moments import POSITION_AXIS, Observable
 from qmoments.quadrature import QuadResult
 
@@ -36,7 +36,6 @@ CASES = [
     (QuadResult, (1.0, 1e-12, 45, True, False)),
     (HermitianOperator, (np.eye(2),)),
     (FiniteState, (np.array([1.0, 0.0]),)),
-    (SpectralDecomposition, (np.array([0.0, 1.0]), np.eye(2))),
     (Observable, (POSITION_AXIS, 3, None, 0.0, "f(r)")),
     (DiscreteDensity, (np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([1.0, 1.0]))),
     (PowerLawPotential, (1.0, 2.0)),
@@ -50,7 +49,7 @@ CASES = [
 IDS = [cls.__name__ for cls, _ in CASES]
 MUTABLE = (RunConfig, Outcomes)
 #: types with an array field, whose field-wise equality has no truth value
-ARRAY_FIELDS = (HermitianOperator, FiniteState, SpectralDecomposition, DiscreteDensity)
+ARRAY_FIELDS = (HermitianOperator, FiniteState, DiscreteDensity)
 #: types with an unhashable (dict or list) field value
 UNHASHABLE_FIELDS = (Verdict,)
 
