@@ -32,6 +32,7 @@ from .core import (
     DEFAULT_TOLERANCES,
     DIVERGENT,
     DomainError,
+    Exponents,
     FAILED,
     MomentsError,
     NATURAL,
@@ -180,6 +181,11 @@ def _check_order(name: str, value: float) -> float:
     return v
 
 
+def _exponents(args) -> Exponents:
+    """The exponent set of the orders --p and --q, each in the CLI range."""
+    return make_exponents(_check_order("p", args.p), _check_order("q", args.q))
+
+
 def _entry(v: Verdict, cfg: RunConfig, hbar_power: float) -> dict[str, Any]:
     """The result entry of a verdict: v.to_dict(), whose computed sides (and
     margin and slack) --units si scales by hbar^power, adding a unit.
@@ -217,9 +223,7 @@ def _csv(keys: tuple[str, ...], rows: list[dict[str, Any]], cfg: RunConfig) -> s
 
 
 def cmd_hydrogen(args, cfg: RunConfig):
-    p = _check_order("p", args.p)
-    q = _check_order("q", args.q)
-    e = make_exponents(p, q)
+    e = _exponents(args)
     i = _AXES[args.i or args.axis]
     j = _AXES[args.j or args.axis]
     state = catalog(cfg.constants, cfg.tol)["hydrogen"]
@@ -228,9 +232,9 @@ def cmd_hydrogen(args, cfg: RunConfig):
     outcomes.add(out)
     body: dict[str, Any] = {"results": [_entry(out, cfg, e.r_star)]}
     if out.status == OK and out.lhs > 0.0:
-        coeff = (out.rhs / out.lhs) ** (p + q)
+        coeff = (out.rhs / out.lhs) ** (e.p + e.q)
         body["coefficient_ratio_pow_p_plus_q"] = coeff
-        if p + q == 5.0:
+        if e.p + e.q == 5.0:
             body["rhs_pow5_over_lhs_pow5"] = coeff
     return outcomes, body, None
 
@@ -316,9 +320,7 @@ def cmd_sweep(args, cfg: RunConfig):
 def cmd_finite(args, cfg: RunConfig):
     if args.dim > 256:
         raise DomainError("dim is capped at 256")
-    p = _check_order("p", args.p)
-    q = _check_order("q", args.q)
-    e = make_exponents(p, q)
+    e = _exponents(args)
     if args.pair == "pauli-xy":
         triples = [(matrixlab.pauli("x"), matrixlab.pauli("y"), matrixlab.ground_state(2))]
     elif args.pair == "truncated-xp":
@@ -350,8 +352,8 @@ def cmd_finite(args, cfg: RunConfig):
                 counterexample = {
                     "trial": trial,
                     "label": v.label,
-                    "p": p,
-                    "q": q,
+                    "p": e.p,
+                    "q": e.q,
                     "A": json.loads(matrixlab.matrix_to_json(a.entries)),
                     "B": json.loads(matrixlab.matrix_to_json(b.entries)),
                     "psi": [[float(z.real), float(z.imag)] for z in psi.amplitudes],
@@ -403,7 +405,7 @@ def _read_holder_csv(path: str) -> iq.DiscreteDensity:
         rows.append((f, g, w))
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return iq.DiscreteDensity.from_points(rows)
+    return iq.DiscreteDensity(*zip(*rows))  # the f, g and weight columns
 
 
 def _is_number(t: str) -> bool:
@@ -415,9 +417,7 @@ def _is_number(t: str) -> bool:
 
 
 def cmd_holder(args, cfg: RunConfig):
-    p = _check_order("p", args.p)
-    q = _check_order("q", args.q)
-    e = make_exponents(p, q)
+    e = _exponents(args)
     density = _read_holder_csv(args.data)
     verdicts = (iq.holder_verdict(density, e, cfg.slack), iq.schwarz_verdict(density, cfg.slack))
     outcomes = Outcomes()

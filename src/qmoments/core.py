@@ -367,7 +367,13 @@ def make_verdict(
     slack: float | None = None,
     inputs: dict[str, Any] | None = None,
 ) -> Verdict:
+    """The verdict lhs <= rhs + slack, by default with default_slack(rhs).
+    An inequality whose inputs say it is guaranteed and that does not hold
+    is a numerical bug: its inputs gain severity internal-error."""
     lhs = float(lhs)
     rhs = float(rhs)
     slack = default_slack(rhs) if slack is None else _require_slack(slack)
-    return Verdict(label=label, lhs=lhs, rhs=rhs, slack=slack, inputs=inputs or {})
+    inputs = inputs or {}
+    if inputs.get("guaranteed") and not lhs <= rhs + slack:
+        inputs = {**inputs, "severity": "internal-error"}
+    return Verdict(label=label, lhs=lhs, rhs=rhs, slack=slack, inputs=inputs)

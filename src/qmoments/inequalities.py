@@ -19,7 +19,6 @@ module, when first called.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .core import (
@@ -35,7 +34,6 @@ from .core import (
     make_exponents,
     make_verdict,
     record,
-    replace,
 )
 from .exact import ContinuousState
 from . import matrixlab
@@ -70,15 +68,6 @@ class DiscreteDensity:
         object.__setattr__(self, "w", w / total)
 
     @staticmethod
-    def from_points(points: Sequence[tuple[float, float, float]]) -> "DiscreteDensity":
-        import numpy as np
-
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise DomainError("points must be (f, g, weight) triples")
-        return DiscreteDensity(arr[:, 0], arr[:, 1], arr[:, 2])
-
-    @staticmethod
     def uniform(f, g) -> "DiscreteDensity":
         import numpy as np
 
@@ -86,29 +75,36 @@ class DiscreteDensity:
         return DiscreteDensity(f, g, np.ones_like(f))
 
 
-#: one side of a two-moment verdict: the moment of a given order
-SideMoment = Callable[[float], MomentValue]
+def _computed(moment: Callable[..., MomentValue], *args) -> MomentValue | Exception:
+    """moment(*args), or the exception it raised."""
+    try:
+        return moment(*args)
+    except Exception as exc:  # raised again where a verdict reads this side
+        return exc
 
 
 class _Check(NamedTuple):
-    """A moment verdict before its sides are computed: the named side
-    moments in evaluation order, and the map from their values to (lhs, rhs)."""
+    """A moment verdict with its sides computed: each named side's moment,
+    or the exception its computation raised, in reading order, and the map
+    from their values to (lhs, rhs)."""
 
     label: str
     inputs: dict[str, Any]
-    sides: tuple[tuple[str, Callable[[], MomentValue]], ...]
+    sides: tuple[tuple[str, MomentValue | Exception], ...]
     lhs_rhs: Callable[..., tuple[float, float]]
 
 
 def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
-    """Compute the sides in order. The first one that diverges makes a
-    DIVERGENT verdict and the later ones are not computed. A failed one
-    raises MomentsError instead: it was not computed, so it says nothing
-    about whether the moment is finite. The default slack scales with both
-    sides (default_slack), so the verdict does not depend on the units."""
+    """Read the sides in order. A stored exception is raised again; the
+    first side that diverges makes a DIVERGENT verdict, whatever the later
+    ones hold. A failed one raises MomentsError instead: it was not
+    computed, so it says nothing about whether the moment is finite. The
+    default slack scales with both sides (default_slack), so the verdict
+    does not depend on the units."""
     values = []
-    for name, side in c.sides:
-        m = side()
+    for name, m in c.sides:
+        if isinstance(m, Exception):
+            raise m
         if m.status == DIVERGENT:
             return Verdict.not_computed(c.label, DIVERGENT, f"{name} is {m.status}: {m.detail}",
                                         c.inputs)
@@ -118,7 +114,7 @@ def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
     lhs, rhs = c.lhs_rhs(*values)
     if slack is None:
         slack = default_slack(rhs, lhs)
-    return _flag_internal_error(make_verdict(c.label, lhs, rhs, slack, c.inputs))
+    return make_verdict(c.label, lhs, rhs, slack, c.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +131,10 @@ def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None)
     mf = float(d.w @ abs(d.f) ** e.p)
     mg = float(d.w @ abs(d.g) ** e.q)
     rhs = mf**e.w_f * mg**e.w_g
-    v = make_verdict(
+    return make_verdict(
         "holder_discrete", lhs, rhs, slack,
         {"p": e.p, "q": e.q, "r_star": e.r_star, "n_points": int(d.f.size), "guaranteed": True},
     )
-    return _flag_internal_error(v)
 
 
 def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
@@ -147,15 +142,7 @@ def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
     sides carry identical dimensions."""
     lhs = float(d.w @ abs(d.f * d.g)) ** 2
     rhs = float(d.w @ d.f**2) * float(d.w @ d.g**2)
-    v = make_verdict("schwarz", lhs, rhs, slack, {"n_points": int(d.f.size), "guaranteed": True})
-    return _flag_internal_error(v)
-
-
-def _flag_internal_error(v: Verdict) -> Verdict:
-    """A guaranteed inequality that does not hold is a numerical bug."""
-    if v.holds is False and v.inputs.get("guaranteed"):
-        return replace(v, inputs={**v.inputs, "severity": "internal-error"})
-    return v
+    return make_verdict("schwarz", lhs, rhs, slack, {"n_points": int(d.f.size), "guaranteed": True})
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +153,7 @@ def _abs_product_moment(s: ContinuousState, fs: tuple[mo.Observable, ...],
                         order: float) -> MomentValue:
     """<|f_1 ... f_n|^order> for radial observables; their origin powers add."""
     label = "*".join(f.fn_label for f in fs)
-    obs = mo.custom_radial(lambda r: abs(math.prod(mo._radial_values(f, r) for f in fs)),
+    obs = mo.custom_radial(lambda r: abs(math.prod(f.radial_values(r) for f in fs)),
                            sum(f.fn_origin_power for f in fs), f"|{label}|")
     return mo.raw_moment(s, obs, order)
 
@@ -183,39 +170,41 @@ def holder_verdict_continuous(
     inputs = {"state": s.label, "f": f.fn_label, "g": g.fn_label, "p": e.p, "q": e.q,
               "r_star": e.r_star, "guaranteed": True}
     sides = (
-        (f"<|{f.fn_label}*{g.fn_label}|^r*>", lambda: _abs_product_moment(s, (f, g), e.r_star)),
-        (f"<|{f.fn_label}|^p>", lambda: _abs_product_moment(s, (f,), e.p)),
-        (f"<|{g.fn_label}|^q>", lambda: _abs_product_moment(s, (g,), e.q)),
+        (f"<|{f.fn_label}*{g.fn_label}|^r*>", _computed(_abs_product_moment, s, (f, g), e.r_star)),
+        (f"<|{f.fn_label}|^p>", _computed(_abs_product_moment, s, (f,), e.p)),
+        (f"<|{g.fn_label}|^q>", _computed(_abs_product_moment, s, (g,), e.q)),
     )
     return _moment_verdict(_Check("holder_continuous", inputs, sides,
                                   lambda lhs, mf, mg: (lhs, mf**e.w_f * mg**e.w_g)), slack)
 
 
-def _reciprocal_sides(s: ContinuousState) -> tuple[SideMoment, SideMoment]:
-    """<r^p> as a function of p and <r^-q> as a function of q."""
-    return (lambda p: mo.raw_moment(s, mo.radial(), p),
-            lambda q: mo.raw_moment(s, mo.radial(), -q))
+def _reciprocal_sides(s: ContinuousState):
+    """<r^p> as a function of p and <r^-q> as a function of q, each a
+    computed side (see _computed)."""
+    return (lambda p: _computed(mo.raw_moment, s, mo.radial(), p),
+            lambda q: _computed(mo.raw_moment, s, mo.radial(), -q))
 
 
 def reciprocal_moment_verdict(
     s: ContinuousState, e: Exponents, slack: float | None = None
 ) -> Verdict:
     """1 <= <r^p>^(q/(p+q)) <r^-q>^(p/(p+q)), the f=r, g=1/r corollary."""
-    return _moment_verdict(_reciprocal_check(s, e, *_reciprocal_sides(s)), slack)
+    r_pos, r_neg = _reciprocal_sides(s)
+    return _moment_verdict(_reciprocal_check(s, e, r_pos(e.p), r_neg(e.q)), slack)
 
 
-def _reciprocal_check(s: ContinuousState, e: Exponents, r_pos: SideMoment,
-                      r_neg: SideMoment) -> _Check:
+def _reciprocal_check(s: ContinuousState, e: Exponents, mp: MomentValue | Exception,
+                      mq: MomentValue | Exception) -> _Check:
     inputs = {"state": s.label, "p": e.p, "q": e.q, "r_star": e.r_star, "guaranteed": True}
-    sides = (("<r^p>", lambda: r_pos(e.p)), ("<r^-q>", lambda: r_neg(e.q)))
-    return _Check("reciprocal_moments", inputs, sides,
+    return _Check("reciprocal_moments", inputs, (("<r^p>", mp), ("<r^-q>", mq)),
                   lambda mp, mq: (1.0, mp**e.w_f * mq**e.w_g))
 
 
-def _canonical_sides(s: ContinuousState, i: int, j: int) -> tuple[SideMoment, SideMoment]:
-    """<|Dx_i|^p> as a function of p and <|Dp_j|^q> as a function of q."""
-    return (lambda p: mo.abs_central_moment(s, mo.position_axis(i), p),
-            lambda q: mo.abs_central_moment(s, mo.momentum_axis(j), q))
+def _canonical_sides(s: ContinuousState, i: int, j: int):
+    """<|Dx_i|^p> as a function of p and <|Dp_j|^q> as a function of q, each
+    a computed side (see _computed)."""
+    return (lambda p: _computed(mo.abs_central_moment, s, mo.position_axis(i), p),
+            lambda q: _computed(mo.abs_central_moment, s, mo.momentum_axis(j), q))
 
 
 def uncertainty_verdict_canonical(
@@ -231,14 +220,15 @@ def uncertainty_verdict_canonical(
     matrix. This is a verifier: the verdict records whether the bound holds,
     it does not assume it.
     """
-    return _moment_verdict(_canonical_check(s, i, j, e, *_canonical_sides(s, i, j)), slack)
+    x_side, p_side = _canonical_sides(s, i, j)
+    return _moment_verdict(_canonical_check(s, i, j, e, x_side(e.p), p_side(e.q)), slack)
 
 
-def _canonical_check(s: ContinuousState, i: int, j: int, e: Exponents, x_moment: SideMoment,
-                     p_moment: SideMoment) -> _Check:
+def _canonical_check(s: ContinuousState, i: int, j: int, e: Exponents,
+                     mx: MomentValue | Exception, mp: MomentValue | Exception) -> _Check:
     inputs = {"state": s.label, "i": i, "j": j, "p": e.p, "q": e.q, "r_star": e.r_star}
     hbar = s.constants.hbar
-    sides = (("<|Dx|^p>", lambda: x_moment(e.p)), ("<|Dp|^q>", lambda: p_moment(e.q)))
+    sides = (("<|Dx|^p>", mx), ("<|Dp|^q>", mp))
 
     def lhs_rhs(mx: float, mp: float) -> tuple[float, float]:
         return (_half_hbar_power(hbar, e.r_star) if i == j else 0.0), mx**e.w_f * mp**e.w_g
@@ -299,27 +289,6 @@ CANONICAL = "canonical"
 RECIPROCAL = "reciprocal"
 
 
-def _once_per_order(side: SideMoment) -> SideMoment:
-    """side computed at most once per order; a raised exception is kept and
-    raised again for every later cell that needs the same moment. Cells call
-    it in row-major order, so the moments run in the order that cell-by-cell
-    evaluation would run them."""
-    memo: dict[float, MomentValue | Exception] = {}
-
-    def once(order: float) -> MomentValue:
-        if order not in memo:
-            try:
-                memo[order] = side(order)
-            except Exception as exc:  # failure is a per-cell outcome
-                memo[order] = exc
-        got = memo[order]
-        if isinstance(got, Exception):
-            raise got
-        return got
-
-    return once
-
-
 def sweep(
     s: ContinuousState,
     i: int,
@@ -332,25 +301,26 @@ def sweep(
     """One verdict per (p, q) cell, row-major over the grids; each names its
     cell by its inputs p, q and r_star.
 
-    Cells whose moments diverge carry status DIVERGENT; a cell that raises
-    is a FAILED verdict with the cell's label and inputs, and never aborts
-    the sweep.
+    Each side is computed once per distinct order, all of them before the
+    first cell. Cells whose moments diverge carry status DIVERGENT; a cell
+    that raises is a FAILED verdict with the cell's label and inputs, and
+    never aborts the sweep.
     """
     if len(p_grid) == 0 or len(q_grid) == 0:
         raise DomainError("sweep grids must be nonempty")
     if kind not in (CANONICAL, RECIPROCAL):
         raise DomainError(f"unknown sweep kind {kind!r}")
-    if kind == CANONICAL:
-        check, sides = partial(_canonical_check, s, i, j), _canonical_sides(s, i, j)
-    else:
-        check, sides = partial(_reciprocal_check, s), _reciprocal_sides(s)
-    sides = tuple(map(_once_per_order, sides))
+    cells = [make_exponents(p, q) for p in p_grid for q in q_grid]  # every order checked first
+    canonical = kind == CANONICAL
+    f, g = _canonical_sides(s, i, j) if canonical else _reciprocal_sides(s)
+    fs = {p: f(p) for p in dict.fromkeys(p_grid)}  # each distinct order once, in grid order
+    gs = {q: g(q) for q in dict.fromkeys(q_grid)}
     rows: list[Verdict] = []
-    for p in p_grid:
-        for q in q_grid:
-            c = check(make_exponents(p, q), *sides)
-            try:
-                rows.append(_moment_verdict(c, slack))
-            except Exception as exc:  # failure is a per-cell outcome
-                rows.append(Verdict.not_computed(c.label, FAILED, str(exc), c.inputs))
+    for e in cells:
+        c = (_canonical_check(s, i, j, e, fs[e.p], gs[e.q]) if canonical
+             else _reciprocal_check(s, e, fs[e.p], gs[e.q]))
+        try:
+            rows.append(_moment_verdict(c, slack))
+        except Exception as exc:  # failure is a per-cell outcome
+            rows.append(Verdict.not_computed(c.label, FAILED, str(exc), c.inputs))
     return tuple(rows)

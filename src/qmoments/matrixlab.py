@@ -62,9 +62,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def scaled(self, c: float) -> "HermitianOperator":
-        return HermitianOperator(self.entries * float(c))
-
 
 @record
 class FiniteState:

@@ -53,6 +53,10 @@ class Observable:
         if self.kind != RADIAL and self.axis not in (1, 2, 3):
             raise DomainError(f"axis must be 1, 2, or 3, got {self.axis}")
 
+    def radial_values(self, r):
+        """f(r) of a radial observable at the nodes of an integrand."""
+        return r**self.fn_origin_power if self.fn is None else self.fn(r)
+
 
 def position_axis(axis: int = 3) -> Observable:
     return Observable(POSITION_AXIS, axis=axis)
@@ -72,11 +76,6 @@ def radial_inverse() -> Observable:
 
 def custom_radial(fn: Callable, origin_power: float = 0.0, label: str = "f(r)") -> Observable:
     return Observable(RADIAL, fn=fn, fn_origin_power=origin_power, fn_label=label)
-
-
-def _radial_values(o: Observable, r):
-    """f(r) of a radial observable at the nodes of an integrand."""
-    return r**o.fn_origin_power if o.fn is None else o.fn(r)
 
 
 def _require_radial(s: ContinuousState) -> RadialStateBase:
@@ -208,7 +207,7 @@ def abs_central_moment(s: ContinuousState, o: Observable, order: float) -> Momen
         kinks = [root if a > 0.0 else 1.0 / root]
 
     def f(r):
-        return rs.radial_density(r) * abs(_radial_values(o, r) - mu) ** order
+        return rs.radial_density(r) * abs(o.radial_values(r) - mu) ** order
 
     return _quad_moment(f, rs, order, kinks)
 

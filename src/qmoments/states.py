@@ -236,6 +236,11 @@ def _origin_power(r: np.ndarray, u: np.ndarray) -> float:
     return _near_integer(m) if math.isfinite(m) else 1.0
 
 
+#: the largest relative difference between a grid state's <T> and that of
+#: its half-resolution twin that the gradient route accepts
+_KINETIC_REL_TOL = 1e-4
+
+
 class RadialGridState(RadialStateBase):
     """A state sampled as (r_i, u_i) and interpolated with a monotone local cubic.
 
@@ -387,7 +392,7 @@ class RadialGridState(RadialStateBase):
         """<T> = (hbar^2/2m) int u'^2 dr with a coarseness check: the integral
         is recomputed on the half-resolution grid (every other knot) and the
         difference is the error estimate; CapabilityError where it exceeds
-        kinetic_rel_tol of the value. u'^2 is a quartic on each knot
+        _KINETIC_REL_TOL of the value. u'^2 is a quartic on each knot
         interval, so both integrals are K15 sums over the knot intervals,
         exact up to rounding and independent of the state's tolerances."""
         c = self.constants
@@ -396,10 +401,10 @@ class RadialGridState(RadialStateBase):
         _, dcoarse = _monotone_cubic(coarse, self._interp.at_ascending(coarse))
         half_val = self._square_integral(dcoarse, *kronrod_nodes(coarse[:-1], coarse[1:]))
         rel_err = abs(full - half_val) / max(abs(full), 1e-300)
-        if not rel_err <= self.kinetic_rel_tol:  # a NaN too
+        if not rel_err <= _KINETIC_REL_TOL:  # a NaN too
             raise CapabilityError(
                 f"grid too coarse for the gradient route: estimated relative "
-                f"derivative error {rel_err:.2e} exceeds {self.kinetic_rel_tol:.0e}"
+                f"derivative error {rel_err:.2e} exceeds {_KINETIC_REL_TOL:.0e}"
             )
         scale = c.hbar**2 / (2.0 * c.mass)
         return MomentValue.convergent(scale * full, scale * abs(full - half_val), 1.0)
@@ -415,8 +420,6 @@ class RadialGridState(RadialStateBase):
             return vals
 
         return panel_sum(square, nodes, h, self.tol).value
-
-    kinetic_rel_tol = 1e-4
 
 
 def load_radial_grid(path, **kwargs) -> RadialGridState:

@@ -28,9 +28,40 @@ from pathlib import Path
 RECORDS = Path(__file__).resolve().parent / "records"
 
 SAMPLES_CSV = "f,g,weight\n1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n"
-# the 1s wavefunction u = 2 r e^-r on a uniform grid, h = 0.1 to r = 30
-H_GRID = "".join(f"{r!r} {2.0 * r * math.exp(-r)!r}\n" for r in (i * 0.1 for i in range(301)))
 SWEEP = ["sweep", "--state", "hydrogen", "--p-grid", "2:3:5", "--q-grid", "2:3:5"]
+
+
+def _grid(r: list[float], u, num=repr) -> str:
+    """A grid file of the samples (r, u(r)), each number written by num."""
+    return "".join(f"{num(x)} {num(u(x))}\n" for x in r)
+
+
+def _hydrogen_u(r: float) -> float:
+    return 2.0 * r * math.exp(-r)
+
+
+# the 1s wavefunction u = 2 r e^-r on a uniform grid, h = 0.1 to r = 30
+H_GRID = _grid([i * 0.1 for i in range(301)], _hydrogen_u)
+
+# the grids of the CI sweeps: the 1s wavefunction at h = 0.02 to r = 40, the
+# same written with six decimals, at h = 0.5 to r = 20, u = r^4 e^-r on a
+# geometric grid with a leading r = 0, u = e^-r (u(0) != 0) at h = 0.02 to
+# r = 30, and knots near 1e200
+H_FINE = [i * 0.02 for i in range(2001)]
+CI_GRIDS = {
+    "h_grid.txt": _grid(H_FINE, _hydrogen_u),
+    "h6_grid.txt": _grid(H_FINE, _hydrogen_u, "{:.6f}".format),
+    "coarse_grid.txt": _grid([i * 0.5 for i in range(41)], _hydrogen_u),
+    "r4_grid.txt": _grid([0.0] + [1e-3 * 45000.0 ** (i / 399) for i in range(400)],
+                         lambda r: r**4 * math.exp(-r)),
+    "u0_grid.txt": _grid([i * 0.02 for i in range(1501)], lambda r: math.exp(-r)),
+    "huge_grid.txt": "0 0\n1e200 1\n2e200 0.5\n3e200 0.1\n4e200 0\n",
+}
+
+
+def _ci_sweep(grid: str, *argv: str) -> tuple[list[str], dict[str, str]]:
+    return ["sweep", "--grid", grid, *argv], {grid: CI_GRIDS[grid]}
+
 
 # name -> (argv, input files); the README examples first, then one command
 # per output route that they leave out, and an error exit
@@ -79,6 +110,24 @@ CASES = {
                                "50", "--seed", "3", "--gate", "both"], {}),
     "finite_xp_33_low_order": (["finite", "--pair", "truncated-xp", "--dim", "33", "--p",
                                 "0.05", "--q", "0.05"], {}),
+    # the sweeps of CI: grid states (exit 0, 3, 2, 2, 0, 3, 0 and a failed
+    # cell, exit 1), then catalog sweeps
+    "ci_grid_sweep": _ci_sweep("h_grid.txt", "--p-grid", "3", "--q-grid", "2,3"),
+    "ci_grid_six_decimals": _ci_sweep("h6_grid.txt", "--p-grid", "3", "--q-grid", "2,3"),
+    "ci_coarse_grid": _ci_sweep("coarse_grid.txt", "--p-grid", "2", "--q-grid", "1,2"),
+    "ci_r4_grid": _ci_sweep("r4_grid.txt", "--p-grid", "2.5", "--q-grid", "0.9"),
+    "ci_grid_reciprocal_q29": _ci_sweep("h_grid.txt", "--kind", "reciprocal", "--p-grid", "1",
+                                        "--q-grid", "2.9"),
+    "ci_grid_reciprocal_q3": _ci_sweep("h_grid.txt", "--kind", "reciprocal", "--p-grid", "1",
+                                       "--q-grid", "3"),
+    "ci_u0_grid_reciprocal": _ci_sweep("u0_grid.txt", "--kind", "reciprocal", "--p-grid", "1",
+                                       "--q-grid", "0.5"),
+    "ci_huge_grid_failed_cell": _ci_sweep("huge_grid.txt", "--p-grid", "1", "--q-grid", "2"),
+    "ci_r4test_high_order": (["sweep", "--state", "r4test", "--p-grid", "2", "--q-grid", "7.5"],
+                             {}),
+    "ci_divergent_row_allowed": (["sweep", "--p-grid", "2", "--q-grid", "2,5.5",
+                                  "--allow-divergent"], {}),
+    "ci_qho_own_axis": (["sweep", "--state", "qho", "--p-grid", "2,3", "--q-grid", "2"], {}),
 }
 
 

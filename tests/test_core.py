@@ -150,6 +150,18 @@ def test_default_slack_of_a_moment_verdict_scales_with_both_sides():
     assert default_slack(0.0, 0.0) == 0.0
 
 
+def test_make_verdict_flags_a_guaranteed_violation():
+    inputs = {"guaranteed": True}
+    v = make_verdict("g", 2.0, 1.0, 0.5, inputs)  # lhs > rhs + slack
+    assert v.holds is False
+    assert v.inputs == {"guaranteed": True, "severity": "internal-error"}
+    assert inputs == {"guaranteed": True}  # the caller's dict is left as it is
+    for held in (make_verdict("g", 1.0, 1.0, 0.0, inputs), make_verdict("g", 1.5, 1.0, 0.5, inputs)):
+        assert held.holds and held.inputs == inputs
+    for probe in ({}, {"guaranteed": False}):
+        assert make_verdict("probe", 2.0, 1.0, 0.5, probe).inputs == probe
+
+
 def test_verdict_rejects_negative_slack():
     with pytest.raises(DomainError):
         make_verdict("t", 1.0, 1.0, slack=-1e-3)

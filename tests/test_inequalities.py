@@ -371,13 +371,18 @@ def moment_calls(monkeypatch):
 
 
 def test_sweep_computes_each_side_moment_once(hydrogen, moment_calls):
-    ps, qs = [1.5, 2.0, 3.0], [1.0, 2.0, 2.5]
-    sweep(hydrogen, 3, 3, ps, qs)
-    assert len(moment_calls) == len(ps) + len(qs)
-    moment_calls.clear()
-    ps, qs = [1.0, 2.0], [0.5, 1.0, 1.5, 2.5]
-    sweep(hydrogen, 3, 3, ps, qs, kind=RECIPROCAL)
-    assert len(moment_calls) == len(ps) + len(qs)
+    for kind, ps, qs in (("canonical", [1.5, 2.0, 3.0], [1.0, 2.0, 2.5]),
+                         (RECIPROCAL, [1.0, 2.0], [0.5, 1.0, 1.5, 2.5]),
+                         ("canonical", [2.0, 2.0], [2.0, 2.0])):  # a repeated order
+        moment_calls.clear()
+        assert len(sweep(hydrogen, 3, 3, ps, qs, kind=kind)) == len(ps) * len(qs)
+        assert len(moment_calls) == len(set(ps)) + len(set(qs))
+
+
+def test_sweep_checks_every_order_before_any_moment(hydrogen, moment_calls):
+    with pytest.raises(DomainError):
+        sweep(hydrogen, 3, 3, [2.0], [2.0, -1.0])
+    assert moment_calls == []
 
 
 def _grid_hydrogen():
@@ -440,6 +445,39 @@ def _moment_with_status(monkeypatch, name, kind, order, status):
         return real(s, o, order_)
 
     monkeypatch.setattr(mo, name, patched)
+
+
+def _raise_at(monkeypatch, kind, order):
+    """Make abs_central_moment raise RuntimeError for one observable kind
+    and order."""
+    from qmoments import moments as mo
+
+    real = mo.abs_central_moment
+
+    def patched(s, o, order_):
+        if o.kind == kind and order_ == order:
+            raise RuntimeError("side blew up")
+        return real(s, o, order_)
+
+    monkeypatch.setattr(mo, "abs_central_moment", patched)
+
+
+def test_a_divergent_first_side_decides_before_a_raising_second_side(hydrogen, monkeypatch):
+    from qmoments import moments as mo
+
+    _moment_with_status(monkeypatch, "abs_central_moment", mo.POSITION_AXIS, 2.0, "divergent")
+    _raise_at(monkeypatch, mo.MOMENTUM_AXIS, 2.0)
+    v = uncertainty_verdict_canonical(hydrogen, 3, 3, make_exponents(2, 2))
+    assert (v.status, v.detail) == (DIVERGENT, "<|Dx|^p> is divergent: patched")
+
+
+def test_a_raising_first_side_raises_before_a_divergent_second_side(hydrogen, monkeypatch):
+    from qmoments import moments as mo
+
+    _raise_at(monkeypatch, mo.POSITION_AXIS, 2.0)
+    _moment_with_status(monkeypatch, "abs_central_moment", mo.MOMENTUM_AXIS, 2.0, "divergent")
+    with pytest.raises(RuntimeError, match="side blew up"):
+        uncertainty_verdict_canonical(hydrogen, 3, 3, make_exponents(2, 2))
 
 
 @pytest.mark.parametrize("status", ["divergent", "failed"])

@@ -406,7 +406,7 @@ def test_abs_central_moment_scaling():
     psi = random_state(rng, 5)
     for s in (0.5, 1.0, 2.7):
         base = abs_central_moment_finite(h, psi, s)
-        scaled = abs_central_moment_finite(h.scaled(3.0), psi, s)
+        scaled = abs_central_moment_finite(HermitianOperator(3.0 * h.entries), psi, s)
         assert scaled == pytest.approx(3.0**s * base, rel=1e-10)
 
 

@@ -257,25 +257,27 @@ def test_panel_sum_fails_on_a_non_finite_value_or_panel_sum():
 
 
 def test_states_and_moments_import_no_private_quadrature_name():
-    # quadrature owns the Kronrod rule: its users reach it through public
-    # names only, whether imported by name or read off the module
+    # quadrature owns the Kronrod rule and moments the observables: their
+    # users reach them through public names only, whether imported by name
+    # or read off the module
     import ast
     from pathlib import Path
 
     import qmoments
 
     package = Path(qmoments.__file__).parent
-    for name in ("states.py", "moments.py"):
+    for name, owner in (("states.py", "quadrature"), ("moments.py", "quadrature"),
+                        ("inequalities.py", "moments"), ("centralfield.py", "moments")):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
-        aliases, private = {"quadrature"}, []
+        aliases, private = {owner}, []
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
-                if (node.module or "").split(".")[-1] == "quadrature":
+                if (node.module or "").split(".")[-1] == owner:
                     private += [a.name for a in node.names if a.name.startswith("_")]
                 else:
-                    aliases |= {a.asname or a.name for a in node.names if a.name == "quadrature"}
+                    aliases |= {a.asname or a.name for a in node.names if a.name == owner}
             elif isinstance(node, ast.Import):
-                aliases |= {a.asname for a in node.names if a.name.endswith(".quadrature") and a.asname}
+                aliases |= {a.asname for a in node.names if a.name.endswith(f".{owner}") and a.asname}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
                     and isinstance(node.value, ast.Name) and node.value.id in aliases):
