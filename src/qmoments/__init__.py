@@ -40,7 +40,7 @@ _EXPORTS = {
         "uncertainty_verdict_canonical",
     ),
     "centralfield": (
-        "BuckinghamPotential", "LennardJonesPotential", "PowerLawPotential", "VirialReport",
+        "BuckinghamPotential", "LennardJonesPotential", "PowerLawPotential",
         "bound_threshold_radius", "buckingham_bound", "ground_energy_estimate",
         "lennard_jones_mean", "virial_report",
     ),

@@ -16,7 +16,10 @@ from .core import (
     DomainError,
     MomentValue,
     PhysicalConstants,
+    Verdict,
     _require_positive_finite,
+    default_slack,
+    make_verdict,
     record,
 )
 from .exact import EXP_DECAY, ContinuousState
@@ -60,42 +63,21 @@ class BuckinghamPotential:
             _require_positive_finite(name, getattr(self, name))
 
 
-@record
-class VirialReport:
-    """Kinetic/potential means, total energy, and the scale-free residual
-    |<T> + (alpha/2)<V>| / max(|<T>|, |<V>|).
-
-    The residual vanishes only for true eigenstates of the matching
-    potential; it is reported, never asserted. e_formula is the closed-form
-    total (alpha/2 - 1) beta <r^-alpha> implied by the balance.
-    """
-
-    mean_T: float
-    mean_V: float
-    total_E: float
-    virial_residual: float
-    e_formula: float
-    alpha: float
-    beta: float
-
-
 def virial_report(s: ContinuousState, v: PowerLawPotential,
-                  r_inv_alpha: MomentValue) -> VirialReport:
-    """Energy balance of the state in the well, in the state's own unit
-    system, given its <r^-alpha>, which must converge."""
+                  r_inv_alpha: MomentValue) -> dict[str, float]:
+    """The virial section of the state in the well, in report order and in
+    the state's own unit system, given its <r^-alpha>, which must converge:
+    <T>, <V>, their sum, the scale-free residual |<T> + (alpha/2)<V>| /
+    max(|<T>|, |<V>|), which vanishes only for true eigenstates of the well
+    (it is reported, never asserted), the closed-form total
+    (alpha/2 - 1) beta <r^-alpha> implied by the balance, alpha and beta."""
     inv_alpha = r_inv_alpha.require()
     mean_v = -v.beta * inv_alpha
     mean_t = s.kinetic_energy()
-    residual = abs(mean_t + 0.5 * v.alpha * mean_v) / max(abs(mean_t), abs(mean_v))
-    return VirialReport(
-        mean_T=mean_t,
-        mean_V=mean_v,
-        total_E=mean_t + mean_v,
-        virial_residual=residual,
-        e_formula=(0.5 * v.alpha - 1.0) * v.beta * inv_alpha,
-        alpha=v.alpha,
-        beta=v.beta,
-    )
+    return {"mean_T": mean_t, "mean_V": mean_v, "total_E": mean_t + mean_v,
+            "virial_residual": abs(mean_t + 0.5 * v.alpha * mean_v) / max(abs(mean_t), abs(mean_v)),
+            "E_formula": (0.5 * v.alpha - 1.0) * v.beta * inv_alpha,
+            "alpha": v.alpha, "beta": v.beta}
 
 
 def ground_energy_estimate(
@@ -138,33 +120,29 @@ def _sigma_power(v: BuckinghamPotential | LennardJonesPotential, n: int) -> floa
         raise DomainError(f"sigma^{n} overflows a double (sigma={v.sigma!r})") from None
 
 
-@record
-class BuckinghamResult:
-    bound: float
-    actual: MomentValue
-    consistent: bool
+def buckingham_bound(s: ContinuousState, v: BuckinghamPotential,
+                     slack: float | None = None) -> Verdict:
+    """The verdict <V> <= gamma[<e^-r/r0> - sigma^6/<r^6>]: lhs is the true
+    mean gamma[<e^-r/r0> - sigma^6 <r^-6>], rhs the bound. Jensen's
+    inequality (<r^-6> >= 1/<r^6>) guarantees it, so a violation is flagged
+    as an internal error. The default slack is that of a moment verdict,
+    default_slack(bound, mean).
 
-
-def buckingham_bound(s: ContinuousState, v: BuckinghamPotential) -> BuckinghamResult:
-    """Upper bound gamma[<e^-r/r0> - sigma^6/<r^6>] against the true mean.
-
-    actual = gamma[<e^-r/r0> - sigma^6 <r^-6>] when <r^-6> converges; a
-    divergent <r^-6> means the true mean is -infinity and the bound holds
-    vacuously. A failed <r^-6> raises MomentsError: it decides nothing."""
+    A divergent <r^-6> makes the true mean -infinity: a DIVERGENT verdict
+    that keeps the bound as its rhs. A failed <r^-6> raises MomentsError: it
+    decides nothing."""
     mean_exp = _mean_exp_decay(s, v.r0)
     r6 = mo.raw_moment(s, mo.radial(), 6.0).require()
     s6 = _sigma_power(v, 6)
     bound = v.gamma * (mean_exp - s6 / r6)
+    inputs = {"gamma": v.gamma, "r0": v.r0, "sigma": v.sigma, "guaranteed": True}
     rm6 = mo.raw_moment(s, mo.radial(), -6.0)
     if rm6.status == DIVERGENT:
-        actual = MomentValue.divergent(
-            1.0, f"<V> diverges to -infinity: <r^-6> {rm6.detail}"
-        )
-        return BuckinghamResult(bound, actual, consistent=True)
-    value = v.gamma * (mean_exp - s6 * rm6.require())
-    actual = MomentValue.convergent(value, rm6.err_estimate * v.gamma * s6, 1.0)
-    consistent = value <= bound + 1e-10 * max(1.0, abs(bound))
-    return BuckinghamResult(bound, actual, consistent)
+        return Verdict("buckingham", math.nan, bound, math.nan, inputs, DIVERGENT,
+                       f"<V> diverges to -infinity: <r^-6> {rm6.detail}")
+    mean = v.gamma * (mean_exp - s6 * rm6.require())
+    return make_verdict("buckingham", mean, bound,
+                        default_slack(bound, mean) if slack is None else slack, inputs)
 
 
 def _mean_exp_decay(s: ContinuousState, r0: float) -> float:

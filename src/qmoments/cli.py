@@ -434,6 +434,16 @@ def _parse_params(text: str, names: tuple[str, ...]) -> list[float]:
     return parts
 
 
+# the SI factor of each scaled key of a central report: an energy
+# (hbar^2/(m a0^2)), a length^2, a length, or 1/length (b, the coefficient in
+# b<r>^2 + <r> - b<r^2> = 0); the other keys are dimensionless
+_SI_ENERGY = SI.hbar**2 / (SI.mass * SI.a0**2)
+_CENTRAL_SI = {**dict.fromkeys(("mean_T", "mean_V", "total_E", "E_formula", "value", "bound",
+                                "actual", "mean"), _SI_ENERGY),
+               **dict.fromkeys(("delta_r2", "mean_r2", "residual"), SI.a0**2),
+               "radius": SI.a0, "b": 1.0 / SI.a0}
+
+
 def cmd_central(args, cfg: RunConfig):
     if args.alpha is None and not args.buckingham and not args.lj:
         raise DomainError("central needs --alpha and/or a potential (--buckingham, --lj)")
@@ -441,9 +451,6 @@ def cmd_central(args, cfg: RunConfig):
     c = state.constants
     outcomes = Outcomes()
     report: dict[str, Any] = {"state": state.label}
-    energy_unit = SI.hbar**2 / (SI.mass * SI.a0**2) if cfg.si else 1.0
-    length_unit = SI.a0 if cfg.si else 1.0
-
     if args.alpha is not None:
         pot = cf.PowerLawPotential(args.alpha, args.beta)
         rma = mo.raw_moment(state, mo.radial(), -args.alpha)
@@ -452,81 +459,60 @@ def cmd_central(args, cfg: RunConfig):
             outcomes.add_divergent(f"virial: {detail}")
             report["virial"] = {"status": DIVERGENT, "detail": detail}
         else:
-            # <T> out of the double range raises DomainError here, as
-            # <r^-alpha> does above: an error, not a divergence
-            rep = cf.virial_report(state, pot, rma)
-            report["virial"] = {
-                "mean_T": rep.mean_T * energy_unit,
-                "mean_V": rep.mean_V * energy_unit,
-                "total_E": rep.total_E * energy_unit,
-                "virial_residual": rep.virial_residual,
-                "E_formula": rep.e_formula * energy_unit,
-                "alpha": rep.alpha,
-                "beta": rep.beta,
-            }
+            # <T> out of the double range raises DomainError: an error, not a divergence
+            report["virial"] = cf.virial_report(state, pot, rma)
             outcomes.add_check(True)
-
         r1 = mo.raw_moment(state, mo.radial(), 1.0)
         r2 = mo.raw_moment(state, mo.radial(), 2.0)
-        if r1.is_convergent and r2.is_convergent and rma.is_convergent:
+        bad = next((m for m in (r1, r2, rma) if not m.is_convergent), None)
+        if bad is None:
             dr2 = r2.value - r1.value**2
             est = cf.ground_energy_estimate(dr2, rma, pot, c)
-            report["ground_energy_estimate"] = {
-                "value": est * energy_unit,
-                "delta_r2": dr2 * length_unit**2,
-                "note": "estimate only; compare against 0 in either direction",
-                "nonpositive": est <= 0.0,
-            }
-            # hbar^2 alone underflows to 0 for hbar below about 2e-162
+            note = "estimate only; compare against 0 in either direction"
+            report["ground_energy_estimate"] = {"value": est, "delta_r2": dr2, "note": note,
+                                                "nonpositive": est <= 0.0}
+            # b divides by hbar twice: hbar^2 underflows for hbar below about 2e-162;
+            # the residual is the equation over b: b root^2 overflows near b = 1e308
             b = 8.0 * c.mass * args.beta / c.hbar / c.hbar
             root = cf.bound_threshold_radius(r2.value, b)
-            report["bound_threshold"] = {
-                "b": b,
-                "mean_r2": r2.value * length_unit**2,
-                "radius": root * length_unit,
-                # divided by b: b root^2 overflows for b near the double limit
-                "residual": (root**2 + root / b - r2.value) * length_unit**2,
-            }
+            report["bound_threshold"] = {"b": b, "mean_r2": r2.value, "radius": root,
+                                         "residual": root**2 + root / b - r2.value}
             outcomes.add_check(True)
-        else:
-            bad = [m for m in (r1, r2, rma) if not m.is_convergent][0]
-            if bad.status != DIVERGENT:
-                raise MomentsError(f"threshold moments: {bad.detail}")
+        elif bad.status == DIVERGENT:
             outcomes.add_divergent(f"threshold moments: {bad.detail}")
+        else:
+            raise MomentsError(f"threshold moments: {bad.detail}")
 
     if args.buckingham:
-        g, r0, s_ = _parse_params(args.buckingham, ("gamma", "r0", "sigma"))
-        res = cf.buckingham_bound(state, cf.BuckinghamPotential(g, r0, s_))
-        entry: dict[str, Any] = {
-            "bound": res.bound * energy_unit,
-            "consistent": res.consistent,
-        }
-        if res.actual.is_convergent:
-            entry["actual"] = res.actual.value * energy_unit
-            outcomes.add_check(res.consistent)
-        else:
-            entry["actual"] = None
-            entry["detail"] = res.actual.detail
-            outcomes.add_divergent(f"buckingham: {res.actual.detail}")
-        report["buckingham"] = entry
+        pot = cf.BuckinghamPotential(*_parse_params(args.buckingham, ("gamma", "r0", "sigma")))
+        v = cf.buckingham_bound(state, pot, cfg.slack)
+        outcomes.add(v, cell="buckingham")
+        # a divergent mean is -infinity: the bound holds vacuously
+        report["buckingham"] = {"bound": v.rhs, "consistent": v.holds is not False,
+                                **({"actual": v.lhs} if v.status == OK else
+                                   {"actual": None, "detail": v.detail})}
 
     if args.lj:
-        eps, s_ = _parse_params(args.lj, ("eps", "sigma"))
-        res = cf.lennard_jones_mean(state, cf.LennardJonesPotential(eps, s_))
-        if res.is_convergent:
-            report["lennard_jones"] = {"mean": res.value * energy_unit}
+        pot = cf.LennardJonesPotential(*_parse_params(args.lj, ("eps", "sigma")))
+        mean = cf.lennard_jones_mean(state, pot)
+        report["lennard_jones"] = {"mean": mean.value}
+        if mean.is_convergent:
             outcomes.add_check(True)
         else:
-            report["lennard_jones"] = {"mean": None, "detail": res.detail}
-            outcomes.add_divergent(f"lennard-jones: {res.detail}")
+            report["lennard_jones"]["detail"] = mean.detail
+            outcomes.add_divergent(f"lennard-jones: {mean.detail}")
 
+    # one pass: a number out of the double range is an error, as computed or as SI-scaled
     for section, entries in report.items():
         for key, x in entries.items() if isinstance(entries, dict) else ():
             if isinstance(x, float) and not math.isfinite(x):
                 raise DomainError(f"central: {section}.{key} is {x}; the inputs overflow a double")
+            if cfg.si and key in _CENTRAL_SI and x:  # neither None nor 0
+                entries[key] = x = x * _CENTRAL_SI[key]
+                _require_normal(f"central: {section}.{key} in SI units", abs(x))
     if cfg.si:
         report["units"] = {"energy": "hartree-scaled J", "length": "m",
-                           "energy_unit": energy_unit, "length_unit": length_unit}
+                           "energy_unit": _SI_ENERGY, "length_unit": SI.a0}
     return outcomes, {"results": [report]}, None
 
 
@@ -588,8 +574,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--trials", type=_positive_int, default=1)
     f.add_argument("--p", type=float, required=True)
     f.add_argument("--q", type=float, required=True)
-    f.add_argument("--state", choices=["ground"], default="ground",
-                   help="initial state for named pairs")
     f.add_argument("--gate", choices=["commutator", "both"], default="commutator",
                    help="which chain links decide the exit code (all are reported)")
 

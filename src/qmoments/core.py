@@ -312,8 +312,9 @@ class Verdict:
     """One inequality check: sides, ratio, margin, and the boolean outcome.
 
     holds is exactly (lhs <= rhs + slack) as computed in floating point; ratio
-    is lhs/rhs when rhs > 0 and NaN otherwise. Both sides are absolute-value
-    moments, so lhs >= 0 and rhs >= 0 for every inequality in this package.
+    is lhs/rhs when rhs > 0 and NaN otherwise. The sides of a moment
+    inequality are absolute-value moments, so lhs >= 0 and rhs >= 0; those of
+    the Buckingham check (centralfield) are signed energies.
 
     status is OK when the sides were computed. A check whose side moment
     diverged or failed is a verdict too, with status DIVERGENT or FAILED and

@@ -63,6 +63,14 @@ def _ci_sweep(grid: str, *argv: str) -> tuple[list[str], dict[str, str]]:
     return ["sweep", "--grid", grid, *argv], {grid: CI_GRIDS[grid]}
 
 
+def _ci_central(grid: str, *argv: str) -> tuple[list[str], dict[str, str]]:
+    return ["central", "--grid", grid, *argv], {grid: CI_GRIDS[grid]}
+
+
+# the tolerances of the CI config-file run, as json.dump writes them
+TOL_JSON = json.dumps({"rel_tol": 1e-8, "abs_tol": 1e-12, "max_evals": 200000})
+
+
 # name -> (argv, input files); the README examples first, then one command
 # per output route that they leave out, and an error exit
 CASES = {
@@ -128,6 +136,24 @@ CASES = {
     "ci_divergent_row_allowed": (["sweep", "--p-grid", "2", "--q-grid", "2,5.5",
                                   "--allow-divergent"], {}),
     "ci_qho_own_axis": (["sweep", "--state", "qho", "--p-grid", "2,3", "--q-grid", "2"], {}),
+    # the central commands of CI: grid states (exit 0, 0, 0, a failed <r^-6>
+    # and an overflow, both exit 1), then a tiny and a huge beta
+    "ci_central_h_grid": _ci_central("h_grid.txt", "--alpha", "1", "--beta", "1"),
+    "ci_central_config_tol": (["--config", "tol.json", "central", "--grid", "h_grid.txt",
+                               "--alpha", "1", "--beta", "1"],
+                              {"h_grid.txt": CI_GRIDS["h_grid.txt"], "tol.json": TOL_JSON}),
+    "ci_central_r4_grid": _ci_central("r4_grid.txt", "--alpha", "1", "--beta", "1"),
+    "ci_central_r4_grid_buckingham": _ci_central("r4_grid.txt", "--buckingham", "1,1,1"),
+    "ci_central_huge_grid": _ci_central("huge_grid.txt", "--alpha", "1", "--beta", "1"),
+    "ci_central_tiny_beta": (["central", "--alpha", "1", "--beta", "1e-170"], {}),
+    "ci_central_huge_beta": (["central", "--state", "r4test", "--alpha", "2.5", "--beta",
+                              "1e307"], {}),
+    # central in SI units, and four divergent notes allowed (exit 0)
+    "si_central": (["--units", "si", "central", "--state", "hydrogen", "--alpha", "1",
+                    "--beta", "1"], {}),
+    "central_divergent_allowed": (["central", "--state", "hydrogen", "--alpha", "3.5",
+                                   "--buckingham", "1,1,1", "--lj", "1,1",
+                                   "--allow-divergent"], {}),
 }
 
 

@@ -13,7 +13,7 @@ from qmoments.centralfield import (
     lennard_jones_mean,
     virial_report,
 )
-from qmoments.core import DomainError, MomentsError, NATURAL
+from qmoments.core import DomainError, MomentsError, NATURAL, default_slack
 from qmoments.moments import custom_radial, radial, raw_moment
 from qmoments.states import HydrogenGroundState, PowerExpRadialState, RadialGridState
 from seeded import SplitMix64
@@ -31,28 +31,31 @@ def r4test():
 
 def test_virial_hydrogen(hydrogen):
     rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_moment(hydrogen, radial(), -1.0))
-    assert rep.mean_T == pytest.approx(0.5, rel=1e-8)
-    assert rep.mean_V == pytest.approx(-1.0, rel=1e-8)
-    assert rep.total_E == pytest.approx(-0.5, rel=1e-8)
-    assert rep.virial_residual <= 1e-8
+    assert rep["mean_T"] == pytest.approx(0.5, rel=1e-8)
+    assert rep["mean_V"] == pytest.approx(-1.0, rel=1e-8)
+    assert rep["total_E"] == pytest.approx(-0.5, rel=1e-8)
+    assert rep["virial_residual"] <= 1e-8
+    # the section's keys in report order
+    assert list(rep) == ["mean_T", "mean_V", "total_E", "virial_residual", "E_formula",
+                         "alpha", "beta"]
 
 
 def test_virial_e_formula(hydrogen):
     rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_moment(hydrogen, radial(), -1.0))
     # (alpha/2 - 1) beta <1/r> = -1/2
-    assert rep.e_formula == pytest.approx(-0.5, rel=1e-8)
+    assert rep["E_formula"] == pytest.approx(-0.5, rel=1e-8)
 
 
 def test_virial_total_is_sum(hydrogen):
     rep = virial_report(hydrogen, PowerLawPotential(0.5, 2.0), raw_moment(hydrogen, radial(), -0.5))
-    assert rep.total_E == pytest.approx(rep.mean_T + rep.mean_V, abs=1e-12)
+    assert rep["total_E"] == pytest.approx(rep["mean_T"] + rep["mean_V"], abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_e_formula_negative_for_binding_range(hydrogen, r4test, alpha):
     for st in (hydrogen, r4test):
         rep = virial_report(st, PowerLawPotential(alpha, 1.3), raw_moment(st, radial(), -alpha))
-        assert rep.e_formula < 0.0
+        assert rep["E_formula"] < 0.0
 
 
 def test_virial_divergent_moment_raises(hydrogen):
@@ -134,19 +137,20 @@ def test_buckingham_r4_gap_gamma_oracle(r4test):
     norm = math.factorial(8) / 2.0**9
     rm6 = (math.factorial(2) / 2.0**3) / norm
     r6 = (math.factorial(14) / 2.0**15) / norm
-    assert res.actual.is_convergent
-    gap = res.bound - res.actual.value
+    assert res.status == "ok"
+    gap = res.rhs - res.lhs
     assert gap == pytest.approx(rm6 - 1.0 / r6, rel=1e-8)
     assert gap > 0.0
-    assert res.consistent
+    assert res.holds
+    assert res.inputs["guaranteed"] is True and "severity" not in res.inputs
 
 
 def test_buckingham_hydrogen_divergent(hydrogen):
     res = buckingham_bound(hydrogen, BuckinghamPotential(1.0, 1.0, 1.0))
-    assert res.actual.status == "divergent"
-    assert "-infinity" in res.actual.detail
-    assert res.consistent  # vacuously
-    assert math.isfinite(res.bound)
+    assert res.status == "divergent"
+    assert "-infinity" in res.detail
+    assert res.holds is None  # decided by no comparison: the bound holds vacuously
+    assert math.isfinite(res.rhs)  # the divergent verdict keeps the bound
 
 
 def test_buckingham_failed_moment_is_not_a_divergence():
@@ -164,8 +168,17 @@ def test_buckingham_repulsion_only_limit(r4test):
     res = buckingham_bound(r4test, BuckinghamPotential(1.0, 1.0, tiny))
     exp_obs = custom_radial(lambda r: np.exp(-r), 0.0, "exp(-r)")
     mean_exp = raw_moment(r4test, exp_obs, 1.0).value
-    assert res.bound == pytest.approx(mean_exp, rel=1e-6)
-    assert res.actual.value == pytest.approx(mean_exp, rel=1e-6)
+    assert res.rhs == pytest.approx(mean_exp, rel=1e-6)
+    assert res.lhs == pytest.approx(mean_exp, rel=1e-6)
+
+
+def test_buckingham_default_slack_is_the_moment_verdict_rule(r4test):
+    res = buckingham_bound(r4test, BuckinghamPotential(1.0, 1.0, 1.0))
+    assert res.slack == default_slack(res.rhs, res.lhs)
+
+
+def test_buckingham_takes_the_given_slack(r4test):
+    assert buckingham_bound(r4test, BuckinghamPotential(1.0, 1.0, 1.0), slack=0.25).slack == 0.25
 
 
 def test_lj_hydrogen_divergent(hydrogen):

@@ -216,7 +216,7 @@ def test_finite_pauli_equality(capsys):
 
 def test_finite_truncated_pair(capsys):
     code, doc = run_json(capsys, ["finite", "--dim", "32", "--pair", "truncated-xp",
-                                  "--p", "2", "--q", "2", "--state", "ground"])
+                                  "--p", "2", "--q", "2"])
     assert code == EXIT_OK
     comm = [r for r in doc["results"] if r["label"] == "finite_commutator"][0]
     assert comm["ratio"] == pytest.approx(1.0, abs=1e-6)
@@ -568,6 +568,19 @@ def test_units_si_central_energies(capsys):
     assert rep["virial"]["total_E"] == pytest.approx(-0.5 * hartree, rel=1e-6)
     assert rep["bound_threshold"]["radius"] == pytest.approx(1.670678 * 5.29177210903e-11, rel=1e-5)
     assert rep["units"]["length"] == "m"
+    # b = 8 m beta / hbar^2 is an inverse length: 8/a0 in 1/m
+    assert rep["bound_threshold"]["b"] == pytest.approx(8.0 / 5.29177210903e-11, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    # <V> and E_formula scale to subnormal joules (about -4.4e-313)
+    ["--units", "si", "central", "--state", "hydrogen", "--alpha", "1", "--beta", "1e-295"],
+    # b = 8e307 overflows as 8e307/a0 in 1/m
+    ["--units", "si", "central", "--state", "r4test", "--alpha", "2.5", "--beta", "1e307"],
+])
+def test_units_si_central_number_out_of_the_double_range_is_one_line_error(argv, capsys):
+    assert main(argv) == EXIT_ERROR
+    assert "in SI units" in _one_error_line(capsys)
 
 
 def test_config_constants_reach_states(tmp_path, capsys):
@@ -1012,8 +1025,7 @@ abs_central_moment custom_radial mean momentum_axis position_axis radial radial_
 raw_moment DiscreteDensity holder_verdict holder_verdict_continuous
 reciprocal_moment_verdict schwarz_verdict sweep uncertainty_chain_finite
 uncertainty_verdict_canonical BuckinghamPotential LennardJonesPotential PowerLawPotential
-VirialReport bound_threshold_radius buckingham_bound ground_energy_estimate lennard_jones_mean
-virial_report
+bound_threshold_radius buckingham_bound ground_energy_estimate lennard_jones_mean virial_report
 """.split()
 
 

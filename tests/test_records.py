@@ -5,10 +5,8 @@ import pytest
 
 from qmoments.centralfield import (
     BuckinghamPotential,
-    BuckinghamResult,
     LennardJonesPotential,
     PowerLawPotential,
-    VirialReport,
 )
 from qmoments.cli import Outcomes, RunConfig
 from qmoments.core import (
@@ -41,8 +39,6 @@ CASES = [
     (PowerLawPotential, (1.0, 2.0)),
     (LennardJonesPotential, (1.0, 2.0)),
     (BuckinghamPotential, (1.0, 2.0, 3.0)),
-    (VirialReport, (0.5, -1.0, -0.5, 0.0, -0.5, 1.0, 1.0)),
-    (BuckinghamResult, (1.0, MomentValue("convergent", 1.0, 0.5), True)),
     (RunConfig, (Tolerances(), None, 0, "json", None, False, "natural", NATURAL)),
     (Outcomes, (1, 1, 0, 0, 0, ["a note"])),
 ]
