@@ -66,6 +66,9 @@ _AXES = {"x": 1, "y": 2, "z": 3, "1": 1, "2": 2, "3": 3}
 MAX_CLI_ORDER = 64.0
 MIN_CLI_ORDER = 0.05
 
+# the most cells of a sweep, and so the most points of a start:stop:count grid
+MAX_SWEEP_CELLS = 10_000
+
 SWEEP_CSV = ("p", "q", "r_star", "lhs", "rhs", "ratio", "holds", "status")
 FINITE_CSV = ("trial", "label", "p", "q", "r_star", "lhs", "rhs", "ratio", "margin", "holds")
 
@@ -144,22 +147,15 @@ def _manifest(cfg: RunConfig, argv: list[str], outcomes: Outcomes, exit_code: in
     }
 
 
-def _sanitize(obj):
-    """Replace non-finite floats with None so emitted JSON stays portable."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
-
-
 def _emit(cfg: RunConfig, report: dict[str, Any], csv_text: str | None) -> None:
     """Write the report. The body, the CSV where there is one and else the
     JSON, goes to --out or stdout; the JSON also goes to stdout after --out,
-    or to stderr when the CSV holds stdout."""
-    text = json.dumps(_sanitize(report), indent=2) + "\n"
+    or to stderr when the CSV holds stdout. A number out of the double range
+    is refused where it is computed, so one in the report is a bug."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise MomentsError(f"a non-finite number reached the report: {exc}") from None
     body = text if csv_text is None else csv_text
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -255,8 +251,8 @@ def _parse_grid(text: str) -> list[float]:
             raise DomainError(f"{what} must be start:stop:count or a comma list")
         start, stop = (_parse_number(t, what) for t in parts[:2])
         count = _parse_number(parts[2], what, int)
-        if count < 1:
-            raise DomainError("grid count must be >= 1")
+        if not 1 <= count <= MAX_SWEEP_CELLS:
+            raise DomainError(f"grid count must be in [1, {MAX_SWEEP_CELLS}], got {count}")
         return _linspace(start, stop, count)
     vals = [_parse_number(t, what) for t in text.split(",") if t.strip()]
     if not vals:
@@ -294,6 +290,8 @@ def _resolve_state(args, cfg: RunConfig):
 def cmd_sweep(args, cfg: RunConfig):
     p_grid = [_check_order("p", v) for v in _parse_grid(args.p_grid)]
     q_grid = [_check_order("q", v) for v in _parse_grid(args.q_grid)]
+    if len(p_grid) * len(q_grid) > MAX_SWEEP_CELLS:
+        raise DomainError(f"a sweep takes at most {MAX_SWEEP_CELLS} cells")
     state = _resolve_state(args, cfg)
     axis = "z" if state.dimensionality == DIM_3D_SPHERICAL else "x"  # default: the state's own
     i = _AXES[args.i or axis]

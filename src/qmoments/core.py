@@ -150,12 +150,6 @@ def record(cls: type | None = None, /, *, frozen: bool = True):
     return cls
 
 
-def replace(obj, /, **changes):
-    """A copy of the record obj with the given fields changed; the copy is
-    built by its __init__, so __post_init__ validates it again."""
-    return type(obj)(**{**{n: getattr(obj, n) for n in obj._fields}, **changes})
-
-
 @record
 class Exponents:
     """An order pair (p, q) with its derived product-side exponent and weights.
@@ -318,7 +312,9 @@ class Verdict:
 
     status is OK when the sides were computed. A check whose side moment
     diverged or failed is a verdict too, with status DIVERGENT or FAILED and
-    the reason in detail; its sides are NaN and holds is None.
+    the reason in detail; its sides are NaN and holds is None, and to_dict
+    leaves them out. make_verdict refuses sides that are not finite, so the
+    only null that to_dict writes is a ratio that is not a finite number.
     """
 
     label: str
@@ -352,7 +348,7 @@ class Verdict:
         return {
             "lhs": self.lhs,
             "rhs": self.rhs,
-            "ratio": self.ratio,
+            "ratio": self.ratio if math.isfinite(self.ratio) else None,
             "margin": self.margin,
             "holds": self.holds,
             "slack": self.slack,
@@ -368,11 +364,13 @@ def make_verdict(
     slack: float | None = None,
     inputs: dict[str, Any] | None = None,
 ) -> Verdict:
-    """The verdict lhs <= rhs + slack, by default with default_slack(rhs).
+    """The verdict lhs <= rhs + slack, by default with default_slack(rhs);
+    DomainError where lhs, rhs or rhs - lhs is not finite (inf <= inf holds).
     An inequality whose inputs say it is guaranteed and that does not hold
     is a numerical bug: its inputs gain severity internal-error."""
-    lhs = float(lhs)
-    rhs = float(rhs)
+    lhs, rhs = float(lhs), float(rhs)
+    if not math.isfinite(rhs - lhs):  # also where either side is inf or NaN
+        raise DomainError(f"{label}: lhs = {lhs!r}, rhs = {rhs!r}: out of the double range")
     slack = default_slack(rhs) if slack is None else _require_slack(slack)
     inputs = inputs or {}
     if inputs.get("guaranteed") and not lhs <= rhs + slack:

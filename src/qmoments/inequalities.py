@@ -60,12 +60,10 @@ class DiscreteDensity:
             raise DomainError("density values must be finite")
         if np.any(w < 0.0):
             raise DomainError("weights must be nonnegative")
-        total = w.sum()
-        if total <= 0.0:
+        if not np.any(w > 0.0):
             raise DomainError("weights must not all vanish")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "w", w / total)
+        w = w / w.max()  # so that the sum stays in the double range
+        self.__dict__.update(f=f, g=g, w=w / w.sum())
 
     @staticmethod
     def uniform(f, g) -> "DiscreteDensity":
@@ -127,9 +125,12 @@ def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None)
     Guaranteed for every valid density; a false verdict is flagged as an
     internal error (numerical bug), not as physics.
     """
-    lhs = float(d.w @ abs(d.f * d.g) ** e.r_star)
-    mf = float(d.w @ abs(d.f) ** e.p)
-    mg = float(d.w @ abs(d.g) ** e.q)
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float(d.w @ abs(d.f * d.g) ** e.r_star)
+        mf = float(d.w @ abs(d.f) ** e.p)
+        mg = float(d.w @ abs(d.g) ** e.q)
     rhs = mf**e.w_f * mg**e.w_g
     return make_verdict(
         "holder_discrete", lhs, rhs, slack,
@@ -140,8 +141,11 @@ def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None)
 def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
     """(Sum w|fg|)^2 <= (Sum w f^2)(Sum w g^2), the squared form so both
     sides carry identical dimensions."""
-    lhs = float(d.w @ abs(d.f * d.g)) ** 2
-    rhs = float(d.w @ d.f**2) * float(d.w @ d.g**2)
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = float((d.w @ abs(d.f * d.g)) ** 2)
+        rhs = float(d.w @ d.f**2) * float(d.w @ d.g**2)
     return make_verdict("schwarz", lhs, rhs, slack, {"n_points": int(d.f.size), "guaranteed": True})
 
 

@@ -46,8 +46,13 @@ H_GRID = _grid([i * 0.1 for i in range(301)], _hydrogen_u)
 # the grids of the CI sweeps: the 1s wavefunction at h = 0.02 to r = 40, the
 # same written with six decimals, at h = 0.5 to r = 20, u = r^4 e^-r on a
 # geometric grid with a leading r = 0, u = e^-r (u(0) != 0) at h = 0.02 to
-# r = 30, and knots near 1e200
+# r = 30, and knots near 1e200; then the h = 0.02 grid with CRLF endings,
+# comment lines, trailing comments, blank lines and tabs, a grid with a byte
+# that is not UTF-8 (a surrogate escape here) and one whose first knot
+# interval is 1e-200
 H_FINE = [i * 0.02 for i in range(2001)]
+_CRLF_ROWS = [f"{r!r}\t{_hydrogen_u(r)!r}  # sample" if i % 100 == 0
+              else f"{r!r} {_hydrogen_u(r)!r}" for i, r in enumerate(H_FINE)]
 CI_GRIDS = {
     "h_grid.txt": _grid(H_FINE, _hydrogen_u),
     "h6_grid.txt": _grid(H_FINE, _hydrogen_u, "{:.6f}".format),
@@ -56,6 +61,9 @@ CI_GRIDS = {
                          lambda r: r**4 * math.exp(-r)),
     "u0_grid.txt": _grid([i * 0.02 for i in range(1501)], lambda r: math.exp(-r)),
     "huge_grid.txt": "0 0\n1e200 1\n2e200 0.5\n3e200 0.1\n4e200 0\n",
+    "crlf_grid.txt": "# r u\r\n\r\n" + "\r\n".join(_CRLF_ROWS) + "\r\n\r\n",
+    "bad_grid.txt": "0 0\n1 0.5\udcff\n2 0.2\n3 0.1\n",
+    "tiny_grid.txt": "0 0\n1e-200 1\n1 1\n2 1\n",
 }
 
 
@@ -82,6 +90,12 @@ CASES = {
                        "--p", "3", "--q", "1.5"], {}),
     "readme_holder": (["holder", "--data", "samples.csv", "--p", "3", "--q", "2"],
                       {"samples.csv": SAMPLES_CSV}),
+    # sums past the double range: both sides, and the Holder rhs alone (exit
+    # 1, one error: line, no numpy warning)
+    "holder_overflow": (["holder", "--data", "ov.csv", "--p", "3", "--q", "2"],
+                        {"ov.csv": "1e200,1e200,1\n"}),
+    "holder_overflow_mixed": (["holder", "--data", "ov.csv", "--p", "3", "--q", "2"],
+                              {"ov.csv": "1e120,1e-200,1\n1,1,1\n"}),
     "readme_central_virial": (["central", "--state", "hydrogen", "--alpha", "1",
                                "--beta", "1"], {}),
     "readme_central_buckingham": (["central", "--state", "r4test", "--buckingham", "1,1,1"], {}),
@@ -136,6 +150,11 @@ CASES = {
     "ci_divergent_row_allowed": (["sweep", "--p-grid", "2", "--q-grid", "2,5.5",
                                   "--allow-divergent"], {}),
     "ci_qho_own_axis": (["sweep", "--state", "qho", "--p-grid", "2,3", "--q-grid", "2"], {}),
+    # the grid file format: CRLF endings and comments (exit 0), a byte that
+    # is not UTF-8 and a knot interval of 1e-200 (exit 1, one error: line)
+    "ci_crlf_grid": _ci_sweep("crlf_grid.txt", "--p-grid", "3", "--q-grid", "2"),
+    "ci_bad_byte_grid": _ci_sweep("bad_grid.txt", "--p-grid", "3", "--q-grid", "2"),
+    "ci_tiny_grid": _ci_sweep("tiny_grid.txt", "--p-grid", "3", "--q-grid", "2"),
     # the central commands of CI: grid states (exit 0, 0, 0, a failed <r^-6>
     # and an overflow, both exit 1), then a tiny and a huge beta
     "ci_central_h_grid": _ci_central("h_grid.txt", "--alpha", "1", "--beta", "1"),
@@ -154,6 +173,12 @@ CASES = {
     "central_divergent_allowed": (["central", "--state", "hydrogen", "--alpha", "3.5",
                                    "--buckingham", "1,1,1", "--lj", "1,1",
                                    "--allow-divergent"], {}),
+    # the config errors of CI: constants under --units si, and a misspelt key
+    # (exit 1, one error: line)
+    "ci_config_constants_si": (["--config", "hbar2.json", "--units", "si", "hydrogen", "--p",
+                                "3", "--q", "2"], {"hbar2.json": '{"constants": {"hbar": 2}}'}),
+    "ci_config_unknown_key": (["--config", "typo.json", "hydrogen", "--p", "3", "--q", "2"],
+                              {"typo.json": '{"rel_tl": 0.001}'}),
 }
 
 
@@ -194,7 +219,7 @@ def run(argv: list[str], files: dict[str, str]) -> dict:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
-            Path(tmp, name).write_text(text, encoding="utf-8")
+            Path(tmp, name).write_text(text, encoding="utf-8", errors="surrogateescape")
         os.chdir(tmp)
         try:
             out, err = io.StringIO(), io.StringIO()

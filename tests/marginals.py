@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from qmoments.core import DEFAULT_TOLERANCES, MomentValue, Tolerances, replace
+from qmoments.core import DEFAULT_TOLERANCES, MomentValue, Tolerances
 from qmoments.exact import (
     DIM_1D, KINETIC, MOMENTUM_AXIS, MOMENTUM_SIGNED, P_POWER, POSITION_AXIS, POSITION_SIGNED,
 )
@@ -226,7 +226,7 @@ def axis_moment(st, quantity, x):
         return position_density(st, z) if position else momentum_density(st, z)
 
     if quantity in (POSITION_SIGNED, MOMENTUM_SIGNED):
-        tol = replace(st.tol, abs_tol=max(st.tol.abs_tol, 1e-12))
+        tol = Tolerances(st.tol.rel_tol, max(st.tol.abs_tol, 1e-12), st.tol.max_evals)
         return integrate_real_line(lambda z: z**x * dens(z), tol, [center]).as_moment(x)
     return integrate_real_line(lambda z: abs(z - center) ** x * dens(z), st.tol, [center]).as_moment(x)
 

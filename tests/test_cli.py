@@ -337,6 +337,45 @@ def test_holder_header_after_comment_lines(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, p", [("1e200,1e200,1\n", 3.0), ("1e120,1e-200,1\n1,1,1\n", 3.0),
+                                     ("1e160,1,1\n", 1.0)],
+                         ids=["both_sides", "holder_rhs", "schwarz_only"])
+def test_holder_overflow_is_one_line_error(rows, p, tmp_path, capsys):
+    # sums past the double range are refused, not printed as null beside
+    # holds: true; no numpy warning either (it would fail this test)
+    path = tmp_path / "ov.csv"
+    path.write_text(rows)
+    assert main(["holder", "--data", str(path), "--p", str(p), "--q", str(p)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: (holder_discrete|schwarz): .* out of the double range\n", captured.err)
+
+
+def test_a_non_finite_number_in_a_report_is_an_internal_error(monkeypatch, capsys):
+    from qmoments import cli
+
+    def command(args, cfg):
+        return cli.Outcomes(), {"results": [{"value": math.inf}]}, None
+
+    monkeypatch.setitem(cli._COMMANDS, "hydrogen", command)
+    assert main(["hydrogen", "--p", "3", "--q", "2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p_grid, q_grid", [("1:2:10001", "2"), ("2", "1:2:10001"),
+                                            ("1:2:73", "1:2:137")])  # 73 x 137 = 10001
+def test_sweep_past_the_cell_cap_is_one_line_error(p_grid, q_grid, capsys):
+    from qmoments.cli import MAX_SWEEP_CELLS
+
+    assert MAX_SWEEP_CELLS == 10_000
+    assert main(["sweep", "--p-grid", p_grid, "--q-grid", q_grid]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "10000" in captured.err
+
+
 def test_holder_missing_file(capsys):
     assert main(["holder", "--data", "/nonexistent.csv", "--p", "2", "--q", "2"]) == EXIT_ERROR
 

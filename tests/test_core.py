@@ -138,6 +138,22 @@ def test_verdict_zero_rhs_ratio_nan():
     assert v.holds  # 0 <= 0 + slack
 
 
+@pytest.mark.parametrize("lhs, rhs", [(math.inf, math.inf), (0.5, math.inf), (math.inf, 1.0),
+                                      (math.nan, 1.0), (-1e308, 1e308)])
+def test_make_verdict_refuses_a_side_or_margin_out_of_range(lhs, rhs):
+    # inf <= inf + slack would hold with no number behind it
+    with pytest.raises(DomainError, match="^holder_discrete: "):
+        make_verdict("holder_discrete", lhs, rhs)
+
+
+@pytest.mark.parametrize("lhs, rhs", [(0.0, 0.0), (1e300, 1e-10)])
+def test_verdict_writes_an_undefined_ratio_as_null(lhs, rhs):
+    v = make_verdict("t", lhs, rhs, slack=0.0)
+    assert not math.isfinite(v.ratio)
+    d = v.to_dict()
+    assert d["ratio"] is None and (d["lhs"], d["rhs"]) == (lhs, rhs)
+
+
 def test_default_slack_scales_with_rhs():
     assert default_slack(0.5) == 1e-9
     assert default_slack(100.0) == pytest.approx(1e-7)

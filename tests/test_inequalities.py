@@ -447,6 +447,33 @@ def _moment_with_status(monkeypatch, name, kind, order, status):
     monkeypatch.setattr(mo, name, patched)
 
 
+def test_weights_whose_sum_leaves_the_double_range_normalize():
+    # w / sum(w) would be w/inf = 0, and every sum read 0 <= 0
+    d = DiscreteDensity([1.0, 2.0], [2.0, 1.0], [1e308, 1e308])
+    assert d.w.tolist() == [0.5, 0.5]
+    assert holder_verdict(d, make_exponents(3, 2)).lhs == pytest.approx(2.0**1.2)
+
+
+def test_a_side_past_the_double_range_fails_its_cell(hydrogen, monkeypatch):
+    # inf <= inf would hold vacuously: make_verdict refuses it, and the sweep
+    # reads the refusal as a failed cell
+    from qmoments import moments as mo
+
+    real = mo.abs_central_moment
+
+    def patched(s, o, order):
+        if o.kind == mo.MOMENTUM_AXIS and order == 2.0:
+            return MomentValue.convergent(math.inf, 0.0, order)
+        return real(s, o, order)
+
+    monkeypatch.setattr(mo, "abs_central_moment", patched)
+    table = sweep(hydrogen, 3, 3, [3.0], [1.0, 2.0])
+    assert [r.status for r in table] == ["ok", "failed"]
+    assert table[1].detail.startswith("canonical_pair: lhs = ")
+    with pytest.raises(DomainError, match="out of the double range"):
+        uncertainty_verdict_canonical(hydrogen, 3, 3, make_exponents(3, 2))
+
+
 def _raise_at(monkeypatch, kind, order):
     """Make abs_central_moment raise RuntimeError for one observable kind
     and order."""

@@ -1,7 +1,7 @@
 """Property tests: Young's inequality, the Exponents invariants, the grid
 file reader, the a:b:n grid spec, and the CLI on fuzzed tolerance, slack,
-dimension, potential and config-file values. Skipped where hypothesis is
-absent."""
+dimension, potential and config-file values, and on edge floats in holder
+CSVs, orders and grid specs. Skipped where hypothesis is absent."""
 
 import contextlib
 import io
@@ -16,7 +16,15 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, _parse_grid, main  # noqa: E402
+from qmoments.cli import (  # noqa: E402
+    EXIT_DIVERGENT,
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_VIOLATION,
+    MAX_SWEEP_CELLS,
+    _parse_grid,
+    main,
+)
 from qmoments.core import make_exponents, young_gap  # noqa: E402
 from qmoments.states import _read_grid  # noqa: E402
 
@@ -226,3 +234,81 @@ def test_grid_reader_matches_float_per_token(tmp_path_factory, lines, eol, last_
     assert r.dtype == u.dtype == np.float64
     assert r.tobytes() == np.array(want_r, dtype=float).tobytes()
     assert u.tobytes() == np.array(want_u, dtype=float).tobytes()
+
+
+# edge floats (0, subnormals, the top of the double range and inf, each of
+# either sign), mixed with in-range orders and density values so that most
+# draws reach a verdict
+_EDGES = [0.0, 5e-324, 1e-310, 1e308, math.inf]
+edge_floats = st.sampled_from(_EDGES + [-x for x in _EDGES])
+_in_range = st.one_of(st.floats(min_value=0.05, max_value=64.0),
+                      st.sampled_from([0.05, 0.5, 1.0, 2.0, 3.0, 64.0]))
+edge_orders = st.one_of(_in_range, _in_range, edge_floats)  # mostly orders that compute
+edge_counts = st.one_of(st.integers(min_value=1, max_value=4),
+                        st.sampled_from([MAX_SWEEP_CELLS, MAX_SWEEP_CELLS + 1]))
+_values = st.one_of(st.floats(-10.0, 10.0), edge_floats)
+holder_rows = st.lists(st.tuples(_values, _values, st.one_of(st.floats(0.0, 10.0), edge_floats)),
+                       min_size=1, max_size=4)
+
+
+def _grid_spec(draw):
+    if draw(st.booleans()):
+        return ",".join(repr(x) for x in draw(st.lists(edge_orders, min_size=1, max_size=3)))
+    return f"{draw(edge_orders)!r}:{draw(edge_orders)!r}:{draw(edge_counts)}"
+
+
+@st.composite
+def edge_cases(draw):
+    """argv, with {} for the holder CSV, and that CSV's text (else None)."""
+    command = draw(st.sampled_from(["holder", "hydrogen", "sweep"]))
+    rows = None
+    if command == "holder":
+        rows = "".join(f"{f!r},{g!r},{w!r}\n" for f, g, w in draw(holder_rows))
+        argv = ["holder", "--data", "{}"]
+    elif command == "sweep":
+        argv = ["sweep", "--kind", draw(st.sampled_from(["canonical", "reciprocal"])),
+                f"--p-grid={_grid_spec(draw)}", f"--q-grid={_grid_spec(draw)}"]
+    else:
+        argv = ["hydrogen"]
+    if command != "sweep":
+        argv += [f"--p={draw(edge_orders)!r}", f"--q={draw(edge_orders)!r}"]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--slack={draw(edge_floats)!r}")
+    return argv, rows
+
+
+def _vacuous(verdict: dict) -> bool:
+    """A verdict that holds with a side that is not a number."""
+    return verdict.get("holds") is True and (verdict["lhs"] is None or verdict["rhs"] is None)
+
+
+_HOLDER = ["holder", "--data", "{}", "--p=3.0", "--q=2.0"]
+
+
+@settings(FIXED, max_examples=300)
+@given(case=edge_cases())
+# both sides overflow; only the Holder rhs does; the weights sum to inf
+@example(case=(_HOLDER, "1e200,1e200,1\n"))
+@example(case=(_HOLDER, "1e120,1e-200,1\n1,1,1\n"))
+@example(case=(_HOLDER, "1.0,2.0,1e308\n2.0,1.0,1e308\n"))
+def test_cli_on_edge_floats_ends_in_one_line_or_a_real_report(tmp_path_factory, case):
+    argv, rows = case
+    if rows is not None:
+        path = tmp_path_factory.getbasetemp() / "edge_rows.csv"
+        path.write_text(rows, encoding="utf-8")
+        argv = [a.format(path) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_VIOLATION, EXIT_DIVERGENT)
+    if not out.getvalue():
+        [line] = err.getvalue().splitlines()
+        assert code == EXIT_ERROR
+        assert line.startswith(("error: ", "internal error: ", "io error: "))
+        return
+    doc = json.loads(out.getvalue())
+    assert err.getvalue() == ""
+    assert doc["manifest"]["outcomes"]["exit_code"] == code
+    assert not any(_vacuous(v) for v in doc["results"])
+    if code == EXIT_ERROR:  # a report exits 1 only for a sweep with a failed cell
+        assert any(row["status"] == "failed" for row in doc["results"])

@@ -17,7 +17,6 @@ from qmoments.core import (
     PhysicalConstants,
     Tolerances,
     Verdict,
-    replace,
 )
 from qmoments.inequalities import DiscreteDensity
 from qmoments.matrixlab import FiniteState, HermitianOperator
@@ -128,27 +127,6 @@ def test_repr_names_the_class_and_its_fields(cls, args):
     assert text.startswith(f"{cls.__name__}(") and text.endswith(")")
     pos = [text.index(f"{n}=") for n in _names(cls)]
     assert pos == sorted(pos)
-
-
-@pytest.mark.parametrize("cls, args", CASES, ids=IDS)
-def test_replace_builds_a_changed_copy(cls, args):
-    obj = cls(*args)
-    copy = replace(obj)
-    assert copy is not obj and _same(copy, obj)
-    last = _names(cls)[-1]
-    changed = replace(obj, **{last: getattr(obj, last)})
-    assert _same(changed, obj)
-
-
-def test_replace_changes_only_the_named_fields_and_validates_again():
-    tol = replace(Tolerances(), rel_tol=1e-6)
-    assert tol == Tolerances(rel_tol=1e-6, abs_tol=Tolerances().abs_tol)
-    with pytest.raises(DomainError):
-        replace(Tolerances(), rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        replace(PowerLawPotential(1.0, 1.0), beta=0.0)
-    with pytest.raises(TypeError):
-        replace(Tolerances(), no_such_field=1.0)
 
 
 def test_mutable_defaults_are_fresh_per_instance():
