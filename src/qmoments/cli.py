@@ -11,8 +11,8 @@ Exit codes: 0 all checks hold; 1 usage/IO/internal error; 2 at least one
 inequality violation detected; 3 a required moment diverged and
 --allow-divergent was not given.
 
-A catalog run loads no numpy: states, matrixlab and quadrature are deferred
-modules that --grid, finite and holder load on first use.
+A catalog run and holder load no numpy: states, matrixlab and quadrature are
+deferred modules that --grid and finite load on first use.
 """
 
 from __future__ import annotations
@@ -376,7 +376,8 @@ def cmd_finite(args, cfg: RunConfig):
 
 
 def _read_holder_csv(path: str) -> iq.DiscreteDensity:
-    rows: list[tuple[float, float, float]] = []
+    """The density of a CSV file with columns f, g and an optional weight
+    (default 1); one pass fills the three columns."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
@@ -384,26 +385,32 @@ def _read_holder_csv(path: str) -> iq.DiscreteDensity:
         raise DataFormatError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataFormatError.not_utf8(path, exc) from exc
-    content = [(lineno, [t.strip() for t in line.split(",")])
-               for lineno, raw in enumerate(lines, start=1)
-               if (line := raw.split("#", 1)[0].strip())]
-    if content and any(not _is_number(t) for t in content[0][1]):
-        del content[0]  # optional header row, the first line with content
-    for lineno, parts in content:
+    f, g, w = [], [], []
+    header = True  # the first line with content may be a header row
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = [t.strip() for t in line.split(",")]
+        if header:
+            header = False
+            if not all(map(_is_number, parts)):
+                continue
         if len(parts) not in (2, 3):
             raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 columns, got {len(parts)}")
         try:
-            f = float(parts[0])
-            g = float(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
+            x, y = float(parts[0]), float(parts[1])
+            weight = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if w < 0.0:
-            raise DataFormatError(f"{path}:{lineno}: negative weight {w}")
-        rows.append((f, g, w))
-    if not rows:
+        if weight < 0.0:
+            raise DataFormatError(f"{path}:{lineno}: negative weight {weight}")
+        f.append(x)
+        g.append(y)
+        w.append(weight)
+    if not f:
         raise DataFormatError(f"{path}: no data rows")
-    return iq.DiscreteDensity(*zip(*rows))  # the f, g and weight columns
+    return iq.DiscreteDensity(f, g, w)
 
 
 def _is_number(t: str) -> bool:

@@ -357,6 +357,11 @@ class Verdict:
         }
 
 
+def out_of_range(label: str, lhs: float, rhs: float) -> DomainError:
+    """The refusal of a verdict whose sides left the double range."""
+    return DomainError(f"{label}: lhs = {lhs!r}, rhs = {rhs!r}: out of the double range")
+
+
 def make_verdict(
     label: str,
     lhs: float,
@@ -370,7 +375,7 @@ def make_verdict(
     is a numerical bug: its inputs gain severity internal-error."""
     lhs, rhs = float(lhs), float(rhs)
     if not math.isfinite(rhs - lhs):  # also where either side is inf or NaN
-        raise DomainError(f"{label}: lhs = {lhs!r}, rhs = {rhs!r}: out of the double range")
+        raise out_of_range(label, lhs, rhs)
     slack = default_slack(rhs) if slack is None else _require_slack(slack)
     inputs = inputs or {}
     if inputs.get("guaranteed") and not lhs <= rhs + slack:

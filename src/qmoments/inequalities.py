@@ -11,14 +11,19 @@ Two different contracts coexist here and the distinction matters:
   checks at general orders) are claims under test; violations are reported
   with full reproduction data and never raised as errors.
 
-The canonical, reciprocal and continuous verdicts need no arrays. The
-discrete and finite halves import numpy, and reach matrixlab as a deferred
+The canonical, reciprocal, continuous and discrete verdicts need no arrays:
+the discrete sums are exactly rounded sums (math.fsum) over columns scaled by
+powers of two. The finite half reaches numpy through matrixlab, a deferred
 module, when first called.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from functools import cached_property
+from itertools import chain, repeat
+from operator import mul, truediv
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .core import (
@@ -33,6 +38,7 @@ from .core import (
     default_slack,
     make_exponents,
     make_verdict,
+    out_of_range,
     record,
 )
 from .exact import ContinuousState
@@ -42,35 +48,57 @@ from . import moments as mo
 
 @record
 class DiscreteDensity:
-    """Weighted sample points (f_i, g_i, w_i); weights renormalized to sum 1."""
+    """Weighted sample points (f_i, g_i, w_i); weights renormalized to sum 1.
 
-    f: np.ndarray
-    g: np.ndarray
-    w: np.ndarray
+    Each field is a tuple of floats. Lists, tuples and arrays go in; an
+    array of any shape goes in flattened. The weights are first divided by
+    the power of two above the largest one, exactly, so that their sum stays
+    in the double range."""
+
+    f: tuple[float, ...]
+    g: tuple[float, ...]
+    w: tuple[float, ...]
 
     def __post_init__(self):
-        import numpy as np
-
-        f = np.asarray(self.f, dtype=float).ravel()
-        g = np.asarray(self.g, dtype=float).ravel()
-        w = np.asarray(self.w, dtype=float).ravel()
-        if f.size == 0 or f.shape != g.shape or f.shape != w.shape:
+        f, g, w = (_floats(x) for x in (self.f, self.g, self.w))
+        if not f or len(f) != len(g) or len(f) != len(w):
             raise DomainError("density needs equal-length nonempty f, g, w")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g)) and np.all(np.isfinite(w))):
+        if not all(map(math.isfinite, chain(f, g, w))):
             raise DomainError("density values must be finite")
-        if np.any(w < 0.0):
+        if min(w) < 0.0:
             raise DomainError("weights must be nonnegative")
-        if not np.any(w > 0.0):
+        top = max(w)
+        if not top > 0.0:
             raise DomainError("weights must not all vanish")
-        w = w / w.max()  # so that the sum stays in the double range
-        self.__dict__.update(f=f, g=g, w=w / w.sum())
+        w = tuple(map(math.ldexp, w, repeat(-math.frexp(top)[1])))
+        self.__dict__.update(f=f, g=g, w=tuple(map(truediv, w, repeat(math.fsum(w)))))
 
     @staticmethod
     def uniform(f, g) -> "DiscreteDensity":
-        import numpy as np
+        f = _floats(f)
+        return DiscreteDensity(f, g, (1.0,) * len(f))
 
-        f = np.asarray(f, dtype=float)
-        return DiscreteDensity(f, g, np.ones_like(f))
+    @cached_property
+    def _scaled(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], int]:
+        """(a, b, a*b, e_f + e_g): a = |f| / 2^e_f and b = |g| / 2^e_g, with
+        2^e the power of two above the column's largest value, so that no
+        power or product of them overflows. Exact, save for entries that land
+        below the normal range, negligible beside the largest one."""
+        a, e_f = _scaled_abs(self.f)
+        b, e_g = _scaled_abs(self.g)
+        return a, b, tuple(map(mul, a, b)), e_f + e_g
+
+
+def _floats(x) -> tuple[float, ...]:
+    """x as a flat tuple of floats; an array goes in through ravel().tolist()."""
+    return tuple(map(float, x.ravel().tolist() if hasattr(x, "ravel") else x))
+
+
+def _scaled_abs(x: tuple[float, ...]) -> tuple[tuple[float, ...], int]:
+    """(|x| / 2^e, e), 2^e the power of two above max|x|; e = 0 if all x are 0."""
+    x = tuple(map(abs, x))
+    e = math.frexp(max(x))[1]
+    return tuple(map(math.ldexp, x, repeat(-e))), e
 
 
 def _computed(moment: Callable[..., MomentValue], *args) -> MomentValue | Exception:
@@ -119,34 +147,80 @@ def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
 # discrete densities
 
 
+def _nonzero(*columns: tuple[float, ...]) -> bool:
+    """Whether some row is nonzero in every one of the columns."""
+    return any(map(all, zip(*columns)))
+
+
+def _discrete_verdict(label: str, d: DiscreteDensity, order: float, lhs, rhs,
+                      slack: float | None, inputs: dict[str, Any]) -> Verdict:
+    """The verdict on two sides, each given as factors (s, c): the side is
+    prod(s^c) * 2^(order (e_f + e_g)) (DiscreteDensity._scaled), rounded from
+    the mantissas of the s (frexp) and one exponent summed exactly, so that
+    no step leaves the normal range. In make_verdict's words, it refuses a
+    side past the double range (passed on as inf) and a side that is not 0
+    but lands on 0 or a subnormal (it would hold vacuously, or has lost its
+    digits). A subnormal s is refused too: its side may be in range, but its
+    digits are lost, as where the largest |f| and |g| lie in different rows."""
+    sides = []
+    for factors in (lhs, rhs):
+        mantissa = 1.0
+        num, den = order.as_integer_ratio()
+        num *= d._scaled[3]
+        for x, c in factors:
+            if 0.0 < x < sys.float_info.min:
+                raise DomainError(f"{label}: a sum of the scaled columns is subnormal and has "
+                                  "lost its digits")
+            m, k = math.frexp(x)
+            mantissa *= m**c
+            n, dc = c.as_integer_ratio()
+            num, den = num * dc + n * k * den, den * dc
+        whole, rest = divmod(num, den)
+        try:
+            sides.append(math.ldexp(mantissa * 2.0 ** (rest / den), whole))
+        except OverflowError:
+            sides.append(math.inf)
+    lhs, rhs = sides
+    tiny = sys.float_info.min
+    if ((lhs < tiny and (lhs > 0.0 or _nonzero(d.w, d.f, d.g)))
+            or (rhs < tiny and (rhs > 0.0 or _nonzero(d.w, d.f) and _nonzero(d.w, d.g)))):
+        raise out_of_range(label, lhs, rhs)
+    return make_verdict(label, lhs, rhs, slack, inputs)
+
+
 def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None) -> Verdict:
     """Sum w|fg|^r* <= (Sum w|f|^p)^(q/(p+q)) (Sum w|g|^q)^(p/(p+q)).
 
     Guaranteed for every valid density; a false verdict is flagged as an
-    internal error (numerical bug), not as physics.
+    internal error (numerical bug), not as physics. The sums run on the
+    scaled columns, so both sides carry 2^(r* (e_f + e_g)), as p w_f = q w_g
+    = r*. Dividing by the weight sum, 1 up to rounding, takes out the
+    rounding that the normalization shares across the weights.
     """
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = float(d.w @ abs(d.f * d.g) ** e.r_star)
-        mf = float(d.w @ abs(d.f) ** e.p)
-        mg = float(d.w @ abs(d.g) ** e.q)
-    rhs = mf**e.w_f * mg**e.w_g
-    return make_verdict(
-        "holder_discrete", lhs, rhs, slack,
-        {"p": e.p, "q": e.q, "r_star": e.r_star, "n_points": int(d.f.size), "guaranteed": True},
+    a, b, ab, _ = d._scaled
+    total = math.fsum(d.w)
+    lhs = math.fsum(map(mul, d.w, map(pow, ab, repeat(e.r_star))))
+    mf = math.fsum(map(mul, d.w, map(pow, a, repeat(e.p))))
+    mg = math.fsum(map(mul, d.w, map(pow, b, repeat(e.q))))
+    return _discrete_verdict(
+        "holder_discrete", d, e.r_star, ((lhs, 1.0), (total, -1.0)),
+        ((mf, e.w_f), (mg, e.w_g), (total, -1.0)), slack,
+        {"p": e.p, "q": e.q, "r_star": e.r_star, "n_points": len(d.f), "guaranteed": True},
     )
 
 
 def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
     """(Sum w|fg|)^2 <= (Sum w f^2)(Sum w g^2), the squared form so both
-    sides carry identical dimensions."""
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = float((d.w @ abs(d.f * d.g)) ** 2)
-        rhs = float(d.w @ d.f**2) * float(d.w @ d.g**2)
-    return make_verdict("schwarz", lhs, rhs, slack, {"n_points": int(d.f.size), "guaranteed": True})
+    sides carry identical dimensions; summed as in holder_verdict, both sides
+    carry 2^(2 (e_f + e_g))."""
+    a, b, ab, _ = d._scaled
+    total = math.fsum(d.w)
+    s = math.fsum(map(mul, d.w, ab))
+    sf = math.fsum(map(mul, d.w, map(mul, a, a)))
+    sg = math.fsum(map(mul, d.w, map(mul, b, b)))
+    return _discrete_verdict("schwarz", d, 2.0, ((s, 2.0), (total, -2.0)),
+                             ((sf, 1.0), (sg, 1.0), (total, -2.0)), slack,
+                             {"n_points": len(d.f), "guaranteed": True})
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,15 @@ CASES = {
                        "--p", "3", "--q", "1.5"], {}),
     "readme_holder": (["holder", "--data", "samples.csv", "--p", "3", "--q", "2"],
                       {"samples.csv": SAMPLES_CSV}),
-    # sums past the double range: both sides, and the Holder rhs alone (exit
-    # 1, one error: line, no numpy warning)
+    # sides past the double range (exit 1, one error: line); raw sums past
+    # it, with every side in range (exit 0); sides that underflow to 0, which
+    # would hold vacuously (exit 1, one error: line)
     "holder_overflow": (["holder", "--data", "ov.csv", "--p", "3", "--q", "2"],
                         {"ov.csv": "1e200,1e200,1\n"}),
     "holder_overflow_mixed": (["holder", "--data", "ov.csv", "--p", "3", "--q", "2"],
                               {"ov.csv": "1e120,1e-200,1\n1,1,1\n"}),
+    "holder_underflow": (["holder", "--data", "tiny.csv", "--p", "3", "--q", "2"],
+                         {"tiny.csv": "1e-160,1e-160,1\n2e-160,1e-160,1\n"}),
     "readme_central_virial": (["central", "--state", "hydrogen", "--alpha", "1",
                                "--beta", "1"], {}),
     "readme_central_buckingham": (["central", "--state", "r4test", "--buckingham", "1,1,1"], {}),

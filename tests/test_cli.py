@@ -337,18 +337,34 @@ def test_holder_header_after_comment_lines(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows, p", [("1e200,1e200,1\n", 3.0), ("1e120,1e-200,1\n1,1,1\n", 3.0),
-                                     ("1e160,1,1\n", 1.0)],
-                         ids=["both_sides", "holder_rhs", "schwarz_only"])
-def test_holder_overflow_is_one_line_error(rows, p, tmp_path, capsys):
-    # sums past the double range are refused, not printed as null beside
-    # holds: true; no numpy warning either (it would fail this test)
+@pytest.mark.parametrize("rows, p, q", [("1e200,1e200,1\n", 3.0, 3.0), ("1e160,1,1\n", 1.0, 1.0),
+                                        ("1e-160,1e-160,1\n2e-160,1e-160,1\n", 3.0, 2.0)],
+                         ids=["both_sides", "schwarz_only", "underflow"])
+def test_holder_overflow_is_one_line_error(rows, p, q, tmp_path, capsys):
+    # sides past the double range are refused, not printed as null beside
+    # holds: true, and sides that are not 0 but land on 0 are refused, not
+    # read as a vacuous 0 <= 0
     path = tmp_path / "ov.csv"
     path.write_text(rows)
-    assert main(["holder", "--data", str(path), "--p", str(p), "--q", str(p)]) == EXIT_ERROR
+    assert main(["holder", "--data", str(path), "--p", str(p), "--q", str(q)]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: (holder_discrete|schwarz): .* out of the double range\n", captured.err)
+
+
+def test_holder_sides_in_range_are_reported_whatever_the_raw_sums(tmp_path, capsys):
+    # Sum w|f|^3 = 5e359 overflows a double, but the Holder rhs is 5e143: the
+    # sums run on columns scaled by powers of two, and only a side that is
+    # itself out of range is refused
+    path = tmp_path / "mixed.csv"
+    path.write_text("1e120,1e-200,1\n1,1,1\n")
+    code, doc = run_json(capsys, ["holder", "--data", str(path), "--p", "3", "--q", "2"])
+    assert code == EXIT_OK
+    sides = {r["label"]: (r["lhs"], r["rhs"], r["holds"]) for r in doc["results"]}
+    assert sides["holder_discrete"] == (pytest.approx(0.5, rel=1e-14),
+                                        pytest.approx(5e143, rel=1e-12), True)
+    assert sides["schwarz"] == (pytest.approx(0.25, rel=1e-14), pytest.approx(2.5e239, rel=1e-14),
+                                True)
 
 
 def test_a_non_finite_number_in_a_report_is_an_internal_error(monkeypatch, capsys):
@@ -994,8 +1010,10 @@ def _fresh(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
 
 
 def test_catalog_commands_load_no_numpy(tmp_path):
-    # the five catalog ops of the cold-call benchmark; quadrature, states and
-    # matrixlab import numpy at the top, so none of them ran either
+    # the five catalog ops of the cold-call benchmark and its holder op on a
+    # small CSV; quadrature, states and matrixlab import numpy at the top, so
+    # none of them ran either
+    (tmp_path / "samples.csv").write_text("f,g,weight\n1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n")
     code = f"""
 import contextlib, io, sys
 import qmoments.cli
@@ -1008,6 +1026,7 @@ for argv in (
      "--q-grid", "0.5,2,3,3.5", "--allow-divergent"],
     ["central", "--state", "hydrogen", "--alpha", "1", "--beta", "1"],
     ["central", "--state", "r4test", "--buckingham", "1,1,1"],
+    ["holder", "--data", {str(tmp_path / "samples.csv")!r}, "--p", "3", "--q", "2"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         exit_code = qmoments.cli.main(argv)
@@ -1015,7 +1034,7 @@ for argv in (
 """
     out = _fresh(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split("\n")[:6] == ["False"] + ["True False"] * 5
+    assert out.stdout.split("\n")[:7] == ["False"] + ["True False"] * 6
 
 
 def test_only_central_runs_the_centralfield_module():
@@ -1083,7 +1102,8 @@ def test_every_package_export_still_imports():
 
 
 def test_array_commands_run_in_a_fresh_interpreter(tmp_path):
-    # --grid, finite and holder load states, matrixlab and numpy on first use
+    # --grid and finite load states, matrixlab and numpy on first use, and
+    # holder runs without them
     r = np.arange(0.0, 40.01, 0.02)
     np.savetxt(tmp_path / "h.txt", np.c_[r, 2.0 * r * np.exp(-r)])
     (tmp_path / "samples.csv").write_text("f,g,weight\n1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n")

@@ -450,7 +450,7 @@ def _moment_with_status(monkeypatch, name, kind, order, status):
 def test_weights_whose_sum_leaves_the_double_range_normalize():
     # w / sum(w) would be w/inf = 0, and every sum read 0 <= 0
     d = DiscreteDensity([1.0, 2.0], [2.0, 1.0], [1e308, 1e308])
-    assert d.w.tolist() == [0.5, 0.5]
+    assert d.w == (0.5, 0.5)
     assert holder_verdict(d, make_exponents(3, 2)).lhs == pytest.approx(2.0**1.2)
 
 
@@ -574,3 +574,14 @@ def test_commutator_side_out_of_range_is_an_error_not_a_vacuous_pass(hbar, r_sta
     with pytest.raises(DomainError, match="hbar=1e[-+]"):
         _half_hbar_power(hbar, r_star)
     assert _half_hbar_power(1e-300, 0.5) == pytest.approx(math.sqrt(5e-301), rel=1e-15)
+
+
+def test_scaled_sums_that_lose_their_digits_are_refused():
+    # the largest |f| and |g| lie in different rows, so every scaled product
+    # |f g| / 2^(e_f + e_g) is subnormal: the Holder lhs is 1e-15, in range,
+    # but its sum has lost most of its digits, so neither verdict is reported
+    d = DiscreteDensity([1e150, 1e-165], [1e-165, 1e150], [1.0, 1.0])
+    with pytest.raises(DomainError, match="holder_discrete: .* lost its digits"):
+        holder_verdict(d, make_exponents(2, 2))
+    with pytest.raises(DomainError, match="schwarz: .* lost its digits"):
+        schwarz_verdict(d)

@@ -1,13 +1,16 @@
 """Property tests: Young's inequality, the Exponents invariants, the grid
-file reader, the a:b:n grid spec, and the CLI on fuzzed tolerance, slack,
+file reader, the a:b:n grid spec, the CLI on fuzzed tolerance, slack,
 dimension, potential and config-file values, and on edge floats in holder
-CSVs, orders and grid specs. Skipped where hypothesis is absent."""
+CSVs, orders and grid specs, and the discrete Holder and Schwarz sides
+against exact rationals. Skipped where hypothesis is absent."""
 
 import contextlib
 import io
 import json
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +28,8 @@ from qmoments.cli import (  # noqa: E402
     _parse_grid,
     main,
 )
-from qmoments.core import make_exponents, young_gap  # noqa: E402
+from qmoments.core import DomainError, make_exponents, young_gap  # noqa: E402
+from qmoments.inequalities import DiscreteDensity, holder_verdict, schwarz_verdict  # noqa: E402
 from qmoments.states import _read_grid  # noqa: E402
 
 # derandomized so that a tier-1 run never depends on the draw
@@ -312,3 +316,67 @@ def test_cli_on_edge_floats_ends_in_one_line_or_a_real_report(tmp_path_factory, 
     assert not any(_vacuous(v) for v in doc["results"])
     if code == EXIT_ERROR:  # a report exits 1 only for a sweep with a failed cell
         assert any(row["status"] == "failed" for row in doc["results"])
+
+
+def _magnitudes(lo: int, hi: int):
+    """Signed floats m * 10^k with 1 <= m < 10 and k in [lo, hi]."""
+    return st.builds(lambda m, k, sign: sign * m * 10.0**k, st.floats(1.0, 10.0, exclude_max=True),
+                     st.integers(lo, hi), st.sampled_from([1.0, -1.0]))
+
+
+_weights = st.floats(1e-3, 1.0)
+# rows with magnitudes from 1e-150 to 1e150
+_wide_rows = st.lists(st.tuples(_magnitudes(-150, 149), _magnitudes(-150, 149), _weights),
+                      min_size=1, max_size=8)
+
+
+@st.composite
+def _shifted_rows(draw):
+    """Rows (f 10^s, g 10^-s, w) with s in [155, 300]: Sum w f^2 overflows a
+    double and Sum w g^2 underflows, while every side stays near 1."""
+    s = draw(st.integers(155, 300))
+    rows = draw(st.lists(st.tuples(_magnitudes(-3, 3), _magnitudes(-3, 3), _weights),
+                         min_size=1, max_size=8))
+    return [(f * 10.0**s, g * 10.0**-s, w) for f, g, w in rows]
+
+
+# the normal double range, and a relative ulp at 1
+_MIN, _MAX, _ULP = Fraction(sys.float_info.min), Fraction(sys.float_info.max), Fraction(2)**-52
+_EDGE = Fraction(2)**-40
+
+
+def _normal(x: Fraction, k: int) -> bool | None:
+    """Whether x is the k-th power of a normal double: True inside that
+    range by a relative margin of 2^-40, False outside it, None too near an
+    end to say."""
+    lo, hi = _MIN**k, _MAX**k
+    if x < lo or x > hi:
+        return False
+    return (1 + _EDGE) * lo <= x <= (1 - _EDGE) * hi or None
+
+
+@settings(FIXED, max_examples=300)
+@given(rows=st.one_of(_wide_rows, _shifted_rows()))
+def test_discrete_sides_at_p_q_2_match_exact_rationals(rows):
+    # at p = q = 2 every Schwarz side, the Holder lhs and the square of the
+    # Holder rhs are rational in the rows. Computed with fractions, they share
+    # no code with the scaled sums. Each side is held to 4 ulps (relative),
+    # the Holder rhs through its square, to 8; a verdict with an exact side
+    # outside the normal double range is refused
+    f, g, w = (tuple(map(Fraction, col)) for col in zip(*rows))
+    total = sum(w)
+    s1 = sum(wi * abs(fi * gi) for fi, gi, wi in zip(f, g, w)) / total
+    sf = sum(wi * fi * fi for fi, wi in zip(f, w)) / total
+    sg = sum(wi * gi * gi for gi, wi in zip(g, w)) / total
+    d = DiscreteDensity(*zip(*rows))
+    for verdict, sides in ((lambda: holder_verdict(d, make_exponents(2.0, 2.0)),
+                            ((s1, 1), (sf * sg, 2))),
+                           (lambda: schwarz_verdict(d), ((s1 * s1, 1), (sf * sg, 1)))):
+        normal = [_normal(exact, k) for exact, k in sides]  # side^k is exact
+        if False in normal:
+            with pytest.raises(DomainError, match="out of the double range"):
+                verdict()
+        elif None not in normal:
+            v = verdict()
+            for side, (exact, k) in zip((v.lhs, v.rhs), sides):
+                assert abs(Fraction(side) ** k - exact) <= 4 * k * _ULP * exact

@@ -44,7 +44,7 @@ CASES = [
 IDS = [cls.__name__ for cls, _ in CASES]
 MUTABLE = (RunConfig, Outcomes)
 #: types with an array field, whose field-wise equality has no truth value
-ARRAY_FIELDS = (HermitianOperator, FiniteState, DiscreteDensity)
+ARRAY_FIELDS = (HermitianOperator, FiniteState)
 #: types with an unhashable (dict or list) field value
 UNHASHABLE_FIELDS = (Verdict,)
 
