@@ -18,7 +18,6 @@ from .core import (
     PhysicalConstants,
     Verdict,
     _require_positive_finite,
-    default_slack,
     make_verdict,
     record,
 )
@@ -125,8 +124,7 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential,
     """The verdict <V> <= gamma[<e^-r/r0> - sigma^6/<r^6>]: lhs is the true
     mean gamma[<e^-r/r0> - sigma^6 <r^-6>], rhs the bound. Jensen's
     inequality (<r^-6> >= 1/<r^6>) guarantees it, so a violation is flagged
-    as an internal error. The default slack is that of a moment verdict,
-    default_slack(bound, mean).
+    as an internal error. slack is make_verdict's.
 
     A divergent <r^-6> makes the true mean -infinity: a DIVERGENT verdict
     that keeps the bound as its rhs. A failed <r^-6> raises MomentsError: it
@@ -141,8 +139,7 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential,
         return Verdict("buckingham", math.nan, bound, math.nan, inputs, DIVERGENT,
                        f"<V> diverges to -infinity: <r^-6> {rm6.detail}")
     mean = v.gamma * (mean_exp - s6 * rm6.require())
-    return make_verdict("buckingham", mean, bound,
-                        default_slack(bound, mean) if slack is None else slack, inputs)
+    return make_verdict("buckingham", mean, bound, slack, inputs)
 
 
 def _mean_exp_decay(s: ContinuousState, r0: float) -> float:

@@ -290,25 +290,15 @@ class MomentValue:
         raise err(f"moment of order {self.order} is {self.status}: {self.detail}")
 
 
-def default_slack(rhs: float, lhs: float | None = None) -> float:
-    """Default numerical slack for verdicts: 1e-9 relative to rhs, floored at
-    1e-9. Given lhs too, as a moment verdict does, 1e-9 relative to the larger
-    side with no floor: the sides of such a verdict carry powers of the
-    state's constants, and an absolute floor would let a cell hold by slack
-    alone in small enough units."""
-    if lhs is None:
-        return 1e-9 * max(1.0, abs(rhs))
-    return 1e-9 * max(abs(lhs), abs(rhs))
-
-
 @record
 class Verdict:
     """One inequality check: sides, ratio, margin, and the boolean outcome.
 
-    holds is exactly (lhs <= rhs + slack) as computed in floating point; ratio
-    is lhs/rhs when rhs > 0 and NaN otherwise. The sides of a moment
-    inequality are absolute-value moments, so lhs >= 0 and rhs >= 0; those of
-    the Buckingham check (centralfield) are signed energies.
+    holds is exactly (lhs <= rhs + slack) as computed in floating point, with
+    slack the caller's or make_verdict's default; ratio is lhs/rhs when
+    rhs > 0 and NaN otherwise. The sides of a moment inequality are
+    absolute-value moments, so lhs >= 0 and rhs >= 0; those of the
+    Buckingham check (centralfield) are signed energies.
 
     status is OK when the sides were computed. A check whose side moment
     diverged or failed is a verdict too, with status DIVERGENT or FAILED and
@@ -369,15 +359,16 @@ def make_verdict(
     slack: float | None = None,
     inputs: dict[str, Any] | None = None,
 ) -> Verdict:
-    """The verdict lhs <= rhs + slack, by default with default_slack(rhs);
-    DomainError where lhs, rhs or rhs - lhs is not finite (inf <= inf holds).
-    An inequality whose inputs say it is guaranteed and that does not hold
-    is a numerical bug: its inputs gain severity internal-error."""
+    """The verdict lhs <= rhs + slack, by default 1e-9*max(|lhs|, |rhs|): the
+    sides of every inequality scale alike, so no unit system decides an
+    outcome. DomainError where lhs, rhs or rhs - lhs is not finite (inf <=
+    inf holds). A verdict whose inputs say it is guaranteed and that does
+    not hold is a numerical bug: its inputs gain severity internal-error."""
     lhs, rhs = float(lhs), float(rhs)
     if not math.isfinite(rhs - lhs):  # also where either side is inf or NaN
         raise out_of_range(label, lhs, rhs)
-    slack = default_slack(rhs) if slack is None else _require_slack(slack)
-    inputs = inputs or {}
-    if inputs.get("guaranteed") and not lhs <= rhs + slack:
-        inputs = {**inputs, "severity": "internal-error"}
-    return Verdict(label=label, lhs=lhs, rhs=rhs, slack=slack, inputs=inputs)
+    slack = 1e-9 * max(abs(lhs), abs(rhs)) if slack is None else _require_slack(slack)
+    v = Verdict(label, lhs, rhs, slack, inputs or {})
+    if v.inputs.get("guaranteed") and not v.holds:
+        return Verdict(label, lhs, rhs, slack, {**v.inputs, "severity": "internal-error"})
+    return v

@@ -35,7 +35,6 @@ from .core import (
     MomentValue,
     Verdict,
     _require_normal,
-    default_slack,
     make_exponents,
     make_verdict,
     out_of_range,
@@ -79,14 +78,19 @@ class DiscreteDensity:
         return DiscreteDensity(f, g, (1.0,) * len(f))
 
     @cached_property
-    def _scaled(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], int]:
-        """(a, b, a*b, e_f + e_g): a = |f| / 2^e_f and b = |g| / 2^e_g, with
-        2^e the power of two above the column's largest value, so that no
-        power or product of them overflows. Exact, save for entries that land
-        below the normal range, negligible beside the largest one."""
+    def _scaled(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], int, int]:
+        """(a, b, ab, e_ab, e_f + e_g): a = |f| / 2^e_f, b = |g| / 2^e_g and
+        ab = |f g| / 2^e_ab, each 2^e the power of two above the column's
+        largest value (for ab, of its largest row), so that no power of them
+        overflows. Exact, save for the rounding of f g and for entries that
+        land below the normal range, negligible beside the largest one."""
         a, e_f = _scaled_abs(self.f)
         b, e_g = _scaled_abs(self.g)
-        return a, b, tuple(map(mul, a, b)), e_f + e_g
+        rows = [(mf * mg, kf + kg) for (mf, kf), (mg, kg)
+                in zip(map(math.frexp, self.f), map(math.frexp, self.g))]
+        e_ab = max((k for m, k in rows if m), default=0)
+        ab = tuple(abs(math.ldexp(m, k - e_ab)) for m, k in rows)
+        return a, b, ab, e_ab, e_f + e_g
 
 
 def _floats(x) -> tuple[float, ...]:
@@ -124,9 +128,8 @@ def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
     """Read the sides in order. A stored exception is raised again; the
     first side that diverges makes a DIVERGENT verdict, whatever the later
     ones hold. A failed one raises MomentsError instead: it was not
-    computed, so it says nothing about whether the moment is finite. The
-    default slack scales with both sides (default_slack), so the verdict
-    does not depend on the units."""
+    computed, so it says nothing about whether the moment is finite. slack
+    is make_verdict's."""
     values = []
     for name, m in c.sides:
         if isinstance(m, Exception):
@@ -137,10 +140,7 @@ def _moment_verdict(c: _Check, slack: float | None) -> Verdict:
         if not m.is_convergent:
             raise MomentsError(f"{c.label}: {name} is {m.status}: {m.detail}")
         values.append(m.value)
-    lhs, rhs = c.lhs_rhs(*values)
-    if slack is None:
-        slack = default_slack(rhs, lhs)
-    return make_verdict(c.label, lhs, rhs, slack, c.inputs)
+    return make_verdict(c.label, *c.lhs_rhs(*values), slack, c.inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +154,18 @@ def _nonzero(*columns: tuple[float, ...]) -> bool:
 
 def _discrete_verdict(label: str, d: DiscreteDensity, order: float, lhs, rhs,
                       slack: float | None, inputs: dict[str, Any]) -> Verdict:
-    """The verdict on two sides, each given as factors (s, c): the side is
-    prod(s^c) * 2^(order (e_f + e_g)) (DiscreteDensity._scaled), rounded from
-    the mantissas of the s (frexp) and one exponent summed exactly, so that
-    no step leaves the normal range. In make_verdict's words, it refuses a
-    side past the double range (passed on as inf) and a side that is not 0
-    but lands on 0 or a subnormal (it would hold vacuously, or has lost its
-    digits). A subnormal s is refused too: its side may be in range, but its
-    digits are lost, as where the largest |f| and |g| lie in different rows."""
+    """The verdict on two sides, each given as factors (s, c): a side is
+    prod(s^c) * 2^(order e), e = e_ab for the lhs and e_f + e_g for the rhs
+    (DiscreteDensity._scaled), rounded from the mantissas of the s (frexp)
+    and one exponent summed exactly. It refuses a side past the double range
+    (passed on as inf to make_verdict), a side that is not 0 but lands on 0
+    or a subnormal (it would hold vacuously, or has lost its digits), and a
+    subnormal s (lost digits, as from a tiny weight on the largest |f|)."""
     sides = []
-    for factors in (lhs, rhs):
+    for factors, e in ((lhs, d._scaled[3]), (rhs, d._scaled[4])):
         mantissa = 1.0
         num, den = order.as_integer_ratio()
-        num *= d._scaled[3]
+        num *= e
         for x, c in factors:
             if 0.0 < x < sys.float_info.min:
                 raise DomainError(f"{label}: a sum of the scaled columns is subnormal and has "
@@ -193,11 +192,12 @@ def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None)
 
     Guaranteed for every valid density; a false verdict is flagged as an
     internal error (numerical bug), not as physics. The sums run on the
-    scaled columns, so both sides carry 2^(r* (e_f + e_g)), as p w_f = q w_g
-    = r*. Dividing by the weight sum, 1 up to rounding, takes out the
-    rounding that the normalization shares across the weights.
+    scaled columns, so the lhs carries 2^(r* e_ab) and the rhs
+    2^(r* (e_f + e_g)), as p w_f = q w_g = r*. Dividing by the weight sum,
+    1 up to rounding, takes out the rounding that the normalization shares
+    across the weights.
     """
-    a, b, ab, _ = d._scaled
+    a, b, ab = d._scaled[:3]
     total = math.fsum(d.w)
     lhs = math.fsum(map(mul, d.w, map(pow, ab, repeat(e.r_star))))
     mf = math.fsum(map(mul, d.w, map(pow, a, repeat(e.p))))
@@ -211,9 +211,9 @@ def holder_verdict(d: DiscreteDensity, e: Exponents, slack: float | None = None)
 
 def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
     """(Sum w|fg|)^2 <= (Sum w f^2)(Sum w g^2), the squared form so both
-    sides carry identical dimensions; summed as in holder_verdict, both sides
-    carry 2^(2 (e_f + e_g))."""
-    a, b, ab, _ = d._scaled
+    sides carry identical dimensions; summed as in holder_verdict, the lhs
+    carries 2^(2 e_ab) and the rhs 2^(2 (e_f + e_g))."""
+    a, b, ab = d._scaled[:3]
     total = math.fsum(d.w)
     s = math.fsum(map(mul, d.w, ab))
     sf = math.fsum(map(mul, d.w, map(mul, a, a)))

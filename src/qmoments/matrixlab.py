@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import DataFormatError, DecompositionError, DomainError, record
+from .core import DataFormatError, DecompositionError, DomainError, _require_normal, record
 from .rng import SplitMix64
 
 _HERMITICITY_ATOL = 1e-12
@@ -119,7 +119,9 @@ def abs_power_expectation(m: HermitianOperator | np.ndarray, psi: FiniteState, s
     driver: U holds its eigenvectors, sigma_i = |lambda_i| and V^H carries
     the signs. The factors must give M back to 1e-10 relative, and U must
     be unitary (V^H is not checked: a sign rule may zero the row of an
-    exactly zero eigenvalue, where sigma is 0 too).
+    exactly zero eigenvalue, where sigma is 0 too). Where some weighted
+    sigma is positive, a result out of the normal range is refused: 0 by
+    underflow would let a bound hold vacuously.
     """
     if s <= 0.0:
         raise DomainError(f"power must be positive, got {s}")
@@ -139,7 +141,12 @@ def abs_power_expectation(m: HermitianOperator | np.ndarray, psi: FiniteState, s
     if not float(np.abs(u.conj().T @ u - np.eye(n)).max()) <= 1e-10:
         raise DecompositionError("singular vector matrix lost unitarity")
     w = np.abs(vh @ psi.amplitudes) ** 2
-    return float(w @ sigma**s)
+    sigma = np.where(w > 0.0, sigma, 0.0)  # one that psi does not see adds 0 either way
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        value = float(w @ sigma**s)
+    if sigma.any():
+        _require_normal(f"<|M|^{s:g}> of a {n}x{n} matrix", value)
+    return value
 
 
 def abs_central_moment_finite(op: HermitianOperator, psi: FiniteState, s: float) -> float:
@@ -175,14 +182,18 @@ def truncated_canonical_pair(
 
     Their commutator equals i*hbar*I except for a defect block in the last
     basis row/column (the truncation boundary); states with no weight there
-    see the ideal canonical algebra.
+    see the ideal canonical algebra. DomainError where the scale of X or P,
+    or a bound on the norms of X P and [X, P], leaves the normal range.
     """
     if dim < 2:
         raise DomainError("truncated pair needs dim >= 2")
+    cx = _require_normal("the scale of X, sqrt(hbar/(2 mass)),", math.sqrt(hbar / (2.0 * mass)))
+    cp = _require_normal("the scale of P, sqrt(hbar mass/2),", math.sqrt(hbar * mass / 2.0))
+    _require_normal("4 hbar dim, a bound on the norms of X P and [X, P],", 4.0 * hbar * dim)
     a = lowering_matrix(dim)
     ad = a.conj().T
-    x = math.sqrt(hbar / (2.0 * mass)) * (a + ad)
-    p = 1j * math.sqrt(hbar * mass / 2.0) * (ad - a)
+    x = cx * (a + ad)
+    p = 1j * cp * (ad - a)
     return HermitianOperator(x), HermitianOperator(p)
 
 

@@ -99,6 +99,10 @@ CASES = {
                               {"ov.csv": "1e120,1e-200,1\n1,1,1\n"}),
     "holder_underflow": (["holder", "--data", "tiny.csv", "--p", "3", "--q", "2"],
                          {"tiny.csv": "1e-160,1e-160,1\n2e-160,1e-160,1\n"}),
+    # the largest |f| and |g| in different rows: every |f g| is far below
+    # max|f| max|g|, and each side is in range (exit 0)
+    "holder_rows_apart": (["holder", "--data", "apart.csv", "--p", "2", "--q", "2"],
+                          {"apart.csv": "1e150,1e-165,1\n1e-165,1e150,1e-300\n"}),
     "readme_central_virial": (["central", "--state", "hydrogen", "--alpha", "1",
                                "--beta", "1"], {}),
     "readme_central_buckingham": (["central", "--state", "r4test", "--buckingham", "1,1,1"], {}),
@@ -135,6 +139,15 @@ CASES = {
                                "50", "--seed", "3", "--gate", "both"], {}),
     "finite_xp_33_low_order": (["finite", "--pair", "truncated-xp", "--dim", "33", "--p",
                                 "0.05", "--q", "0.05"], {}),
+    # the p = q = 1 run at hbar = 1e-20, which fails as in natural units
+    # (exit 2), and at hbar = 1e-300 with p = q = 40, where <|X|^40>
+    # underflows (exit 1, one error: line)
+    "finite_xp_32_1_small_hbar": (["--config", "hbar.json", "finite", "--pair", "truncated-xp",
+                                   "--dim", "32", "--p", "1", "--q", "1"],
+                                  {"hbar.json": '{"constants": {"hbar": 1e-20}}'}),
+    "finite_xp_underflow": (["--config", "hbar.json", "finite", "--pair", "truncated-xp",
+                             "--dim", "32", "--p", "40", "--q", "40"],
+                            {"hbar.json": '{"constants": {"hbar": 1e-300}}'}),
     # the sweeps of CI: grid states (exit 0, 3, 2, 2, 0, 3, 0 and a failed
     # cell, exit 1), then catalog sweeps
     "ci_grid_sweep": _ci_sweep("h_grid.txt", "--p-grid", "3", "--q-grid", "2,3"),

@@ -13,7 +13,7 @@ from qmoments.centralfield import (
     lennard_jones_mean,
     virial_report,
 )
-from qmoments.core import DomainError, MomentsError, NATURAL, default_slack
+from qmoments.core import DomainError, MomentsError, NATURAL
 from qmoments.moments import custom_radial, radial, raw_moment
 from qmoments.states import HydrogenGroundState, PowerExpRadialState, RadialGridState
 from seeded import SplitMix64
@@ -172,9 +172,9 @@ def test_buckingham_repulsion_only_limit(r4test):
     assert res.lhs == pytest.approx(mean_exp, rel=1e-6)
 
 
-def test_buckingham_default_slack_is_the_moment_verdict_rule(r4test):
+def test_buckingham_takes_the_one_slack_rule_by_default(r4test):
     res = buckingham_bound(r4test, BuckinghamPotential(1.0, 1.0, 1.0))
-    assert res.slack == default_slack(res.rhs, res.lhs)
+    assert res.slack == 1e-9 * max(abs(res.lhs), abs(res.rhs))
 
 
 def test_buckingham_takes_the_given_slack(r4test):

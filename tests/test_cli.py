@@ -648,6 +648,37 @@ def test_config_constants_reach_states(tmp_path, capsys):
     assert doc["rhs_pow5_over_lhs_pow5"] == pytest.approx(25.0 / 3.0, rel=1e-6)
 
 
+_XP_32 = ["finite", "--pair", "truncated-xp", "--dim", "32"]
+
+
+def _with_hbar(tmp_path, hbar: float) -> list[str]:
+    path = tmp_path / "hbar.json"
+    path.write_text(json.dumps({"constants": {"hbar": hbar}}))
+    return ["--config", str(path)]
+
+
+@pytest.mark.parametrize("hbar", [1e-20, 4.0**-20, 1.0, 4.0**20])
+def test_finite_outcome_does_not_depend_on_hbar(hbar, tmp_path, capsys):
+    # both sides of each link carry hbar^r*, and so does the default slack:
+    # the commutator link fails (0.7071 > 0.5715 in natural units) at every hbar
+    code, doc = run_json(capsys, _with_hbar(tmp_path, hbar) + _XP_32 + ["--p", "1", "--q", "1"])
+    assert code == EXIT_VIOLATION
+    assert [r["holds"] for r in doc["results"]] == [False, False]
+    for r in doc["results"]:
+        assert r["slack"] == 1e-9 * max(r["lhs"], r["rhs"])
+
+
+@pytest.mark.parametrize("hbar, p, words", [
+    (1e-300, "40", "<|M|^40> of a 32x32 matrix underflows a double"),  # read 0.0 <= 0.0
+    (5e-324, "1", "the scale of X, sqrt(hbar/(2 mass)), underflows a double"),  # X = P = 0
+    (1e308, "1", "4 hbar dim, a bound on the norms of X P and [X, P], overflows a double"),
+])
+def test_finite_moment_out_of_the_double_range_is_one_line_error(hbar, p, words, tmp_path,
+                                                                 capsys):
+    assert main(_with_hbar(tmp_path, hbar) + _XP_32 + ["--p", p, "--q", p]) == EXIT_ERROR
+    assert words in _one_error_line(capsys)
+
+
 def test_out_file_json(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = main(["hydrogen", "--p", "2", "--q", "2", "--out", str(out)])

@@ -5,7 +5,6 @@ import pytest
 from qmoments.core import (
     DomainError,
     MomentValue,
-    default_slack,
     make_exponents,
     make_verdict,
     young_gap,
@@ -155,15 +154,16 @@ def test_verdict_writes_an_undefined_ratio_as_null(lhs, rhs):
 
 
 def test_default_slack_scales_with_rhs():
-    assert default_slack(0.5) == 1e-9
-    assert default_slack(100.0) == pytest.approx(1e-7)
+    # make_verdict's default is 1e-9 max(|lhs|, |rhs|), with no floor of 1e-9
+    assert make_verdict("t", 0.0, 0.5).slack == 5e-10
+    assert make_verdict("t", 0.0, 100.0).slack == pytest.approx(1e-7)
 
 
 def test_default_slack_of_a_moment_verdict_scales_with_both_sides():
     # no absolute floor: sides of 1e-86 get a slack of 1e-95, not 1e-9
-    assert default_slack(5.6e-86, 7.1e-86) == pytest.approx(7.1e-95)
-    assert default_slack(100.0, 0.5) == pytest.approx(1e-7)
-    assert default_slack(0.0, 0.0) == 0.0
+    assert make_verdict("t", 5.6e-86, 7.1e-86).slack == pytest.approx(7.1e-95)
+    assert make_verdict("t", 100.0, 0.5).slack == pytest.approx(1e-7)
+    assert make_verdict("t", 0.0, 0.0).slack == 0.0
 
 
 def test_make_verdict_flags_a_guaranteed_violation():
@@ -176,6 +176,9 @@ def test_make_verdict_flags_a_guaranteed_violation():
         assert held.holds and held.inputs == inputs
     for probe in ({}, {"guaranteed": False}):
         assert make_verdict("probe", 2.0, 1.0, 0.5, probe).inputs == probe
+    # under the default slack too, whatever the scale of the sides
+    tiny = make_verdict("holder_discrete", 2e-20, 1e-20, None, inputs)
+    assert tiny.holds is False and tiny.inputs["severity"] == "internal-error"
 
 
 def test_verdict_rejects_negative_slack():

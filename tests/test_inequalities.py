@@ -577,11 +577,25 @@ def test_commutator_side_out_of_range_is_an_error_not_a_vacuous_pass(hbar, r_sta
 
 
 def test_scaled_sums_that_lose_their_digits_are_refused():
-    # the largest |f| and |g| lie in different rows, so every scaled product
-    # |f g| / 2^(e_f + e_g) is subnormal: the Holder lhs is 1e-15, in range,
-    # but its sum has lost most of its digits, so neither verdict is reported
-    d = DiscreteDensity([1e150, 1e-165], [1e-165, 1e150], [1.0, 1.0])
+    # a weight of 1e-310 on the row of the largest |f|: every w |f|^2 / 2^(2 e_f)
+    # is subnormal, so Sum w |f|^2 has lost its digits, while the Holder rhs
+    # (1e45) and the Schwarz rhs (1e90) are in range
+    d = DiscreteDensity([1e100, 1e-60], [1.0, 1e100], [1e-310, 1.0])
     with pytest.raises(DomainError, match="holder_discrete: .* lost its digits"):
         holder_verdict(d, make_exponents(2, 2))
     with pytest.raises(DomainError, match="schwarz: .* lost its digits"):
+        schwarz_verdict(d)
+
+
+def test_products_of_rows_apart_are_scaled_by_their_own_exponent():
+    # the largest |f| and |g| lie in different rows, so |f g| / 2^(e_f + e_g)
+    # would be subnormal in every row; scaled by the largest row exponent of
+    # |f g|, the Holder lhs of 1e-15 is reported. The Schwarz rhs, about
+    # 2.5e599, is past the double range
+    d = DiscreteDensity([1e150, 1e-165], [1e-165, 1e150], [1.0, 1.0])
+    v = holder_verdict(d, make_exponents(2, 2))
+    assert v.lhs == pytest.approx(1e-15, rel=1e-15)
+    assert v.rhs == pytest.approx(5e299, rel=1e-15)
+    assert v.holds and "severity" not in v.inputs
+    with pytest.raises(DomainError, match="schwarz: lhs = 1e-30, rhs = inf: out of the double"):
         schwarz_verdict(d)

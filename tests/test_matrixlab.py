@@ -281,6 +281,17 @@ def test_abs_power_rejects_nonpositive():
         abs_power_expectation(np.eye(2), FiniteState([1, 0]), -1.0)
 
 
+def test_abs_power_out_of_the_double_range_is_refused_unless_it_is_exactly_zero():
+    psi = FiniteState([1, 0])
+    with pytest.raises(DomainError, match=r"^<\|M\|\^40> of a 2x2 matrix underflows a double$"):
+        abs_power_expectation(1e-10 * np.eye(2), psi, 40.0)  # 1e-400 reads 0.0
+    with pytest.raises(DomainError, match="overflows a double"):
+        abs_power_expectation(1e10 * np.eye(2), psi, 40.0)
+    # psi has no weight on the nonzero singular value: 0 is the exact value
+    assert abs_power_expectation(np.diag([0.0, 1e-10]), psi, 40.0) == 0.0
+    assert abs_power_expectation(np.zeros((2, 2)), psi, 1.0) == 0.0
+
+
 def test_abs_power_dimension_mismatch():
     with pytest.raises(DomainError, match="dimension mismatch: 3 vs 2"):
         abs_power_expectation(np.eye(3), FiniteState([1, 0]), 1.0)

@@ -1,13 +1,15 @@
 """Property tests: Young's inequality, the Exponents invariants, the grid
 file reader, the a:b:n grid spec, the CLI on fuzzed tolerance, slack,
 dimension, potential and config-file values, and on edge floats in holder
-CSVs, orders and grid specs, and the discrete Holder and Schwarz sides
-against exact rationals. Skipped where hypothesis is absent."""
+CSVs, orders, grid specs, finite runs and config constants, and the
+discrete Holder and Schwarz sides against exact rationals. Skipped where
+hypothesis is absent."""
 
 import contextlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -263,22 +265,31 @@ def _grid_spec(draw):
 
 @st.composite
 def edge_cases(draw):
-    """argv, with {} for the holder CSV, and that CSV's text (else None)."""
-    command = draw(st.sampled_from(["holder", "hydrogen", "sweep"]))
-    rows = None
+    """argv, with {data} for the holder CSV and {config} for the config file,
+    the CSV's text and the config's JSON (each else None)."""
+    command = draw(st.sampled_from(["holder", "hydrogen", "sweep", "finite"]))
+    rows = config = None
     if command == "holder":
         rows = "".join(f"{f!r},{g!r},{w!r}\n" for f, g, w in draw(holder_rows))
-        argv = ["holder", "--data", "{}"]
+        argv = ["holder", "--data", "{data}"]
     elif command == "sweep":
         argv = ["sweep", "--kind", draw(st.sampled_from(["canonical", "reciprocal"])),
                 f"--p-grid={_grid_spec(draw)}", f"--q-grid={_grid_spec(draw)}"]
+    elif command == "finite":
+        argv = ["finite", "--pair", draw(st.sampled_from(["pauli-xy", "truncated-xp", "random"])),
+                f"--dim={draw(st.integers(2, 8))}", f"--seed={draw(st.integers(0, 2**64 - 1))}"]
     else:
         argv = ["hydrogen"]
     if command != "sweep":
         argv += [f"--p={draw(edge_orders)!r}", f"--q={draw(edge_orders)!r}"]
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--slack={draw(edge_floats)!r}")
-    return argv, rows
+    if draw(st.booleans()):
+        constants = draw(st.fixed_dictionaries(
+            {}, optional={"hbar": edge_floats, "mass": edge_floats, "a0": edge_floats}))
+        config = json.dumps({"constants": constants})
+        argv = ["--config", "{config}", *argv]
+    return argv, rows, config
 
 
 def _vacuous(verdict: dict) -> bool:
@@ -286,34 +297,54 @@ def _vacuous(verdict: dict) -> bool:
     return verdict.get("holds") is True and (verdict["lhs"] is None or verdict["rhs"] is None)
 
 
-_HOLDER = ["holder", "--data", "{}", "--p=3.0", "--q=2.0"]
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _untimed(report: str) -> str:
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', report)
+
+
+_HOLDER = ["holder", "--data", "{data}", "--p=3.0", "--q=2.0"]
+_XP = ["--config", "{config}", "finite", "--pair", "truncated-xp", "--dim=8", "--p=1.0", "--q=1.0"]
 
 
 @settings(FIXED, max_examples=300)
 @given(case=edge_cases())
 # both sides overflow; only the Holder rhs does; the weights sum to inf
-@example(case=(_HOLDER, "1e200,1e200,1\n"))
-@example(case=(_HOLDER, "1e120,1e-200,1\n1,1,1\n"))
-@example(case=(_HOLDER, "1.0,2.0,1e308\n2.0,1.0,1e308\n"))
+@example(case=(_HOLDER, "1e200,1e200,1\n", None))
+@example(case=(_HOLDER, "1e120,1e-200,1\n1,1,1\n", None))
+@example(case=(_HOLDER, "1.0,2.0,1e308\n2.0,1.0,1e308\n", None))
+# hbar/2 underflows to 0, so X = P = 0 and both links read 0 <= 0
+@example(case=(_XP, None, '{"constants": {"hbar": 5e-324}}'))
 def test_cli_on_edge_floats_ends_in_one_line_or_a_real_report(tmp_path_factory, case):
-    argv, rows = case
-    if rows is not None:
-        path = tmp_path_factory.getbasetemp() / "edge_rows.csv"
-        path.write_text(rows, encoding="utf-8")
-        argv = [a.format(path) for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    argv, rows, config = case
+    base = tmp_path_factory.getbasetemp()
+    paths = {"data": base / "edge_rows.csv", "config": base / "edge_config.json"}
+    for key, text in (("data", rows), ("config", config)):
+        if text is not None:
+            paths[key].write_text(text, encoding="utf-8")
+    argv = [a.format(**paths) for a in argv]
+    code, out, err = _main(argv)
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_VIOLATION, EXIT_DIVERGENT)
-    if not out.getvalue():
-        [line] = err.getvalue().splitlines()
+    if "random" in argv:  # a seeded run replays byte for byte
+        again = _main(argv)
+        assert (again[0], _untimed(again[1]), again[2]) == (code, _untimed(out), err)
+    if not out:
+        [line] = err.splitlines()
         assert code == EXIT_ERROR
         assert line.startswith(("error: ", "internal error: ", "io error: "))
         return
-    doc = json.loads(out.getvalue())
-    assert err.getvalue() == ""
+    doc = json.loads(out)
+    assert err == ""
     assert doc["manifest"]["outcomes"]["exit_code"] == code
     assert not any(_vacuous(v) for v in doc["results"])
+    if "finite" in argv:  # 0 <= 0 is no check of a bound
+        assert not any(v["holds"] and v["lhs"] == 0.0 == v["rhs"] for v in doc["results"])
     if code == EXIT_ERROR:  # a report exits 1 only for a sweep with a failed cell
         assert any(row["status"] == "failed" for row in doc["results"])
 
@@ -340,6 +371,18 @@ def _shifted_rows(draw):
     return [(f * 10.0**s, g * 10.0**-s, w) for f, g, w in rows]
 
 
+@st.composite
+def _apart_rows(draw):
+    """Rows whose largest |f| and |g| lie in different rows: (f 10^s, g 10^-t, w)
+    and (f 10^-t, g 10^s, w) in turn, with s in [1, 160] and t in [0, 300].
+    Where s + t > 308, every |f g| / (max|f| max|g|) is below the normal range."""
+    s, t = draw(st.integers(1, 160)), draw(st.integers(0, 300))
+    rows = draw(st.lists(st.tuples(_magnitudes(-3, 3), _magnitudes(-3, 3), _weights),
+                         min_size=2, max_size=8))
+    return [(f * 10.0**s, g * 10.0**-t, w) if i % 2 else (f * 10.0**-t, g * 10.0**s, w)
+            for i, (f, g, w) in enumerate(rows)]
+
+
 # the normal double range, and a relative ulp at 1
 _MIN, _MAX, _ULP = Fraction(sys.float_info.min), Fraction(sys.float_info.max), Fraction(2)**-52
 _EDGE = Fraction(2)**-40
@@ -356,7 +399,7 @@ def _normal(x: Fraction, k: int) -> bool | None:
 
 
 @settings(FIXED, max_examples=300)
-@given(rows=st.one_of(_wide_rows, _shifted_rows()))
+@given(rows=st.one_of(_wide_rows, _shifted_rows(), _apart_rows()))
 def test_discrete_sides_at_p_q_2_match_exact_rationals(rows):
     # at p = q = 2 every Schwarz side, the Holder lhs and the square of the
     # Holder rhs are rational in the rows. Computed with fractions, they share
