@@ -339,7 +339,10 @@ def uncertainty_chain_finite(
     """Both finite-dimensional bounds against the shared moment product.
 
     link 1:  <|DA DB|^r*>            <= <|DA|^p>^w_f <|DB|^q>^w_g
-    link 2:  <|[A,B]|^r*> / 2^r*     <= same right side
+    link 2:  <|[A,B]/2|^r*>          <= same right side
+
+    Link 2 takes the power of [A,B]/2 (the halving is exact), so that
+    abs_power_expectation's range check covers the side it reports.
 
     Either link may fail for particular (A, B, psi, p, q); failures are
     recorded in the verdicts (falsification semantics), never raised.
@@ -351,7 +354,7 @@ def uncertainty_chain_finite(
         * matrixlab.abs_power_expectation(db, psi, e.q) ** e.w_g
     )
     lhs1 = matrixlab.abs_power_expectation(da.entries @ db.entries, psi, e.r_star)
-    lhs2 = matrixlab.abs_power_expectation(matrixlab.commutator(a, b), psi, e.r_star) / 2.0**e.r_star
+    lhs2 = matrixlab.abs_power_expectation(matrixlab.commutator(a, b) / 2.0, psi, e.r_star)
     inputs = {"dim": a.dim, "p": e.p, "q": e.q, "r_star": e.r_star}
     return (
         make_verdict("finite_product", lhs1, rhs, slack, inputs),

@@ -187,8 +187,11 @@ def truncated_canonical_pair(
     """
     if dim < 2:
         raise DomainError("truncated pair needs dim >= 2")
-    cx = _require_normal("the scale of X, sqrt(hbar/(2 mass)),", math.sqrt(hbar / (2.0 * mass)))
-    cp = _require_normal("the scale of P, sqrt(hbar mass/2),", math.sqrt(hbar * mass / 2.0))
+    # roots before the quotient and the product, so that a scale in range is
+    # never refused for its square; at mass 1 the bits are sqrt(hbar/2)'s
+    root = math.sqrt(hbar / 2.0)
+    cx = _require_normal("the scale of X, sqrt(hbar/(2 mass)),", root / math.sqrt(mass))
+    cp = _require_normal("the scale of P, sqrt(hbar mass/2),", root * math.sqrt(mass))
     _require_normal("4 hbar dim, a bound on the norms of X P and [X, P],", 4.0 * hbar * dim)
     a = lowering_matrix(dim)
     ad = a.conj().T

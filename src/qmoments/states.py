@@ -294,6 +294,11 @@ class RadialGridState(RadialStateBase):
         self.norm_factor = 1.0 / math.sqrt(norm2)
         u_knots *= self.norm_factor
         self._u_knots = u_knots
+        # log2 of the smallest and largest node and of the largest |u| there:
+        # knot_moment's bound on (u x^(t/2))^2
+        nodes = self._knot_nodes[0]
+        self._log2_reach = (math.log2(max(float(nodes.min()), 5e-324)),
+                            math.log2(float(nodes.max())), math.log2(float(np.abs(u_knots).max())))
         self._table: _MomentumTable | None = None
         self.r_max = float(r[-1])
         self.r_scale = max(self.r_max / 90.0, float(np.median(np.diff(r))))
@@ -321,7 +326,14 @@ class RadialGridState(RadialStateBase):
             ux *= ux
             return ux
 
-        return panel_sum(f, *self._knot_nodes, self.tol)
+        lo, hi, top = self._log2_reach
+        half = 0.5 * t * (hi if t > 0.0 else lo)  # log2 of the largest x^(t/2)
+        if max(half, 2.0 * (half + top)) < 1020.0:
+            return panel_sum(f, *self._knot_nodes, self.tol)
+        # knots near 1e300 take (u x^(t/2))^2 past the double range: the sum
+        # is then not finite, so it does not converge or is refused by range
+        with np.errstate(over="ignore", invalid="ignore"):
+            return panel_sum(f, *self._knot_nodes, self.tol)
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """<r^t> from the knot table where it converges there (knot_moment),

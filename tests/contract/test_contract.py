@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from record import CASES, RECORDS, differences, run
+from record import CASES, RECORDS, differences, leaves, run
 
 # what stdout, stderr and the --out file hold on each output route: a JSON
 # report, a CSV table or text lines (a stream left out holds nothing)
@@ -30,6 +30,28 @@ def test_every_case_has_one_record():
 def test_command_matches_its_record(name):
     recorded = _load(name)
     assert differences(recorded, run(recorded["argv"], recorded["files"])) == []
+
+
+def _moved(node):
+    """node with every float moved by 1e-9 relative."""
+    if isinstance(node, float):
+        return node * (1.0 + 1e-9)
+    if isinstance(node, dict):
+        return {key: _moved(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_moved(value) for value in node]
+    return node
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_replay_sees_a_move_of_any_nonzero_number(name):
+    # every number but a rounding residue compares relative, however small:
+    # an SI leaf near 1e-26 is pinned as tightly as one near 1
+    rec = _load(name)
+    seen = {line.split(": ", 1)[0] for line in differences(rec, _moved(rec))}
+    numbers = {path for path, x, floor in leaves(rec)
+               if isinstance(x, float) and x != 0.0 and floor == 0.0}
+    assert numbers <= seen
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))

@@ -15,6 +15,8 @@ from qmoments import inequalities as iq
 from qmoments.core import make_exponents
 from qmoments.matrixlab import FiniteState, HermitianOperator, matrix_from_json
 
+from contract.record import RECORDS, differences, observe, write_files
+
 VERDICT_KEYS = {"lhs", "rhs", "ratio", "margin", "holds", "slack", "label", "inputs"}
 
 
@@ -1133,16 +1135,17 @@ def test_every_package_export_still_imports():
 
 
 def test_array_commands_run_in_a_fresh_interpreter(tmp_path):
-    # --grid and finite load states, matrixlab and numpy on first use, and
-    # holder runs without them
-    r = np.arange(0.0, 40.01, 0.02)
-    np.savetxt(tmp_path / "h.txt", np.c_[r, 2.0 * r * np.exp(-r)])
-    (tmp_path / "samples.csv").write_text("f,g,weight\n1.0,0.5,1\n2.0,1.5,2\n0.5,3.0,1\n")
-    entry = "import sys; from qmoments.cli import main; sys.exit(main())"
-    for argv in (["sweep", "--grid", "h.txt", "--p-grid", "3", "--q-grid", "2"],
-                 ["central", "--grid", "h.txt", "--alpha", "1", "--beta", "1"],
-                 ["finite", "--dim", "8", "--p", "3", "--q", "2", "--trials", "3", "--seed", "7"],
-                 ["holder", "--data", "samples.csv", "--p", "3", "--q", "2"]):
-        out = _fresh(entry, *argv, cwd=tmp_path)
-        assert (out.returncode, out.stderr) == (EXIT_OK, ""), argv
-        assert json.loads(out.stdout)["manifest"]["outcomes"]["checks"] >= 1
+    # `python -m qmoments.cli` on the contract records of a grid sweep, a
+    # grid central run and seeded finite pairs makes the first import of
+    # states and quadrature, centralfield and matrixlab that a user's call
+    # makes; holder's record, which loads none of them, runs too. Each run
+    # matches its record
+    entry = "import runpy; runpy.run_module('qmoments.cli', run_name='__main__')"
+    for name in ("ci_grid_sweep", "ci_central_h_grid", "finite_random", "readme_holder"):
+        rec = json.loads((RECORDS / f"{name}.json").read_text(encoding="utf-8"))
+        folder = tmp_path / name
+        folder.mkdir()
+        write_files(folder, rec["files"])
+        out = _fresh(entry, *rec["argv"], cwd=folder)
+        observed = observe(rec["argv"], rec["files"], out.returncode, out.stdout, out.stderr, folder)
+        assert differences(rec, observed) == [], name

@@ -245,6 +245,14 @@ def test_chain_truncated_oscillator_saturation():
     assert v2.ratio == pytest.approx(1.0, abs=1e-6)
 
 
+def test_chain_commutator_side_that_would_be_subnormal_is_refused():
+    # (hbar/2)^20 at hbar = 7e-16 is about 7.6e-310, a number with lost
+    # digits: the power of [X, P]/2 is range-checked where it is reported
+    x, p = truncated_canonical_pair(8, hbar=7e-16)
+    with pytest.raises(DomainError, match="underflows"):
+        uncertainty_chain_finite(x, p, ground_state(8), make_exponents(40, 40))
+
+
 def test_chain_shared_rhs():
     rng = SplitMix64(31)
     a = random_hermitian(rng, 4)

@@ -438,6 +438,21 @@ def test_truncated_pair_ground_variances():
     assert abs_central_moment_finite(p, g, 2.0) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("hbar, mass", [(1.0, 1e-310), (1e300, 1e10), (1e-300, 1e-10)])
+def test_truncated_pair_takes_any_scale_in_range(hbar, mass):
+    # hbar/(2 mass) or hbar mass/2 leaves the double range, but neither
+    # scale, about 7.1e154 at mass = 1e-310, does
+    x, p = truncated_canonical_pair(8, hbar=hbar, mass=mass)
+    assert x.entries[0, 1].real == pytest.approx(math.sqrt(hbar / 2.0) / math.sqrt(mass), rel=1e-15)
+    assert p.entries[0, 1].imag == pytest.approx(-math.sqrt(hbar / 2.0) * math.sqrt(mass), rel=1e-15)
+
+
+def test_truncated_pair_scales_at_unit_mass_are_those_of_hbar_over_2():
+    for hbar in (1.0, 1e-20, 1e-300):
+        x, p = truncated_canonical_pair(4, hbar=hbar)
+        assert x.entries[0, 1].real == p.entries[1, 0].imag == math.sqrt(hbar / 2.0)
+
+
 def test_lowering_matrix():
     a = lowering_matrix(4)
     assert a[0, 1] == 1.0

@@ -1,9 +1,9 @@
 """Property tests: Young's inequality, the Exponents invariants, the grid
 file reader, the a:b:n grid spec, the CLI on fuzzed tolerance, slack,
 dimension, potential and config-file values, and on edge floats in holder
-CSVs, orders, grid specs, finite runs and config constants, and the
-discrete Holder and Schwarz sides against exact rationals. Skipped where
-hypothesis is absent."""
+CSVs, orders, grid specs, grid files, finite and central runs and config
+constants, and the discrete Holder and Schwarz sides against exact
+rationals. Skipped where hypothesis is absent."""
 
 import contextlib
 import io
@@ -263,33 +263,83 @@ def _grid_spec(draw):
     return f"{draw(edge_orders)!r}:{draw(edge_orders)!r}:{draw(edge_counts)}"
 
 
+_GRID_DEFECTS = ["none"] * 4 + ["few", "tiny r", "huge r", "tiny u", "huge u", "reversed",
+                                 "repeated", "edge"]
+
+
+@st.composite
+def grid_texts(draw, many: int):
+    """Radial grid file text: many to many + 40 samples of u = x e^-x for x
+    in [0, 10], with at most one defect: 1 to 5 samples, radii spread to
+    1e-300 or 1e300, u scaled by 1e-300 or 1e300, the rows reversed, one
+    radius repeated, or one number an edge float (nan, inf, -inf, -1, 0);
+    LF or CRLF line ends, perhaps a BOM."""
+    defect = draw(st.sampled_from(_GRID_DEFECTS))
+    n = draw(st.integers(1, 5) if defect == "few" else st.integers(many, many + 40))
+    r_scale = {"tiny r": 1e-301, "huge r": 1e299}.get(defect, 1.0)
+    u_scale = {"tiny u": 1e-300, "huge u": 1e300}.get(defect, 1.0)
+    xs = [10.0 * i / max(n - 1, 1) for i in range(n)]
+    rows = [[r_scale * x, u_scale * x * math.exp(-x)] for x in xs]
+    if defect == "reversed":
+        rows.reverse()
+    elif defect == "repeated":
+        i = draw(st.integers(0, n - 1))
+        rows.insert(i, list(rows[i]))
+    elif defect == "edge":
+        edge = draw(st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0]))
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, 1))] = edge
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])) + "".join(f"{r!r} {u!r}{eol}" for r, u in rows)
+
+
+_params = st.one_of(st.floats(0.1, 10.0), edge_floats)
+
+
 @st.composite
 def edge_cases(draw):
-    """argv, with {data} for the holder CSV and {config} for the config file,
-    the CSV's text and the config's JSON (each else None)."""
-    command = draw(st.sampled_from(["holder", "hydrogen", "sweep", "finite"]))
-    rows = config = None
+    """argv, with {data}, {grid} and {config} for the holder CSV, the grid
+    file and the config file, and the text of each file it names."""
+    command = draw(st.sampled_from(["holder", "hydrogen", "sweep", "finite", "central"]))
+    files = {}
+    grid = command in ("sweep", "central") and draw(st.booleans())
+    if grid:  # <T> of central needs about 200 samples; a sweep's momentum table, fewer
+        files["grid"] = draw(grid_texts(200 if command == "central" else 60))
     if command == "holder":
-        rows = "".join(f"{f!r},{g!r},{w!r}\n" for f, g, w in draw(holder_rows))
+        files["data"] = "".join(f"{f!r},{g!r},{w!r}\n" for f, g, w in draw(holder_rows))
         argv = ["holder", "--data", "{data}"]
     elif command == "sweep":
-        argv = ["sweep", "--kind", draw(st.sampled_from(["canonical", "reciprocal"])),
-                f"--p-grid={_grid_spec(draw)}", f"--q-grid={_grid_spec(draw)}"]
+        argv = ["sweep", "--kind", draw(st.sampled_from(["canonical", "reciprocal"]))]
+        if grid:  # one cell: each order of a grid state is a quadrature
+            argv += ["--grid", "{grid}", f"--p-grid={draw(edge_orders)!r}",
+                     f"--q-grid={draw(edge_orders)!r}"]
+        else:
+            argv += [f"--p-grid={_grid_spec(draw)}", f"--q-grid={_grid_spec(draw)}"]
     elif command == "finite":
         argv = ["finite", "--pair", draw(st.sampled_from(["pauli-xy", "truncated-xp", "random"])),
                 f"--dim={draw(st.integers(2, 8))}", f"--seed={draw(st.integers(0, 2**64 - 1))}"]
+    elif command == "central":
+        argv = ["central", *(["--grid", "{grid}"] if grid else
+                             ["--state", draw(st.sampled_from(["hydrogen", "r4test", "qho"]))])]
+        if draw(st.integers(0, 3)) > 0:
+            argv += [f"--alpha={draw(edge_orders)!r}", f"--beta={draw(edge_orders)!r}"]
+        if draw(st.booleans()):
+            argv.append("--buckingham=" + ",".join(repr(draw(_params)) for _ in range(3)))
+        if draw(st.booleans()):
+            argv.append("--lj=" + ",".join(repr(draw(_params)) for _ in range(2)))
+        if draw(st.booleans()):
+            argv.append("--allow-divergent")
     else:
         argv = ["hydrogen"]
-    if command != "sweep":
+    if command in ("holder", "hydrogen", "finite"):
         argv += [f"--p={draw(edge_orders)!r}", f"--q={draw(edge_orders)!r}"]
     if draw(st.integers(0, 3)) == 0:
         argv.append(f"--slack={draw(edge_floats)!r}")
     if draw(st.booleans()):
         constants = draw(st.fixed_dictionaries(
             {}, optional={"hbar": edge_floats, "mass": edge_floats, "a0": edge_floats}))
-        config = json.dumps({"constants": constants})
+        files["config"] = json.dumps({"constants": constants})
         argv = ["--config", "{config}", *argv]
-    return argv, rows, config
+    return argv, files
 
 
 def _vacuous(verdict: dict) -> bool:
@@ -298,10 +348,15 @@ def _vacuous(verdict: dict) -> bool:
 
 
 def _main(argv: list[str]) -> tuple[int, str, str]:
-    """main(argv) in-process: its exit code, stdout and stderr."""
+    """main(argv) in-process: its exit code, stdout and stderr, where a
+    warning would be written to stderr as the console script does."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
         code = main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return code, out.getvalue(), err.getvalue()
 
 
@@ -316,18 +371,21 @@ _XP = ["--config", "{config}", "finite", "--pair", "truncated-xp", "--dim=8", "-
 @settings(FIXED, max_examples=300)
 @given(case=edge_cases())
 # both sides overflow; only the Holder rhs does; the weights sum to inf
-@example(case=(_HOLDER, "1e200,1e200,1\n", None))
-@example(case=(_HOLDER, "1e120,1e-200,1\n1,1,1\n", None))
-@example(case=(_HOLDER, "1.0,2.0,1e308\n2.0,1.0,1e308\n", None))
+@example(case=(_HOLDER, {"data": "1e200,1e200,1\n"}))
+@example(case=(_HOLDER, {"data": "1e120,1e-200,1\n1,1,1\n"}))
+@example(case=(_HOLDER, {"data": "1.0,2.0,1e308\n2.0,1.0,1e308\n"}))
 # hbar/2 underflows to 0, so X = P = 0 and both links read 0 <= 0
-@example(case=(_XP, None, '{"constants": {"hbar": 5e-324}}'))
+@example(case=(_XP, {"config": '{"constants": {"hbar": 5e-324}}'}))
+# knots near 1e300: r^(t/2) overflows in the knot sums, once with a numpy
+# warning on stderr
+@example(case=(["sweep", "--grid", "{grid}", "--p-grid=3.0", "--q-grid=3.0"],
+               {"grid": "0 0\n3.3e299 1.2e299\n6.7e299 8.5e297\n1e300 4.5e296\n"}))
 def test_cli_on_edge_floats_ends_in_one_line_or_a_real_report(tmp_path_factory, case):
-    argv, rows, config = case
+    argv, files = case
     base = tmp_path_factory.getbasetemp()
-    paths = {"data": base / "edge_rows.csv", "config": base / "edge_config.json"}
-    for key, text in (("data", rows), ("config", config)):
-        if text is not None:
-            paths[key].write_text(text, encoding="utf-8")
+    paths = {key: base / f"edge_{key}.txt" for key in ("data", "grid", "config")}
+    for key, text in files.items():
+        paths[key].write_text(text, encoding="utf-8")
     argv = [a.format(**paths) for a in argv]
     code, out, err = _main(argv)
     assert code in (EXIT_OK, EXIT_ERROR, EXIT_VIOLATION, EXIT_DIVERGENT)
