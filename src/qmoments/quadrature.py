@@ -3,8 +3,10 @@ the radial sine transform.
 
 integrate(f, a, b, tol, breakpoints) refines panels of [a, b] adaptively;
 panel_sum(f, nodes, h, tol) makes one pass on panels the caller chose
-(kronrod_nodes); both converge by one target. RadialSamples transforms values
-sampled at RadialSamples.nodes. Kronrod nodes are interior, so endpoint
+(kronrod_nodes); both converge by one target. RadialSamples transforms u on
+the equal panels of RadialSamples.nodes, given as its values at those nodes
+or as coefficients in a basis such as RadialSamples.power_basis(3). Kronrod
+nodes are interior, so endpoint
 singularities are never sampled. Integrands must be vectorized: both sums
 call f on a (panels, 15) array of nodes, one row per panel, and an integrand
 that is not elementwise must keep that shape.
@@ -197,9 +199,10 @@ MAX_SINE_PANELS = 1 << 17
 _TAPS = 16
 _BETA = 2.30 * _TAPS
 _OVERSAMPLE = 2
-# k per pass of sine_transform, whose work arrays hold (_PASS, _TAPS, 30)
-# doubles for every request, so a long request holds no more memory than a
-# short one
+# k per pass of sine_transform, whose work arrays hold (_PASS, _TAPS, 2B)
+# doubles for every request (B basis columns: 4 for a cubic's coefficients,
+# 15 for node values), so a long request holds no more memory than a short
+# one
 _PASS = 128
 # tap j of a k at grid position floor(x) + frac sits at 2z/w = (frac + w/2 -
 # 1 - j)/(w/2), on table row floor(x) + j
@@ -276,49 +279,67 @@ def _fft_size(m: int) -> int:
 
 
 class RadialSamples:
-    """The sine transform of u from its (n, 15) values at the Kronrod nodes
-    of n equal panels of [0, r_max] (nodes(r_max, n)), each at most half a
-    period of sin(k_max r) wide, so that the fixed K15 rule is exact to
-    rounding for a u that is one cubic per panel. The caller picks n and
-    samples u; the constructor refuses more than MAX_SINE_PANELS panels.
-    Every k <= k_max is transformed against the same samples, so its value
-    depends on k alone.
+    """The sine transform of u on n equal panels of [0, r_max]
+    (nodes(r_max, n)), each at most half a period of sin(k_max r) wide, so
+    that the fixed K15 rule is exact to rounding for a u that is one cubic
+    per panel. u comes as (n, B) coefficients in a basis given by its (15, B)
+    values at the Kronrod nodes of a panel: u_jm = sum_b coefs_jb V_mb. The
+    default basis is the identity (B = 15), so that coefs are the values of u
+    at the nodes; power_basis(3) takes a cubic's 4 coefficients per panel.
+    The caller picks n and u; the constructor refuses more than
+    MAX_SINE_PANELS panels. Every k <= k_max is transformed against the same
+    table, so its value depends on k alone.
 
     Node m of panel j sits at c_j + h x_m, c_j = (j + 1/2) d, d = 2h. With
-    N = n rounded up to even, j' = j - N/2 and theta = k d,
-    sum_j u_jm sin(k r_jm) = Im[exp(i k ((N/2 + 1/2) d + h x_m)) f_m(theta)],
-    f_m(theta) = sum_j' u_jm exp(i j' theta), a type-2 non-uniform Fourier
-    sum. Gridding with the window phi evaluates it: with M >= 2N points
+    N = n rounded up to even, j' = j - N/2, theta = k d and
+    C0 = (N/2 + 1/2) d, the K15 sum is
+    sum_j sum_m WK_m u_jm sin(k r_jm) = Im[exp(i k C0) sum_b F_b(theta) Q_b(k)],
+    Q_b(k) = sum_m WK_m V_mb exp(i k h x_m),
+    F_b(theta) = sum_j' coefs_jb exp(i j' theta), a type-2 non-uniform
+    Fourier sum (for the identity, WK_b goes into F_b and Q_b is
+    exp(i k h x_b)). Only the phase k C0, up to k r_max, needs the rounding
+    correction of _sin_cos_outer; the 15 node phases k h x_m are at most
+    pi/2. Gridding with the window phi evaluates F_b: with M >= 2N points
     theta_t = 2 pi t/M and x = theta M/(2 pi) the grid position of theta,
-    f_m(theta) = sum_t phi(x - t) H_tm,
-    H_tm = sum_j' (u_jm/phi_hat(2 pi j'/M)) exp(i j' theta_t),
-    which one real FFT per node column gives: with u_jm/phi_hat at index
-    j' mod M of an M-point array, H_tm = conj(R_tm) for its rfft R. Only the
-    _TAPS taps nearest x count, and only the rows of H that theta in
-    [0, k_max d] reaches are kept, with the K15 weights, h and sqrt(2/pi)
-    folded in: a (rows, 30) table of real parts, then imaginary parts. Row t
-    holds H at t mod M, which past M/2 is R_{M - t mod M} as u is real: the
-    rows t < 0 that k near 0 reach, and the rows past M/2 that the window
-    reaches where k_max d is near pi (half-period panels) or M <= 24."""
+    F_b(theta) = sum_t phi(x - t) H_tb,
+    H_tb = sum_j' (coefs_jb/phi_hat(2 pi j'/M)) exp(i j' theta_t),
+    which one real FFT per basis column gives: with coefs_jb/phi_hat at
+    index j' mod M of an M-point array, H_tb = conj(R_tb) for its rfft R.
+    Only the _TAPS taps nearest x count, and only the rows of H that theta
+    in [0, k_max d] reaches are kept, with h and sqrt(2/pi) folded in: a
+    (rows, 2B) table of real parts, then imaginary parts. Row t holds H at
+    t mod M, which past M/2 is R_{M - t mod M} as the coefficients are
+    real: the rows t < 0 that k near 0 reach, and the rows past M/2 that the
+    window reaches where k_max d is near pi (half-period panels) or M <= 24."""
 
     @staticmethod
     def nodes(r_max: float, n: int) -> np.ndarray:
         """The (n, 15) Kronrod nodes of n equal panels of [0, r_max], in
-        ascending order: where the constructor takes the values of u."""
+        ascending order: where the identity basis takes the values of u."""
         edges = np.linspace(0.0, r_max, n + 1)
         c = 0.5 * (edges[:-1] + edges[1:])
         h = 0.5 * (edges[1] - edges[0])
         return c[:, None] + h * _XK[None, :]
 
-    def __init__(self, values: np.ndarray, r_max: float, k_max: float):
-        """The gridded table of the (n, 15) node values (class docstring)."""
-        n = values.shape[0]
+    @staticmethod
+    def power_basis(degree: int) -> np.ndarray:
+        """The (15, degree + 1) basis of a polynomial's coefficients in the
+        unit variable t = (r - left)/width of each panel, highest power
+        first: t^degree, ..., t, 1 at the Kronrod nodes t_m = (1 + x_m)/2.
+        The coefficients of a panel of any width are then of the size of u,
+        so none overflows where the knots do not."""
+        return (0.5 * (1.0 + _XK))[:, None] ** np.arange(degree, -1, -1.0)
+
+    def __init__(self, coefs: np.ndarray, r_max: float, k_max: float, basis: np.ndarray | None = None):
+        """The gridded table of the (n, B) coefficients in the (15, B) basis,
+        the identity where it is None (class docstring)."""
+        n = coefs.shape[0]
         if n > MAX_SINE_PANELS:
             raise MomentsError(
                 f"sine transform needs {n} panels (k={k_max:.3g}, r_max={r_max:.3g}); "
                 f"exceeds the {MAX_SINE_PANELS} panel cap"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(coefs)):
             raise MomentsError("non-finite radial wavefunction value in sine transform")
         self.k_max = k_max
         h = 0.5 * (r_max / n)  # bit for bit the h of nodes' linspace
@@ -332,23 +353,30 @@ class RadialSamples:
         s_hi, s_lo = _two_product(_split(dm), _split(_INV_2PI[0]))
         self._scale = _split(s_hi)
         self._scale_lo = s_lo + dm * _INV_2PI[1] + dm_lo * _INV_2PI[0]
-        # node m's phase is k*offset_m on top of the grid sum's j'*theta
-        self._offsets = _split((half + 0.5) * d + h * _XK)
+        # the phase k*C0 is corrected for its rounding (up to an ulp of
+        # k r_max, noise in k); the node phases k*h*x_m round at about 1e-16
+        self._centre = _split(np.array([(half + 0.5) * d]))
+        self._node_offsets = h * _XK
+        # Q_b's weights WK_m V_mb as (B, 15) rows; the identity's K15 weights
+        # go into the table
+        self._weights = None if basis is None else np.ascontiguousarray((_WK[:, None] * basis).T)
+        weights = _WK if basis is None else 1.0
         # rows t = 1 - _TAPS/2 ... floor(k_max*scale) + _TAPS/2, at t mod M
         t = np.arange(1 - _TAPS // 2, math.floor(k_max * s_hi) + _TAPS // 2 + 1) % size
         low = t <= size // 2
         rows = np.where(low, t, size - t)
         jp = np.arange(n) - half
         decon = 1.0 / _window_transform(size, half + 1)[np.abs(jp)]
-        cols = values * (decon[:, None] * (_WK * (_SINE_NORM * h)))
-        # column m at index j' mod M: its rfft R gives H_t = conj(R_t)
+        cols = coefs * (decon[:, None] * (weights * (_SINE_NORM * h)))
+        # column b at index j' mod M: its rfft R gives H_t = conj(R_t)
+        width = cols.shape[1]
         wrapped = np.zeros(size)
-        table = np.empty((t.size, 30))
-        for m in range(15):
-            wrapped[:n - half], wrapped[size - half:] = cols[half:, m], cols[:half, m]
+        table = np.empty((t.size, 2 * width))
+        for b in range(width):
+            wrapped[:n - half], wrapped[size - half:] = cols[half:, b], cols[:half, b]
             spec = np.fft.rfft(wrapped)[rows]
-            table[:, m], table[:, 15 + m] = spec.real, spec.imag
-        np.negative(table[:, 15:], out=table[:, 15:], where=low[:, None])
+            table[:, b], table[:, width + b] = spec.real, spec.imag
+        np.negative(table[:, width:], out=table[:, width:], where=low[:, None])
         self._table = table
 
     def sine_transform(self, ks) -> np.ndarray:
@@ -357,21 +385,26 @@ class RadialSamples:
 
         Per k: the grid position x = k*scale splits into floor(x) and a
         fraction, the _TAPS window weights of the fraction sum the table rows
-        from floor(x) on into f_m, and the 15 node phases (the
-        rounding-corrected _sin_cos_outer) finish the K15 sum. The k run in
-        passes of _PASS through work arrays of a fixed size, and every sum
-        runs in numpy's own loops (no BLAS product), so a k's value does not
-        depend on the pass or the request it falls in. k = 0 is exactly 0.
+        from floor(x) on into F_b, the 15 node phases give Q_b, and the one
+        phase k*C0 (the rounding-corrected _sin_cos_outer) finishes the K15
+        sum. The k run in passes of _PASS through work arrays of a fixed
+        size, and every sum runs in numpy's own loops (no BLAS product), so a
+        k's value does not depend on the pass or the request it falls in.
+        k = 0 is exactly 0.
         """
         shape = np.shape(ks)
         ks = np.asarray(ks, dtype=float).ravel()
         if not np.all((ks >= 0.0) & (ks <= self.k_max)):
             raise DomainError(f"sine transform on these samples needs 0 <= k <= {self.k_max:.6g}")
+        width = self._table.shape[1] // 2
         vals = np.empty(ks.size)
         win, scratch = np.empty((2, _PASS, _TAPS))
         rows = np.empty((_PASS, _TAPS), dtype=np.intp)
-        gathered = np.empty((_PASS, _TAPS, 30))
-        f = np.empty((_PASS, 30))
+        gathered = np.empty((_PASS, _TAPS, 2 * width))
+        f, z = np.empty((2, _PASS, 2 * width))
+        phase = np.empty((_PASS, 15))
+        trig = np.empty((_PASS, 2, 15))
+        q = np.empty((_PASS, 2, width))
         for lo in range(0, ks.size, _PASS):
             kb = _split(ks[lo:lo + _PASS])
             m = kb[0].size
@@ -385,7 +418,18 @@ class RadialSamples:
             np.add(t0.astype(np.intp)[:, None], _TAP_INDEX, out=rows[:m])
             np.take(self._table, rows[:m], axis=0, out=gathered[:m], mode="clip")
             np.einsum("ktc,kt->kc", gathered[:m], a, out=f[:m])
-            s, c = _sin_cos_outer(kb, self._offsets)
-            vals[lo:lo + m] = (s * f[:m, :15] + c * f[:m, 15:]).sum(axis=1)
+            # Q_b = qc + i qs, times exp(i k C0) = c + i s
+            np.multiply(kb[0][:, None], self._node_offsets, out=phase[:m])
+            np.cos(phase[:m], out=trig[:m, 0])
+            np.sin(phase[:m], out=trig[:m, 1])
+            qk = trig[:m]
+            if self._weights is not None:
+                qk = np.einsum("kin,bn->kib", qk, self._weights, out=q[:m])
+            qc, qs = qk[:, 0], qk[:, 1]
+            s, c = _sin_cos_outer(kb, self._centre)
+            # Im[(c + i s) Q_b (Re F_b + i Im F_b)], Re F_b in the first half of f
+            z[:m, :width] = s * qc + c * qs
+            z[:m, width:] = c * qc - s * qs
+            np.einsum("kc,kc->k", f[:m], z[:m], out=vals[lo:lo + m])
         vals[ks == 0.0] = 0.0
         return vals.reshape(shape)

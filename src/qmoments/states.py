@@ -3,8 +3,9 @@
 A RadialGridState is a state sampled as (r_i, u_i) from a file or arrays and
 interpolated with a monotone cubic; its position moments, norm and kinetic
 energy come from K15 sums over a table of u at the knot intervals' Kronrod
-nodes, which the state computes once; on a grid uniform from r = 0, so does
-its sine transform, which is then exact for the model. Its momentum orders
+nodes, which the state computes once; on a grid uniform from r = 0, its sine
+transform takes the cubic's coefficients on the knot intervals, and is then
+exact for the model. Its momentum orders
 <p^q> come from a _MomentumTable, the one owner of the momentum k-integral:
 one fixed table of w at the nodes of a shared k-partition, one transform call
 for any other request, and a power-law tail model.
@@ -199,6 +200,28 @@ class _PiecewiseCubic:
         coefficients broadcast along the rows and nothing is searched."""
         return _horner(nodes - self._knots[:-1, None], (c[1:-1, None] for c in self._coefs))
 
+    def unit_coefficients(self, parts: int) -> np.ndarray:
+        """The (intervals * parts, degree + 1) coefficients, highest power
+        first, of the polynomial in the unit variable t = (r - left)/width of
+        each of `parts` equal parts of every knot interval, the parts in
+        ascending order. Each interval's coefficient c_p of (r - r_i)^p
+        becomes c_p w^p one factor of the width w at a time, so no power of
+        w leaves the double range; a Taylor shift (repeated synthetic
+        division) in the unit variable then moves them to each part."""
+        w = np.diff(self._knots)[:, None]
+        b = [np.repeat(c[1:-1, None], parts, axis=1) for c in self._coefs]  # b[j] times t^(degree - j)
+        degree = len(b) - 1
+        for p in range(degree):
+            for j in range(p + 1):
+                b[j] *= w
+        left = np.arange(parts) / parts
+        for p in range(degree):
+            for j in range(1, degree + 1 - p):
+                b[j] += b[j - 1] * left
+        for j in range(degree):
+            b[j] *= float(parts) ** (j - degree)
+        return np.stack(b, axis=-1).reshape(-1, degree + 1)
+
 
 def _monotone_cubic(r: np.ndarray, u: np.ndarray) -> tuple[_PiecewiseCubic, _PiecewiseCubic]:
     """The monotone cubic Hermite interpolant of (r, u) and its derivative;
@@ -316,7 +339,7 @@ class RadialGridState(RadialStateBase):
         from the tabled u: one evaluation of (u r^(t/2))^2, no refinement,
         converged at the state's tolerances. An order the fixed nodes cannot
         resolve (a steep power at the origin) does not converge and needs
-        integrate."""
+        integrate. A sum that is not finite is failed."""
         u = self._u_knots
 
         def f(x):
@@ -331,7 +354,7 @@ class RadialGridState(RadialStateBase):
         if max(half, 2.0 * (half + top)) < 1020.0:
             return panel_sum(f, *self._knot_nodes, self.tol)
         # knots near 1e300 take (u x^(t/2))^2 past the double range: the sum
-        # is then not finite, so it does not converge or is refused by range
+        # is then not finite, a failed result that direct_moment refuses
         with np.errstate(over="ignore", invalid="ignore"):
             return panel_sum(f, *self._knot_nodes, self.tol)
 
@@ -339,9 +362,15 @@ class RadialGridState(RadialStateBase):
         """<r^t> from the knot table where it converges there (knot_moment),
         <T> from the knot sums of u'^2 (_kinetic) and <p^q> from the
         momentum table; None otherwise. A value outside the normal double
-        range raises DomainError, as a closed form's does."""
+        range raises DomainError, as a closed form's does; so does a knot
+        sum of <r^t> that is not finite."""
+        what = {R_POWER: f"<r^{x:g}>", P_POWER: f"<p^{x:g}>", KINETIC: "<T>"}.get(quantity)
         if quantity == R_POWER:
             res = self.knot_moment(x)
+            if res.failed:
+                # a sum of squares that is not finite overflowed: in the
+                # integrand, or in the panel sums where the widths are large
+                raise DomainError(f"{what} of {self.label} overflows a double")
             m = MomentValue.convergent(res.value, res.err_estimate, x) if res.converged else None
         elif quantity == KINETIC:
             m = self._kinetic()
@@ -350,7 +379,6 @@ class RadialGridState(RadialStateBase):
         else:
             return None
         if m is not None and m.is_convergent:
-            what = {R_POWER: f"<r^{x:g}>", P_POWER: f"<p^{x:g}>", KINETIC: "<T>"}[quantity]
             _require_normal(f"{what} of {self.label}", m.value)
         return m
 
@@ -380,24 +408,23 @@ class RadialGridState(RadialStateBase):
         h = r_N/N), the panels are the knot intervals split into
         s = max(1, ceil(h k_cut/pi)) parts: u is one cubic on each, which is
         at most half a period of sin(k_cut r), so K15 is exact for the
-        model. At s = 1 the samples are the knot table; for s > 1 row i of
-        the (N, 15 s) sub-panel nodes lies in knot interval i. Other grids,
-        and an s N past the cap, take ceil(2 k_cut r_N/pi) equal panels, a
-        quarter-period of sin(k_cut r) or shorter, with the interpolant
-        evaluated once, by runs, at their ascending nodes."""
+        model. The transform then takes the cubic's 4 coefficients per part
+        in its unit variable (the interpolant's, Taylor-shifted to each part
+        for s > 1), not 15 node values: 4 FFT columns for the table. Other
+        grids, and an s N past the cap, take ceil(2 k_cut r_N/pi) equal
+        panels, a quarter-period of sin(k_cut r) or shorter, that straddle
+        the knots, with the interpolant evaluated once, by runs, at their
+        ascending nodes."""
         r, n = self._r, self._r.size - 1
         h = self.r_max / n
         s = max(1, math.ceil(h * k_cut / math.pi))
         uniform = np.all(np.abs(r - h * np.arange(n + 1)) <= 4.0 * np.finfo(float).eps * self.r_max)
         if uniform and s * n <= MAX_SINE_PANELS:
-            if s == 1:
-                values = self._u_knots
-            else:
-                nodes = RadialSamples.nodes(self.r_max, s * n).reshape(n, 15 * s)
-                values = self.norm_factor * self._interp.at_knot_nodes(nodes)
-        else:
-            nodes = RadialSamples.nodes(self.r_max, math.ceil(2.0 * k_cut * self.r_max / math.pi))
-            values = self.norm_factor * self._interp.at_ascending(nodes.ravel())
+            coefs = self.norm_factor * self._interp.unit_coefficients(s)
+            basis = RadialSamples.power_basis(coefs.shape[1] - 1)
+            return RadialSamples(coefs, self.r_max, k_cut, basis).sine_transform
+        nodes = RadialSamples.nodes(self.r_max, math.ceil(2.0 * k_cut * self.r_max / math.pi))
+        values = self.norm_factor * self._interp.at_ascending(nodes.ravel())
         return RadialSamples(values.reshape(-1, 15), self.r_max, k_cut).sine_transform
 
     def _kinetic(self) -> MomentValue:

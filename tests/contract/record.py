@@ -13,9 +13,10 @@ from: where they cancel, its digits are rounding and move with the build.
     python tests/contract/record.py     # record new cases, rewrite moved ones
 
 writes the record of each new case and rewrites each record that no longer
-replays, printing every leaf that moved, so a change that rewrites a record
-can say which values moved. A record that replays keeps its numbers, so a
-rounding change of another build rewrites nothing.
+replays, printing every leaf that moved with its relative change, so a
+change that rewrites a record can say which values moved and by how much.
+A record that replays keeps its numbers, so a rounding change of another
+build rewrites nothing.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ H_GRID = _grid([i * 0.1 for i in range(301)], _hydrogen_u)
 # the grids of the CI sweeps: the 1s wavefunction at h = 0.02 to r = 40, the
 # same written with six decimals, at h = 0.5 to r = 20, u = r^4 e^-r on a
 # geometric grid with a leading r = 0, u = e^-r (u(0) != 0) at h = 0.02 to
-# r = 30, and knots near 1e200; then the h = 0.02 grid with CRLF endings,
+# r = 30, knots near 1e200, and u = x e^-x at r = 1e299 x (x = 0...10, 200
+# samples); then the h = 0.02 grid with CRLF endings,
 # comment lines, trailing comments, blank lines and tabs, a grid with a byte
 # that is not UTF-8 (a surrogate escape here) and one whose first knot
 # interval is 1e-200
@@ -65,6 +67,8 @@ CI_GRIDS = {
                          lambda r: r**4 * math.exp(-r)),
     "u0_grid.txt": _grid([i * 0.02 for i in range(1501)], lambda r: math.exp(-r)),
     "huge_grid.txt": "0 0\n1e200 1\n2e200 0.5\n3e200 0.1\n4e200 0\n",
+    "big_grid.txt": _grid([1e299 * (10.0 * i / 199) for i in range(200)],
+                          lambda r: r / 1e299 * math.exp(-r / 1e299)),
     "crlf_grid.txt": "# r u\r\n\r\n" + "\r\n".join(_CRLF_ROWS) + "\r\n\r\n",
     "bad_grid.txt": "0 0\n1 0.5\udcff\n2 0.2\n3 0.1\n",
     "tiny_grid.txt": "0 0\n1e-200 1\n1 1\n2 1\n",
@@ -193,6 +197,12 @@ CASES = {
     "ci_central_r4_grid": _ci_central("r4_grid.txt", "--alpha", "1", "--beta", "1"),
     "ci_central_r4_grid_buckingham": _ci_central("r4_grid.txt", "--buckingham", "1,1,1"),
     "ci_central_huge_grid": _ci_central("huge_grid.txt", "--alpha", "1", "--beta", "1"),
+    # moments past the double range on grids: <r^2> of knots near 1e200 in a
+    # sweep cell, <r^6> and <r^2> of knots near 1e299 under central (each a
+    # range error that names the moment, exit 1)
+    "huge_grid_overflow_cell": _ci_sweep("huge_grid.txt", "--p-grid", "2", "--q-grid", "1"),
+    "big_grid_central_buckingham": _ci_central("big_grid.txt", "--buckingham", "1,1,1"),
+    "big_grid_central_threshold": _ci_central("big_grid.txt", "--alpha", "3", "--beta", "3"),
     "ci_central_tiny_beta": (["central", "--alpha", "1", "--beta", "1e-170"], {}),
     "ci_central_huge_beta": (["central", "--state", "r4test", "--alpha", "2.5", "--beta",
                               "1e307"], {}),
@@ -333,8 +343,16 @@ def differences(recorded: dict, observed: dict) -> list[str]:
         i = next((i for i, (a, b) in enumerate(zip(*paths)) if a != b), min(map(len, paths)))
         return [f"key paths differ from path {i}: "
                 f"recorded {paths[0][i:i + 3]}, observed {paths[1][i:i + 3]}"]
-    return [f"{p}: {a!r} -> {b!r}" for (p, a, floor), (_, b, _) in zip(old, new)
+    return [f"{p}: {a!r} -> {b!r}{_relative(a, b)}" for (p, a, floor), (_, b, _) in zip(old, new)
             if not _same(a, b, floor)]
+
+
+def _relative(a, b) -> str:
+    """The relative change from the number a to the number b, as a suffix;
+    nothing where either is not a float or a is 0."""
+    if isinstance(a, float) and isinstance(b, float) and a != 0.0:
+        return f" ({(b - a) / abs(a):+.1e} relative)"
+    return ""
 
 
 def main() -> int:

@@ -48,10 +48,13 @@ def test_replay_sees_a_move_of_any_nonzero_number(name):
     # every number but a rounding residue compares relative, however small:
     # an SI leaf near 1e-26 is pinned as tightly as one near 1
     rec = _load(name)
-    seen = {line.split(": ", 1)[0] for line in differences(rec, _moved(rec))}
+    moved = differences(rec, _moved(rec))
+    seen = {line.split(": ", 1)[0] for line in moved}
     numbers = {path for path, x, floor in leaves(rec)
                if isinstance(x, float) and x != 0.0 and floor == 0.0}
     assert numbers <= seen
+    # each moved leaf shows its relative change: 1e-9, signed like the leaf
+    assert all(line.endswith((" (+1.0e-09 relative)", " (-1.0e-09 relative)")) for line in moved)
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))

@@ -415,6 +415,29 @@ def test_sine_transform_batch_matches_dense_reference_on_grid_state():
         assert np.abs(vals - ref).max() <= 1e-14
 
 
+@pytest.mark.parametrize("width", [1e-150, 0.02, 1e120])
+def test_cubic_basis_transforms_as_its_node_values(width):
+    # the cubic Hermite interpolant of 2 r e^-r on 2000 panels of [0, 40],
+    # as 4 coefficients per panel in t = (r - left)/width and as its values
+    # at the 15 nodes, on panels of this width, each half a period of
+    # sin(k_max r): one transform, with every value finite
+    basis = RadialSamples.power_basis(3)
+    assert basis.shape == (15, 4) and np.all(basis[:, -1] == 1.0)
+    n = 2000
+    x = np.linspace(0.0, 40.0, n + 1)
+    y, dy = _hydrogen_u(x), 2.0 * (1.0 - x) * np.exp(-x) * (40.0 / n)
+    m = np.diff(y)
+    coefs = np.stack([dy[:-1] + dy[1:] - 2.0 * m, 3.0 * m - 2.0 * dy[:-1] - dy[1:], dy[:-1], y[:-1]],
+                     axis=1)
+    r_max, k_max = n * width, math.pi / width
+    cubic = RadialSamples(coefs, r_max, k_max, basis)
+    assert cubic._table.shape[1] == 8  # 4 FFT columns, not 15
+    ks = np.linspace(0.0, k_max, 300)
+    w, want = cubic.sine_transform(ks), RadialSamples(coefs @ basis.T, r_max, k_max).sine_transform(ks)
+    assert np.all(np.isfinite(w))
+    assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
 def test_sine_transform_rejects_k_outside_its_range(bad):
     samples = equal_panel_samples(_hydrogen_u, 48.0, 1.0, 1.0)

@@ -654,15 +654,13 @@ def test_grid_interpolant_by_runs_equals_the_search(make):
         assert f.at_knot_nodes(knot_nodes).tobytes() == f(knot_nodes).tobytes()
     # r_N lies in the last interval, not outside
     assert st._interp.at_ascending(knots[-1:])[0] != 0.0
-    # the state's amplitude is the transform of its knot table on the uniform
-    # grid, and of reduced_radial at equal panels on the geometric one, bit
-    # for bit
-    ks = np.linspace(0.0, k_cut, 64)
-    if make is _hydrogen_grid:
-        want = RadialSamples(st._u_knots, st.r_max, k_cut).sine_transform(ks)
-    else:
+    # on the geometric grid the state's amplitude is the transform of
+    # reduced_radial at equal panels, bit for bit (the uniform grid's cubic
+    # coefficients: test_uniform_grid_coefficients_equal_the_node_values)
+    if make is _r4test_grid:
+        ks = np.linspace(0.0, k_cut, 64)
         want = equal_panel_samples(st.reduced_radial, st.r_max, st.r_scale, k_cut).sine_transform(ks)
-    assert st.momentum_table().w(ks).tobytes() == want.tobytes()
+        assert st.momentum_table().w(ks).tobytes() == want.tobytes()
 
 
 def _aligned_transform_oracle(st, ks, sub):
@@ -710,6 +708,54 @@ def test_uniform_grid_transform_is_exact_for_the_model(make, subpanels, tmp_path
     assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _node_value_samples(st, k_cut):
+    """The uniform grid's samples in the identity basis: u's values at the
+    Kronrod nodes of s equal sub-panels of every knot interval, from one
+    evaluation of the interpolant with row i in knot interval i."""
+    from qmoments.quadrature import RadialSamples
+
+    n = st._r.size - 1
+    s = max(1, math.ceil(st.r_max / n * k_cut / math.pi))
+    nodes = RadialSamples.nodes(st.r_max, s * n).reshape(n, 15 * s)
+    values = st.norm_factor * st._interp.at_knot_nodes(nodes)
+    return RadialSamples(values.reshape(-1, 15), st.r_max, k_cut)
+
+
+@pytest.mark.parametrize("scale, h, r_end, subpanels", [
+    (1.0, 0.02, 40.0, 1), (1.0, 0.5, 20.0, 16), (1e120, 0.02, 40.0, 1), (1e120, 0.5, 20.0, 16),
+], ids=["h0.02", "h0.5", "h0.02-1e120", "h0.5-1e120"])
+def test_uniform_grid_coefficients_equal_the_node_values(scale, h, r_end, subpanels):
+    # the cubic's 4 coefficients per panel, shifted to each of s sub-panels,
+    # transform as its values at the 15 nodes do; at knot spacings of 2e118
+    # and 5e119 the coefficients in the unit variable stay of the size of u
+    r, u = _uniform_grid(h, r_end)
+    st = RadialGridState(scale * r, u)
+    k_cut = st.momentum_table().k_cut
+    assert max(1, math.ceil(st.r_max / (r.size - 1) * k_cut / math.pi)) == subpanels
+    transform = st.momentum_amplitude(k_cut)
+    # 4 FFT columns, real and imaginary parts: not the 15 node columns
+    assert transform.__self__._table.shape[1] == 8
+    ks = np.linspace(0.0, k_cut, 400)
+    w, want = transform(ks), _node_value_samples(st, k_cut).sine_transform(ks)
+    assert np.all(np.isfinite(w))
+    assert np.abs(w - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make", [_hydrogen_grid, _r4test_grid], ids=["coefficients", "node-values"])
+def test_grid_amplitude_depends_on_k_alone(make):
+    # a k transformed alone has the bits it has first, in the middle of a
+    # pass and last in a 300-k request
+    st = make()
+    k_cut = st.momentum_table().k_cut
+    transform = st.momentum_amplitude(k_cut)
+    others = np.random.default_rng(35).uniform(0.0, k_cut, 299)
+    for k in (1e-3 * k_cut, 0.37 * k_cut, 0.9 * k_cut, k_cut):
+        alone = transform(np.array([k]))
+        for at in (0, 64, 299):
+            ks = np.insert(others, at, k)
+            assert transform(ks)[at].tobytes() == alone.tobytes(), (k, at)
+
+
 def _moved_knot_grid():
     r, u = _uniform_grid(0.02)
     r[700] += 1e-9 * r[-1]
@@ -741,8 +787,8 @@ def test_other_grids_keep_the_equal_panels(make, cap, monkeypatch):
 ], ids=["geometric", "past-the-cap", "knot-table"])
 def test_momentum_amplitude_samples_the_interpolant_once_at_ascending_nodes(make, cap, monkeypatch):
     # the equal panels evaluate the interpolant in one call, on a 1-d array
-    # of their nodes in ascending order; the knot table of a uniform grid
-    # (s = 1) evaluates nothing
+    # of their nodes in ascending order; the cubic's coefficients on a
+    # uniform grid evaluate nothing
     from qmoments import states
     from qmoments.quadrature import RadialSamples
 
@@ -823,15 +869,16 @@ def test_catalog_momentum_moment_independent_of_the_start(name, q):
 
 
 def test_huge_grid_moments_are_never_a_convergent_inf_or_0():
-    # knots near 1e200: the interval sums of u^2 r^2 overflow, and <r^-1>,
-    # <r^-2> and <T> underflow to 0
+    # knots near 1e200: the interval sums of u^2 r^2 overflow, a range error
+    # and not a stalled quadrature, and <r^-1>, <r^-2> and <T> underflow to 0
     from qmoments.core import DomainError
     from qmoments.moments import raw_radial_moment
 
     st = RadialGridState([0.0, 1e200, 2e200, 3e200, 4e200], [0.0, 1.0, 0.5, 0.1, 0.0])
     res = st.knot_moment(2.0)
     assert res.failed and not res.converged
-    assert raw_radial_moment(st, 2.0).status == "failed"
+    with pytest.raises(DomainError, match=r"^<r\^2> of grid state overflows a double$"):
+        raw_radial_moment(st, 2.0)
     assert raw_radial_moment(st, 1.0).value == pytest.approx(1.28e200, rel=1e-2)
     for quantity, x in ((R_POWER, -1.0), (R_POWER, -2.0), (KINETIC, 0.0)):
         with pytest.raises(DomainError, match="of grid state underflows a double"):
