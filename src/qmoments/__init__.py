@@ -1,6 +1,8 @@
 """Generalized absolute central moments of quantum states and verdicts for
-two-function moment inequalities, canonical-pair uncertainty checks at
-arbitrary orders, and central-force-field bounds.
+two-function moment inequalities on discrete densities, reciprocal radial
+moments, canonical-pair uncertainty checks at arbitrary orders,
+finite-dimensional operator chains, and central-force-field bounds: the
+library behind the qmoments commands.
 
 Importing the package runs no numpy. The names below resolve on first use
 (PEP 562), and four modules are registered deferred: each runs at the first
@@ -18,7 +20,7 @@ _EXPORTS = {
     "core": (
         "CapabilityError", "DataFormatError", "DecompositionError", "DomainError", "Exponents",
         "MomentsError", "MomentValue", "NATURAL", "PhysicalConstants", "SI", "Tolerances",
-        "Verdict", "make_exponents", "make_verdict", "young_gap",
+        "Verdict", "make_exponents", "make_verdict",
     ),
     "quadrature": ("QuadResult", "integrate"),
     "exact": (
@@ -27,17 +29,14 @@ _EXPORTS = {
     ),
     "states": ("RadialGridState", "load_radial_grid"),
     "matrixlab": (
-        "FiniteState", "HermitianOperator", "abs_central_moment_finite", "commutator",
-        "expectation",
+        "FiniteState", "HermitianOperator", "commutator", "expectation",
     ),
     "moments": (
-        "Observable", "abs_central_moment", "custom_radial", "mean", "momentum_axis",
-        "position_axis", "radial", "radial_inverse", "raw_moment",
+        "Observable", "abs_central_moment", "mean", "momentum_axis", "position_axis",
     ),
     "inequalities": (
-        "DiscreteDensity", "holder_verdict", "holder_verdict_continuous",
-        "reciprocal_moment_verdict", "schwarz_verdict", "sweep", "uncertainty_chain_finite",
-        "uncertainty_verdict_canonical",
+        "DiscreteDensity", "holder_verdict", "reciprocal_moment_verdict", "schwarz_verdict",
+        "sweep", "uncertainty_chain_finite", "uncertainty_verdict_canonical",
     ),
     "centralfield": (
         "BuckinghamPotential", "LennardJonesPotential", "PowerLawPotential",

@@ -13,6 +13,7 @@ import math
 
 from .core import (
     DIVERGENT,
+    CapabilityError,
     DomainError,
     MomentValue,
     PhysicalConstants,
@@ -130,11 +131,11 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential,
     that keeps the bound as its rhs. A failed <r^-6> raises MomentsError: it
     decides nothing."""
     mean_exp = _mean_exp_decay(s, v.r0)
-    r6 = mo.raw_moment(s, mo.radial(), 6.0).require()
+    r6 = mo.raw_radial_moment(s, 6.0).require()
     s6 = _sigma_power(v, 6)
     bound = v.gamma * (mean_exp - s6 / r6)
     inputs = {"gamma": v.gamma, "r0": v.r0, "sigma": v.sigma, "guaranteed": True}
-    rm6 = mo.raw_moment(s, mo.radial(), -6.0)
+    rm6 = mo.raw_radial_moment(s, -6.0)
     if rm6.status == DIVERGENT:
         return Verdict("buckingham", math.nan, bound, math.nan, inputs, DIVERGENT,
                        f"<V> diverges to -infinity: <r^-6> {rm6.detail}")
@@ -143,30 +144,24 @@ def buckingham_bound(s: ContinuousState, v: BuckinghamPotential,
 
 
 def _mean_exp_decay(s: ContinuousState, r0: float) -> float:
-    """<e^(-r/r0)>: the state's direct moment, else the radial integral of
-    the custom observable e^(-r/r0)."""
-    direct = s.direct_moment(EXP_DECAY, r0)
-    if direct is not None:
-        return direct.value
-    import numpy as np
-
-    def exp_decay(r):
-        with np.errstate(over="ignore"):  # r/r0 past the double range: e^-inf = 0
-            return np.exp(-r / r0)
-
-    return mo.raw_moment(s, mo.custom_radial(exp_decay, 0.0, "exp(-r/r0)"), 1.0).require()
+    """<e^(-r/r0)>, the radial state's direct moment; CapabilityError where
+    the state has no radial structure or no such moment."""
+    direct = mo.require_radial(s).direct_moment(EXP_DECAY, r0)
+    if direct is None:
+        raise CapabilityError(f"{s.label} has no <e^(-r/r0)>")
+    return direct.require()
 
 
 def lennard_jones_mean(s: ContinuousState, v: LennardJonesPotential) -> MomentValue:
     """<V_LJ> = 4 eps [sigma^12 <r^-12> - sigma^6 <r^-6>], convergent only
     when both inverse moments converge; divergent with the offending moment
     named when one diverges. A failed moment raises MomentsError."""
-    rm12 = mo.raw_moment(s, mo.radial(), -12.0)
+    rm12 = mo.raw_radial_moment(s, -12.0)
     if rm12.status == DIVERGENT:
         return MomentValue.divergent(
             1.0, f"<V_LJ> diverges to +infinity: <r^-12> {rm12.detail}"
         )
-    rm6 = mo.raw_moment(s, mo.radial(), -6.0)
+    rm6 = mo.raw_radial_moment(s, -6.0)
     if rm6.status == DIVERGENT:
         return MomentValue.divergent(
             1.0, f"<V_LJ> diverges: <r^-6> {rm6.detail}"

@@ -458,7 +458,7 @@ def cmd_central(args, cfg: RunConfig):
     report: dict[str, Any] = {"state": state.label}
     if args.alpha is not None:
         pot = cf.PowerLawPotential(args.alpha, args.beta)
-        rma = mo.raw_moment(state, mo.radial(), -args.alpha)
+        rma = mo.raw_radial_moment(state, -args.alpha)
         if rma.status == DIVERGENT:
             detail = f"moment of order {rma.order} is {rma.status}: {rma.detail}"
             outcomes.add_divergent(f"virial: {detail}")
@@ -467,8 +467,8 @@ def cmd_central(args, cfg: RunConfig):
             # <T> out of the double range raises DomainError: an error, not a divergence
             report["virial"] = cf.virial_report(state, pot, rma)
             outcomes.add_check(True)
-        r1 = mo.raw_moment(state, mo.radial(), 1.0)
-        r2 = mo.raw_moment(state, mo.radial(), 2.0)
+        r1 = mo.raw_radial_moment(state, 1.0)
+        r2 = mo.raw_radial_moment(state, 2.0)
         bad = next((m for m in (r1, r2, rma) if not m.is_convergent), None)
         if bad is None:
             dr2 = r2.value - r1.value**2

@@ -186,22 +186,6 @@ def make_exponents(p: float, q: float) -> Exponents:
     )
 
 
-def young_gap(c: float, d: float, e: Exponents) -> float:
-    """Slack of the weighted Young inequality at the point (c, d).
-
-    Returns c^p/p + d^q/q - r_inv * (c*d)^(1/r_inv), which is >= 0 for all
-    c, d >= 0 and vanishes exactly on the manifold c^p = d^q.
-    """
-    c = float(c)
-    d = float(d)
-    if c < 0.0 or d < 0.0:
-        raise DomainError(f"young_gap needs c, d >= 0, got c={c}, d={d}")
-    cross = 0.0
-    if c > 0.0 and d > 0.0:
-        cross = e.r_inv * (c * d) ** e.r_star
-    return c**e.p / e.p + d**e.q / e.q - cross
-
-
 @record
 class PhysicalConstants:
     """hbar, particle mass, and the length scale a0. Defaults are natural units."""

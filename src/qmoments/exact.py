@@ -16,8 +16,8 @@ space with math.lgamma, and its err_estimate is a rounding-level bound (see
 _from_logs). A finite positive moment that leaves the normal double range
 raises DomainError; it never comes back as 0, a subnormal or inf.
 
-Nothing here imports numpy at module level; the radial densities import it
-when first called. All states are immutable after construction.
+Nothing here imports numpy at module level; reduced_radial imports it when
+first called. All states are immutable after construction.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ R_POWER = "r^t"                     # <r^t>, x = t
 P_POWER = "p^q"                     # <p^q> with p = hbar k, x = q
 POSITION_AXIS = "position_axis"     # <|x - <x>|^s> of a 1-d state, x = s
 MOMENTUM_AXIS = "momentum_axis"     # <|p - <p>|^s> of a 1-d state, x = s
-POSITION_SIGNED = "x^n"             # <x^n> of a 1-d state, x = n, an integer >= 0
-MOMENTUM_SIGNED = "p_x^n"           # <p^n> of a 1-d state, x = n, an integer >= 0
 KINETIC = "T"                       # <T>, x unused
 EXP_DECAY = "exp(-r/r0)"            # <e^(-r/r0)>, x = r0
 
@@ -85,16 +83,13 @@ class ContinuousState:
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """The quantity (R_POWER, P_POWER, POSITION_AXIS, MOMENTUM_AXIS,
-        POSITION_SIGNED, MOMENTUM_SIGNED, KINETIC or EXP_DECAY) at x from a
-        route of the state's own (a closed form here, a grid state's tables),
-        or None where the state has no such route. Callers decide divergence
-        first: this is asked only for finite moments."""
+        KINETIC or EXP_DECAY) at x from a route of the state's own (a closed
+        form here, a grid state's tables), or None where the state has no
+        such route. Callers decide divergence first: this is asked only for
+        finite moments."""
         return None
 
     # -- radial surface -----------------------------------------------------
-    def radial_density(self, r):
-        raise CapabilityError(f"{self.label} has no radial density")
-
     def reduced_radial(self, r):
         raise CapabilityError(f"{self.label} has no reduced radial wavefunction")
 
@@ -134,14 +129,6 @@ class RadialStateBase(ContinuousState):
     #: interval [0, a]
     origin_power_u: float = 1.0
     r_max: float = 50.0
-
-    def radial_density(self, r):
-        import numpy as np
-
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0):
-            raise DomainError("radial coordinate must be >= 0")
-        return self.reduced_radial(r) ** 2
 
     def momentum_tail_power(self) -> float:
         """Decay exponent tau of w(k) ~ k^tau, from the origin behavior of u.
@@ -274,7 +261,6 @@ class _Gaussian1D(ContinuousState):
     """Shared closed-form moments for Gaussian wavefunctions:
 
         <|x - x0|^s> = (sqrt(2) sigma)^s Gamma((s+1)/2) / sqrt(pi)
-        <x^n>        = sum_k C(n,2k) x0^(n-2k) sigma^(2k) (2k-1)!!
 
     in position and, with p0 and sigma_p = hbar / (2 sigma), in momentum,
     and <T> = (sigma_p^2 + p0^2) / (2m). The widths are kept as logs, so a
@@ -312,37 +298,14 @@ class _Gaussian1D(ContinuousState):
             log_p = math.log(math.hypot(self.sigma_p, self.p0)) if self.p0 else self._log_sigma_p
             terms = [2.0 * log_p, -_LOG2 - math.log(c.mass)]
             return _direct(terms, f"<T> of {self.label} at hbar={c.hbar:g}, mass={c.mass:g}", 1.0)
-        if quantity in (POSITION_AXIS, POSITION_SIGNED):
-            side, mu, log_sigma = "x", self.x0, self._log_sigma_x
-        elif quantity in (MOMENTUM_AXIS, MOMENTUM_SIGNED):
-            side, mu, log_sigma = "p", self.p0, self._log_sigma_p
+        if quantity == POSITION_AXIS:
+            side, log_sigma = "x", self._log_sigma_x
+        elif quantity == MOMENTUM_AXIS:
+            side, log_sigma = "p", self._log_sigma_p
         else:
             return None
-        if quantity in (POSITION_SIGNED, MOMENTUM_SIGNED):
-            n = int(x)
-            return _normal_raw_moment(n, mu, log_sigma, f"<{side}^{n}> of {self.label}")
         terms = [x * (0.5 * _LOG2 + log_sigma), math.lgamma(0.5 * (x + 1.0)), -0.5 * _LOG_PI]
         return _direct(terms, f"<|{side} - {side}0|^{x:g}> of {self.label}", x)
-
-
-def _normal_raw_moment(n: int, mu: float, log_sigma: float, what: str) -> MomentValue:
-    """E[(mu + sigma Z)^n] for a standard normal Z, as the sum over k of
-    C(n,2k) mu^(n-2k) sigma^(2k) (2k-1)!!. The terms share the sign of mu^n,
-    so nothing cancels, and the rounding bound is 16 eps sum|term|, each
-    term widened by the error that exp carries from its argument 2k log
-    sigma. Exactly 0 for odd n at mu = 0; DomainError where the value
-    leaves the normal double range."""
-    if n % 2 == 1 and mu == 0.0:
-        return MomentValue.convergent(0.0, 0.0, n)  # parity, exact
-    try:
-        terms = [(math.comb(n, 2 * k) * math.prod(range(2 * k - 1, 0, -2)) * mu ** (n - 2 * k)
-                  * math.exp(2 * k * log_sigma), 2 * k * abs(log_sigma)) for k in range(n // 2 + 1)]
-        value = math.fsum(t for t, _ in terms)
-    except OverflowError:
-        value = math.inf
-    _require_normal(what, abs(value))
-    err = 16.0 * _EPS * math.fsum(abs(t) * (1.0 + lg) for t, lg in terms)
-    return MomentValue.convergent(value, err, n)
 
 
 class GaussianPacket(_Gaussian1D):

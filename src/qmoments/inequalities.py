@@ -3,16 +3,17 @@ finite-dimensional uncertainty checks, and classic discrete-density forms.
 
 Two different contracts coexist here and the distinction matters:
 
-* "guaranteed" inequalities (the weighted-moment product bound on genuine
-  densities, its reciprocal-moment corollary, Schwarz) are mathematically
-  true for every valid input; a violated verdict means a numerical bug and
-  is flagged with internal-error severity.
+* "guaranteed" inequalities (the weighted-moment product bound on discrete
+  densities, its reciprocal-moment corollary <r^p>, <r^-q> on states,
+  Schwarz) are mathematically true for every valid input; a violated
+  verdict means a numerical bug and is flagged with internal-error
+  severity.
 * probe inequalities (the finite-dimensional operator chain, canonical-pair
   checks at general orders) are claims under test; violations are reported
   with full reproduction data and never raised as errors.
 
-The canonical, reciprocal, continuous and discrete verdicts need no arrays:
-the discrete sums are exactly rounded sums (math.fsum) over columns scaled by
+The canonical, reciprocal and discrete verdicts need no arrays: the
+discrete sums are exactly rounded sums (math.fsum) over columns scaled by
 powers of two. The finite half reaches numpy through matrixlab, a deferred
 module, when first called.
 """
@@ -71,11 +72,6 @@ class DiscreteDensity:
             raise DomainError("weights must not all vanish")
         w = tuple(map(math.ldexp, w, repeat(-math.frexp(top)[1])))
         self.__dict__.update(f=f, g=g, w=tuple(map(truediv, w, repeat(math.fsum(w)))))
-
-    @staticmethod
-    def uniform(f, g) -> "DiscreteDensity":
-        f = _floats(f)
-        return DiscreteDensity(f, g, (1.0,) * len(f))
 
     @cached_property
     def _scaled(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], int, int]:
@@ -227,40 +223,11 @@ def schwarz_verdict(d: DiscreteDensity, slack: float | None = None) -> Verdict:
 # continuous states
 
 
-def _abs_product_moment(s: ContinuousState, fs: tuple[mo.Observable, ...],
-                        order: float) -> MomentValue:
-    """<|f_1 ... f_n|^order> for radial observables; their origin powers add."""
-    label = "*".join(f.fn_label for f in fs)
-    obs = mo.custom_radial(lambda r: abs(math.prod(f.radial_values(r) for f in fs)),
-                           sum(f.fn_origin_power for f in fs), f"|{label}|")
-    return mo.raw_moment(s, obs, order)
-
-
-def holder_verdict_continuous(
-    s: ContinuousState,
-    f: mo.Observable,
-    g: mo.Observable,
-    e: Exponents,
-    slack: float | None = None,
-) -> Verdict:
-    """The two-function moment bound with radial observables f, g as weights
-    on a state: mo.radial(), mo.radial_inverse() or mo.custom_radial(...)."""
-    inputs = {"state": s.label, "f": f.fn_label, "g": g.fn_label, "p": e.p, "q": e.q,
-              "r_star": e.r_star, "guaranteed": True}
-    sides = (
-        (f"<|{f.fn_label}*{g.fn_label}|^r*>", _computed(_abs_product_moment, s, (f, g), e.r_star)),
-        (f"<|{f.fn_label}|^p>", _computed(_abs_product_moment, s, (f,), e.p)),
-        (f"<|{g.fn_label}|^q>", _computed(_abs_product_moment, s, (g,), e.q)),
-    )
-    return _moment_verdict(_Check("holder_continuous", inputs, sides,
-                                  lambda lhs, mf, mg: (lhs, mf**e.w_f * mg**e.w_g)), slack)
-
-
 def _reciprocal_sides(s: ContinuousState):
     """<r^p> as a function of p and <r^-q> as a function of q, each a
     computed side (see _computed)."""
-    return (lambda p: _computed(mo.raw_moment, s, mo.radial(), p),
-            lambda q: _computed(mo.raw_moment, s, mo.radial(), -q))
+    return (lambda p: _computed(mo.raw_radial_moment, s, p),
+            lambda q: _computed(mo.raw_radial_moment, s, -q))
 
 
 def reciprocal_moment_verdict(

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .core import DataFormatError, DecompositionError, DomainError, _require_normal, record
+from .core import DecompositionError, DomainError, _require_normal, record
 from .rng import SplitMix64
 
 _HERMITICITY_ATOL = 1e-12
@@ -149,11 +149,6 @@ def abs_power_expectation(m: HermitianOperator | np.ndarray, psi: FiniteState, s
     return value
 
 
-def abs_central_moment_finite(op: HermitianOperator, psi: FiniteState, s: float) -> float:
-    """<psi| |A - <A>|^s |psi> = sum_i w_i |lambda_i - <A>|^s."""
-    return abs_power_expectation(central_shift(op, psi), psi, s)
-
-
 # ---------------------------------------------------------------------------
 # catalog operators
 
@@ -225,16 +220,3 @@ def matrix_to_json(m: np.ndarray) -> str:
     m = _as_complex_square(m)
     pairs = [[float(z.real), float(z.imag)] for z in m.ravel()]
     return json.dumps({"dim": int(m.shape[0]), "entries": pairs})
-
-
-def matrix_from_json(text: str) -> np.ndarray:
-    try:
-        obj = json.loads(text)
-        dim = int(obj["dim"])
-        pairs = obj["entries"]
-        if dim <= 0 or len(pairs) != dim * dim:
-            raise ValueError(f"need dim^2 = {dim * dim} entries, got {len(pairs)}")
-        flat = np.array([complex(float(re), float(im)) for re, im in pairs])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad matrix JSON: {exc}") from exc
-    return flat.reshape(dim, dim)

@@ -28,7 +28,7 @@ from .core import (
     PhysicalConstants, Tolerances, _require_normal,
 )
 from .exact import (  # noqa: F401  (the catalog is re-exported)
-    DIM_1D, DIM_3D_SPHERICAL, KINETIC, P_POWER, R_POWER, ContinuousState, GaussianPacket,
+    DIM_1D, DIM_3D_SPHERICAL, EXP_DECAY, KINETIC, P_POWER, R_POWER, ContinuousState, GaussianPacket,
     HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState, RadialStateBase, catalog,
 )
 from .quadrature import MAX_SINE_PANELS, QuadResult, RadialSamples, integrate, kronrod_nodes, panel_sum
@@ -360,11 +360,12 @@ class RadialGridState(RadialStateBase):
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """<r^t> from the knot table where it converges there (knot_moment),
-        <T> from the knot sums of u'^2 (_kinetic) and <p^q> from the
-        momentum table; None otherwise. A value outside the normal double
-        range raises DomainError, as a closed form's does; so does a knot
-        sum of <r^t> that is not finite."""
-        what = {R_POWER: f"<r^{x:g}>", P_POWER: f"<p^{x:g}>", KINETIC: "<T>"}.get(quantity)
+        <T> from the knot sums of u'^2 (_kinetic), <p^q> from the momentum
+        table and <e^(-r/r0)> from _exp_decay; None otherwise. A value
+        outside the normal double range raises DomainError, as a closed
+        form's does; so does a knot sum of <r^t> that is not finite."""
+        what = {R_POWER: f"<r^{x:g}>", P_POWER: f"<p^{x:g}>", KINETIC: "<T>",
+                EXP_DECAY: f"<e^(-r/{x:g})>"}.get(quantity)
         if quantity == R_POWER:
             res = self.knot_moment(x)
             if res.failed:
@@ -376,11 +377,28 @@ class RadialGridState(RadialStateBase):
             m = self._kinetic()
         elif quantity == P_POWER:
             m = self.momentum_table().moment(x, self.tol, self.constants.hbar)
+        elif quantity == EXP_DECAY:
+            m = self._exp_decay(x)
         else:
             return None
         if m is not None and m.is_convergent:
             _require_normal(f"{what} of {self.label}", m.value)
         return m
+
+    def _exp_decay(self, r0: float) -> MomentValue:
+        """<e^(-r/r0)> = int u^2 e^(-r/r0) dr by integrate over [0, r_max]
+        with the knots as breakpoints, so that its first round is the knot
+        table's nodes and refinement starts from the knot intervals. One
+        panel [0, r_max] would not do: at small r0 its nodes see
+        e^(-r/r0) only where it is negligible, and it accepts that sum as
+        converged. Failed where the quadrature stalls."""
+
+        def f(r):
+            u = self.reduced_radial(r)
+            with np.errstate(over="ignore"):  # r/r0 past the double range: e^-inf = 0
+                return u * u * np.exp(-r / r0)
+
+        return integrate(f, 0.0, self.r_max, self.tol, self._r).as_moment(1.0)
 
     def momentum_table(self) -> _MomentumTable:
         """The state's momentum table, built on first use; DomainError where

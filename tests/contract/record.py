@@ -196,10 +196,14 @@ CASES = {
                               {"h_grid.txt": CI_GRIDS["h_grid.txt"], "tol.json": TOL_JSON}),
     "ci_central_r4_grid": _ci_central("r4_grid.txt", "--alpha", "1", "--beta", "1"),
     "ci_central_r4_grid_buckingham": _ci_central("r4_grid.txt", "--buckingham", "1,1,1"),
+    # a Buckingham r0 of 0.003 on the h grid, where <e^(-r/r0)> is about
+    # 2.1e-7 and comes almost all from r < 0.1 (exit 3: <r^-6> diverges)
+    "ci_central_h_grid_buckingham_small_r0": _ci_central("h_grid.txt", "--buckingham",
+                                                         "1,0.003,0.01"),
     "ci_central_huge_grid": _ci_central("huge_grid.txt", "--alpha", "1", "--beta", "1"),
     # moments past the double range on grids: <r^2> of knots near 1e200 in a
-    # sweep cell, <r^6> and <r^2> of knots near 1e299 under central (each a
-    # range error that names the moment, exit 1)
+    # sweep cell, <e^(-r/1)> (underflow) and <r^2> of knots near 1e299 under
+    # central (each a range error that names the moment, exit 1)
     "huge_grid_overflow_cell": _ci_sweep("huge_grid.txt", "--p-grid", "2", "--q-grid", "1"),
     "big_grid_central_buckingham": _ci_central("big_grid.txt", "--buckingham", "1,1,1"),
     "big_grid_central_threshold": _ci_central("big_grid.txt", "--alpha", "3", "--beta", "3"),

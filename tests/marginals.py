@@ -30,9 +30,7 @@ import math
 import numpy as np
 
 from qmoments.core import DEFAULT_TOLERANCES, MomentValue, Tolerances
-from qmoments.exact import (
-    DIM_1D, KINETIC, MOMENTUM_AXIS, MOMENTUM_SIGNED, P_POWER, POSITION_AXIS, POSITION_SIGNED,
-)
+from qmoments.exact import DIM_1D, KINETIC, MOMENTUM_AXIS, P_POWER, POSITION_AXIS
 from qmoments.quadrature import RadialSamples, integrate
 from qmoments.states import RadialGridState, _MomentumTable
 
@@ -155,7 +153,7 @@ def position_density(st, z):
     def one(lo):
         if lo >= st.r_max:
             return 0.0
-        res = integrate(lambda r: st.radial_density(r) / r, lo, st.r_max,
+        res = integrate(lambda r: st.reduced_radial(r) ** 2 / r, lo, st.r_max,
                         Tolerances(rel_tol=1e-11, abs_tol=1e-16))
         return 0.5 * res.value
 
@@ -214,20 +212,14 @@ def _kinetic_energy(st):
 
 
 def axis_moment(st, quantity, x):
-    """An axis moment of a 1-d Gaussian state over its marginal on the real
-    line: <|a - <a>|^x> for POSITION_AXIS and MOMENTUM_AXIS, the signed
-    <a^x> for POSITION_SIGNED and MOMENTUM_SIGNED. The absolute target of a
-    signed moment is floored at 1e-12: odd moments cancel to zero, and a
-    tighter one would chase the round-off floor of the cancellation."""
-    position = quantity in (POSITION_AXIS, POSITION_SIGNED)
+    """<|a - <a>|^x> of a 1-d Gaussian state, for POSITION_AXIS and
+    MOMENTUM_AXIS, over its marginal on the real line."""
+    position = quantity == POSITION_AXIS
     center = st.x0 if position else st.p0
 
     def dens(z):
         return position_density(st, z) if position else momentum_density(st, z)
 
-    if quantity in (POSITION_SIGNED, MOMENTUM_SIGNED):
-        tol = Tolerances(st.tol.rel_tol, max(st.tol.abs_tol, 1e-12), st.tol.max_evals)
-        return integrate_real_line(lambda z: z**x * dens(z), tol, [center]).as_moment(x)
     return integrate_real_line(lambda z: abs(z - center) ** x * dens(z), st.tol, [center]).as_moment(x)
 
 
@@ -244,8 +236,7 @@ def integrated(st, sampled=False):
             return _kinetic_energy(st)
         if quantity == P_POWER and st.dimensionality != DIM_1D:
             return table().moment(x, st.tol, st.constants.hbar)
-        if st.dimensionality == DIM_1D and quantity in (
-                POSITION_AXIS, MOMENTUM_AXIS, POSITION_SIGNED, MOMENTUM_SIGNED):
+        if st.dimensionality == DIM_1D and quantity in (POSITION_AXIS, MOMENTUM_AXIS):
             return axis_moment(st, quantity, x)
         return None
 

@@ -23,7 +23,7 @@ from qmoments.inequalities import (
     uncertainty_verdict_canonical,
 )
 from qmoments.matrixlab import FiniteState, ground_state, pauli, truncated_canonical_pair
-from qmoments.moments import abs_central_moment, momentum_axis, radial, raw_moment
+from qmoments.moments import abs_central_moment, momentum_axis, raw_radial_moment
 from qmoments.states import (
     GaussianPacket,
     HarmonicOscillatorGround,
@@ -135,7 +135,7 @@ def test_criterion_06_reciprocal_moments(capsys):
 
 def test_criterion_07_virial_energies(capsys):
     h = HydrogenGroundState()
-    rep = virial_report(h, PowerLawPotential(1.0, 1.0), raw_moment(h, radial(), -1.0))
+    rep = virial_report(h, PowerLawPotential(1.0, 1.0), raw_radial_moment(h, -1.0))
     assert rep["mean_T"] == pytest.approx(0.5, rel=1e-8)
     assert rep["mean_V"] == pytest.approx(-1.0, rel=1e-8)
     assert rep["total_E"] == pytest.approx(-0.5, rel=1e-8)

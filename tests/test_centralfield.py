@@ -13,9 +13,11 @@ from qmoments.centralfield import (
     lennard_jones_mean,
     virial_report,
 )
-from qmoments.core import DomainError, MomentsError, NATURAL
-from qmoments.moments import custom_radial, radial, raw_moment
-from qmoments.states import HydrogenGroundState, PowerExpRadialState, RadialGridState
+from qmoments.core import CapabilityError, DomainError, MomentsError, NATURAL
+from qmoments.moments import raw_radial_moment
+from qmoments.states import (
+    HydrogenGroundState, PowerExpRadialState, RadialGridState, RadialStateBase,
+)
 from seeded import SplitMix64
 
 
@@ -30,7 +32,7 @@ def r4test():
 
 
 def test_virial_hydrogen(hydrogen):
-    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_moment(hydrogen, radial(), -1.0))
+    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_radial_moment(hydrogen, -1.0))
     assert rep["mean_T"] == pytest.approx(0.5, rel=1e-8)
     assert rep["mean_V"] == pytest.approx(-1.0, rel=1e-8)
     assert rep["total_E"] == pytest.approx(-0.5, rel=1e-8)
@@ -41,39 +43,39 @@ def test_virial_hydrogen(hydrogen):
 
 
 def test_virial_e_formula(hydrogen):
-    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_moment(hydrogen, radial(), -1.0))
+    rep = virial_report(hydrogen, PowerLawPotential(1.0, 1.0), raw_radial_moment(hydrogen, -1.0))
     # (alpha/2 - 1) beta <1/r> = -1/2
     assert rep["E_formula"] == pytest.approx(-0.5, rel=1e-8)
 
 
 def test_virial_total_is_sum(hydrogen):
-    rep = virial_report(hydrogen, PowerLawPotential(0.5, 2.0), raw_moment(hydrogen, radial(), -0.5))
+    rep = virial_report(hydrogen, PowerLawPotential(0.5, 2.0), raw_radial_moment(hydrogen, -0.5))
     assert rep["total_E"] == pytest.approx(rep["mean_T"] + rep["mean_V"], abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_e_formula_negative_for_binding_range(hydrogen, r4test, alpha):
     for st in (hydrogen, r4test):
-        rep = virial_report(st, PowerLawPotential(alpha, 1.3), raw_moment(st, radial(), -alpha))
+        rep = virial_report(st, PowerLawPotential(alpha, 1.3), raw_radial_moment(st, -alpha))
         assert rep["E_formula"] < 0.0
 
 
 def test_virial_divergent_moment_raises(hydrogen):
     with pytest.raises(DomainError):
         # <r^-3.5> diverges
-        virial_report(hydrogen, PowerLawPotential(3.5, 1.0), raw_moment(hydrogen, radial(), -3.5))
+        virial_report(hydrogen, PowerLawPotential(3.5, 1.0), raw_radial_moment(hydrogen, -3.5))
 
 
 def test_ground_energy_estimate_hydrogen(hydrogen):
     dr2 = 3.0 - 2.25
     est = ground_energy_estimate(
-        dr2, raw_moment(hydrogen, radial(), -1.0), PowerLawPotential(1.0, 1.0), NATURAL
+        dr2, raw_radial_moment(hydrogen, -1.0), PowerLawPotential(1.0, 1.0), NATURAL
     )
     assert est == pytest.approx(1.0 / 6.0 - 1.0, rel=1e-9)
 
 
 def test_ground_energy_estimate_limits(hydrogen):
-    inv = raw_moment(hydrogen, radial(), -1.0)
+    inv = raw_radial_moment(hydrogen, -1.0)
     # huge variance: kinetic floor vanishes
     est = ground_energy_estimate(1e12, inv, PowerLawPotential(1.0, 1.0), NATURAL)
     assert est == pytest.approx(-1.0, rel=1e-6)
@@ -84,7 +86,7 @@ def test_ground_energy_estimate_limits(hydrogen):
 
 def test_ground_energy_rejects_bad_variance(hydrogen):
     with pytest.raises(DomainError):
-        ground_energy_estimate(0.0, raw_moment(hydrogen, radial(), -1.0),
+        ground_energy_estimate(0.0, raw_radial_moment(hydrogen, -1.0),
                                PowerLawPotential(1.0, 1.0), NATURAL)
 
 
@@ -153,12 +155,25 @@ def test_buckingham_hydrogen_divergent(hydrogen):
     assert math.isfinite(res.rhs)  # the divergent verdict keeps the bound
 
 
+def test_buckingham_needs_the_states_own_exp_mean():
+    # <e^(-r/r0)> comes from a state's direct_moment alone: a radial state
+    # with only u has none, and it is refused, not integrated
+    class Bare(RadialStateBase):
+        label = "bare"
+
+        def reduced_radial(self, r):
+            return 2.0 * r * np.exp(-r)
+
+    with pytest.raises(CapabilityError, match=r"^bare has no <e\^\(-r/r0\)>$"):
+        buckingham_bound(Bare(), BuckinghamPotential(1.0, 1.0, 1.0))
+
+
 def test_buckingham_failed_moment_is_not_a_divergence():
     # on the geometric r4test grid <r^-6> counts as finite but its quadrature
     # stalls; a failed moment decides nothing, so there is no vacuous pass
     r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
     st = RadialGridState(r, r**4 * np.exp(-r))
-    assert raw_moment(st, radial(), -6.0).status == "failed"
+    assert raw_radial_moment(st, -6.0).status == "failed"
     with pytest.raises(MomentsError, match="failed"):
         buckingham_bound(st, BuckinghamPotential(1.0, 1.0, 1.0))
 
@@ -166,8 +181,7 @@ def test_buckingham_failed_moment_is_not_a_divergence():
 def test_buckingham_repulsion_only_limit(r4test):
     tiny = 1e-8
     res = buckingham_bound(r4test, BuckinghamPotential(1.0, 1.0, tiny))
-    exp_obs = custom_radial(lambda r: np.exp(-r), 0.0, "exp(-r)")
-    mean_exp = raw_moment(r4test, exp_obs, 1.0).value
+    mean_exp = (2.0 / 3.0) ** 9  # <e^-r> of u = N r^4 e^-r
     assert res.rhs == pytest.approx(mean_exp, rel=1e-6)
     assert res.lhs == pytest.approx(mean_exp, rel=1e-6)
 

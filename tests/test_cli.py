@@ -13,7 +13,7 @@ import qmoments
 from qmoments.cli import EXIT_DIVERGENT, EXIT_ERROR, EXIT_OK, EXIT_VIOLATION, main
 from qmoments import inequalities as iq
 from qmoments.core import make_exponents
-from qmoments.matrixlab import FiniteState, HermitianOperator, matrix_from_json
+from qmoments.matrixlab import FiniteState, HermitianOperator
 
 from contract.record import RECORDS, differences, observe, write_files
 
@@ -233,6 +233,13 @@ def test_finite_unknown_state_is_one_line_error(capsys):
     assert len([ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]) == 1
 
 
+def _matrix(block: dict) -> np.ndarray:
+    """A counterexample's matrix from its JSON block {"dim": n, "entries":
+    [[re, im], ...]}, row-major."""
+    n = block["dim"]
+    return np.array([complex(re, im) for re, im in block["entries"]]).reshape(n, n)
+
+
 def test_finite_random_trials_report(capsys):
     code, doc = run_json(capsys, ["finite", "--dim", "8", "--seed", "42", "--trials", "20",
                                   "--p", "3", "--q", "1.5"])
@@ -241,7 +248,7 @@ def test_finite_random_trials_report(capsys):
     assert doc["summary"]["min_margin"] is not None
     if code == EXIT_VIOLATION:
         ce = doc["counterexample"]
-        a = matrix_from_json(json.dumps(ce["A"]))
+        a = _matrix(ce["A"])
         assert a.shape == (8, 8)
         assert np.abs(a - a.conj().T).max() < 1e-12
 
@@ -253,8 +260,8 @@ def test_finite_counterexample_replays_from_its_block(capsys):
     assert code == EXIT_VIOLATION
     ce = doc["counterexample"]
     assert (ce["trial"], ce["label"]) == (0, "finite_product")
-    a = HermitianOperator(matrix_from_json(json.dumps(ce["A"])))
-    b = HermitianOperator(matrix_from_json(json.dumps(ce["B"])))
+    a = HermitianOperator(_matrix(ce["A"]))
+    b = HermitianOperator(_matrix(ce["B"]))
     psi = FiniteState([complex(re, im) for re, im in ce["psi"]])
     replayed = {v.label: v for v in iq.uncertainty_chain_finite(
         a, b, psi, make_exponents(ce["p"], ce["q"]))}[ce["label"]]
@@ -414,13 +421,13 @@ def test_central_computes_each_radial_moment_once(monkeypatch, capsys):
     from qmoments import moments as mo
 
     orders = []
-    real = mo.raw_moment
+    real = mo.raw_radial_moment
 
-    def counted(s, o, order):
-        orders.append(order)
-        return real(s, o, order)
+    def counted(s, t):
+        orders.append(t)
+        return real(s, t)
 
-    monkeypatch.setattr(mo, "raw_moment", counted)
+    monkeypatch.setattr(mo, "raw_radial_moment", counted)
     code, _ = run_json(capsys, ["central", "--state", "hydrogen", "--alpha", "2.9", "--beta", "1"])
     assert code == EXIT_OK
     assert orders == [-2.9, 1.0, 2.0]  # <r^-alpha> serves the virial and the estimate
@@ -496,9 +503,10 @@ def test_failed_moment_in_central_is_an_internal_error(tmp_path, capsys):
 
 
 def test_state_without_the_density_is_a_user_error(capsys):
-    assert main(["central", "--state", "qho", "--alpha", "1"]) == EXIT_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "no radial structure" in err and err.count("\n") == 1
+    for potential in (["--alpha", "1"], ["--buckingham", "1,1,1"]):
+        assert main(["central", "--state", "qho", *potential]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no radial structure" in err and err.count("\n") == 1
 
 
 def test_config_file_and_override(tmp_path, capsys):
@@ -1105,19 +1113,30 @@ print(hasattr(exact, "states"), hasattr(exact, "quadrature"), "numpy" in sys.mod
     assert flags == "False False False"
 
 
-# every name the package exported when it imported all of its modules
+# every name the package exports
 _EXPORTS = """
 CapabilityError DataFormatError DecompositionError DomainError Exponents MomentsError MomentValue
-NATURAL PhysicalConstants SI Tolerances Verdict make_exponents make_verdict young_gap
+NATURAL PhysicalConstants SI Tolerances Verdict make_exponents make_verdict
 QuadResult integrate ContinuousState GaussianPacket HarmonicOscillatorGround HydrogenGroundState
 PowerExpRadialState RadialGridState catalog load_radial_grid FiniteState HermitianOperator
-abs_central_moment_finite commutator expectation Observable
-abs_central_moment custom_radial mean momentum_axis position_axis radial radial_inverse
-raw_moment DiscreteDensity holder_verdict holder_verdict_continuous
-reciprocal_moment_verdict schwarz_verdict sweep uncertainty_chain_finite
-uncertainty_verdict_canonical BuckinghamPotential LennardJonesPotential PowerLawPotential
-bound_threshold_radius buckingham_bound ground_energy_estimate lennard_jones_mean virial_report
+commutator expectation Observable abs_central_moment mean momentum_axis position_axis
+DiscreteDensity holder_verdict reciprocal_moment_verdict schwarz_verdict sweep
+uncertainty_chain_finite uncertainty_verdict_canonical BuckinghamPotential LennardJonesPotential
+PowerLawPotential bound_threshold_radius buckingham_bound ground_energy_estimate lennard_jones_mean
+virial_report
 """.split()
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = _fresh(block)
+    assert out.returncode == 0, out.stderr
+    ratio, pz2, kinetic, status = out.stdout.split()
+    values = [float(ratio), float(pz2), float(kinetic)]
+    assert values == pytest.approx([0.12, 1 / 3, 0.5], rel=1e-12)
+    assert status == "divergent"
 
 
 def test_every_package_export_still_imports():

@@ -7,7 +7,6 @@ from qmoments.core import (
     MomentValue,
     make_exponents,
     make_verdict,
-    young_gap,
 )
 from seeded import SplitMix64
 
@@ -65,40 +64,6 @@ def test_exponent_swap_symmetry():
     assert s.r_star == pytest.approx(e.r_star, abs=1e-15)
     assert s.w_f == pytest.approx(e.w_g, abs=1e-15)
     assert s.w_g == pytest.approx(e.w_f, abs=1e-15)
-
-
-def test_young_gap_equality_case():
-    assert young_gap(1.0, 1.0, make_exponents(2, 2)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_young_gap_direct_values():
-    # 2^2/2 + 1/2 - (cd)^(1/r_inv) * r_inv with r_inv = 1
-    assert young_gap(2.0, 1.0, make_exponents(2, 2)) == pytest.approx(0.5, abs=1e-14)
-    # vanishing cross term: d^q/q alone
-    assert young_gap(0.0, 5.0, make_exponents(3, 2)) == pytest.approx(12.5, abs=1e-12)
-
-
-def test_young_gap_nonnegative_randomized():
-    rng = SplitMix64(77)
-    for _ in range(10_000):
-        c = rng.uniform_in(0.0, 10.0)
-        d = rng.uniform_in(0.0, 10.0)
-        e = make_exponents(rng.uniform_in(0.25, 8.0), rng.uniform_in(0.25, 8.0))
-        assert young_gap(c, d, e) >= -1e-12
-
-
-def test_young_gap_vanishes_on_equality_manifold():
-    rng = SplitMix64(5)
-    for _ in range(500):
-        e = make_exponents(rng.uniform_in(0.25, 8.0), rng.uniform_in(0.25, 8.0))
-        c = rng.uniform_in(0.1, 3.0)
-        d = c ** (e.p / e.q)  # c^p = d^q
-        assert abs(young_gap(c, d, e)) < 1e-10
-
-
-def test_young_gap_rejects_negative():
-    with pytest.raises(DomainError):
-        young_gap(-1.0, 1.0, make_exponents(2, 2))
 
 
 def test_moment_value_divergent_has_no_value():

@@ -4,15 +4,14 @@ sine-transform paths that grid states keep, which share no code with them."""
 import numpy as np
 import pytest
 
-from marginals import axis_moment, integrated, reduced_radial_derivative
+from marginals import integrated, reduced_radial_derivative
 from qmoments import moments as mo
 from qmoments import quadrature
 from qmoments.centralfield import BuckinghamPotential, PowerLawPotential, buckingham_bound, virial_report
 from qmoments.cli import main
 from qmoments.core import DomainError, PhysicalConstants, Tolerances, make_exponents
 from qmoments.exact import (
-    EXP_DECAY, MOMENTUM_SIGNED, POSITION_SIGNED, GaussianPacket, HarmonicOscillatorGround,
-    HydrogenGroundState, PowerExpRadialState,
+    EXP_DECAY, GaussianPacket, HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState,
 )
 from qmoments.inequalities import uncertainty_verdict_canonical
 
@@ -52,8 +51,9 @@ def test_power_exp_closed_forms_match_quadrature(n, kappa):
                                 0.0, quad.r_max, quad.tol)
     assert abs(st.kinetic_energy() - 0.5 * grad.value) <= FACTOR * 0.5 * grad.err_estimate
     for r0 in (0.3, 1.0, 5.0):
-        obs = mo.custom_radial(lambda r, r0=r0: np.exp(-r / r0), 0.0, "exp(-r/r0)")
-        _agree(st.direct_moment(EXP_DECAY, r0), mo.raw_moment(quad, obs, 1.0))
+        exp_decay = quadrature.integrate(
+            lambda r, r0=r0: quad.reduced_radial(r) ** 2 * np.exp(-r / r0), 0.0, quad.r_max, quad.tol)
+        _agree(st.direct_moment(EXP_DECAY, r0), exp_decay.as_moment(1.0))
 
 
 @pytest.mark.parametrize("state", [
@@ -68,28 +68,6 @@ def test_gaussian_closed_forms_match_quadrature(state):
     assert state.kinetic_energy() == pytest.approx(quad.kinetic_energy(), rel=1e-10)
 
 
-@pytest.mark.parametrize("make", [
-    lambda tol: GaussianPacket(x0=1.0, p0=0.5, sigma=1.7, tol=tol),
-    lambda tol: HarmonicOscillatorGround(mass=2.0, omega=3.0, tol=tol),
-], ids=["packet", "qho"])
-def test_signed_axis_moments_match_quadrature(make):
-    # E[(mu + sigma Z)^n] against x^n integrated over the normal marginal on
-    # the real line. The oracle's absolute target is 1e-10: <p^7> of the
-    # oscillator cancels to 0 from terms of order 1e3, and at 1e-12 its
-    # quadrature stalls on that rounding floor
-    state = make(Tolerances(abs_tol=1e-10))
-    for quantity, obs in ((POSITION_SIGNED, mo.position_axis(1)), (MOMENTUM_SIGNED, mo.momentum_axis(1))):
-        for n in range(9):
-            closed, quad = mo.raw_moment(state, obs, n), axis_moment(state, quantity, n)
-            assert closed.is_convergent and quad.is_convergent, (closed, quad)
-            assert abs(closed.value - quad.value) <= closed.err_estimate + quad.err_estimate, (n, closed, quad)
-            assert closed.err_estimate <= 1e-13 * abs(closed.value)
-            if n % 2 == 1 and mo.mean(state, obs) == 0.0:
-                assert closed.value == 0.0 and closed.err_estimate == 0.0
-        with pytest.raises(DomainError, match="overflows a double"):
-            mo.raw_moment(state, obs, 400)
-
-
 def test_closed_forms_at_the_catalog_values():
     h = PowerExpRadialState(1, 1.0)
     assert h.kinetic_energy() == pytest.approx(0.5, rel=1e-15)
@@ -98,7 +76,7 @@ def test_closed_forms_at_the_catalog_values():
     assert h.direct_moment(EXP_DECAY, 1.0).value == pytest.approx(8.0 / 27.0, rel=1e-15)
     pz2 = mo.abs_central_moment(h, mo.momentum_axis(3), 2.0)
     assert pz2.value == pytest.approx(1.0 / 3.0, rel=1e-15)
-    rep = virial_report(h, PowerLawPotential(1.0, 1.0), mo.raw_moment(h, mo.radial(), -1.0))
+    rep = virial_report(h, PowerLawPotential(1.0, 1.0), mo.raw_radial_moment(h, -1.0))
     assert rep["virial_residual"] <= 1e-15
 
 

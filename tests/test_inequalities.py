@@ -8,7 +8,6 @@ from qmoments.inequalities import (
     RECIPROCAL,
     DiscreteDensity,
     holder_verdict,
-    holder_verdict_continuous,
     reciprocal_moment_verdict,
     schwarz_verdict,
     sweep,
@@ -23,7 +22,6 @@ from qmoments.matrixlab import (
     random_state,
     truncated_canonical_pair,
 )
-from qmoments.moments import custom_radial, radial, radial_inverse
 from qmoments.states import GaussianPacket, HarmonicOscillatorGround, HydrogenGroundState
 from seeded import SplitMix64, equality_density, random_density
 
@@ -36,8 +34,13 @@ def hydrogen():
 # --- discrete two-function bound ---------------------------------------------
 
 
+def _uniform(f, g) -> DiscreteDensity:
+    """The density of the points (f_i, g_i) at equal weights."""
+    return DiscreteDensity(f, g, np.ones(len(f)))
+
+
 def test_holder_constant_functions_equality():
-    d = DiscreteDensity.uniform(np.ones(10), np.ones(10))
+    d = _uniform(np.ones(10), np.ones(10))
     v = holder_verdict(d, make_exponents(3.3, 1.1))
     assert v.lhs == pytest.approx(1.0, abs=1e-15)
     assert v.rhs == pytest.approx(1.0, abs=1e-15)
@@ -72,11 +75,11 @@ def test_holder_swap_symmetry():
 
 def test_holder_empty_rejected():
     with pytest.raises(DomainError):
-        DiscreteDensity.uniform(np.array([]), np.array([]))
+        _uniform(np.array([]), np.array([]))
 
 
 def test_schwarz_equality_when_equal():
-    d = DiscreteDensity.uniform(np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 0.5]))
+    d = _uniform(np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 0.5]))
     v = schwarz_verdict(d)
     assert v.ratio == pytest.approx(1.0, abs=1e-12)
 
@@ -84,47 +87,14 @@ def test_schwarz_equality_when_equal():
 def test_schwarz_strict_margin():
     f = np.array([1.0, -1.0, 2.0, -2.0])
     g = np.array([1.0, 1.0, -0.1, 0.1])
-    v = schwarz_verdict(DiscreteDensity.uniform(f, g))
+    v = schwarz_verdict(_uniform(f, g))
     assert v.holds
     assert v.margin > 0.0
 
 
 def test_schwarz_single_point_equality():
-    v = schwarz_verdict(DiscreteDensity.uniform(np.array([1.7]), np.array([-0.4])))
+    v = schwarz_verdict(_uniform(np.array([1.7]), np.array([-0.4])))
     assert v.ratio == pytest.approx(1.0, abs=1e-12)
-
-
-# --- continuous two-function bound -------------------------------------------
-
-
-def test_holder_continuous_r_rinv(hydrogen):
-    v = holder_verdict_continuous(hydrogen, radial(), radial_inverse(), make_exponents(2, 2))
-    assert v.lhs == pytest.approx(1.0, rel=1e-9)  # |r * 1/r| == 1
-    assert v.rhs >= 1.0
-    assert v.holds
-
-
-def test_holder_continuous_f_equals_g(hydrogen):
-    v = holder_verdict_continuous(hydrogen, radial(), radial(), make_exponents(4, 2))
-    assert v.holds
-
-
-def test_holder_continuous_matches_discretization(hydrogen):
-    # bounded f, g at p=q=2, sampled densely on the radial density
-    f = custom_radial(lambda r: np.exp(-r), 0.0, "exp(-r)")
-    g = custom_radial(lambda r: 1.0 / (1.0 + r), 0.0, "1/(1+r)")
-    cont = holder_verdict_continuous(hydrogen, f, g, make_exponents(2, 2))
-    r = np.linspace(1e-6, 45.0, 60_000)
-    w = hydrogen.radial_density(r)
-    disc = holder_verdict(DiscreteDensity(f.fn(r), g.fn(r), w), make_exponents(2, 2))
-    assert cont.lhs == pytest.approx(disc.lhs, rel=1e-6)
-    assert cont.rhs == pytest.approx(disc.rhs, rel=1e-6)
-
-
-def test_holder_continuous_divergent_side(hydrogen):
-    sharp = custom_radial(lambda r: r**-2.0, -2.0, "1/r^2")
-    out = holder_verdict_continuous(hydrogen, sharp, radial(), make_exponents(2, 2))
-    assert out.status == DIVERGENT
 
 
 # --- reciprocal moments -------------------------------------------------------
@@ -183,24 +153,6 @@ def test_canonical_symmetric_order_lhs_exact(hydrogen):
     assert v.lhs == 0.5
     v0 = uncertainty_verdict_canonical(hydrogen, 2, 3, make_exponents(2, 2))
     assert v0.lhs == 0.0
-
-
-def test_holder_continuous_randomized_margins(hydrogen):
-    rng = SplitMix64(61)
-    fams = [
-        custom_radial(lambda r: np.exp(-0.7 * r), 0.0, "exp(-0.7r)"),
-        custom_radial(lambda r: 1.0 / (1.0 + r), 0.0, "1/(1+r)"),
-        radial(),
-        custom_radial(lambda r: np.sqrt(r), 0.5, "sqrt(r)"),
-    ]
-    for _ in range(30):
-        e = make_exponents(rng.uniform_in(0.25, 8.0), rng.uniform_in(0.25, 8.0))
-        f = fams[rng.integer(0, len(fams) - 1)]
-        g = fams[rng.integer(0, len(fams) - 1)]
-        out = holder_verdict_continuous(hydrogen, f, g, e)
-        assert out.status != DIVERGENT
-        assert out.margin >= -1e-12
-        assert out.holds
 
 
 def test_canonical_low_order_violation_gaussian_oracle():
@@ -363,19 +315,29 @@ def test_sweep_reciprocal_kind(hydrogen):
 
 @pytest.fixture
 def moment_calls(monkeypatch):
-    """Counts the calls to the two moment entry points that sweeps use."""
+    """Records the calls to the two moment entry points that sweeps use, as
+    (name, order); abs_central_moment reaches raw_radial_moment too, for a
+    position side on a spherical state."""
     from qmoments import moments as mo
 
     calls = []
-    for name in ("abs_central_moment", "raw_moment"):
-        fn = getattr(mo, name)
+    real_abs, real_raw = mo.abs_central_moment, mo.raw_radial_moment
 
-        def counted(s, o, order, _fn=fn, _name=name):
-            calls.append((_name, o.kind, float(order)))
-            return _fn(s, o, order)
+    def counted_abs(s, o, order):
+        calls.append(("abs_central_moment", float(order)))
+        return real_abs(s, o, order)
 
-        monkeypatch.setattr(mo, name, counted)
+    def counted_raw(s, t):
+        calls.append(("raw_radial_moment", float(t)))
+        return real_raw(s, t)
+
+    monkeypatch.setattr(mo, "abs_central_moment", counted_abs)
+    monkeypatch.setattr(mo, "raw_radial_moment", counted_raw)
     return calls
+
+
+# the entry point of each sweep kind's sides
+_SIDE_MOMENT = {"canonical": "abs_central_moment", RECIPROCAL: "raw_radial_moment"}
 
 
 def test_sweep_computes_each_side_moment_once(hydrogen, moment_calls):
@@ -384,7 +346,8 @@ def test_sweep_computes_each_side_moment_once(hydrogen, moment_calls):
                          ("canonical", [2.0, 2.0], [2.0, 2.0])):  # a repeated order
         moment_calls.clear()
         assert len(sweep(hydrogen, 3, 3, ps, qs, kind=kind)) == len(ps) * len(qs)
-        assert len(moment_calls) == len(set(ps)) + len(set(qs))
+        sides = [c for c in moment_calls if c[0] == _SIDE_MOMENT[kind]]
+        assert len(sides) == len(set(ps)) + len(set(qs))
 
 
 def test_sweep_checks_every_order_before_any_moment(hydrogen, moment_calls):
@@ -437,7 +400,8 @@ def test_sweep_raising_moment_fails_only_its_cells(hydrogen, monkeypatch, moment
     status = {(r.inputs["p"], r.inputs["q"]): (r.status, r.detail) for r in table}
     assert status[(1.5, 2.0)] == status[(3.0, 2.0)] == ("failed", "momentum moment blew up")
     assert status[(1.5, 1.0)][0] == status[(3.0, 1.0)][0] == "ok"
-    assert len(moment_calls) == 3 and raised == [2.0]  # the raising moment is not retried
+    sides = [c for c in moment_calls if c[0] == "abs_central_moment"]
+    assert len(sides) == 3 and raised == [2.0]  # the raising moment is not retried
 
 
 def _moment_with_status(monkeypatch, name, kind, order, status):
@@ -453,6 +417,20 @@ def _moment_with_status(monkeypatch, name, kind, order, status):
         return real(s, o, order_)
 
     monkeypatch.setattr(mo, name, patched)
+
+
+def _radial_moment_with_status(monkeypatch, t, status):
+    """Make raw_radial_moment return `status` for one order t."""
+    from qmoments import moments as mo
+
+    real = mo.raw_radial_moment
+
+    def patched(s, t_):
+        if t_ == t:
+            return MomentValue(status, t_, None, math.inf, "patched")
+        return real(s, t_)
+
+    monkeypatch.setattr(mo, "raw_radial_moment", patched)
 
 
 def test_weights_whose_sum_leaves_the_double_range_normalize():
@@ -532,15 +510,12 @@ def test_failed_moment_raises_in_every_builder(hydrogen, monkeypatch):
     from qmoments import moments as mo
 
     _moment_with_status(monkeypatch, "abs_central_moment", mo.MOMENTUM_AXIS, 2.0, "failed")
-    _moment_with_status(monkeypatch, "raw_moment", mo.RADIAL, -2.0, "failed")
-    _moment_with_status(monkeypatch, "raw_moment", mo.RADIAL, 1.0, "failed")
+    _radial_moment_with_status(monkeypatch, -2.0, "failed")
     e = make_exponents(2, 2)
     with pytest.raises(MomentsError, match="canonical_pair: <\\|Dp\\|\\^q> is failed"):
         uncertainty_verdict_canonical(hydrogen, 3, 3, e)
     with pytest.raises(MomentsError, match="reciprocal_moments: <r\\^-q> is failed"):
         reciprocal_moment_verdict(hydrogen, e)
-    with pytest.raises(MomentsError, match="holder_continuous: .* is failed"):
-        holder_verdict_continuous(hydrogen, radial(), radial_inverse(), e)
 
 
 def test_sweep_empty_grid_rejected(hydrogen):
@@ -551,17 +526,6 @@ def test_sweep_empty_grid_rejected(hydrogen):
 def test_sweep_unknown_kind(hydrogen):
     with pytest.raises(DomainError):
         sweep(hydrogen, 3, 3, [2.0], [2.0], kind="nope")
-
-
-def test_holder_continuous_on_grid_state():
-    r = np.linspace(0.0, 36.0, 3000)
-    u = r * np.exp(-r)
-    from qmoments.states import RadialGridState
-
-    st = RadialGridState(r, u)
-    v = holder_verdict_continuous(st, radial(), radial_inverse(), make_exponents(2, 2))
-    assert v.lhs == pytest.approx(1.0, rel=1e-6)
-    assert v.holds
 
 
 def test_holder_violation_flagged_internal_error():

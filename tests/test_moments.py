@@ -8,13 +8,10 @@ from qmoments.core import CapabilityError, DomainError, Tolerances
 from qmoments.moments import (
     Observable,
     abs_central_moment,
-    custom_radial,
     mean,
     momentum_axis,
     position_axis,
-    radial,
-    radial_inverse,
-    raw_moment,
+    raw_radial_moment,
 )
 from qmoments.states import (
     ContinuousState,
@@ -62,21 +59,14 @@ def test_qho_position_variance():
 )
 def test_hydrogen_radial_gamma_oracle(hydrogen, order, expected):
     # 4 Gamma(order + 3) / 2^(order + 3) in natural units
-    m = raw_moment(hydrogen, radial(), order)
+    m = raw_radial_moment(hydrogen, order)
     assert m.value == pytest.approx(expected, rel=1e-9)
 
 
 def test_hydrogen_inverse_cube_divergent(hydrogen):
-    m = raw_moment(hydrogen, radial(), -3.0)
+    m = raw_radial_moment(hydrogen, -3.0)
     assert m.status == "divergent"
     assert m.value is None
-
-
-def test_radial_inverse_observable(hydrogen, r4test):
-    assert raw_moment(hydrogen, radial_inverse(), 1.0).value == pytest.approx(1.0, rel=1e-9)
-    assert raw_moment(hydrogen, radial_inverse(), 6.0).status == "divergent"
-    oracle = (math.factorial(2) / 2**3) / (math.factorial(8) / 2**9)
-    assert raw_moment(r4test, radial_inverse(), 6.0).value == pytest.approx(oracle, rel=1e-9)
 
 
 def test_axis_means_exact(hydrogen):
@@ -88,10 +78,6 @@ def test_axis_means_exact(hydrogen):
 def test_gaussian_mean():
     g = GaussianPacket(x0=2.0)
     assert mean(g, position_axis(1)) == 2.0
-
-
-def test_radial_mean(hydrogen):
-    assert mean(hydrogen, radial()) == pytest.approx(1.5, rel=1e-9)
 
 
 def test_scaling_covariance():
@@ -117,13 +103,6 @@ def test_lyapunov_monotonicity(hydrogen):
             ms = abs_central_moment(st, obs, s).value ** (1.0 / s)
             mt = abs_central_moment(st, obs, t).value ** (1.0 / t)
             assert ms <= mt + 1e-9
-
-
-def test_central_equals_raw_minus_mean_squared(hydrogen):
-    c2 = abs_central_moment(hydrogen, radial(), 2.0).value
-    r1 = raw_moment(hydrogen, radial(), 1.0).value
-    r2 = raw_moment(hydrogen, radial(), 2.0).value
-    assert c2 == pytest.approx(r2 - r1 * r1, abs=1e-9)
 
 
 def test_cross_representation_momentum(hydrogen):
@@ -162,50 +141,15 @@ def test_gaussian_abs_moment_oracle():
         assert m.value == pytest.approx(exact, rel=1e-9)
 
 
-def test_custom_radial_moment(hydrogen):
-    obs = custom_radial(lambda r: np.exp(-r), label="exp(-r)")
-    m = raw_moment(hydrogen, obs, 1.0)
-    assert m.value == pytest.approx(4.0 * 2.0 / 27.0, rel=1e-10)
-
-
-def test_custom_radial_central_moment(hydrogen):
-    obs = custom_radial(lambda r: np.asarray(r), origin_power=1.0, label="r")
-    c2 = abs_central_moment(hydrogen, obs, 2.0)
-    assert c2.value == pytest.approx(0.75, rel=1e-6)
-
-
 def test_unknown_observable_kind_is_refused_when_built():
     # checked once, at construction, so no moment function meets it
     with pytest.raises(DomainError, match="unknown observable kind 'bogus'"):
         Observable("bogus")
 
 
-def test_fractional_axis_raw_rejected(hydrogen):
-    with pytest.raises(DomainError):
-        raw_moment(hydrogen, position_axis(3), 1.5)
-
-
-def test_odd_axis_raw_is_zero_by_parity(hydrogen):
-    assert raw_moment(hydrogen, position_axis(3), 3).value == 0.0
-
-
-def test_even_axis_raw(hydrogen):
-    m = raw_moment(hydrogen, position_axis(3), 2)
-    assert m.value == pytest.approx(1.0, rel=1e-9)  # <r^2>/3
-
-
-def test_signed_axis_raw_moments_1d():
-    # off-center Gaussian: E[x] = mu, E[x^2] = mu^2 + s^2, E[x^3] = mu^3 + 3 mu s^2
-    g = GaussianPacket(x0=2.0, sigma=1.0)
-    assert raw_moment(g, position_axis(1), 1).value == pytest.approx(2.0, rel=1e-9)
-    assert raw_moment(g, position_axis(1), 2).value == pytest.approx(5.0, rel=1e-9)
-    assert raw_moment(g, position_axis(1), 3).value == pytest.approx(14.0, rel=1e-9)
-    assert raw_moment(g, momentum_axis(1), 1).value == pytest.approx(0.0, abs=1e-12)
-
-
 def test_nonpositive_order_rejected(hydrogen):
     with pytest.raises(DomainError):
-        abs_central_moment(hydrogen, radial(), 0.0)
+        abs_central_moment(hydrogen, position_axis(3), 0.0)
 
 
 def test_library_accepts_tiny_orders():
@@ -215,41 +159,6 @@ def test_library_accepts_tiny_orders():
     m = abs_central_moment(g, position_axis(1), s)
     exact = 2 ** (s / 2) * math.gamma((s + 1) / 2) / math.sqrt(math.pi)
     assert m.value == pytest.approx(exact, rel=1e-7)
-
-
-def test_radial_inverse_central_moment(hydrogen):
-    # var(1/r) = <r^-2> - <r^-1>^2 = 2 - 1 = 1 for hydrogen
-    m = abs_central_moment(hydrogen, radial_inverse(), 2.0)
-    assert m.value == pytest.approx(1.0, rel=1e-8)
-
-
-def test_origin_power_counting_on_inverse_and_custom_radial(hydrogen):
-    # u ~ r at the origin, so u^2 r^shift diverges exactly for shift <= -3,
-    # whether the shift comes from (1/r - <1/r>)^s or from a custom f^s
-    inv = abs_central_moment(hydrogen, radial_inverse(), 3.0)
-    assert inv.status == "divergent"
-    assert inv.detail == "origin power counting on (1/r - <1/r>)"
-    assert abs_central_moment(hydrogen, radial_inverse(), 2.9).is_convergent
-    obs = custom_radial(lambda r: 1.0 / np.asarray(r), origin_power=-1.0, label="1/r")
-    cust = raw_moment(hydrogen, obs, 3.0)
-    assert cust.status == "divergent"
-    assert cust.detail == "origin power counting on 1/r"
-    want = 4.0 * math.gamma(0.1) / 2.0**0.1  # <r^-2.9> = 4 Gamma(0.1) / 2^0.1
-    assert raw_moment(hydrogen, obs, 2.9).value == pytest.approx(want, rel=1e-9)
-
-
-def test_custom_inverse_central_moment_matches_the_pure_power(hydrogen):
-    # one central-moment path: f = 1/r as a function agrees with r^-1 within
-    # their error estimates, and both are counted divergent at s = 3
-    obs = custom_radial(lambda r: 1.0 / np.asarray(r), origin_power=-1.0, label="1/r")
-    for s in (0.5, 1.0, 2.9):
-        cust = abs_central_moment(hydrogen, obs, s)
-        pure = abs_central_moment(hydrogen, radial_inverse(), s)
-        assert abs(cust.value - pure.value) <= cust.err_estimate + pure.err_estimate
-    for o in (obs, radial_inverse()):
-        m = abs_central_moment(hydrogen, o, 3.0)
-        assert m.status == "divergent"
-        assert m.detail == "origin power counting on (1/r - <1/r>)"
 
 
 # --- the isotropy shortcut against the axis marginals ------------------------
@@ -262,13 +171,12 @@ def _h_grid():
 
 def test_fitted_origin_power_on_an_integer_is_that_integer():
     # the fit on the h = 0.02 grid misses m = 1 by rounding; read as 1, the
-    # order -3 threshold is met exactly, as for catalog hydrogen, so both
-    # moments are divergent instead of a quadrature that stalls at r = 0
+    # order -3 threshold is met exactly, as for catalog hydrogen, so <r^-3>
+    # is divergent instead of a quadrature that stalls at r = 0
     st = _h_grid()
     assert st.origin_power_u == 1.0
-    assert raw_moment(st, radial_inverse(), 3.0).status == "divergent"
-    assert abs_central_moment(st, radial_inverse(), 3.0).status == "divergent"
-    assert raw_moment(st, radial_inverse(), 2.9).is_convergent
+    assert raw_radial_moment(st, -3.0).status == "divergent"
+    assert raw_radial_moment(st, -2.9).is_convergent
 
 
 _AXIS_SIDES = {
@@ -321,6 +229,6 @@ def test_radial_state_with_only_u_has_no_momentum_moments():
         def reduced_radial(self, r):
             return 2.0 * r * np.exp(-r)
 
-    assert raw_moment(Bare(), radial(), 1.0).value == pytest.approx(1.5, rel=1e-10)
+    assert raw_radial_moment(Bare(), 1.0).value == pytest.approx(1.5, rel=1e-10)
     with pytest.raises(CapabilityError, match="^bare has no momentum moments$"):
         abs_central_moment(Bare(), momentum_axis(3), 2.0)

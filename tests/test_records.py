@@ -33,7 +33,7 @@ CASES = [
     (QuadResult, (1.0, 1e-12, 45, True, False)),
     (HermitianOperator, (np.eye(2),)),
     (FiniteState, (np.array([1.0, 0.0]),)),
-    (Observable, (POSITION_AXIS, 3, None, 0.0, "f(r)")),
+    (Observable, (POSITION_AXIS, 3)),
     (DiscreteDensity, (np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.array([1.0, 1.0]))),
     (PowerLawPotential, (1.0, 2.0)),
     (LennardJonesPotential, (1.0, 2.0)),

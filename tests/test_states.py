@@ -7,9 +7,10 @@ from marginals import (
     equal_panel_samples, hydrogen_position_density, integrate_real_line, integrate_semi_infinite,
     integrated, momentum_density, momentum_table, position_density, reduced_radial_derivative,
 )
+from contract.record import CI_GRIDS
 from qmoments.core import CapabilityError, DataFormatError, Tolerances
-from qmoments.exact import KINETIC, R_POWER
-from qmoments.quadrature import integrate
+from qmoments.exact import EXP_DECAY, KINETIC, R_POWER
+from qmoments.quadrature import integrate, panel_sum
 from qmoments.states import (
     GaussianPacket,
     HarmonicOscillatorGround,
@@ -32,15 +33,15 @@ def qho():
 
 
 def test_hydrogen_radial_density_value(hydrogen):
-    assert hydrogen.radial_density(1.0) == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
+    assert hydrogen.reduced_radial(1.0) ** 2 == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
 
 
 def test_hydrogen_radial_density_origin(hydrogen):
-    assert hydrogen.radial_density(0.0) == 0.0
+    assert hydrogen.reduced_radial(0.0) == 0.0
 
 
 def test_radial_density_normalized(hydrogen):
-    res = integrate_semi_infinite(lambda r: hydrogen.radial_density(r))
+    res = integrate_semi_infinite(lambda r: hydrogen.reduced_radial(r) ** 2)
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -201,7 +202,7 @@ def test_qho_width():
 
 def test_capability_errors(qho):
     with pytest.raises(CapabilityError):
-        qho.radial_density(1.0)
+        qho.reduced_radial(1.0)
     with pytest.raises(CapabilityError):
         qho.position_mean(2)  # 1d states expose axis 1 only
 
@@ -235,15 +236,39 @@ def _dense_grid_state(n_power=1, kappa=1.0, n_pts=3000, r_end=40.0):
 
 def test_grid_state_renormalizes():
     st = _dense_grid_state()
-    res = integrate(lambda r: st.radial_density(r), 0.0, st.r_max)
+    res = integrate(lambda r: st.reduced_radial(r) ** 2, 0.0, st.r_max)
     assert res.value == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("grid, catalog_state", [
+    ("h_grid.txt", HydrogenGroundState()),
+    ("r4_grid.txt", PowerExpRadialState(4, 1.0)),
+])
+def test_grid_exp_decay_mean_matches_the_closed_form(grid, catalog_state, tmp_path):
+    # <e^(-r/r0)> of the Buckingham bound, from r0 far below the first
+    # Kronrod node of one panel [0, r_max] (r = 0.17 on the h grid) up; the
+    # model error is 5.3e-4 at most (the h grid at r0 = 1e-3). Where the
+    # knot table's one pass converges, the moment is that pass
+    path = tmp_path / grid
+    path.write_text(CI_GRIDS[grid])
+    st = load_radial_grid(path)
+    passes = 0
+    for r0 in (1e-3, 3e-3, 1e-2, 0.1, 1.0, 10.0):
+        m = st.direct_moment(EXP_DECAY, r0)
+        assert m.value == pytest.approx(catalog_state.direct_moment(EXP_DECAY, r0).value, rel=1e-3)
+        knots = panel_sum(lambda x: st.reduced_radial(x) ** 2 * np.exp(-x / r0),
+                          *st._knot_nodes, st.tol)
+        if knots.converged:
+            passes += 1
+            assert m.value == knots.value
+    assert passes >= 3
 
 
 def test_grid_state_mode_location():
     # rho_r proportional to r^8 e^{-2r} peaks at r = 4
     st = _dense_grid_state(n_power=4)
     r = np.linspace(3.0, 5.0, 2001)
-    dens = st.radial_density(r)
+    dens = st.reduced_radial(r) ** 2
     assert abs(r[np.argmax(dens)] - 4.0) < 2e-3
 
 
@@ -398,7 +423,7 @@ def test_grid_file_import(tmp_path):
     lines += [f"{ri:.12g} {ui:.12g}" for ri, ui in zip(r, u)]
     path.write_text("\n".join(lines) + "\n")
     st = load_radial_grid(path)
-    assert st.radial_density(1.0) == pytest.approx(4.0 * math.exp(-2.0), rel=1e-5)
+    assert st.reduced_radial(1.0) ** 2 == pytest.approx(4.0 * math.exp(-2.0), rel=1e-5)
 
 
 def test_grid_file_bad_columns(tmp_path):
