@@ -134,8 +134,8 @@ def _manifest(cfg: RunConfig, argv: list[str], outcomes: Outcomes, exit_code: in
     return {
         "command": "qmoments " + " ".join(argv),
         "seed": cfg.seed,
-        "tolerances": {"rel_tol": cfg.tol.rel_tol, "abs_tol": cfg.tol.abs_tol,
-                       "slack": cfg.slack, "max_evals": cfg.tol.max_evals},
+        "tolerances": {"rel_tol": cfg.tol.rel_tol, "slack": cfg.slack,
+                       "max_evals": cfg.tol.max_evals},
         "constants": {"hbar": cfg.constants.hbar, "mass": cfg.constants.mass,
                       "a0": cfg.constants.a0},
         "units": cfg.units,
@@ -222,7 +222,7 @@ def cmd_hydrogen(args, cfg: RunConfig):
     e = _exponents(args)
     i = _AXES[args.i or args.axis]
     j = _AXES[args.j or args.axis]
-    state = catalog(cfg.constants, cfg.tol)["hydrogen"]
+    state = catalog(cfg.constants)["hydrogen"]
     out = iq.uncertainty_verdict_canonical(state, i, j, e, cfg.slack)
     outcomes = Outcomes()
     outcomes.add(out)
@@ -280,7 +280,7 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
 def _resolve_state(args, cfg: RunConfig):
     if getattr(args, "grid", None):
         return states.load_radial_grid(args.grid, constants=cfg.constants, tol=cfg.tol)
-    named = catalog(cfg.constants, cfg.tol)
+    named = catalog(cfg.constants)
     name = args.state
     if name not in named:
         raise DomainError(f"unknown state {name!r}; choose from {sorted(named)} or --grid FILE")
@@ -545,7 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g = common.add_argument_group("global options")
     g.add_argument("--config", default=argparse.SUPPRESS, help="JSON config file (flags override it)")
     g.add_argument("--rel-tol", type=float, default=argparse.SUPPRESS)
-    g.add_argument("--abs-tol", type=float, default=argparse.SUPPRESS)
     g.add_argument("--slack", type=float, default=argparse.SUPPRESS, help="verdict slack (absolute)")
     g.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     g.add_argument("--out", default=argparse.SUPPRESS, help="output file path")
@@ -601,7 +600,7 @@ _COMMANDS = {"hydrogen": cmd_hydrogen, "sweep": cmd_sweep, "finite": cmd_finite,
              "holder": cmd_holder, "central": cmd_central}
 
 
-_CONFIG_KEYS = ("rel_tol", "abs_tol", "max_evals", "slack", "seed", "constants")
+_CONFIG_KEYS = ("rel_tol", "max_evals", "slack", "seed", "constants")
 
 
 def _load_config(args) -> RunConfig:
@@ -622,7 +621,8 @@ def _load_config(args) -> RunConfig:
         if unknown:
             raise DataFormatError(f"bad config file: unknown key {unknown[0]!r}")
         try:
-            tol = {key: float(raw[key]) for key in ("rel_tol", "abs_tol") if key in raw}
+            if "rel_tol" in raw:
+                tol["rel_tol"] = float(raw["rel_tol"])
             if "max_evals" in raw:
                 tol["max_evals"] = int(raw["max_evals"])
             if raw.get("slack") is not None:
@@ -637,9 +637,8 @@ def _load_config(args) -> RunConfig:
                 )
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"bad config file: {exc}") from exc
-    for key in ("rel_tol", "abs_tol"):
-        if hasattr(args, key):
-            tol[key] = getattr(args, key)
+    if hasattr(args, "rel_tol"):
+        tol["rel_tol"] = args.rel_tol
     for key in ("slack", "seed", "fmt", "out", "allow_divergent", "units"):
         if hasattr(args, key):
             setattr(cfg, key, getattr(args, key))

@@ -208,17 +208,16 @@ SI = PhysicalConstants(hbar=1.054571817e-34, mass=9.1093837015e-31, a0=5.2917721
 @record
 class Tolerances:
     """Accuracy target of every integral: a panel sum converges once its
-    error meets max(abs_tol, rel_tol*|value|) within max_evals integrand
-    evaluations (45 is the least budget that can refine: one K15 panel and
-    its two halves)."""
+    error meets rel_tol*|value|, or the rounding floor of its panel sums
+    (quadrature), within max_evals integrand evaluations (45 is the least
+    budget that can refine: one K15 panel and its two halves). The target
+    is relative only, so no length unit decides a scale-free outcome."""
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
     max_evals: int = 1_000_000
 
     def __post_init__(self) -> None:
         _require_positive_finite("rel_tol", self.rel_tol)
-        _require_positive_finite("abs_tol", self.abs_tol)
         if not self.max_evals >= 45:
             raise DomainError(f"max_evals must be >= 45, got {self.max_evals!r}")
 

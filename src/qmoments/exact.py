@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 
 from .core import (
-    DEFAULT_TOLERANCES, CapabilityError, DomainError, MomentValue, NATURAL, PhysicalConstants,
-    Tolerances, _require_normal,
+    CapabilityError, DomainError, MomentValue, NATURAL, PhysicalConstants, _require_normal,
 )
 
 DIM_1D = "1d"
@@ -70,16 +69,15 @@ class ContinuousState:
     """Base state: accessors that raise CapabilityError.
 
     Subclasses override the methods backing the densities they have. A state
-    carries its unit system (constants) and the accuracy target (tol) of
-    every integral over it: its moments and its momentum k-integrals.
+    carries its unit system (constants); a grid state (states.py) also
+    carries the accuracy target of the integrals over it.
     """
 
     dimensionality: str = DIM_1D
     label = "state"
 
-    def __init__(self, constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, constants: PhysicalConstants = NATURAL):
         self.constants = constants
-        self.tol = tol
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         """The quantity (R_POWER, P_POWER, POSITION_AXIS, MOMENTUM_AXIS,
@@ -168,8 +166,8 @@ class PowerExpRadialState(RadialStateBase):
     """
 
     def __init__(self, n: int, kappa: float, constants: PhysicalConstants = NATURAL,
-                 label: str | None = None, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(constants, tol)
+                 label: str | None = None):
+        super().__init__(constants)
         if n < 1:
             raise DomainError("radial power must be >= 1 so that u(0) = 0")
         if kappa <= 0.0:
@@ -243,13 +241,12 @@ def _momentum_beta_sum(n: int, q: float) -> tuple[float, float]:
 class HydrogenGroundState(PowerExpRadialState):
     """The 1s state: psi = (pi a0^3)^{-1/2} e^{-r/a0}, u = 2 a0^{-3/2} r e^{-r/a0}."""
 
-    def __init__(self, a0: float = 1.0, constants: PhysicalConstants | None = None,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, a0: float = 1.0, constants: PhysicalConstants | None = None):
         if a0 <= 0.0:
             raise DomainError("a0 must be positive")
         if constants is None:
             constants = PhysicalConstants(a0=a0)
-        super().__init__(n=1, kappa=1.0 / a0, constants=constants, label=f"hydrogen(a0={a0:g})", tol=tol)
+        super().__init__(n=1, kappa=1.0 / a0, constants=constants, label=f"hydrogen(a0={a0:g})")
         self.a0 = float(a0)
 
 
@@ -312,8 +309,8 @@ class GaussianPacket(_Gaussian1D):
     """Free Gaussian packet centered at x0 with mean momentum p0 and position s.d. sigma."""
 
     def __init__(self, x0: float = 0.0, p0: float = 0.0, sigma: float = 1.0,
-                 constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES):
-        super().__init__(constants, tol)
+                 constants: PhysicalConstants = NATURAL):
+        super().__init__(constants)
         if sigma <= 0.0:
             raise DomainError("sigma must be positive")
         self.x0 = float(x0)
@@ -325,10 +322,8 @@ class GaussianPacket(_Gaussian1D):
 class HarmonicOscillatorGround(_Gaussian1D):
     """Oscillator ground state; position s.d. is sqrt(hbar/(2 m omega))."""
 
-    def __init__(self, mass: float = 1.0, omega: float = 1.0, hbar: float = 1.0,
-                 tol: Tolerances = DEFAULT_TOLERANCES):
-        constants = PhysicalConstants(hbar=hbar, mass=mass)
-        super().__init__(constants, tol)
+    def __init__(self, mass: float = 1.0, omega: float = 1.0, hbar: float = 1.0):
+        super().__init__(PhysicalConstants(hbar=hbar, mass=mass))
         if omega <= 0.0:
             raise DomainError("omega must be positive")
         self.omega = float(omega)
@@ -340,13 +335,11 @@ class HarmonicOscillatorGround(_Gaussian1D):
 # the default catalog
 
 
-def catalog(
-    constants: PhysicalConstants = NATURAL, tol: Tolerances = DEFAULT_TOLERANCES
-) -> dict[str, ContinuousState]:
-    """The default example states, keyed by CLI name, all at tolerances tol."""
+def catalog(constants: PhysicalConstants = NATURAL) -> dict[str, ContinuousState]:
+    """The default example states, keyed by CLI name."""
     return {
-        "hydrogen": HydrogenGroundState(a0=constants.a0, constants=constants, tol=tol),
-        "qho": HarmonicOscillatorGround(mass=constants.mass, hbar=constants.hbar, tol=tol),
-        "gaussian": GaussianPacket(sigma=constants.a0, constants=constants, tol=tol),
-        "r4test": PowerExpRadialState(4, 1.0 / constants.a0, constants=constants, label="r4test", tol=tol),
+        "hydrogen": HydrogenGroundState(a0=constants.a0, constants=constants),
+        "qho": HarmonicOscillatorGround(mass=constants.mass, hbar=constants.hbar),
+        "gaussian": GaussianPacket(sigma=constants.a0, constants=constants),
+        "r4test": PowerExpRadialState(4, 1.0 / constants.a0, constants=constants, label="r4test"),
     }

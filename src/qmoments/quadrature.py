@@ -95,9 +95,12 @@ def _kronrod_panels(g: Callable, nodes: np.ndarray, h: np.ndarray) -> tuple[np.n
     return sums[:, 0], np.abs(sums[:, 1])
 
 
-def _target(tol: Tolerances, value: float) -> float:
-    """The error an integral of this value must meet at tol."""
-    return max(tol.abs_tol, tol.rel_tol * abs(value))
+def _target(tol: Tolerances, k: np.ndarray) -> float:
+    """The error that the panel sums k must meet at tol: rel_tol*|sum k|, or
+    QUADPACK's rounding floor 50 eps sum|k| (Piessens et al. 1983), below
+    which a smaller error is noise; each integrand is one-signed, so that
+    sum|k| is the integral of |f|."""
+    return max(tol.rel_tol * abs(float(k.sum())), 50.0 * 2.0**-52 * float(np.abs(k).sum()))
 
 
 def panel_sum(f: Callable, nodes: np.ndarray, h: np.ndarray, tol: Tolerances) -> QuadResult:
@@ -110,7 +113,7 @@ def panel_sum(f: Callable, nodes: np.ndarray, h: np.ndarray, tol: Tolerances) ->
     except _NonFiniteIntegrand:
         return QuadResult(math.nan, math.inf, nodes.size, converged=False, failed=True)
     value, err = float(k.sum()), float(e.sum())
-    return QuadResult(value, err, nodes.size, converged=err <= _target(tol, value))
+    return QuadResult(value, err, nodes.size, converged=err <= _target(tol, k))
 
 
 def integrate(
@@ -124,11 +127,11 @@ def integrate(
 
     breakpoints are points where the integrand has kinks or scale changes;
     panels never straddle them, and those outside (a, b) are ignored.
-    converged means the summed panel error met
-    max(tol.abs_tol, tol.rel_tol*|value|) within tol.max_evals integrand
-    evaluations; Tolerances validated both targets when it was built. A
-    non-finite integrand value or panel sum yields a failed result at once,
-    rather than a number; its evaluations count the round that met it.
+    converged means the summed panel error met tol.rel_tol*|value|, or the
+    rounding floor of the panel sums (_target), within tol.max_evals
+    integrand evaluations. A non-finite integrand value or panel sum yields
+    a failed result at once, rather than a number; its evaluations count
+    the round that met it.
 
     Refinement runs in rounds. Each round bisects the largest-error panels
     whose errors sum to at least the excess over the target, as many as the
@@ -155,7 +158,8 @@ def integrate(
         while True:
             left, right, k, e = pan[:, :n]
             total, errsum = float(k.sum()), float(e.sum())
-            excess = errsum - _target(tol, total)
+            target = _target(tol, k)
+            excess = errsum - target
             room = (tol.max_evals - evals) // 30
             if excess <= 0.0 or room < 1:
                 break
@@ -185,7 +189,7 @@ def integrate(
     except _NonFiniteIntegrand:
         return QuadResult(math.nan, math.inf, evals, converged=False, failed=True)
 
-    return QuadResult(total, errsum, evals, errsum <= _target(tol, total))
+    return QuadResult(total, errsum, evals, errsum <= target)
 
 
 _SINE_NORM = math.sqrt(2.0 / math.pi)

@@ -291,7 +291,8 @@ class RadialGridState(RadialStateBase):
         label: str = "grid state",
         tol: Tolerances = DEFAULT_TOLERANCES,
     ):
-        super().__init__(constants, tol)
+        super().__init__(constants)
+        self.tol = tol
         r = np.asarray(r, dtype=float)
         u = np.asarray(u, dtype=float)
         if r.ndim != 1 or r.shape != u.shape or r.size < 4:

@@ -13,10 +13,11 @@ from: where they cancel, its digits are rounding and move with the build.
     python tests/contract/record.py     # record new cases, rewrite moved ones
 
 writes the record of each new case and rewrites each record that no longer
-replays, printing every leaf that moved with its relative change, so a
-change that rewrites a record can say which values moved and by how much.
-A record that replays keeps its numbers, so a rounding change of another
-build rewrites nothing.
+replays, printing every leaf that moved with its relative change and every
+key path added or removed, so a change that rewrites a record can say which
+values moved and by how much. Leaves pair by key path, and a rewrite keeps
+each recorded leaf that still replays: only what moved is written anew, so a
+rounding change of another build rewrites nothing.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def _ci_central(grid: str, *argv: str) -> tuple[list[str], dict[str, str]]:
 
 
 # the tolerances of the CI config-file run, as json.dump writes them
-TOL_JSON = json.dumps({"rel_tol": 1e-8, "abs_tol": 1e-12, "max_evals": 200000})
+TOL_JSON = json.dumps({"rel_tol": 1e-8, "max_evals": 200000})
 
 
 # name -> (argv, input files); the README examples first, then one command
@@ -200,6 +201,11 @@ CASES = {
     # 2.1e-7 and comes almost all from r < 0.1 (exit 3: <r^-6> diverges)
     "ci_central_h_grid_buckingham_small_r0": _ci_central("h_grid.txt", "--buckingham",
                                                          "1,0.003,0.01"),
+    # a Buckingham r0 of 1e-4 on the coarse h = 0.5 grid, where
+    # <e^(-r/r0)> is about 5.7e-12 and comes from the first knot interval
+    # (exit 3: <r^-6> diverges)
+    "ci_central_coarse_buckingham_small_r0": _ci_central("coarse_grid.txt", "--buckingham",
+                                                         "1,0.0001,0.01"),
     "ci_central_huge_grid": _ci_central("huge_grid.txt", "--alpha", "1", "--beta", "1"),
     # moments past the double range on grids: <r^2> of knots near 1e200 in a
     # sweep cell, <e^(-r/1)> (underflow) and <r^2> of knots near 1e299 under
@@ -216,12 +222,14 @@ CASES = {
     "central_divergent_allowed": (["central", "--state", "hydrogen", "--alpha", "3.5",
                                    "--buckingham", "1,1,1", "--lj", "1,1",
                                    "--allow-divergent"], {}),
-    # the config errors of CI: constants under --units si, and a misspelt key
-    # (exit 1, one error: line)
+    # the config errors of CI: constants under --units si, a misspelt key and
+    # the retired absolute tolerance (exit 1, one error: line)
     "ci_config_constants_si": (["--config", "hbar2.json", "--units", "si", "hydrogen", "--p",
                                 "3", "--q", "2"], {"hbar2.json": '{"constants": {"hbar": 2}}'}),
     "ci_config_unknown_key": (["--config", "typo.json", "hydrogen", "--p", "3", "--q", "2"],
                               {"typo.json": '{"rel_tl": 0.001}'}),
+    "config_abs_tol_refused": (["--config", "abs.json", "hydrogen", "--p", "3", "--q", "2"],
+                               {"abs.json": '{"abs_tol": 1e-14}'}),
 }
 
 
@@ -340,15 +348,37 @@ def _same(a, b, floor: float) -> bool:
 
 
 def differences(recorded: dict, observed: dict) -> list[str]:
-    """Every key path, leaf or exit code where observed leaves the record."""
-    old, new = list(leaves(recorded)), list(leaves(observed))
-    paths = [p for p, _, _ in old], [p for p, _, _ in new]
-    if paths[0] != paths[1]:
-        i = next((i for i, (a, b) in enumerate(zip(*paths)) if a != b), min(map(len, paths)))
-        return [f"key paths differ from path {i}: "
-                f"recorded {paths[0][i:i + 3]}, observed {paths[1][i:i + 3]}"]
-    return [f"{p}: {a!r} -> {b!r}{_relative(a, b)}" for (p, a, floor), (_, b, _) in zip(old, new)
-            if not _same(a, b, floor)]
+    """Every key path added or removed, leaf moved or exit code changed where
+    observed leaves the record, and a key order that differs."""
+    old = {p: (x, floor) for p, x, floor in leaves(recorded)}
+    new = {p: x for p, x, _ in leaves(observed)}
+    out = [f"{p}: removed" for p in old if p not in new]
+    out += [f"{p}: added" for p in new if p not in old]
+    order = [p for p in old if p in new], [p for p in new if p in old]
+    if order[0] != order[1]:
+        i = next(i for i, (a, b) in enumerate(zip(*order)) if a != b)
+        out.append(f"key order differs from path {i}: "
+                   f"recorded {order[0][i:i + 3]}, observed {order[1][i:i + 3]}")
+    return out + [f"{p}: {a!r} -> {new[p]!r}{_relative(a, new[p])}"
+                  for p, (a, floor) in old.items() if p in new and not _same(a, new[p], floor)]
+
+
+def _keep(node, kept: dict, path: str = ""):
+    """node with the leaf at each path in kept replaced by kept[path]; the
+    paths are those of leaves(), whose CSV cells sit at rows[i][j] too."""
+    if isinstance(node, dict) and node:
+        return {key: _keep(value, kept, f"{path}.{key}" if path else key)
+                for key, value in node.items()}
+    if isinstance(node, list) and node:
+        return [_keep(value, kept, f"{path}[{i}]") for i, value in enumerate(node)]
+    return kept.get(path, node)
+
+
+def rewritten(recorded: dict, observed: dict) -> dict:
+    """observed with each recorded leaf that still replays kept as recorded."""
+    new = {p: x for p, x, _ in leaves(observed)}
+    return _keep(observed, {p: x for p, x, floor in leaves(recorded)
+                            if p in new and _same(x, new[p], floor)})
 
 
 def _relative(a, b) -> str:
@@ -361,17 +391,20 @@ def _relative(a, b) -> str:
 
 def main() -> int:
     """Write the record of each new case, and rewrite each record that no
-    longer replays; one that replays within tolerance keeps its numbers."""
+    longer replays; each of its leaves that replays within tolerance keeps
+    its recorded number."""
     RECORDS.mkdir(exist_ok=True)
     for name, (argv, files) in CASES.items():
         observed = run(argv, files)
         path = RECORDS / f"{name}.json"
         if path.exists():
-            moved = differences(json.loads(path.read_text(encoding="utf-8")), observed)
+            recorded = json.loads(path.read_text(encoding="utf-8"))
+            moved = differences(recorded, observed)
             if not moved:
                 continue
             for line in moved:
                 print(f"{name}: {line}")
+            observed = rewritten(recorded, observed)
         path.write_text(json.dumps(observed, indent=1) + "\n", encoding="utf-8")
     return 0
 

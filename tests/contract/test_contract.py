@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from record import CASES, RECORDS, differences, leaves, run
+from record import CASES, RECORDS, differences, leaves, rewritten, run
 
 # what stdout, stderr and the --out file hold on each output route: a JSON
 # report, a CSV table or text lines (a stream left out holds nothing)
@@ -32,14 +32,14 @@ def test_command_matches_its_record(name):
     assert differences(recorded, run(recorded["argv"], recorded["files"])) == []
 
 
-def _moved(node):
-    """node with every float moved by 1e-9 relative."""
+def _moved(node, by=1e-9):
+    """node with every float moved by the relative amount by."""
     if isinstance(node, float):
-        return node * (1.0 + 1e-9)
+        return node * (1.0 + by)
     if isinstance(node, dict):
-        return {key: _moved(value) for key, value in node.items()}
+        return {key: _moved(value, by) for key, value in node.items()}
     if isinstance(node, list):
-        return [_moved(value) for value in node]
+        return [_moved(value, by) for value in node]
     return node
 
 
@@ -55,6 +55,24 @@ def test_replay_sees_a_move_of_any_nonzero_number(name):
     assert numbers <= seen
     # each moved leaf shows its relative change: 1e-9, signed like the leaf
     assert all(line.endswith((" (+1.0e-09 relative)", " (-1.0e-09 relative)")) for line in moved)
+
+
+def test_rewrite_keeps_every_leaf_that_replays():
+    # a removed key is named, and a rewrite writes anew only what moved: the
+    # leaves that replay within tolerance keep their recorded numbers
+    rec = _load("readme_hydrogen")
+    observed = _moved(rec, 1e-14)
+    del observed["stdout"]["json"]["manifest"]["seed"]
+    observed["stdout"]["json"]["results"][0]["rhs"] *= 1.0 + 1e-9
+    assert differences(rec, observed) == [
+        "stdout.json.manifest.seed: removed",
+        f"stdout.json.results[0].rhs: {rec['stdout']['json']['results'][0]['rhs']!r} -> "
+        f"{observed['stdout']['json']['results'][0]['rhs']!r} (+1.0e-09 relative)"]
+    new = rewritten(rec, observed)
+    assert differences(new, observed) == []
+    kept = {path: x for path, x, _ in leaves(rec)}
+    changed = [path for path, x, _ in leaves(new) if x != kept[path]]
+    assert changed == ["stdout.json.results[0].rhs"]
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))

@@ -154,7 +154,7 @@ def position_density(st, z):
         if lo >= st.r_max:
             return 0.0
         res = integrate(lambda r: st.reduced_radial(r) ** 2 / r, lo, st.r_max,
-                        Tolerances(rel_tol=1e-11, abs_tol=1e-16))
+                        Tolerances(rel_tol=1e-11))
         return 0.5 * res.value
 
     return _each(one, z)
@@ -175,7 +175,7 @@ def momentum_density(st, p):
         if k >= tbl.k_cut:
             return 0.5 * tbl.tail_integral(-1.0, k) / hbar
         res = integrate(lambda kk: tbl.w(kk) ** 2 / kk, k, tbl.k_cut,
-                        Tolerances(rel_tol=1e-11, abs_tol=1e-16), breakpoints=edges)
+                        Tolerances(rel_tol=1e-11), breakpoints=edges)
         return 0.5 * (res.value + tbl.tail_integral(-1.0, tbl.k_cut)) / hbar
 
     return _each(one, p)
@@ -192,9 +192,9 @@ def reduced_radial_derivative(st, r):
     return st.norm * np.exp(-st.kappa * r) * (st.n * r ** (st.n - 1) - st.kappa * r**st.n)
 
 
-def _kinetic_energy(st):
-    """(hbar^2/2m) int |psi'|^2: over the real line for a 1-d Gaussian
-    state, int_0^r_max u'^2 dr for a radial one."""
+def _kinetic_energy(st, tol):
+    """(hbar^2/2m) int |psi'|^2 at tol: over the real line for a 1-d
+    Gaussian state, int_0^r_max u'^2 dr for a radial one."""
     c = st.constants
     if st.dimensionality == DIM_1D:
         s, k0 = st.sigma_x, st.p0 / c.hbar
@@ -203,29 +203,30 @@ def _kinetic_energy(st):
             rho = position_density(st, x)
             return ((x - st.x0) ** 2 / (4.0 * s**4) + k0 * k0) * rho
 
-        res = integrate_real_line(grad_sq, st.tol, breakpoints=[st.x0])
+        res = integrate_real_line(grad_sq, tol, breakpoints=[st.x0])
     else:
-        res = integrate(lambda r: reduced_radial_derivative(st, r) ** 2, 0.0, st.r_max, st.tol)
+        res = integrate(lambda r: reduced_radial_derivative(st, r) ** 2, 0.0, st.r_max, tol)
     scale = c.hbar**2 / (2.0 * c.mass)
     m = res.as_moment(1.0)
     return MomentValue.convergent(scale * m.require(), scale * m.err_estimate, 1.0)
 
 
-def axis_moment(st, quantity, x):
+def axis_moment(st, quantity, x, tol):
     """<|a - <a>|^x> of a 1-d Gaussian state, for POSITION_AXIS and
-    MOMENTUM_AXIS, over its marginal on the real line."""
+    MOMENTUM_AXIS, over its marginal on the real line at tol."""
     position = quantity == POSITION_AXIS
     center = st.x0 if position else st.p0
 
     def dens(z):
         return position_density(st, z) if position else momentum_density(st, z)
 
-    return integrate_real_line(lambda z: abs(z - center) ** x * dens(z), st.tol, [center]).as_moment(x)
+    return integrate_real_line(lambda z: abs(z - center) ** x * dens(z), tol, [center]).as_moment(x)
 
 
-def integrated(st, sampled=False):
+def integrated(st, tol, sampled=False):
     """A copy of st whose direct_moment gives only what the quadrature
-    routes above compute: every position moment then comes from adaptive
+    routes above compute, at tol (the copy's tol, which a catalog state
+    does not carry): every position moment then comes from adaptive
     quadrature, every momentum order from the k-integral of a momentum
     table (momentum_table(st, sampled)), and the axis moments of a 1-d
     state and every kinetic energy from this module."""
@@ -233,13 +234,14 @@ def integrated(st, sampled=False):
 
     def direct(quantity, x):
         if quantity == KINETIC:
-            return _kinetic_energy(st)
+            return _kinetic_energy(st, tol)
         if quantity == P_POWER and st.dimensionality != DIM_1D:
-            return table().moment(x, st.tol, st.constants.hbar)
+            return table().moment(x, tol, st.constants.hbar)
         if st.dimensionality == DIM_1D and quantity in (POSITION_AXIS, MOMENTUM_AXIS):
-            return axis_moment(st, quantity, x)
+            return axis_moment(st, quantity, x, tol)
         return None
 
     out = copy.copy(st)
     out.direct_moment = direct
+    out.tol = tol
     return out

@@ -70,7 +70,7 @@ def test_criterion_03_pz_squared_two_routes(capsys):
     # and the same number by brute-force integration of the marginal itself
     marginal_direct = integrate_real_line(
         lambda p: p * p * momentum_density(h, p),
-        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8), breakpoints=[0.0],
     ).as_moment(2.0).require()
     assert gradient_route == pytest.approx(target, rel=1e-6)
     assert marginal_route == pytest.approx(target, rel=1e-6)

@@ -473,18 +473,20 @@ def test_central_lj_divergent(capsys):
 
 def test_tolerance_flags_reach_every_integral(tmp_path, capsys):
     # a grid state's momentum k-integral runs at the run's tolerances; the
-    # closed forms of a catalog state integrate nothing, so no flag moves them
+    # closed forms of a catalog state integrate nothing, so no flag moves
+    # them. The one accuracy knob is relative: --abs-tol is refused
     argv = ["sweep", "--grid", _h_grid(tmp_path), "--p-grid", "2", "--q-grid", "2"]
     catalog = ["central", "--state", "hydrogen", "--alpha", "1", "--beta", "1"]
     _, base = run_json(capsys, argv)
-    for flag in (["--rel-tol", "1e-4"], ["--abs-tol", "1e-3"]):
-        code, doc = run_json(capsys, argv + flag)
-        assert code == EXIT_OK
-        assert doc["results"][0]["rhs"] != base["results"][0]["rhs"]
-        assert doc["results"][0]["rhs"] == pytest.approx(base["results"][0]["rhs"], rel=1e-4)
-        code, doc = run_json(capsys, catalog + flag)
-        assert code == EXIT_OK
-        assert doc["results"][0]["virial"]["mean_T"] == 0.5
+    flag = ["--rel-tol", "1e-4"]
+    code, doc = run_json(capsys, argv + flag)
+    assert code == EXIT_OK
+    assert doc["results"][0]["rhs"] != base["results"][0]["rhs"]
+    assert doc["results"][0]["rhs"] == pytest.approx(base["results"][0]["rhs"], rel=1e-4)
+    code, doc = run_json(capsys, catalog + flag)
+    assert code == EXIT_OK
+    assert doc["results"][0]["virial"]["mean_T"] == 0.5
+    assert main(argv + ["--abs-tol", "1e-3"]) == EXIT_ERROR
 
 
 def test_failed_moment_in_central_is_an_internal_error(tmp_path, capsys):
@@ -849,7 +851,7 @@ def test_central_requires_an_analysis(capsys):
     ["sweep", "--p-grid", "2,3", "--q-grid", "2", "--slack", "nan"],
     ["hydrogen", "--p", "3", "--q", "2", "--slack", "inf"],
     ["hydrogen", "--p", "3", "--q", "2", "--rel-tol", "inf"],
-    ["hydrogen", "--p", "3", "--q", "2", "--abs-tol", "inf"],
+    ["hydrogen", "--p", "3", "--q", "2", "--rel-tol", "-1e-10"],
     ["hydrogen", "--p", "3", "--q", "2", "--rel-tol", "nan"],
     ["central", "--alpha", "nan"],
     ["central", "--alpha", "inf"],

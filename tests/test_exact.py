@@ -9,7 +9,7 @@ from qmoments import moments as mo
 from qmoments import quadrature
 from qmoments.centralfield import BuckinghamPotential, PowerLawPotential, buckingham_bound, virial_report
 from qmoments.cli import main
-from qmoments.core import DomainError, PhysicalConstants, Tolerances, make_exponents
+from qmoments.core import DEFAULT_TOLERANCES, DomainError, PhysicalConstants, Tolerances, make_exponents
 from qmoments.exact import (
     EXP_DECAY, GaussianPacket, HarmonicOscillatorGround, HydrogenGroundState, PowerExpRadialState,
 )
@@ -30,7 +30,7 @@ def _agree(closed, quad):
 def _quadrature_state(n, kappa):
     """The state with its closed forms off and w(k) the numerical sine
     transform of u, as for a grid state."""
-    return integrated(PowerExpRadialState(n, kappa), sampled=True)
+    return integrated(PowerExpRadialState(n, kappa), DEFAULT_TOLERANCES, sampled=True)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
@@ -61,7 +61,7 @@ def test_power_exp_closed_forms_match_quadrature(n, kappa):
     HarmonicOscillatorGround(mass=2.0, omega=3.0),
 ], ids=["packet", "qho"])
 def test_gaussian_closed_forms_match_quadrature(state):
-    quad = integrated(state)
+    quad = integrated(state, DEFAULT_TOLERANCES)
     for s in (0.5, 1.0, 2.5):
         for obs in (mo.position_axis(1), mo.momentum_axis(1)):
             _agree(mo.abs_central_moment(state, obs, s), mo.abs_central_moment(quad, obs, s))
@@ -113,8 +113,10 @@ def test_closed_forms_out_of_the_double_range_raise(a0, hbar, obs):
 
 
 def test_closed_forms_do_not_depend_on_the_tolerances():
-    loose = PowerExpRadialState(1, 1.0, tol=Tolerances(rel_tol=1e-4))
-    tight = PowerExpRadialState(1, 1.0)
-    assert mo.raw_radial_moment(loose, 2.5) == mo.raw_radial_moment(tight, 2.5)
-    assert (mo.raw_radial_moment(integrated(loose), 2.5).value
-            != mo.raw_radial_moment(integrated(tight), 2.5).value)
+    # a catalog state carries no tolerances; the quadrature oracle does
+    st = PowerExpRadialState(1, 1.0)
+    assert not hasattr(st, "tol")
+    loose = integrated(st, Tolerances(rel_tol=1e-4))
+    tight = integrated(st, DEFAULT_TOLERANCES)
+    assert mo.raw_radial_moment(st, 2.5) == mo.raw_radial_moment(PowerExpRadialState(1, 1.0), 2.5)
+    assert mo.raw_radial_moment(loose, 2.5).value != mo.raw_radial_moment(tight, 2.5).value

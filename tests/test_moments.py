@@ -222,9 +222,11 @@ def test_state_without_axis_densities_raises_capability_error():
 def test_radial_state_with_only_u_has_no_momentum_moments():
     # the momentum orders come from a state's direct_moment alone: a radial
     # state with only u gets its position moments by quadrature, and its
-    # momentum moments are refused, not integrated
+    # momentum moments are refused, not integrated; like a grid state, it
+    # carries the tolerances of its integrals
     class Bare(RadialStateBase):
         label = "bare"
+        tol = Tolerances()
 
         def reduced_radial(self, r):
             return 2.0 * r * np.exp(-r)

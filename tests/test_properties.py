@@ -55,7 +55,7 @@ slacks = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -1e-3]),
 
 
 @settings(FIXED, max_examples=40)
-@given(data=st.data(), flag=st.sampled_from(["--slack", "--rel-tol", "--abs-tol"]))
+@given(data=st.data(), flag=st.sampled_from(["--slack", "--rel-tol"]))
 def test_cli_never_raises_on_fuzzed_tolerances(data, flag):
     value = data.draw(slacks if flag == "--slack" else tolerances)
     err = io.StringIO()
@@ -109,7 +109,6 @@ _bad = st.sampled_from(_BAD)
 _extreme = st.sampled_from(_BAD + [1e-300])
 _config_keys = {
     "rel_tol": st.one_of(_bad, st.floats(min_value=1e-9, max_value=1e-3)),
-    "abs_tol": st.one_of(_bad, st.floats(min_value=1e-9, max_value=1e-3)),
     "max_evals": st.one_of(_extreme, st.integers(min_value=45, max_value=200_000)),
     "slack": st.one_of(_extreme, st.floats(min_value=0.0, max_value=1.0)),
     "seed": st.one_of(_extreme, st.integers(min_value=0, max_value=2**64)),

@@ -83,7 +83,7 @@ def test_budget_exhaustion_reports_not_converged():
     # near-log singularity with a tiny budget
     res = integrate(
         lambda x: np.abs(x) ** (-0.999), 1e-12, 1.0,
-        Tolerances(rel_tol=1e-12, abs_tol=1e-16, max_evals=300),
+        Tolerances(rel_tol=1e-12, max_evals=300),
     )
     assert not res.converged
 
@@ -120,13 +120,15 @@ def test_failed_refinement_round_counts_its_evaluations():
 
 def _serial_integrate(g, lo, hi, tol=Tolerances(), breakpoints=()):
     """The one-panel-at-a-time heap loop: pop the largest-error panel, bisect
-    it, evaluate each child in its own integrand call."""
+    it, evaluate each child in its own integrand call, until the error meets
+    rel_tol*|value| or the rounding floor 50 eps sum|K15|."""
     import heapq
 
     from qmoments.quadrature import _GAUSS_IDX, _WG, _WK, _XK
 
     inner = sorted(float(p) for p in breakpoints)
-    rel_tol, abs_tol, max_evals = tol.rel_tol, tol.abs_tol, tol.max_evals
+    rel_tol, max_evals = tol.rel_tol, tol.max_evals
+    floor = 50.0 * np.finfo(float).eps
 
     def panel(a, b):
         c, h = 0.5 * (a + b), 0.5 * (b - a)
@@ -135,15 +137,17 @@ def _serial_integrate(g, lo, hi, tol=Tolerances(), breakpoints=()):
         return k, abs(k - h * float(_WG @ vals[_GAUSS_IDX]))
 
     edges = [lo] + [p for p in inner if lo < p < hi] + [hi]
-    heap, total, errsum, evals = [], 0.0, 0.0, 0
+    heap, total, magnitude, errsum, evals = [], 0.0, 0.0, 0.0, 0
     for n, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
         k, e = panel(a, b)
         evals += 15
         total += k
+        magnitude += abs(k)
         errsum += e
         heapq.heappush(heap, (-e, n, a, b, k))
     n = len(heap)
-    while errsum > max(abs_tol, rel_tol * abs(total)) and evals + 30 <= max_evals:
+    while (errsum > max(rel_tol * abs(total), floor * magnitude)
+           and evals + 30 <= max_evals):
         neg_e, _, a, b, k = heapq.heappop(heap)
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -151,6 +155,7 @@ def _serial_integrate(g, lo, hi, tol=Tolerances(), breakpoints=()):
         (k1, e1), (k2, e2) = panel(a, mid), panel(mid, b)
         evals += 30
         total += k1 + k2 - k
+        magnitude += abs(k1) + abs(k2) - abs(k)
         errsum += e1 + e2 + neg_e
         heapq.heappush(heap, (-e1, n + 1, a, mid, k1))
         heapq.heappush(heap, (-e2, n + 2, mid, b, k2))
@@ -166,7 +171,7 @@ def _mapped(g, lo, hi, breakpoints):
     _mapped(*semi_infinite(lambda r: r**7 * np.exp(-3.0 * r))),
     _mapped(*real_line(lambda x: np.exp(-x * x))),
     (lambda x: np.abs(x - 0.3) ** 3, -1.0, 1.0, {"breakpoints": [0.3]}),
-    (lambda x: x ** (-0.999), 1e-12, 1.0, {"tol": Tolerances(rel_tol=1e-12, abs_tol=1e-16)}),
+    (lambda x: x ** (-0.999), 1e-12, 1.0, {"tol": Tolerances(rel_tol=1e-12)}),
 ], ids=["gamma", "gaussian", "kink", "r^-0.999"])
 def test_batched_rounds_match_serial_heap_loop(f, lo, hi, kwargs):
     res = integrate(f, lo, hi, **kwargs)
@@ -207,23 +212,29 @@ def test_integrand_sees_panel_rows():
 
 @pytest.mark.parametrize("budget", [45, 46, 100, 301, 1000, 4321, 20_000])
 def test_evaluations_never_exceed_budget(budget):
-    for f in (lambda x: np.sin(1e7 * x), lambda x: x ** (-0.999)):
-        res = integrate(f, 1e-12, 1.0,
-                        Tolerances(rel_tol=1e-15, abs_tol=1e-300, max_evals=budget))
-        assert not res.converged
+    # sin(1e7 x) converges within none of these budgets; x^-0.999 at
+    # rel_tol 1e-15 meets the rounding floor of its panel sums after 2,415
+    # evaluations, so a smaller budget runs out first
+    for f, converges_after in ((lambda x: np.sin(1e7 * x), math.inf),
+                               (lambda x: x ** (-0.999), 2415)):
+        res = integrate(f, 1e-12, 1.0, Tolerances(rel_tol=1e-15, max_evals=budget))
         assert res.evaluations <= budget
+        if budget < converges_after:
+            assert not res.converged
 
 
-@pytest.mark.parametrize("rel_tol, converged", [(1e-10, True), (1e-300, False)])
-def test_jump_at_irrational_point_terminates(rel_tol, converged):
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-300])
+def test_jump_at_irrational_point_terminates(rel_tol):
     # the panel holding the jump is bisected each round; below the rounding
-    # floor of the other panels' error estimates the budget runs out instead
+    # floor of the panel sums (rel_tol 1e-300) the target is that floor, met
+    # after about 1,335 evaluations, not the whole budget spread over
+    # noise-level panels
     c = 1.0 / math.sqrt(2.0)
     res = integrate(lambda x: np.where(x > c, 1.0, 0.0), 0.0, 1.0,
-                    Tolerances(rel_tol=rel_tol, abs_tol=1e-300, max_evals=1_000_000))
-    assert res.converged is converged
-    assert res.evaluations <= 1_000_000
-    assert abs(res.value - (1.0 - c)) <= res.err_estimate + 1e-15
+                    Tolerances(rel_tol=rel_tol, max_evals=1_000_000))
+    assert res.converged
+    assert res.evaluations <= 1500
+    assert abs(res.value - (1.0 - c)) <= res.err_estimate
 
 
 # --- fixed panels -------------------------------------------------------------
@@ -325,7 +336,7 @@ def test_sine_transform_normalization():
     ks_res = integrate(
         lambda k: samples.sine_transform(k) ** 2,
         0.0, 200.0,
-        Tolerances(rel_tol=1e-9, abs_tol=1e-13),
+        Tolerances(rel_tol=1e-9),
     )
     assert ks_res.value == pytest.approx(1.0, abs=1e-8)
 
@@ -496,9 +507,9 @@ def test_sine_transform_k_integral_reaches_tolerance():
     samples = equal_panel_samples(st.reduced_radial, st.r_max, 1.0, k_cut)
 
     res = integrate(lambda k: samples.sine_transform(k) ** 2 * k**8, 0.0, k_cut,
-                    Tolerances(abs_tol=1e-15, max_evals=20_000), breakpoints=[1.0])
+                    Tolerances(max_evals=20_000), breakpoints=[1.0])
     exact = integrate(lambda k: power_exp_amplitude(st, k) ** 2 * k**8,
-                      0.0, k_cut, Tolerances(abs_tol=1e-15), breakpoints=[1.0])
+                      0.0, k_cut, breakpoints=[1.0])
     assert res.converged
     assert res.value == pytest.approx(exact.value, rel=1e-9)
 
@@ -548,7 +559,7 @@ def test_window_transform_matches_adaptive_quadrature(size):
         def integrand(z, xi=xi):
             return 2.0 * _window(z / half_width, np.empty_like(z)) * np.cos(xi * z)
 
-        res = integrate(integrand, 0.0, half_width, Tolerances(rel_tol=1e-15, abs_tol=1e-300),
+        res = integrate(integrand, 0.0, half_width, Tolerances(rel_tol=1e-15),
                         breakpoints=[1.0, 2.0, 4.0, 6.0, 7.0])
         assert got[j] == pytest.approx(res.value, rel=1e-13)
 
@@ -587,7 +598,7 @@ def test_finite_domain_validation():
 
 
 @pytest.mark.parametrize("kw", [{"rel_tol": math.nan}, {"rel_tol": math.inf},
-                                {"abs_tol": math.nan}, {"abs_tol": math.inf},
+                                {"rel_tol": 0.0}, {"rel_tol": -1e-10},
                                 {"max_evals": 44}])
 def test_default_tolerances_reject_non_finite(kw):
     with pytest.raises(DomainError):

@@ -27,7 +27,7 @@ from qmoments.quadrature import QuadResult
 CASES = [
     (Exponents, (3.0, 2.0, 5.0 / 6.0, 1.2, 0.4, 0.6)),
     (PhysicalConstants, (2.0, 1.0, 1.0)),
-    (Tolerances, (1e-8, 1e-12, 1000)),
+    (Tolerances, (1e-8, 1000)),
     (MomentValue, ("convergent", 2.0, 1.5, 1e-9, "")),
     (Verdict, ("x", 1.0, 2.0, 1e-9, {"p": 2.0}, "ok", "")),
     (QuadResult, (1.0, 1e-12, 45, True, False)),

@@ -63,7 +63,7 @@ def test_axis_density_even():
 def test_axis_density_normalized():
     res = integrate_real_line(
         hydrogen_position_density,
-        Tolerances(rel_tol=1e-9, abs_tol=1e-13), breakpoints=[0.0],
+        Tolerances(rel_tol=1e-9), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-8)
 
@@ -94,7 +94,7 @@ def test_gaussian_momentum_width():
 def test_momentum_marginal_normalized(hydrogen):
     res = integrate_real_line(
         lambda p: momentum_density(hydrogen, p),
-        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -103,7 +103,7 @@ def test_momentum_marginal_second_moment(hydrogen):
     # <p_z^2> = hbar^2/(3 a0^2), via direct integration of the marginal
     res = integrate_real_line(
         lambda p: p * p * momentum_density(hydrogen, p),
-        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-6)
 
@@ -148,7 +148,7 @@ def _knot_oracle(st, f):
     is a node of the knot table."""
     r = st._r
     pts = np.sort(np.concatenate([r[1:-1], 0.5 * (r[:-1] + r[1:])]))
-    res = integrate(f, r[0], r[-1], Tolerances(rel_tol=1e-13, abs_tol=1e-300),
+    res = integrate(f, r[0], r[-1], Tolerances(rel_tol=1e-13),
                     breakpoints=pts)
     assert res.converged
     return res.value
@@ -163,15 +163,16 @@ def test_grid_kinetic_energy_does_not_depend_on_the_tolerances(monkeypatch):
     grid = RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R))
     tight = grid.kinetic_energy()
     loose = RadialGridState(_GRID_R, 2.0 * _GRID_R * np.exp(-_GRID_R),
-                            tol=Tolerances(rel_tol=1e-4, abs_tol=1e-6, max_evals=45)).kinetic_energy()
+                            tol=Tolerances(rel_tol=1e-4, max_evals=45)).kinetic_energy()
     assert loose == tight
     want = 0.5 * _knot_oracle(grid, lambda r: reduced_radial_derivative(grid, r) ** 2)
     assert tight == pytest.approx(want, rel=1e-12)
 
 
-def test_catalog_states_carry_the_tolerances(tmp_path):
-    tol = Tolerances(rel_tol=1e-6, abs_tol=1e-9, max_evals=5000)
-    assert all(s.tol is tol for s in catalog(tol=tol).values())
+def test_grid_states_alone_carry_the_tolerances(tmp_path):
+    # the closed forms of the catalog integrate nothing
+    assert not any(hasattr(s, "tol") for s in catalog().values())
+    tol = Tolerances(rel_tol=1e-6, max_evals=5000)
     grid = tmp_path / "h.dat"
     grid.write_text("\n".join(f"{a} {2.0 * a * math.exp(-a)}" for a in _GRID_R))
     assert load_radial_grid(grid, tol=tol).tol is tol
@@ -183,7 +184,7 @@ def test_p_squared_three_routes(hydrogen):
     # marginal route, summed over the three axes
     res = integrate_real_line(
         lambda p: p * p * momentum_density(hydrogen, p),
-        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8), breakpoints=[0.0],
     )
     via_marginals = 3.0 * res.value
     # radial momentum density route
@@ -243,6 +244,7 @@ def test_grid_state_renormalizes():
 @pytest.mark.parametrize("grid, catalog_state", [
     ("h_grid.txt", HydrogenGroundState()),
     ("r4_grid.txt", PowerExpRadialState(4, 1.0)),
+    ("coarse_grid.txt", None),
 ])
 def test_grid_exp_decay_mean_matches_the_closed_form(grid, catalog_state, tmp_path):
     # <e^(-r/r0)> of the Buckingham bound, from r0 far below the first
@@ -252,6 +254,19 @@ def test_grid_exp_decay_mean_matches_the_closed_form(grid, catalog_state, tmp_pa
     path = tmp_path / grid
     path.write_text(CI_GRIDS[grid])
     st = load_radial_grid(path)
+    if catalog_state is None:
+        # the coarse h = 0.5 grid at r0 = 1e-4: the mean comes from the first
+        # knot interval, where the model is one cubic u = sum_m a_m (r/w)^m,
+        # so it is sum_mn a_m a_n (m+n)! r0^(m+n+1)/w^(m+n) up to e^(-w/r0).
+        # It is about 5.7e-12, far below any absolute floor
+        r0, w = 1e-4, st._r[1]
+        a = st.norm_factor * st._interp.unit_coefficients(1)[0][::-1]
+        model = math.fsum(a[m] * a[n] * math.factorial(m + n) * r0 ** (m + n + 1) / w ** (m + n)
+                          for m in range(a.size) for n in range(a.size))
+        got = st.direct_moment(EXP_DECAY, r0)
+        assert got.value == pytest.approx(model, rel=1e-12)
+        assert got.err_estimate <= 1e-10 * got.value
+        return
     passes = 0
     for r0 in (1e-3, 3e-3, 1e-2, 0.1, 1.0, 10.0):
         m = st.direct_moment(EXP_DECAY, r0)
@@ -313,6 +328,49 @@ def test_grid_state_does_not_depend_on_the_amplitude_scale(scale):
         assert got == want
     else:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _ci_grid_state(name, scale=1.0):
+    """The grid state of the CI grid file name with its radii times scale."""
+    r, u = np.array([line.split() for line in CI_GRIDS[name].splitlines()], dtype=float).T
+    return RadialGridState(scale * r, u)
+
+
+@pytest.mark.parametrize("kind, p, q", [
+    ("reciprocal", 2.0, 2.9), ("reciprocal", 1.0, 2.5),
+    ("canonical", 1.5, 2.0), ("canonical", 2.5, 0.9),
+])
+@pytest.mark.parametrize("grid", ["h_grid.txt", "r4_grid.txt"])
+def test_grid_verdict_does_not_depend_on_the_length_unit(grid, kind, p, q):
+    # under r -> lam r both sides of a cell scale alike, so its rhs is
+    # unchanged, while <r^t> scales as lam^t and <|p_z|^q> as lam^-q. A
+    # tolerance with a unit would accept a moment far below that unit
+    # unrefined: <r^-2.9> of the h grid at lam = 2^30, off by 37%
+    from qmoments.core import make_exponents
+    from qmoments.inequalities import reciprocal_moment_verdict, uncertainty_verdict_canonical
+    from qmoments.moments import abs_central_moment, momentum_axis, position_axis, raw_radial_moment
+
+    e = make_exponents(p, q)
+    if kind == "reciprocal":
+        def verdict(st):
+            return reciprocal_moment_verdict(st, e)
+
+        sides = ((lambda st: raw_radial_moment(st, p), p), (lambda st: raw_radial_moment(st, -q), -q))
+    else:
+        def verdict(st):
+            return uncertainty_verdict_canonical(st, 3, 3, e)
+
+        sides = ((lambda st: abs_central_moment(st, position_axis(3), p), p),
+                 (lambda st: abs_central_moment(st, momentum_axis(3), q), -q))
+    unscaled = _ci_grid_state(grid)
+    rhs = verdict(unscaled).rhs
+    moments = [(side(unscaled), t) for side, t in sides]
+    for lam in (2.0**-40, 2.0**-20, 2.0**20, 2.0**30, 2.0**40, 5.29177210903e-11, 3.7e7):
+        st = _ci_grid_state(grid, lam)
+        assert verdict(st).rhs == pytest.approx(rhs, rel=1e-12, abs=0.0), lam
+        for (side, t), (m, _) in zip(sides, moments):
+            got = side(st)
+            assert abs(got.value - m.value * lam**t) <= got.err_estimate + m.err_estimate * lam**t, (lam, t)
 
 
 def test_grid_starting_past_the_origin_has_every_position_order():
@@ -494,7 +552,7 @@ def test_r4_p_squared_three_routes():
     assert via_radial == pytest.approx(via_gradient, rel=1e-6)
     res2 = integrate_real_line(
         lambda p: p * p * momentum_density(st, p),
-        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8), breakpoints=[0.0],
     )
     assert 3.0 * res2.value == pytest.approx(via_gradient, rel=1e-6)
 
@@ -503,7 +561,7 @@ def test_r4_momentum_marginal_normalized():
     st = PowerExpRadialState(4, 1.0)
     res = integrate_real_line(
         lambda p: momentum_density(st, p),
-        Tolerances(rel_tol=1e-8, abs_tol=1e-12), breakpoints=[0.0],
+        Tolerances(rel_tol=1e-8), breakpoints=[0.0],
     )
     assert res.value == pytest.approx(1.0, abs=1e-6)
 
@@ -849,7 +907,7 @@ def _two_panel_momentum_moment(s, q):
     tbl = momentum_table(s)
     # edges[12] is 1/r_scale, the end of the geometric panels near 0
     res = integrate(lambda k: tbl.w(k) ** 2 * k**q, 0.0, tbl.k_cut,
-                    Tolerances(abs_tol=1e-15), breakpoints=[tbl.edges[12]])
+                    Tolerances(), breakpoints=[tbl.edges[12]])
     assert res.converged
     return res.value + tbl.tail_integral(q, tbl.k_cut)
 
@@ -889,7 +947,7 @@ def test_hydrogen_grid_momentum_moment_near_the_closed_form(q):
     ("r4test", 6.0), ("r4test", 7.5),
 ])
 def test_catalog_momentum_moment_independent_of_the_start(name, q):
-    got = _momentum_moment(integrated(catalog()[name]), q)
+    got = _momentum_moment(integrated(catalog()[name], Tolerances()), q)
     assert got == pytest.approx(_two_panel_momentum_moment(catalog()[name], q), rel=1e-11)
 
 
