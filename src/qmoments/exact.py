@@ -1,23 +1,22 @@
 """The catalog states and their closed-form moments, without numpy.
 
 Two families live here. Power-exponential radial states u = N r^n e^{-kappa r}
-(hydrogen 1s is n = 1, kappa = 1/a0) carry a reduced radial wavefunction
-u(r) = r R(r) with int u^2 dr = 1; their axis moments come from radial ones
-by isotropy (see moments.py). One-dimensional Gaussian states (oscillator
+(hydrogen 1s is n = 1, kappa = 1/a0) are defined by their reduced radial
+wavefunction u(r) = r R(r) with int u^2 dr = 1; their axis moments come from
+radial ones by isotropy (see moments.py). One-dimensional Gaussian states (oscillator
 ground state, free packets) are normal in position and in momentum.
 
 Every moment a catalog command needs has a closed form here, which a state
-gives through one hook, direct_moment: the moment functions consult it
-before they build an integrand, and integrate only where it returns None.
-The kinetic energy, the momentum orders and the axis moments of a 1-d state
-have no other route; a radial state here only counts where its momentum
-moments diverge (momentum_tail_power). A closed form is evaluated in log
+gives through one hook, direct_moment: the moment functions ask it for
+every finite moment, after power counting, and integrate nothing; a state
+without a route for a moment cannot give it (CapabilityError). A radial
+state here also counts where its moments diverge (origin_power_u,
+momentum_tail_power). A closed form is evaluated in log
 space with math.lgamma, and its err_estimate is a rounding-level bound (see
 _from_logs). A finite positive moment that leaves the normal double range
 raises DomainError; it never comes back as 0, a subnormal or inf.
 
-Nothing here imports numpy at module level; reduced_radial imports it when
-first called. All states are immutable after construction.
+Nothing here imports numpy. All states are immutable after construction.
 """
 
 from __future__ import annotations
@@ -87,10 +86,6 @@ class ContinuousState:
         finite moments."""
         return None
 
-    # -- radial surface -----------------------------------------------------
-    def reduced_radial(self, r):
-        raise CapabilityError(f"{self.label} has no reduced radial wavefunction")
-
     # -- axis marginals ------------------------------------------------------
     def position_mean(self, axis: int) -> float:
         raise CapabilityError(f"{self.label} has no position density")
@@ -126,7 +121,6 @@ class RadialStateBase(ContinuousState):
     #: u ~ r^origin_power_u near the origin; inf when u is zero on some
     #: interval [0, a]
     origin_power_u: float = 1.0
-    r_max: float = 50.0
 
     def momentum_tail_power(self) -> float:
         """Decay exponent tau of w(k) ~ k^tau, from the origin behavior of u.
@@ -151,8 +145,8 @@ class RadialStateBase(ContinuousState):
 
 
 class PowerExpRadialState(RadialStateBase):
-    """u(r) = N r^n e^{-kappa r}, normalized in closed form, with every
-    moment of the catalog commands in closed form:
+    """u(r) = N r^n e^{-kappa r}, N = sqrt((2 kappa)^(2n+1) / (2n)!), with
+    every moment of the catalog commands in closed form:
 
         <r^t>          = Gamma(2n+1+t) / (Gamma(2n+1) (2 kappa)^t),  t > -(2n+1)
         <p^q>          = (hbar kappa)^q (2/pi) N_1^2 (n!)^2 sum_a c_a B_a / 2
@@ -175,22 +169,7 @@ class PowerExpRadialState(RadialStateBase):
         self.n = int(n)
         self.kappa = float(kappa)
         self.origin_power_u = float(n)
-        self.r_max = (40.0 + 8.0 * n) / kappa
         self.label = label or f"r{n}exp({kappa:g})"
-
-    @property
-    def norm(self) -> float:
-        """N = sqrt((2 kappa)^(2n+1) / (2n)!); DomainError where it leaves
-        the double range (only the integrands need it)."""
-        n = self.n
-        log_n2 = (2 * n + 1) * (_LOG2 + math.log(self.kappa)) - math.lgamma(2 * n + 1)
-        return _from_logs([0.5 * log_n2], f"the norm of {self.label}")[0]
-
-    def reduced_radial(self, r):
-        import numpy as np
-
-        r = np.asarray(r, dtype=float)
-        return self.norm * r**self.n * np.exp(-self.kappa * r)
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
         n, log_kappa = self.n, math.log(self.kappa)

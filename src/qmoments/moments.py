@@ -10,12 +10,11 @@ diverges iff 2m + shift <= -1. Every radial integral stops at r_max, so the
 tail decides nothing. Divergent moments are reported as such, never as
 large finite numbers.
 
-A finite moment comes from the state's direct_moment where it has one (the
-closed forms of the catalog states, a grid state's own routes), and <r^t>
-from adaptive quadrature over a finite interval otherwise; the quadrature
-module and numpy are loaded only then. The momentum orders of a radial
-state and the axis moments of a one-dimensional state come from its
-direct_moment alone.
+A finite moment comes from the state's direct_moment alone (the closed
+forms of the catalog states, a grid state's own routes): <r^t>, the momentum
+orders of a radial state and the axis moments of a one-dimensional state
+alike. A state without such a route raises CapabilityError; nothing here
+integrates.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .exact import (
     DIM_3D_SPHERICAL, MOMENTUM_AXIS, P_POWER, POSITION_AXIS, R_POWER, ContinuousState,
     RadialStateBase,
 )
-from . import quadrature
 
 
 @record
@@ -69,26 +67,15 @@ def _origin_divergent(s: RadialStateBase, shift: float) -> bool:
 
 
 def raw_radial_moment(s: ContinuousState, t: float) -> MomentValue:
-    """<r^t> for any real t, classified before integration; the state's
-    direct moment, else adaptive integration over [0, r_max] at the state's
-    tolerances, failed, not a number, where it stalls or meets a value that
-    is not finite."""
+    """<r^t> for any real t, classified by origin power counting, then from
+    the state's direct moment; CapabilityError where it has none."""
     rs = require_radial(s)
     if _origin_divergent(rs, t):
         return MomentValue.divergent(t, "origin power counting: non-integrable at r=0")
     direct = rs.direct_moment(R_POWER, t)
-    if direct is not None:
-        return direct
-    import numpy as np
-
-    def f(r):
-        # u^2 r^t as (u r^(t/2))^2: r^t alone overflows at the nodes next to
-        # r = 0 that negative orders are refined toward. Where even r^(t/2)
-        # overflows, the value is not finite and the result is failed.
-        with np.errstate(over="ignore"):
-            return (rs.reduced_radial(r) * r ** (0.5 * t)) ** 2
-
-    return quadrature.integrate(f, 0.0, rs.r_max, rs.tol).as_moment(t)
+    if direct is None:
+        raise CapabilityError(f"{rs.label} has no position moments")
+    return direct
 
 
 def _radial_momentum_raw(s: RadialStateBase, q: float) -> MomentValue:

@@ -232,12 +232,11 @@ def _two_product(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _sin_cos_outer(k, x) -> tuple[np.ndarray, np.ndarray]:
-    """sin and cos of the outer product k_i*x_j, for arrays k and x split by
-    _split, corrected to first order for the rounding of each product.
-    Uncorrected, that rounding (up to an ulp of k*r_max) is noise in k that
-    adaptive k-integrals of steep momentum moments cannot get below."""
-    prod, lost = _two_product(tuple(a[:, None] for a in k), x)
+def _sin_cos(prod, lost) -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of the products prod + lost that _two_product gives,
+    corrected to first order for the rounding lost. Uncorrected, that
+    rounding (up to an ulp of k*r_max) is noise in k that adaptive
+    k-integrals of steep momentum moments cannot get below."""
     s, c = np.sin(prod), np.cos(prod)
     return s + lost * c, c - lost * s
 
@@ -302,7 +301,7 @@ class RadialSamples:
     F_b(theta) = sum_j' coefs_jb exp(i j' theta), a type-2 non-uniform
     Fourier sum (for the identity, WK_b goes into F_b and Q_b is
     exp(i k h x_b)). Only the phase k C0, up to k r_max, needs the rounding
-    correction of _sin_cos_outer; the 15 node phases k h x_m are at most
+    correction of _sin_cos; the 15 node phases k h x_m are at most
     pi/2. Gridding with the window phi evaluates F_b: with M >= 2N points
     theta_t = 2 pi t/M and x = theta M/(2 pi) the grid position of theta,
     F_b(theta) = sum_t phi(x - t) H_tb,
@@ -350,16 +349,16 @@ class RadialSamples:
         half = (n + 1) // 2  # N/2
         size = _fft_size(_OVERSAMPLE * 2 * half)  # M
         # the grid position k*d*M/(2 pi) of theta comes from this scale, a
-        # double-double: the fraction inside the window is then exact to
-        # rounding, and the rounding of k*d is not noise in k
+        # double-double (s_hi, _scale_lo): the fraction inside the window is
+        # then exact to rounding, and the rounding of k*d is not noise in k
         d = 2.0 * h
         dm, dm_lo = _two_product(_split(d), _split(float(size)))
         s_hi, s_lo = _two_product(_split(dm), _split(_INV_2PI[0]))
-        self._scale = _split(s_hi)
         self._scale_lo = s_lo + dm * _INV_2PI[1] + dm_lo * _INV_2PI[0]
         # the phase k*C0 is corrected for its rounding (up to an ulp of
-        # k r_max, noise in k); the node phases k*h*x_m round at about 1e-16
-        self._centre = _split(np.array([(half + 0.5) * d]))
+        # k r_max, noise in k); the node phases k*h*x_m round at about 1e-16.
+        # one _two_product of the k with this column gives both, a row each
+        self._factors = _split(np.array([[s_hi], [(half + 0.5) * d]]))
         self._node_offsets = h * _XK
         # Q_b's weights WK_m V_mb as (B, 15) rows; the identity's K15 weights
         # go into the table
@@ -387,11 +386,12 @@ class RadialSamples:
         """The transform at an array of 0 <= k <= k_max of any shape, shaped
         like ks; a non-finite k is a DomainError.
 
-        Per k: the grid position x = k*scale splits into floor(x) and a
-        fraction, the _TAPS window weights of the fraction sum the table rows
-        from floor(x) on into F_b, the 15 node phases give Q_b, and the one
-        phase k*C0 (the rounding-corrected _sin_cos_outer) finishes the K15
-        sum. The k run in passes of _PASS through work arrays of a fixed
+        Per k: one _two_product with (scale, C0) gives the grid position
+        x = k*scale and the phase k*C0, each with its rounding. x splits into
+        floor(x) and a fraction, the _TAPS window weights of the fraction sum
+        the table rows from floor(x) on into F_b, the 15 node phases give
+        Q_b, and the phase k*C0 (rounding-corrected by _sin_cos) finishes the
+        K15 sum. The k run in passes of _PASS through work arrays of a fixed
         size, and every sum runs in numpy's own loops (no BLAS product), so a
         k's value does not depend on the pass or the request it falls in.
         k = 0 is exactly 0.
@@ -412,9 +412,10 @@ class RadialSamples:
         for lo in range(0, ks.size, _PASS):
             kb = _split(ks[lo:lo + _PASS])
             m = kb[0].size
-            x, x_lo = _two_product(kb, self._scale)
+            prod, lost = _two_product(kb, self._factors)  # (2, m): rows x and k*C0
+            x = prod[0]
             t0 = np.floor(x)
-            frac = (x - t0) + (x_lo + kb[0] * self._scale_lo)
+            frac = (x - t0) + (lost[0] + kb[0] * self._scale_lo)
             a = np.add((frac * (2.0 / _TAPS))[:, None], _TAP_OFFSETS, out=win[:m])
             _window(a, scratch[:m])
             # rows t0 ... t0 + _TAPS - 1 lie in the table for every
@@ -430,7 +431,7 @@ class RadialSamples:
             if self._weights is not None:
                 qk = np.einsum("kin,bn->kib", qk, self._weights, out=q[:m])
             qc, qs = qk[:, 0], qk[:, 1]
-            s, c = _sin_cos_outer(kb, self._centre)
+            s, c = _sin_cos(prod[1, :, None], lost[1, :, None])
             # Im[(c + i s) Q_b (Re F_b + i Im F_b)], Re F_b in the first half of f
             z[:m, :width] = s * qc + c * qs
             z[:m, width:] = c * qc - s * qs

@@ -3,10 +3,11 @@
 A RadialGridState is a state sampled as (r_i, u_i) from a file or arrays and
 interpolated with a monotone cubic; its position moments, norm and kinetic
 energy come from K15 sums over a table of u at the knot intervals' Kronrod
-nodes, which the state computes once; on a grid uniform from r = 0, its sine
-transform takes the cubic's coefficients on the knot intervals, and is then
-exact for the model. Its momentum orders
-<p^q> come from a _MomentumTable, the one owner of the momentum k-integral:
+nodes, which the state computes once, and the position moments on a first
+interval [0, r_1] from its cubic in closed form; on a grid uniform from
+r = 0, its sine transform takes the cubic's coefficients on the knot
+intervals, and is then exact for the model. Its momentum orders <p^q> come
+from a _MomentumTable, the one owner of the momentum k-integral:
 one fixed table of w at the nodes of a shared k-partition, one transform call
 for any other request, and a power-law tail model.
 
@@ -279,8 +280,9 @@ class RadialGridState(RadialStateBase):
 
     u is kept at the 15 Kronrod nodes of every knot interval. K15 is exact
     there for the square of a piecewise cubic, so the norm comes from this
-    table, and so does every position moment whose per-interval K-G error
-    sum meets the state's tolerances (knot_moment).
+    table, and so do the position moments (knot_moment), except on the
+    first interval of a grid that starts at r = 0, which they take in
+    closed form (_position_moment).
     """
 
     def __init__(
@@ -318,30 +320,37 @@ class RadialGridState(RadialStateBase):
         self.norm_factor = 1.0 / math.sqrt(norm2)
         u_knots *= self.norm_factor
         self._u_knots = u_knots
-        # log2 of the smallest and largest node and of the largest |u| there:
-        # knot_moment's bound on (u x^(t/2))^2
-        nodes = self._knot_nodes[0]
-        self._log2_reach = (math.log2(max(float(nodes.min()), 5e-324)),
-                            math.log2(float(nodes.max())), math.log2(float(np.abs(u_knots).max())))
         self._table: _MomentumTable | None = None
         self.r_max = float(r[-1])
         self.r_scale = max(self.r_max / 90.0, float(np.median(np.diff(r))))
         self.label = label
 
+        self._origin = None  # a grid from r = 0: see _origin_terms
         if r[0] > 0.0:
             self.origin_power_u = math.inf  # u is zero below r[0]
-        elif u[0] != 0.0:
-            self.origin_power_u = 0.0  # a jump at the origin
         else:
-            self.origin_power_u = _origin_power(r, u)
+            self.origin_power_u = 0.0 if u[0] != 0.0 else _origin_power(r, u)  # 0: a jump
+            self._origin = self._origin_terms()
 
-    def knot_moment(self, t: float) -> QuadResult:
-        """<r^t> = int u^2 r^t dr by one panel_sum on the knot intervals,
-        from the tabled u: one evaluation of (u r^(t/2))^2, no refinement,
-        converged at the state's tolerances. An order the fixed nodes cannot
-        resolve (a steep power at the origin) does not converge and needs
-        integrate. A sum that is not finite is failed."""
-        u = self._u_knots
+    def _origin_terms(self) -> tuple[float, list[tuple[int, float, float]], float]:
+        """r_1, the terms (j, D_j, 16 eps sum_i |a_i a_(j-i)|), D_j != 0, of
+        u^2 = sum_j D_j s^j for the cubic u = sum_i a_i s^i on [0, r_1],
+        s = r/r_1, and its lowest power; |a_i| <= 8 eps max|a| counts as 0."""
+        a = self.norm_factor * self._interp.unit_coefficients(1)[0][::-1]
+        a = np.where(np.abs(a) > 8.0 * np.finfo(float).eps * np.abs(a).max(), a, 0.0)
+        d, bound = np.convolve(a, a).tolist(), np.convolve(np.abs(a), np.abs(a)).tolist()
+        terms = [(j, d[j], 16.0 * np.finfo(float).eps * bound[j]) for j in range(7) if d[j] != 0.0]
+        return float(self._r[1]), terms, float(np.flatnonzero(a)[0]) if a.any() else math.inf
+
+    def knot_moment(self, t: float, first: int = 0) -> QuadResult:
+        """int u^2 r^t dr over the knot intervals first, first + 1, ... by
+        one panel_sum, from the tabled u: one evaluation of (u r^(t/2))^2,
+        no refinement, converged at the state's tolerances. An order the
+        fixed nodes cannot resolve (a steep power at an end) does not
+        converge. A sum that is not finite, as knots near 1e300 make it,
+        is failed."""
+        u = self._u_knots[first:]
+        nodes, h = (a[first:] for a in self._knot_nodes)
 
         def f(x):
             # (u x^(t/2))^2 with one temporary beside the nodes
@@ -350,30 +359,54 @@ class RadialGridState(RadialStateBase):
             ux *= ux
             return ux
 
-        lo, hi, top = self._log2_reach
-        half = 0.5 * t * (hi if t > 0.0 else lo)  # log2 of the largest x^(t/2)
-        if max(half, 2.0 * (half + top)) < 1020.0:
-            return panel_sum(f, *self._knot_nodes, self.tol)
-        # knots near 1e300 take (u x^(t/2))^2 past the double range: the sum
-        # is then not finite, a failed result that direct_moment refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            return panel_sum(f, *self._knot_nodes, self.tol)
+            return panel_sum(f, nodes, h, self.tol)
+
+    def _position_moment(self, t: float) -> MomentValue:
+        """<r^t>: on a grid from r = 0 the first interval in closed form,
+        r_1^(t+1) sum_j D_j/(t+j+1) with a rounding bound as its error, and
+        knot_moment on the rest, where r^t is smooth; else knot_moment on
+        every interval. Failed where the model's u^2 r^t diverges on
+        [0, r_1] or the knot sum does not converge; DomainError where that
+        sum leaves the normal double range."""
+        value = err = 0.0
+        if self._origin is not None and self._origin[1]:
+            r1, terms, power = self._origin
+            if t + terms[0][0] + 1.0 <= 0.0:  # the lowest power of u^2 decides
+                return MomentValue.failed(
+                    t, f"the model's u ~ r^{power:g} on [0, r_1] makes <r^{t:g}> diverge; "
+                       f"fitted origin power {self.origin_power_u:g}")
+            for j, d, bound in terms:
+                value += d / (t + j + 1.0)
+                err += bound / (t + j + 1.0)
+            try:
+                r1_t = r1**t
+            except OverflowError:
+                r1_t = math.inf
+            # r_1 D_j is of the size of r_1/r_max: only r_1^t can overflow
+            value, err = r1 * value * r1_t, r1 * err * r1_t
+        res = self.knot_moment(t, int(self._origin is not None))
+        what = f"<r^{t:g}> of {self.label}"
+        if res.failed:  # a sum of squares that overflowed
+            raise DomainError(f"{what} overflows a double")
+        _require_normal(what, res.value)  # u is not 0 past r_1: 0 is an underflow
+        # the sum's error counts against the whole moment, which near the
+        # origin threshold is mostly the first interval's
+        if not (res.converged or res.err_estimate <= self.tol.rel_tol * (value + res.value)):
+            return MomentValue.failed(t, f"the knot table sum of <r^{t:g}> does not converge "
+                                         f"(err={res.err_estimate:.2e} of {res.value:.2e})")
+        return MomentValue.convergent(value + res.value, err + res.err_estimate, t)
 
     def direct_moment(self, quantity: str, x: float) -> MomentValue | None:
-        """<r^t> from the knot table where it converges there (knot_moment),
-        <T> from the knot sums of u'^2 (_kinetic), <p^q> from the momentum
-        table and <e^(-r/r0)> from _exp_decay; None otherwise. A value
-        outside the normal double range raises DomainError, as a closed
-        form's does; so does a knot sum of <r^t> that is not finite."""
+        """<r^t> from _position_moment, <T> from the knot sums of u'^2
+        (_kinetic), <p^q> from the momentum table and <e^(-r/r0)> from
+        _exp_decay; None otherwise. A value outside the normal double range
+        raises DomainError, as a closed form's does; so does a knot sum of
+        <r^t> that is not finite."""
         what = {R_POWER: f"<r^{x:g}>", P_POWER: f"<p^{x:g}>", KINETIC: "<T>",
                 EXP_DECAY: f"<e^(-r/{x:g})>"}.get(quantity)
         if quantity == R_POWER:
-            res = self.knot_moment(x)
-            if res.failed:
-                # a sum of squares that is not finite overflowed: in the
-                # integrand, or in the panel sums where the widths are large
-                raise DomainError(f"{what} of {self.label} overflows a double")
-            m = MomentValue.convergent(res.value, res.err_estimate, x) if res.converged else None
+            m = self._position_moment(x)
         elif quantity == KINETIC:
             m = self._kinetic()
         elif quantity == P_POWER:

@@ -17,7 +17,10 @@ replays, printing every leaf that moved with its relative change and every
 key path added or removed, so a change that rewrites a record can say which
 values moved and by how much. Leaves pair by key path, and a rewrite keeps
 each recorded leaf that still replays: only what moved is written anew, so a
-rounding change of another build rewrites nothing.
+rounding change of another build rewrites nothing. Each record it writes
+carries a `build` stamp (numpy, BLAS and LAPACK versions), which replay does
+not compare; where a record stops replaying on a build other than its
+stamp's, it says so before the moved leaves.
 """
 
 from __future__ import annotations
@@ -178,6 +181,11 @@ CASES = {
                                        "--q-grid", "3"),
     "ci_u0_grid_reciprocal": _ci_sweep("u0_grid.txt", "--kind", "reciprocal", "--p-grid", "1",
                                        "--q-grid", "0.5"),
+    # <r^-4.9> and <r^-5.5> of the geometric grid, whose fitted origin power
+    # is 4 and whose model is u ~ r^2 on [0, r_1]: the second is failed and
+    # names both powers (exit 1)
+    "ci_r4_grid_reciprocal_model_power": _ci_sweep("r4_grid.txt", "--kind", "reciprocal",
+                                                   "--p-grid", "2", "--q-grid", "4.9,5.5"),
     "ci_huge_grid_failed_cell": _ci_sweep("huge_grid.txt", "--p-grid", "1", "--q-grid", "2"),
     "ci_r4test_high_order": (["sweep", "--state", "r4test", "--p-grid", "2", "--q-grid", "7.5"],
                              {}),
@@ -347,9 +355,23 @@ def _same(a, b, floor: float) -> bool:
     return a == b
 
 
+def build() -> dict:
+    """The numeric build that runs the commands: the numpy version and the
+    name and version of its BLAS and LAPACK, whose rounding the last digits
+    of a record can carry."""
+    import numpy as np
+
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return {"numpy": np.__version__,
+            **{lib: f"{deps[lib]['name']} {deps[lib]['version']}" for lib in ("blas", "lapack")}}
+
+
 def differences(recorded: dict, observed: dict) -> list[str]:
     """Every key path added or removed, leaf moved or exit code changed where
-    observed leaves the record, and a key order that differs."""
+    observed leaves the record, and a key order that differs; the record's
+    build stamp is not compared."""
+    recorded, observed = ({key: value for key, value in d.items() if key != "build"}
+                          for d in (recorded, observed))
     old = {p: (x, floor) for p, x, floor in leaves(recorded)}
     new = {p: x for p, x, _ in leaves(observed)}
     out = [f"{p}: removed" for p in old if p not in new]
@@ -392,8 +414,10 @@ def _relative(a, b) -> str:
 def main() -> int:
     """Write the record of each new case, and rewrite each record that no
     longer replays; each of its leaves that replays within tolerance keeps
-    its recorded number."""
+    its recorded number. Each record written is stamped with the build; a
+    record that no longer replays says first if it was recorded on another."""
     RECORDS.mkdir(exist_ok=True)
+    stamp = build()
     for name, (argv, files) in CASES.items():
         observed = run(argv, files)
         path = RECORDS / f"{name}.json"
@@ -402,9 +426,13 @@ def main() -> int:
             moved = differences(recorded, observed)
             if not moved:
                 continue
+            if recorded.get("build") != stamp:
+                print(f"{name}: recorded on {recorded.get('build') or 'an unstamped build'}, "
+                      f"replayed on {stamp}")
             for line in moved:
                 print(f"{name}: {line}")
             observed = rewritten(recorded, observed)
+        observed["build"] = stamp
         path.write_text(json.dumps(observed, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -75,6 +75,16 @@ def test_rewrite_keeps_every_leaf_that_replays():
     assert changed == ["stdout.json.results[0].rhs"]
 
 
+def test_replay_ignores_the_build_stamp():
+    # the stamp says which numpy, BLAS and LAPACK wrote a record; a replay
+    # on another build compares only what the command leaves
+    rec = _load("ci_r4_grid_reciprocal_model_power")
+    assert sorted(rec["build"]) == ["blas", "lapack", "numpy"]
+    other = {key: value for key, value in rec.items() if key != "build"}
+    assert differences(rec, other) == []
+    assert differences(rec, {**other, "build": {"numpy": "0"}}) == []
+
+
 @pytest.mark.parametrize("name", sorted(ROUTES))
 def test_record_keeps_its_output_route(name):
     rec = _load(name)

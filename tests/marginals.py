@@ -1,6 +1,6 @@
 """Quadrature oracles for tests: axis marginals by their plain definition,
-integrals over infinite domains, momentum tables of catalog states, and
-catalog states whose closed forms are switched off.
+integrals over infinite domains, the u(r) and momentum tables of catalog
+states, and catalog states whose closed forms are switched off.
 
 For a spherical state
 
@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from qmoments.core import DEFAULT_TOLERANCES, MomentValue, Tolerances
-from qmoments.exact import DIM_1D, KINETIC, MOMENTUM_AXIS, P_POWER, POSITION_AXIS
+from qmoments.exact import DIM_1D, KINETIC, MOMENTUM_AXIS, P_POWER, POSITION_AXIS, R_POWER
 from qmoments.quadrature import RadialSamples, integrate
 from qmoments.states import RadialGridState, _MomentumTable
 
@@ -78,6 +78,28 @@ def integrate_real_line(f, tol=DEFAULT_TOLERANCES, breakpoints=()):
     return integrate(g, lo, hi, tol, inner)
 
 
+# --- the reduced radial wavefunction -------------------------------------------
+
+
+def power_exp_norm(st):
+    """N = sqrt((2 kappa)^(2n+1) / (2n)!) of u = N r^n e^{-kappa r}."""
+    return math.sqrt((2.0 * st.kappa) ** (2 * st.n + 1) / math.factorial(2 * st.n))
+
+
+def radial_u(st):
+    """(u, r_max) of a radial state: a grid state's interpolant and last
+    knot, or u = N r^n e^{-kappa r} of a power-exponential state cut at
+    r_max = (40 + 8n)/kappa, where u^2 has fallen below e^-60 of its peak."""
+    if isinstance(st, RadialGridState):
+        return st.reduced_radial, st.r_max
+
+    def u(r):
+        r = np.asarray(r, dtype=float)
+        return power_exp_norm(st) * r**st.n * np.exp(-st.kappa * r)
+
+    return u, (40.0 + 8.0 * st.n) / st.kappa
+
+
 # --- momentum tables -----------------------------------------------------------
 
 
@@ -85,7 +107,7 @@ def power_exp_amplitude(st, k):
     """The closed form N sqrt(2/pi) n! Im[(kappa+ik)^(n+1)]/(kappa^2+k^2)^(n+1)
     of the sine transform of u = N r^n e^{-kappa r} over [0, inf)
     (Gradshteyn-Ryzhik 3.944)."""
-    c = st.norm * math.sqrt(2.0 / math.pi) * math.factorial(st.n)
+    c = power_exp_norm(st) * math.sqrt(2.0 / math.pi) * math.factorial(st.n)
     n1, kappa = st.n + 1, st.kappa
     return c * np.imag((kappa + 1j * k) ** n1) / (kappa * kappa + k * k) ** n1
 
@@ -115,7 +137,7 @@ def momentum_table(st, sampled=False):
     r_scale = 1.0 / st.kappa
     if sampled:
         def amplitude(k_cut):
-            return equal_panel_samples(st.reduced_radial, st.r_max, r_scale, k_cut).sine_transform
+            return equal_panel_samples(*radial_u(st), r_scale, k_cut).sine_transform
     else:
         def amplitude(k_cut):
             return functools.partial(power_exp_amplitude, st)
@@ -150,11 +172,12 @@ def position_density(st, z):
     if st.dimensionality == DIM_1D:
         return _normal_density(z, st.x0, st.sigma_x)
 
+    u, r_max = radial_u(st)
+
     def one(lo):
-        if lo >= st.r_max:
+        if lo >= r_max:
             return 0.0
-        res = integrate(lambda r: st.reduced_radial(r) ** 2 / r, lo, st.r_max,
-                        Tolerances(rel_tol=1e-11))
+        res = integrate(lambda r: u(r) ** 2 / r, lo, r_max, Tolerances(rel_tol=1e-11))
         return 0.5 * res.value
 
     return _each(one, z)
@@ -189,7 +212,8 @@ def reduced_radial_derivative(st, r):
     if isinstance(st, RadialGridState):
         return st.norm_factor * st._dinterp(r)
     r = np.asarray(r, dtype=float)
-    return st.norm * np.exp(-st.kappa * r) * (st.n * r ** (st.n - 1) - st.kappa * r**st.n)
+    n, kappa = st.n, st.kappa
+    return power_exp_norm(st) * np.exp(-kappa * r) * (n * r ** (n - 1) - kappa * r**n)
 
 
 def _kinetic_energy(st, tol):
@@ -205,10 +229,24 @@ def _kinetic_energy(st, tol):
 
         res = integrate_real_line(grad_sq, tol, breakpoints=[st.x0])
     else:
-        res = integrate(lambda r: reduced_radial_derivative(st, r) ** 2, 0.0, st.r_max, tol)
+        res = integrate(lambda r: reduced_radial_derivative(st, r) ** 2, 0.0, radial_u(st)[1], tol)
     scale = c.hbar**2 / (2.0 * c.mass)
     m = res.as_moment(1.0)
     return MomentValue.convergent(scale * m.require(), scale * m.err_estimate, 1.0)
+
+
+def radial_moment(st, t, tol, breakpoints=()):
+    """<r^t> = int_0^r_max u^2 r^t dr by adaptive quadrature at tol. The
+    integrand is (u r^(t/2))^2: r^t alone overflows at the nodes next to
+    r = 0 that negative orders are refined toward."""
+
+    u, r_max = radial_u(st)
+
+    def f(r):
+        with np.errstate(over="ignore"):
+            return (u(r) * r ** (0.5 * t)) ** 2
+
+    return integrate(f, 0.0, r_max, tol, breakpoints).as_moment(t)
 
 
 def axis_moment(st, quantity, x, tol):
@@ -226,8 +264,8 @@ def axis_moment(st, quantity, x, tol):
 def integrated(st, tol, sampled=False):
     """A copy of st whose direct_moment gives only what the quadrature
     routes above compute, at tol (the copy's tol, which a catalog state
-    does not carry): every position moment then comes from adaptive
-    quadrature, every momentum order from the k-integral of a momentum
+    does not carry): every <r^t> then comes from adaptive quadrature
+    (radial_moment), every momentum order from the k-integral of a momentum
     table (momentum_table(st, sampled)), and the axis moments of a 1-d
     state and every kinetic energy from this module."""
     table = functools.cache(lambda: momentum_table(st, sampled))
@@ -235,6 +273,8 @@ def integrated(st, tol, sampled=False):
     def direct(quantity, x):
         if quantity == KINETIC:
             return _kinetic_energy(st, tol)
+        if quantity == R_POWER:
+            return radial_moment(st, x, tol)
         if quantity == P_POWER and st.dimensionality != DIM_1D:
             return table().moment(x, tol, st.constants.hbar)
         if st.dimensionality == DIM_1D and quantity in (POSITION_AXIS, MOMENTUM_AXIS):

@@ -169,8 +169,10 @@ def test_buckingham_needs_the_states_own_exp_mean():
 
 
 def test_buckingham_failed_moment_is_not_a_divergence():
-    # on the geometric r4test grid <r^-6> counts as finite but its quadrature
-    # stalls; a failed moment decides nothing, so there is no vacuous pass
+    # on the geometric r4test grid <r^-6> counts as finite by the fitted
+    # origin power 4, but the model's u ~ r^2 on the first knot interval
+    # makes it diverge; a failed moment decides nothing, so there is no
+    # vacuous pass
     r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
     st = RadialGridState(r, r**4 * np.exp(-r))
     assert raw_radial_moment(st, -6.0).status == "failed"

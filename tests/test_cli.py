@@ -165,7 +165,8 @@ def test_sweep_grid_file_state(tmp_path, capsys):
 
 
 def test_sweep_grid_reciprocal_q29_converges(tmp_path, capsys):
-    # <r^-2.9> refines toward r = 0 until r^-2.9 alone would overflow
+    # <r^-2.9> takes the first knot interval in closed form, where
+    # u^2 r^-2.9 ~ r^-0.9, with no warning
     import warnings
 
     from qmoments.moments import raw_radial_moment
@@ -490,12 +491,13 @@ def test_tolerance_flags_reach_every_integral(tmp_path, capsys):
 
 
 def test_failed_moment_in_central_is_an_internal_error(tmp_path, capsys):
-    # <r^-2.9> of the grid state is finite but stalls within 100
-    # evaluations: not a divergence
-    cfgp = tmp_path / "c.json"
-    cfgp.write_text(json.dumps({"max_evals": 100}))
-    argv = ["--config", str(cfgp), "central", "--grid", _h_grid(tmp_path), "--alpha", "2.9"]
-    assert main(argv) == EXIT_ERROR
+    # <r^-5.5> of the geometric r4test grid counts as finite by the fitted
+    # origin power 4, but the model's u ~ r^2 on its first interval makes it
+    # diverge: failed, not a divergence
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 45.0, 400)])
+    grid = tmp_path / "r4.dat"
+    grid.write_text("\n".join(f"{a} {b}" for a, b in zip(r, r**4 * np.exp(-r))))
+    assert main(["central", "--grid", str(grid), "--alpha", "5.5"]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1

@@ -1,10 +1,11 @@
-"""The closed forms of the catalog states against the quadrature and
-sine-transform paths that grid states keep, which share no code with them."""
+"""The closed forms of the catalog states against the quadrature routes of
+tests/marginals.py and the sine-transform path that grid states keep, which
+share no code with them."""
 
 import numpy as np
 import pytest
 
-from marginals import integrated, reduced_radial_derivative
+from marginals import integrated, radial_u, reduced_radial_derivative
 from qmoments import moments as mo
 from qmoments import quadrature
 from qmoments.centralfield import BuckinghamPotential, PowerLawPotential, buckingham_bound, virial_report
@@ -47,12 +48,13 @@ def test_power_exp_closed_forms_match_quadrature(n, kappa):
     assert threshold == (5.0 if n < 4 else 9.0)
     for q in (0.5, 2.0, threshold - 0.1):
         _agree(mo._radial_momentum_raw(st, q), mo._radial_momentum_raw(quad, q))
+    u, r_max = radial_u(st)
     grad = quadrature.integrate(lambda r: reduced_radial_derivative(quad, r) ** 2,
-                                0.0, quad.r_max, quad.tol)
+                                0.0, r_max, quad.tol)
     assert abs(st.kinetic_energy() - 0.5 * grad.value) <= FACTOR * 0.5 * grad.err_estimate
     for r0 in (0.3, 1.0, 5.0):
         exp_decay = quadrature.integrate(
-            lambda r, r0=r0: quad.reduced_radial(r) ** 2 * np.exp(-r / r0), 0.0, quad.r_max, quad.tol)
+            lambda r, r0=r0: u(r) ** 2 * np.exp(-r / r0), 0.0, r_max, quad.tol)
         _agree(st.direct_moment(EXP_DECAY, r0), exp_decay.as_moment(1.0))
 
 

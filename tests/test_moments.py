@@ -220,17 +220,23 @@ def test_state_without_axis_densities_raises_capability_error():
 
 
 def test_radial_state_with_only_u_has_no_momentum_moments():
-    # the momentum orders come from a state's direct_moment alone: a radial
-    # state with only u gets its position moments by quadrature, and its
-    # momentum moments are refused, not integrated; like a grid state, it
-    # carries the tolerances of its integrals
+    # every finite moment comes from a state's direct_moment alone: a radial
+    # state with only u has none, and its <r^t> and <p^q> are refused, not
+    # integrated
     class Bare(RadialStateBase):
         label = "bare"
-        tol = Tolerances()
 
         def reduced_radial(self, r):
             return 2.0 * r * np.exp(-r)
 
-    assert raw_radial_moment(Bare(), 1.0).value == pytest.approx(1.5, rel=1e-10)
+    with pytest.raises(CapabilityError, match="^bare has no position moments$"):
+        raw_radial_moment(Bare(), 1.0)
     with pytest.raises(CapabilityError, match="^bare has no momentum moments$"):
         abs_central_moment(Bare(), momentum_axis(3), 2.0)
+
+
+def test_moments_integrates_nothing():
+    import qmoments.moments
+
+    assert not hasattr(qmoments.moments, "quadrature")
+    assert not hasattr(qmoments.moments, "integrate")

@@ -5,7 +5,7 @@ import pytest
 
 from marginals import (
     equal_panel_count, equal_panel_samples, integrate_real_line, integrate_semi_infinite,
-    power_exp_amplitude, real_line, semi_infinite,
+    power_exp_amplitude, radial_u, real_line, semi_infinite,
 )
 from qmoments.core import DomainError, MomentsError, Tolerances
 from qmoments.quadrature import RadialSamples, integrate
@@ -367,7 +367,7 @@ def test_sine_transform_batch_power_exp_closed_form(n, kappa):
     ks = np.geomspace(1e-5, 50.0 * kappa, 640)
     for start in range(0, ks.size, 128):  # ascending chunks: the panel count grows with k
         chunk = ks[start:start + 128]
-        vals = equal_panel_samples(st.reduced_radial, st.r_max, 1.0 / kappa, chunk.max()).sine_transform(chunk)
+        vals = equal_panel_samples(*radial_u(st), 1.0 / kappa, chunk.max()).sine_transform(chunk)
         assert np.abs(vals - power_exp_amplitude(st, chunk)).max() <= 1e-13
 
 
@@ -400,7 +400,7 @@ def test_sine_transform_batch_matches_dense_reference_on_grid_state():
     k_cut = st.momentum_table().k_cut
     # k whose gridding position k*scale is an integer to rounding: the
     # fraction inside the window is 0, or 1 less an ulp
-    scale = equal_panel_samples(st.reduced_radial, st.r_max, st.r_scale, k_cut)._scale[0]
+    scale = equal_panel_samples(st.reduced_radial, st.r_max, st.r_scale, k_cut)._factors[0][0, 0]
     on_grid = np.arange(1.0, k_cut * scale, 97.0) / scale
     # (u, r_max, r_scale, k_max, ks); k_max None is ks.max()
     h = (st.reduced_radial, st.r_max, st.r_scale)
@@ -504,7 +504,7 @@ def test_sine_transform_k_integral_reaches_tolerance():
 
     st = PowerExpRadialState(4, 1.0)
     k_cut = 50.0
-    samples = equal_panel_samples(st.reduced_radial, st.r_max, 1.0, k_cut)
+    samples = equal_panel_samples(*radial_u(st), 1.0, k_cut)
 
     res = integrate(lambda k: samples.sine_transform(k) ** 2 * k**8, 0.0, k_cut,
                     Tolerances(max_evals=20_000), breakpoints=[1.0])
@@ -569,7 +569,7 @@ def test_sin_cos_outer_corrects_the_rounding_of_each_product():
     # sin(k*x) = sin(p) + d cos(p) to first order, p = fl(k*x)
     from fractions import Fraction
 
-    from qmoments.quadrature import _sin_cos_outer, _split
+    from qmoments.quadrature import _sin_cos, _split, _two_product
 
     ks = np.linspace(41.0, 50.0, 7) * (1.0 + 1.0 / 3.0)
     x = np.linspace(0.7, 90.0, 11) * (1.0 + 1.0 / 7.0)
@@ -577,7 +577,7 @@ def test_sin_cos_outer_corrects_the_rounding_of_each_product():
     d = np.array([[float(Fraction(k) * Fraction(xj) - Fraction(pk)) for xj, pk in zip(x, row)]
                   for k, row in zip(ks, p)])
     want_s, want_c = np.sin(p) + d * np.cos(p), np.cos(p) - d * np.sin(p)
-    s, c = _sin_cos_outer(_split(ks), _split(x))
+    s, c = _sin_cos(*_two_product(tuple(a[:, None] for a in _split(ks)), _split(x)))
     assert np.abs(s - want_s).max() == 0.0
     assert np.abs(c - want_c).max() == 0.0
     # the plain phases miss by far more than the rounding of sin itself

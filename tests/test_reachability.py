@@ -24,11 +24,6 @@ UNREACHED = {
     "exact.ContinuousState.direct_moment": "abstract default: every state a command builds overrides it",
     "exact.ContinuousState.position_mean": "abstract default: every state a command builds overrides it",
     "exact.ContinuousState.momentum_mean": "abstract default: every state a command builds overrides it",
-    "exact.ContinuousState.reduced_radial": "abstract default: every radial state overrides it",
-    "exact.PowerExpRadialState.reduced_radial": "oracle: the tests transform the catalog's u "
-                                                "numerically against the grid's sine-transform path",
-    "exact.PowerExpRadialState.norm": "oracle: the normalization of reduced_radial and of the "
-                                      "closed-form w(k) of tests/marginals.py",
     "exact._Gaussian1D.sigma_x": "oracle: tests/marginals.py builds the normal marginals of the "
                                  "qho and gaussian axis moments from it",
     "exact._Gaussian1D.sigma_p": "oracle: as sigma_x, in momentum; <T> of a packet with p0 != 0 "

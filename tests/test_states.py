@@ -5,7 +5,8 @@ import pytest
 
 from marginals import (
     equal_panel_samples, hydrogen_position_density, integrate_real_line, integrate_semi_infinite,
-    integrated, momentum_density, momentum_table, position_density, reduced_radial_derivative,
+    integrated, momentum_density, momentum_table, position_density, radial_moment, radial_u,
+    reduced_radial_derivative,
 )
 from contract.record import CI_GRIDS
 from qmoments.core import CapabilityError, DataFormatError, Tolerances
@@ -33,15 +34,15 @@ def qho():
 
 
 def test_hydrogen_radial_density_value(hydrogen):
-    assert hydrogen.reduced_radial(1.0) ** 2 == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
+    assert radial_u(hydrogen)[0](1.0) ** 2 == pytest.approx(4.0 * math.exp(-2.0), rel=1e-14)
 
 
 def test_hydrogen_radial_density_origin(hydrogen):
-    assert hydrogen.reduced_radial(0.0) == 0.0
+    assert radial_u(hydrogen)[0](0.0) == 0.0
 
 
 def test_radial_density_normalized(hydrogen):
-    res = integrate_semi_infinite(lambda r: hydrogen.reduced_radial(r) ** 2)
+    res = integrate_semi_infinite(lambda r: radial_u(hydrogen)[0](r) ** 2)
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
@@ -202,8 +203,10 @@ def test_qho_width():
 
 
 def test_capability_errors(qho):
+    from qmoments.moments import raw_radial_moment
+
     with pytest.raises(CapabilityError):
-        qho.reduced_radial(1.0)
+        raw_radial_moment(qho, 1.0)  # no radial structure
     with pytest.raises(CapabilityError):
         qho.position_mean(2)  # 1d states expose axis 1 only
 
@@ -1019,17 +1022,102 @@ def test_grid_knot_table_matches_integrate_on_the_interpolant(make, integrate_ca
     assert st.kinetic_energy() == pytest.approx(kinetic, rel=1e-12)
 
 
-def test_grid_origin_chain_falls_back_to_integrate(integrate_calls):
-    # u^2 r^-2.9 ~ r^-0.9 at the origin: the fixed nodes miss the target there
+def test_grid_origin_interval_takes_no_integrate_call(integrate_calls):
+    # u^2 r^-2.9 ~ r^-0.9 at the origin: the fixed nodes of the first knot
+    # interval miss the target there, and its closed form does not
     from qmoments.moments import raw_radial_moment
 
     st = _hydrogen_grid()
     assert not st.knot_moment(-2.9).converged
     m = raw_radial_moment(st, -2.9)
-    assert m.is_convergent and len(integrate_calls) == 1
+    assert m.is_convergent and integrate_calls == []
     # <r^t> of hydrogen is 4 Gamma(t+3) / 2^(t+3); the grid's error, which
     # r^-2.9 weighs toward the first knot intervals, is 5e-4 here
     assert m.value == pytest.approx(4.0 * math.gamma(0.1) / 2.0**0.1, rel=1e-3)
+
+
+# the origin threshold -(2m + 1) of each CI grid's fitted origin power m
+_CI_THRESHOLDS = {"h_grid.txt": -3.0, "coarse_grid.txt": -3.0, "u0_grid.txt": -1.0,
+                  "r4_grid.txt": -9.0}
+
+
+@pytest.mark.parametrize("grid", sorted(_CI_THRESHOLDS))
+def test_grid_position_moments_never_integrate(grid, monkeypatch):
+    # the first knot interval in closed form and the knot table on the rest
+    # answer every order, with no adaptive quadrature behind them
+    from qmoments import quadrature, states
+    from qmoments.moments import raw_radial_moment
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid <r^t> integrated")
+
+    st = _ci_grid_state(grid)
+    monkeypatch.setattr(quadrature, "integrate", refuse)
+    monkeypatch.setattr(states, "integrate", refuse)
+    threshold = _CI_THRESHOLDS[grid]
+    assert threshold == -1.0 - 2.0 * st.origin_power_u
+    for t in (threshold + 0.1, -1.5, 0.5, 3.0):
+        m = raw_radial_moment(st, t)
+        if t <= threshold:
+            assert m.status == "divergent", t
+        elif grid == "r4_grid.txt" and t < -5.0:
+            assert m.status == "failed" and "fitted origin power 4" in m.detail, t
+        else:
+            assert m.is_convergent and m.err_estimate <= 1e-10 * m.value, t
+
+
+@pytest.mark.parametrize("grid, t", [
+    ("h_grid.txt", -2.9), ("h_grid.txt", -2.5), ("h_grid.txt", -1.5), ("h_grid.txt", -1.0),
+    ("h_grid.txt", 2.0), ("coarse_grid.txt", -2.9), ("u0_grid.txt", -0.9),
+    ("r4_grid.txt", -4.9), ("r4_grid.txt", -4.0), ("r4_grid.txt", -3.0), ("r4_grid.txt", 1.5),
+])
+def test_grid_position_moment_matches_integrate_on_the_model(grid, t):
+    # against adaptive quadrature of the model's u^2 r^t at rel_tol 1e-13,
+    # with the knots as breakpoints, whose origin chain is off by up to 4.4e-13
+    # near the threshold (t = -4.9 on the r4test grid). At t = -3 and -4 on
+    # the r4test grid a coefficient D_j of u^2 is 0 where t + j + 1 is 0
+    # (j = 2, 3: the model is u ~ r^2 on the first interval), a 0/0 in a
+    # plain sum
+    from qmoments.moments import raw_radial_moment
+
+    st = _ci_grid_state(grid)
+    want = radial_moment(st, t, Tolerances(rel_tol=1e-13), st._r).require()
+    assert raw_radial_moment(st, t).value == pytest.approx(want, rel=1e-12)
+
+
+def test_grid_model_flatter_than_its_fitted_origin_power_is_failed():
+    # the geometric r4test grid fits u ~ r^4 at r = 0, but the monotone
+    # cubic's end slope is clamped to 0 and its u ~ 1.1e-7 r^2 on [0, r_1]:
+    # <r^t> of the model diverges for t <= -5, which power counting calls
+    # finite, so the moment is failed and names both powers
+    from qmoments.moments import raw_radial_moment
+
+    st = _ci_grid_state("r4_grid.txt")
+    for t in (-5.0, -5.5, -6.0, -8.5):
+        m = raw_radial_moment(st, t)
+        assert m.status == "failed", t
+        assert m.detail == (f"the model's u ~ r^2 on [0, r_1] makes <r^{t:g}> diverge; "
+                            f"fitted origin power 4")
+
+
+def test_origin_terms_read_rounding_coefficients_as_zero():
+    # u(0) = 1e-18 next to u(r_1) near 0.04 is a jump by power counting
+    # (origin power 0), but in the model's first cubic it is rounding: the
+    # cubic counts as u ~ r, so u^2 starts at s^2, and <r^-0.9> is finite
+    from qmoments.moments import raw_radial_moment
+
+    r = np.arange(0.0, 40.01, 0.02)
+    u = 2.0 * r * np.exp(-r)
+    u[0] = 1e-18
+    st = RadialGridState(r, u)
+    assert st.origin_power_u == 0.0
+    r1, terms, power = st._origin
+    assert (r1, power, terms[0][0]) == (0.02, 1.0, 2)
+    # each term's rounding bound, 16 eps sum_i |a_i a_(j-i)|, covers 16 eps |D_j|
+    assert all(16.0 * np.finfo(float).eps * abs(d) <= bound for _, d, bound in terms)
+    assert raw_radial_moment(st, -0.9).is_convergent
+    # a grid that starts past r = 0 keeps no first cubic
+    assert RadialGridState(r[1:], u[1:])._origin is None
 
 
 def _two_s_grid(h):
